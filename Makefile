@@ -7,7 +7,7 @@ CAMP = /tmp/ferrum_campaign
 STATS = /tmp/ferrum_stats
 TRACE = /tmp/ferrum_trace
 
-.PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-snapshot check clean
+.PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
 
 all: build
 
@@ -122,6 +122,14 @@ serve-smoke: build
 perf: build
 	$(BENCH) perf --smoke --samples 300
 
+# Layered-benchmark self-test: a tiny run of every perfbench workload.
+# Every declared metric must be present, every output check must pass
+# (sharded records equal in-process `campaign_sample`, served artifacts
+# byte-identical), sdc_pct must repeat exactly on a seed, and the traced
+# run's trace must pass `ferrum trace-export`.  Takes a few minutes.
+bench-selftest: build
+	python3 perfbench/run.py --self-test
+
 # Append-only benchmark snapshots: writes the next free BENCH_<n>.json
 # (ferrum.bench.v1) from a small seeded run.
 bench-snapshot: build
@@ -130,7 +138,8 @@ bench-snapshot: build
 	$(CLI) metrics BENCH_$$n.json && \
 	echo "bench-snapshot: wrote BENCH_$$n.json"
 
-check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf
+check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf \
+  bench-selftest
 
 clean:
 	dune clean
@@ -138,3 +147,4 @@ clean:
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).html $(CAMP).seq $(TRACE).d $(TRACE).d2
+	rm -rf .bench_build

@@ -187,7 +187,8 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
              end);
          (* Engine-phase breakdown of this shard's work, as one span of
             deterministic counters (golden walk, checkpoint restores,
-            prefix replay, post-flip suffixes, predecode activity). *)
+            prefix replay, post-flip suffixes, predecode activity, golden
+            convergence). *)
          Trace.span tr "engine" (fun () ->
              let ph = F.phases target in
              Trace.counter tr "walks" ph.F.ph_walks;
@@ -196,7 +197,9 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
              Trace.counter tr "prefix_steps" ph.F.ph_prefix_steps;
              Trace.counter tr "suffix_steps" ph.F.ph_suffix_steps;
              Trace.counter tr "decodes" ph.F.ph_decodes;
-             Trace.counter tr "fused_steps" ph.F.ph_fused_steps);
+             Trace.counter tr "fused_steps" ph.F.ph_fused_steps;
+             Trace.counter tr "converged" ph.F.ph_converged;
+             Trace.counter tr "skipped_steps" ph.F.ph_skipped_steps);
          Trace.counter tr "samples" !done_;
          emit_event
            (Events.Shard_finished

@@ -26,7 +26,8 @@ type scope = Original_only | All_sites
    incrementally) and runs the pre-flip prefix unobserved.
    [Checkpointed k] additionally restores the golden-run checkpoint
    nearest below the sampled flip point, so each sample pays only the
-   suffix. *)
+   suffix, and ends an untraced suffix at the first golden checkpoint
+   its state matches ({!run_suffix}). *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 let default_engine = Checkpointed 4096
@@ -141,6 +142,8 @@ type phases = {
   mutable ph_suffix_steps : int; (* flip + post-flip execution *)
   mutable ph_decodes : int; (* predecode lowerings of this target *)
   mutable ph_fused_steps : int; (* suffix steps retired as fused pairs *)
+  mutable ph_converged : int; (* suffixes ended on a golden checkpoint *)
+  mutable ph_skipped_steps : int; (* golden steps those suffixes skipped *)
 }
 
 let zero_phases () =
@@ -152,6 +155,8 @@ let zero_phases () =
     ph_suffix_steps = 0;
     ph_decodes = 0;
     ph_fused_steps = 0;
+    ph_converged = 0;
+    ph_skipped_steps = 0;
   }
 
 (* A profiled program ready for injection.  The checkpoint cache and the
@@ -187,7 +192,9 @@ let reset_phases (t : target) =
   p.ph_prefix_steps <- 0;
   p.ph_suffix_steps <- 0;
   p.ph_decodes <- 0;
-  p.ph_fused_steps <- 0
+  p.ph_fused_steps <- 0;
+  p.ph_converged <- 0;
+  p.ph_skipped_steps <- 0
 
 exception Golden_failure of string
 
@@ -454,12 +461,43 @@ let rec run_prefix (t : target) pre len st seen ~dyn_index =
         if t.eligible.(idx) then incr seen;
         run_prefix t pre len st seen ~dyn_index
 
+(* Run the post-flip suffix unobserved, in legs that end on the golden
+   checkpoints' step counts (fused pairs check fuel between their
+   halves, so a leg stops exactly there).  At each boundary the state is
+   compared with the golden checkpoint; once they match the rest of the
+   run *is* the golden run — the machine is a deterministic function of
+   the state {!Snapshot.converged} compares — so it ends there as the
+   golden run does, with its output, steps and cycles.  Without
+   checkpoints (the pooled engine) this is one plain leg. *)
+let run_suffix (t : target) pre sl st =
+  let cache = cache t in
+  let n = Snapshot.ckpt_count cache in
+  let rec leg c =
+    if c >= n then Predecode.exec ~fuel:t.fuel pre st
+    else
+      match Predecode.exec ~fuel:(Snapshot.ckpt_steps cache c) pre st with
+      | Machine.Timeout when Snapshot.converged sl c ->
+        let ph = t.phases and skipped = t.golden_steps - st.Machine.steps in
+        ph.ph_converged <- ph.ph_converged + 1;
+        ph.ph_skipped_steps <- ph.ph_skipped_steps + skipped;
+        (* the caller counts suffix steps off the final step count *)
+        ph.ph_suffix_steps <- ph.ph_suffix_steps - skipped;
+        st.Machine.steps <- t.golden_steps;
+        st.Machine.cycles <- t.golden_cycles;
+        Machine.Exit t.golden_output
+      | Machine.Timeout -> leg (c + 1)
+      | o -> o
+  in
+  leg (Snapshot.next_ckpt cache ~steps:st.Machine.steps)
+
 (* {!inject_full}'s exact semantics on a pooled, checkpoint-restored
    state: restore the nearest checkpoint at or below the flip point, run
    the remaining prefix unobserved, execute the flip instruction, flip,
-   and run the suffix.  Steps, cycles and fuel all count from program
-   start because the restored checkpoint carries them.  The returned
-   state is the pooled slot's — valid until the next sample. *)
+   and run the suffix ({!run_suffix}).  Steps, cycles and fuel all count
+   from program start because the restored checkpoint carries them.  The
+   returned state is the pooled slot's — valid until the next sample —
+   and only its steps and cycles are meaningful once the suffix has
+   converged. *)
 let inject_fast ~fault_bits (t : target) rng ~dyn_index :
     classification * fault * Machine.state =
   let sl = slot t in
@@ -488,7 +526,7 @@ let inject_fast ~fault_bits (t : target) rng ~dyn_index :
     | _retired ->
       let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
       let f0 = Predecode.fused_steps () in
-      let outcome = Predecode.exec ~fuel:t.fuel pre st in
+      let outcome = run_suffix t pre sl st in
       t.phases.ph_fused_steps <-
         t.phases.ph_fused_steps + (Predecode.fused_steps () - f0);
       suffix_done ();

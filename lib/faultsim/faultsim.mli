@@ -23,7 +23,8 @@ type scope = Original_only | All_sites
     target/worker, unobserved prefix.  [Checkpointed k]: additionally
     restore the golden-run checkpoint (captured every [k] dynamic
     instructions) nearest below the flip point, paying only the
-    suffix. *)
+    suffix, and end an untraced suffix at the first checkpoint whose
+    state it matches. *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 (** [Checkpointed 4096]. *)
@@ -100,6 +101,12 @@ type phases = {
       (** suffix steps retired as fused superinstruction pairs; replayed
           identically by the legacy dispatch loop so trace counters stay
           byte-identical whichever dispatcher ran *)
+  mutable ph_converged : int;
+      (** suffixes ended early because their state matched a golden
+          checkpoint (checkpointed engine only) *)
+  mutable ph_skipped_steps : int;
+      (** golden steps those converged suffixes did not execute; not
+          counted in [ph_suffix_steps] *)
 }
 
 (** A profiled program ready for injection.  The trailing mutable

@@ -15,7 +15,13 @@
    latest checkpoint ≤ [c] holding each page in O(log #checkpoints); a
    generation-stamped dedup ensures each page is written at most once
    per restore.  No per-sample allocation occurs anywhere on this
-   path. *)
+   path.
+
+   The same reasoning bounds the comparison of a running slot with a
+   later golden checkpoint ({!converged}): only the pages the slot has
+   dirtied and the deltas between its checkpoint and the target can
+   differ, so a suffix can be checked against the golden run at every
+   checkpoint boundary for the price of a register compare. *)
 
 let page_bits = Machine.page_bits
 
@@ -146,14 +152,22 @@ let find_pos arr x =
   assert (i >= 0 && arr.(i) = x);
   i
 
-let select cache ~dyn_index =
+(* Number of checkpoints with [key ck <= x]; [key] ascends over the
+   checkpoint array. *)
+let count_le cache key x =
   let ckpts = cache.ckpts in
   let lo = ref 0 and hi = ref (Array.length ckpts) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if ckpts.(mid).c_seen <= dyn_index then lo := mid + 1 else hi := mid
+    if key ckpts.(mid) <= x then lo := mid + 1 else hi := mid
   done;
-  !lo - 1
+  !lo
+
+let select cache ~dyn_index = count_le cache (fun ck -> ck.c_seen) dyn_index - 1
+
+let ckpt_steps cache c = cache.ckpts.(c).c_steps
+
+let next_ckpt cache ~steps = count_le cache (fun ck -> ck.c_steps) steps
 
 type slot = {
   cache : cache;
@@ -161,6 +175,7 @@ type slot = {
   mutable at : int; (* checkpoint the slot was last restored to; -1 = pristine *)
   stamp : int array; (* per page: generation of the last touch *)
   mutable gen : int;
+  mutable miss : int; (* page that last failed {!converged}; -1 = none *)
 }
 
 let make_slot cache =
@@ -172,24 +187,31 @@ let make_slot cache =
     at = -1; (* a fresh state is bit-identical to [pristine] *)
     stamp = Array.make cache.n_pages 0;
     gen = 0;
+    miss = -1;
   }
 
 let state sl = sl.st
 
-(* Write page [p]'s canonical contents at checkpoint [c] into the slot:
-   the latest delta ≤ [c] carrying the page, else the pristine image. *)
+(* Checkpoint whose delta holds page [p]'s canonical contents at
+   checkpoint [c]: the latest delta <= [c] carrying the page; -1 when
+   the pristine image does. *)
+let holder cache ~c p =
+  if c < 0 then -1
+  else
+    let v = find_le cache.versions.(p) c in
+    if v < 0 then -1 else cache.versions.(p).(v)
+
+(* Write page [p]'s canonical contents at checkpoint [c] into the slot. *)
 let load_page sl ~c p =
   let cache = sl.cache in
   let len = page_len cache p in
   let off = p lsl page_bits in
-  let v = if c < 0 then -1 else find_le cache.versions.(p) c in
-  if v < 0 then
-    Bytes.blit cache.pristine.Machine.mem off sl.st.Machine.mem off len
-  else begin
-    let ck = cache.ckpts.(cache.versions.(p).(v)) in
-    let pos = find_pos ck.c_pages p in
-    Bytes.blit ck.c_data (pos * page_size) sl.st.Machine.mem off len
-  end
+  match holder cache ~c p with
+  | -1 -> Bytes.blit cache.pristine.Machine.mem off sl.st.Machine.mem off len
+  | h ->
+    let ck = cache.ckpts.(h) in
+    Bytes.blit ck.c_data (find_pos ck.c_pages p * page_size) sl.st.Machine.mem
+      off len
 
 let load_regs sl c =
   let st = sl.st in
@@ -208,31 +230,35 @@ let load_regs sl c =
     st.Machine.out_rev <- ck.c_out_rev
   end
 
-let restore_to sl c =
+(* Visit, once each, every page whose contents can differ between the
+   slot's state and golden checkpoint [c]: (1) pages the slot dirtied
+   since its last restore and (2) the union of the golden deltas
+   strictly after min(at, c) up to max(at, c) — symmetric, so both
+   forward and backward moves work.  Every other page still holds the
+   contents the slot was restored with, which equal checkpoint [c]'s. *)
+let iter_candidates sl c f =
   sl.gen <- sl.gen + 1;
   let gen = sl.gen in
-  let touch p =
+  let visit p =
     if sl.stamp.(p) <> gen then begin
       sl.stamp.(p) <- gen;
-      load_page sl ~c p
+      f p
     end
   in
-  (* 1. Undo the previous injection run's writes. *)
   (match sl.st.Machine.track with
   | None -> ()
   | Some tr ->
     for i = 0 to tr.Machine.tr_count - 1 do
-      touch tr.Machine.tr_pages.(i)
+      visit tr.Machine.tr_pages.(i)
     done);
-  Machine.clear_dirty sl.st;
-  (* 2. Rewrite pages whose canonical content differs between the slot's
-     current checkpoint and the target: the union of the deltas strictly
-     after min(at, c) up to max(at, c) — symmetric, so both forward and
-     backward moves work. *)
   let lo = min sl.at c and hi = max sl.at c in
   for ci = lo + 1 to hi do
-    Array.iter touch sl.cache.ckpts.(ci).c_pages
-  done;
+    Array.iter visit sl.cache.ckpts.(ci).c_pages
+  done
+
+let restore_to sl c =
+  iter_candidates sl c (load_page sl ~c);
+  Machine.clear_dirty sl.st;
   load_regs sl c;
   sl.at <- c
 
@@ -242,6 +268,86 @@ let restore sl ~dyn_index =
   let c = select sl.cache ~dyn_index in
   restore_to sl c;
   if c < 0 then 0 else sl.cache.ckpts.(c).c_seen
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external rget : Machine.regfile -> int -> int64 = "%caml_ba_unsafe_ref_1"
+
+(* [a[ao, ao+len) = b[bo, bo+len)], eight bytes at a time. *)
+let sub_equal a ao b bo len =
+  let i = ref 0 in
+  while !i + 8 <= len && (get64u a (ao + !i) : int64) = get64u b (bo + !i) do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get a (ao + !i) = Bytes.unsafe_get b (bo + !i)
+  do
+    incr i
+  done;
+  !i = len
+
+let regfile_equal (a : Machine.regfile) (b : Machine.regfile) =
+  let n = Bigarray.Array1.dim a in
+  let i = ref 0 in
+  while !i < n && (rget a !i : int64) = rget b !i do
+    incr i
+  done;
+  !i = n
+
+(* Output lists share their tails with the checkpoint the slot was
+   restored from, so physical equality usually ends the walk early. *)
+let rec out_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | x :: a', y :: b' -> Int64.equal x y && out_equal a' b'
+  | _ -> false
+
+(* Does page [p] of the slot hold its canonical contents at [c]? *)
+let page_equal sl ~c p =
+  let cache = sl.cache in
+  let len = page_len cache p in
+  let off = p lsl page_bits in
+  match holder cache ~c p with
+  | -1 -> sub_equal cache.pristine.Machine.mem off sl.st.Machine.mem off len
+  | h ->
+    let ck = cache.ckpts.(h) in
+    sub_equal ck.c_data (find_pos ck.c_pages p * page_size) sl.st.Machine.mem
+      off len
+
+(* Memory half of {!converged}.  The page that failed last goes first: a
+   run whose corruption sits in memory keeps failing on the same page,
+   so it pays about one page compare per boundary. *)
+let pages_equal sl c =
+  (sl.miss < 0 || page_equal sl ~c sl.miss)
+  &&
+  match
+    iter_candidates sl c (fun p ->
+        if not (page_equal sl ~c p) then begin
+          sl.miss <- p;
+          raise_notrace Exit
+        end)
+  with
+  | () -> true
+  | exception Exit -> false
+
+(* Cheapest first: scalars, then register files and output, then only
+   the pages that can differ. *)
+let converged sl c =
+  let ck = sl.cache.ckpts.(c) in
+  let st = sl.st in
+  st.Machine.steps = ck.c_steps
+  && st.Machine.ip = ck.c_ip
+  && Int64.equal
+       (Int64.bits_of_float st.Machine.cycles)
+       (Int64.bits_of_float ck.c_cycles)
+  && st.Machine.zf = ck.c_zf
+  && st.Machine.sf = ck.c_sf
+  && st.Machine.cf = ck.c_cf
+  && st.Machine.off = ck.c_off
+  && regfile_equal st.Machine.gpr ck.c_gpr
+  && regfile_equal st.Machine.simd ck.c_simd
+  && out_equal st.Machine.out_rev ck.c_out_rev
+  && pages_equal sl c
 
 (* Make [dst] bit-identical to [src].  Precondition: both slots were
    last restored to the same checkpoint, [dst] untouched since.  Only

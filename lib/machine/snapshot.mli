@@ -37,6 +37,13 @@ val ckpt_count : cache -> int
     [<= dyn_index]; [-1] when only the pristine start qualifies. *)
 val select : cache -> dyn_index:int -> int
 
+(** Step count of checkpoint [c], [0 <= c < ckpt_count cache]. *)
+val ckpt_steps : cache -> int -> int
+
+(** Index of the first checkpoint captured after more than [steps]
+    retired instructions; [ckpt_count cache] when there is none. *)
+val next_ckpt : cache -> steps:int -> int
+
 (** A pooled state bound to [cache], initially pristine. *)
 val make_slot : cache -> slot
 
@@ -56,3 +63,14 @@ val reset : slot -> unit
     and the pages [src] has dirtied.  Both slots must have been
     restored to the same checkpoint, with [dst] not executed since. *)
 val sync : src:slot -> slot -> unit
+
+(** [converged sl c]: is the slot's state bit-identical to golden
+    checkpoint [c] — the fields {!restore} writes: steps, ip, the bits of
+    cycles, flags, both register files, output and memory?  Cheapest
+    first; memory compares only the pages that can differ (those the
+    slot dirtied since its last restore and the golden deltas between
+    its checkpoint and [c]), starting with the page that failed the
+    slot's previous call.  Page contents decide, not dirty bits.  The
+    machine is a deterministic function of exactly this state, so a
+    converged run retires the rest of the golden run. *)
+val converged : slot -> int -> bool

@@ -8,6 +8,7 @@
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
 module Snapshot = Ferrum_machine.Snapshot
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Json = Ferrum_telemetry.Json
 module Propagation = Ferrum_telemetry.Propagation
@@ -99,6 +100,47 @@ let timeout_program () =
               original (Instr.Call "print_i64");
               original Instr.Ret ] ] ]
 
+(* Memory-only corruption: the one eligible site computes a value that
+   is stored and then dropped from its register, so a flip of it leaves
+   the registers golden and one data page different.  Pass 1 fills
+   a[0..199]; pass 2 rewrites a[0..99], repairing a fault there (the
+   run converges back to golden); a fault in a[100..199] survives into
+   the final sum (SDC).  Every other instruction is instrumentation, so
+   no sample lands elsewhere. *)
+let memory_only_program () =
+  let inert op = { Instr.op; prov = Instr.Instrumentation } in
+  let slot = Instr.Mem (Instr.mem ~index:Reg.RCX ~scale:8 3600) in
+  let fill ~label ~bound ~prov =
+    Prog.block label
+      [ inert (Instr.Mov (Reg.Q, Instr.Reg Reg.RCX, Instr.Reg Reg.RAX));
+        prov (Instr.Alu (Instr.Add, Reg.Q, Instr.Imm 1000L, Instr.Reg Reg.RAX));
+        inert (Instr.Mov (Reg.Q, Instr.Reg Reg.RAX, slot));
+        inert (Instr.Alu (Instr.Add, Reg.Q, Instr.Imm 1L, Instr.Reg Reg.RCX));
+        inert (Instr.Cmp (Reg.Q, Instr.Imm bound, Instr.Reg Reg.RCX));
+        inert (Instr.Jcc (Cond.NE, label)) ]
+  in
+  Prog.program
+    [ Prog.func "main"
+        [ Prog.block "main"
+            [ inert (Instr.Mov (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RCX)) ];
+          fill ~label:"fill" ~bound:200L ~prov:original;
+          Prog.block "refill_init"
+            [ inert (Instr.Mov (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RCX)) ];
+          fill ~label:"refill" ~bound:100L ~prov:inert;
+          Prog.block "sum_init"
+            [ inert (Instr.Mov (Reg.Q, Instr.Imm 100L, Instr.Reg Reg.RCX));
+              inert (Instr.Mov (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RDX)) ];
+          Prog.block "sum"
+            [ inert (Instr.Alu (Instr.Add, Reg.Q, slot, Instr.Reg Reg.RDX));
+              inert
+                (Instr.Alu (Instr.Add, Reg.Q, Instr.Imm 1L, Instr.Reg Reg.RCX));
+              inert (Instr.Cmp (Reg.Q, Instr.Imm 200L, Instr.Reg Reg.RCX));
+              inert (Instr.Jcc (Cond.NE, "sum")) ];
+          Prog.block "done"
+            [ inert (Instr.Mov (Reg.Q, Instr.Reg Reg.RDX, Instr.Reg Reg.RDI));
+              inert (Instr.Call "print_i64");
+              inert Instr.Ret ] ] ]
+
 (* ---- helpers ---- *)
 
 let check_state_eq name (want : Machine.state) (got : Machine.state) =
@@ -122,11 +164,13 @@ let check_state_eq name (want : Machine.state) (got : Machine.state) =
     (Bytes.equal want.Machine.mem got.Machine.mem)
 
 (* Serialized per-injection records for [samples] campaign samples. *)
-let campaign_lines ~engine ~seed ~samples img =
-  let t = F.prepare ~engine img in
+let target_lines t ~seed ~samples =
   List.init samples (fun sample ->
       let _, _, r = F.campaign_sample t ~seed ~sample in
       Json.to_string (F.record_to_json r))
+
+let campaign_lines ~engine ~seed ~samples img =
+  target_lines (F.prepare ~engine img) ~seed ~samples
 
 (* Assert every fast engine reproduces the scratch record stream byte
    for byte. *)
@@ -303,6 +347,82 @@ let test_sync_clones_run_state () =
    with Machine.Halt _ | Machine.Trap _ -> ());
   check_state_eq "synced slot tracks the source" sst dstt
 
+(* ---- golden convergence predicate ---- *)
+
+(* A slot on the loop fixture (checkpoints every 64 steps) restored to
+   checkpoint 3 and run unobserved to checkpoint 5's step count, so its
+   stores dirtied real pages on the way.  Every instruction is counted,
+   so a checkpoint's write-back index is its step count. *)
+let converged_fixture () =
+  let img = Machine.load (loop_program ()) in
+  let cache = Snapshot.build ~interval:64 ~counted:(fun _ -> true) img in
+  let sl = Snapshot.make_slot cache in
+  ignore (Snapshot.restore sl ~dyn_index:(Snapshot.ckpt_steps cache 3) : int);
+  let st = Snapshot.state sl in
+  Alcotest.(check bool) "a restored checkpoint matches itself" true
+    (Snapshot.converged sl 3);
+  Alcotest.(check int) "next checkpoint after the restore point" 4
+    (Snapshot.next_ckpt cache ~steps:st.Machine.steps);
+  (match
+     Predecode.exec ~fuel:(Snapshot.ckpt_steps cache 5) (Predecode.get img) st
+   with
+  | Machine.Timeout -> ()
+  | o -> Alcotest.failf "leg ended early: %a" Machine.pp_outcome o);
+  (sl, st)
+
+let test_converged_at_boundary () =
+  let sl, st = converged_fixture () in
+  Alcotest.(check bool) "untouched run matches golden checkpoint 5" true
+    (Snapshot.converged sl 5);
+  Alcotest.(check bool) "but not checkpoint 4 (steps differ)" false
+    (Snapshot.converged sl 4);
+  Alcotest.(check bool) "the leg dirtied pages" true
+    (match st.Machine.track with
+    | Some tr -> tr.Machine.tr_count > 0
+    | None -> false)
+
+let test_converged_memory () =
+  let sl, st = converged_fixture () in
+  let addr = 3600L in
+  let v = Machine.read_mem st addr Reg.Q in
+  Machine.write_mem st addr Reg.Q (Int64.add v 1L);
+  Alcotest.(check bool) "a store of a different value diverges" false
+    (Snapshot.converged sl 5);
+  Machine.write_mem st addr Reg.Q v;
+  Alcotest.(check bool) "writing the original back converges again" true
+    (Snapshot.converged sl 5)
+
+(* Checkpoint 5's registers over checkpoint 3's memory, nothing dirty:
+   only the golden deltas in between say which pages to compare. *)
+let test_converged_golden_deltas () =
+  let img = Machine.load (loop_program ()) in
+  let cache = Snapshot.build ~interval:64 ~counted:(fun _ -> true) img in
+  let restored c =
+    let sl = Snapshot.make_slot cache in
+    ignore (Snapshot.restore sl ~dyn_index:(Snapshot.ckpt_steps cache c) : int);
+    sl
+  in
+  let golden = restored 5 and sl = restored 3 in
+  Machine.reset_regs ~from:(Snapshot.state golden) (Snapshot.state sl);
+  Alcotest.(check bool) "stale memory under golden registers" false
+    (Snapshot.converged sl 5)
+
+let test_converged_scalars () =
+  let sl, st = converged_fixture () in
+  let out = st.Machine.out_rev in
+  st.Machine.out_rev <- 7L :: out;
+  Alcotest.(check bool) "only the output differs" false
+    (Snapshot.converged sl 5);
+  st.Machine.out_rev <- out;
+  let cycles = st.Machine.cycles in
+  st.Machine.cycles <- Float.succ cycles;
+  Alcotest.(check bool) "cycles one ulp apart" false (Snapshot.converged sl 5);
+  st.Machine.cycles <- cycles;
+  Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
+  Alcotest.(check bool) "one SIMD bit apart" false (Snapshot.converged sl 5);
+  Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
+  Alcotest.(check bool) "all restored" true (Snapshot.converged sl 5)
+
 (* ---- engine bit-identity on fixtures ---- *)
 
 let test_fixture_identity () =
@@ -344,11 +464,34 @@ let test_timeout_near_fuel () =
         img)
     [ 9L; 23L ]
 
+(* Registers equal, one page different: only the page compare can tell
+   the SDC runs (fault in a[100..199]) from golden, and the repaired
+   ones (a[0..99]) must converge.  The records must still be the
+   scratch path's. *)
+let test_memory_only_corruption () =
+  let img = Machine.load (memory_only_program ()) in
+  let seed = 5L and samples = 40 in
+  check_identity "memory-only fixture" fast_fixture_engines ~seed ~samples img;
+  let t = F.prepare ~engine:(F.Checkpointed 64) img in
+  let counts =
+    List.fold_left
+      (fun c sample ->
+        let cls, _, _ = F.campaign_sample t ~seed ~sample in
+        F.add_count c cls)
+      F.zero_counts
+      (List.init samples Fun.id)
+  in
+  Alcotest.(check bool) "surviving memory faults are SDCs" true
+    (counts.F.sdc > 0);
+  Alcotest.(check bool) "repaired memory faults converge" true
+    ((F.phases t).F.ph_converged > 0)
+
 (* ---- engine bit-identity across the catalogue ---- *)
 
-(* K = 1 is exercised on the small fixtures above only: one checkpoint
-   per dynamic instruction over a catalogue workload's hundreds of
-   thousands of steps would pin hundreds of megabytes of page deltas. *)
+(* K = 1 is exercised on the small fixtures above and on the smallest
+   kernel below only: one checkpoint per dynamic instruction over most
+   catalogue workloads' hundreds of thousands of steps would pin
+   hundreds of megabytes of page deltas. *)
 let catalogue_engines = [ F.Pooled; F.Checkpointed 64; F.Checkpointed 4096 ]
 
 let test_catalogue_identity () =
@@ -367,6 +510,42 @@ let test_catalogue_identity () =
             catalogue_engines ~seed:7L ~samples:8 img)
         techniques)
     Catalog.all
+
+let kmeans_build () =
+  match Catalog.find "kmeans" with
+  | Some e -> e.Catalog.build ()
+  | None -> Alcotest.fail "no catalogue entry kmeans"
+
+(* The suite above would pass vacuously if no suffix ever converged.
+   On kmeans most benign faults are masked within a few thousand
+   steps, so the default engine must end some runs at a golden
+   checkpoint — and still reproduce the scratch records. *)
+let test_catalogue_convergence () =
+  let seed = 7L and samples = 40 in
+  List.iter
+    (fun (name, res) ->
+      let img = Machine.load res.Pipeline.program in
+      let t = F.prepare ~engine:F.default_engine img in
+      Alcotest.(check (list string))
+        (name ^ " records")
+        (campaign_lines ~engine:F.Scratch ~seed ~samples img)
+        (target_lines t ~seed ~samples);
+      let ph = F.phases t in
+      Alcotest.(check bool) (name ^ " converged") true (ph.F.ph_converged > 0);
+      Alcotest.(check bool) (name ^ " skipped golden steps") true
+        (ph.F.ph_skipped_steps > 0))
+    [ ("kmeans/raw", Pipeline.raw (kmeans_build ()));
+      ("kmeans/ferrum", Pipeline.protect Technique.Ferrum (kmeans_build ())) ]
+
+(* K = 1 checks convergence after every single step, splitting every
+   fused pair; on the smallest kernel the checkpoint set stays small
+   enough to hold. *)
+let test_catalogue_every_step () =
+  let entry =
+    match Catalog.find "kNN" with Some e -> e | None -> assert false
+  in
+  let img = Machine.load (Pipeline.raw (entry.Catalog.build ())).Pipeline.program in
+  check_identity "kNN/raw" [ F.Checkpointed 1 ] ~seed:7L ~samples:8 img
 
 let test_catalogue_vulnmap_identity () =
   List.iter
@@ -450,13 +629,26 @@ let () =
             test_fixture_vulnmap_identity;
           Alcotest.test_case "crash at flip site" `Quick
             test_crash_at_flip_site;
-          Alcotest.test_case "timeout near fuel" `Quick test_timeout_near_fuel
-        ] );
+          Alcotest.test_case "timeout near fuel" `Quick test_timeout_near_fuel;
+          Alcotest.test_case "memory-only corruption" `Quick
+            test_memory_only_corruption ] );
+      ( "convergence",
+        [ Alcotest.test_case "golden boundary" `Quick test_converged_at_boundary;
+          Alcotest.test_case "page contents decide" `Quick
+            test_converged_memory;
+          Alcotest.test_case "golden deltas compared" `Quick
+            test_converged_golden_deltas;
+          Alcotest.test_case "output, cycles, registers" `Quick
+            test_converged_scalars ] );
       ( "catalogue",
         [ Alcotest.test_case "records across engines" `Slow
             test_catalogue_identity;
           Alcotest.test_case "vulnmaps across engines" `Slow
-            test_catalogue_vulnmap_identity ] );
+            test_catalogue_vulnmap_identity;
+          Alcotest.test_case "convergence fires on kmeans" `Slow
+            test_catalogue_convergence;
+          Alcotest.test_case "kNN raw at every step" `Slow
+            test_catalogue_every_step ] );
       ( "sharded",
         [ Alcotest.test_case "checkpointed runner byte-identity" `Slow
             test_sharded_checkpointed_identity ] );

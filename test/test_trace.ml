@@ -221,8 +221,11 @@ let test_campaign_trace () =
   let engine =
     List.find (fun s -> s.Trace.sp_name = "engine") spans
   in
-  Alcotest.(check bool) "engine phases counted" true
-    (List.mem_assoc "walks" engine.Trace.sp_counters);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) ("engine counts " ^ c) true
+        (List.mem_assoc c engine.Trace.sp_counters))
+    [ "walks"; "suffix_steps"; "converged"; "skipped_steps" ];
   (* logical rows are byte-identical across reruns; wall rows exist
      but are never compared *)
   let b = run () in
