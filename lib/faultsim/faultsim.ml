@@ -128,14 +128,15 @@ let eligibility (img : Machine.image) scope =
     img.Machine.code
 
 (* Cumulative engine-phase tallies for one process: how many golden
-   walks (snapshot-cache builds) ran and how many machine steps went
-   into each phase of the fast engines — checkpoint restores, replayed
-   prefixes, post-flip suffixes.  Deterministic for a given seed and
-   sample set, so campaign trace spans can carry them as counters
-   without breaking byte-reproducibility.  Reset per worker process
+   walks ({!prepare}, which also captures the checkpoints) ran and how
+   many machine steps went into each phase of the fast engines —
+   checkpoint restores, replayed prefixes, post-flip suffixes.
+   Deterministic for a given seed and sample set, so campaign trace
+   spans can carry them as counters without breaking
+   byte-reproducibility.  Reset per worker process
    ({!reset_phases}) so a shard's tally covers exactly its own work. *)
 type phases = {
-  mutable ph_walks : int; (* snapshot-cache builds (golden walks) *)
+  mutable ph_walks : int; (* golden walks ({!prepare}) *)
   mutable ph_walk_steps : int;
   mutable ph_restores : int; (* checkpoint/initial-state restores *)
   mutable ph_prefix_steps : int; (* unobserved replay up to the flip *)
@@ -159,11 +160,10 @@ let zero_phases () =
     ph_skipped_steps = 0;
   }
 
-(* A profiled program ready for injection.  The checkpoint cache and the
-   pooled slots are built lazily on first use and never cross process
-   boundaries usefully by reference — a forked campaign worker that
-   inherits a not-yet-built cache builds its own, amortized over its
-   whole shard range. *)
+(* A profiled program ready for injection.  The checkpoint cache is
+   captured by {!prepare}'s golden walk, so campaign workers forked
+   after it inherit the cache and never walk again; the pooled slots
+   are built lazily, per process. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -174,7 +174,7 @@ type target = {
   dyn_static : int array; (* static site of each eligible write-back *)
   fuel : int;
   engine : engine;
-  mutable cache_ : Snapshot.cache option; (* lazy, per process *)
+  cache : Snapshot.cache; (* golden checkpoints (none unless checkpointed) *)
   mutable slot_ : Snapshot.slot option; (* pooled injected-run state *)
   mutable golden_slot_ : Snapshot.slot option; (* pooled lockstep golden *)
   mutable occ_ : int array array option; (* lazy per-site occurrences *)
@@ -198,39 +198,57 @@ let reset_phases (t : target) =
 
 exception Golden_failure of string
 
-(* Profile the fault-free run: output, step count, and the number of
-   eligible dynamic injection sites. *)
+(* Profile the fault-free run — output, step count and the eligible
+   dynamic injection sites in order — and, on the checkpointed engine,
+   capture the golden checkpoints on the way.  This is the target's one
+   golden walk. *)
 let prepare ?(scope = Original_only) ?(engine = default_engine)
     (img : Machine.image) : target =
   let eligible = eligibility img scope in
-  let count = ref 0 in
-  let rev_sites = ref [] in
-  let on_step _st idx =
-    if eligible.(idx) then begin
-      incr count;
-      rev_sites := idx :: !rev_sites
-    end
+  let interval =
+    match engine with
+    | Checkpointed k -> Some k
+    | Scratch | Pooled -> None
   in
   let st = Machine.fresh_state img in
+  let recorder = Snapshot.recorder ?interval img st in
+  let count = ref 0 in
+  let sites = ref (Array.make 1024 0) in
+  let on_step _st idx =
+    if eligible.(idx) then begin
+      if !count = Array.length !sites then begin
+        let grown = Array.make (2 * !count) 0 in
+        Array.blit !sites 0 grown 0 !count;
+        sites := grown
+      end;
+      !sites.(!count) <- idx;
+      incr count
+    end;
+    Snapshot.record recorder ~seen:!count
+  in
   let outcome = Predecode.exec_observed ~on_step (Predecode.get img) st in
   match outcome with
   | Machine.Exit out ->
+    let steps = st.Machine.steps in
+    let phases = zero_phases () in
+    phases.ph_walks <- 1;
+    phases.ph_walk_steps <- steps;
     {
       img;
       eligible;
       golden_output = out;
-      golden_steps = st.Machine.steps;
+      golden_steps = steps;
       golden_cycles = st.Machine.cycles;
       eligible_steps = !count;
-      dyn_static = Array.of_list (List.rev !rev_sites);
-      fuel = (st.Machine.steps * 3) + 100_000;
+      dyn_static = Array.sub !sites 0 !count;
+      fuel = (steps * 3) + 100_000;
       engine;
-      cache_ = None;
+      cache = Snapshot.finish recorder ~steps;
       slot_ = None;
       golden_slot_ = None;
       occ_ = None;
       pre_ = None;
-      phases = zero_phases ();
+      phases;
     }
   | o ->
     raise
@@ -268,26 +286,11 @@ let site_candidates (t : target) : int array =
   done;
   Array.of_list !out
 
-let cache (t : target) =
-  match t.cache_ with
-  | Some c -> c
-  | None ->
-    let interval =
-      match t.engine with
-      | Checkpointed k -> Some k
-      | Scratch | Pooled -> None
-    in
-    let c = Snapshot.build ?interval ~counted:(fun i -> t.eligible.(i)) t.img in
-    t.phases.ph_walks <- t.phases.ph_walks + 1;
-    t.phases.ph_walk_steps <- t.phases.ph_walk_steps + t.golden_steps;
-    t.cache_ <- Some c;
-    c
-
 let slot (t : target) =
   match t.slot_ with
   | Some s -> s
   | None ->
-    let s = Snapshot.make_slot (cache t) in
+    let s = Snapshot.make_slot t.cache in
     t.slot_ <- Some s;
     s
 
@@ -295,7 +298,7 @@ let golden_slot (t : target) =
   match t.golden_slot_ with
   | Some s -> s
   | None ->
-    let s = Snapshot.make_slot (cache t) in
+    let s = Snapshot.make_slot t.cache in
     t.golden_slot_ <- Some s;
     s
 
@@ -470,7 +473,7 @@ let rec run_prefix (t : target) pre len st seen ~dyn_index =
    golden run does, with its output, steps and cycles.  Without
    checkpoints (the pooled engine) this is one plain leg. *)
 let run_suffix (t : target) pre sl st =
-  let cache = cache t in
+  let cache = t.cache in
   let n = Snapshot.ckpt_count cache in
   let rec leg c =
     if c >= n then Predecode.exec ~fuel:t.fuel pre st

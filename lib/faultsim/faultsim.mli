@@ -85,13 +85,15 @@ val pp_counts : Format.formatter -> counts -> unit
 val eligibility : Machine.image -> scope -> bool array
 
 (** Cumulative per-process engine-phase tallies: golden walks
-    (snapshot-cache builds) and the machine steps spent restoring
-    checkpoints, replaying unobserved prefixes and running post-flip
-    suffixes.  Deterministic for a given seed and sample set, so trace
+    ({!prepare}'s profiling run, which also captures checkpoints) and
+    the machine steps spent restoring checkpoints, replaying unobserved
+    prefixes and running post-flip suffixes.  Deterministic for a given seed and sample set, so trace
     spans carry them as counters without breaking
     byte-reproducibility. *)
 type phases = {
-  mutable ph_walks : int;  (** snapshot-cache builds (golden walks) *)
+  mutable ph_walks : int;
+      (** golden walks: 1 in the process that ran {!prepare}, 0 in a
+          campaign worker (it resets its phases and inherits the cache) *)
   mutable ph_walk_steps : int;
   mutable ph_restores : int;  (** checkpoint/initial-state restores *)
   mutable ph_prefix_steps : int;  (** unobserved replay up to the flip *)
@@ -109,10 +111,11 @@ type phases = {
           counted in [ph_suffix_steps] *)
 }
 
-(** A profiled program ready for injection.  The trailing mutable
-    fields lazily cache the checkpoint set and the pooled run states;
-    they are built on first sample in each process (so each forked
-    campaign worker builds its own, amortized over its shard range). *)
+(** A profiled program ready for injection.  [cache] holds the golden
+    checkpoints {!prepare} captured during its one golden walk, so
+    forked campaign workers inherit them and never walk again.  The
+    trailing mutable fields lazily cache the pooled run states and
+    per-process tables. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -125,7 +128,8 @@ type target = {
           order (length [eligible_steps]) *)
   fuel : int;  (** injected-run budget: 3x golden + slack *)
   engine : engine;
-  mutable cache_ : Ferrum_machine.Snapshot.cache option;
+  cache : Ferrum_machine.Snapshot.cache;
+      (** golden checkpoints (none unless the engine is checkpointed) *)
   mutable slot_ : Ferrum_machine.Snapshot.slot option;
   mutable golden_slot_ : Ferrum_machine.Snapshot.slot option;
   mutable occ_ : int array array option;
@@ -149,7 +153,9 @@ exception Golden_failure of string
 
 (** Profile the fault-free run.  Raises {!Golden_failure} if it does not
     exit normally.  [engine] (default {!default_engine}) selects how
-    {!campaign_sample}/{!vulnmap_sample} execute. *)
+    {!campaign_sample}/{!vulnmap_sample} execute; under
+    [Checkpointed k] the same walk captures the golden checkpoints, so
+    it is the target's only golden walk (counted in [ph_walks]). *)
 val prepare : ?scope:scope -> ?engine:engine -> Machine.image -> target
 
 (** Static sites with at least one eligible dynamic occurrence,

@@ -7,17 +7,18 @@
    exact accounting preamble ([cycles]/[steps]/[ip]) followed by a body
    specialized at decode time — and drives them from three loops:
 
-   - {!exec}: the unobserved fast path (golden walks, checkpoint suffix
-     replays, untraced campaign samples).  No observer branch, no operand
+   - {!exec}: the unobserved fast path (checkpoint suffix replays,
+     untraced campaign samples).  No observer branch, no operand
      matching, and the hottest static pairs run as fused
      superinstructions.
    - {!exec_observed}: the observed path.  Identical semantics to
-     [Machine.run ~on_step] — per-step fault injection, flight recorder,
-     propagation lockstep and {!Snapshot} dirty-page tracking all see the
-     exact retirement stream, so fusion is bypassed here.
+     [Machine.run ~on_step] — the golden profile and its checkpoint
+     capture, per-step fault injection, flight recorder and propagation
+     lockstep all see the exact retirement stream, so fusion is bypassed
+     here.
    - {!step1}: a single pre-decoded step, for loops that need to stop at
-     exact step or site boundaries (checkpoint capture walks, prefix
-     replays to the injection site).
+     exact step or site boundaries (prefix replays to the injection
+     site).
 
    Two representation choices make the specialized thunks allocation-free
    (the legacy loop boxes an [Int64] result and a [float] cycle counter
@@ -1587,12 +1588,12 @@ let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
 
 (* One pre-decoded step; returns the retired static index like
    [Machine.step].  Never fused, so callers that stop at exact step or
-   site boundaries (snapshot capture, prefix replay) stay exact.  The
-   caller checks [st.ip] bounds, as with [Machine.step].  The cycle
-   accumulator is bracketed around the thunk (reseeded before, written
-   back after, including on [Halt]/[Trap]), which also makes nested
-   use safe: a lockstep observer may run [step1] on the same decoded
-   program from inside [exec_observed]. *)
+   site boundaries (prefix replay) stay exact.  The caller checks
+   [st.ip] bounds, as with [Machine.step].  The cycle accumulator is
+   bracketed around the thunk (reseeded before, written back after,
+   including on [Halt]/[Trap]), which also makes nested use safe: a
+   lockstep observer may run [step1] on the same decoded program from
+   inside [exec_observed]. *)
 let step1 (p : t) (st : Machine.state) =
   if not !enabled then Machine.step p.img st
   else begin

@@ -1,11 +1,12 @@
 (* Golden-run checkpoints for fast fault injection.
 
-   One golden walk per target captures the architectural state every
-   [interval] dynamic instructions.  Registers, flags and scalars are
-   copied outright (~1.2 KB); memory is captured as a *delta* — only the
-   pages dirtied since the previous checkpoint, courtesy of the
-   dirty-page log in {!Machine} — so a checkpoint costs proportional to
-   the write working set, not the 1 MiB address space.
+   The golden walk of each target (its profiling run) captures the
+   architectural state every [interval] dynamic instructions.
+   Registers, flags and scalars are copied outright (~1.2 KB); memory is
+   captured as a *delta* — only the pages dirtied since the previous
+   checkpoint, courtesy of the dirty-page log in {!Machine} — so a
+   checkpoint costs proportional to the write working set, not the
+   1 MiB address space.
 
    Restoration is likewise incremental.  A {!slot} owns one pooled
    state; moving it from checkpoint [a] to checkpoint [c] rewrites only
@@ -87,35 +88,42 @@ let capture (st : Machine.state) ~seen =
     c_data = data;
   }
 
-exception Done
+(* Checkpoint capture rides a golden run the caller drives: {!record}
+   after every retired instruction captures on the walking state when
+   the step count reaches the next multiple of the interval.  The
+   observer also fires on the halting instruction, whose state is never
+   resumed, so {!finish} drops anything captured at or past the end. *)
+type recorder = {
+  r_img : Machine.image;
+  r_st : Machine.state;
+  r_interval : int;
+  mutable r_next : int; (* step count of the next capture *)
+  mutable r_ckpts : ckpt list; (* newest first *)
+}
 
-let build ?interval ~counted img =
-  let n_pages = (img.Machine.mem_size + page_size - 1) lsr page_bits in
-  let pristine = Machine.fresh_state img in
-  let ckpts =
+let recorder ?interval img st =
+  let r_interval =
     match interval with
-    | None -> [||]
+    | None -> max_int
     | Some k ->
-      if k < 1 then invalid_arg "Snapshot.build: interval < 1";
-      let st = Machine.fresh_state img in
+      if k < 1 then invalid_arg "Snapshot.recorder: interval < 1";
       Machine.track_writes st;
-      let pre = Predecode.get img in
-      let acc = ref [] in
-      let seen = ref 0 in
-      let next = ref k in
-      let len = Array.length img.Machine.code in
-      (try
-         while true do
-           if st.Machine.ip < 0 || st.Machine.ip >= len then raise Done;
-           if st.Machine.steps = !next then begin
-             acc := capture st ~seen:!seen :: !acc;
-             next := !next + k
-           end;
-           let idx = Predecode.step1 pre st in
-           if counted idx then incr seen
-         done
-       with Machine.Halt _ | Machine.Trap _ | Done -> ());
-      Array.of_list (List.rev !acc)
+      k
+  in
+  { r_img = img; r_st = st; r_interval; r_next = r_interval; r_ckpts = [] }
+
+let record r ~seen =
+  if r.r_st.Machine.steps = r.r_next then begin
+    r.r_ckpts <- capture r.r_st ~seen :: r.r_ckpts;
+    r.r_next <- r.r_next + r.r_interval
+  end
+
+let finish r ~steps =
+  let img = r.r_img in
+  let n_pages = (img.Machine.mem_size + page_size - 1) lsr page_bits in
+  let ckpts =
+    Array.of_list
+      (List.rev (List.filter (fun c -> c.c_steps < steps) r.r_ckpts))
   in
   (* Per-page version index: ascending checkpoint indices whose delta
      carries the page. *)
@@ -133,9 +141,26 @@ let build ?interval ~counted img =
           fill.(p) <- fill.(p) + 1)
         c.c_pages)
     ckpts;
-  { img; pristine; ckpts; versions; n_pages }
+  { img; pristine = Machine.fresh_state img; ckpts; versions; n_pages }
+
+let build ?interval ~counted img =
+  let st = Machine.fresh_state img in
+  let r = recorder ?interval img st in
+  if interval <> None then begin
+    let seen = ref 0 in
+    let on_step _ idx =
+      if counted idx then incr seen;
+      record r ~seen:!seen
+    in
+    ignore
+      (Predecode.exec_observed ~on_step (Predecode.get img) st
+        : Machine.outcome)
+  end;
+  finish r ~steps:st.Machine.steps
 
 let ckpt_count cache = Array.length cache.ckpts
+
+let ckpt cache c = cache.ckpts.(c)
 
 (* Greatest index [i] with [arr.(i) <= x]; -1 if none.  [arr] sorted. *)
 let find_le arr x =

@@ -1,7 +1,7 @@
 (** Golden-run checkpoints for fast fault injection.
 
-    A {!cache} is built once per target by walking the golden execution
-    and capturing the architectural state every [interval] dynamic
+    A {!cache} is built once per target during its golden execution by
+    capturing the architectural state every [interval] dynamic
     instructions; memory is stored as dirty-page deltas against the
     previous checkpoint (via {!Machine.track_writes}).  A {!slot} is a
     pooled {!Machine.state} that can be restored to the checkpoint
@@ -18,20 +18,68 @@ type cache
 
 type slot
 
-(** Walk the golden run of [img], capturing a checkpoint every
-    [interval] dynamic instructions ([None] = no checkpoints — the
-    cache degenerates to a pristine image usable for pooled scratch
-    runs).  [counted idx] says whether the retired instruction at
-    static index [idx] is an eligible write-back; checkpoints record
-    how many eligible write-backs retired before them so {!restore}
-    can translate an injection's dynamic index into a resume point.
-    The walk stops at halt, trap, or control leaving the code array.
+(** {1 Capture}
+
+    A golden run is walked once; a {!recorder} rides along and captures
+    a checkpoint every [interval] retired instructions on the walking
+    state itself, recording how many eligible write-backs retired
+    before each one so {!restore} can translate an injection's dynamic
+    index into a resume point. *)
+
+type recorder
+
+(** [recorder ?interval img st] records checkpoints of the run about to
+    execute on [st], a fresh state of [img]; it turns on [st]'s
+    dirty-page tracking.  [None] captures nothing: the cache
+    degenerates to a pristine image usable for pooled scratch runs.
+
+    @raise Invalid_argument if [interval < 1]. *)
+val recorder : ?interval:int -> Machine.image -> Machine.state -> recorder
+
+(** Call after every retired instruction with the number of eligible
+    write-backs retired so far (that instruction included); captures
+    when the step count reaches the next multiple of [interval]. *)
+val record : recorder -> seen:int -> unit
+
+(** The finished cache of a walk that ended after [steps] retired
+    instructions.  Captures at or past [steps] are dropped: the
+    observer fires on the halting instruction too, and a halted state
+    is never resumed. *)
+val finish : recorder -> steps:int -> cache
+
+(** Walk the golden run of [img] with a {!recorder} ([None] = no
+    checkpoints and no walk).  [counted idx] says whether the retired
+    instruction at static index [idx] is an eligible write-back.  The
+    walk stops at halt, trap, control leaving the code array, or
+    {!Machine.default_fuel} steps.
 
     @raise Invalid_argument if [interval < 1]. *)
 val build : ?interval:int -> counted:(int -> bool) -> Machine.image -> cache
 
 (** Number of checkpoints captured. *)
 val ckpt_count : cache -> int
+
+(** One captured checkpoint: the architectural state after [c_steps]
+    retired instructions, with memory as the pages dirtied since the
+    previous checkpoint.  Read-only; for inspection and tests. *)
+type ckpt = private {
+  c_gpr : Machine.regfile;
+  c_simd : Machine.regfile;
+  c_zf : bool;
+  c_sf : bool;
+  c_cf : bool;
+  c_off : bool;
+  c_ip : int;
+  c_cycles : float;
+  c_steps : int;
+  c_out_rev : int64 list;
+  c_seen : int;  (** eligible write-backs retired before this point *)
+  c_pages : int array;  (** pages dirtied since the previous one, sorted *)
+  c_data : Bytes.t;  (** [c_pages.(i)]'s contents at [i * page_size] *)
+}
+
+(** Checkpoint [c], [0 <= c < ckpt_count cache]. *)
+val ckpt : cache -> int -> ckpt
 
 (** Index of the latest checkpoint whose eligible-write-back count is
     [<= dyn_index]; [-1] when only the pristine start qualifies. *)

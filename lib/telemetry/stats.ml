@@ -136,7 +136,7 @@ let beta_quantile a b q =
 (* Jeffreys interval: equal-tailed credible interval of the
    Beta(k + 1/2, n - k + 1/2) posterior, with the standard endpoint
    convention (lower bound 0 when k = 0, upper bound 1 when k = n). *)
-let jeffreys ?(coverage = 0.95) t =
+let jeffreys_exact ~coverage t =
   if t.n = 0 then { lo = 0.0; hi = 1.0 }
   else begin
     let a = float_of_int t.k +. 0.5 in
@@ -146,6 +146,24 @@ let jeffreys ?(coverage = 0.95) t =
     let hi = if t.k = t.n then 1.0 else beta_quantile a b (1.0 -. tail) in
     { lo; hi }
   end
+
+(* Each interval costs ~120 [betai] evaluations, and a campaign's site
+   rows repeat the same few small tallies, so intervals are memoized.
+   The memo is bounded: it is emptied when full. *)
+let jeffreys_memo : (int * int * float, interval) Hashtbl.t = Hashtbl.create 64
+
+let jeffreys_memo_cap = 4096
+
+let jeffreys ?(coverage = 0.95) t =
+  let key = (t.n, t.k, coverage) in
+  match Hashtbl.find_opt jeffreys_memo key with
+  | Some i -> i
+  | None ->
+    let i = jeffreys_exact ~coverage t in
+    if Hashtbl.length jeffreys_memo >= jeffreys_memo_cap then
+      Hashtbl.reset jeffreys_memo;
+    Hashtbl.add jeffreys_memo key i;
+    i
 
 (* ------------------------------------------------------------------ *)
 (* Schema: ferrum.stats.v1.                                            *)

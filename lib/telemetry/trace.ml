@@ -301,20 +301,16 @@ let span_to_json ~trace (s : span) : Json.t =
       [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)) ]
     )
 
-let wall_to_json ~trace (w : wall) : Json.t =
-  Json.Obj
-    [
-      ("row", Json.Str "wall");
-      ("trace", Json.Str trace);
-      ("span", Json.Str w.wl_span);
-      ("name", Json.Str w.wl_name);
-      ("proc", Json.Str w.wl_proc);
-      ("w_start", Json.Float w.wl_start);
-      ("w_end", Json.Float w.wl_end);
-      ("cpu_user", Json.Float w.wl_cpu_user);
-      ("cpu_sys", Json.Float w.wl_cpu_sys);
-      ("maxrss_kb", Json.Int w.wl_maxrss_kb);
-    ]
+(* Wall times print as %.6f, not through {!Json}'s %.12g: at epoch
+   scale twelve digits keep only 10 ms, which rounds short spans to
+   zero.  The parser reads both forms. *)
+let wall_line ~trace (w : wall) =
+  let str v = Json.to_string (Json.Str v) in
+  let num v = Json.to_string (Json.Float v) in
+  Printf.sprintf
+    {|{"row":"wall","trace":%s,"span":%s,"name":%s,"proc":%s,"w_start":%.6f,"w_end":%.6f,"cpu_user":%s,"cpu_sys":%s,"maxrss_kb":%d}|}
+    (str trace) (str w.wl_span) (str w.wl_name) (str w.wl_proc) w.wl_start
+    w.wl_end (num w.wl_cpu_user) (num w.wl_cpu_sys) w.wl_maxrss_kb
 
 let str_member name j =
   match Json.member name j with
@@ -419,7 +415,7 @@ let span_lines r =
 
 let wall_lines r =
   let own = List.rev r.r_walls in
-  List.map (fun w -> Json.to_string (wall_to_json ~trace:r.r_trace w)) own
+  List.map (wall_line ~trace:r.r_trace) own
   @ r.r_foreign_walls
 
 (* ------------------------------------------------------------------ *)

@@ -106,7 +106,10 @@ val wall_lines : recorder -> string list
 (** {1 Serialization} *)
 
 val span_to_json : trace:string -> span -> Json.t
-val wall_to_json : trace:string -> wall -> Json.t
+
+(** One wall row as a record line.  Wall times carry microseconds
+    ([%.6f]); everything else renders as {!Json.to_string} would. *)
+val wall_line : trace:string -> wall -> string
 
 (** Parse one row; returns its trace id alongside the payload. *)
 val span_of_json : Json.t -> (string * span, string) result

@@ -16,6 +16,7 @@ module Runner = Ferrum_campaign.Runner
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Catalog = Ferrum_workloads.Catalog
+module Trace = Ferrum_telemetry.Trace
 
 let original = Instr.original
 
@@ -423,6 +424,217 @@ let test_converged_scalars () =
   Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
   Alcotest.(check bool) "all restored" true (Snapshot.converged sl 5)
 
+(* ---- one golden walk: prepare's capture vs a reference walk ---- *)
+
+(* A checkpoint flattened to labelled field strings, so a mismatch
+   names the checkpoint and the field.  Page contents go in as digests
+   of each page's valid bytes. *)
+let ckpt_fields ~mem_size i ~steps ~seen ~ip ~cycles ~flags ~gpr ~simd
+    ~out_rev ~pages ~data =
+  let f name v = Printf.sprintf "ckpt %d %s: %s" i name v in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let regs r =
+    String.concat ","
+      (Array.to_list (Array.map Int64.to_string (Machine.dump_regfile r)))
+  in
+  let page_digest j p =
+    let len = min Machine.page_size (mem_size - (p lsl Machine.page_bits)) in
+    Digest.to_hex (Digest.subbytes data (j * Machine.page_size) len)
+  in
+  [ f "steps" (string_of_int steps);
+    f "seen" (string_of_int seen);
+    f "ip" (string_of_int ip);
+    f "cycles" (Int64.to_string (Int64.bits_of_float cycles));
+    f "flags" flags;
+    f "gpr" (regs gpr);
+    f "simd" (regs simd);
+    f "out_rev" (String.concat "," (List.map Int64.to_string out_rev));
+    f "pages" (ints pages);
+    f "data" (String.concat "," (Array.to_list (Array.mapi page_digest pages)))
+  ]
+
+let flags_of zf sf cf off = Printf.sprintf "%b %b %b %b" zf sf cf off
+
+let cache_fields img cache =
+  List.concat
+    (List.init (Snapshot.ckpt_count cache) (fun i ->
+         let c = Snapshot.ckpt cache i in
+         ckpt_fields ~mem_size:img.Machine.mem_size i ~steps:c.Snapshot.c_steps
+           ~seen:c.c_seen ~ip:c.c_ip ~cycles:c.c_cycles
+           ~flags:(flags_of c.c_zf c.c_sf c.c_cf c.c_off)
+           ~gpr:c.c_gpr ~simd:c.c_simd ~out_rev:c.c_out_rev ~pages:c.c_pages
+           ~data:c.c_data))
+
+(* The golden profile and checkpoints as a plain [step1] loop computes
+   them: before each step, when the step count is a positive multiple
+   of [k], copy the state and the pages dirtied since the previous copy.
+   The check comes before the step, so nothing is captured at or past
+   the halting instruction. *)
+let reference_walk ?k img eligible =
+  let st = Machine.fresh_state img in
+  Machine.track_writes st;
+  let tr = Option.get st.Machine.track in
+  let pre = Predecode.get img in
+  let len = Array.length img.Machine.code in
+  let seen = ref 0 and sites = ref [] and ckpts = ref [] in
+  let capture () =
+    let pages = Array.sub tr.Machine.tr_pages 0 tr.Machine.tr_count in
+    Array.sort compare pages;
+    let data = Bytes.make (Array.length pages * Machine.page_size) '\000' in
+    Array.iteri
+      (fun j p ->
+        let off = p lsl Machine.page_bits in
+        let n = min Machine.page_size (img.Machine.mem_size - off) in
+        Bytes.blit st.Machine.mem off data (j * Machine.page_size) n)
+      pages;
+    Machine.clear_dirty st;
+    ckpts :=
+      ckpt_fields ~mem_size:img.Machine.mem_size (List.length !ckpts)
+        ~steps:st.Machine.steps ~seen:!seen ~ip:st.Machine.ip
+        ~cycles:st.Machine.cycles
+        ~flags:(flags_of st.Machine.zf st.Machine.sf st.Machine.cf st.Machine.off)
+        ~gpr:st.Machine.gpr ~simd:st.Machine.simd
+        ~out_rev:st.Machine.out_rev ~pages ~data
+      :: !ckpts
+  in
+  let output =
+    try
+      while true do
+        if st.Machine.ip < 0 || st.Machine.ip >= len then
+          Alcotest.fail "reference walk left the code";
+        (match k with
+        | Some k when st.Machine.steps > 0 && st.Machine.steps mod k = 0 ->
+          capture ()
+        | _ -> ());
+        let idx = Predecode.step1 pre st in
+        if eligible.(idx) then begin
+          incr seen;
+          sites := idx :: !sites
+        end
+      done;
+      assert false
+    with Machine.Halt (Machine.Exit out) -> out
+  in
+  ( ( st.Machine.steps, st.Machine.cycles, output, !seen,
+      Array.of_list (List.rev !sites) ),
+    List.concat (List.rev !ckpts) )
+
+(* [prepare ~engine img]'s profile and cache equal the reference walk's
+   field by field. *)
+let check_prepared name ~engine img =
+  let t = F.prepare ~engine img in
+  let k = match engine with F.Checkpointed k -> Some k | _ -> None in
+  let (steps, cycles, output, eligible_steps, dyn_static), want =
+    reference_walk ?k img t.F.eligible
+  in
+  let name = name ^ " " ^ F.engine_name engine in
+  Alcotest.(check int) (name ^ ": golden_steps") steps t.F.golden_steps;
+  Alcotest.(check int64) (name ^ ": golden_cycles")
+    (Int64.bits_of_float cycles)
+    (Int64.bits_of_float t.F.golden_cycles);
+  Alcotest.(check (list int64)) (name ^ ": golden_output") output
+    t.F.golden_output;
+  Alcotest.(check int) (name ^ ": eligible_steps") eligible_steps
+    t.F.eligible_steps;
+  Alcotest.(check (array int)) (name ^ ": dyn_static") dyn_static
+    t.F.dyn_static;
+  Alcotest.(check int) (name ^ ": fuel") ((steps * 3) + 100_000) t.F.fuel;
+  Alcotest.(check (list string)) (name ^ ": checkpoints") want
+    (cache_fields img t.F.cache);
+  for i = 0 to Snapshot.ckpt_count t.F.cache - 1 do
+    if Snapshot.ckpt_steps t.F.cache i >= t.F.golden_steps then
+      Alcotest.failf "%s: checkpoint %d at or past the halting step" name i
+  done;
+  t
+
+let fixture_programs =
+  [ ("loop", loop_program); ("straddle", straddle_program);
+    ("crash", crash_program); ("timeout", timeout_program);
+    ("memory-only", memory_only_program) ]
+
+let test_prepare_fixtures () =
+  List.iter
+    (fun (name, prog) ->
+      let img = Machine.load (prog ()) in
+      List.iter
+        (fun engine -> ignore (check_prepared name ~engine img : F.target))
+        [ F.Scratch; F.Pooled; F.Checkpointed 1; F.Checkpointed 7;
+          F.Checkpointed 64 ])
+    fixture_programs
+
+(* The halting step is the last the observer sees; when the golden
+   length is a multiple of K a capture lands exactly there and must be
+   dropped. *)
+let test_prepare_exact_multiple () =
+  let img = Machine.load (loop_program ()) in
+  let g = (F.prepare ~engine:F.Scratch img).F.golden_steps in
+  let divisor =
+    let rec go d = if g mod d = 0 then d else go (d + 1) in
+    go 2
+  in
+  List.iter
+    (fun k ->
+      let t = check_prepared "loop" ~engine:(F.Checkpointed k) img in
+      Alcotest.(check int)
+        (Printf.sprintf "K=%d divides %d: last checkpoint one K short" k g)
+        ((g / k) - 1)
+        (Snapshot.ckpt_count t.F.cache))
+    [ g / divisor; g ]
+
+let test_prepare_scratch_pooled () =
+  let img = Machine.load (loop_program ()) in
+  List.iter
+    (fun engine ->
+      let t = check_prepared "loop" ~engine img in
+      Alcotest.(check int) (F.engine_name engine ^ " captures nothing") 0
+        (Snapshot.ckpt_count t.F.cache))
+    [ F.Scratch; F.Pooled ]
+
+let test_prepare_catalogue () =
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun (cname, res) ->
+          let img = Machine.load res.Pipeline.program in
+          ignore
+            (check_prepared
+               (entry.Catalog.name ^ "/" ^ cname)
+               ~engine:(F.Checkpointed 4096) img
+              : F.target))
+        (("raw", Pipeline.raw (entry.Catalog.build ()))
+        :: List.map
+             (fun tech ->
+               (Technique.short_name tech,
+                Pipeline.protect tech (entry.Catalog.build ())))
+             Technique.all))
+    Catalog.all
+
+(* The walk is counted where it happens: once, in the process that
+   prepared the target.  Samples never walk again, and forked workers,
+   which reset their tallies, report none. *)
+let test_one_walk () =
+  let img = Machine.load (loop_program ()) in
+  let t = F.prepare ~engine:(F.Checkpointed 64) img in
+  let walks () = ((F.phases t).F.ph_walks, (F.phases t).F.ph_walk_steps) in
+  Alcotest.(check (pair int int)) "prepare walks once" (1, t.F.golden_steps)
+    (walks ());
+  ignore (target_lines t ~seed:3L ~samples:20 : string list);
+  Alcotest.(check (pair int int)) "samples never walk" (1, t.F.golden_steps)
+    (walks ());
+  let r = Runner.run ~mode:Runner.Traced ~shards:2 ~seed:3L ~samples:20 t in
+  let spans =
+    match Trace.rows_of_lines r.Runner.trace_spans with
+    | Ok rows -> Trace.spans_of_rows rows
+    | Error e -> Alcotest.failf "rows: %s" e
+  in
+  let engines = List.filter (fun s -> s.Trace.sp_name = "engine") spans in
+  Alcotest.(check int) "one engine span per worker" 2 (List.length engines);
+  List.iter
+    (fun s ->
+      Alcotest.(check (option int)) "workers do not walk" (Some 0)
+        (List.assoc_opt "walks" s.Trace.sp_counters))
+    engines
+
 (* ---- engine bit-identity on fixtures ---- *)
 
 let test_fixture_identity () =
@@ -623,6 +835,14 @@ let () =
           Alcotest.test_case "pooled pristine resets" `Quick
             test_pooled_cache_resets;
           Alcotest.test_case "sync" `Quick test_sync_clones_run_state ] );
+      ( "prepare",
+        [ Alcotest.test_case "fixtures match a reference walk" `Quick
+            test_prepare_fixtures;
+          Alcotest.test_case "golden length a multiple of K" `Quick
+            test_prepare_exact_multiple;
+          Alcotest.test_case "scratch and pooled capture nothing" `Quick
+            test_prepare_scratch_pooled;
+          Alcotest.test_case "one golden walk" `Quick test_one_walk ] );
       ( "identity",
         [ Alcotest.test_case "loop fixture" `Quick test_fixture_identity;
           Alcotest.test_case "loop fixture vulnmap" `Quick
@@ -641,7 +861,9 @@ let () =
           Alcotest.test_case "output, cycles, registers" `Quick
             test_converged_scalars ] );
       ( "catalogue",
-        [ Alcotest.test_case "records across engines" `Slow
+        [ Alcotest.test_case "prepare matches a reference walk" `Slow
+            test_prepare_catalogue;
+          Alcotest.test_case "records across engines" `Slow
             test_catalogue_identity;
           Alcotest.test_case "vulnmaps across engines" `Slow
             test_catalogue_vulnmap_identity;

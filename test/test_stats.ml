@@ -64,6 +64,45 @@ let test_jeffreys_quantiles () =
   let all = Stats.jeffreys (Stats.make ~n:10 ~k:10) in
   feq "k=n upper bound" 1.0 all.Stats.hi
 
+(* Memoized intervals must be the ones a fresh computation gives, bit
+   for bit.  The reference recomputes each Beta quantile by the same
+   60-step bisection on the exposed [betai]; every tally is asked for
+   twice (a miss, then a hit), and the grid is big enough to overflow
+   the memo's bound once. *)
+let test_jeffreys_memo () =
+  let quantile a b q =
+    let lo = ref 0.0 and hi = ref 1.0 in
+    for _ = 1 to 60 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if Stats.betai a b mid < q then lo := mid else hi := mid
+    done;
+    0.5 *. (!lo +. !hi)
+  in
+  let fresh ~coverage n k =
+    if n = 0 then (0.0, 1.0)
+    else
+      let a = float_of_int k +. 0.5 and b = float_of_int (n - k) +. 0.5 in
+      let tail = (1.0 -. coverage) /. 2.0 in
+      ( (if k = 0 then 0.0 else quantile a b tail),
+        if k = n then 1.0 else quantile a b (1.0 -. tail) )
+  in
+  let bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi) in
+  List.iter
+    (fun coverage ->
+      for n = 0 to 64 do
+        for k = 0 to n do
+          let want = bits (fresh ~coverage n k) in
+          for _ = 1 to 2 do
+            let j = Stats.jeffreys ~coverage (Stats.make ~n ~k) in
+            Alcotest.(check (pair int64 int64))
+              (Printf.sprintf "n=%d k=%d coverage=%g" n k coverage)
+              want
+              (bits (j.Stats.lo, j.Stats.hi))
+          done
+        done
+      done)
+    [ 0.95; 0.9 ]
+
 (* ---- tallies: streaming vs batch, merge algebra ---- *)
 
 let tally_of_list = List.fold_left Stats.add Stats.zero
@@ -227,6 +266,8 @@ let () =
             test_wilson_shrinks;
           Alcotest.test_case "jeffreys quantiles" `Quick
             test_jeffreys_quantiles;
+          Alcotest.test_case "jeffreys memo is exact" `Quick
+            test_jeffreys_memo;
         ] );
       ( "tallies",
         [

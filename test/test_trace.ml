@@ -326,6 +326,34 @@ let test_folded_export () =
     (let spans2, _ = exported_spans () in
      Trace.folded ~spans:spans2 ~walls:[])
 
+(* Wall rows keep microseconds at epoch scale, and sidecars written
+   with the canonical 12-digit float format still parse. *)
+let test_wall_precision () =
+  let w =
+    { Trace.wl_span = "0"; wl_name = "shard"; wl_proc = "worker-0";
+      wl_start = 1760671234.123456; wl_end = 1760671234.123506;
+      wl_cpu_user = 0.25; wl_cpu_sys = 0.0; wl_maxrss_kb = 1024 }
+  in
+  let parse line =
+    match Trace.rows_of_lines [ line ] with
+    | Ok rows -> (
+      match Trace.walls_of_rows rows with
+      | [ w ] -> w
+      | _ -> Alcotest.fail "expected one wall row")
+    | Error e -> Alcotest.failf "wall row does not parse: %s" e
+  in
+  let back = parse (Trace.wall_line ~trace:"t" w) in
+  Alcotest.(check (float 1e-6)) "50 us span survives" 50e-6
+    (back.Trace.wl_end -. back.Trace.wl_start);
+  Alcotest.(check (float 0.)) "cpu_user" 0.25 back.Trace.wl_cpu_user;
+  Alcotest.(check int) "maxrss_kb" 1024 back.Trace.wl_maxrss_kb;
+  let old =
+    parse
+      {|{"row":"wall","trace":"t","span":"0","name":"shard","proc":"worker-0","w_start":1760671234.12,"w_end":1760671234.13,"cpu_user":0.25,"cpu_sys":0.0,"maxrss_kb":1024}|}
+  in
+  Alcotest.(check (float 1e-6)) "12-digit row parses" 1760671234.13
+    old.Trace.wl_end
+
 (* ---- malformed documents ---- *)
 
 let test_rows_error_line_numbers () =
@@ -366,4 +394,6 @@ let () =
       ( "export",
         [ Alcotest.test_case "perfetto trace events" `Quick
             test_perfetto_export;
-          Alcotest.test_case "folded stacks" `Quick test_folded_export ] ) ]
+          Alcotest.test_case "folded stacks" `Quick test_folded_export;
+          Alcotest.test_case "wall rows keep microseconds" `Quick
+            test_wall_precision ] ) ]
