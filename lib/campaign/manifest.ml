@@ -41,10 +41,44 @@ type t = {
 let program_digest p =
   Digest.to_hex (Digest.string (Ferrum_asm.Printer.program_to_string p))
 
-let make ?(policy = "flat") ?(rounds = 1) ?(target_ci = 0.0) ~benchmark
-    ~technique ~samples ~seed ~shards ~fault_bits ~all_sites ~traced ~program
-    (target : F.target) =
-  let profile = Profile.run target.F.img in
+(* Floats are kept as their JSON text reads back, so [of_json (to_json
+   m) = m] and a saved manifest re-digests to the digest it was saved
+   under.  [Json.float_repr]'s "%.12g" prints a non-integral sum such
+   as 58302.99999999999 as "58303", which would read back as an integer
+   and reprint as "58303.0". *)
+let normal x = float_of_string (Json.float_repr x)
+
+(* The part of a manifest that depends only on the prepared workload,
+   not on the campaign configuration run over it. *)
+type workload = {
+  w_program_digest : string;
+  w_static_instructions : int;
+  w_golden_steps : int;
+  w_golden_cycles : float;
+  w_eligible_steps : int;
+  w_engine : string;
+  w_profile : (string * float) list;
+}
+
+let workload ~program (target : F.target) =
+  {
+    w_program_digest = program_digest program;
+    w_static_instructions = Array.length target.F.img.F.Machine.code;
+    w_golden_steps = target.F.golden_steps;
+    w_golden_cycles = normal target.F.golden_cycles;
+    w_eligible_steps = target.F.eligible_steps;
+    w_engine = F.engine_name target.F.engine;
+    w_profile =
+      List.map
+        (fun p ->
+          ( Profile.prov_name p,
+            normal target.F.golden_prov_cycles.(Profile.prov_index p) ))
+        Profile.provenances;
+  }
+
+let of_workload ?(policy = "flat") ?(rounds = 1) ?(target_ci = 0.0)
+    ~benchmark ~technique ~samples ~seed ~shards ~fault_bits ~all_sites
+    ~traced (w : workload) =
   {
     benchmark;
     technique;
@@ -54,21 +88,17 @@ let make ?(policy = "flat") ?(rounds = 1) ?(target_ci = 0.0) ~benchmark
     fault_bits;
     scope = (if all_sites then "all-sites" else "original");
     traced;
-    engine = F.engine_name target.F.engine;
+    engine = w.w_engine;
     policy;
     rounds;
-    target_ci;
+    target_ci = normal target_ci;
     shard_map = Shard.plan ~shards ~samples;
-    program_digest = program_digest program;
-    static_instructions = Array.length target.F.img.F.Machine.code;
-    golden_steps = target.F.golden_steps;
-    golden_cycles = target.F.golden_cycles;
-    eligible_steps = target.F.eligible_steps;
-    profile =
-      List.map
-        (fun (p : Profile.prov_row) ->
-          (Profile.prov_name p.Profile.prov, p.Profile.p_cycles))
-        profile.Profile.by_provenance;
+    program_digest = w.w_program_digest;
+    static_instructions = w.w_static_instructions;
+    golden_steps = w.w_golden_steps;
+    golden_cycles = w.w_golden_cycles;
+    eligible_steps = w.w_eligible_steps;
+    profile = w.w_profile;
     schemas =
       (("events.jsonl", Ferrum_telemetry.Events.kind)
       :: ("injection.jsonl", F.metrics_kind)
@@ -77,6 +107,11 @@ let make ?(policy = "flat") ?(rounds = 1) ?(target_ci = 0.0) ~benchmark
       ::
       (if traced then [ ("vulnmap.jsonl", F.vulnmap_kind) ] else []));
   }
+
+let make ?policy ?rounds ?target_ci ~benchmark ~technique ~samples ~seed
+    ~shards ~fault_bits ~all_sites ~traced ~program target =
+  of_workload ?policy ?rounds ?target_ci ~benchmark ~technique ~samples ~seed
+    ~shards ~fault_bits ~all_sites ~traced (workload ~program target)
 
 let to_json (m : t) : Json.t =
   Json.Obj

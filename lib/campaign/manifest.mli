@@ -49,7 +49,25 @@ val make :
     Adaptive campaigns must record ["adaptive"], their round count and
     their early-stop target: all three feed {!compatible} (an adaptive
     part file is only meaningful under the allocation schedule that
-    produced it) and {!digest}. *)
+    produced it) and {!digest}.  Floats are stored as their JSON text
+    reads back, so [of_json (to_json m) = m] and {!digest} survives
+    {!save}/{!load}.  Equal to [of_workload ... (workload ~program
+    target)]. *)
+
+(** What a manifest derives from the prepared workload alone — program
+    digest, static count, golden invariants, engine and provenance
+    profile — so a caller that keeps a prepared target can make
+    manifests for many campaign configurations without printing the
+    program again.  Reads the target's golden-walk tallies; runs
+    nothing. *)
+type workload
+
+val workload : program:Ferrum_asm.Prog.t -> F.target -> workload
+
+val of_workload :
+  ?policy:string -> ?rounds:int -> ?target_ci:float -> benchmark:string ->
+  technique:string -> samples:int -> seed:int64 -> shards:int ->
+  fault_bits:int -> all_sites:bool -> traced:bool -> workload -> t
 
 val to_json : t -> Ferrum_telemetry.Json.t
 val of_json : Ferrum_telemetry.Json.t -> (t, string) result

@@ -96,6 +96,7 @@ let sdc_probability c =
   if c.samples = 0 then 0.0 else float_of_int c.sdc /. float_of_int c.samples
 
 module Stats = Ferrum_telemetry.Stats
+module Profile = Ferrum_telemetry.Profile
 
 let sdc_tally c : Stats.tally = { Stats.n = c.samples; k = c.sdc }
 
@@ -170,6 +171,7 @@ type target = {
   golden_output : int64 list;
   golden_steps : int;
   golden_cycles : float;
+  golden_prov_cycles : float array; (* per {!Profile.provenances} *)
   eligible_steps : int; (* dynamic count of eligible write-backs *)
   dyn_static : int array; (* static site of each eligible write-back *)
   fuel : int;
@@ -198,10 +200,11 @@ let reset_phases (t : target) =
 
 exception Golden_failure of string
 
-(* Profile the fault-free run — output, step count and the eligible
-   dynamic injection sites in order — and, on the checkpointed engine,
-   capture the golden checkpoints on the way.  This is the target's one
-   golden walk. *)
+(* Profile the fault-free run — output, step count, the eligible
+   dynamic injection sites in order and the cycles per provenance,
+   summed in retirement order as {!Profile.run} sums them — and, on the
+   checkpointed engine, capture the golden checkpoints on the way.
+   This is the target's one golden walk. *)
 let prepare ?(scope = Original_only) ?(engine = default_engine)
     (img : Machine.image) : target =
   let eligible = eligibility img scope in
@@ -214,7 +217,16 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   let recorder = Snapshot.recorder ?interval img st in
   let count = ref 0 in
   let sites = ref (Array.make 1024 0) in
+  let prov =
+    Array.map
+      (fun (ins : Instr.ins) -> Profile.prov_index ins.Instr.prov)
+      img.Machine.code
+  in
+  let costs = img.Machine.costs in
+  let prov_cycles = Array.make (List.length Profile.provenances) 0.0 in
   let on_step _st idx =
+    let p = prov.(idx) in
+    prov_cycles.(p) <- prov_cycles.(p) +. costs.(idx);
     if eligible.(idx) then begin
       if !count = Array.length !sites then begin
         let grown = Array.make (2 * !count) 0 in
@@ -239,6 +251,7 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       golden_output = out;
       golden_steps = steps;
       golden_cycles = st.Machine.cycles;
+      golden_prov_cycles = prov_cycles;
       eligible_steps = !count;
       dyn_static = Array.sub !sites 0 !count;
       fuel = (steps * 3) + 100_000;

@@ -122,6 +122,10 @@ type target = {
   golden_output : int64 list;
   golden_steps : int;
   golden_cycles : float;
+  golden_prov_cycles : float array;
+      (** golden cycles per provenance, in
+          {!Ferrum_telemetry.Profile.provenances} order: bit-for-bit the
+          [by_provenance] sums of {!Ferrum_telemetry.Profile.run} *)
   eligible_steps : int;  (** dynamic count of eligible write-backs *)
   dyn_static : int array;
       (** static site of each eligible dynamic write-back, in dynamic

@@ -9,9 +9,11 @@
        serves artifacts out of the content-addressed run store;
      - a supervised runner child: at most one job executes at a time
        (campaigns already fork a worker pool internally); the child
+       inherits the job's workload from the daemon's resolve memo,
        streams renumbered live events into the job directory, writes
        the finished run into a spool and publishes it into the store,
-       then reports through an outcome file reaped by the parent;
+       then reports through an outcome file reaped by the parent as
+       soon as the child's exit closes its wake pipe;
      - SSE tailer children: GET /jobs/:id/events forks a child that
        tails the job's live event log (complete lines only) and frames
        records as `id:`-numbered server-sent events, so a client
@@ -102,23 +104,27 @@ let job_tracer (job : Queue.job) (spec : Spec.t) =
    appended — one flushed line per event — so a concurrent tailer
    always sees a prefix of a replay-consistent stream.
 
+   The job's workload [r] was resolved by the daemon before the fork
+   (usually from its memo), so the child inherits the built target and
+   publishes under exactly the manifest the job was submitted under.
+
    The stored trace covers the daemon's side too: a "job" span wraps
    "queue-wait" (wall interval backdated to submission time),
-   "resolve" (workload build + golden run) and the campaign, whose
-   runner continues the job span's context — so /runs/:digest/trace
-   serves one stitched trace from client submission to worker engine
-   phases. *)
-let run_job cfg ~jobdir (job : Queue.job) : (string, string) result =
+   "resolve" (taking over the daemon's resolved workload) and the
+   campaign, whose runner continues the job span's context — so
+   /runs/:digest/trace serves one stitched trace from client submission
+   to worker engine phases. *)
+let run_job cfg ~jobdir (job : Queue.job) (r : Spec.resolved) :
+    (string, string) result =
   let ( let* ) = Result.bind in
-  let* spec = Spec.of_string job.Queue.spec in
+  let spec = r.Spec.spec in
   let tracer = job_tracer job spec in
   let* manifest, result =
     Trace.span tracer "job" (fun () ->
         if job.Queue.submitted > 0.0 then
           Trace.span ~w_start:job.Queue.submitted tracer "queue-wait"
             (fun () -> ());
-        let* r = Trace.span tracer "resolve" (fun () -> Spec.resolve spec) in
-        let manifest = r.Spec.manifest in
+        let manifest = Trace.span tracer "resolve" (fun () -> r.Spec.manifest) in
         Fsutil.mkdir_p jobdir;
         (* Part files left by an earlier attempt are only replayed when
            they were written under a compatible manifest (same
@@ -296,12 +302,29 @@ let hist_observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v
 
+(* The supervised runner child.  [wake] is the read end of a pipe whose
+   only write end the child holds: it turns readable (end of file) when
+   the child exits, however it exits, so the select loop reaps it at
+   once instead of on its next timeout. *)
+type running = {
+  job_id : int;
+  pid : int;
+  started : float;
+  wake : Unix.file_descr;
+}
+
+(* Resolved workloads kept across submissions.  Holding all 32
+   catalogue targets (each with its decoded program) measured ~160 MiB
+   resident and the first 8 ~32 MiB, so a small constant bounds the
+   daemon. *)
+let memo_capacity = 8
+
 type daemon = {
   cfg : config;
   q : Queue.t;
   listen_fd : Unix.file_descr;
-  mutable runner : (int * int * float) option;
-      (** (job id, child pid, start wall time) *)
+  memo : Spec.memo;
+  mutable runner : running option;
   mutable sse_children : int list;
   (* /metricz counters *)
   mutable http_requests : int;
@@ -326,12 +349,14 @@ let serve_file fd ?(content_type = ndjson) path =
   if Sys.file_exists path then Http.respond fd ~content_type (Fsutil.read_file path)
   else Http.respond_error fd 404 (Fmt.str "no %s" (Filename.basename path))
 
-(* POST /jobs: parse and resolve the spec (this builds the workload and
-   runs the golden run — the submission cost), digest its manifest and
-   check the store: a hit is answered [done] immediately without
+(* POST /jobs: parse and resolve the spec (through the memo: only a
+   workload not seen recently is built and walked), digest its manifest
+   and check the store: a hit is answered [done] immediately without
    running anything; a miss is queued. *)
 let submit_job d (req : Http.request) fd =
-  match Result.bind (Spec.of_string req.Http.body) Spec.resolve with
+  match
+    Result.bind (Spec.of_string req.Http.body) (Spec.resolve_memo d.memo)
+  with
   | Error e -> Http.respond_error fd 400 e
   | Ok r ->
     let digest = Manifest.digest r.Spec.manifest in
@@ -385,6 +410,8 @@ let metricz d fd =
         ("http_requests", Json.Int d.http_requests);
         ("jobs_submitted", Json.Int d.jobs_submitted);
         ("cache_hits", Json.Int d.cache_hits);
+        ("resolve_memo_hits", Json.Int (Spec.memo_hits d.memo));
+        ("resolve_memo_misses", Json.Int (Spec.memo_misses d.memo));
         ("sse_streams", Json.Int d.sse_streams);
       ]
   in
@@ -407,6 +434,10 @@ let metricz_text d fd =
     d.jobs_submitted;
   metric "counter" "ferrum_cache_hits_total"
     "submissions served from the run store" d.cache_hits;
+  metric "counter" "ferrum_resolve_memo_hits_total"
+    "spec resolves answered from the workload memo" (Spec.memo_hits d.memo);
+  metric "counter" "ferrum_resolve_memo_misses_total"
+    "spec resolves that built a workload" (Spec.memo_misses d.memo);
   metric "counter" "ferrum_sse_streams_total" "SSE event streams opened"
     d.sse_streams;
   List.iter
@@ -545,39 +576,65 @@ let handle_connection d fd =
   hist_observe d.http_seconds (Unix.gettimeofday () -. t0);
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Start the pending job's runner child. *)
-let start_runner d (job : Queue.job) =
-  Queue.update d.q { job with Queue.state = Queue.Running };
-  let jobdir = job_dir_of (queue_dir d.cfg.root) job.Queue.id in
+(* Fork [child] holding the only write end of a fresh pipe; return its
+   pid and the read end, which turns readable when the child (and any
+   descendant it passed the write end to) has exited. *)
+let fork_watched child =
+  let rd, wr = Unix.pipe ~cloexec:true () in
   flush stdout;
   flush stderr;
   match Unix.fork () with
   | 0 ->
-    (try Unix.close d.listen_fd with Unix.Unix_error _ -> ());
-    let outcome =
-      try run_job d.cfg ~jobdir job
-      with e -> Error (Printexc.to_string e)
-    in
-    Fsutil.mkdir_p jobdir;
-    write_outcome ~jobdir outcome;
-    Stdlib.exit (match outcome with Ok _ -> 0 | Error _ -> 1)
+    Unix.close rd;
+    child ();
+    Stdlib.exit 0
   | pid ->
-    log "job %d running (pid %d)" job.Queue.id pid;
-    d.runner <- Some (job.Queue.id, pid, Unix.gettimeofday ())
+    Unix.close wr;
+    (pid, rd)
 
-(* Reap a finished runner child and record its outcome. *)
-let finish_runner d job_id =
-  let jobdir = job_dir_of (queue_dir d.cfg.root) job_id in
-  match Queue.find d.q job_id with
+(* Start the pending job's runner child.  The workload is resolved here,
+   in the daemon, so the child inherits it rather than building it. *)
+let start_runner d (job : Queue.job) =
+  match
+    Result.bind (Spec.of_string job.Queue.spec) (Spec.resolve_memo d.memo)
+  with
+  | Error e ->
+    log "job %d failed: %s" job.Queue.id e;
+    Queue.update d.q { job with Queue.state = Queue.Failed; error = e }
+  | Ok r ->
+    Queue.update d.q { job with Queue.state = Queue.Running };
+    let jobdir = job_dir_of (queue_dir d.cfg.root) job.Queue.id in
+    let pid, wake =
+      fork_watched (fun () ->
+          (try Unix.close d.listen_fd with Unix.Unix_error _ -> ());
+          let outcome =
+            try run_job d.cfg ~jobdir job r
+            with e -> Error (Printexc.to_string e)
+          in
+          Fsutil.mkdir_p jobdir;
+          write_outcome ~jobdir outcome;
+          Stdlib.exit (match outcome with Ok _ -> 0 | Error _ -> 1))
+    in
+    log "job %d running (pid %d)" job.Queue.id pid;
+    d.runner <-
+      Some { job_id = job.Queue.id; pid; started = Unix.gettimeofday (); wake }
+
+(* Record a reaped runner child's outcome. *)
+let finish_runner d (r : running) =
+  d.runner <- None;
+  (try Unix.close r.wake with Unix.Unix_error _ -> ());
+  hist_observe d.job_seconds (Unix.gettimeofday () -. r.started);
+  let jobdir = job_dir_of (queue_dir d.cfg.root) r.job_id in
+  match Queue.find d.q r.job_id with
   | None -> ()
   | Some job -> (
     match read_outcome ~jobdir with
     | Ok digest ->
-      log "job %d done (%s)" job_id digest;
+      log "job %d done (%s)" r.job_id digest;
       Queue.update d.q
         { job with Queue.state = Queue.Done; digest; error = "" }
     | Error e ->
-      log "job %d failed: %s" job_id e;
+      log "job %d failed: %s" r.job_id e;
       Queue.update d.q { job with Queue.state = Queue.Failed; error = e })
 
 let reaped pid =
@@ -587,32 +644,39 @@ let reaped pid =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
 
 (* The daemon loop: reap children, schedule the next pending job,
-   accept one connection per select round. *)
+   accept one connection per select round.  The runner's wake pipe is
+   in the select set, so its exit ends the wait at once; the timeout
+   only paces reaping of SSE children. *)
 let rec loop d =
   d.sse_children <- List.filter (fun pid -> not (reaped pid)) d.sse_children;
   (match d.runner with
-  | Some (job_id, pid, t0) when reaped pid ->
-    d.runner <- None;
-    hist_observe d.job_seconds (Unix.gettimeofday () -. t0);
-    finish_runner d job_id
+  | Some r when reaped r.pid -> finish_runner d r
   | _ -> ());
   (match (d.runner, Queue.next_pending d.q) with
   | None, Some job -> start_runner d job
   | _ -> ());
-  (match Unix.select [ d.listen_fd ] [] [] 0.25 with
-  | [ _ ], _, _ -> (
-    (* accept can fail transiently (EINTR, ECONNABORTED, EMFILE under
-       fd pressure from SSE forks) and a hostile client can error the
-       handler; neither may take the daemon down with it. *)
-    match Unix.accept d.listen_fd with
-    | exception Unix.Unix_error (e, _, _) ->
-      log "accept: %s" (Unix.error_message e)
-    | fd, _ -> (
-      try handle_connection d fd
-      with e ->
-        log "connection error: %s" (Printexc.to_string e);
-        (try Unix.close fd with Unix.Unix_error _ -> ())))
-  | _ -> ()
+  let wake = match d.runner with Some r -> [ r.wake ] | None -> [] in
+  (match Unix.select (d.listen_fd :: wake) [] [] 0.25 with
+  | ready, _, _ ->
+    (match d.runner with
+    | Some r when List.mem r.wake ready ->
+      (* end of file: the runner has exited, so this wait is short *)
+      (try ignore (Unix.waitpid [] r.pid) with Unix.Unix_error _ -> ());
+      finish_runner d r
+    | _ -> ());
+    if List.mem d.listen_fd ready then begin
+      (* accept can fail transiently (EINTR, ECONNABORTED, EMFILE under
+         fd pressure from SSE forks) and a hostile client can error the
+         handler; neither may take the daemon down with it. *)
+      match Unix.accept d.listen_fd with
+      | exception Unix.Unix_error (e, _, _) ->
+        log "accept: %s" (Unix.error_message e)
+      | fd, _ -> (
+        try handle_connection d fd
+        with e ->
+          log "connection error: %s" (Printexc.to_string e);
+          (try Unix.close fd with Unix.Unix_error _ -> ()))
+    end
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
   loop d
 
@@ -644,6 +708,7 @@ let serve (cfg : config) : unit =
       cfg;
       q;
       listen_fd;
+      memo = Spec.memo ~capacity:memo_capacity;
       runner = None;
       sse_children = [];
       http_requests = 0;

@@ -105,12 +105,32 @@ type resolved = {
   manifest : Manifest.t;
 }
 
-(* Validate a spec against the catalogue and build its workload.  This
-   mirrors the CLI campaign path with default transform knobs: build
-   the benchmark IR, protect (or not), load, prepare the injection
-   target, derive the manifest.  Expensive (runs the golden run), so
-   the daemon calls it once per submission and keeps the result. *)
-let resolve (s : t) : (resolved, string) result =
+(* A built workload: what [resolve] computes from the spec fields in
+   {!key} alone.  The rest of a spec only picks the campaign run over
+   it, so every seed/samples/shards/traced variant shares it. *)
+type workload = {
+  program : Ferrum_asm.Prog.t;
+  target : F.target;
+  facts : Manifest.workload;
+}
+
+type key = string * string * string * string
+
+let key (s : t) : key = (s.benchmark, s.technique, s.scope, s.engine)
+
+type memo = (key, workload) Lru.t
+
+let memo ~capacity : memo = Lru.create ~capacity
+let memo_hits = Lru.hits
+let memo_misses = Lru.misses
+
+(* Validate a spec against the catalogue, then get its workload from
+   [find] — which builds it (benchmark IR, protect or not, load,
+   prepare the injection target: one golden walk) or returns a built
+   one — and derive the manifest.  This mirrors the CLI campaign path
+   with default transform knobs.  A spec's own fields are all checked
+   before [find] runs, so nothing is built for a spec that fails. *)
+let resolve_via find (s : t) : (resolved, string) result =
   let* entry =
     match Catalog.find s.benchmark with
     | Some e -> Ok e
@@ -148,21 +168,27 @@ let resolve (s : t) : (resolved, string) result =
   let* () =
     if s.fault_bits >= 1 then Ok () else Error "fault_bits must be >= 1"
   in
-  let m = entry.Catalog.build () in
-  let program =
-    match technique with
-    | None -> (Pipeline.raw m).Pipeline.program
-    | Some t -> (Pipeline.protect t m).Pipeline.program
+  let build () =
+    let m = entry.Catalog.build () in
+    let program =
+      match technique with
+      | None -> (Pipeline.raw m).Pipeline.program
+      | Some t -> (Pipeline.protect t m).Pipeline.program
+    in
+    let img = Machine.load program in
+    let scope = if all_sites then F.All_sites else F.Original_only in
+    match F.prepare ~scope ~engine img with
+    | target ->
+      Ok { program; target; facts = Manifest.workload ~program target }
+    | exception Invalid_argument msg -> Error msg
   in
-  let img = Machine.load program in
-  let scope = if all_sites then F.All_sites else F.Original_only in
-  let* target =
-    try Ok (F.prepare ~scope ~engine img)
-    with Invalid_argument msg -> Error msg
-  in
+  let* w = find s build in
   let manifest =
-    Manifest.make ~benchmark:s.benchmark ~technique:s.technique
+    Manifest.of_workload ~benchmark:s.benchmark ~technique:s.technique
       ~samples:s.samples ~seed:s.seed ~shards:s.shards
-      ~fault_bits:s.fault_bits ~all_sites ~traced:s.traced ~program target
+      ~fault_bits:s.fault_bits ~all_sites ~traced:s.traced w.facts
   in
-  Ok { spec = s; program; target; manifest }
+  Ok { spec = s; program = w.program; target = w.target; manifest }
+
+let resolve = resolve_via (fun _ build -> build ())
+let resolve_memo (m : memo) = resolve_via (fun s -> Lru.find_or_add m (key s))

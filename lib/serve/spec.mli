@@ -39,6 +39,26 @@ type resolved = {
   manifest : Ferrum_campaign.Manifest.t;
 }
 
-(** Validate against the catalogue and build the workload (runs the
-    golden run — expensive, call once per submission). *)
+(** Validate against the catalogue and build the workload: build,
+    protect and load the program, then {!F.prepare} it (one golden
+    walk).  Pure and uncached: every call builds afresh. *)
 val resolve : t -> (resolved, string) result
+
+(** A fixed-capacity least-recently-used table of built workloads,
+    keyed by the spec fields a workload depends on: benchmark,
+    technique, scope and engine. *)
+type memo
+
+val memo : capacity:int -> memo
+
+(** {!resolve} through a memo: a spec whose workload is stored reuses
+    its program and (physically the same) target, and gets its
+    manifest without building or walking anything.  Failed resolves
+    are not stored.  The result equals {!resolve}'s: same program
+    text, same target fields, same manifest. *)
+val resolve_memo : memo -> t -> (resolved, string) result
+
+(** Memo lookups answered from the table / that built a workload. *)
+val memo_hits : memo -> int
+
+val memo_misses : memo -> int

@@ -15,6 +15,10 @@ type t =
 (** Compact, canonical rendering (no whitespace). *)
 val to_string : t -> string
 
+(** How {!to_string} prints a [Float]: ["%.1f"] for integral values
+    below 1e15, else ["%.12g"]. *)
+val float_repr : float -> string
+
 exception Parse_error of string
 
 (** Parse one JSON value; raises {!Parse_error} on malformed or

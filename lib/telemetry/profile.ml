@@ -30,7 +30,7 @@ type t = {
   by_provenance : prov_row list; (* Original, Dup, Check, Instrumentation *)
 }
 
-let all_provs =
+let provenances =
   [ Instr.Original; Instr.Dup; Instr.Check; Instr.Instrumentation ]
 
 let prov_name = function
@@ -82,7 +82,7 @@ let run ?fuel (img : Machine.image) : t =
       (fun prov ->
         let i = prov_index prov in
         { prov; p_count = prov_count.(i); p_cycles = prov_cycles.(i) })
-      all_provs
+      provenances
   in
   {
     outcome;

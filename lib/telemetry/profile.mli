@@ -27,6 +27,13 @@ type t = {
 
 val prov_name : Instr.provenance -> string
 
+(** Original, Dup, Check, Instrumentation: the order of
+    [by_provenance]. *)
+val provenances : Instr.provenance list
+
+(** Position of a provenance in {!provenances}. *)
+val prov_index : Instr.provenance -> int
+
 (** Profile one fresh run.  Deterministic for a given image. *)
 val run : ?fuel:int -> Machine.image -> t
 

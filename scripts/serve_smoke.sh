@@ -3,7 +3,8 @@
 # submit a 2-shard job, stream its live SSE events and replay-validate
 # them, re-submit the identical job and assert it is served from the
 # content-addressed store (done immediately, byte-identical artifacts),
-# then fetch the served dashboard and cross-run history pages.
+# do the same for a hybrid job whose manifest has integral-looking
+# float sums, then fetch the served dashboard and cross-run history pages.
 #
 # Uses the already-built CLI binary directly (no dune locking while the
 # daemon runs).  Override CLI / ROOT from the environment if needed.
@@ -58,6 +59,18 @@ grep -q "\"digest\":\"$DIGEST\"" "$ROOT.submit2"
 "$CLI" fetch "/runs/$DIGEST/records" --port "$PORT" -o "$ROOT.rec2"
 cmp "$ROOT.rec1" "$ROOT.rec2"
 
+# kNN under hybrid has golden profile sums that print as integers; its
+# manifest must still round-trip through the store, so a resubmission
+# is a cache hit under the digest the job was first submitted under.
+"$CLI" submit kNN -p hybrid --samples 8 --shards 1 --port "$PORT" > "$ROOT.hybrid1"
+grep -q '"cached":0' "$ROOT.hybrid1"
+HID=$(sed -n 's/.*"id":\([0-9]*\).*/\1/p' "$ROOT.hybrid1" | head -1)
+HDIGEST=$(sed -n 's/.*"digest":"\([0-9a-f]\{32\}\)".*/\1/p' "$ROOT.hybrid1" | head -1)
+timeout 300 "$CLI" watch "$HID" --port "$PORT" > /dev/null
+"$CLI" submit kNN -p hybrid --samples 8 --shards 1 --port "$PORT" > "$ROOT.hybrid2"
+grep -q '"cached":1' "$ROOT.hybrid2"
+grep -q "\"digest\":\"$HDIGEST\"" "$ROOT.hybrid2"
+
 # Queue state and the run index are schema-valid JSONL too.
 "$CLI" fetch /runs --port "$PORT" -o "$ROOT.runs"
 "$CLI" metrics "$ROOT.runs" > /dev/null
@@ -71,4 +84,4 @@ grep -q "<html" "$ROOT.dashboard.html"
 SHORT=$(echo "$DIGEST" | cut -c1-12)
 grep -q "$SHORT" "$ROOT.history.html"
 
-echo "serve-smoke: daemon, live SSE replay, cache hit and served artifacts OK"
+echo "serve-smoke: daemon, live SSE replay, cache hits and served artifacts OK"

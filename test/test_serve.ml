@@ -521,6 +521,130 @@ let test_spec_roundtrip () =
       (contains ~affix:"nonesuch" e)
   | Ok _ -> Alcotest.fail "unknown benchmark must not resolve"
 
+(* ---- resolve memo ---- *)
+
+(* A resubmitted spec, and a spec that differs only in seed, samples,
+   shards or traced mode, reuse the physically same prepared target —
+   no second golden walk — and get the manifest a fresh resolve makes.
+   The engine is part of the key, the least recently used workload is
+   the one evicted, and validation failures never reach the table. *)
+let test_resolve_memo () =
+  let spec ?(technique = "raw") ?(engine = "ckpt-4096") () =
+    { Spec.benchmark = "kNN"; technique; samples = 20; seed = 1L;
+      shards = 2; fault_bits = 1; scope = "original"; traced = false;
+      engine }
+  in
+  let memo = Spec.memo ~capacity:2 in
+  let get s =
+    match Spec.resolve_memo memo s with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "resolve_memo: %s" e
+  in
+  let counts () = (Spec.memo_hits memo, Spec.memo_misses memo) in
+  let walks (r : Spec.resolved) = (F.phases r.Spec.target).F.ph_walks in
+  let a = spec () in
+  let r1 = get a in
+  Alcotest.(check (pair int int)) "first resolve builds" (0, 1) (counts ());
+  let r2 = get a in
+  Alcotest.(check bool) "resubmission reuses the target" true
+    (r2.Spec.target == r1.Spec.target);
+  let variant = { a with seed = 7L; samples = 30; shards = 3; traced = true } in
+  let r3 = get variant in
+  Alcotest.(check bool) "new seed/samples/shards reuse the target" true
+    (r3.Spec.target == r1.Spec.target);
+  Alcotest.(check int) "no new golden walk" 1 (walks r3);
+  Alcotest.(check (pair int int)) "two hits" (2, 1) (counts ());
+  (match Spec.resolve variant with
+  | Error e -> Alcotest.failf "resolve: %s" e
+  | Ok fresh ->
+    Alcotest.(check string) "memo manifest = fresh manifest"
+      (Json.to_string (Manifest.to_json fresh.Spec.manifest))
+      (Json.to_string (Manifest.to_json r3.Spec.manifest));
+    Alcotest.(check bool) "fresh resolve builds its own target" false
+      (fresh.Spec.target == r1.Spec.target));
+  let p1 = get (spec ~engine:"pooled" ()) in
+  Alcotest.(check bool) "engine is part of the key" false
+    (p1.Spec.target == r1.Spec.target);
+  Alcotest.(check string) "pooled manifest" "pooled"
+    p1.Spec.manifest.Manifest.engine;
+  (* table [pooled; a]: touching [a] leaves pooled least recently used,
+     so a third workload evicts it *)
+  ignore (get a : Spec.resolved);
+  ignore (get (spec ~technique:"ir-eddi" ()) : Spec.resolved);
+  Alcotest.(check (pair int int)) "before eviction probe" (3, 3) (counts ());
+  Alcotest.(check bool) "recently used entry kept" true
+    ((get a).Spec.target == r1.Spec.target);
+  Alcotest.(check bool) "least recently used entry evicted" false
+    ((get (spec ~engine:"pooled" ())).Spec.target == p1.Spec.target);
+  Alcotest.(check (pair int int)) "eviction cost a build" (4, 4) (counts ());
+  (* a spec that fails validation never reaches the table *)
+  (match Spec.resolve_memo memo { a with benchmark = "nonesuch" } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown benchmark must not resolve");
+  (match Spec.resolve_memo memo { a with shards = 0 } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "zero shards must not resolve");
+  Alcotest.(check (pair int int)) "failures leave the counters" (4, 4)
+    (counts ())
+
+module Lru = Ferrum_serve.Lru
+
+(* Failed builds are returned, never stored: the next lookup builds
+   again.  Recency decides eviction. *)
+let test_lru () =
+  let t = Lru.create ~capacity:2 in
+  let builds = ref 0 in
+  let build v () =
+    incr builds;
+    v
+  in
+  Alcotest.(check bool) "failure returned" true
+    (Lru.find_or_add t "x" (build (Error "boom")) = Error "boom");
+  Alcotest.(check bool) "failure not cached" true
+    (Lru.find_or_add t "x" (build (Error "again")) = Error "again");
+  Alcotest.(check int) "each failure built" 2 !builds;
+  Alcotest.(check bool) "nothing stored" true
+    (Lru.find_or_add t "x" (build (Ok 1)) = Ok 1);
+  ignore (Lru.find_or_add t "y" (build (Ok 2)));
+  Alcotest.(check bool) "hit returns the stored value" true
+    (Lru.find_or_add t "x" (build (Ok 9)) = Ok 1);
+  ignore (Lru.find_or_add t "z" (build (Ok 3)));
+  Alcotest.(check bool) "recently used x kept" true
+    (Lru.find_or_add t "x" (build (Ok 9)) = Ok 1);
+  Alcotest.(check bool) "least recently used y evicted" true
+    (Lru.find_or_add t "y" (build (Ok 8)) = Ok 8);
+  Alcotest.(check int) "builds" 6 !builds;
+  Alcotest.(check (pair int int)) "hits, misses" (2, 6)
+    (Lru.hits t, Lru.misses t)
+
+(* The runner's wake pipe: the read end stays quiet while the child
+   lives and turns readable as soon as it exits, normally or killed. *)
+let test_fork_watched () =
+  let readable fd timeout =
+    match Unix.select [ fd ] [] [] timeout with
+    | [ _ ], _, _ -> true
+    | _ -> false
+  in
+  let go_r, go_w = Unix.pipe () in
+  let pid, wake =
+    Daemon.fork_watched (fun () ->
+        Unix.close go_w;
+        ignore (Unix.read go_r (Bytes.create 1) 0 1 : int))
+  in
+  Unix.close go_r;
+  Alcotest.(check bool) "quiet while the child runs" false (readable wake 0.2);
+  Unix.close go_w;
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "exit wakes the reader" true (readable wake 10.0);
+  Alcotest.(check bool) "promptly" true (Unix.gettimeofday () -. t0 < 2.0);
+  ignore (Unix.waitpid [] pid);
+  Unix.close wake;
+  let pid, wake = Daemon.fork_watched (fun () -> Unix.sleepf 30.0) in
+  Unix.kill pid Sys.sigkill;
+  Alcotest.(check bool) "SIGKILL wakes the reader" true (readable wake 10.0);
+  ignore (Unix.waitpid [] pid);
+  Unix.close wake
+
 (* ---- end-to-end daemon ---- *)
 
 (* Fork a real daemon on a loopback auto-assigned port, drive it with
@@ -572,9 +696,9 @@ let test_daemon_end_to_end () =
         "{\"benchmark\":\"Backprop\",\"technique\":\"ferrum\",\
          \"samples\":8,\"shards\":2,\"traced\":0}"
       in
-      let submit () =
+      let submit ?(body = spec) () =
         match
-          Http.request ~host ~port ~meth:"POST" ~path:"/jobs" ~body:spec ()
+          Http.request ~host ~port ~meth:"POST" ~path:"/jobs" ~body ()
         with
         | Error e -> Alcotest.failf "submit: %s" e
         | Ok r -> (
@@ -772,6 +896,42 @@ let test_daemon_end_to_end () =
       (* the client's trace id is adopted verbatim in every row *)
       Alcotest.(check bool) "client trace id adopted" true
         (List.for_all (contains ~affix:client_trace) records3);
+      (* kNN under hybrid has a golden profile whose sums print as
+         integers: its manifest must still round-trip, so the job is
+         published under the digest it was submitted under and a
+         resubmission is a cache hit *)
+      let hybrid =
+        "{\"benchmark\":\"kNN\",\"technique\":\"hybrid\",\
+         \"samples\":4,\"shards\":1,\"traced\":0}"
+      in
+      let idh, _, digesth, cachedh, _ = submit ~body:hybrid () in
+      Alcotest.(check bool) "hybrid submit not cached" false cachedh;
+      let rec wait_published tries =
+        let r = get (Fmt.str "/jobs/%d" idh) in
+        if contains ~affix:"\"state\":\"done\"" r.Http.r_body then r.Http.r_body
+        else if tries = 0 then
+          Alcotest.failf "hybrid job never settled: %s" r.Http.r_body
+        else begin
+          Unix.sleepf 0.2;
+          wait_published (tries - 1)
+        end
+      in
+      Alcotest.(check bool) "published under the submitted digest" true
+        (contains
+           ~affix:(Fmt.str "\"digest\":\"%s\"" digesth)
+           (wait_published 100));
+      let _, stateh2, digesth2, cachedh2, _ = submit ~body:hybrid () in
+      Alcotest.(check bool) "hybrid resubmission cached" true cachedh2;
+      Alcotest.(check string) "hybrid resubmission done" "done" stateh2;
+      Alcotest.(check string) "hybrid resubmission digest" digesth digesth2;
+      (* every resubmission above resolved from the memo *)
+      let metricz = (get "/metricz").Http.r_body in
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool)
+            (Fmt.str "metricz header has %S" affix)
+            true (contains ~affix metricz))
+        [ "\"resolve_memo_hits\":"; "\"resolve_memo_misses\":2" ];
       (* the wall sidecar is served too *)
       Alcotest.(check int) "trace-wall artifact status" 200
         (get (Fmt.str "/runs/%s/trace-wall" digest3)).Http.status;
@@ -826,9 +986,13 @@ let () =
           Alcotest.test_case "request head cap" `Quick test_http_head_cap;
         ] );
       ( "spec",
-        [ Alcotest.test_case "defaults and round-trip" `Quick test_spec_roundtrip ] );
+        [ Alcotest.test_case "defaults and round-trip" `Quick test_spec_roundtrip;
+          Alcotest.test_case "resolve memo" `Quick test_resolve_memo;
+          Alcotest.test_case "lru keeps successes only" `Quick test_lru ] );
       ( "daemon",
         [
+          Alcotest.test_case "runner exit wakes the loop" `Quick
+            test_fork_watched;
           Alcotest.test_case "end-to-end over loopback" `Slow
             test_daemon_end_to_end;
         ] );

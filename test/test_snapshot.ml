@@ -17,6 +17,9 @@ module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Catalog = Ferrum_workloads.Catalog
 module Trace = Ferrum_telemetry.Trace
+module Profile = Ferrum_telemetry.Profile
+module Manifest = Ferrum_campaign.Manifest
+module Fsutil = Ferrum_campaign.Fsutil
 
 let original = Instr.original
 
@@ -609,6 +612,68 @@ let test_prepare_catalogue () =
              Technique.all))
     Catalog.all
 
+(* One golden walk per target also feeds the manifest: [prepare]'s
+   per-provenance cycles are bit-for-bit the sums [Profile.run] makes
+   on its own walk, and a manifest made from the target survives a
+   save/load round trip with its digest intact (its floats are stored
+   as their JSON text reads back). *)
+let test_prepare_manifest_catalogue () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ferrum-snapshot-%d-manifest" (Unix.getpid ()))
+  in
+  Fsutil.mkdir_p dir;
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun (cname, res) ->
+          let program = res.Pipeline.program in
+          let img = Machine.load program in
+          let profile = Profile.run img in
+          let want =
+            List.map
+              (fun (r : Profile.prov_row) ->
+                (Profile.prov_name r.Profile.prov,
+                 Int64.bits_of_float r.Profile.p_cycles))
+              profile.Profile.by_provenance
+          in
+          List.iter
+            (fun (scope, all_sites) ->
+              let name =
+                Printf.sprintf "%s/%s %s" entry.Catalog.name cname
+                  (if all_sites then "all-sites" else "original")
+              in
+              let t = F.prepare ~scope img in
+              Alcotest.(check (list (pair string int64)))
+                (name ^ ": provenance split") want
+                (List.map
+                   (fun p ->
+                     (Profile.prov_name p,
+                      Int64.bits_of_float
+                        t.F.golden_prov_cycles.(Profile.prov_index p)))
+                   Profile.provenances);
+              let m =
+                Manifest.make ~benchmark:entry.Catalog.name ~technique:cname
+                  ~samples:400 ~seed:2024L ~shards:4 ~fault_bits:1 ~all_sites
+                  ~traced:true ~program t
+              in
+              Manifest.save ~dir m;
+              match Manifest.load ~dir with
+              | Error e -> Alcotest.failf "%s: load: %s" name e
+              | Ok m' ->
+                Alcotest.(check string) (name ^ ": digest survives save/load")
+                  (Manifest.digest m) (Manifest.digest m'))
+            [ (F.Original_only, false); (F.All_sites, true) ])
+        (("raw", Pipeline.raw (entry.Catalog.build ()))
+        :: List.map
+             (fun tech ->
+               (Technique.short_name tech,
+                Pipeline.protect tech (entry.Catalog.build ())))
+             Technique.all))
+    Catalog.all;
+  Fsutil.rm_rf dir
+
 (* The walk is counted where it happens: once, in the process that
    prepared the target.  Samples never walk again, and forked workers,
    which reset their tallies, report none. *)
@@ -863,6 +928,8 @@ let () =
       ( "catalogue",
         [ Alcotest.test_case "prepare matches a reference walk" `Slow
             test_prepare_catalogue;
+          Alcotest.test_case "provenance split and manifest round trip" `Slow
+            test_prepare_manifest_catalogue;
           Alcotest.test_case "records across engines" `Slow
             test_catalogue_identity;
           Alcotest.test_case "vulnmaps across engines" `Slow
