@@ -1066,24 +1066,32 @@ let metrics_cmd =
             (n "samples") (n "sdc") (n "detected"))
       lines
   in
-  (* Job queues: job-state histogram plus the cache-hit count. *)
+  (* Job queues: job-state histogram plus the cache-hit count.  A
+     queue journal holds one record per transition; the last record for
+     an id is the job's state. *)
   let summarize_jobs lines =
-    let by_state = Hashtbl.create 4 in
-    let cached = ref 0 in
+    let jobs = Hashtbl.create 64 in
     List.iteri
       (fun i line ->
-        if i > 0 then begin
+        if i > 0 then
           let j = Json.of_string line in
-          (match Json.member "state" j with
-          | Some (Json.Str s) ->
-            Hashtbl.replace by_state s
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_state s))
-          | _ -> ());
-          match Json.member "cached" j with
-          | Some (Json.Int c) when c <> 0 -> incr cached
-          | _ -> ()
-        end)
+          match Json.member "id" j with
+          | Some (Json.Int id) -> Hashtbl.replace jobs id j
+          | _ -> ())
       lines;
+    let by_state = Hashtbl.create 4 in
+    let cached = ref 0 in
+    Hashtbl.iter
+      (fun _ j ->
+        (match Json.member "state" j with
+        | Some (Json.Str s) ->
+          Hashtbl.replace by_state s
+            (1 + Option.value ~default:0 (Hashtbl.find_opt by_state s))
+        | _ -> ());
+        match Json.member "cached" j with
+        | Some (Json.Int c) when c <> 0 -> incr cached
+        | _ -> ())
+      jobs;
     List.iter
       (fun s ->
         match Hashtbl.find_opt by_state s with

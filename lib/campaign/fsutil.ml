@@ -72,3 +72,14 @@ let read_file path =
   let s = really_input_string ic len in
   close_in ic;
   s
+
+(* Complete lines of [path] ([] when it does not exist): split on '\n'
+   and drop the final element — the empty artifact after a terminated
+   last line, or an unterminated fragment an appender is still writing
+   (or a crash tore).  Either way a torn record is never returned. *)
+let complete_lines path =
+  if not (Sys.file_exists path) then []
+  else
+    match List.rev (String.split_on_char '\n' (read_file path)) with
+    | _last :: rev_rest -> List.rev rev_rest
+    | [] -> []

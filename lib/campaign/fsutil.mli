@@ -20,3 +20,8 @@ val write_file : string -> string -> unit
 
 (** Read a whole file as bytes. *)
 val read_file : string -> string
+
+(** Lines of a file that are terminated by ['\n'] ([[]] when the file
+    does not exist): an unterminated final fragment — a line still
+    being appended, or torn by a crash — is dropped. *)
+val complete_lines : string -> string list

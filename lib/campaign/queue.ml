@@ -1,13 +1,15 @@
 (* Persistent campaign job queue: `ferrum.jobs.v1`.
 
-   The serve daemon's source of truth for job state.  The whole queue
-   lives in one JSONL document — a header then one record per job in
-   submission order — rewritten atomically (Fsutil temp+rename) on
-   every transition, so a daemon restart resumes exactly where the
-   previous process stopped: [Running] jobs are demoted to [Pending]
-   on load (their shard part files make the re-run cheap), finished
-   jobs keep their digests, and SSE readers in forked children can
-   poll the file for state without sharing memory with the daemon. *)
+   The serve daemon's source of truth for job state.  On disk it is an
+   append-only journal: a header, then one record per transition —
+   [submit] and [update] each append exactly one line, and the last
+   record for an id wins.  Every request therefore costs the same
+   however long the history is.  [load] replays the journal (a torn
+   final line, left by a crash mid-append, is dropped), demotes
+   [Running] jobs to [Pending] (their shard part files make the re-run
+   cheap) and compacts the file once, atomically (Fsutil temp+rename),
+   to the one-record-per-job {!document} — the same bytes the daemon
+   serves as GET /jobs from memory. *)
 
 module Json = Ferrum_telemetry.Json
 module Metrics = Ferrum_telemetry.Metrics
@@ -107,72 +109,104 @@ let job_of_json (j : Json.t) : (job, string) result =
 
 let header extra = Metrics.header ~kind extra
 
+(* Jobs by id; ids are dense from 1 in submission order, so [by_id]
+   keys [1 .. last] hold the whole queue (a gap is left only by a
+   record a damaged journal lost).  [pending] is a lower bound on the
+   oldest [Pending] id, so the scheduler's scan is amortized O(1). *)
 type t = {
   dir : string;
-  mutable jobs : job list;  (** submission order *)
+  by_id : (int, job) Hashtbl.t;
+  mutable last : int;
+  mutable pending : int;
 }
 
 let path t = Filename.concat t.dir file
-let jobs t = t.jobs
-let find t id = List.find_opt (fun j -> j.id = id) t.jobs
+let find t id = Hashtbl.find_opt t.by_id id
+let jobs t = List.filter_map (find t) (List.init t.last (fun i -> i + 1))
 
-let next_pending t = List.find_opt (fun j -> j.state = Pending) t.jobs
-
-let save t =
-  let lines =
-    List.map (fun j -> Json.to_string (job_to_json j)) t.jobs
+let next_pending t =
+  let rec scan id =
+    if id > t.last then None
+    else
+      match find t id with
+      | Some j when j.state = Pending -> Some j
+      | _ ->
+        t.pending <- id + 1;
+        scan (id + 1)
   in
+  scan t.pending
+
+(* The one-record-per-job document: the compacted journal and the
+   GET /jobs body. *)
+let document t =
+  let jobs = jobs t in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Json.to_string (header [ ("jobs", Json.Int (List.length t.jobs)) ]));
+    (Json.to_string (header [ ("jobs", Json.Int (List.length jobs)) ]));
   Buffer.add_char buf '\n';
   List.iter
-    (fun l ->
-      Buffer.add_string buf l;
+    (fun j ->
+      Buffer.add_string buf (Json.to_string (job_to_json j));
       Buffer.add_char buf '\n')
-    lines;
-  Fsutil.write_file (path t) (Buffer.contents buf)
+    jobs;
+  Buffer.contents buf
 
-(* Load a queue directory.  A [Running] job belonged to a daemon that
-   died mid-run: demote it to [Pending] so the next scheduler pass
-   restarts it (its part files resume finished shards). *)
+(* Append [job]'s one journal line, then record it in memory.  The
+   line goes out in a single O_APPEND write, so a crash can tear at
+   most the final line, which [load] drops; a failed write raises
+   before memory changes. *)
+let record t (job : job) =
+  let line = Json.to_string (job_to_json job) ^ "\n" in
+  let fd =
+    Unix.openfile (path t) [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let n = Unix.write_substring fd line 0 (String.length line) in
+      if n <> String.length line then
+        failwith
+          (Fmt.str "%s: short append (%d of %d bytes)" (path t) n
+             (String.length line)));
+  Hashtbl.replace t.by_id job.id job;
+  t.last <- max t.last job.id;
+  if job.state = Pending then t.pending <- min t.pending job.id
+
+(* Load a queue directory: replay the journal, last record per id
+   winning.  A [Running] job belonged to a daemon that died mid-run:
+   demote it to [Pending] so the next scheduler pass restarts it (its
+   part files resume finished shards).  The replayed state is then
+   written back compacted, so the journal starts each daemon's life at
+   one record per job. *)
 let load ~dir =
   Fsutil.mkdir_p dir;
-  let t = { dir; jobs = [] } in
-  let p = path t in
-  if Sys.file_exists p then begin
-    (match Metrics.read_lines p with
-    | _header :: records ->
-      t.jobs <-
-        List.filter_map
-          (fun line ->
-            match Json.of_string_opt line with
-            | None -> None
-            | Some j -> (
-              match job_of_json j with
-              | Ok job ->
-                Some
-                  (if job.state = Running then { job with state = Pending }
-                   else job)
-              | Error _ -> None))
-          records
-    | [] -> ());
-    save t
-  end;
+  let t = { dir; by_id = Hashtbl.create 64; last = 0; pending = 1 } in
+  (match Fsutil.complete_lines (path t) with
+  | _header :: records ->
+    List.iter
+      (fun line ->
+        match Option.map job_of_json (Json.of_string_opt line) with
+        | Some (Ok job) ->
+          Hashtbl.replace t.by_id job.id
+            (if job.state = Running then { job with state = Pending } else job);
+          t.last <- max t.last job.id
+        | Some (Error _) | None -> ())
+      records
+  | [] -> ());
+  Fsutil.write_file (path t) (document t);
   t
 
-(* Append a new job and persist.  Ids are dense from 1 in submission
-   order — stable across restarts because the queue file is. *)
+(* Append a new job.  Ids are dense from 1 in submission order — stable
+   across restarts because the journal is. *)
 let submit ?(trace = "") ?(submitted = 0.0) t ~spec ~digest ~cached ~state =
-  let id = 1 + List.fold_left (fun a j -> max a j.id) 0 t.jobs in
-  let job = { id; spec; state; digest; cached; error = ""; trace; submitted } in
-  t.jobs <- t.jobs @ [ job ];
-  save t;
+  let job =
+    { id = t.last + 1; spec; state; digest; cached; error = ""; trace;
+      submitted }
+  in
+  record t job;
   job
 
-let update t (job : job) =
-  t.jobs <- List.map (fun j -> if j.id = job.id then job else j) t.jobs;
-  save t
+let update t (job : job) = record t job
 
 (* Per-job scratch directory (live event log, parts, spool). *)
 let job_dir t id = Filename.concat t.dir (Fmt.str "job-%d" id)

@@ -1,11 +1,13 @@
 (** Persistent campaign job queue ([ferrum.jobs.v1]).
 
-    One JSONL document — header, then one record per job in submission
-    order — rewritten atomically on every transition.  A daemon
-    restart resumes from the file: [Running] jobs are demoted to
-    [Pending] on load (shard part files make the re-run cheap), and
-    forked readers can poll the file for job state without sharing
-    memory with the daemon. *)
+    An append-only journal: a header, then one record per transition —
+    {!submit} and {!update} each append one line, and the last record
+    for an id wins, so a request costs the same however long the
+    history is.  {!load} replays the journal, drops a torn final line,
+    demotes [Running] jobs to [Pending] (shard part files make the
+    re-run cheap) and compacts the file once to {!document}.  The
+    daemon holds the only live view in memory; nothing else polls the
+    file. *)
 
 module Json = Ferrum_telemetry.Json
 
@@ -47,18 +49,29 @@ val header : (string * Json.t) list -> Json.t
 
 type t
 
-(** Load (or initialise) the queue under [dir], demoting [Running]
-    jobs to [Pending]. *)
+(** Load (or initialise) the queue under [dir]: replay the journal
+    (last record per id wins, a torn final line is dropped), demote
+    [Running] jobs to [Pending], and rewrite the file atomically as
+    {!document}.  The header's [jobs] count is as of this compaction;
+    records appended later are not counted in it. *)
 val load : dir:string -> t
 
 val path : t -> string
+
+(** Jobs in id (submission) order. *)
 val jobs : t -> job list
+
 val find : t -> int -> job option
+
+(** The one-record-per-job [ferrum.jobs.v1] document (header with the
+    job count, then jobs in id order) — the compacted journal and the
+    daemon's GET /jobs body. *)
+val document : t -> string
 
 (** Oldest [Pending] job, if any. *)
 val next_pending : t -> job option
 
-(** Append a new job (dense ids from 1) and persist.  [trace] is the
+(** Add a new job (dense ids from 1) and append its record.  [trace] is the
     client's traceparent header (default [""]); [submitted] the
     submission wall time (default [0.], meaning unknown). *)
 val submit :
@@ -71,11 +84,8 @@ val submit :
   state:state ->
   job
 
-(** Replace the job with the same id and persist. *)
+(** Replace the job with the same id and append its record. *)
 val update : t -> job -> unit
-
-(** Persist the current state (also done by every mutation). *)
-val save : t -> unit
 
 (** Per-job scratch directory ([<dir>/job-<id>]). *)
 val job_dir : t -> int -> string

@@ -282,10 +282,30 @@ let rebuild_index ~root =
     (jsonl (run_header [ ("runs", Json.Int (List.length records)) ]) records);
   ordered
 
+(* Add a freshly published entry to the index: its run.json record
+   is appended and the header's run count bumped, without re-verifying
+   the entries already indexed — the bytes equal what [rebuild_index]
+   would write.  A missing index, or one that already names [digest]
+   (a stale record of an entry that has since gone), is rebuilt. *)
+let append_index ~root digest =
+  let path = index_file root in
+  (* [run_record] puts the digest first *)
+  let named = Fmt.str "{\"digest\":\"%s\"" digest in
+  match (Fsutil.complete_lines path, entry_record ~root digest) with
+  | _header :: records, Some record
+    when not (List.exists (String.starts_with ~prefix:named) records) ->
+    Fsutil.write_file path
+      (jsonl
+         (run_header [ ("runs", Json.Int (List.length records + 1)) ])
+         (records @ [ record ]))
+  | _ -> ignore (rebuild_index ~root)
+
 (* Publish [src] (a finished run directory already containing run.json)
    under its manifest digest.  Returns the digest; when the digest is
    already stored the existing entry wins and [src] is discarded — the
-   store is immutable and a second identical run is a cache hit. *)
+   store is immutable and a second identical run is a cache hit.  Only
+   a replaced corrupt entry (or a missing index) rebuilds the index;
+   a new entry is appended to it. *)
 let publish ~root ~src =
   match Manifest.load ~dir:src with
   | Error e -> Error (Fmt.str "publish %s: %s" src e)
@@ -293,11 +313,16 @@ let publish ~root ~src =
     let digest = Manifest.digest m in
     Fsutil.mkdir_p root;
     (match lookup ~root digest with
-    | Hit _ -> Fsutil.rm_rf src
+    | Hit _ ->
+      Fsutil.rm_rf src;
+      if not (Sys.file_exists (index_file root)) then
+        ignore (rebuild_index ~root)
     | Corrupt _ ->
       (* replace a torn entry with the fresh coherent one *)
       Fsutil.rm_rf (entry_dir ~root digest);
-      Fsutil.rename src (entry_dir ~root digest)
-    | Miss -> Fsutil.rename src (entry_dir ~root digest));
-    ignore (rebuild_index ~root);
+      Fsutil.rename src (entry_dir ~root digest);
+      ignore (rebuild_index ~root)
+    | Miss ->
+      Fsutil.rename src (entry_dir ~root digest);
+      append_index ~root digest);
     Ok digest

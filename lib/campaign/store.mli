@@ -122,5 +122,8 @@ val rebuild_index : root:string -> string list
     into the store under its manifest digest; the source directory is
     consumed (renamed in, EXDEV-safe).  A second publish of the same
     digest is a cache hit: the existing entry wins and the source is
-    discarded.  Returns the digest. *)
+    discarded.  A new entry's record is appended to the index (no
+    re-verification of the entries already indexed); only replacing a
+    corrupt entry, or a missing index, runs {!rebuild_index}.  Returns
+    the digest. *)
 val publish : root:string -> src:string -> (string, string) result

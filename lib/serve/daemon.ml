@@ -10,15 +10,20 @@
      - a supervised runner child: at most one job executes at a time
        (campaigns already fork a worker pool internally); the child
        inherits the job's workload from the daemon's resolve memo,
-       streams renumbered live events into the job directory, writes
-       the finished run into a spool and publishes it into the store,
-       then reports through an outcome file reaped by the parent as
-       soon as the child's exit closes its wake pipe;
-     - SSE tailer children: GET /jobs/:id/events forks a child that
-       tails the job's live event log (complete lines only) and frames
-       records as `id:`-numbered server-sent events, so a client
-       reconnect with Last-Event-ID resumes without gaps and the
-       reassembled stream replay-validates under [Events.replay].
+       streams renumbered live events into the job directory (one
+       byte down its wake pipe after each line), writes the finished
+       run into a spool and publishes it into the store, then reports
+       through an outcome file reaped by the parent as soon as the
+       child's exit closes the wake pipe;
+     - SSE subscribers: GET /jobs/:id/events keeps the connection open
+       as a non-blocking subscriber.  The loop itself pushes each newly
+       completed line of the job's event log, framed as an
+       `id:`-numbered server-sent event, whenever the runner's wake
+       pipe signals one, and ends the stream with a closing comment
+       once the job is settled.  There are no per-stream processes and
+       no polling: a client reconnect with Last-Event-ID resumes
+       without gaps, and the reassembled stream replay-validates under
+       [Events.replay].
 
    Every JSON body the daemon emits is one of the repo's
    schema-versioned JSONL forms ([ferrum.jobs.v1], [ferrum.run.v1],
@@ -27,7 +32,7 @@
 
    Layout under the daemon root:
 
-     queue/jobs.jsonl       ferrum.jobs.v1 queue (source of truth)
+     queue/jobs.jsonl       ferrum.jobs.v1 journal (source of truth)
      queue/job-<id>/        live events.jsonl, parts/, spool/
      store/<digest>/        published runs (content-addressed)
      store/index.jsonl      ferrum.run.v1 cross-run index
@@ -35,7 +40,6 @@
 
 module F = Ferrum_faultsim.Faultsim
 module Json = Ferrum_telemetry.Json
-module Metrics = Ferrum_telemetry.Metrics
 module Events = Ferrum_telemetry.Events
 module Sse = Ferrum_telemetry.Sse
 module Trace = Ferrum_telemetry.Trace
@@ -55,27 +59,6 @@ let port_file root = Filename.concat root "port"
 let pid_file root = Filename.concat root "pid"
 let live_events_file = "events.jsonl"
 let outcome_file = "outcome.json"
-
-(* Mirrors [Queue.job_dir] for children that must not load the queue
-   (loading demotes Running jobs — a read-side effect only the daemon
-   parent may trigger). *)
-let job_dir_of qdir id = Filename.concat qdir (Fmt.str "job-%d" id)
-
-(* Read-only job lookup straight off jobs.jsonl, for tailer children
-   polling state from outside the daemon process. *)
-let peek_job qdir id : Queue.job option =
-  let path = Filename.concat qdir Queue.file in
-  if not (Sys.file_exists path) then None
-  else
-    match Metrics.read_lines path with
-    | _header :: records ->
-      List.find_map
-        (fun line ->
-          match Option.map Queue.job_of_json (Json.of_string_opt line) with
-          | Some (Ok j) when j.Queue.id = id -> Some j
-          | _ -> None)
-        records
-    | [] -> None
 
 (* ------------------------------------------------------------------ *)
 (* Runner child: execute one job end to end.                           *)
@@ -101,8 +84,8 @@ let job_tracer (job : Queue.job) (spec : Spec.t) =
 (* Run the job's campaign and publish the result.  Runs in a forked
    child; everything it tells the parent goes through the outcome
    file.  The live event log is renumbered in arrival order as it is
-   appended — one flushed line per event — so a concurrent tailer
-   always sees a prefix of a replay-consistent stream.
+   appended — one flushed line per event, each followed by [notify ()]
+   — so the daemon always reads a prefix of a replay-consistent stream.
 
    The job's workload [r] was resolved by the daemon before the fork
    (usually from its memo), so the child inherits the built target and
@@ -114,7 +97,7 @@ let job_tracer (job : Queue.job) (spec : Spec.t) =
    campaign, whose runner continues the job span's context — so
    /runs/:digest/trace serves one stitched trace from client submission
    to worker engine phases. *)
-let run_job cfg ~jobdir (job : Queue.job) (r : Spec.resolved) :
+let run_job cfg ~jobdir ~notify (job : Queue.job) (r : Spec.resolved) :
     (string, string) result =
   let ( let* ) = Result.bind in
   let spec = r.Spec.spec in
@@ -150,6 +133,7 @@ let run_job cfg ~jobdir (job : Queue.job) (r : Spec.resolved) :
             (Json.to_string (Events.to_json { e with seq = !seq }));
           output_char oc '\n';
           flush oc;
+          notify ();
           incr seq
         in
         let mode = if spec.Spec.traced then Runner.Traced else Runner.Inject in
@@ -208,75 +192,6 @@ let read_outcome ~jobdir : (string, string) result =
     | None -> Error "malformed outcome file"
 
 (* ------------------------------------------------------------------ *)
-(* SSE tailer child.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Complete lines of [path]: split on '\n' and drop the final element —
-   the empty artifact after a terminated last line, or an unterminated
-   fragment an appender is still writing.  Either way a torn record
-   never leaks into the stream. *)
-let complete_lines path =
-  if not (Sys.file_exists path) then []
-  else
-    match List.rev (String.split_on_char '\n' (Fsutil.read_file path)) with
-    | _last :: rev_rest -> List.rev rev_rest
-    | [] -> []
-
-(* Stream a job's events as SSE frames.  Record [i] of the log (header
-   excluded) is sent with [id: i]; a reconnect with [Last-Event-ID: n]
-   starts at record [n + 1].  The source is the job's live log while it
-   exists, else the published store entry (cached jobs never have a
-   live log).  Ends with a comment frame naming the final job state. *)
-let stream_events cfg job_id ~last fd =
-  Http.respond_stream fd ~content_type:"text/event-stream";
-  Http.write_all fd (Sse.retry_frame 500);
-  let qdir = queue_dir cfg.root in
-  let live = Filename.concat (job_dir_of qdir job_id) live_events_file in
-  let next = ref (last + 1) in
-  let rec loop () =
-    let job = peek_job qdir job_id in
-    let source =
-      if Sys.file_exists live then Some live
-      else
-        match job with
-        | Some j when j.Queue.digest <> "" -> (
-          match Store.lookup ~root:(store_root cfg.root) j.Queue.digest with
-          | Store.Hit dir -> Some (Filename.concat dir Store.events_file)
-          | Store.Corrupt _ | Store.Miss -> None)
-        | _ -> None
-    in
-    (match source with
-    | None -> ()
-    | Some path ->
-      let records =
-        match complete_lines path with _header :: r -> r | [] -> []
-      in
-      List.iteri
-        (fun i record ->
-          if i >= !next then begin
-            Http.write_all fd (Sse.encode ~id:i record);
-            next := i + 1
-          end)
-        records);
-    match job with
-    | Some { Queue.state = Queue.Done | Queue.Failed; _ } ->
-      let state =
-        match job with
-        | Some j -> Queue.state_name j.Queue.state
-        | None -> "gone"
-      in
-      Http.write_all fd (Sse.comment (Fmt.str "job %d %s" job_id state))
-    | None -> Http.write_all fd (Sse.comment (Fmt.str "job %d gone" job_id))
-    | Some _ ->
-      Unix.sleepf 0.1;
-      loop ()
-  in
-  try loop ()
-  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-    (* client went away; nothing to clean up *)
-    ()
-
-(* ------------------------------------------------------------------ *)
 (* Daemon.                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,14 +218,30 @@ let hist_observe h v =
   h.h_sum <- h.h_sum +. v
 
 (* The supervised runner child.  [wake] is the read end of a pipe whose
-   only write end the child holds: it turns readable (end of file) when
-   the child exits, however it exits, so the select loop reaps it at
-   once instead of on its next timeout. *)
+   only write end the child holds: the child writes a byte after each
+   event it logs, and the pipe reads end of file when the child exits,
+   however it exits, so the select loop pushes events and reaps the
+   child at once instead of on its next timeout. *)
 type running = {
   job_id : int;
   pid : int;
   started : float;
   wake : Unix.file_descr;
+}
+
+(* An SSE client streaming one job's events, pushed to from the loop.
+   [s_src] is the file being streamed (the live log, or the stored
+   events of a run that has no live log); [s_off] and [s_lines] are the
+   bytes and complete lines of it consumed, header included; [s_next]
+   is the next event id owed — it survives a change of source, so ids
+   already sent are never sent again. *)
+type subscriber = {
+  s_job : int;
+  s_fd : Unix.file_descr;
+  mutable s_src : string;
+  mutable s_off : int;
+  mutable s_lines : int;
+  mutable s_next : int;
 }
 
 (* Resolved workloads kept across submissions.  Holding all 32
@@ -325,7 +256,7 @@ type daemon = {
   listen_fd : Unix.file_descr;
   memo : Spec.memo;
   mutable runner : running option;
-  mutable sse_children : int list;
+  mutable subs : subscriber list;
   (* /metricz counters *)
   mutable http_requests : int;
   mutable jobs_submitted : int;
@@ -336,6 +267,8 @@ type daemon = {
 }
 
 let log fmt = Fmt.epr ("[serve] " ^^ fmt ^^ "@.")
+
+let live_log d id = Filename.concat (Queue.job_dir d.q id) live_events_file
 
 (* A one-job jobs.v1 document — the body of POST /jobs and
    GET /jobs/:id responses, validating under `ferrum metrics`. *)
@@ -391,11 +324,9 @@ let submit_job d (req : Http.request) fd =
    in the header and per-job event-log sizes on the records — extra
    fields ride along without breaking schema validation. *)
 let metricz d fd =
-  let qdir = queue_dir d.cfg.root in
   let record (j : Queue.job) =
-    let live = Filename.concat (job_dir_of qdir j.Queue.id) live_events_file in
     let events_logged =
-      match complete_lines live with [] -> 0 | lines -> List.length lines - 1
+      match Fsutil.complete_lines (live_log d j.Queue.id) with [] -> 0 | lines -> List.length lines - 1
     in
     let base =
       match Queue.job_to_json j with Json.Obj l -> l | other -> [ ("job", other) ]
@@ -498,9 +429,121 @@ let history_page d fd =
   | Ok html -> Http.respond fd ~content_type:"text/html" html
   | Error e -> Http.respond_error fd 500 e
 
-(* Route one parsed request.  SSE is the only handler that outlives the
-   request: it forks, and the child exits when the stream ends. *)
-let route d (req : Http.request) fd =
+(* ------------------------------------------------------------------ *)
+(* SSE subscribers.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The file a job's events stream from: its live log while one exists,
+   else the published store entry (cached jobs never have a live
+   log). *)
+let event_source d (job : Queue.job) =
+  let live = live_log d job.Queue.id in
+  if Sys.file_exists live then Some live
+  else if job.Queue.digest = "" then None
+  else
+    match Store.lookup ~root:(store_root d.cfg.root) job.Queue.digest with
+    | Store.Hit dir -> Some (Filename.concat dir Store.events_file)
+    | Store.Corrupt _ | Store.Miss -> None
+
+(* The bytes of [path] from [off] to its current end. *)
+let read_from path off =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      if len <= off then ""
+      else begin
+        seek_in ic off;
+        really_input_string ic (len - off)
+      end)
+
+(* Send [s] the records of [src] it has not seen, as one write.  Record
+   [i] of the log (header excluded) is framed with [id: i]; only
+   complete lines are read, so a torn record never leaks into the
+   stream. *)
+let push s src =
+  if src <> s.s_src then begin
+    s.s_src <- src;
+    s.s_off <- 0;
+    s.s_lines <- 0
+  end;
+  let chunk = read_from src s.s_off in
+  match String.rindex_opt chunk '\n' with
+  | None -> ()
+  | Some last ->
+    s.s_off <- s.s_off + last + 1;
+    let frames = Buffer.create (last + 256) in
+    List.iter
+      (fun line ->
+        let i = s.s_lines - 1 in
+        s.s_lines <- s.s_lines + 1;
+        if i >= s.s_next then begin
+          Buffer.add_string frames (Sse.encode ~id:i line);
+          s.s_next <- i + 1
+        end)
+      (String.split_on_char '\n' (String.sub chunk 0 last));
+    if Buffer.length frames > 0 then
+      Http.write_all s.s_fd (Buffer.contents frames)
+
+(* Bring every subscriber of [job] up to date; once the job is settled,
+   end each stream with a comment naming the final state.  Sockets are
+   non-blocking: a subscriber that would block, or has hung up, is
+   dropped — it resumes by reconnecting with Last-Event-ID. *)
+let notify d (job : Queue.job) =
+  let id = job.Queue.id in
+  if List.exists (fun s -> s.s_job = id) d.subs then begin
+    let src = event_source d job in
+    let settled =
+      match job.Queue.state with
+      | Queue.Done | Queue.Failed -> true
+      | Queue.Pending | Queue.Running -> false
+    in
+    d.subs <-
+      List.filter
+        (fun s ->
+          s.s_job <> id
+          ||
+          let keep =
+            match
+              Option.iter (push s) src;
+              if settled then
+                Http.write_all s.s_fd
+                  (Sse.comment
+                     (Fmt.str "job %d %s" id (Queue.state_name job.Queue.state)))
+            with
+            | () -> not settled
+            | exception (Unix.Unix_error _ | Sys_error _) -> false
+          in
+          if not keep then (try Unix.close s.s_fd with Unix.Unix_error _ -> ());
+          keep)
+        d.subs
+  end
+
+(* GET /jobs/:id/events: answer the stream head, then hand the socket to
+   the loop as a subscriber; [last] is the client's Last-Event-ID. *)
+let subscribe d (job : Queue.job) ~last fd =
+  Unix.set_nonblock fd;
+  Http.respond_stream fd ~content_type:"text/event-stream";
+  Http.write_all fd (Sse.retry_frame 500);
+  d.sse_streams <- d.sse_streams + 1;
+  d.subs <-
+    { s_job = job.Queue.id; s_fd = fd; s_src = ""; s_off = 0; s_lines = 0;
+      s_next = last + 1 }
+    :: d.subs;
+  notify d job
+
+(* Record a job's new state, and tell its subscribers. *)
+let settle d (job : Queue.job) =
+  Queue.update d.q job;
+  notify d job
+
+(* ------------------------------------------------------------------ *)
+(* Requests.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A request's path split into non-empty segments, and its query. *)
+let split_target (req : Http.request) =
   let path, query =
     match String.index_opt req.Http.path '?' with
     | Some q ->
@@ -509,40 +552,33 @@ let route d (req : Http.request) fd =
           (String.length req.Http.path - q - 1) )
     | None -> (req.Http.path, "")
   in
+  (path, List.filter (fun s -> s <> "") (String.split_on_char '/' path), query)
+
+(* The job whose event stream [req] asks for, if it exists: the only
+   request whose socket outlives its handler. *)
+let events_request d (req : Http.request) =
+  match (req.Http.meth, split_target req) with
+  | "GET", (_, [ "jobs"; id; "events" ], _) ->
+    Option.bind (int_of_string_opt id) (Queue.find d.q)
+  | _ -> None
+
+(* Route one parsed request that is answered and closed. *)
+let route d (req : Http.request) fd =
+  let path, parts, query = split_target req in
   let query_has kv = List.mem kv (String.split_on_char '&' query) in
-  let parts =
-    List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-  in
   match (req.Http.meth, parts) with
   | "GET", [] | "GET", [ "history" ] -> history_page d fd
   | "GET", [ "healthz" ] ->
     Http.respond fd ~content_type:"text/plain" "ok\n"
   | "POST", [ "jobs" ] -> submit_job d req fd
   | "GET", [ "jobs" ] ->
-    serve_file fd (Filename.concat (queue_dir d.cfg.root) Queue.file)
+    Http.respond fd ~content_type:ndjson (Queue.document d.q)
   | "GET", [ "jobs"; id ] -> (
     match Option.bind (int_of_string_opt id) (Queue.find d.q) with
     | Some job -> Http.respond fd ~content_type:ndjson (job_doc job)
     | None -> Http.respond_error fd 404 (Fmt.str "no job %s" id))
-  | "GET", [ "jobs"; id; "events" ] -> (
-    match Option.bind (int_of_string_opt id) (Queue.find d.q) with
-    | None -> Http.respond_error fd 404 (Fmt.str "no job %s" id)
-    | Some job ->
-      let last =
-        match Http.header_value "last-event-id" req.Http.headers with
-        | Some v -> Option.value ~default:(-1) (int_of_string_opt v)
-        | None -> -1
-      in
-      d.sse_streams <- d.sse_streams + 1;
-      flush stdout;
-      flush stderr;
-      (match Unix.fork () with
-      | 0 ->
-        (try Unix.close d.listen_fd with Unix.Unix_error _ -> ());
-        (try stream_events d.cfg job.Queue.id ~last fd with _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Stdlib.exit 0
-      | pid -> d.sse_children <- pid :: d.sse_children))
+  | "GET", [ "jobs"; id; "events" ] ->
+    Http.respond_error fd 404 (Fmt.str "no job %s" id)
   | "GET", [ "runs" ] ->
     let index = Store.index_file (store_root d.cfg.root) in
     if not (Sys.file_exists index) then
@@ -562,23 +598,41 @@ let handle_connection d fd =
   (* a wedged client must not hold the daemon: bound the header read *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
    with Unix.Unix_error _ -> ());
-  (match Http.read_request fd with
-  | Ok req -> (
-    try route d req fd
-    with
-    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-    | e ->
-      log "handler error: %s" (Printexc.to_string e);
-      (try Http.respond_error fd 500 "internal error"
-       with Unix.Unix_error _ -> ()))
-  | Error e -> (
-    try Http.respond_error fd 400 e with Unix.Unix_error _ -> ()));
+  let adopted =
+    match Http.read_request fd with
+    | Ok req -> (
+      try
+        match events_request d req with
+        | Some job ->
+          let last =
+            match Http.header_value "last-event-id" req.Http.headers with
+            | Some v -> Option.value ~default:(-1) (int_of_string_opt v)
+            | None -> -1
+          in
+          subscribe d job ~last fd;
+          true
+        | None ->
+          route d req fd;
+          false
+      with
+      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+      | e ->
+        log "handler error: %s" (Printexc.to_string e);
+        (try Http.respond_error fd 500 "internal error"
+         with Unix.Unix_error _ -> ());
+        false)
+    | Error e ->
+      (try Http.respond_error fd 400 e with Unix.Unix_error _ -> ());
+      false
+  in
   hist_observe d.http_seconds (Unix.gettimeofday () -. t0);
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (* a subscriber's socket now belongs to the loop *)
+  if not adopted then try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Fork [child] holding the only write end of a fresh pipe; return its
-   pid and the read end, which turns readable when the child (and any
-   descendant it passed the write end to) has exited. *)
+(* Fork [child] holding the only write end of a fresh pipe, which it is
+   handed to signal on; return its pid and the read end, which reads
+   end of file when the child (and any descendant it passed the write
+   end to) has exited. *)
 let fork_watched child =
   let rd, wr = Unix.pipe ~cloexec:true () in
   flush stdout;
@@ -586,29 +640,47 @@ let fork_watched child =
   match Unix.fork () with
   | 0 ->
     Unix.close rd;
-    child ();
+    child wr;
     Stdlib.exit 0
   | pid ->
     Unix.close wr;
     (pid, rd)
 
 (* Start the pending job's runner child.  The workload is resolved here,
-   in the daemon, so the child inherits it rather than building it. *)
+   in the daemon, so the child inherits it rather than building it.
+   The runner recreates the live log, so a stale one (from a daemon
+   that died mid-run) is removed first and the job's subscribers
+   restart their read positions — their Last-Event-ID positions
+   stand. *)
 let start_runner d (job : Queue.job) =
   match
     Result.bind (Spec.of_string job.Queue.spec) (Spec.resolve_memo d.memo)
   with
   | Error e ->
     log "job %d failed: %s" job.Queue.id e;
-    Queue.update d.q { job with Queue.state = Queue.Failed; error = e }
+    settle d { job with Queue.state = Queue.Failed; error = e }
   | Ok r ->
     Queue.update d.q { job with Queue.state = Queue.Running };
-    let jobdir = job_dir_of (queue_dir d.cfg.root) job.Queue.id in
+    let jobdir = Queue.job_dir d.q job.Queue.id in
+    Fsutil.rm_rf (live_log d job.Queue.id);
+    List.iter
+      (fun s -> if s.s_job = job.Queue.id then s.s_src <- "")
+      d.subs;
     let pid, wake =
-      fork_watched (fun () ->
-          (try Unix.close d.listen_fd with Unix.Unix_error _ -> ());
+      fork_watched (fun wr ->
+          (* the client sockets are the daemon's: a child holding a copy
+             would keep a dropped stream open *)
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (d.listen_fd :: List.map (fun s -> s.s_fd) d.subs);
+          Unix.set_nonblock wr;
+          (* a full pipe already wakes the daemon: a lost byte is fine *)
+          let notify () =
+            try ignore (Unix.single_write_substring wr "." 0 1 : int)
+            with Unix.Unix_error _ -> ()
+          in
           let outcome =
-            try run_job d.cfg ~jobdir job r
+            try run_job d.cfg ~jobdir ~notify job r
             with e -> Error (Printexc.to_string e)
           in
           Fsutil.mkdir_p jobdir;
@@ -619,23 +691,23 @@ let start_runner d (job : Queue.job) =
     d.runner <-
       Some { job_id = job.Queue.id; pid; started = Unix.gettimeofday (); wake }
 
-(* Record a reaped runner child's outcome. *)
+(* Record a reaped runner child's outcome; its subscribers get the
+   rest of the log and the closing comment. *)
 let finish_runner d (r : running) =
   d.runner <- None;
   (try Unix.close r.wake with Unix.Unix_error _ -> ());
   hist_observe d.job_seconds (Unix.gettimeofday () -. r.started);
-  let jobdir = job_dir_of (queue_dir d.cfg.root) r.job_id in
+  let jobdir = Queue.job_dir d.q r.job_id in
   match Queue.find d.q r.job_id with
   | None -> ()
   | Some job -> (
     match read_outcome ~jobdir with
     | Ok digest ->
       log "job %d done (%s)" r.job_id digest;
-      Queue.update d.q
-        { job with Queue.state = Queue.Done; digest; error = "" }
+      settle d { job with Queue.state = Queue.Done; digest; error = "" }
     | Error e ->
       log "job %d failed: %s" r.job_id e;
-      Queue.update d.q { job with Queue.state = Queue.Failed; error = e })
+      settle d { job with Queue.state = Queue.Failed; error = e })
 
 let reaped pid =
   match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -643,12 +715,15 @@ let reaped pid =
   | _ -> true
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
 
-(* The daemon loop: reap children, schedule the next pending job,
-   accept one connection per select round.  The runner's wake pipe is
-   in the select set, so its exit ends the wait at once; the timeout
-   only paces reaping of SSE children. *)
+(* The daemon loop: reap the runner, schedule the next pending job,
+   push events, accept one connection per select round.  The runner's
+   wake pipe is in the select set, so a logged event or its exit ends
+   the wait at once; the timeout only backs the pipe up (a runner whose
+   descendants outlive it, holding the pipe open, is still reaped by
+   [waitpid]). *)
+let wake_buf = Bytes.create 512
+
 let rec loop d =
-  d.sse_children <- List.filter (fun pid -> not (reaped pid)) d.sse_children;
   (match d.runner with
   | Some r when reaped r.pid -> finish_runner d r
   | _ -> ());
@@ -659,15 +734,19 @@ let rec loop d =
   (match Unix.select (d.listen_fd :: wake) [] [] 0.25 with
   | ready, _, _ ->
     (match d.runner with
-    | Some r when List.mem r.wake ready ->
-      (* end of file: the runner has exited, so this wait is short *)
-      (try ignore (Unix.waitpid [] r.pid) with Unix.Unix_error _ -> ());
-      finish_runner d r
+    | Some r when List.mem r.wake ready -> (
+      match Unix.read r.wake wake_buf 0 (Bytes.length wake_buf) with
+      | 0 ->
+        (* end of file: the runner has exited, so this wait is short *)
+        (try ignore (Unix.waitpid [] r.pid) with Unix.Unix_error _ -> ());
+        finish_runner d r
+      | _ -> Option.iter (notify d) (Queue.find d.q r.job_id)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | _ -> ());
     if List.mem d.listen_fd ready then begin
       (* accept can fail transiently (EINTR, ECONNABORTED, EMFILE under
-         fd pressure from SSE forks) and a hostile client can error the
-         handler; neither may take the daemon down with it. *)
+         fd pressure from SSE subscribers) and a hostile client can error
+         the handler; neither may take the daemon down with it. *)
       match Unix.accept d.listen_fd with
       | exception Unix.Unix_error (e, _, _) ->
         log "accept: %s" (Unix.error_message e)
@@ -710,7 +789,7 @@ let serve (cfg : config) : unit =
       listen_fd;
       memo = Spec.memo ~capacity:memo_capacity;
       runner = None;
-      sse_children = [];
+      subs = [];
       http_requests = 0;
       jobs_submitted = 0;
       cache_hits = 0;

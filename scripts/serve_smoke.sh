@@ -5,6 +5,9 @@
 # content-addressed store (done immediately, byte-identical artifacts),
 # do the same for a hybrid job whose manifest has integral-looking
 # float sums, then fetch the served dashboard and cross-run history pages.
+# Finally validate the queue (GET /jobs and the on-disk append-only
+# journal), restart the daemon on the same root, and assert that every
+# job and digest survives the restart's journal compaction.
 #
 # Uses the already-built CLI binary directly (no dune locking while the
 # daemon runs).  Override CLI / ROOT from the environment if needed.
@@ -16,8 +19,7 @@ ROOT=${ROOT:-/tmp/ferrum_serve_smoke}
 [ -x "$CLI" ] || { echo "serve-smoke: $CLI not built"; exit 1; }
 
 rm -rf "$ROOT"
-"$CLI" serve --root "$ROOT" --port 0 2>"$ROOT.log" &
-DAEMON=$!
+mkdir -p "$(dirname "$ROOT")"
 cleanup() {
   [ -f "$ROOT/pid" ] && kill "$(cat "$ROOT/pid")" 2>/dev/null
   kill "$DAEMON" 2>/dev/null
@@ -25,11 +27,19 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Wait for the daemon to record its auto-assigned port.
-i=0
-while [ ! -f "$ROOT/port" ] && [ $i -lt 100 ]; do i=$((i+1)); sleep 0.1; done
-[ -f "$ROOT/port" ] || { echo "serve-smoke: daemon never bound"; cat "$ROOT.log"; exit 1; }
-PORT=$(cat "$ROOT/port")
+# Start the daemon on $ROOT and wait for it to record its auto-assigned
+# port.
+start_daemon() {
+  rm -f "$ROOT/port"
+  "$CLI" serve --root "$ROOT" --port 0 2>>"$ROOT.log" &
+  DAEMON=$!
+  i=0
+  while [ ! -f "$ROOT/port" ] && [ $i -lt 100 ]; do i=$((i+1)); sleep 0.1; done
+  [ -f "$ROOT/port" ] || { echo "serve-smoke: daemon never bound"; cat "$ROOT.log"; exit 1; }
+  PORT=$(cat "$ROOT/port")
+}
+: > "$ROOT.log"
+start_daemon
 
 # Fresh submission: accepted and queued, not cached.
 "$CLI" submit kmeans -p ferrum --samples 24 --shards 2 --port "$PORT" > "$ROOT.submit1"
@@ -84,4 +94,27 @@ grep -q "<html" "$ROOT.dashboard.html"
 SHORT=$(echo "$DIGEST" | cut -c1-12)
 grep -q "$SHORT" "$ROOT.history.html"
 
-echo "serve-smoke: daemon, live SSE replay, cache hits and served artifacts OK"
+# GET /jobs is one record per submission; the on-disk journal (one
+# record per transition, last record per id wins) validates too.
+"$CLI" fetch /jobs --port "$PORT" -o "$ROOT.queue"
+"$CLI" metrics "$ROOT.queue" > /dev/null
+"$CLI" metrics "$ROOT/queue/jobs.jsonl" > /dev/null
+[ "$(tail -n +2 "$ROOT.queue" | wc -l)" -eq 4 ] ||
+  { echo "serve-smoke: GET /jobs does not hold one record per submission"; exit 1; }
+
+# Restart on the same root: load replays and compacts the journal, so
+# the file becomes the served document, and every job, digest and
+# stored artifact survives.
+kill "$DAEMON"
+wait "$DAEMON" 2>/dev/null || true
+start_daemon
+"$CLI" fetch /jobs --port "$PORT" -o "$ROOT.queue2"
+cmp "$ROOT.queue" "$ROOT.queue2"
+cmp "$ROOT.queue2" "$ROOT/queue/jobs.jsonl"
+"$CLI" fetch "/runs/$DIGEST/records" --port "$PORT" -o "$ROOT.rec3"
+cmp "$ROOT.rec1" "$ROOT.rec3"
+"$CLI" submit kmeans -p ferrum --samples 24 --shards 2 --port "$PORT" > "$ROOT.submit3"
+grep -q '"cached":1' "$ROOT.submit3"
+grep -q '"id":5' "$ROOT.submit3"
+
+echo "serve-smoke: daemon, live SSE replay, cache hits, served artifacts and queue restart OK"

@@ -330,6 +330,43 @@ let test_store_index_order () =
   Alcotest.(check (list string)) "stable across rebuilds" order
     (Store.rebuild_index ~root)
 
+(* Publishing appends to the index instead of rebuilding it; after each
+   publish the appended index is exactly what a rebuild writes, header
+   run count included. *)
+let test_store_index_append () =
+  let root = tmp_dir "store-append" in
+  let index = Store.index_file root in
+  List.iteri
+    (fun i seed ->
+      let dir = tmp_dir (Fmt.str "store-append-%Ld" seed) in
+      spool_run ~dir (fixture_run ~seed ~samples:6 ~shards:1 ());
+      (match Store.publish ~root ~src:dir with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "publish: %s" e);
+      let appended = read_file index in
+      Alcotest.(check bool)
+        (Fmt.str "header counts %d runs" (i + 1))
+        true
+        (contains ~affix:(Fmt.str "\"runs\":%d}" (i + 1)) appended);
+      ignore (Store.rebuild_index ~root : string list);
+      Alcotest.(check string)
+        (Fmt.str "publish %d: appended index = rebuilt index" (i + 1))
+        (read_file index) appended)
+    [ 11L; 4L; 8L; 2L; 6L ];
+  (* a republished digest is a hit and leaves the index alone *)
+  let before = read_file index in
+  let dir = tmp_dir "store-append-again" in
+  spool_run ~dir (fixture_run ~seed:4L ~samples:6 ~shards:1 ());
+  ignore (Store.publish ~root ~src:dir);
+  Alcotest.(check string) "hit leaves the index" before (read_file index);
+  (* a missing index is rebuilt by the next publish *)
+  Sys.remove index;
+  let dir = tmp_dir "store-append-last" in
+  spool_run ~dir (fixture_run ~seed:13L ~samples:6 ~shards:1 ());
+  ignore (Store.publish ~root ~src:dir);
+  Alcotest.(check int) "rebuilt index holds every run" 7
+    (List.length (Metrics.read_lines index))
+
 (* ---- job queue ---- *)
 
 let test_queue_persistence () =
@@ -342,13 +379,14 @@ let test_queue_persistence () =
     (List.map (fun (j : Queue.job) -> j.Queue.id) (Queue.jobs q));
   Queue.update q { j1 with Queue.state = Queue.Running };
   Queue.update q { j3 with Queue.state = Queue.Failed; error = "boom" };
-  (* the file is a valid ferrum.jobs.v1 document *)
+  (* the rendered GET /jobs document is a valid ferrum.jobs.v1
+     document with one record per job *)
   (match
      Metrics.validate_lines ~kind:Queue.kind ~record_fields:Queue.fields
-       (Metrics.read_lines (Queue.path q))
+       (Metrics.lines_of_string (Queue.document q))
    with
   | Ok n -> Alcotest.(check int) "records" 3 n
-  | Error e -> Alcotest.failf "queue file invalid: %s" e);
+  | Error e -> Alcotest.failf "queue document invalid: %s" e);
   (* reload: Running demoted to Pending, everything else intact *)
   let q' = Queue.load ~dir in
   let state id =
@@ -368,6 +406,89 @@ let test_queue_persistence () =
   match Queue.next_pending q' with
   | Some j -> Alcotest.(check int) "oldest pending first" 1 j.Queue.id
   | None -> Alcotest.fail "no pending job after demotion"
+
+let journal_lines q = List.length (Fsutil.complete_lines (Queue.path q))
+
+let find_job q id =
+  match Queue.find q id with
+  | Some j -> j
+  | None -> Alcotest.failf "job %d lost" id
+
+(* Every transition appends exactly one record, whatever the history
+   length, and the journal itself validates as ferrum.jobs.v1. *)
+let test_queue_journal_append () =
+  let dir = tmp_dir "queue-journal" in
+  let q = Queue.load ~dir in
+  Alcotest.(check int) "fresh journal is a header" 1 (journal_lines q);
+  let step label f =
+    let before = journal_lines q in
+    f ();
+    Alcotest.(check int) (label ^ " appends one line") (before + 1)
+      (journal_lines q)
+  in
+  for i = 1 to 4 do
+    step (Fmt.str "submit %d" i) (fun () ->
+        ignore
+          (Queue.submit q ~spec:"{}" ~digest:"" ~cached:false
+             ~state:Queue.Pending))
+  done;
+  List.iter
+    (fun (id, state) ->
+      step
+        (Fmt.str "update %d to %s" id (Queue.state_name state))
+        (fun () -> Queue.update q { (find_job q id) with Queue.state }))
+    [ (1, Queue.Running); (1, Queue.Done); (2, Queue.Running);
+      (2, Queue.Failed); (3, Queue.Running) ];
+  match
+    Metrics.validate_lines ~kind:Queue.kind ~record_fields:Queue.fields
+      (Metrics.read_lines (Queue.path q))
+  with
+  | Ok n -> Alcotest.(check int) "journal records" 9 n
+  | Error e -> Alcotest.failf "journal invalid: %s" e
+
+(* Reload replays the journal last-record-wins, keeps demotion, and
+   compacts the file to the one-record-per-job document. *)
+let test_queue_journal_replay () =
+  let dir = tmp_dir "queue-replay" in
+  let q = Queue.load ~dir in
+  let j1 = Queue.submit q ~spec:"{}" ~digest:"" ~cached:false ~state:Queue.Pending in
+  let j2 = Queue.submit q ~spec:"{}" ~digest:"" ~cached:false ~state:Queue.Pending in
+  Queue.update q { j1 with Queue.state = Queue.Running };
+  Queue.update q { j1 with Queue.state = Queue.Done; digest = "d1" };
+  Queue.update q { j2 with Queue.state = Queue.Running };
+  let q' = Queue.load ~dir in
+  let j1' = find_job q' 1 in
+  Alcotest.(check string) "last record wins: state" "done"
+    (Queue.state_name j1'.Queue.state);
+  Alcotest.(check string) "last record wins: digest" "d1" j1'.Queue.digest;
+  Alcotest.(check string) "running demoted" "pending"
+    (Queue.state_name (find_job q' 2).Queue.state);
+  Alcotest.(check int) "compacted to one record per job" 3 (journal_lines q');
+  Alcotest.(check string) "compacted file is the rendered document"
+    (Queue.document q') (read_file (Queue.path q'));
+  (* ids stay dense across the restart *)
+  let j3 = Queue.submit q' ~spec:"{}" ~digest:"" ~cached:false ~state:Queue.Pending in
+  Alcotest.(check int) "next id" 3 j3.Queue.id
+
+(* A crash mid-append tears the final record: reload drops it, and the
+   job keeps its previous state. *)
+let test_queue_torn_record () =
+  let dir = tmp_dir "queue-torn" in
+  let q = Queue.load ~dir in
+  let j1 = Queue.submit q ~spec:"{}" ~digest:"" ~cached:false ~state:Queue.Pending in
+  Queue.update q { j1 with Queue.state = Queue.Failed; error = "first" };
+  let intact = Unix.((stat (Queue.path q)).st_size) in
+  Queue.update q { j1 with Queue.state = Queue.Done; digest = "d1" };
+  let full = Unix.((stat (Queue.path q)).st_size) in
+  Unix.truncate (Queue.path q) (intact + ((full - intact) / 2));
+  let q' = Queue.load ~dir in
+  let j = find_job q' 1 in
+  Alcotest.(check string) "previous state" "failed" (Queue.state_name j.Queue.state);
+  Alcotest.(check string) "previous error" "first" j.Queue.error;
+  Alcotest.(check int) "torn line dropped by compaction" 2 (journal_lines q');
+  Alcotest.(check bool) "file ends on a record boundary" true
+    (let s = read_file (Queue.path q') in
+     s.[String.length s - 1] = '\n')
 
 (* ---- fsutil ---- *)
 
@@ -627,7 +748,7 @@ let test_fork_watched () =
   in
   let go_r, go_w = Unix.pipe () in
   let pid, wake =
-    Daemon.fork_watched (fun () ->
+    Daemon.fork_watched (fun _ ->
         Unix.close go_w;
         ignore (Unix.read go_r (Bytes.create 1) 0 1 : int))
   in
@@ -639,7 +760,7 @@ let test_fork_watched () =
   Alcotest.(check bool) "promptly" true (Unix.gettimeofday () -. t0 < 2.0);
   ignore (Unix.waitpid [] pid);
   Unix.close wake;
-  let pid, wake = Daemon.fork_watched (fun () -> Unix.sleepf 30.0) in
+  let pid, wake = Daemon.fork_watched (fun _ -> Unix.sleepf 30.0) in
   Unix.kill pid Sys.sigkill;
   Alcotest.(check bool) "SIGKILL wakes the reader" true (readable wake 10.0);
   ignore (Unix.waitpid [] pid);
@@ -647,12 +768,10 @@ let test_fork_watched () =
 
 (* ---- end-to-end daemon ---- *)
 
-(* Fork a real daemon on a loopback auto-assigned port, drive it with
-   the HTTP client: submit, stream the live SSE events through the
-   decoder into Events.replay, resubmit for a cache hit, and check the
-   served artifact bytes match across the two submissions. *)
-let test_daemon_end_to_end () =
-  let root = tmp_dir "daemon" in
+(* Fork a real daemon on a loopback auto-assigned port under a fresh
+   root, run [f port], and kill the daemon afterwards. *)
+let with_daemon name f =
+  let root = tmp_dir name in
   flush stdout;
   flush stderr;
   let pid =
@@ -679,7 +798,14 @@ let test_daemon_end_to_end () =
           wait_port ()
         end
       in
-      let port = wait_port () in
+      f (wait_port ()))
+
+(* Drive the daemon with the HTTP client: submit, stream the live SSE
+   events through the decoder into Events.replay, resubmit for a cache
+   hit, and check the served artifact bytes match across the two
+   submissions. *)
+let test_daemon_end_to_end () =
+  with_daemon "daemon" (fun port ->
       let host = "127.0.0.1" in
       let get path =
         match Http.request ~host ~port ~meth:"GET" ~path () with
@@ -940,6 +1066,153 @@ let test_daemon_end_to_end () =
         (contains ~affix:(String.sub digest 0 12)
            (get "/history").Http.r_body))
 
+(* ---- pushed SSE ---- *)
+
+(* A raw HTTP exchange on its own socket, under a receive timeout, so a
+   stream the daemon never ends fails the test instead of hanging it. *)
+let raw_open ~port ?(headers = []) ?(body = "") meth path =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+  Http.write_all fd
+    (Fmt.str "%s %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n%s\r\n%s"
+       meth path (String.length body)
+       (String.concat ""
+          (List.map (fun (k, v) -> Fmt.str "%s: %s\r\n" k v) headers))
+       body);
+  fd
+
+(* The body of a (possibly partial) raw response. *)
+let raw_body raw =
+  let n = String.length raw in
+  let rec find i =
+    if i + 4 > n then ""
+    else if String.sub raw i 4 = "\r\n\r\n" then String.sub raw (i + 4) (n - i - 4)
+    else find (i + 1)
+  in
+  find 0
+
+(* Read [fd] to end of stream (or until [until] holds of the body so
+   far), then close it; a receive timeout fails the test. *)
+let raw_read ?(until = fun _ -> false) fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec go () =
+    if until (raw_body (Buffer.contents buf)) then ()
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "no end of stream within the receive timeout"
+  in
+  go ();
+  Unix.close fd;
+  raw_body (Buffer.contents buf)
+
+let raw_request ~port ?body meth path = raw_read (raw_open ~port ?body meth path)
+
+(* Submit over HTTP; returns the job id and its state. *)
+let submit_job ~port body =
+  match
+    Metrics.lines_of_string (raw_request ~port ~body "POST" "/jobs")
+    |> List.filter_map Json.of_string_opt
+  with
+  | [ _header; record ] -> (
+    match (Json.member "id" record, Json.member "state" record) with
+    | Some (Json.Int id), Some (Json.Str state) -> (id, state)
+    | _ -> Alcotest.fail "job record incomplete")
+  | _ -> Alcotest.fail "submit response is not header + one record"
+
+let job_state_of ~port id =
+  let body = raw_request ~port "GET" (Fmt.str "/jobs/%d" id) in
+  match Metrics.lines_of_string body |> List.filter_map Json.of_string_opt with
+  | [ _; record ] -> (
+    match Json.member "state" record with
+    | Some (Json.Str st) -> st
+    | _ -> Alcotest.fail "job record has no state")
+  | _ -> Alcotest.failf "GET /jobs/%d: %s" id body
+
+let occurrences ~affix s =
+  let n = String.length affix in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = affix then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* Frames of a finished stream: ids exactly 0 .. n-1 in order, exactly
+   one closing comment, and a log that replays to [samples]. *)
+let check_stream label ~id ~samples frames body =
+  let ids = List.map (fun (e : Sse.event) -> e.Sse.id) frames in
+  Alcotest.(check (list (option int)))
+    (label ^ ": ids 0..n-1, no gap, no repeat")
+    (List.init (List.length frames) Option.some)
+    ids;
+  Alcotest.(check int)
+    (label ^ ": one closing comment")
+    1
+    (occurrences ~affix:(Sse.comment (Fmt.str "job %d done" id)) body);
+  match Events.replay (List.map (fun (e : Sse.event) -> e.Sse.data) frames) with
+  | Ok (tally, _) ->
+    Alcotest.(check int) (label ^ ": replays every sample") samples
+      (Events.tally_total tally)
+  | Error e -> Alcotest.failf "%s: stream does not replay: %s" label e
+
+(* The daemon pushes events from its own loop.  A subscriber that
+   connects while its job is still queued receives every frame once and
+   one closing comment; a client that drops mid-run resumes with
+   Last-Event-ID without a gap; and a subscriber that never reads holds
+   up neither the health check nor a cache hit. *)
+let test_daemon_sse_push () =
+  with_daemon "daemon-sse" (fun port ->
+      let spec ?(traced = 1) bench samples shards =
+        Fmt.str
+          "{\"benchmark\":\"%s\",\"technique\":\"ferrum\",\"samples\":%d,\
+           \"shards\":%d,\"traced\":%d}"
+          bench samples shards traced
+      in
+      (* a stored run, for the cache hit below *)
+      let small = spec ~traced:0 "Backprop" 8 1 in
+      let c, _ = submit_job ~port small in
+      ignore (raw_read (raw_open ~port "GET" (Fmt.str "/jobs/%d/events" c)));
+      (* a long job, then a short one queued behind it *)
+      let a, _ = submit_job ~port (spec "kmeans" 300 2) in
+      let b, _ = submit_job ~port (spec "Backprop" 20 1) in
+      Alcotest.(check string) "second job waits" "pending" (job_state_of ~port b);
+      let b_sub = raw_open ~port "GET" (Fmt.str "/jobs/%d/events" b) in
+      (* a subscriber that never reads *)
+      let stalled = raw_open ~port "GET" (Fmt.str "/jobs/%d/events" a) in
+      Alcotest.(check string) "healthz answers" "ok\n"
+        (raw_request ~port "GET" "/healthz");
+      Alcotest.(check bool) "cache hit answers" true
+        (contains ~affix:"\"cached\":1" (raw_request ~port ~body:small "POST" "/jobs"));
+      (* mid-run disconnect after two frames, then resume *)
+      let first =
+        raw_read
+          ~until:(fun body -> List.length (Sse.decode_string body) >= 2)
+          (raw_open ~port "GET" (Fmt.str "/jobs/%d/events" a))
+      in
+      Alcotest.(check string) "disconnected mid-run" "running"
+        (job_state_of ~port a);
+      let d = Sse.decoder () in
+      let first_frames = Sse.feed d first in
+      let rest =
+        raw_read
+          (raw_open ~port
+             ~headers:[ ("Last-Event-ID", string_of_int (Sse.last_event_id d)) ]
+             "GET" (Fmt.str "/jobs/%d/events" a))
+      in
+      check_stream "resumed" ~id:a ~samples:300
+        (first_frames @ Sse.decode_string rest)
+        (first ^ rest);
+      let b_body = raw_read b_sub in
+      check_stream "queued subscriber" ~id:b ~samples:20
+        (Sse.decode_string b_body) b_body;
+      Unix.close stalled)
+
 let () =
   Alcotest.run "serve"
     [
@@ -963,11 +1236,19 @@ let () =
             test_store_corrupt_rejected;
           Alcotest.test_case "index keeps publication order" `Quick
             test_store_index_order;
+          Alcotest.test_case "publish appends the index" `Quick
+            test_store_index_append;
         ] );
       ( "queue",
         [
           Alcotest.test_case "persistence and demotion" `Quick
             test_queue_persistence;
+          Alcotest.test_case "journal appends one line" `Quick
+            test_queue_journal_append;
+          Alcotest.test_case "replay is last-wins, compacted" `Quick
+            test_queue_journal_replay;
+          Alcotest.test_case "torn final record dropped" `Quick
+            test_queue_torn_record;
         ] );
       ( "fsutil",
         [ Alcotest.test_case "copy_tree and rename" `Quick test_fsutil_tree_ops ] );
@@ -995,5 +1276,7 @@ let () =
             test_fork_watched;
           Alcotest.test_case "end-to-end over loopback" `Slow
             test_daemon_end_to_end;
+          Alcotest.test_case "pushed SSE: queued, resumed, stalled" `Slow
+            test_daemon_sse_push;
         ] );
     ]
