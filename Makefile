@@ -116,9 +116,10 @@ trace-smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
-# Injection-engine throughput smoke (E16): the checkpointed engine must
-# be at least as fast as the scratch path, and all engines must agree on
-# outcome counts.
+# Injection-engine throughput smoke (E16): all engines must agree on
+# outcome counts, the checkpointed engine must be at least as fast as the
+# scratch path, and the decoded golden walk (Predecode.exec) must be
+# faster per step than the reference interpreter in test/oracle.
 perf: build
 	$(BENCH) perf --smoke --samples 300
 

@@ -417,16 +417,26 @@ let lint_compare ~samples ~seed =
 (* E16: injection-engine throughput (scratch vs pooled vs checkpointed).*)
 (* ------------------------------------------------------------------ *)
 
-(* End-to-end campaign throughput per engine configuration, on the
-   FERRUM-protected catalogue.  The checkpointed engine is timed twice —
-   on the legacy [Machine.step] dispatch loop (the PR 5 baseline) and on
-   the pre-decoded threaded loop — and outcome counts are cross-checked
-   across every configuration (they must agree exactly — the engines and
-   the two dispatchers are bit-identical by construction and by the test
-   battery).  With [smoke] set, only the first workload runs and the
-   function fails loudly unless the predecoded checkpointed engine beats
-   both the legacy checkpointed baseline and the scratch path — the
-   `make perf` / CI perf-smoke regression gate. *)
+(* Golden-walk ns/step (best of 5) of [Predecode.exec] and of the
+   reference interpreter the test suites check it against. *)
+let walk_ns_per_step img =
+  let module M = Ferrum_machine.Machine in
+  let best run =
+    List.init 5 (fun _ ->
+        let st = M.fresh_state img in
+        let t0 = Unix.gettimeofday () in
+        ignore (run st);
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int st.M.steps)
+    |> List.fold_left Float.min infinity
+  in
+  ( best Ferrum_machine.Predecode.(exec (get img)),
+    best (Ferrum_oracle.Ref_machine.run img) )
+
+(* Campaign throughput per engine on the FERRUM-protected catalogue,
+   outcome counts cross-checked across engines, and the golden walk's
+   ns/step on the decoded loop and on the reference interpreter.
+   [smoke] runs the first workload only and fails unless the decoded
+   walk is the faster and ckpt beats scratch: the `make perf` gate. *)
 let perf_compare ~samples ~seed ~smoke =
   let entries =
     if smoke then [ List.hd Ferrum_workloads.Catalog.all ]
@@ -443,22 +453,14 @@ let perf_compare ~samples ~seed ~smoke =
             .program
         in
         let img = Ferrum_machine.Machine.load p in
-        let timed ?(legacy = false) engine =
-          let pre = Ferrum_machine.Predecode.enabled in
-          let saved = !pre in
-          pre := not legacy;
-          Fun.protect
-            ~finally:(fun () -> pre := saved)
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let res = F.campaign ~seed ~samples ~engine img in
-              let dt = Unix.gettimeofday () -. t0 in
-              (res.F.counts, float_of_int samples /. dt))
+        let timed engine =
+          let t0 = Unix.gettimeofday () in
+          let res = F.campaign ~seed ~samples ~engine img in
+          (res.F.counts, float_of_int samples /. (Unix.gettimeofday () -. t0))
         in
         let configs =
           [ ("scratch", timed F.Scratch);
             ("pooled", timed F.Pooled);
-            ("legacy", timed ~legacy:true F.default_engine);
             ("predecoded", timed F.default_engine) ]
         in
         let reference = fst (snd (List.hd configs)) in
@@ -473,12 +475,13 @@ let perf_compare ~samples ~seed ~smoke =
           configs;
         let sps name = snd (List.assoc name configs) in
         let scratch = sps "scratch" and pooled = sps "pooled" in
-        let legacy = sps "legacy" and predecoded = sps "predecoded" in
-        if smoke && predecoded < legacy then begin
+        let predecoded = sps "predecoded" in
+        let exec_ns, oracle_ns = walk_ns_per_step img in
+        if smoke && exec_ns >= oracle_ns then begin
           Fmt.epr
-            "[perf] %s: predecoded dispatch slower than legacy ckpt (%.0f \
-             vs %.0f samples/s)@."
-            entry.name predecoded legacy;
+            "[perf] %s: decoded golden walk not faster than the reference \
+             interpreter (%.1f vs %.1f ns/step)@."
+            entry.name exec_ns oracle_ns;
           failed := true
         end;
         if smoke && predecoded < scratch then begin
@@ -490,29 +493,27 @@ let perf_compare ~samples ~seed ~smoke =
         end;
         results :=
           { Ferrum_report.Export.p_benchmark = entry.name;
-            p_scratch = scratch; p_pooled = pooled; p_legacy = legacy;
-            p_predecoded = predecoded }
+            p_scratch = scratch; p_pooled = pooled; p_predecoded = predecoded }
           :: !results;
         [
           entry.name;
           Fmt.str "%.0f" scratch;
           Fmt.str "%.0f" pooled;
-          Fmt.str "%.0f" legacy;
           Fmt.str "%.0f" predecoded;
-          Fmt.str "%.1fx" (predecoded /. legacy);
+          Fmt.str "%.1f" exec_ns;
+          Fmt.str "%.1f" oracle_ns;
         ])
       entries
   in
   let table =
     Fmt.str
       "Injection throughput by engine (samples/sec, %d samples, seed %Ld;\n\
-       legacy = ckpt-4096 on Machine.step dispatch, predecoded = ckpt-4096\n\
-       on the pre-decoded threaded loop; speedup = predecoded over legacy)@.%s"
+       predecoded = ckpt-4096; exec/oracle = golden-walk ns/step)@.%s"
       samples seed
       (R.Ascii.table
          ~header:
-           [ "benchmark"; "scratch"; "pooled"; "legacy"; "predecoded";
-             "speedup" ]
+           [ "benchmark"; "scratch"; "pooled"; "predecoded"; "exec ns";
+             "oracle ns" ]
          ~rows)
   in
   if !failed then begin
@@ -549,9 +550,9 @@ let micro () =
         (Staged.stage (fun () ->
              Ferrum_eddi.Ferrum_pass.protect raw.program));
       Test.make ~name:"simulate.raw"
-        (Staged.stage (fun () -> Ferrum_machine.Machine.golden raw_img));
+        (Staged.stage (fun () -> Ferrum_machine.Predecode.golden raw_img));
       Test.make ~name:"simulate.ferrum"
-        (Staged.stage (fun () -> Ferrum_machine.Machine.golden ferrum_img));
+        (Staged.stage (fun () -> Ferrum_machine.Predecode.golden ferrum_img));
       Test.make ~name:"inject.one-fault"
         (Staged.stage
            (let target = Ferrum_faultsim.Faultsim.prepare ferrum_img in

@@ -19,8 +19,7 @@
      fetch PATH                GET a daemon path (stored artifacts, queue)
      report [ARTEFACT]         regenerate the paper's tables/figures *)
 
-module Machine = Ferrum_machine.Machine
-module Flight = Ferrum_machine.Flight
+open Ferrum_machine
 module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Technique = Ferrum_eddi.Technique
@@ -223,7 +222,7 @@ let run_cmd =
   let run bench technique knobs =
     let p = program_of ?technique knobs (find_bench bench) in
     let img = Machine.load p in
-    let outcome, st = Machine.run_fresh img in
+    let outcome, st = Predecode.run_fresh img in
     Fmt.pr "outcome: %a@." Machine.pp_outcome outcome;
     Fmt.pr "dynamic instructions: %d@." st.Machine.steps;
     Fmt.pr "model cycles: %.0f@." st.Machine.cycles;
@@ -609,7 +608,7 @@ let trace_cmd =
           (String.concat "  " dests)
       end
     in
-    let outcome, st = Machine.run_fresh ~on_step img in
+    let outcome, st = Predecode.run_fresh ~on_step img in
     Fmt.pr "... %a after %d instructions@." Machine.pp_outcome outcome
       st.Machine.steps
   in
@@ -668,7 +667,7 @@ let check_cmd =
         let stats = Ferrum_asm.Stats.of_program p in
         Fmt.pr "%s: ok@.%a" file Ferrum_asm.Stats.pp stats;
         if execute then begin
-          let outcome, st = Machine.run_fresh (Machine.load p) in
+          let outcome, st = Predecode.run_fresh (Machine.load p) in
           Fmt.pr "outcome: %a (%d instructions, %.0f cycles)@."
             Machine.pp_outcome outcome st.Machine.steps st.Machine.cycles;
           match outcome with Machine.Exit _ -> () | _ -> exit 1
@@ -1166,7 +1165,6 @@ let metrics_cmd =
   let registry =
     [
       (F.metrics_kind, F.record_fields, summarize_injections);
-      (F.metrics_kind_v1, F.record_fields_v1, summarize_injections);
       (F.vulnmap_kind, F.vulnmap_fields, summarize_vulnmap);
       (Lint.metrics_kind, Lint.record_fields, summarize_lint);
       (Events.kind, Events.fields, summarize_events);
@@ -1529,7 +1527,7 @@ let cc_cmd =
     | "asm" -> print_string (Ferrum_asm.Printer.program_to_string (program ()))
     | "run" ->
       let img = Machine.load (program ()) in
-      let outcome, st = Machine.run_fresh img in
+      let outcome, st = Predecode.run_fresh img in
       Fmt.pr "outcome: %a@." Machine.pp_outcome outcome;
       Fmt.pr "dynamic instructions: %d@." st.Machine.steps;
       Fmt.pr "model cycles: %.0f@." st.Machine.cycles;
@@ -1543,7 +1541,7 @@ let cc_cmd =
       Fmt.pr "%a@." F.pp_counts res.F.counts;
       Fmt.pr "SDC probability: %.4f +/- %.4f (95%%)@."
         (F.sdc_probability res.F.counts)
-        (F.confidence95 res.F.counts)
+        (Stats.half_width (Stats.wilson (F.sdc_tally res.F.counts)))
     | other ->
       Fmt.epr "unknown --emit %S (expected ir, asm, run or inject)@." other;
       exit 2

@@ -3,7 +3,7 @@
    every protected program must also lint clean, with schema-valid,
    byte-reproducible ferrum.lint.v1 JSONL. *)
 
-module Machine = Ferrum_machine.Machine
+open Ferrum_machine
 module Lint = Ferrum_analysis.Lint
 module Metrics = Ferrum_telemetry.Metrics
 
@@ -44,7 +44,7 @@ let () =
       Fmt.pr "  interp: [%a] (%d steps)@." pp_out interp.output interp.steps;
       let raw = Ferrum_eddi.Pipeline.raw m in
       let img = Machine.load raw.program in
-      let g = Machine.golden img in
+      let g = Predecode.golden img in
       Fmt.pr "  raw:    %a  dyn=%d cycles=%.0f static=%d@."
         Machine.pp_outcome g.outcome g.dyn_instructions g.cycles
         (Ferrum_asm.Prog.num_instructions raw.program);
@@ -55,7 +55,7 @@ let () =
         (fun t ->
           let r = Ferrum_eddi.Pipeline.protect t m in
           let img = Machine.load r.program in
-          let g2 = Machine.golden img in
+          let g2 = Predecode.golden img in
           let ok =
             match g2.outcome with
             | Machine.Exit out -> out = interp.output

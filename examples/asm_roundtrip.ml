@@ -6,7 +6,7 @@
 
      dune exec examples/asm_roundtrip.exe *)
 
-module Machine = Ferrum_machine.Machine
+open Ferrum_machine
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 open Ferrum_asm
@@ -26,8 +26,8 @@ let () =
   let reparsed = Parser.program text in
   Prog.validate reparsed;
   assert (Prog.num_instructions reparsed = Prog.num_instructions prot.program);
-  let o1, _ = Machine.run_fresh (Machine.load prot.program) in
-  let o2, _ = Machine.run_fresh (Machine.load reparsed) in
+  let o1, _ = Predecode.run_fresh (Machine.load prot.program) in
+  let o2, _ = Predecode.run_fresh (Machine.load reparsed) in
   assert (Machine.equal_outcome o1 o2);
   Fmt.pr "round-trip outcome unchanged: %a@." Machine.pp_outcome o1;
 

@@ -7,7 +7,7 @@
 
 module B = Ferrum_ir.Builder
 module Ir = Ferrum_ir.Ir
-module Machine = Ferrum_machine.Machine
+open Ferrum_machine
 module F = Ferrum_faultsim.Faultsim
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
@@ -58,13 +58,13 @@ let () =
     (fun t ->
       let r = Pipeline.protect t m in
       let img = Machine.load r.program in
-      let golden = Machine.golden img in
+      let golden = Predecode.golden img in
       let c = (F.campaign ~seed:3L ~samples img).F.counts in
       Fmt.pr "%-9s %a  coverage=%s  overhead=%+.1f%%@."
         (Technique.short_name t) F.pp_counts c
         (Ferrum_report.Ascii.percent (F.sdc_coverage ~raw ~protected_:c))
         (100.0
         *. F.overhead
-             ~raw_cycles:(Machine.golden raw_img).Machine.cycles
-             ~prot_cycles:golden.Machine.cycles))
+             ~raw_cycles:(Predecode.golden raw_img).Predecode.cycles
+             ~prot_cycles:golden.Predecode.cycles))
     Technique.all

@@ -4,7 +4,7 @@
 
      dune exec examples/protect_c_kernel.exe [FILE.c] *)
 
-module Machine = Ferrum_machine.Machine
+open Ferrum_machine
 module F = Ferrum_faultsim.Faultsim
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
@@ -19,9 +19,9 @@ let () =
     (Ferrum_ir.Ir.num_instructions m);
   let raw = Pipeline.raw m in
   let raw_img = Machine.load raw.program in
-  let raw_golden = Machine.golden raw_img in
+  let raw_golden = Predecode.golden raw_img in
   Fmt.pr "unprotected: %a (%d dynamic instructions)@." Machine.pp_outcome
-    raw_golden.Machine.outcome raw_golden.Machine.dyn_instructions;
+    raw_golden.Predecode.outcome raw_golden.Predecode.dyn_instructions;
   let samples = 250 in
   let raw_counts = (F.campaign ~seed:21L ~samples raw_img).F.counts in
   Fmt.pr "raw faults:  %a@." F.pp_counts raw_counts;
@@ -29,15 +29,15 @@ let () =
     (fun t ->
       let r = Pipeline.protect t m in
       let img = Machine.load r.program in
-      let g = Machine.golden img in
-      assert (Machine.equal_outcome g.Machine.outcome raw_golden.Machine.outcome);
+      let g = Predecode.golden img in
+      assert (Machine.equal_outcome g.outcome raw_golden.Predecode.outcome);
       let c = (F.campaign ~seed:21L ~samples img).F.counts in
       Fmt.pr "%-9s coverage=%s overhead=%+.1f%% (%d static instrs)@."
         (Technique.short_name t)
         (Ferrum_report.Ascii.percent
            (F.sdc_coverage ~raw:raw_counts ~protected_:c))
         (100.0
-        *. F.overhead ~raw_cycles:raw_golden.Machine.cycles
-             ~prot_cycles:g.Machine.cycles)
+        *. F.overhead ~raw_cycles:raw_golden.Predecode.cycles
+             ~prot_cycles:g.Predecode.cycles)
         (Ferrum_asm.Prog.num_instructions r.program))
     Technique.all

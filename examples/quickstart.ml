@@ -5,7 +5,7 @@
 
 module B = Ferrum_ir.Builder
 module Ir = Ferrum_ir.Ir
-module Machine = Ferrum_machine.Machine
+open Ferrum_machine
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 
@@ -27,13 +27,13 @@ let () =
 
   (* compile unprotected and run *)
   let raw = Pipeline.raw m in
-  let outcome, st = Machine.run_fresh (Machine.load raw.program) in
+  let outcome, st = Predecode.run_fresh (Machine.load raw.program) in
   Fmt.pr "unprotected: %a in %d instructions, %.0f model cycles@."
     Machine.pp_outcome outcome st.Machine.steps st.Machine.cycles;
 
   (* protect with FERRUM and run again: same output, full duplication *)
   let prot = Pipeline.protect Technique.Ferrum m in
-  let outcome', st' = Machine.run_fresh (Machine.load prot.program) in
+  let outcome', st' = Predecode.run_fresh (Machine.load prot.program) in
   Fmt.pr "FERRUM:      %a in %d instructions, %.0f model cycles@."
     Machine.pp_outcome outcome' st'.Machine.steps st'.Machine.cycles;
   assert (Machine.equal_outcome outcome outcome');

@@ -100,14 +100,6 @@ module Profile = Ferrum_telemetry.Profile
 
 let sdc_tally c : Stats.tally = { Stats.n = c.samples; k = c.sdc }
 
-(* 95% confidence half-interval on the SDC proportion.  Historically a
-   normal approximation, which degenerates to zero width at p = 0,
-   p = 1 and n = 0 — exactly the regimes protected campaigns live in.
-   Now the Wilson half-width ({!Stats.wilson}): n = 0 is total
-   ignorance (0.5), and one-sided counts keep the width the sample
-   size actually supports.  Kept under its old name as an alias. *)
-let confidence95 c = Stats.half_width (Stats.wilson (sdc_tally c))
-
 let pp_counts ppf c =
   Fmt.pf ppf "n=%d benign=%d sdc=%d detected=%d crash=%d timeout=%d"
     c.samples c.benign c.sdc c.detected c.crash c.timeout
@@ -456,10 +448,10 @@ let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
 (* Execute [st] unobserved until it is positioned at the flip site —
    the next instruction is eligible and [!seen = dyn_index] — or the
    run ends first.  Returns [None] when positioned (the flip
-   instruction has *not* executed yet; {!Machine.step} reports the
+   instruction has *not* executed yet; {!Predecode.step1} reports the
    pre-step ip, so stopping on [st.ip] is exact), or [Some outcome]
-   mirroring {!Machine.run}'s fuel / wild-control / halt / trap
-   semantics, in {!Machine.run}'s check order (fuel before bounds).
+   mirroring {!Predecode.exec}'s fuel / wild-control / halt / trap
+   semantics, in its check order (fuel before bounds).
    Rides the pre-decoded single-step dispatch: never fused, so the
    stop-at-site check runs before every instruction. *)
 let rec run_prefix (t : target) pre len st seen ~dyn_index =
@@ -550,13 +542,14 @@ let inject_fast ~fault_bits (t : target) rng ~dyn_index :
     | exception Machine.Halt o ->
       (* Unreachable in practice — halting instructions define no
          destinations, so they are never eligible — but mirror
-         {!Machine.run}, whose observer fires on the halting step. *)
+         {!Predecode.exec_observed}, whose observer fires on the
+         halting step. *)
       let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
       suffix_done ();
       (classify t o, fault, st)
     | exception Machine.Trap m ->
-      (* A trapped step is never observed by {!Machine.run}: no flip,
-         no RNG draws, the fault stays unreached. *)
+      (* A trapped step is never observed by {!Predecode.exec_observed}:
+         no flip, no RNG draws, the fault stays unreached. *)
       suffix_done ();
       (classify t (Machine.Crash m), unreached_fault dyn_index, st))
 
@@ -624,10 +617,9 @@ let record_to_json r =
       ("cycles", Json.Float r.cycles);
     ]
 
-(* Schema of one v1 record line: everything but the structured
-   destination.  Kept so `ferrum metrics` still validates files written
-   before the v2 bump. *)
-let record_fields_v1 =
+(* Schema of one record line, for `ferrum metrics` and the smoke
+   check. *)
+let record_fields =
   Metrics.
     [
       field "sample" F_int;
@@ -639,22 +631,13 @@ let record_fields_v1 =
       field "class" F_string;
       field "steps" F_int;
       field "cycles" F_float;
+      field "dest_kind" F_string;
+      field "dest_reg" F_int;
+      field "dest_lane" F_int;
+      field "dest_flag" F_int;
     ]
 
-(* Schema of one record line, for `ferrum metrics` and the smoke
-   check. *)
-let record_fields =
-  record_fields_v1
-  @ Metrics.
-      [
-        field "dest_kind" F_string;
-        field "dest_reg" F_int;
-        field "dest_lane" F_int;
-        field "dest_flag" F_int;
-      ]
-
 let metrics_kind = "ferrum.injection.v2"
-let metrics_kind_v1 = "ferrum.injection.v1"
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns.                                                          *)

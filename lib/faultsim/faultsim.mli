@@ -69,16 +69,6 @@ val sdc_probability : counts -> float
     for the {!Ferrum_telemetry.Stats} interval estimators. *)
 val sdc_tally : counts -> Ferrum_telemetry.Stats.tally
 
-(** 95% confidence half-interval on the SDC proportion.
-
-    @deprecated Alias for the Wilson half-width,
-    [Stats.half_width (Stats.wilson (sdc_tally c))].  Historically a
-    normal approximation, which degenerated to zero width at p = 0,
-    p = 1 and n = 0; the Wilson interval stays honest there (n = 0
-    yields 0.5 — total ignorance).  Prefer {!Ferrum_telemetry.Stats}
-    directly, which also exposes both interval endpoints. *)
-val confidence95 : counts -> float
-
 val pp_counts : Format.formatter -> counts -> unit
 
 (** Per static instruction: is it a sampling-eligible site? *)
@@ -100,9 +90,7 @@ type phases = {
   mutable ph_suffix_steps : int;  (** flip + post-flip execution *)
   mutable ph_decodes : int;  (** predecode lowerings of this target *)
   mutable ph_fused_steps : int;
-      (** suffix steps retired as fused superinstruction pairs; replayed
-          identically by the legacy dispatch loop so trace counters stay
-          byte-identical whichever dispatcher ran *)
+      (** suffix steps retired as fused superinstruction pairs *)
   mutable ph_converged : int;
       (** suffixes ended early because their state matched a golden
           checkpoint (checkpointed engine only) *)
@@ -227,16 +215,10 @@ val record_to_json : record -> Ferrum_telemetry.Json.t
     check. *)
 val record_fields : Ferrum_telemetry.Metrics.field list
 
-(** v1 record schema (no structured destination), for validating files
-    written before the v2 bump. *)
-val record_fields_v1 : Ferrum_telemetry.Metrics.field list
-
 (** Schema name of injection-campaign metrics files
-    (["ferrum.injection.v2"]: v1 plus the structured
+    (["ferrum.injection.v2"]: each record carries the structured
     [dest_kind]/[dest_reg]/[dest_lane]/[dest_flag] coordinates). *)
 val metrics_kind : string
-
-val metrics_kind_v1 : string
 
 type campaign_result = {
   counts : counts;

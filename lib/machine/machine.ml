@@ -1,4 +1,4 @@
-(* Deterministic x86-64 subset simulator.
+(* Deterministic x86-64 subset simulator: loaded images and state.
 
    The simulator executes flattened {!Ferrum_asm.Prog.t} programs over an
    architectural state (16 GPRs, 16 SIMD registers of 8 x 64-bit lanes —
@@ -8,9 +8,9 @@
    reached [exit_function] or [__ferrum_detect]), crash (memory trap,
    divide error, wild control transfer, stack overflow) or timeout.
 
-   A per-step observer hook exposes the static index of the instruction
-   that just retired; the fault injector uses it to flip one bit of one
-   architectural destination right after write-back. *)
+   This module owns loading, the state, memory/flag/stack helpers and the
+   fault-injection mutators.  Instruction behaviour is defined once, by
+   {!Predecode}'s closure compiler, which also provides the run loops. *)
 
 open Ferrum_asm
 
@@ -122,7 +122,7 @@ let load ?(cost_model = Cost.default) ?(mem_size = 1 lsl 20) (p : Prog.t) =
    {!clear_dirty}.  The bitmap makes the per-write test O(1); the page
    list makes clearing and iteration proportional to the pages actually
    touched, never to the address space.  Attached on demand
-   ({!track_writes}) so the plain interpreter pays one [None] branch per
+   ({!track_writes}) so an untracked run pays one [None] branch per
    store; {!Snapshot} and the pooled injection loops are the users. *)
 type track = {
   tr_bits : Bytes.t; (* one byte per page: '\001' = dirty *)
@@ -261,25 +261,6 @@ let sign_extend v = function
 
 let read_gpr st r s =
   Int64.logand st.gpr.{Reg.gpr_index r} (mask_of_size s)
-
-(* x86 semantics: 32-bit writes zero the upper half, 8/16-bit writes
-   merge into the old value. *)
-let write_gpr st r s v =
-  let i = Reg.gpr_index r in
-  match s with
-  | Reg.Q -> st.gpr.{i} <- v
-  | Reg.D -> st.gpr.{i} <- Int64.logand v 0xFFFFFFFFL
-  | Reg.W ->
-    st.gpr.{i} <-
-      Int64.logor
-        (Int64.logand st.gpr.{i} (Int64.lognot 0xFFFFL))
-        (Int64.logand v 0xFFFFL)
-  | Reg.B ->
-    st.gpr.{i} <-
-      Int64.logor
-        (Int64.logand st.gpr.{i} (Int64.lognot 0xFFL))
-        (Int64.logand v 0xFFL)
-
 let effective_address st (m : Instr.mem) =
   let base =
     match m.base with Some r -> st.gpr.{Reg.gpr_index r} | None -> 0L
@@ -339,16 +320,6 @@ let write_mem st addr s v =
     mark_dirty st a 8;
     Bytes.set_int64_le st.mem a v
 
-let read_operand st s = function
-  | Instr.Imm i -> Int64.logand i (mask_of_size s)
-  | Instr.Reg r -> read_gpr st r s
-  | Instr.Mem m -> read_mem st (effective_address st m) s
-
-let write_operand st s v = function
-  | Instr.Imm _ -> trap "write to immediate"
-  | Instr.Reg r -> write_gpr st r s v
-  | Instr.Mem m -> write_mem st (effective_address st m) s v
-
 (* ------------------------------------------------------------------ *)
 (* Flags.                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -381,8 +352,6 @@ let set_flags_sub st s a b res =
   st.cf <- Int64.unsigned_compare a b < 0;
   st.off <- sign_bit a s <> sign_bit b s && sign_bit res s <> sign_bit a s
 
-let eval_cond st c = Cond.eval c ~zf:st.zf ~sf:st.sf ~cf:st.cf ~of_:st.off
-
 (* ------------------------------------------------------------------ *)
 (* Stack helpers.                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -401,193 +370,12 @@ let pop st =
   v
 
 (* ------------------------------------------------------------------ *)
-(* One execution step.                                                 *)
+(* SIMD lanes.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let simd_lane st x lane = st.simd.{(x * 8) + lane}
 
 let set_simd_lane st x lane v = st.simd.{(x * 8) + lane} <- v
-
-let exec_alu st op s src dst =
-  let a = read_operand st s dst and b = read_operand st s src in
-  let res =
-    match op with
-    | Instr.Add -> Int64.add a b
-    | Instr.Sub -> Int64.sub a b
-    | Instr.Imul -> Int64.mul (sign_extend a s) (sign_extend b s)
-    | Instr.And -> Int64.logand a b
-    | Instr.Or -> Int64.logor a b
-    | Instr.Xor -> Int64.logxor a b
-  in
-  (match op with
-  | Instr.Add -> set_flags_add st s a b res
-  | Instr.Sub -> set_flags_sub st s a b res
-  | Instr.Imul | Instr.And | Instr.Or | Instr.Xor -> set_flags_logic st s res);
-  write_operand st s res dst
-
-let exec_shift st k s amt dst =
-  let a = read_operand st s dst in
-  let n =
-    match amt with
-    | Instr.Amt_imm n -> n
-    | Instr.Amt_cl -> Int64.to_int (read_gpr st Reg.RCX Reg.B)
-  in
-  let n = n land (if s = Reg.Q then 63 else 31) in
-  let res =
-    match k with
-    | Instr.Shl -> Int64.shift_left a n
-    | Instr.Sar -> Int64.shift_right (sign_extend a s) n
-    | Instr.Shr -> Int64.shift_right_logical (Int64.logand a (mask_of_size s)) n
-  in
-  set_flags_logic st s res;
-  write_operand st s res dst
-
-let step (img : image) (st : state) =
-  let ip = st.ip in
-  let ins = img.code.(ip) in
-  st.cycles <- st.cycles +. img.costs.(ip);
-  st.steps <- st.steps + 1;
-  st.ip <- ip + 1;
-  (match ins.op with
-  | Instr.Mov (s, src, dst) -> write_operand st s (read_operand st s src) dst
-  | Instr.Movslq (src, r) ->
-    write_gpr st r Reg.Q (sign_extend (read_operand st Reg.D src) Reg.D)
-  | Instr.Movzbq (src, r) -> write_gpr st r Reg.Q (read_operand st Reg.B src)
-  | Instr.Lea (m, r) -> write_gpr st r Reg.Q (effective_address st m)
-  | Instr.Alu (op, s, src, dst) -> exec_alu st op s src dst
-  | Instr.Shift (k, s, amt, dst) -> exec_shift st k s amt dst
-  | Instr.Neg (s, dst) ->
-    let a = read_operand st s dst in
-    let res = Int64.neg a in
-    set_flags_sub st s 0L a res;
-    write_operand st s res dst
-  | Instr.Not (s, dst) ->
-    write_operand st s (Int64.lognot (read_operand st s dst)) dst
-  | Instr.Cmp (s, src, dst) ->
-    let a = read_operand st s dst and b = read_operand st s src in
-    set_flags_sub st s a b (Int64.sub a b)
-  | Instr.Test (s, src, dst) ->
-    let a = read_operand st s dst and b = read_operand st s src in
-    set_flags_logic st s (Int64.logand a b)
-  | Instr.Set (c, dst) ->
-    write_operand st Reg.B (if eval_cond st c then 1L else 0L) dst
-  | Instr.Jmp _ -> (
-    match img.links.(ip) with
-    | L_target t -> st.ip <- t
-    | L_detect -> raise (Halt Detected)
-    | _ -> trap "bad jmp link")
-  | Instr.Jcc (c, _) ->
-    if eval_cond st c then (
-      match img.links.(ip) with
-      | L_target t -> st.ip <- t
-      | L_detect -> raise (Halt Detected)
-      | _ -> trap "bad jcc link")
-  | Instr.Call _ -> (
-    match img.links.(ip) with
-    | L_call entry ->
-      push st (Int64.of_int st.ip);
-      st.ip <- entry
-    | L_print -> st.out_rev <- st.gpr.{Reg.gpr_index Reg.RDI} :: st.out_rev
-    | L_detect -> raise (Halt Detected)
-    | _ -> trap "bad call link")
-  | Instr.Ret ->
-    let ra = Int64.to_int (pop st) in
-    if ra = img.halt_ip then raise (Halt (Exit (output st)))
-    else if ra < 0 || ra >= Array.length img.code then
-      trap "wild return to %d" ra
-    else st.ip <- ra
-  | Instr.Push src -> push st (read_operand st Reg.Q src)
-  | Instr.Pop r -> write_gpr st r Reg.Q (pop st)
-  | Instr.Cqto ->
-    let a = st.gpr.{Reg.gpr_index Reg.RAX} in
-    st.gpr.{Reg.gpr_index Reg.RDX} <- Int64.shift_right a 63
-  | Instr.Idiv (s, src) ->
-    if s <> Reg.Q then trap "idiv: only 64-bit division is supported";
-    let d = read_operand st s src in
-    if Int64.equal d 0L then trap "divide by zero";
-    let rax = st.gpr.{Reg.gpr_index Reg.RAX} in
-    let rdx = st.gpr.{Reg.gpr_index Reg.RDX} in
-    (* The backend always sign-extends with cqto first; anything else
-       denotes a corrupted RDX and raises the divide-error trap, as the
-       quotient would not fit in 64 bits. *)
-    if not (Int64.equal rdx (Int64.shift_right rax 63)) then
-      trap "divide overflow"
-    else begin
-      st.gpr.{Reg.gpr_index Reg.RAX} <- Int64.div rax d;
-      st.gpr.{Reg.gpr_index Reg.RDX} <- Int64.rem rax d
-    end
-  | Instr.MovQ_to_xmm (src, x) ->
-    set_simd_lane st x 0 (read_operand st Reg.Q src);
-    set_simd_lane st x 1 0L
-  | Instr.MovQ_from_xmm (x, r) -> write_gpr st r Reg.Q (simd_lane st x 0)
-  | Instr.Pinsrq (lane, src, x) ->
-    let v =
-      match src with
-      | Instr.Psrc_reg r -> read_gpr st r Reg.Q
-      | Instr.Psrc_mem m -> read_mem st (effective_address st m) Reg.Q
-    in
-    set_simd_lane st x lane v
-  | Instr.Pextrq (lane, x, r) -> write_gpr st r Reg.Q (simd_lane st x lane)
-  | Instr.Vinserti128 (half, s, a, d) ->
-    let lo0, lo1 =
-      if half = 0 then (simd_lane st s 0, simd_lane st s 1)
-      else (simd_lane st a 0, simd_lane st a 1)
-    in
-    let hi0, hi1 =
-      if half = 1 then (simd_lane st s 0, simd_lane st s 1)
-      else (simd_lane st a 2, simd_lane st a 3)
-    in
-    set_simd_lane st d 0 lo0;
-    set_simd_lane st d 1 lo1;
-    set_simd_lane st d 2 hi0;
-    set_simd_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) ->
-    for lane = 0 to 3 do
-      set_simd_lane st d lane
-        (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
-    done
-  | Instr.Vptest (a, b) ->
-    let and_zero = ref true and andn_zero = ref true in
-    for lane = 0 to 3 do
-      let va = simd_lane st a lane and vb = simd_lane st b lane in
-      if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-      if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-        andn_zero := false
-    done;
-    st.zf <- !and_zero;
-    st.cf <- !andn_zero;
-    st.sf <- false;
-    st.off <- false
-  | Instr.Vinserti64x4 (half, src, a, d) ->
-    (* read everything first: src/a may alias d *)
-    let src_lanes = Array.init 4 (simd_lane st src) in
-    let a_lanes = Array.init 8 (simd_lane st a) in
-    for lane = 0 to 7 do
-      let v =
-        if half = 0 && lane < 4 then src_lanes.(lane)
-        else if half = 1 && lane >= 4 then src_lanes.(lane - 4)
-        else a_lanes.(lane)
-      in
-      set_simd_lane st d lane v
-    done
-  | Instr.Vpxorq512 (a, b, d) ->
-    for lane = 0 to 7 do
-      set_simd_lane st d lane
-        (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
-    done
-  | Instr.Vptestmq512 (a, b) ->
-    let and_zero = ref true and andn_zero = ref true in
-    for lane = 0 to 7 do
-      let va = simd_lane st a lane and vb = simd_lane st b lane in
-      if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-      if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-        andn_zero := false
-    done;
-    st.zf <- !and_zero;
-    st.cf <- !andn_zero;
-    st.sf <- false;
-    st.off <- false);
-  ip
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection mutators: flip one bit of a written destination.    *)
@@ -609,68 +397,5 @@ let flip_flag st = function
   | Cond.CF -> st.cf <- not st.cf
   | Cond.OF -> st.off <- not st.off
 
-(* ------------------------------------------------------------------ *)
-(* Runner.                                                             *)
-(* ------------------------------------------------------------------ *)
-
+(* Step budget of a run when the caller gives none. *)
 let default_fuel = 50_000_000
-
-(* The two run loops are split so the no-observer case pays neither the
-   option branch nor the observer indirection per retired instruction;
-   {!run} dispatches on [on_step] exactly once. *)
-let run_unobserved ~fuel (img : image) (st : state) =
-  let len = Array.length img.code in
-  try
-    while st.steps < fuel do
-      if st.ip >= len || st.ip < 0 then trap "control reached 0x%x" st.ip;
-      ignore (step img st)
-    done;
-    Timeout
-  with
-  | Halt o -> o
-  | Trap msg -> Crash msg
-
-let run_observed ~fuel ~f (img : image) (st : state) =
-  let len = Array.length img.code in
-  try
-    while st.steps < fuel do
-      if st.ip >= len || st.ip < 0 then trap "control reached 0x%x" st.ip;
-      let ip0 = st.ip in
-      (match step img st with
-      | idx -> f st idx
-      | exception Halt o ->
-        f st ip0;
-        raise (Halt o))
-    done;
-    Timeout
-  with
-  | Halt o -> o
-  | Trap msg -> Crash msg
-
-(* Run to completion.  [on_step] receives the state and the static index
-   of the instruction that just retired (its destinations are in
-   [img.dests]); mutations it performs are visible to the next step.
-   The halting instruction is observed too (it retired: its steps and
-   cycles are accounted); halting instructions define no injectable
-   destinations, so fault-injection sampling is unaffected. *)
-let run ?(fuel = default_fuel) ?on_step (img : image) (st : state) =
-  match on_step with
-  | None -> run_unobserved ~fuel img st
-  | Some f -> run_observed ~fuel ~f img st
-
-(* Convenience wrapper: load-free execution of an image from scratch. *)
-let run_fresh ?fuel ?on_step img =
-  let st = fresh_state img in
-  let outcome = run ?fuel ?on_step img st in
-  (outcome, st)
-
-(* Golden (fault-free) execution summary used by campaigns and benches. *)
-type golden = {
-  outcome : outcome;
-  dyn_instructions : int;
-  cycles : float;
-}
-
-let golden ?fuel img =
-  let outcome, st = run_fresh ?fuel img in
-  { outcome; dyn_instructions = st.steps; cycles = st.cycles }

@@ -4,9 +4,9 @@
     architectural state — 16 GPRs, 16 SIMD registers of 8 64-bit lanes
     (ZMM width), the ZF/SF/CF/OF flags, and byte-addressable
     little-endian memory with the stack at the top.  Outcomes follow the
-    fault-injection literature's classification; a per-step observer
-    exposes each retired instruction so the injector can flip bits at
-    write-back. *)
+    fault-injection literature's classification.  This module loads
+    images and owns the state and its helpers; {!Predecode} defines
+    instruction behaviour and runs programs. *)
 
 open Ferrum_asm
 
@@ -149,9 +149,12 @@ val effective_address : state -> Instr.mem -> int64
 
 (** {1 Decoder support}
 
-    The building blocks of {!step}, exposed so {!Predecode} can lower
-    instructions into resolved-operand closures with the exact same
-    masking, flag, trap and dirty-page behaviour. *)
+    The state-level building blocks {!Predecode}'s closure compiler
+    lowers instructions onto: masking, sign extension, bounds-checked
+    memory access with dirty-page logging, flag updates, the stack and
+    SIMD lanes.  Its generic bodies call them; its specialized thunks
+    inline copies of some (bounds checks, flag predicates), which the
+    differential tests against the reference interpreter check. *)
 
 (** Raise {!Trap} with a formatted message. *)
 val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
@@ -167,8 +170,8 @@ val read_mem : state -> int64 -> Reg.size -> int64
 val write_mem : state -> int64 -> Reg.size -> int64 -> unit
 
 (** [check_addr st addr bytes] validates an access of [bytes] bytes at
-    [addr] and returns it as an int offset, trapping exactly like the
-    interpreter on an out-of-range access. *)
+    [addr] and returns it as an int offset, or raises {!Trap}
+    ("memory access at 0x...") when the access leaves memory. *)
 val check_addr : state -> int64 -> int -> int
 
 (** Mark the page(s) of an [n]-byte write at offset [a] dirty when a
@@ -186,28 +189,5 @@ val pop : state -> int64
 val simd_lane : state -> Reg.simd -> int -> int64
 val set_simd_lane : state -> Reg.simd -> int -> int64 -> unit
 
-(** Execute exactly one instruction and return the static index of the
-    instruction that retired.  Raises {!Halt} when the program ends and
-    {!Trap} on a machine fault; callers driving a lockstep re-execution
-    (e.g. {!Ferrum_telemetry.Propagation}) must handle both.  Does not
-    check that [state.ip] is within the code array — {!run} does that
-    before each step. *)
-val step : image -> state -> int
-
+(** Step budget of a run when the caller gives none. *)
 val default_fuel : int
-
-(** Run to halt, trap or fuel exhaustion.  [on_step] receives the state
-    and the static index of the instruction that just retired (its
-    destinations are in [image.dests]); mutations it performs are
-    visible to the next step.  Every retired instruction is observed,
-    including the one that halts the machine. *)
-val run : ?fuel:int -> ?on_step:(state -> int -> unit) -> image -> state -> outcome
-
-(** Run from a fresh state; returns the outcome and the final state. *)
-val run_fresh :
-  ?fuel:int -> ?on_step:(state -> int -> unit) -> image -> outcome * state
-
-(** Fault-free execution summary used by campaigns and benches. *)
-type golden = { outcome : outcome; dyn_instructions : int; cycles : float }
-
-val golden : ?fuel:int -> image -> golden

@@ -1,28 +1,31 @@
-(* Pre-decoded threaded dispatch.
+(* The simulator's instruction semantics: a decode-time closure compiler
+   and the loops that run it.
 
-   [Machine.step] re-matches operand constructors, re-resolves effective
-   addresses and re-reads link tables on every retired instruction.  This
-   module lowers an {!Machine.image} once into a flat array of
-   resolved-operand closures — one thunk per static index, each doing the
-   exact accounting preamble ([cycles]/[steps]/[ip]) followed by a body
-   specialized at decode time — and drives them from three loops:
+   This module is the one definition of what each instruction does.  It
+   lowers an {!Machine.image} once into a flat array of resolved-operand
+   closures — one thunk per static index, each doing the accounting
+   preamble ([cycles]/[steps]/[ip]) followed by a body specialized at
+   decode time ([fast_thunk] for hot shapes, the composed [mk_body]
+   otherwise) — and drives them from three loops:
 
-   - {!exec}: the unobserved fast path (checkpoint suffix replays,
-     untraced campaign samples).  No observer branch, no operand
-     matching, and the hottest static pairs run as fused
+   - {!exec}: the unobserved fast path (golden walks, checkpoint suffix
+     replays, untraced campaign samples).  No observer branch, no
+     operand matching, and the hottest static pairs run as fused
      superinstructions.
-   - {!exec_observed}: the observed path.  Identical semantics to
-     [Machine.run ~on_step] — the golden profile and its checkpoint
-     capture, per-step fault injection, flight recorder and propagation
-     lockstep all see the exact retirement stream, so fusion is bypassed
-     here.
+   - {!exec_observed}: the observed path.  The observer sees every
+     retired instruction, including the halting one, and its mutations
+     are visible to the next step — the golden profile and its
+     checkpoint capture, per-step fault injection, flight recorder and
+     propagation lockstep all see the exact retirement stream, so
+     fusion is bypassed here.
    - {!step1}: a single pre-decoded step, for loops that need to stop at
      exact step or site boundaries (prefix replays to the injection
      site).
 
-   Two representation choices make the specialized thunks allocation-free
-   (the legacy loop boxes an [Int64] result and a [float] cycle counter
-   on nearly every step):
+   {!run}, {!run_fresh} and {!golden} wrap them over the cached decode
+   of an image.
+
+   Two representation choices make the specialized thunks allocation-free:
 
    - Register files are int64 bigarrays ({!Machine.regfile}), so register
      reads and writes compile to unboxed loads/stores with no GC write
@@ -49,11 +52,10 @@
    [avoid] site (the injector passes its eligible-site mask so a prefix
    stop never lands mid-pair).
 
-   Everything is proven bit-identical to the legacy loop by the engine
-   identity suites; [enabled := false] routes every entry point back
-   through [Machine.step]/[Machine.run] (and replays the fused-step
-   accounting over the retirement stream) so the two dispatchers stay
-   directly comparable. *)
+   The test suites check every loop against an independent reference
+   interpreter ([test/oracle]): random straight-line programs with and
+   without a mid-run bit flip, the catalogue, and each injection
+   engine's campaign records replayed on the oracle. *)
 
 open Ferrum_asm
 
@@ -99,11 +101,6 @@ type t = {
 
 (* Raised by a fused thunk when fuel runs out between its two halves. *)
 exception Fuel
-
-(* Kill switch: [false] routes every entry point through the legacy
-   [Machine.step]/[Machine.run] loop.  The identity suites and the bench
-   baseline column use it to compare the two dispatchers byte-for-byte. *)
-let enabled = ref true
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide dispatch counters (per worker after a fork).           *)
@@ -746,7 +743,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
   | Instr.Vinserti128 (half, sx, ax, dx) ->
     (* The half selector is a decode-time constant, so the four source
        lanes are fixed slots; reads complete before any write, exactly
-       like the interpreter (src/dst may alias). *)
+       like the generic body (src/dst may alias). *)
     let s8 = sx * 8 and a8 = ax * 8 and d8 = dx * 8 in
     let l0 = if half = 0 then s8 else a8 in
     let l1 = l0 + 1 in
@@ -775,7 +772,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         st.Machine.ip <- next;
         let s = st.Machine.simd in
         (* lane-by-lane read-then-write, in lane order, like the
-           interpreter's loop (visible if dst aliases a source) *)
+           generic body's loop (visible if dst aliases a source) *)
         bset s d8 (Int64.logxor (bget s a8) (bget s b8));
         bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
         bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
@@ -846,8 +843,9 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         st.Machine.off <- false)
   | _ -> None
 
-(* Generic body: operand closures resolved at decode time, evaluation
-   order and trap messages textually mirrored from [Machine.step]. *)
+(* Generic body: operand closures resolved at decode time.  Evaluation
+   order and trap messages match the reference interpreter's, which the
+   differential tests check. *)
 let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
   match op with
   | Instr.Mov (s, src, dst) ->
@@ -1135,10 +1133,10 @@ let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
 
 (* Build the flattened pair thunk for [ip] and [ip+1], or [None] when
    no specialized combination applies (the generic two-call wrapper is
-   used instead).  Each half replays the exact legacy step: cycle cost,
-   step count, [ip] update, then the body — so a trap or fuel timeout
-   between the halves leaves the same architectural state the
-   interpreter would. *)
+   used instead).  Each half replays the exact standalone step: cycle
+   cost, step count, [ip] update, then the body — so a trap or fuel
+   timeout between the halves leaves the same architectural state
+   single-stepping would. *)
 let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
     len (img : Machine.image) ip : (Machine.state -> unit) option =
   let c1 = img.Machine.costs.(ip) and c2 = img.Machine.costs.(ip + 1) in
@@ -1518,129 +1516,116 @@ let is_fused_start p ip = p.fused_name.(ip) <> ""
 (* Execution loops.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Legacy loop with the fused-step accounting replayed over the
-   retirement stream: [idx] then [idx+1] retiring back-to-back where
-   [idx] starts a fused pair is exactly when the fast loop runs the
-   pair thunk, so the counters (and the trace counters built from them)
-   are byte-identical whichever dispatcher ran. *)
-let exec_legacy ~fuel (p : t) (st : Machine.state) =
-  let img = p.img in
-  let len = Array.length img.Machine.code in
+(* The unobserved fast path: threaded dispatch over the fused thunk
+   array.  The cycle accumulator is seeded from the architectural field
+   on entry and written back on every exit path, so [st.cycles] is exact
+   (the same float additions in the same order) whenever the caller can
+   observe it. *)
+let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
   let s0 = st.Machine.steps in
-  let pending = ref (-1) in
-  let note idx =
-    if idx = !pending then begin
-      ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-      pending := -1
-    end
-    else pending := (if p.fused_name.(idx) <> "" then idx + 1 else -1)
-  in
+  let len = Array.length p.thunks in
+  let fused = p.fused in
+  let cyc = p.cyc in
+  p.fuel := fuel;
+  cyc.fv <- st.Machine.cycles;
   let outcome =
     try
       while st.Machine.steps < fuel do
-        if st.Machine.ip >= len || st.Machine.ip < 0 then
-          Machine.trap "control reached 0x%x" st.Machine.ip;
-        note (Machine.step img st)
+        let ip = st.Machine.ip in
+        if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
+        (Array.unsafe_get fused ip) st
       done;
       Machine.Timeout
     with
     | Machine.Halt o -> o
     | Machine.Trap msg -> Machine.Crash msg
+    | Fuel -> Machine.Timeout
+    | e ->
+      st.Machine.cycles <- cyc.fv;
+      raise e
   in
+  st.Machine.cycles <- cyc.fv;
   ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
   outcome
 
-(* The unobserved fast path: threaded dispatch over the fused thunk
-   array.  Bit-identical to [Machine.run] without an observer.  The
-   cycle accumulator is seeded from the architectural field on entry
-   and written back on every exit path, so [st.cycles] is exact (the
-   same float additions in the same order) whenever the caller can
-   observe it. *)
-let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
-  if not !enabled then exec_legacy ~fuel p st
-  else begin
-    let s0 = st.Machine.steps in
-    let len = Array.length p.thunks in
-    let fused = p.fused in
-    let cyc = p.cyc in
-    p.fuel := fuel;
-    cyc.fv <- st.Machine.cycles;
-    let outcome =
-      try
-        while st.Machine.steps < fuel do
-          let ip = st.Machine.ip in
-          if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
-          (Array.unsafe_get fused ip) st
-        done;
-        Machine.Timeout
-      with
-      | Machine.Halt o -> o
-      | Machine.Trap msg -> Machine.Crash msg
-      | Fuel -> Machine.Timeout
-      | e ->
-        st.Machine.cycles <- cyc.fv;
-        raise e
-    in
-    st.Machine.cycles <- cyc.fv;
-    ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
-    outcome
-  end
-
-(* One pre-decoded step; returns the retired static index like
-   [Machine.step].  Never fused, so callers that stop at exact step or
-   site boundaries (prefix replay) stay exact.  The caller checks
-   [st.ip] bounds, as with [Machine.step].  The cycle accumulator is
-   bracketed around the thunk (reseeded before, written back after,
-   including on [Halt]/[Trap]), which also makes nested use safe: a
-   lockstep observer may run [step1] on the same decoded program from
-   inside [exec_observed]. *)
+(* One pre-decoded step; returns the retired static index.  Raises
+   [Machine.Halt] when the program ends and [Machine.Trap] on a machine
+   fault.  Never fused, so callers that stop at exact step or site
+   boundaries (prefix replay) stay exact.  The caller checks [st.ip]
+   bounds.  The cycle accumulator is bracketed around the thunk
+   (reseeded before, written back after, including on [Halt]/[Trap]),
+   which also makes nested use safe: a lockstep observer may run
+   [step1] on the same decoded program from inside [exec_observed]. *)
 let step1 (p : t) (st : Machine.state) =
-  if not !enabled then Machine.step p.img st
-  else begin
-    let ip = st.Machine.ip in
-    let cyc = p.cyc in
-    cyc.fv <- st.Machine.cycles;
-    (match (Array.unsafe_get p.thunks ip) st with
-    | () -> st.Machine.cycles <- cyc.fv
-    | exception e ->
-      st.Machine.cycles <- cyc.fv;
-      raise e);
-    ip
-  end
+  let ip = st.Machine.ip in
+  let cyc = p.cyc in
+  cyc.fv <- st.Machine.cycles;
+  (match (Array.unsafe_get p.thunks ip) st with
+  | () -> st.Machine.cycles <- cyc.fv
+  | exception e ->
+    st.Machine.cycles <- cyc.fv;
+    raise e);
+  ip
 
-(* The observed path: same per-step observer contract as
-   [Machine.run ~on_step] — the observer sees every retired instruction
-   including the halting one, and its mutations are visible to the next
-   step.  Fusion is bypassed so injection sites and lockstep replicas
-   see the exact retirement stream.  The cycle accumulator is bracketed
-   around every thunk so the observer reads an exact [st.cycles] and the
-   bracket tolerates reentrant [step1] calls on the same program. *)
+(* The observed path: [on_step] receives the state and the static index
+   of the instruction that just retired (its destinations are in
+   [img.dests]), including the halting one, and its mutations are
+   visible to the next step.  Fusion is bypassed so injection sites and
+   lockstep replicas see the exact retirement stream.  The cycle
+   accumulator is bracketed around every thunk so the observer reads an
+   exact [st.cycles] and the bracket tolerates reentrant [step1] calls
+   on the same program. *)
 let exec_observed ?(fuel = Machine.default_fuel) ~on_step (p : t)
     (st : Machine.state) =
-  if not !enabled then Machine.run ~fuel ~on_step p.img st
-  else
-    let len = Array.length p.thunks in
-    let thunks = p.thunks in
-    let cyc = p.cyc in
-    try
-      while st.Machine.steps < fuel do
-        let ip0 = st.Machine.ip in
-        if ip0 >= len || ip0 < 0 then
-          Machine.trap "control reached 0x%x" ip0;
-        cyc.fv <- st.Machine.cycles;
-        (match (Array.unsafe_get thunks ip0) st with
-        | () ->
-          st.Machine.cycles <- cyc.fv;
-          on_step st ip0
-        | exception Machine.Halt o ->
-          st.Machine.cycles <- cyc.fv;
-          on_step st ip0;
-          raise (Machine.Halt o)
-        | exception e ->
-          st.Machine.cycles <- cyc.fv;
-          raise e)
-      done;
-      Machine.Timeout
-    with
-    | Machine.Halt o -> o
-    | Machine.Trap msg -> Machine.Crash msg
+  let len = Array.length p.thunks in
+  let thunks = p.thunks in
+  let cyc = p.cyc in
+  try
+    while st.Machine.steps < fuel do
+      let ip0 = st.Machine.ip in
+      if ip0 >= len || ip0 < 0 then Machine.trap "control reached 0x%x" ip0;
+      cyc.fv <- st.Machine.cycles;
+      (match (Array.unsafe_get thunks ip0) st with
+      | () ->
+        st.Machine.cycles <- cyc.fv;
+        on_step st ip0
+      | exception Machine.Halt o ->
+        st.Machine.cycles <- cyc.fv;
+        on_step st ip0;
+        raise (Machine.Halt o)
+      | exception e ->
+        st.Machine.cycles <- cyc.fv;
+        raise e)
+    done;
+    Machine.Timeout
+  with
+  | Machine.Halt o -> o
+  | Machine.Trap msg -> Machine.Crash msg
+
+(* ------------------------------------------------------------------ *)
+(* Whole-program runs over the cached decode.                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Run to halt, trap or fuel exhaustion: {!exec} without an observer,
+   {!exec_observed} with one. *)
+let run ?fuel ?on_step (img : Machine.image) (st : Machine.state) =
+  match on_step with
+  | None -> exec ?fuel (get img) st
+  | Some on_step -> exec_observed ?fuel ~on_step (get img) st
+
+(* Run from a fresh state; returns the outcome and the final state. *)
+let run_fresh ?fuel ?on_step img =
+  let st = Machine.fresh_state img in
+  let outcome = run ?fuel ?on_step img st in
+  (outcome, st)
+
+(* Fault-free execution summary used by campaigns and benches. *)
+type golden = {
+  outcome : Machine.outcome;
+  dyn_instructions : int;
+  cycles : float;
+}
+
+let golden ?fuel img =
+  let outcome, st = run_fresh ?fuel img in
+  { outcome; dyn_instructions = st.Machine.steps; cycles = st.Machine.cycles }

@@ -19,6 +19,7 @@
 module Technique = Ferrum_eddi.Technique
 module Cost = Ferrum_machine.Cost
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Pipeline = Ferrum_eddi.Pipeline
 open Experiments
@@ -101,21 +102,21 @@ let run ?(samples = 150) ?(seed = 77L) () : row list =
             let m = e.build () in
             let raw = Pipeline.raw m in
             let raw_img = Machine.load ~cost_model:v.cost_model raw.program in
-            let raw_g = Machine.golden raw_img in
+            let raw_g = Predecode.golden raw_img in
             let prot =
               Pipeline.protect ~ferrum_config:v.ferrum_config Technique.Ferrum
                 m
             in
             let img = Machine.load ~cost_model:v.cost_model prot.program in
-            let g = Machine.golden img in
-            (match g.Machine.outcome with
+            let g = Predecode.golden img in
+            (match g.Predecode.outcome with
             | Machine.Exit _ -> ()
             | o ->
               Fmt.failwith "ablation %s on %s: %a" v.label e.name
                 Machine.pp_outcome o);
             let overhead =
-              F.overhead ~raw_cycles:raw_g.Machine.cycles
-                ~prot_cycles:g.Machine.cycles
+              F.overhead ~raw_cycles:raw_g.Predecode.cycles
+                ~prot_cycles:g.Predecode.cycles
             in
             let coverage =
               if samples > 0 then begin
@@ -176,28 +177,28 @@ let optimized_backend ?(samples = 150) ?(seed = 55L) () =
         List.map
           (fun optimize ->
             let raw_img = Machine.load (Pipeline.raw ~optimize m).program in
-            let raw_g = Machine.golden raw_img in
+            let raw_g = Predecode.golden raw_img in
             let raw_c = (F.campaign ~seed ~samples raw_img).F.counts in
             let ir =
               Machine.load
                 (Pipeline.protect ~optimize Technique.Ir_level_eddi m).program
             in
-            let ir_g = Machine.golden ir in
+            let ir_g = Predecode.golden ir in
             let ir_c = (F.campaign ~seed ~samples ir).F.counts in
             let fe =
               Machine.load
                 (Pipeline.protect ~optimize Technique.Ferrum m).program
             in
-            let fe_g = Machine.golden fe in
+            let fe_g = Predecode.golden fe in
             [ e.name; (if optimize then "peephole" else "-O0");
-              string_of_int raw_g.Machine.dyn_instructions;
+              string_of_int raw_g.Predecode.dyn_instructions;
               Ascii.percent (F.sdc_coverage ~raw:raw_c ~protected_:ir_c);
               Ascii.percent
-                (F.overhead ~raw_cycles:raw_g.Machine.cycles
-                   ~prot_cycles:ir_g.Machine.cycles);
+                (F.overhead ~raw_cycles:raw_g.Predecode.cycles
+                   ~prot_cycles:ir_g.Predecode.cycles);
               Ascii.percent
-                (F.overhead ~raw_cycles:raw_g.Machine.cycles
-                   ~prot_cycles:fe_g.Machine.cycles) ])
+                (F.overhead ~raw_cycles:raw_g.Predecode.cycles
+                   ~prot_cycles:fe_g.Predecode.cycles) ])
           [ false; true ])
       entries
   in

@@ -5,6 +5,7 @@
    (§IV-B3).  All campaigns are seeded and reproducible. *)
 
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Cost = Ferrum_machine.Cost
 module F = Ferrum_faultsim.Faultsim
 module Technique = Ferrum_eddi.Technique
@@ -99,7 +100,7 @@ let run_entry opts (e : Catalog.entry) : bench_result =
   let m = e.build () in
   let raw = Pipeline.raw m in
   let raw_img = Machine.load ~cost_model:opts.cost_model raw.program in
-  let raw_golden = Machine.golden raw_img in
+  let raw_golden = Predecode.golden raw_img in
   (match raw_golden.outcome with
   | Machine.Exit _ -> ()
   | o ->
@@ -115,7 +116,7 @@ let run_entry opts (e : Catalog.entry) : bench_result =
           Pipeline.protect ~ferrum_config:opts.ferrum_config t m
         in
         let img = Machine.load ~cost_model:opts.cost_model r.program in
-        let golden = Machine.golden img in
+        let golden = Predecode.golden img in
         (match golden.outcome with
         | Machine.Exit out
           when Machine.equal_outcome (Machine.Exit out) raw_golden.outcome ->
@@ -136,15 +137,15 @@ let run_entry opts (e : Catalog.entry) : bench_result =
         {
           technique = t;
           static_instructions = Ferrum_asm.Prog.num_instructions r.program;
-          dyn_instructions = golden.Machine.dyn_instructions;
-          cycles = golden.Machine.cycles;
+          dyn_instructions = golden.Predecode.dyn_instructions;
+          cycles = golden.Predecode.cycles;
           overhead =
-            F.overhead ~raw_cycles:raw_golden.Machine.cycles
-              ~prot_cycles:golden.Machine.cycles;
+            F.overhead ~raw_cycles:raw_golden.Predecode.cycles
+              ~prot_cycles:golden.Predecode.cycles;
           dyn_overhead =
             F.overhead
-              ~raw_cycles:(float_of_int raw_golden.Machine.dyn_instructions)
-              ~prot_cycles:(float_of_int golden.Machine.dyn_instructions);
+              ~raw_cycles:(float_of_int raw_golden.Predecode.dyn_instructions)
+              ~prot_cycles:(float_of_int golden.Predecode.dyn_instructions);
           counts;
           coverage;
           transform_seconds =
@@ -157,8 +158,8 @@ let run_entry opts (e : Catalog.entry) : bench_result =
     suite = e.suite;
     domain = e.domain;
     static_raw = Ferrum_asm.Prog.num_instructions raw.program;
-    dyn_raw = raw_golden.Machine.dyn_instructions;
-    cycles_raw = raw_golden.Machine.cycles;
+    dyn_raw = raw_golden.Predecode.dyn_instructions;
+    cycles_raw = raw_golden.Predecode.cycles;
     raw_counts;
     techniques;
   }

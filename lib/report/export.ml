@@ -140,28 +140,20 @@ let json_of_adaptive (a : adaptive_result) =
       ("adaptive_wall_seconds", Json.Float a.a_adaptive_wall) ]
 
 (* One benchmark's injection-engine throughput snapshot: samples/sec
-   per engine configuration, with the checkpointed engine measured on
-   both dispatch loops so the BENCH trajectory records the
-   legacy-to-predecoded speedup. *)
+   per engine configuration. *)
 type perf_result = {
   p_benchmark : string;
   p_scratch : float;
   p_pooled : float;
-  p_legacy : float; (* ckpt-4096, legacy Machine.step dispatch *)
-  p_predecoded : float; (* ckpt-4096, pre-decoded threaded dispatch *)
+  p_predecoded : float; (* ckpt-4096 *)
 }
-
-let perf_speedup (p : perf_result) =
-  if p.p_legacy <= 0.0 then 0.0 else p.p_predecoded /. p.p_legacy
 
 let json_of_perf (p : perf_result) =
   Json.Obj
     [ ("benchmark", Json.Str p.p_benchmark);
       ("scratch_sps", Json.Float p.p_scratch);
       ("pooled_sps", Json.Float p.p_pooled);
-      ("legacy_ckpt_sps", Json.Float p.p_legacy);
-      ("predecoded_ckpt_sps", Json.Float p.p_predecoded);
-      ("speedup", Json.Float (perf_speedup p)) ]
+      ("predecoded_ckpt_sps", Json.Float p.p_predecoded) ]
 
 (* Full bench metrics document: meta (sample counts, seed), one entry
    per timed experiment (name + wall seconds — wall clock is confined

@@ -31,20 +31,15 @@ type adaptive_result = {
     the flat budget that directed sampling saved on the worst decile. *)
 val adaptive_savings : adaptive_result -> float
 
-(** One benchmark's injection-engine throughput (samples/sec): scratch
-    and pooled on the current dispatch, plus the checkpointed engine on
-    both the legacy [Machine.step] loop and the pre-decoded threaded
-    loop, so BENCH snapshots record the dispatch speedup. *)
+(** One benchmark's injection-engine throughput (samples/sec) under the
+    scratch, pooled and checkpointed ([p_predecoded], ckpt-4096)
+    engines. *)
 type perf_result = {
   p_benchmark : string;
   p_scratch : float;
   p_pooled : float;
-  p_legacy : float;
   p_predecoded : float;
 }
-
-(** [p_predecoded / p_legacy] (0 when the legacy rate is unknown). *)
-val perf_speedup : perf_result -> float
 
 (** Bench metrics document: meta (sample count, seed), per-experiment
     wall times (wall clock is confined here; per-benchmark results are

@@ -4,6 +4,7 @@
 
 module Technique = Ferrum_eddi.Technique
 module F = Ferrum_faultsim.Faultsim
+module Stats = Ferrum_telemetry.Stats
 open Experiments
 
 (* ------------------------------------------------------------------ *)
@@ -144,7 +145,7 @@ let outcome_table (results : bench_result list) =
       string_of_int c.F.sdc; string_of_int c.F.detected;
       string_of_int c.F.crash; string_of_int c.F.timeout;
       Printf.sprintf "%.3f" (F.sdc_probability c);
-      Printf.sprintf "%.3f" (F.confidence95 c) ]
+      Printf.sprintf "%.3f" (Stats.half_width (Stats.wilson (F.sdc_tally c))) ]
   in
   let rows =
     List.concat_map

@@ -11,6 +11,7 @@
    seed than profiling, so the selection must generalise. *)
 
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Technique = Ferrum_eddi.Technique
 module Pipeline = Ferrum_eddi.Pipeline
@@ -79,7 +80,7 @@ let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
     (m : Ferrum_ir.Ir.modul) : point list =
   let raw = Pipeline.raw m in
   let raw_img = Machine.load raw.program in
-  let raw_golden = Machine.golden raw_img in
+  let raw_golden = Predecode.golden raw_img in
   let counts, _ = profile ~samples ~seed:profile_seed raw_img in
   let eval_raw = (F.campaign ~seed:eval_seed ~samples raw_img).F.counts in
   List.map
@@ -94,14 +95,14 @@ let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
       in
       let prot = Pipeline.protect ~ferrum_config:config Technique.Ferrum m in
       let img = Machine.load prot.program in
-      let golden = Machine.golden img in
+      let golden = Predecode.golden img in
       let eval = (F.campaign ~seed:eval_seed ~samples img).F.counts in
       {
         budget;
         sites_protected;
         overhead =
-          F.overhead ~raw_cycles:raw_golden.Machine.cycles
-            ~prot_cycles:golden.Machine.cycles;
+          F.overhead ~raw_cycles:raw_golden.Predecode.cycles
+            ~prot_cycles:golden.Predecode.cycles;
         coverage = F.sdc_coverage ~raw:eval_raw ~protected_:eval;
       })
     [ 0.25; 0.5; 0.75; 0.9; 1.0; 2.0 (* 2.0 = full FERRUM *) ]

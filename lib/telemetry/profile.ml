@@ -66,7 +66,7 @@ let run ?fuel (img : Machine.image) : t =
     prov_count.(p) <- prov_count.(p) + 1;
     prov_cycles.(p) <- prov_cycles.(p) +. cost
   in
-  let outcome, st = Machine.run_fresh ?fuel ~on_step img in
+  let outcome, st = Predecode.run_fresh ?fuel ~on_step img in
   let rows =
     Hashtbl.fold
       (fun mnemonic (klass, count, cycles) acc ->
@@ -131,7 +131,7 @@ let dispatch ?fuel (img : Machine.image) : dispatch =
       pending := idx
     else pending := -1
   in
-  ignore (Machine.run ?fuel ~on_step img (Machine.fresh_state img));
+  ignore (Predecode.run ?fuel ~on_step img (Machine.fresh_state img));
   let patterns =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
     |> List.sort (fun (n1, c1) (n2, c2) ->

@@ -9,10 +9,11 @@ module Ir = Ferrum_ir.Ir
 module Interp = Ferrum_ir.Interp
 module Backend = Ferrum_backend.Backend
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 
 let compiled_output m =
   let img = Machine.load (Backend.compile m) in
-  match Machine.run_fresh img with
+  match Predecode.run_fresh img with
   | Machine.Exit out, _ -> out
   | o, _ -> Alcotest.failf "compiled run failed: %a" Machine.pp_outcome o
 

@@ -9,6 +9,7 @@ module Parser = Ferrum_clite.Parser
 module Ast = Ferrum_clite.Ast
 module Token = Ferrum_clite.Token
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 
@@ -17,7 +18,7 @@ module Technique = Ferrum_eddi.Technique
 let run_c src =
   let m = Clite.compile src in
   let interp = (Ferrum_ir.Interp.run m).Ferrum_ir.Interp.output in
-  match Machine.run_fresh (Machine.load (Pipeline.raw m).program) with
+  match Predecode.run_fresh (Machine.load (Pipeline.raw m).program) with
   | Machine.Exit out, _ ->
     Alcotest.(check (list int64)) "interp = compiled" interp out;
     out
@@ -212,14 +213,14 @@ let test_example_programs () =
     (fun (path, expect) ->
       let m = Clite.compile_file (example_path path) in
       let raw = (Pipeline.raw m).program in
-      (match Machine.run_fresh (Machine.load raw) with
+      (match Predecode.run_fresh (Machine.load raw) with
       | Machine.Exit out, _ ->
         Alcotest.(check (list int64)) (path ^ " golden") expect out
       | o, _ -> Alcotest.failf "%s: %a" path Machine.pp_outcome o);
       List.iter
         (fun t ->
           let p = (Pipeline.protect t m).program in
-          match Machine.run_fresh (Machine.load p) with
+          match Predecode.run_fresh (Machine.load p) with
           | Machine.Exit out, _ ->
             Alcotest.(check (list int64))
               (path ^ " " ^ Technique.short_name t)

@@ -5,6 +5,7 @@
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
@@ -12,7 +13,7 @@ module Technique = Ferrum_eddi.Technique
 module Ferrum_pass = Ferrum_eddi.Ferrum_pass
 module Peephole = Ferrum_backend.Peephole
 
-let outcome_of p = fst (Machine.run_fresh (Machine.load p))
+let outcome_of p = fst (Predecode.run_fresh (Machine.load p))
 
 let all_workloads f =
   List.iter
@@ -119,7 +120,7 @@ let test_zmm_semantics_machine () =
   let p = Prog.program [ Prog.func "main" [ Prog.block "main" (originals body) ] ] in
   let img = Machine.load p in
   let st = Machine.fresh_state img in
-  (match Machine.run img st with
+  (match Predecode.run img st with
   | Machine.Exit _ -> ()
   | o -> Alcotest.failf "zmm program failed: %a" Machine.pp_outcome o);
   Alcotest.(check int64) "zero test" 1L st.Machine.gpr.{Reg.gpr_index Reg.RBX};
@@ -174,7 +175,7 @@ let test_zmm_cheaper_than_ymm () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "Needle")).build () in
   let cycles cfg =
     let p = (Pipeline.protect ~ferrum_config:cfg Technique.Ferrum m).program in
-    (Machine.golden (Machine.load p)).Machine.cycles
+    (Predecode.golden (Machine.load p)).Predecode.cycles
   in
   Alcotest.(check bool) "zmm batches are cheaper" true
     (cycles Ferrum_pass.zmm_config < cycles Ferrum_pass.default_config)
@@ -271,7 +272,7 @@ let test_liveness_pressure_cheaper () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "kmeans")).build () in
   let cycles cfg =
     let p = (Pipeline.protect ~ferrum_config:cfg Technique.Ferrum m).program in
-    (Machine.golden (Machine.load p)).Machine.cycles
+    (Predecode.golden (Machine.load p)).Predecode.cycles
   in
   let plain = { Ferrum_pass.default_config with max_spare_gprs = Some 0 } in
   Alcotest.(check bool) "liveness reuse beats push/pop" true
@@ -357,8 +358,8 @@ let test_config_combinations () =
             Machine.load
               (Pipeline.protect ~ferrum_config:cfg Technique.Ferrum m).program
           in
-          let g = Machine.golden img in
-          if not (Machine.equal_outcome g.Machine.outcome raw) then
+          let g = Predecode.golden img in
+          if not (Machine.equal_outcome g.Predecode.outcome raw) then
             Alcotest.failf "%s combo %d broke semantics" name k;
           let c = (F.campaign ~seed:3L ~samples:60 img).F.counts in
           if c.F.sdc > 0 then Alcotest.failf "%s combo %d leaked SDC" name k)

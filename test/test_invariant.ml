@@ -9,6 +9,7 @@
    statistically on random kernels from the generator. *)
 
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
@@ -108,9 +109,9 @@ let prop_semantics_preserved technique =
     (fun k ->
       let m = Tgen.build_kernel k in
       Ferrum_ir.Verify.run m;
-      let raw, _ = Machine.run_fresh (Machine.load (Pipeline.raw m).program) in
+      let raw, _ = Predecode.run_fresh (Machine.load (Pipeline.raw m).program) in
       let prot, _ =
-        Machine.run_fresh (Machine.load (Pipeline.protect technique m).program)
+        Predecode.run_fresh (Machine.load (Pipeline.protect technique m).program)
       in
       Machine.equal_outcome raw prot)
 

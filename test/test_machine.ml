@@ -1,12 +1,29 @@
 (* Unit and property tests for the simulator: instruction semantics,
    flags, memory, control flow, SIMD, traps, costs and the
-   fault-injection mutators. *)
+   fault-injection mutators.  Every program runs on both the reference
+   interpreter and the decoded production loop, which must agree on
+   the outcome and the whole final state. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Cost = Ferrum_machine.Cost
+module Ref_machine = Ferrum_oracle.Ref_machine
 
 let originals = List.map Instr.original
+
+(* Run [img] on both interpreters; returns the decoded loop's result. *)
+let run_both ?fuel img =
+  let st_ref = Machine.fresh_state img and st = Machine.fresh_state img in
+  let o_ref = Ref_machine.run ?fuel img st_ref in
+  let o = Predecode.run ?fuel img st in
+  if o <> o_ref then
+    Alcotest.failf "outcome: %a (reference) vs %a" Machine.pp_outcome o_ref
+      Machine.pp_outcome o;
+  (match Ref_machine.diff_state st_ref st with
+  | Some d -> Alcotest.failf "final state differs from the reference: %s" d
+  | None -> ());
+  (o, st)
 
 (* Wrap a straight-line body into main; returns the final state. *)
 let run_body ?(mem_size = 1 lsl 16) body =
@@ -14,10 +31,7 @@ let run_body ?(mem_size = 1 lsl 16) body =
     Prog.program
       [ Prog.func "main" [ Prog.block "main" (originals (body @ [ Instr.Ret ])) ] ]
   in
-  let img = Machine.load ~mem_size p in
-  let st = Machine.fresh_state img in
-  let outcome = Machine.run img st in
-  (outcome, st)
+  run_both (Machine.load ~mem_size p)
 
 let gpr st r = st.Machine.gpr.{Reg.gpr_index r}
 
@@ -267,7 +281,7 @@ let test_branch_and_call () =
                  [ Mov (Reg.Q, Reg Reg.RDI, Reg Reg.RAX);
                    Alu (Add, Reg.Q, Reg Reg.RDI, Reg Reg.RAX); Ret ]) ] ]
   in
-  let outcome, _ = Machine.run_fresh (Machine.load p) in
+  let outcome, _ = run_both (Machine.load p) in
   match outcome with
   | Machine.Exit [ 60L; 1L ] -> ()
   | o -> Alcotest.failf "unexpected %a" Machine.pp_outcome o
@@ -279,7 +293,7 @@ let test_detect_label_halts () =
       [ Prog.func "main"
           [ Prog.block "main" (originals [ Jmp "exit_function" ]) ] ]
   in
-  match Machine.run_fresh (Machine.load p) with
+  match run_both (Machine.load p) with
   | Machine.Detected, _ -> ()
   | o, _ -> Alcotest.failf "expected detected, got %a" Machine.pp_outcome o
 
@@ -300,9 +314,9 @@ let test_timeout () =
     Prog.program
       [ Prog.func "main" [ Prog.block "main" (originals [ Jmp "main" ]) ] ]
   in
-  match Machine.run ~fuel:1000 (Machine.load p) (Machine.fresh_state (Machine.load p)) with
-  | Machine.Timeout -> ()
-  | o -> Alcotest.failf "expected timeout, got %a" Machine.pp_outcome o
+  match run_both ~fuel:1000 (Machine.load p) with
+  | Machine.Timeout, _ -> ()
+  | o, _ -> Alcotest.failf "expected timeout, got %a" Machine.pp_outcome o
 
 (* ---- SIMD ---- *)
 

@@ -1,14 +1,16 @@
-(* Tests for the pre-decoded threaded dispatcher: decode round-trip
-   identity against the legacy interpreter (final state, retirement
-   stream, single-stepping), superinstruction fusion boundary cases
-   (join targets, avoid masks, fuel running out mid-pair, resuming at a
-   pair's second half), the [enabled := false] fallback, the dispatch
-   counters, and classification/vulnmap identity of the fault-injection
-   engines whichever dispatcher runs. *)
+(* Tests for the pre-decoded threaded dispatcher against the reference
+   interpreter ([test/oracle]): a differential property over random
+   straight-line programs (with and without a mid-run bit flip) for
+   every dispatch loop, decode round-trip identity (final state,
+   retirement stream, single-stepping), superinstruction fusion
+   boundary cases (join targets, avoid masks, fuel running out
+   mid-pair, resuming at a pair's second half), the dispatch counters,
+   and an oracle replay of every injection engine's campaign records. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
 module Predecode = Ferrum_machine.Predecode
+module Ref_machine = Ferrum_oracle.Ref_machine
 module F = Ferrum_faultsim.Faultsim
 module Json = Ferrum_telemetry.Json
 module Pipeline = Ferrum_eddi.Pipeline
@@ -47,28 +49,13 @@ let loop_program () =
 (* ---- helpers ---- *)
 
 let check_state_eq name (want : Machine.state) (got : Machine.state) =
-  Alcotest.(check (array int64)) (name ^ ": gpr")
-    (Machine.dump_regfile want.Machine.gpr)
-    (Machine.dump_regfile got.Machine.gpr);
-  Alcotest.(check (array int64)) (name ^ ": simd")
-    (Machine.dump_regfile want.Machine.simd)
-    (Machine.dump_regfile got.Machine.simd);
-  Alcotest.(check bool) (name ^ ": zf") want.Machine.zf got.Machine.zf;
-  Alcotest.(check bool) (name ^ ": sf") want.Machine.sf got.Machine.sf;
-  Alcotest.(check bool) (name ^ ": cf") want.Machine.cf got.Machine.cf;
-  Alcotest.(check bool) (name ^ ": off") want.Machine.off got.Machine.off;
-  Alcotest.(check int) (name ^ ": ip") want.Machine.ip got.Machine.ip;
-  Alcotest.(check int) (name ^ ": steps") want.Machine.steps got.Machine.steps;
-  Alcotest.(check (float 0.)) (name ^ ": cycles") want.Machine.cycles
-    got.Machine.cycles;
-  Alcotest.(check (list int64)) (name ^ ": output") want.Machine.out_rev
-    got.Machine.out_rev;
-  Alcotest.(check bool) (name ^ ": memory") true
-    (Bytes.equal want.Machine.mem got.Machine.mem)
+  match Ref_machine.diff_state want got with
+  | Some d -> Alcotest.failf "%s: %s" name d
+  | None -> ()
 
-let run_legacy ?fuel img =
+let run_ref ?fuel img =
   let st = Machine.fresh_state img in
-  let o = Machine.run ?fuel img st in
+  let o = Ref_machine.run ?fuel img st in
   (o, st)
 
 let run_fast ?fuel img =
@@ -77,13 +64,16 @@ let run_fast ?fuel img =
   let o = Predecode.exec ?fuel d st in
   (o, st)
 
+(* Outcomes must agree exactly, trap messages included. *)
+let check_outcome name want got =
+  if want <> got then
+    Alcotest.failf "%s: outcome %a (reference) vs %a" name Machine.pp_outcome
+      want Machine.pp_outcome got
+
 let check_run_eq name ?fuel img =
-  let o1, st1 = run_legacy ?fuel img in
+  let o1, st1 = run_ref ?fuel img in
   let o2, st2 = run_fast ?fuel img in
-  Alcotest.(check bool)
-    (name ^ ": outcome")
-    true
-    (Machine.equal_outcome o1 o2);
+  check_outcome name o1 o2;
   check_state_eq name st1 st2
 
 (* ---- decode round-trip: full-run identity ---- *)
@@ -104,7 +94,7 @@ let test_catalogue_roundtrip () =
         Technique.all)
     Catalog.all
 
-(* ---- observed path: same retirement stream as Machine.run ---- *)
+(* ---- observed path: same retirement stream as the reference ---- *)
 
 let test_observed_stream_identity () =
   let img = Machine.load (loop_program ()) in
@@ -117,10 +107,10 @@ let test_observed_stream_identity () =
     (on_step, st0, seen)
   in
   let on1, st1, seen1 = observe (Machine.fresh_state img) in
-  let o1 = Machine.run ~on_step:on1 img st1 in
+  let o1 = Ref_machine.run ~on_step:on1 img st1 in
   let on2, st2, seen2 = observe (Machine.fresh_state img) in
   let o2 = Predecode.exec_observed ~on_step:on2 d st2 in
-  Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
+  check_outcome "observed" o1 o2;
   Alcotest.(check int) "stream length" (List.length !seen1)
     (List.length !seen2);
   List.iter2
@@ -131,7 +121,7 @@ let test_observed_stream_identity () =
     !seen1 !seen2;
   check_state_eq "observed final" st1 st2
 
-(* ---- step1: lockstep single-stepping against Machine.step ---- *)
+(* ---- step1: lockstep single-stepping against the reference ---- *)
 
 let test_step1_lockstep () =
   let img = Machine.load (loop_program ()) in
@@ -139,12 +129,14 @@ let test_step1_lockstep () =
   let st1 = Machine.fresh_state img and st2 = Machine.fresh_state img in
   let halted = ref false in
   while not !halted do
-    let r1 = try `Idx (Machine.step img st1) with Machine.Halt o -> `Halt o in
+    let r1 =
+      try `Idx (Ref_machine.step img st1) with Machine.Halt o -> `Halt o
+    in
     let r2 = try `Idx (Predecode.step1 d st2) with Machine.Halt o -> `Halt o in
     (match (r1, r2) with
     | `Idx i1, `Idx i2 -> Alcotest.(check int) "retired idx" i1 i2
     | `Halt o1, `Halt o2 ->
-      Alcotest.(check bool) "halt outcome" true (Machine.equal_outcome o1 o2);
+      check_outcome "halt" o1 o2;
       halted := true
     | _ -> Alcotest.fail "dispatchers halted at different steps");
     Alcotest.(check int) "lockstep ip" st1.Machine.ip st2.Machine.ip;
@@ -193,23 +185,20 @@ let test_avoid_mask_unfuses () =
   let d = Predecode.decode ~avoid img in
   Alcotest.(check int) "no pairs under full avoid mask" 0
     (Predecode.fused_pairs d);
-  let o1, st1 = run_legacy img in
+  let o1, st1 = run_ref img in
   let st2 = Machine.fresh_state img in
   let o2 = Predecode.exec d st2 in
-  Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
+  check_outcome "avoid mask" o1 o2;
   check_state_eq "avoid mask" st1 st2
 
-(* Fuel that lands mid-pair must time out at exactly the legacy step
+(* Fuel that lands mid-pair must time out at exactly the reference step
    count: the fused thunk checks fuel between its halves. *)
 let test_fuel_mid_pair () =
   let img = Machine.load (loop_program ()) in
   for fuel = 40 to 60 do
-    let o1, st1 = run_legacy ~fuel img in
+    let o1, st1 = run_ref ~fuel img in
     let o2, st2 = run_fast ~fuel img in
-    Alcotest.(check bool)
-      (Printf.sprintf "fuel=%d outcome" fuel)
-      true
-      (Machine.equal_outcome o1 o2);
+    check_outcome (Printf.sprintf "fuel=%d" fuel) o1 o2;
     Alcotest.(check bool)
       (Printf.sprintf "fuel=%d timed out" fuel)
       true
@@ -219,61 +208,25 @@ let test_fuel_mid_pair () =
 
 (* Resuming [exec] from a state parked mid-stream — including at the
    second half of a fused pair, which is how the injection engines
-   resume after a prefix replay — must match legacy from that point. *)
+   resume after a prefix replay — must match the reference from that
+   point. *)
 let test_resume_mid_pair () =
   let img = Machine.load (loop_program ()) in
   let d = Predecode.get img in
   for k = 1 to 9 do
     let st1 = Machine.fresh_state img in
     for _ = 1 to k do
-      ignore (Machine.step img st1)
+      ignore (Ref_machine.step img st1)
     done;
-    let o1 = Machine.run img st1 in
+    let o1 = Ref_machine.run img st1 in
     let st2 = Machine.fresh_state img in
     for _ = 1 to k do
       ignore (Predecode.step1 d st2)
     done;
     let o2 = Predecode.exec d st2 in
-    Alcotest.(check bool)
-      (Printf.sprintf "resume after %d steps" k)
-      true
-      (Machine.equal_outcome o1 o2);
+    check_outcome (Printf.sprintf "resume after %d steps" k) o1 o2;
     check_state_eq (Printf.sprintf "resume k=%d" k) st1 st2
   done
-
-(* ---- fallback parity: enabled := false ---- *)
-
-let with_disabled f =
-  Predecode.enabled := false;
-  Fun.protect ~finally:(fun () -> Predecode.enabled := true) f
-
-let test_fallback_parity () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  let o1, st1 = run_fast img in
-  Predecode.reset_counters ();
-  ignore (run_fast img);
-  let fused_fast = Predecode.fused_steps () in
-  with_disabled (fun () ->
-      let st2 = Machine.fresh_state img in
-      let o2 = Predecode.exec d st2 in
-      Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
-      check_state_eq "fallback exec" st1 st2;
-      (* The legacy loop replays the fused-step accounting over the
-         retirement stream, so the counters agree across dispatchers. *)
-      Predecode.reset_counters ();
-      let st3 = Machine.fresh_state img in
-      ignore (Predecode.exec d st3);
-      Alcotest.(check int) "fused_steps parity" fused_fast
-        (Predecode.fused_steps ());
-      (* Observed path and step1 fall back too. *)
-      let st4 = Machine.fresh_state img in
-      let o4 = Predecode.exec_observed ~on_step:(fun _ _ -> ()) d st4 in
-      Alcotest.(check bool) "fallback observed" true
-        (Machine.equal_outcome o1 o4);
-      let st5 = Machine.fresh_state img in
-      ignore (Predecode.step1 d st5);
-      Alcotest.(check int) "fallback step1 steps" 1 st5.Machine.steps)
 
 (* ---- counters and decode cache ---- *)
 
@@ -294,44 +247,333 @@ let test_counters_and_cache () =
   Alcotest.(check bool) "fused within fast" true
     (fused > 0 && fused <= Predecode.fast_steps ())
 
-(* ---- injection engines are dispatcher-independent ---- *)
+(* ---- differential property: random straight-line programs ---- *)
 
-let campaign_lines ~engine ~seed ~samples img =
-  let t = F.prepare ~engine img in
-  List.init samples (fun sample ->
-      let _, _, r = F.campaign_sample t ~seed ~sample in
-      Json.to_string (F.record_to_json r))
+(* Memory large enough that [Tgen.mem]'s base + index * scale sums of
+   in-range seeds stay inside it, small enough to compare cheaply. *)
+let diff_mem = 1 lsl 18
 
-let vulnmap_rows ~engine ~seed ~samples img =
-  let v = F.vulnmap_campaign ~engine ~seed ~samples img in
-  List.map Json.to_string (F.vulnmap_rows v)
+let diff_fuel = 500
 
-let test_engines_across_dispatchers () =
-  let entry =
-    match Catalog.find "kmeans" with Some e -> e | None -> assert false
+(* Register seeds: data addresses, addresses within 8 bytes of the end
+   of memory (so 2-, 4- and 8-byte accesses straddle the bound the
+   inlined [check_addr] replicas test), small counts, values next to
+   the signed and unsigned wrap points (where carry and overflow flip),
+   and raw values. *)
+let seed_value =
+  QCheck.Gen.(
+    frequency
+      [ (6, map Int64.of_int (int_range 512 16384));
+        (1, map (fun k -> Int64.of_int (diff_mem - k)) (int_range 1 8));
+        (2, map Int64.of_int (int_range (-64) 64));
+        ( 2,
+          map2 Int64.add
+            (oneofl [ Int64.min_int; Int64.max_int; 0L ])
+            (map Int64.of_int (int_range (-3) 3)) );
+        (1, ui64) ])
+
+(* The 64-bit register and immediate shapes [fast_thunk] specializes,
+   with a flag reader. *)
+let hot_instr =
+  let open QCheck.Gen in
+  let* r = Tgen.operand_gpr and* d = Tgen.operand_gpr in
+  let* v = seed_value and* op = Tgen.alu and* c = Tgen.cond in
+  let* src = oneofl [ Instr.Reg r; Instr.Imm v ] in
+  oneofl
+    [ Instr.Alu (op, Reg.Q, src, Instr.Reg d);
+      Instr.Cmp (Reg.Q, src, Instr.Reg d);
+      Instr.Test (Reg.Q, src, Instr.Reg d);
+      Instr.Mov (Reg.Q, src, Instr.Reg d);
+      Instr.Set (c, Instr.Reg d) ]
+
+(* Memory operands at the end of memory: an absolute address in its
+   last 16 bytes, or a few bytes off a (possibly near-end) seeded base,
+   so 2-, 4- and 8-byte accesses land on both sides of the bound. *)
+let edge_instr =
+  let open QCheck.Gen in
+  let* s = Tgen.size and* r = Tgen.operand_gpr and* x = int_range 0 15 in
+  let* m =
+    oneof
+      [ map (fun k -> Instr.mem (diff_mem - k)) (int_range 1 16);
+        map2 (fun base disp -> Instr.mem ~base disp) Tgen.operand_gpr
+          (int_range (-8) 8) ]
   in
-  let res = Pipeline.protect Technique.Ferrum (entry.Catalog.build ()) in
-  let img = Machine.load res.Pipeline.program in
-  let seed = 9L and samples = 6 in
+  let* op = Tgen.alu and* lane = int_range 0 1 in
+  oneofl
+    [ Instr.Mov (s, Instr.Reg r, Instr.Mem m);
+      Instr.Mov (s, Instr.Mem m, Instr.Reg r);
+      Instr.Alu (op, s, Instr.Mem m, Instr.Reg r);
+      Instr.Cmp (s, Instr.Reg r, Instr.Mem m);
+      Instr.MovQ_to_xmm (Instr.Mem m, x);
+      Instr.Pinsrq (lane, Instr.Psrc_mem m, x) ]
+
+(* Shapes [Tgen.instr] leaves out: test, division, the 512-bit checks,
+   prints and forward control transfers to [targets]. *)
+let extra_instr targets =
+  let open QCheck.Gen in
+  let* s = Tgen.size and* src = Tgen.operand and* dst = Tgen.reg_or_mem in
+  let* a = int_range 0 15 and* b = int_range 0 15 and* d = int_range 0 15 in
+  let* half = int_range 0 1 and* c = Tgen.cond and* l = oneofl targets in
+  oneofl
+    [ Instr.Test (s, src, dst); Instr.Idiv (s, src);
+      Instr.Vinserti64x4 (half, a, b, d); Instr.Vpxorq512 (a, b, d);
+      Instr.Vptestmq512 (a, b); Instr.Call Prog.builtin_print;
+      Instr.Jcc (c, l); Instr.Jmp l ]
+
+let diff_program : Prog.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let seed r =
+    map (fun v -> Instr.Mov (Reg.Q, Instr.Imm v, Instr.Reg r)) seed_value
+  in
+  let* seeds =
+    flatten_l
+      (List.map seed
+         Reg.[ RAX; RBX; RCX; RDX; RSI; RDI; R8; R9; R10; R11; R12; R13; R14;
+               R15 ])
+  in
+  let* simd_seeds =
+    list_size (int_range 0 6)
+      (let* lane = int_range 0 1 and* r = Tgen.operand_gpr in
+       let* x = int_range 0 15 in
+       return (Instr.Pinsrq (lane, Instr.Psrc_reg r, x)))
+  in
+  let* n_blocks = int_range 1 3 in
+  let label i = if i = 0 then "main" else Printf.sprintf "b%d" i in
+  let block i =
+    let targets =
+      List.init (n_blocks - i - 1) (fun j -> label (i + j + 1))
+      @ [ "done"; Prog.exit_function_label ]
+    in
+    list_size (int_range 0 14)
+      (let* op =
+         frequency
+           [ (6, Tgen.instr); (3, hot_instr); (2, edge_instr);
+             (1, extra_instr targets) ]
+       in
+       oneofl [ Instr.original op; Instr.dup op; Instr.check op ])
+  in
+  let* bodies = flatten_l (List.init n_blocks block) in
+  let bodies =
+    match bodies with
+    | b0 :: rest -> (List.map Instr.original (seeds @ simd_seeds) @ b0) :: rest
+    | [] -> []
+  in
+  return
+    (Prog.program
+       [ Prog.func "main"
+           (List.mapi (fun i b -> Prog.block (label i) b) bodies
+           @ [ Prog.block "done"
+                 (List.map Instr.original
+                    [ Instr.Call Prog.builtin_print; Instr.Ret ]) ]) ])
+
+(* A bit flipped into the state right after a given retired step. *)
+type flip =
+  | Fl_gpr of Reg.gpr * int
+  | Fl_simd of int * int * int (* register, lane, bit *)
+  | Fl_flag of Cond.flag
+
+let flip_gen =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun r b -> Fl_gpr (r, b)) Tgen.gpr (int_range 0 63);
+        map3 (fun x l b -> Fl_simd (x, l, b)) (int_range 0 15) (int_range 0 7)
+          (int_range 0 63);
+        map (fun f -> Fl_flag f) (oneofl Cond.[ ZF; SF; CF; OF ]) ])
+
+let apply_flip st = function
+  | Fl_gpr (r, bit) -> Machine.flip_gpr st r Reg.Q ~bit
+  | Fl_simd (x, lane, bit) -> Machine.flip_simd_lane st x ~lane ~bit
+  | Fl_flag f -> Machine.flip_flag st f
+
+(* Runs to [fuel] with an optional [(k, f)]: flip [f] right after the
+   k-th retired instruction. *)
+let flip_after flip st =
+  match flip with
+  | Some (k, f) when st.Machine.steps = k -> apply_flip st f
+  | _ -> ()
+
+let reference ~fuel ~flip img st =
+  Ref_machine.run ~fuel ~on_step:(fun st _ -> flip_after flip st) img st
+
+(* The dispatch loops under test. *)
+let loops =
+  [ ( "exec",
+      fun ~fuel ~flip img st ->
+        let p = Predecode.get img in
+        match flip with
+        | Some (k, f) when k <= fuel -> (
+          match Predecode.exec ~fuel:k p st with
+          | Machine.Timeout ->
+            apply_flip st f;
+            Predecode.exec ~fuel p st
+          | o -> o)
+        | _ -> Predecode.exec ~fuel p st );
+    ( "exec_observed",
+      fun ~fuel ~flip img st ->
+        Predecode.exec_observed ~fuel
+          ~on_step:(fun st _ -> flip_after flip st)
+          (Predecode.get img) st );
+    ( "step1",
+      fun ~fuel ~flip img st ->
+        let p = Predecode.get img in
+        try
+          while st.Machine.steps < fuel do
+            let ip = st.Machine.ip in
+            if ip < 0 || ip >= Predecode.length p then
+              Machine.trap "control reached 0x%x" ip;
+            ignore (Predecode.step1 p st);
+            flip_after flip st
+          done;
+          Machine.Timeout
+        with
+        | Machine.Halt o -> o
+        | Machine.Trap m -> Machine.Crash m ) ]
+
+let run_on ~fuel ~flip img run =
+  let st = Machine.fresh_state img in
+  Machine.track_writes st;
+  let o = run ~fuel ~flip img st in
+  (o, st)
+
+let disagreement (o1, st1) (o2, st2) =
+  if o1 <> o2 then
+    Some
+      (Fmt.str "outcome %a vs %a" Machine.pp_outcome o1 Machine.pp_outcome o2)
+  else Ref_machine.diff_state st1 st2
+
+(* The first retired instruction after which [run] and the reference
+   part ways: the smallest fuel at which their runs differ. *)
+let first_divergence ~flip img run =
+  let rec go m =
+    let ref_run = run_on ~fuel:m ~flip img reference in
+    match disagreement ref_run (run_on ~fuel:m ~flip img run) with
+    | None -> if m >= diff_fuel then "no step-wise divergence" else go (m + 1)
+    | Some d ->
+      let _, before = run_on ~fuel:(m - 1) ~flip img reference in
+      let ip = before.Machine.ip in
+      let text =
+        if ip >= 0 && ip < Array.length img.Machine.code then
+          Printer.string_of_instr img.Machine.code.(ip).Instr.op
+        else "<outside code>"
+      in
+      Printf.sprintf
+        "first divergence at retired step %d, static index %d (%s): %s" m ip
+        text d
+  in
+  go 1
+
+let check_loops ?flip img =
+  let want = run_on ~fuel:diff_fuel ~flip img reference in
   List.iter
-    (fun engine ->
-      let name = F.engine_name engine in
-      let fast_records = campaign_lines ~engine ~seed ~samples img in
-      let fast_vuln = vulnmap_rows ~engine ~seed ~samples img in
-      with_disabled (fun () ->
-          Alcotest.(check (list string))
-            (name ^ " records across dispatchers")
-            fast_records
-            (campaign_lines ~engine ~seed ~samples img);
-          Alcotest.(check (list string))
-            (name ^ " vulnmap across dispatchers")
-            fast_vuln
-            (vulnmap_rows ~engine ~seed ~samples img)))
-    [ F.Scratch; F.Pooled; F.Checkpointed 64 ]
+    (fun (name, run) ->
+      match disagreement want (run_on ~fuel:diff_fuel ~flip img run) with
+      | None -> ()
+      | Some d ->
+        QCheck.Test.fail_reportf "%s: %s@.%s" name d
+          (first_divergence ~flip img run))
+    loops;
+  true
+
+let diff_arbitrary gen =
+  QCheck.make
+    ~print:(fun (p, _) -> Printer.program_to_string p)
+    QCheck.Gen.(pair diff_program gen)
+
+let load_diff p = Machine.load ~mem_size:diff_mem p
+
+let prop_dispatchers_agree =
+  QCheck.Test.make ~name:"every dispatch loop agrees with the reference"
+    ~count:500 (diff_arbitrary QCheck.Gen.unit) (fun (p, ()) ->
+      check_loops (load_diff p))
+
+(* The flip lands after a step strictly before the fault-free run ends,
+   so every loop is still running when it is applied. *)
+let prop_flipped_dispatchers_agree =
+  QCheck.Test.make ~name:"loops agree after a mid-run bit flip" ~count:500
+    (diff_arbitrary QCheck.Gen.(pair nat flip_gen))
+    (fun (p, (pick, f)) ->
+      let img = load_diff p in
+      let _, st = run_on ~fuel:diff_fuel ~flip:None img reference in
+      let n = st.Machine.steps in
+      n < 2 || check_loops ~flip:(1 + (pick mod (n - 1)), f) img)
+
+(* ---- injection engines against the reference interpreter ---- *)
+
+(* Re-run one campaign record on the reference interpreter, flipping
+   the recorded destination bit right after the record's [dyn_index]-th
+   eligible write-back.  Returns the classification, steps, cycles and
+   the static index the flip landed on. *)
+let replay (t : F.target) (r : F.record) =
+  let st = Machine.fresh_state t.F.img in
+  let seen = ref 0 and site = ref (-1) in
+  let on_step st idx =
+    if t.F.eligible.(idx) then begin
+      if !seen = r.F.r_dyn_index then begin
+        site := idx;
+        match r.F.r_dest with
+        | Some (F.Igpr (g, s)) -> Machine.flip_gpr st g s ~bit:r.F.r_bit
+        | Some (F.Isimd (x, lane)) ->
+          Machine.flip_simd_lane st x ~lane ~bit:r.F.r_bit
+        | Some (F.Iflag f) -> Machine.flip_flag st f
+        | None -> ()
+      end;
+      incr seen
+    end
+  in
+  let cls =
+    match Ref_machine.run ~fuel:t.F.fuel ~on_step t.F.img st with
+    | Machine.Exit out -> if out = t.F.golden_output then F.Benign else F.Sdc
+    | Machine.Detected -> F.Detected
+    | Machine.Crash _ -> F.Crash
+    | Machine.Timeout -> F.Timeout
+  in
+  (cls, st.Machine.steps, st.Machine.cycles, !site)
+
+(* Every engine's records — including those that ended early at a
+   golden checkpoint — must be what the reference interpreter computes
+   for the same fault. *)
+let test_engines_across_dispatchers () =
+  let kmeans () =
+    match Catalog.find "kmeans" with
+    | Some e -> e.Catalog.build ()
+    | None -> assert false
+  in
+  let seed = 9L and samples = 20 in
+  let converged = ref 0 in
+  List.iter
+    (fun (name, res) ->
+      let img = Machine.load res.Pipeline.program in
+      List.iter
+        (fun engine ->
+          let t = F.prepare ~engine img in
+          for sample = 0 to samples - 1 do
+            let _, _, r = F.campaign_sample t ~seed ~sample in
+            let cls, steps, cycles, site = replay t r in
+            let what =
+              Printf.sprintf "%s %s sample %d" name (F.engine_name engine)
+                sample
+            in
+            Alcotest.(check string) (what ^ " class")
+              (F.classification_name cls)
+              (F.classification_name r.F.r_class);
+            Alcotest.(check int) (what ^ " steps") steps r.F.steps;
+            Alcotest.(check int64) (what ^ " cycle bits")
+              (Int64.bits_of_float cycles) (Int64.bits_of_float r.F.cycles);
+            Alcotest.(check int) (what ^ " site") site r.F.r_static_index
+          done;
+          converged := !converged + (F.phases t).F.ph_converged)
+        [ F.Scratch; F.Pooled; F.Checkpointed 64 ])
+    [ ("kmeans/raw", Pipeline.raw (kmeans ()));
+      ("kmeans/ferrum", Pipeline.protect Technique.Ferrum (kmeans ())) ];
+  Alcotest.(check bool) "some records ended at a golden checkpoint" true
+    (!converged > 0)
 
 let () =
   Alcotest.run "predecode"
     [
+      ( "differential",
+        [ QCheck_alcotest.to_alcotest prop_dispatchers_agree;
+          QCheck_alcotest.to_alcotest prop_flipped_dispatchers_agree ] );
       ( "roundtrip",
         [ Alcotest.test_case "loop fixture" `Quick test_fixture_roundtrip;
           Alcotest.test_case "observed stream" `Quick
@@ -345,8 +587,6 @@ let () =
           Alcotest.test_case "avoid mask" `Quick test_avoid_mask_unfuses;
           Alcotest.test_case "fuel mid-pair" `Quick test_fuel_mid_pair;
           Alcotest.test_case "resume mid-pair" `Quick test_resume_mid_pair ] );
-      ( "fallback",
-        [ Alcotest.test_case "legacy parity" `Quick test_fallback_parity ] );
       ( "counters",
         [ Alcotest.test_case "counters and cache" `Quick
             test_counters_and_cache ] );

@@ -205,23 +205,6 @@ let test_records_carry_structured_dest () =
       | _ -> Alcotest.fail "dest_kind disagrees with structured dest")
     !records
 
-let test_v1_files_still_validate () =
-  (* a legacy file (v1 schema name, v1 fields only) must still pass with
-     the retained v1 validator *)
-  let hdr =
-    Json.to_string (Metrics.header ~kind:F.metrics_kind_v1 [])
-  in
-  let record =
-    {|{"sample":0,"dyn_index":1,"static_index":2,"opcode":"mov","dest":"%rax","bit":3,"class":"benign","steps":10,"cycles":12.0}|}
-  in
-  match
-    Metrics.validate_lines ~kind:F.metrics_kind_v1
-      ~record_fields:F.record_fields_v1 [ hdr; record ]
-  with
-  | Ok 1 -> ()
-  | Ok n -> Alcotest.failf "expected 1 record, got %d" n
-  | Error e -> Alcotest.failf "v1 file rejected: %s" e
-
 let () =
   Alcotest.run "propagation"
     [
@@ -241,7 +224,5 @@ let () =
           Alcotest.test_case "render smoke" `Quick test_render_smoke ] );
       ( "records",
         [ Alcotest.test_case "structured dest (v2)" `Quick
-            test_records_carry_structured_dest;
-          Alcotest.test_case "v1 still validates" `Quick
-            test_v1_files_still_validate ] );
+            test_records_carry_structured_dest ] );
     ]

@@ -6,6 +6,7 @@ open Ferrum_asm
 module B = Ferrum_ir.Builder
 module Ir = Ferrum_ir.Ir
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Ferrum_pass = Ferrum_eddi.Ferrum_pass
@@ -18,7 +19,7 @@ let workload name =
   (Option.get (Ferrum_workloads.Catalog.find name)).build ()
 
 let outcome_of p =
-  let o, _ = Machine.run_fresh (Machine.load p) in
+  let o, _ = Predecode.run_fresh (Machine.load p) in
   o
 
 (* ---- semantics preservation on every workload x technique ---- *)

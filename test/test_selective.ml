@@ -3,6 +3,7 @@
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
@@ -13,7 +14,7 @@ module Selective = Ferrum_report.Selective
 
 let workload name = (Option.get (Ferrum_workloads.Catalog.find name)).build ()
 
-let outcome_of p = fst (Machine.run_fresh (Machine.load p))
+let outcome_of p = fst (Predecode.run_fresh (Machine.load p))
 
 (* ---- selective machinery ---- *)
 

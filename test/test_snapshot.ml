@@ -213,7 +213,11 @@ let fast_fixture_engines =
   [ F.Pooled; F.Checkpointed 1; F.Checkpointed 2; F.Checkpointed 3;
     F.Checkpointed 64 ]
 
-(* ---- dirty-page tracking ---- *)
+(* ---- dirty-page tracking ----
+
+   These step the decoded thunks ([Predecode.step1]): their inlined
+   stores call [Machine.mark_dirty] themselves, and checkpoint restores
+   undo exactly the pages those calls log. *)
 
 let test_track_attach_and_pages () =
   let img = Machine.load (loop_program ()) in
@@ -231,7 +235,7 @@ let test_track_attach_and_pages () =
   | None -> Alcotest.fail "tracker lost");
   (try
      while true do
-       ignore (Machine.step img st)
+       ignore (Predecode.step1 (Predecode.get img) st)
      done
    with Machine.Halt _ -> ());
   let pages =
@@ -245,7 +249,7 @@ let test_track_attach_and_pages () =
     (List.mem 1 uniq);
   Machine.clear_dirty st;
   Alcotest.(check int) "clear_dirty empties the log" 0 tr.Machine.tr_count;
-  ignore (Machine.step img (Machine.fresh_state img))
+  ignore (Predecode.step1 (Predecode.get img) (Machine.fresh_state img))
 
 let test_track_straddling_store () =
   let img = Machine.load (straddle_program ()) in
@@ -254,7 +258,7 @@ let test_track_straddling_store () =
   let tr = match st.Machine.track with Some tr -> tr | None -> assert false in
   (try
      while true do
-       ignore (Machine.step img st)
+       ignore (Predecode.step1 (Predecode.get img) st)
      done
    with Machine.Halt _ -> ());
   let pages =
@@ -266,13 +270,13 @@ let test_track_straddling_store () =
 
 (* ---- snapshot capture and restore ---- *)
 
-(* Reference: a fresh state stepped to exactly [steps] retired
+(* Reference: a fresh state single-stepped to exactly [steps] retired
    instructions. *)
 let stepped_reference img steps =
   let st = Machine.fresh_state img in
   (try
      while st.Machine.steps < steps do
-       ignore (Machine.step img st)
+       ignore (Predecode.step1 (Predecode.get img) st)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   st
@@ -299,7 +303,7 @@ let test_restore_exactness () =
         st;
       try
         for _ = 1 to 50 do
-          ignore (Machine.step img st)
+          ignore (Predecode.step1 (Predecode.get img) st)
         done
       with Machine.Halt _ | Machine.Trap _ -> ())
     [ 0; 3; 900; 14; 500; 499; 1300; 2; 0; 700 ];
@@ -321,7 +325,7 @@ let test_pooled_cache_resets () =
     check_state_eq "pristine slot" (Machine.fresh_state img) st;
     try
       while true do
-        ignore (Machine.step img st)
+        ignore (Predecode.step1 (Predecode.get img) st)
       done
     with Machine.Halt _ -> ()
   done
@@ -335,7 +339,7 @@ let test_sync_clones_run_state () =
   let sst = Snapshot.state src in
   (try
      for _ = 1 to 37 do
-       ignore (Machine.step img sst)
+       ignore (Predecode.step1 (Predecode.get img) sst)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   ignore (Snapshot.restore dst ~dyn_index:400);
@@ -345,8 +349,8 @@ let test_sync_clones_run_state () =
   let dstt = Snapshot.state dst in
   (try
      for _ = 1 to 100 do
-       ignore (Machine.step img sst);
-       ignore (Machine.step img dstt)
+       ignore (Predecode.step1 (Predecode.get img) sst);
+       ignore (Predecode.step1 (Predecode.get img) dstt)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   check_state_eq "synced slot tracks the source" sst dstt

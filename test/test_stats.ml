@@ -40,7 +40,16 @@ let test_wilson_degenerate () =
   Alcotest.(check bool) "k=0 has width" true (none.Stats.hi > 0.0);
   let all = Stats.wilson (Stats.make ~n:10 ~k:10) in
   feq "k=n upper bound" 1.0 all.Stats.hi;
-  Alcotest.(check bool) "k=n has width" true (all.Stats.lo < 1.0)
+  Alcotest.(check bool) "k=n has width" true (all.Stats.lo < 1.0);
+  (* the half-widths campaign tables print: total ignorance at n=0,
+     finite and strictly inside (0, 1/2) for all-SDC tallies, and
+     finite and positive for a single sample *)
+  feq "n=0 half-width" 0.5 (Stats.half_width empty);
+  let hw n k = Stats.half_width (Stats.wilson (Stats.make ~n ~k)) in
+  Alcotest.(check bool) "all-sdc half-width finite, in (0, 0.5)" true
+    (Float.is_finite (hw 25 25) && hw 25 25 > 0.0 && hw 25 25 < 0.5);
+  Alcotest.(check bool) "one-sample half-width finite, positive" true
+    (Float.is_finite (hw 1 1) && hw 1 1 > 0.0)
 
 let test_wilson_shrinks () =
   let hw n k = Stats.half_width (Stats.wilson (Stats.make ~n ~k)) in

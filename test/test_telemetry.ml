@@ -4,6 +4,7 @@
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Flight = Ferrum_machine.Flight
 module Json = Ferrum_telemetry.Json
 module Span = Ferrum_telemetry.Span
@@ -42,7 +43,7 @@ let test_flight_wraparound () =
   let img = Machine.load (straightline body) in
   let fr = Flight.create ~depth:4 () in
   let st = Machine.fresh_state img in
-  let outcome = Machine.run ~on_step:(Flight.observe fr img) img st in
+  let outcome = Predecode.run ~on_step:(Flight.observe fr img) img st in
   (match outcome with
   | Machine.Exit _ -> ()
   | o -> Alcotest.failf "expected exit, got %a" Machine.pp_outcome o);
@@ -69,7 +70,7 @@ let test_flight_no_wrap () =
   let img = Machine.load (straightline body) in
   let fr = Flight.create ~depth:16 () in
   let st = Machine.fresh_state img in
-  ignore (Machine.run ~on_step:(Flight.observe fr img) img st);
+  ignore (Predecode.run ~on_step:(Flight.observe fr img) img st);
   Alcotest.(check int) "recorded" 2 (Flight.recorded fr);
   Alcotest.(check int) "held" 2 (List.length (Flight.entries fr));
   match Flight.create ~depth:0 () with
@@ -276,8 +277,8 @@ let test_profile_determinism () =
   in
   Alcotest.(check (float 1e-6)) "provenance accounts for all cycles"
     p1.Profile.total_cycles prov_sum;
-  let golden = Machine.golden img in
-  Alcotest.(check (float 1e-6)) "matches golden cycles" golden.Machine.cycles
+  let golden = Predecode.golden img in
+  Alcotest.(check (float 1e-6)) "matches golden cycles" golden.Predecode.cycles
     p1.Profile.total_cycles;
   (* both dup and check cycles are attributed in the protected program *)
   let prov p =

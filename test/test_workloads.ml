@@ -3,13 +3,14 @@
    values; catalogue metadata matches paper Table II. *)
 
 module Machine = Ferrum_machine.Machine
+module Predecode = Ferrum_machine.Predecode
 module Interp = Ferrum_ir.Interp
 module Catalog = Ferrum_workloads.Catalog
 
 let find name = Option.get (Catalog.find name)
 
 let compiled_output m =
-  match Machine.run_fresh (Machine.load (Ferrum_eddi.Pipeline.raw m).program) with
+  match Predecode.run_fresh (Machine.load (Ferrum_eddi.Pipeline.raw m).program) with
   | Machine.Exit out, st -> (out, st.Machine.steps)
   | o, _ -> Alcotest.failf "compiled run failed: %a" Machine.pp_outcome o
 
