@@ -6,6 +6,7 @@ LINTM = /tmp/ferrum_lint.jsonl
 CAMP = /tmp/ferrum_campaign
 STATS = /tmp/ferrum_stats
 TRACE = /tmp/ferrum_trace
+PROF = /tmp/ferrum_profile
 
 .PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
 
@@ -29,7 +30,9 @@ fmt:
 
 # End-to-end smoke: small campaigns must produce schema-valid,
 # seed-reproducible metrics and vulnerability-map streams, and the
-# propagation tracer must explain a replayed sample.
+# propagation tracer must explain a replayed sample, and `profile`
+# (pipeline-stage spans + cycle tables) must be byte-stable without
+# --timings and run with them.
 smoke: build
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE)
 	$(CLI) metrics $(SMOKE)
@@ -40,6 +43,13 @@ smoke: build
 	$(CLI) vulnmap kmeans -p ferrum --samples 20 --metrics $(VMAP).2 > /dev/null
 	cmp $(VMAP) $(VMAP).2
 	$(CLI) explain kmeans -p ferrum --fault 2024:0 > /dev/null
+	$(CLI) profile kmeans -p ferrum > $(PROF).txt
+	$(CLI) profile kmeans -p ferrum > $(PROF).2.txt
+	cmp $(PROF).txt $(PROF).2.txt
+	$(CLI) profile kmeans --json > $(PROF).json
+	$(CLI) profile kmeans --json > $(PROF).2.json
+	cmp $(PROF).json $(PROF).2.json
+	$(CLI) profile kmeans -p ferrum --timings > /dev/null
 	@echo "smoke: metrics valid and reproducible"
 
 # Static protection verifier: the whole catalogue must lint with zero
@@ -147,5 +157,6 @@ clean:
 	rm -f $(SMOKE) $(SMOKE).2 $(VMAP) $(VMAP).2 $(LINTM) $(LINTM).2
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
+	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).html $(CAMP).seq $(TRACE).d $(TRACE).d2
 	rm -rf .bench_build

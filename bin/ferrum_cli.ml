@@ -29,7 +29,6 @@ module Lint = Ferrum_analysis.Lint
 module Shadow = Ferrum_analysis.Shadow
 module Json = Ferrum_telemetry.Json
 module Metrics = Ferrum_telemetry.Metrics
-module Span = Ferrum_telemetry.Span
 module Profile = Ferrum_telemetry.Profile
 module Events = Ferrum_telemetry.Events
 module Stats = Ferrum_telemetry.Stats
@@ -814,39 +813,39 @@ let profile_cmd =
     let techniques =
       match technique with Some t -> [ t ] | None -> Technique.all
     in
-    (* Raw baseline first: the reference for overhead attribution. *)
-    let raw_recorder = Span.create () in
-    let raw =
-      (Pipeline.raw ~recorder:raw_recorder ~optimize:knobs.optimize m)
-        .Pipeline.program
+    (* One configuration ([None] = raw) through the pipeline under its
+       own span recorder, loaded and profiled. *)
+    let configure t =
+      let recorder = Trace.create ~trace:e.Catalog.name ~proc:"profile" () in
+      let r =
+        match t with
+        | None -> Pipeline.raw ~recorder ~optimize:knobs.optimize m
+        | Some t ->
+          Pipeline.protect ~recorder ~ferrum_config:knobs.ferrum_config
+            ~optimize:knobs.optimize t m
+      in
+      let img = Machine.load r.Pipeline.program in
+      (recorder, img, Profile.run img)
     in
-    let raw_img = Machine.load raw in
-    let raw_profile = Profile.run raw_img in
+    (* Raw baseline first: the reference for overhead attribution. *)
+    let raw_recorder, raw_img, raw_profile = configure None in
+    let raw_cycles = raw_profile.Profile.total_cycles in
+    let overhead profile =
+      100.0 *. (profile.Profile.total_cycles -. raw_cycles) /. raw_cycles
+    in
     if json then begin
       (* One canonical JSON object: raw profile plus, per technique, the
          hot-opcode table, provenance overhead split and overhead vs
          raw.  No wall-clock values, so output is byte-stable. *)
-      let raw_cycles = raw_profile.Profile.total_cycles in
       let tech_json t =
-        let img =
-          Machine.load
-            (Pipeline.protect ~ferrum_config:knobs.ferrum_config
-               ~optimize:knobs.optimize t m)
-              .Pipeline.program
-        in
-        let profile = Profile.run img in
+        let _, img, profile = configure (Some t) in
         Json.Obj
           [
             ("technique", Json.Str (Technique.short_name t));
             ("profile", Profile.to_json profile);
             ("dispatch", Profile.dispatch_to_json (Profile.dispatch img));
             ("overhead_pct",
-             Json.Float
-               (if raw_cycles > 0.0 then
-                  100.0
-                  *. (profile.Profile.total_cycles -. raw_cycles)
-                  /. raw_cycles
-                else 0.0));
+             Json.Float (if raw_cycles > 0.0 then overhead profile else 0.0));
           ]
       in
       print_endline
@@ -862,28 +861,19 @@ let profile_cmd =
       exit 0
     end;
     Fmt.pr "== %s, raw ==@." e.Catalog.name;
-    Fmt.pr "pipeline:@.%a" (Span.pp ~timings) raw_recorder;
+    Fmt.pr "pipeline:@.%a" (Trace.pp ~timings) raw_recorder;
     Fmt.pr "%a" (Profile.pp ~top) raw_profile;
     Fmt.pr "%a@." Profile.pp_dispatch (Profile.dispatch raw_img);
     List.iter
       (fun t ->
-        let recorder = Span.create () in
-        let r =
-          Pipeline.protect ~recorder ~ferrum_config:knobs.ferrum_config
-            ~optimize:knobs.optimize t m
-        in
-        let img = Machine.load r.Pipeline.program in
-        let profile = Profile.run img in
+        let recorder, img, profile = configure (Some t) in
         Fmt.pr "== %s, %s ==@." e.Catalog.name (Technique.short_name t);
-        Fmt.pr "pipeline:@.%a" (Span.pp ~timings) recorder;
+        Fmt.pr "pipeline:@.%a" (Trace.pp ~timings) recorder;
         Fmt.pr "%a" (Profile.pp ~top) profile;
         Fmt.pr "%a" Profile.pp_provenance profile;
         Fmt.pr "%a" Profile.pp_dispatch (Profile.dispatch img);
-        let raw_cycles = raw_profile.Profile.total_cycles in
         if raw_cycles > 0.0 then begin
-          Fmt.pr "overhead vs raw: %+.1f%%"
-            (100.0 *. (profile.Profile.total_cycles -. raw_cycles)
-            /. raw_cycles);
+          Fmt.pr "overhead vs raw: %+.1f%%" (overhead profile);
           let contrib =
             List.filter_map
               (fun (p : Profile.prov_row) ->

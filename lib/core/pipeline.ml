@@ -2,15 +2,15 @@
    three techniques, with transform timing for the paper's compile-time
    measurement (§IV-B3).
 
-   When a {!Ferrum_telemetry.Span} recorder is supplied, every stage
-   (backend compile, peephole, the protection transform) runs inside a
-   span carrying counters — instructions before/after, duplicates and
-   checkers inserted, spare registers found, stack requisitions — so
-   `ferrum profile` and the bench harness can attribute both time and
-   code growth to individual stages. *)
+   When a {!Ferrum_telemetry.Trace} recorder is supplied, every stage
+   (backend compile, peephole, the protection transform, lint) runs
+   inside a span carrying counters — instructions before/after,
+   duplicates and checkers inserted, spare registers found, stack
+   requisitions — recorded as ferrum.trace.v1 rows, so `ferrum profile`
+   can attribute both time and code growth to individual stages. *)
 
 open Ferrum_asm
-module Span = Ferrum_telemetry.Span
+module Trace = Ferrum_telemetry.Trace
 
 type result = {
   technique : Technique.t option; (* None = unprotected baseline *)
@@ -20,10 +20,10 @@ type result = {
 
 (* Run [f] inside a span when a recorder is present. *)
 let in_span recorder name f =
-  match recorder with Some r -> Span.span r name f | None -> f ()
+  match recorder with Some r -> Trace.span r name f | None -> f ()
 
 let counter recorder name v =
-  match recorder with Some r -> Span.counter r name v | None -> ()
+  match recorder with Some r -> Trace.counter r name v | None -> ()
 
 (* Provenance composition of a program, as span counters. *)
 let count_program recorder p =

@@ -2,10 +2,11 @@
     three techniques, with transform timing for the paper's compile-time
     measurement (§IV-B3).
 
-    When a {!Ferrum_telemetry.Span} recorder is supplied, every stage
-    (backend compile, peephole, protection transform) runs inside a span
-    carrying counters: instructions, duplicates and checkers inserted,
-    spare registers found, stack requisitions. *)
+    When a {!Ferrum_telemetry.Trace} recorder is supplied, every stage
+    (backend compile, peephole, protection transform, lint) runs inside
+    a span carrying counters: instructions, duplicates and checkers
+    inserted, spare registers found, stack requisitions.  The spans are
+    the recorder's ferrum.trace.v1 rows. *)
 
 type result = {
   technique : Technique.t option;  (** [None] = unprotected baseline *)
@@ -15,7 +16,7 @@ type result = {
 
 (** Compile only; [optimize] enables the backend peephole (E9). *)
 val compile_raw :
-  ?recorder:Ferrum_telemetry.Span.recorder ->
+  ?recorder:Ferrum_telemetry.Trace.recorder ->
   ?optimize:bool ->
   ?oracle:Ferrum_backend.Backend.prov_oracle ->
   Ferrum_ir.Ir.modul ->
@@ -26,7 +27,7 @@ val compile_raw :
     pass for FERRUM — matching how the paper reports FERRUM's execution
     time. *)
 val protect :
-  ?recorder:Ferrum_telemetry.Span.recorder ->
+  ?recorder:Ferrum_telemetry.Trace.recorder ->
   ?ferrum_config:Ferrum_pass.config ->
   ?optimize:bool ->
   Technique.t ->
@@ -35,7 +36,7 @@ val protect :
 
 (** The unprotected configuration. *)
 val raw :
-  ?recorder:Ferrum_telemetry.Span.recorder ->
+  ?recorder:Ferrum_telemetry.Trace.recorder ->
   ?optimize:bool ->
   Ferrum_ir.Ir.modul ->
   result
@@ -56,14 +57,14 @@ exception Lint_failed of string
     output is provably well-formed.  Spans carry finding/uncovered
     counters when a recorder is supplied. *)
 val lint :
-  ?recorder:Ferrum_telemetry.Span.recorder ->
+  ?recorder:Ferrum_telemetry.Trace.recorder ->
   ?assert_clean:bool ->
   result ->
   Ferrum_analysis.Lint.report
 
 (** Raw followed by each technique, in {!Technique.all} order. *)
 val all_configurations :
-  ?recorder:Ferrum_telemetry.Span.recorder ->
+  ?recorder:Ferrum_telemetry.Trace.recorder ->
   ?ferrum_config:Ferrum_pass.config ->
   ?optimize:bool ->
   Ferrum_ir.Ir.modul ->

@@ -777,13 +777,7 @@ let trace_panel runs =
     List.iter
       (fun (r, spans, walls) ->
         if spans <> [] then begin
-          let wall_of =
-            let tbl = Hashtbl.create 64 in
-            List.iter
-              (fun (w : Trace.wall) -> Hashtbl.replace tbl w.Trace.wl_span w)
-              walls;
-            Hashtbl.find_opt tbl
-          in
+          let tree = Trace.tree ~spans ~walls in
           List.iter
             (fun (w : Trace.wall) ->
               hot := (label r, w) :: !hot)
@@ -800,45 +794,19 @@ let trace_panel runs =
               procs := !procs @ [ (p, c) ];
               c)
           in
-          let children = Hashtbl.create 64 in
-          let ids = Hashtbl.create 64 in
-          List.iter
-            (fun (s : Trace.span) -> Hashtbl.replace ids s.Trace.sp_id s)
-            spans;
-          List.iter
-            (fun (s : Trace.span) ->
-              if Hashtbl.mem ids s.Trace.sp_parent then
-                Hashtbl.replace children s.Trace.sp_parent
-                  (s
-                  :: Option.value ~default:[]
-                       (Hashtbl.find_opt children s.Trace.sp_parent)))
-            spans;
-          let kids id =
-            List.sort
-              (fun (a : Trace.span) b ->
-                compare
-                  (a.Trace.sp_l_start, a.Trace.sp_id)
-                  (b.Trace.sp_l_start, b.Trace.sp_id))
-              (Option.value ~default:[] (Hashtbl.find_opt children id))
-          in
+          let kids = Trace.children tree in
           let rec weight (s : Trace.span) =
             let own = s.Trace.sp_l_end - s.Trace.sp_l_start in
             let below =
-              List.fold_left (fun a c -> a +. weight c) 0.0 (kids s.sp_id)
+              List.fold_left (fun a c -> a +. weight c) 0.0 (kids s)
             in
             Float.max 1.0 (Float.max (float_of_int own) below)
           in
-          let roots =
-            List.filter
-              (fun (s : Trace.span) ->
-                s.Trace.sp_parent = ""
-                || not (Hashtbl.mem ids s.Trace.sp_parent))
-              spans
-          in
+          let roots = Trace.roots tree in
           let depth = ref 1 in
           let rec measure d (s : Trace.span) =
             if d + 1 > !depth then depth := d + 1;
-            List.iter (measure (d + 1)) (kids s.Trace.sp_id)
+            List.iter (measure (d + 1)) (kids s)
           in
           List.iter (measure 0) roots;
           let h = !depth * trace_row_h in
@@ -859,7 +827,7 @@ let trace_panel runs =
                     ^ "]"
                 in
                 let wall =
-                  match wall_of s.Trace.sp_id with
+                  match Trace.wall_of tree s with
                   | Some wl ->
                     Fmt.str " wall %.1f ms, cpu %.1f ms"
                       ((wl.Trace.wl_end -. wl.Trace.wl_start) *. 1e3)
@@ -894,7 +862,7 @@ let trace_panel runs =
                   let cw = w *. weight c /. total in
                   emit (d + 1) !cx cw c;
                   cx := !cx +. cw)
-                (kids s.Trace.sp_id)
+                (kids s)
             end
           in
           let rtotal =

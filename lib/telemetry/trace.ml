@@ -256,9 +256,9 @@ let span ?w_start r name f =
     exit_ r o;
     raise e
 
-(* Attach a counter to the innermost open span.  Every internal call
-   site sits inside a span; a stray counter (no span open) is dropped —
-   {!Span.counter} is the user-facing recorder and keeps such data. *)
+(* Attach a counter to the innermost open span.  Every call site
+   (campaign phases, pipeline stages) sits inside a span; a stray
+   counter (no span open) is dropped. *)
 let counter r name value =
   match r.r_stack with
   | o :: _ -> o.o_counters <- (name, value) :: o.o_counters
@@ -402,21 +402,132 @@ let walls_of_rows rows =
 (* Harvest.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Own closed spans in start order (the root a recorder opened first
-   comes first even though it closed last), then absorbed child-process
-   rows in absorption order — deterministic because the campaign runner
-   absorbs shards in global id order. *)
+(* Own closed spans in start order: the root a recorder opened first
+   comes first even though it closed last. *)
+let own_spans r =
+  List.sort (fun (a, _) (b, _) -> compare a b) (List.rev r.r_spans)
+  |> List.map snd
+
+(* Own spans, then absorbed child-process rows in absorption order —
+   deterministic because the campaign runner absorbs shards in global
+   id order. *)
 let span_lines r =
-  let own =
-    List.sort (fun (a, _) (b, _) -> compare a b) (List.rev r.r_spans)
-  in
-  List.map (fun (_, s) -> Json.to_string (span_to_json ~trace:r.r_trace s)) own
+  List.map
+    (fun s -> Json.to_string (span_to_json ~trace:r.r_trace s))
+    (own_spans r)
   @ r.r_foreign_spans
 
 let wall_lines r =
   let own = List.rev r.r_walls in
   List.map (wall_line ~trace:r.r_trace) own
   @ r.r_foreign_walls
+
+(* ------------------------------------------------------------------ *)
+(* Span tree.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The one tree view every reader walks: validation, the exporters,
+   the dashboard icicle and {!pp}.  Roots are spans whose parent is
+   empty or outside the set, in the given order; children are sorted
+   once, by logical start then by id.  Ids compare segment by segment
+   — letter prefix, then the number by digit count and digits, then
+   any rest — so shard "s2" precedes "s10".  With unique ids (what
+   {!validate_stitched} checks) spans on a parent cycle are unreachable
+   from every root, so walks from {!roots} terminate. *)
+type tree = {
+  t_roots : span list;
+  t_children : (string, span list) Hashtbl.t;
+  t_walls : (string, wall) Hashtbl.t;
+  t_use_wall : bool;  (* the sidecar covers every span *)
+  t_w0 : float;  (* earliest wall open among the spans *)
+}
+
+let seg_key seg =
+  let n = String.length seg in
+  let rec skip digit i =
+    if i < n && (seg.[i] >= '0' && seg.[i] <= '9') = digit then
+      skip digit (i + 1)
+    else i
+  in
+  let i = skip false 0 in
+  let j = skip true i in
+  let sub a b = String.sub seg a (b - a) in
+  (sub 0 i, j - i, sub i j, sub j n)
+
+let sibling_key s =
+  (s.sp_l_start, List.map seg_key (String.split_on_char '.' s.sp_id))
+
+let children_of tbl id = Option.value ~default:[] (Hashtbl.find_opt tbl id)
+
+let tree ~spans ~walls =
+  let ids = Hashtbl.create 64 and t_walls = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace ids s.sp_id ()) spans;
+  List.iter (fun w -> Hashtbl.replace t_walls w.wl_span w) walls;
+  let is_root s = s.sp_parent = "" || not (Hashtbl.mem ids s.sp_parent) in
+  let t_children = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      if not (is_root s) then
+        Hashtbl.replace t_children s.sp_parent
+          (s :: children_of t_children s.sp_parent))
+    (List.rev spans);
+  let sort kids =
+    List.map (fun s -> (sibling_key s, s)) kids
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  Hashtbl.filter_map_inplace (fun _ kids -> Some (sort kids)) t_children;
+  {
+    t_roots = List.filter is_root spans;
+    t_children;
+    t_walls;
+    t_use_wall =
+      spans <> [] && List.for_all (fun s -> Hashtbl.mem t_walls s.sp_id) spans;
+    t_w0 =
+      List.fold_left
+        (fun acc s ->
+          match Hashtbl.find_opt t_walls s.sp_id with
+          | Some w -> Float.min acc w.wl_start
+          | None -> acc)
+        infinity spans;
+  }
+
+let roots t = t.t_roots
+let children t s = children_of t.t_children s.sp_id
+let wall_of t s = Hashtbl.find_opt t.t_walls s.sp_id
+
+(* The exporters' clock: (start, duration) in wall microseconds,
+   rebased to the earliest open, when the sidecar covers every span;
+   logical steps otherwise. *)
+let interval t s =
+  if t.t_use_wall then
+    let w = Hashtbl.find t.t_walls s.sp_id in
+    ( (w.wl_start -. t.t_w0) *. 1e6,
+      Float.max 0.0 (w.wl_end -. w.wl_start) *. 1e6 )
+  else
+    ( float_of_int s.sp_l_start,
+      float_of_int (max 0 (s.sp_l_end - s.sp_l_start)) )
+
+(* This recorder's own spans as an indented tree: name padded to the
+   counter column, the wall duration with [~timings:true], counters. *)
+let pp ?(timings = false) ppf r =
+  let t = tree ~spans:(own_spans r) ~walls:r.r_walls in
+  let rec line depth s =
+    Fmt.pf ppf "%s%-*s" (String.make (2 * depth) ' ')
+      (max 1 (24 - (2 * depth)))
+      s.sp_name;
+    (match wall_of t s with
+    | Some w when timings ->
+      Fmt.pf ppf " %8.3f ms" ((w.wl_end -. w.wl_start) *. 1e3)
+    | _ -> ());
+    if s.sp_counters <> [] then
+      Fmt.pf ppf "  [%a]"
+        Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s=%d" k v))
+        s.sp_counters;
+    Fmt.pf ppf "@.";
+    List.iter (line (depth + 1)) (children t s)
+  in
+  List.iter (line 0) (roots t)
 
 (* ------------------------------------------------------------------ *)
 (* Schema.                                                             *)
@@ -471,22 +582,19 @@ let validate_stitched lines : (string, string) result =
       | [ _ ] -> Ok ()
       | ts -> Error (Fmt.str "trace has %d distinct trace ids" (List.length ts))
     in
-    let tbl = Hashtbl.create 64 in
+    let seen = Hashtbl.create 64 in
     let* () =
       List.fold_left
         (fun acc s ->
           let* () = acc in
-          if Hashtbl.mem tbl s.sp_id then
+          if Hashtbl.mem seen s.sp_id then
             Error (Fmt.str "duplicate span id %S" s.sp_id)
-          else begin
-            Hashtbl.add tbl s.sp_id s;
-            Ok ()
-          end)
+          else Ok (Hashtbl.add seen s.sp_id ()))
         (Ok ()) spans
     in
-    let is_root s = s.sp_parent = "" || not (Hashtbl.mem tbl s.sp_parent) in
+    let t = tree ~spans ~walls:[] in
     let* root =
-      match List.filter is_root spans with
+      match roots t with
       | [ r ] -> Ok r
       | [] -> Error "trace has no root span"
       | rs ->
@@ -494,24 +602,16 @@ let validate_stitched lines : (string, string) result =
           (Fmt.str "trace has %d roots (%s)" (List.length rs)
              (String.concat ", " (List.map (fun s -> s.sp_id) rs)))
     in
-    let limit = List.length spans in
-    let rec climbs s steps =
-      if s.sp_id = root.sp_id then Ok ()
-      else if steps > limit then
-        Error (Fmt.str "span %S: parent chain does not terminate" s.sp_id)
-      else
-        match Hashtbl.find_opt tbl s.sp_parent with
-        | Some p -> climbs p (steps + 1)
-        | None -> Error (Fmt.str "span %S: unresolved parent %S" s.sp_id s.sp_parent)
+    (* what the walk from the root misses sits on a parent cycle *)
+    let rec reach s =
+      Hashtbl.remove seen s.sp_id;
+      List.iter reach (children t s)
     in
-    let* () =
-      List.fold_left
-        (fun acc s ->
-          let* () = acc in
-          climbs s 0)
-        (Ok ()) spans
-    in
-    Ok root.sp_id
+    reach root;
+    match List.find_opt (fun s -> Hashtbl.mem seen s.sp_id) spans with
+    | Some s ->
+      Error (Fmt.str "span %S: parent chain does not terminate" s.sp_id)
+    | None -> Ok root.sp_id
   end
 
 (* ------------------------------------------------------------------ *)
@@ -539,33 +639,13 @@ let proc_index spans =
    back to the logical clock (1 step = 1 us), which is what exports of
    byte-reproducible traces without their sidecar use. *)
 let perfetto ~spans ~walls : Json.t =
-  let wall_of = Hashtbl.create 64 in
-  List.iter (fun w -> Hashtbl.replace wall_of w.wl_span w) walls;
-  let use_wall =
-    spans <> [] && List.for_all (fun s -> Hashtbl.mem wall_of s.sp_id) spans
-  in
-  let t0 =
-    List.fold_left
-      (fun acc s ->
-        match Hashtbl.find_opt wall_of s.sp_id with
-        | Some w -> Float.min acc w.wl_start
-        | None -> acc)
-      infinity spans
-  in
+  let t = tree ~spans ~walls in
+  let proc = proc_index spans in
   let events =
     List.map
       (fun s ->
-        let ts, dur =
-          if use_wall then begin
-            let w = Hashtbl.find wall_of s.sp_id in
-            ( (w.wl_start -. t0) *. 1e6,
-              Float.max 0.0 (w.wl_end -. w.wl_start) *. 1e6 )
-          end
-          else
-            ( float_of_int s.sp_l_start,
-              float_of_int (max 0 (s.sp_l_end - s.sp_l_start)) )
-        in
-        let idx = proc_index spans s.sp_proc in
+        let ts, dur = interval t s in
+        let idx = proc s.sp_proc in
         let args =
           ("span", Json.Str s.sp_id)
           :: ("proc", Json.Str s.sp_proc)
@@ -595,44 +675,23 @@ let perfetto ~spans ~walls : Json.t =
    microseconds when the sidecar covers every span, logical steps
    otherwise. *)
 let folded ~spans ~walls : string list =
-  let wall_of = Hashtbl.create 64 in
-  List.iter (fun w -> Hashtbl.replace wall_of w.wl_span w) walls;
-  let use_wall =
-    spans <> [] && List.for_all (fun s -> Hashtbl.mem wall_of s.sp_id) spans
-  in
-  let duration s =
-    if use_wall then
-      let w = Hashtbl.find wall_of s.sp_id in
-      Float.max 0.0 (w.wl_end -. w.wl_start) *. 1e6
-    else float_of_int (max 0 (s.sp_l_end - s.sp_l_start))
-  in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.sp_id s) spans;
-  let child_sum = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      if Hashtbl.mem by_id s.sp_parent then
-        Hashtbl.replace child_sum s.sp_parent
-          (Option.value ~default:0.0 (Hashtbl.find_opt child_sum s.sp_parent)
-          +. duration s))
-      spans;
-  let rec stack s =
-    match Hashtbl.find_opt by_id s.sp_parent with
-    | Some p when p != s -> stack p @ [ s.sp_name ]
-    | _ -> [ s.sp_name ]
-  in
+  let t = tree ~spans ~walls in
+  let duration s = snd (interval t s) in
   let weights = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      let self =
-        Float.max 0.0
-          (duration s
-          -. Option.value ~default:0.0 (Hashtbl.find_opt child_sum s.sp_id))
-      in
-      let key = String.concat ";" (stack s) in
-      Hashtbl.replace weights key
-        (Option.value ~default:0.0 (Hashtbl.find_opt weights key) +. self))
-    spans;
+  let rec walk parent s =
+    let key =
+      match parent with None -> s.sp_name | Some p -> p ^ ";" ^ s.sp_name
+    in
+    let kids = children t s in
+    let self =
+      Float.max 0.0
+        (duration s -. List.fold_left (fun a c -> a +. duration c) 0.0 kids)
+    in
+    Hashtbl.replace weights key
+      (Option.value ~default:0.0 (Hashtbl.find_opt weights key) +. self);
+    List.iter (walk (Some key)) kids
+  in
+  List.iter (walk None) (roots t);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) weights []
   |> List.sort compare
   |> List.filter_map (fun (k, v) ->

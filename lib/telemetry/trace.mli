@@ -83,7 +83,7 @@ val advance : recorder -> int -> unit
 val span : ?w_start:float -> recorder -> string -> (unit -> 'a) -> 'a
 
 (** Attach a counter to the innermost open span (dropped when no span
-    is open — internal instrumentation only). *)
+    is open). *)
 val counter : recorder -> string -> int -> unit
 
 (** Mint a child-process context under the innermost open span.  [seg]
@@ -102,6 +102,12 @@ val span_lines : recorder -> string list
 
 (** Wall sidecar record lines (non-deterministic; never byte-compared). *)
 val wall_lines : recorder -> string list
+
+(** This recorder's own closed spans as an indented tree, one line
+    each: the name padded to [24 - 2*depth], the wall duration as
+    [%8.3f ms] only with [~timings:true] (default false, so the output
+    is deterministic), then [[k=v, ...]] when the span has counters. *)
+val pp : ?timings:bool -> Format.formatter -> recorder -> unit
 
 (** {1 Serialization} *)
 
@@ -142,6 +148,28 @@ val header : (string * Json.t) list -> Json.t
     unique span ids, exactly one root, and every parent chain
     resolving to it without cycles.  Returns the root span id. *)
 val validate_stitched : string list -> (string, string) result
+
+(** {1 Span tree}
+
+    One view of a span set, shared by validation, the exporters, the
+    dashboard icicle and {!pp}.  Ids are assumed unique (see
+    {!validate_stitched}); spans on a parent cycle are then unreachable
+    from every root. *)
+
+type tree
+
+val tree : spans:span list -> walls:wall list -> tree
+
+(** Spans whose parent is empty or outside the set, in the given
+    order. *)
+val roots : tree -> span list
+
+(** Children in sibling order: logical start, then id compared
+    segment by segment (letter prefix, then number: ["s2"] before
+    ["s10"]).  Sorted once, when the tree is built. *)
+val children : tree -> span -> span list
+
+val wall_of : tree -> span -> wall option
 
 (** {1 Exporters} *)
 

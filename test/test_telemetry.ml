@@ -1,5 +1,5 @@
 (* Tests for the telemetry subsystem: flight-recorder ring buffer,
-   pipeline spans, canonical JSON / JSONL metrics, per-opcode profiles,
+   canonical JSON / JSONL metrics, per-opcode profiles,
    and campaign metrics reproducibility. *)
 
 open Ferrum_asm
@@ -7,7 +7,6 @@ module Machine = Ferrum_machine.Machine
 module Predecode = Ferrum_machine.Predecode
 module Flight = Ferrum_machine.Flight
 module Json = Ferrum_telemetry.Json
-module Span = Ferrum_telemetry.Span
 module Metrics = Ferrum_telemetry.Metrics
 module Profile = Ferrum_telemetry.Profile
 module F = Ferrum_faultsim.Faultsim
@@ -76,74 +75,6 @@ let test_flight_no_wrap () =
   match Flight.create ~depth:0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "depth 0 must be rejected"
-
-(* ---- pipeline spans ---- *)
-
-let fake_clock () =
-  let t = ref 0.0 in
-  fun () ->
-    t := !t +. 1.0;
-    !t
-
-let test_span_nesting () =
-  let r = Span.create ~clock:(fake_clock ()) () in
-  let result =
-    Span.span r "compile" (fun () ->
-        Span.counter r "instructions" 10;
-        Span.span r "peephole" (fun () ->
-            Span.counter r "rewrites" 3;
-            42))
-  in
-  Alcotest.(check int) "body result" 42 result;
-  match Span.spans r with
-  | [ outer; inner ] ->
-    Alcotest.(check string) "outer name" "compile" outer.Span.name;
-    Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-    Alcotest.(check int) "outer order" 0 outer.Span.order;
-    Alcotest.(check string) "inner name" "peephole" inner.Span.name;
-    Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-    Alcotest.(check int) "inner order" 1 inner.Span.order;
-    (* fake clock ticks once per reading: outer spans 4 readings *)
-    Alcotest.(check (float 1e-9)) "inner duration" 1.0 inner.Span.duration;
-    Alcotest.(check (float 1e-9)) "outer duration" 3.0 outer.Span.duration;
-    Alcotest.(check (list (pair string int)))
-      "outer counters"
-      [ ("instructions", 10) ]
-      outer.Span.counters;
-    Alcotest.(check (list (pair string int)))
-      "inner counters" [ ("rewrites", 3) ] inner.Span.counters
-  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
-
-let test_span_exception_and_stray_counter () =
-  let r = Span.create ~clock:(fake_clock ()) () in
-  (* counters outside any span survive on an implicit root span *)
-  Span.counter r "stray" 1;
-  Span.counter r "stray" 2;
-  (match Span.span r "boom" (fun () -> failwith "x") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception must propagate");
-  match Span.spans r with
-  | [ s; root ] ->
-    Alcotest.(check string) "span closed despite raise" "boom" s.Span.name;
-    Alcotest.(check (list (pair string int))) "no counters" [] s.Span.counters;
-    Alcotest.(check string) "stray counters on implicit root" "<root>"
-      root.Span.name;
-    Alcotest.(check (list (pair string int)))
-      "strays kept in order"
-      [ ("stray", 1); ("stray", 2) ]
-      root.Span.counters
-  | spans -> Alcotest.failf "expected span + implicit root, got %d"
-               (List.length spans)
-
-let test_span_pp_deterministic () =
-  let r = Span.create ~clock:(fake_clock ()) () in
-  Span.span r "a" (fun () ->
-      Span.counter r "n" 2;
-      Span.span r "b" ignore);
-  let untimed = Fmt.str "%a" (Span.pp ?timings:None) r in
-  (* the default rendering must not contain clock readings *)
-  Alcotest.(check bool) "no durations by default" false
-    (String.contains untimed '.')
 
 (* ---- canonical JSON ---- *)
 
@@ -313,12 +244,6 @@ let () =
       ( "flight",
         [ Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;
           Alcotest.test_case "no wrap + bad depth" `Quick test_flight_no_wrap ] );
-      ( "span",
-        [ Alcotest.test_case "nesting and counters" `Quick test_span_nesting;
-          Alcotest.test_case "exception safety" `Quick
-            test_span_exception_and_stray_counter;
-          Alcotest.test_case "pp deterministic" `Quick
-            test_span_pp_deterministic ] );
       ( "json",
         [ Alcotest.test_case "canonical round-trip" `Quick test_json_roundtrip ] );
       ( "metrics",

@@ -1,7 +1,9 @@
 (* Tests for the distributed-tracing subsystem (ferrum.trace.v1):
+   recorder nesting and the tree view, pipeline-stage spans,
    deterministic span ids and stitching, traceparent propagation,
    span-context round-trip across a real fork, campaign trace byte
-   identity, and the Perfetto / folded-flamegraph exporters. *)
+   identity, the Perfetto / folded-flamegraph exporters and the
+   dashboard icicle order. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
@@ -10,6 +12,13 @@ module Json = Ferrum_telemetry.Json
 module Metrics = Ferrum_telemetry.Metrics
 module Trace = Ferrum_telemetry.Trace
 module Runner = Ferrum_campaign.Runner
+module Store = Ferrum_campaign.Store
+module Manifest = Ferrum_campaign.Manifest
+module Fsutil = Ferrum_campaign.Fsutil
+module Html = Ferrum_report.Html
+module Pipeline = Ferrum_eddi.Pipeline
+module Technique = Ferrum_eddi.Technique
+module Catalog = Ferrum_workloads.Catalog
 
 let checked_program () =
   Prog.program
@@ -24,10 +33,179 @@ let checked_program () =
 
 let fixture_target () = F.prepare (Machine.load (checked_program ()))
 
-let contains ~affix s =
+let index_of ~affix s =
   let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  let rec go i =
+    if i + n > m then max_int
+    else if String.sub s i n = affix then i
+    else go (i + 1)
+  in
   go 0
+
+let contains ~affix s = index_of ~affix s < max_int
+
+(* ---- recorder spans and the tree view ---- *)
+
+let spans_of r =
+  match Trace.rows_of_lines (Trace.span_lines r) with
+  | Ok rows -> Trace.spans_of_rows rows
+  | Error e -> Alcotest.failf "rows: %s" e
+
+let test_span_nesting () =
+  let r = Trace.create ~trace:"t" ~proc:"p" () in
+  let result =
+    Trace.span r "compile" (fun () ->
+        Trace.counter r "instructions" 10;
+        Trace.span r "peephole" (fun () ->
+            Trace.counter r "rewrites" 3;
+            42))
+  in
+  Alcotest.(check int) "body result" 42 result;
+  Alcotest.(check int) "one wall row per span" 2
+    (List.length (Trace.wall_lines r));
+  match spans_of r with
+  | [ outer; inner ] ->
+    Alcotest.(check (list string)) "outer id, parent, name"
+      [ "0"; ""; "compile" ]
+      [ outer.Trace.sp_id; outer.Trace.sp_parent; outer.Trace.sp_name ];
+    Alcotest.(check (list string)) "inner id, parent, name"
+      [ "0.0"; "0"; "peephole" ]
+      [ inner.Trace.sp_id; inner.Trace.sp_parent; inner.Trace.sp_name ];
+    Alcotest.(check (list (pair string int)))
+      "outer counters" [ ("instructions", 10) ] outer.Trace.sp_counters;
+    Alcotest.(check (list (pair string int)))
+      "inner counters" [ ("rewrites", 3) ] inner.Trace.sp_counters;
+    let t = Trace.tree ~spans:[ outer; inner ] ~walls:[] in
+    Alcotest.(check (list string)) "tree roots" [ "0" ]
+      (List.map (fun s -> s.Trace.sp_id) (Trace.roots t));
+    Alcotest.(check (list string)) "tree children" [ "0.0" ]
+      (List.map (fun s -> s.Trace.sp_id) (Trace.children t outer))
+  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
+
+let test_span_exception () =
+  let r = Trace.create ~trace:"t" ~proc:"p" () in
+  (match
+     Trace.span r "boom" (fun () ->
+         Trace.counter r "seen" 1;
+         failwith "x")
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "exception must propagate");
+  Trace.span r "after" ignore;
+  match spans_of r with
+  | [ boom; after ] ->
+    Alcotest.(check string) "span closed despite raise" "boom"
+      boom.Trace.sp_name;
+    Alcotest.(check (list (pair string int)))
+      "counters before the raise kept" [ ("seen", 1) ] boom.Trace.sp_counters;
+    Alcotest.(check (list string)) "next span is a new root"
+      [ "1"; "" ]
+      [ after.Trace.sp_id; after.Trace.sp_parent ]
+  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
+
+let test_span_pp () =
+  let r = Trace.create ~trace:"t" ~proc:"p" () in
+  Trace.span r "a" (fun () ->
+      Trace.counter r "n" 2;
+      Trace.span r "b" ignore);
+  let untimed = Fmt.str "%a" (Trace.pp ?timings:None) r in
+  Alcotest.(check string) "name column, indent, counters"
+    ("a" ^ String.make 23 ' ' ^ "  [n=2]\n  b" ^ String.make 21 ' ' ^ "\n")
+    untimed;
+  (* the default rendering must not contain clock readings *)
+  Alcotest.(check bool) "no durations by default" false
+    (String.contains untimed '.');
+  let timed = Fmt.str "%a" (Trace.pp ~timings:true) r in
+  Alcotest.(check bool) "durations with timings" true
+    (contains ~affix:" ms  [n=2]" timed)
+
+let synthetic ?(l_start = 0) ~parent id =
+  { Trace.sp_id = id; sp_parent = parent; sp_name = id; sp_proc = "p";
+    sp_l_start = l_start; sp_l_end = l_start + 1; sp_counters = [] }
+
+(* Worker shard spans all open at logical 0, so the id decides their
+   order: "0.s2" before "0.s10". *)
+let test_sibling_order () =
+  let root = synthetic ~parent:"" "0" in
+  let shards =
+    List.init 12 (fun i -> synthetic ~parent:"0" (Fmt.str "0.s%d" i))
+  in
+  let ids spans = List.map (fun s -> s.Trace.sp_id) spans in
+  let lexical =
+    List.sort (fun a b -> compare a.Trace.sp_id b.Trace.sp_id) shards
+  in
+  let t = Trace.tree ~spans:(root :: lexical) ~walls:[] in
+  Alcotest.(check (list string)) "12 shards in numeric order" (ids shards)
+    (ids (Trace.children t root));
+  let mixed =
+    [ synthetic ~parent:"0" "0.s0"; synthetic ~parent:"0" "0.12";
+      synthetic ~parent:"0" "0.3"; synthetic ~l_start:5 ~parent:"0" "0.1";
+      synthetic ~parent:"0" "0.1x0" ]
+  in
+  let t = Trace.tree ~spans:(root :: mixed) ~walls:[] in
+  Alcotest.(check (list string)) "logical start, then numbers, then minted"
+    [ "0.1x0"; "0.3"; "0.12"; "0.s0"; "0.1" ]
+    (ids (Trace.children t root))
+
+(* Each pipeline stage is one span under the caller's open span, with
+   the stage's counters in recording order. *)
+let test_pipeline_spans () =
+  let m = (Option.get (Catalog.find "kmeans")).Catalog.build () in
+  let shape f =
+    let r = Trace.create ~trace:"t" ~proc:"p" () in
+    let res = Trace.span r "config" (fun () -> f r) in
+    let spans = spans_of r in
+    let last = List.nth spans (List.length spans - 1) in
+    Alcotest.(check (option int)) "last stage counts the result"
+      (Some (Stats.of_program res.Pipeline.program).Stats.total)
+      (List.assoc_opt "instructions" last.Trace.sp_counters);
+    List.map
+      (fun s ->
+        let counters = List.map fst s.Trace.sp_counters in
+        (s.Trace.sp_id, (s.Trace.sp_parent, (s.Trace.sp_name, counters))))
+      spans
+  in
+  let stages ?(config = []) xs =
+    ("0", ("", ("config", config)))
+    :: List.mapi (fun i (n, cs) -> (Fmt.str "0.%d" i, ("0", (n, cs)))) xs
+  in
+  let grown = [ "instructions"; "duplicated"; "checkers" ] in
+  let check label expected f =
+    Alcotest.(
+      check (list (pair string (pair string (pair string (list string))))))
+      label expected (shape f)
+  in
+  check "raw" (stages [ ("compile", [ "instructions" ]) ]) (fun recorder ->
+      Pipeline.raw ~recorder m);
+  check "raw, optimized"
+    (stages
+       [ ("compile", [ "instructions" ]); ("peephole", [ "instructions" ]) ])
+    (fun recorder -> Pipeline.raw ~recorder ~optimize:true m);
+  check "ir-eddi"
+    (stages [ ("protect.ir-eddi", []); ("compile", grown) ])
+    (fun recorder -> Pipeline.protect ~recorder Technique.Ir_level_eddi m);
+  check "hybrid"
+    (stages
+       [ ("protect.hybrid",
+          [ "protected"; "skipped" ] @ grown @ [ "instrumentation" ]) ])
+    (fun recorder ->
+      Pipeline.protect ~recorder Technique.Hybrid_assembly_eddi m);
+  check "ferrum"
+    (stages
+       [ ("compile", [ "instructions" ]);
+         ("protect.ferrum",
+          [ "spare_gprs"; "spare_simd"; "simd_batched"; "general_protected";
+            "comparisons_protected"; "flushes"; "requisitions" ]
+          @ grown @ [ "instrumentation" ]) ])
+    (fun recorder -> Pipeline.protect ~recorder Technique.Ferrum m);
+  let r = Trace.create ~trace:"t" ~proc:"p" () in
+  ignore (Pipeline.lint ~recorder:r (Pipeline.raw m));
+  match spans_of r with
+  | [ s ] ->
+    Alcotest.(check (list string)) "lint counters"
+      [ "findings"; "lint_errors"; "uncovered_sites" ]
+      (List.map fst s.Trace.sp_counters)
+  | spans -> Alcotest.failf "expected one lint span, got %d" (List.length spans)
 
 (* ---- ids and contexts ---- *)
 
@@ -354,6 +532,38 @@ let test_wall_precision () =
   Alcotest.(check (float 1e-6)) "12-digit row parses" 1760671234.13
     old.Trace.wl_end
 
+(* A rendered 12-shard dashboard draws the worker shard spans in shard
+   order (first appearance of each worker label in the icicle). *)
+let test_icicle_shard_order () =
+  let p = checked_program () in
+  let target = F.prepare (Machine.load p) in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "ferrum-trace-%d-icicle" (Unix.getpid ()))
+  in
+  Fsutil.rm_rf dir;
+  let manifest =
+    Manifest.make ~benchmark:"fixture" ~technique:"raw" ~samples:24 ~seed:5L
+      ~shards:12 ~fault_bits:1 ~all_sites:false ~traced:true ~program:p target
+  in
+  let result =
+    Runner.run ~workers:2 ~mode:Runner.Traced ~shards:12 ~seed:5L ~samples:24
+      target
+  in
+  Store.write_run ~dir ~manifest ~result ();
+  let html =
+    match Html.render_dir dir with
+    | Ok html -> html
+    | Error e -> Alcotest.failf "render_dir: %s" e
+  in
+  Fsutil.rm_rf dir;
+  let first w = index_of ~affix:(Fmt.str "(worker-%d)" w) html in
+  Alcotest.(check bool) "every worker drawn" true
+    (List.for_all (fun w -> first w < max_int) (List.init 12 Fun.id));
+  Alcotest.(check (list int)) "shards drawn in shard order"
+    (List.init 12 Fun.id)
+    (List.sort (fun a b -> compare (first a) (first b)) (List.init 12 Fun.id))
+
 (* ---- malformed documents ---- *)
 
 let test_rows_error_line_numbers () =
@@ -372,7 +582,13 @@ let test_rows_error_line_numbers () =
 
 let () =
   Alcotest.run "trace"
-    [ ( "ids",
+    [ ( "span",
+        [ Alcotest.test_case "nesting and counters" `Quick test_span_nesting;
+          Alcotest.test_case "exception safety" `Quick test_span_exception;
+          Alcotest.test_case "pp deterministic" `Quick test_span_pp;
+          Alcotest.test_case "sibling order" `Quick test_sibling_order;
+          Alcotest.test_case "pipeline stages" `Quick test_pipeline_spans ] );
+      ( "ids",
         [ Alcotest.test_case "traceparent round-trip" `Quick
             test_traceparent_roundtrip;
           Alcotest.test_case "ctx_make" `Quick test_ctx_make ] );
@@ -396,4 +612,6 @@ let () =
             test_perfetto_export;
           Alcotest.test_case "folded stacks" `Quick test_folded_export;
           Alcotest.test_case "wall rows keep microseconds" `Quick
-            test_wall_precision ] ) ]
+            test_wall_precision;
+          Alcotest.test_case "dashboard icicle shard order" `Quick
+            test_icicle_shard_order ] ) ]
