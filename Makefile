@@ -29,10 +29,11 @@ fmt:
 	fi
 
 # End-to-end smoke: small campaigns must produce schema-valid,
-# seed-reproducible metrics and vulnerability-map streams, and the
-# propagation tracer must explain a replayed sample, and `profile`
-# (pipeline-stage spans + cycle tables) must be byte-stable without
-# --timings and run with them.
+# seed-reproducible metrics and vulnerability-map streams, a traced
+# campaign must not depend on the checkpoint interval (or on having
+# checkpoints at all), the propagation tracer must explain a replayed
+# sample, and `profile` (pipeline-stage spans + cycle tables) must be
+# byte-stable without --timings and run with them.
 smoke: build
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE)
 	$(CLI) metrics $(SMOKE)
@@ -42,6 +43,13 @@ smoke: build
 	$(CLI) metrics $(VMAP)
 	$(CLI) vulnmap kmeans -p ferrum --samples 20 --metrics $(VMAP).2 > /dev/null
 	cmp $(VMAP) $(VMAP).2
+	$(CLI) vulnmap kNN -p ferrum --samples 200 --metrics $(VMAP).knn > /dev/null
+	$(CLI) vulnmap kNN -p ferrum --samples 200 --checkpoint-interval 977 \
+	  --metrics $(VMAP).knn977 > /dev/null
+	$(CLI) vulnmap kNN -p ferrum --samples 200 --no-checkpoints \
+	  --metrics $(VMAP).knn0 > /dev/null
+	cmp $(VMAP).knn $(VMAP).knn977
+	cmp $(VMAP).knn $(VMAP).knn0
 	$(CLI) explain kmeans -p ferrum --fault 2024:0 > /dev/null
 	$(CLI) profile kmeans -p ferrum > $(PROF).txt
 	$(CLI) profile kmeans -p ferrum > $(PROF).2.txt
@@ -155,6 +163,7 @@ check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke pe
 clean:
 	dune clean
 	rm -f $(SMOKE) $(SMOKE).2 $(VMAP) $(VMAP).2 $(LINTM) $(LINTM).2
+	rm -f $(VMAP).knn $(VMAP).knn977 $(VMAP).knn0
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
 	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json

@@ -123,13 +123,17 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
     output_string oc (Json.to_string j);
     output_char oc '\n'
   in
+  (* Events go out as they happen, so the runner, the live log and its
+     subscribers see a shard start and progress while it runs; sample
+     lines ride along in the channel buffer. *)
   let emit_event body =
     emit_line
       (Json.Obj
          [
            ("t", Json.Str "ev");
            ("ev", Events.to_json { Events.seq = 0; shard; attempt; body });
-         ])
+         ]);
+    flush oc
   in
   (* The worker's span recorder continues the parent's trace context
      inherited through the fork: its root span id was minted by the

@@ -23,11 +23,12 @@ type scope = Original_only | All_sites
    speed.  [Scratch] is the historical reference path: a fresh 1 MiB
    state per sample, the whole prefix re-executed under the observer.
    [Pooled] reuses one state per target/worker (dirty pages undone
-   incrementally) and runs the pre-flip prefix unobserved.
-   [Checkpointed k] additionally restores the golden-run checkpoint
-   nearest below the sampled flip point, so each sample pays only the
-   suffix, and ends an untraced suffix at the first golden checkpoint
-   its state matches ({!run_suffix}). *)
+   incrementally), runs the pre-flip prefix unobserved, and ends a
+   traced suffix once it equals its lockstep golden state
+   ({!trace_fast}).  [Checkpointed k] additionally restores the
+   golden-run checkpoint nearest below the sampled flip point, so each
+   sample pays only the suffix, and also ends an untraced suffix at the
+   first golden checkpoint its state matches ({!run_suffix}). *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 let default_engine = Checkpointed 4096
@@ -136,7 +137,7 @@ type phases = {
   mutable ph_suffix_steps : int; (* flip + post-flip execution *)
   mutable ph_decodes : int; (* predecode lowerings of this target *)
   mutable ph_fused_steps : int; (* suffix steps retired as fused pairs *)
-  mutable ph_converged : int; (* suffixes ended on a golden checkpoint *)
+  mutable ph_converged : int; (* suffixes ended equal to the golden run *)
   mutable ph_skipped_steps : int; (* golden steps those suffixes skipped *)
 }
 
@@ -166,6 +167,8 @@ type target = {
   golden_prov_cycles : float array; (* per {!Profile.provenances} *)
   eligible_steps : int; (* dynamic count of eligible write-backs *)
   dyn_static : int array; (* static site of each eligible write-back *)
+  golden_checks : int; (* Check-provenance retirements *)
+  checks_upto : int array; (* per block boundary b: checks in steps 1..b*B *)
   fuel : int;
   engine : engine;
   cache : Snapshot.cache; (* golden checkpoints (none unless checkpointed) *)
@@ -192,11 +195,17 @@ let reset_phases (t : target) =
 
 exception Golden_failure of string
 
+(* B, the step granularity of the golden checker tallies: a converged
+   traced run counts checks for at most this many more steps before
+   taking the rest of its count from them. *)
+let check_block = 512
+
 (* Profile the fault-free run — output, step count, the eligible
-   dynamic injection sites in order and the cycles per provenance,
-   summed in retirement order as {!Profile.run} sums them — and, on the
-   checkpointed engine, capture the golden checkpoints on the way.
-   This is the target's one golden walk. *)
+   dynamic injection sites in order, the cycles per provenance, summed
+   in retirement order as {!Profile.run} sums them, and the checker
+   tallies per block of [check_block] steps — and, on the checkpointed
+   engine, capture the golden checkpoints on the way.  This is the
+   target's one golden walk. *)
 let prepare ?(scope = Original_only) ?(engine = default_engine)
     (img : Machine.image) : target =
   let eligible = eligibility img scope in
@@ -216,9 +225,19 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   in
   let costs = img.Machine.costs in
   let prov_cycles = Array.make (List.length Profile.provenances) 0.0 in
+  (* Checker retirements so far, and at each multiple of [check_block]
+     steps, newest first.  The observer only accumulates; the walk runs
+     in legs that end on every multiple of [check_block] and of the
+     checkpoint interval, and the tallies and checkpoints are taken
+     between legs, so the per-step cost stays what it was without
+     them. *)
+  let check = Profile.prov_index Instr.Check in
+  let is_check = Array.map (fun p -> if p = check then 1 else 0) prov in
+  let checks = ref 0 and upto = ref [ 0 ] in
   let on_step _st idx =
     let p = prov.(idx) in
     prov_cycles.(p) <- prov_cycles.(p) +. costs.(idx);
+    checks := !checks + is_check.(idx);
     if eligible.(idx) then begin
       if !count = Array.length !sites then begin
         let grown = Array.make (2 * !count) 0 in
@@ -227,10 +246,24 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       end;
       !sites.(!count) <- idx;
       incr count
-    end;
-    Snapshot.record recorder ~seen:!count
+    end
   in
-  let outcome = Predecode.exec_observed ~on_step (Predecode.get img) st in
+  let pre = Predecode.get img in
+  let k = Option.value interval ~default:max_int in
+  let next_multiple m = ((st.Machine.steps / m) + 1) * m in
+  let rec walk () =
+    let fuel =
+      min Machine.default_fuel
+        (min (next_multiple check_block) (next_multiple k))
+    in
+    match Predecode.exec_observed ~fuel ~on_step pre st with
+    | Machine.Timeout when st.Machine.steps < Machine.default_fuel ->
+      if st.Machine.steps mod check_block = 0 then upto := !checks :: !upto;
+      Snapshot.record recorder ~seen:!count;
+      walk ()
+    | o -> o
+  in
+  let outcome = walk () in
   match outcome with
   | Machine.Exit out ->
     let steps = st.Machine.steps in
@@ -246,6 +279,11 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       golden_prov_cycles = prov_cycles;
       eligible_steps = !count;
       dyn_static = Array.sub !sites 0 !count;
+      golden_checks = !checks;
+      checks_upto =
+        Array.of_list
+          (List.rev
+             (if steps mod check_block = 0 then !checks :: !upto else !upto));
       fuel = (steps * 3) + 100_000;
       engine;
       cache = Snapshot.finish recorder ~steps;
@@ -469,6 +507,19 @@ let rec run_prefix (t : target) pre len st seen ~dyn_index =
         if t.eligible.(idx) then incr seen;
         run_prefix t pre len st seen ~dyn_index
 
+(* A suffix whose state equals the golden run's at the same step ends
+   as the golden run does: its output, steps and cycles.  The golden
+   steps it skips are tallied apart; the caller counts suffix steps off
+   the final step count, so they are taken back out of those. *)
+let end_as_golden (t : target) st =
+  let ph = t.phases and skipped = t.golden_steps - st.Machine.steps in
+  ph.ph_converged <- ph.ph_converged + 1;
+  ph.ph_skipped_steps <- ph.ph_skipped_steps + skipped;
+  ph.ph_suffix_steps <- ph.ph_suffix_steps - skipped;
+  st.Machine.steps <- t.golden_steps;
+  st.Machine.cycles <- t.golden_cycles;
+  Machine.Exit t.golden_output
+
 (* Run the post-flip suffix unobserved, in legs that end on the golden
    checkpoints' step counts (fused pairs check fuel between their
    halves, so a leg stops exactly there).  At each boundary the state is
@@ -484,15 +535,7 @@ let run_suffix (t : target) pre sl st =
     if c >= n then Predecode.exec ~fuel:t.fuel pre st
     else
       match Predecode.exec ~fuel:(Snapshot.ckpt_steps cache c) pre st with
-      | Machine.Timeout when Snapshot.converged sl c ->
-        let ph = t.phases and skipped = t.golden_steps - st.Machine.steps in
-        ph.ph_converged <- ph.ph_converged + 1;
-        ph.ph_skipped_steps <- ph.ph_skipped_steps + skipped;
-        (* the caller counts suffix steps off the final step count *)
-        ph.ph_suffix_steps <- ph.ph_suffix_steps - skipped;
-        st.Machine.steps <- t.golden_steps;
-        st.Machine.cycles <- t.golden_cycles;
-        Machine.Exit t.golden_output
+      | Machine.Timeout when Snapshot.converged sl c -> end_as_golden t st
       | Machine.Timeout -> leg (c + 1)
       | o -> o
   in
@@ -835,6 +878,53 @@ let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
   in
   (cls, fault, Propagation.finish tracer st)
 
+exception Traced_converged
+
+exception Check_found
+
+(* The rest of a traced run whose state equals its lockstep golden
+   state after [st.steps] retirements: the golden run's.  Step on,
+   unobserved by the tracer, to the next multiple of [check_block]
+   counting checker retirements, take the count after that boundary
+   from [prepare]'s tallies, fold both into the tracer and end as the
+   golden run ends.  Should the tracer still lack a first check after
+   the divergence and none retired on the way, step on to it.  A run
+   that halts before the boundary has simply finished, its own outcome
+   and checkers exact. *)
+let converge_traced (t : target) pre tracer st =
+  let code = t.img.Machine.code in
+  let checks = ref 0 and first = ref (-1) in
+  let on_step (st : Machine.state) idx =
+    if code.(idx).Instr.prov = Instr.Check then begin
+      if !first < 0 then first := st.Machine.steps;
+      incr checks
+    end
+  in
+  let b = (st.Machine.steps + check_block - 1) / check_block in
+  let outcome =
+    Predecode.exec_observed ~fuel:(b * check_block) ~on_step pre st
+  in
+  let first_check () = if !first < 0 then None else Some !first in
+  match outcome with
+  | Machine.Timeout ->
+    let first_check () =
+      (if !first < 0 then
+         let stop st idx =
+           on_step st idx;
+           if !first >= 0 then raise_notrace Check_found
+         in
+         try ignore (Predecode.exec_observed ~fuel:t.fuel ~on_step:stop pre st)
+         with Check_found -> ());
+      first_check ()
+    in
+    Propagation.converge tracer
+      ~checks:(!checks + t.golden_checks - t.checks_upto.(b))
+      ~first_check;
+    end_as_golden t st
+  | o ->
+    Propagation.converge tracer ~checks:!checks ~first_check;
+    o
+
 (* {!trace_propagation} on pooled, checkpoint-restored states.  The
    tracer's observation of the pre-flip prefix is a no-op — injected and
    golden states are bit-identical until the flip, so no divergence, no
@@ -842,7 +932,9 @@ let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
    lockstep golden state is reconstructed at the flip site by restoring
    a second slot to the same checkpoint and syncing the injected run's
    dirty pages and registers onto it, and the tracer starts observing at
-   the flip instruction. *)
+   the flip instruction.  The suffix ends early once the two states are
+   bit-identical again ({!converge_traced}): each time the tracer turns
+   {!Propagation.clean}, {!Snapshot.identical} decides. *)
 let trace_fast ~fault_bits (t : target) rng ~dyn_index :
     classification * fault * Propagation.summary =
   let isl = slot t in
@@ -880,9 +972,18 @@ let trace_fast ~fault_bits (t : target) rng ~dyn_index :
       let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
       Propagation.note_injection tracer st;
       Propagation.observe tracer st idx;
+      let was_clean = ref false in
+      let on_step st idx =
+        Propagation.observe tracer st idx;
+        let clean = Propagation.clean tracer in
+        if clean && (not !was_clean) && Snapshot.identical isl gsl then
+          raise_notrace Traced_converged;
+        was_clean := clean
+      in
       let outcome =
-        Predecode.exec_observed ~fuel:t.fuel
-          ~on_step:(Propagation.observe tracer) pre st
+        match Predecode.exec_observed ~fuel:t.fuel ~on_step pre st with
+        | o -> o
+        | exception Traced_converged -> converge_traced t pre tracer st
       in
       suffix_done ();
       (classify t outcome, fault, Propagation.finish tracer st)

@@ -20,11 +20,12 @@ type scope = Original_only | All_sites
     classifications, records and JSONL streams; they differ only in
     speed.  [Scratch]: a fresh state per sample, full observed prefix
     (the historical reference path).  [Pooled]: one reusable state per
-    target/worker, unobserved prefix.  [Checkpointed k]: additionally
+    target/worker, unobserved prefix, and a traced suffix ends once it
+    equals its lockstep golden state.  [Checkpointed k]: additionally
     restore the golden-run checkpoint (captured every [k] dynamic
     instructions) nearest below the flip point, paying only the
-    suffix, and end an untraced suffix at the first checkpoint whose
-    state it matches. *)
+    suffix, and end an untraced suffix too, at the first checkpoint
+    whose state it matches. *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 (** [Checkpointed 4096]. *)
@@ -92,8 +93,10 @@ type phases = {
   mutable ph_fused_steps : int;
       (** suffix steps retired as fused superinstruction pairs *)
   mutable ph_converged : int;
-      (** suffixes ended early because their state matched a golden
-          checkpoint (checkpointed engine only) *)
+      (** suffixes ended early because their state matched the golden
+          run's: an untraced suffix at a golden checkpoint (checkpointed
+          engine only), a traced one at any step where it equals its
+          lockstep golden state (both fast engines) *)
   mutable ph_skipped_steps : int;
       (** golden steps those converged suffixes did not execute; not
           counted in [ph_suffix_steps] *)
@@ -118,6 +121,12 @@ type target = {
   dyn_static : int array;
       (** static site of each eligible dynamic write-back, in dynamic
           order (length [eligible_steps]) *)
+  golden_checks : int;  (** golden [Check]-provenance retirements *)
+  checks_upto : int array;
+      (** per block boundary [b] ([0 <= b <= golden_steps / B], [B] a
+          fixed block of steps): golden checks among retirements
+          [1 .. b * B] — what a converged traced run takes its
+          remaining checker count from *)
   fuel : int;  (** injected-run budget: 3x golden + slack *)
   engine : engine;
   cache : Ferrum_machine.Snapshot.cache;
@@ -298,7 +307,20 @@ module Propagation = Ferrum_telemetry.Propagation
 (** Like {!inject_full}, but with the golden run executing in lockstep:
     also returns the propagation summary — first architectural
     divergence, taint spread, detection latency, and the escape timeline
-    for SDCs. *)
+    for SDCs.  This is the reference path: a fresh state, every step
+    observed to the end of the run.
+
+    The fast engines' traced path ({!vulnmap_sample} on [Pooled] and
+    [Checkpointed]) returns the same classification, fault and summary
+    for less work.  It skips the identical pre-flip prefix, and it ends
+    lockstep at convergence: whenever the tracer's taint sets empty
+    ({!Propagation.clean}), an exact state compare
+    ({!Ferrum_machine.Snapshot.identical}) decides whether the run now
+    equals its golden run.  If so it steps at most one block of the
+    golden checker tallies ([checks_upto]) to count checkers (further
+    only to find the first checker when none has retired yet), and
+    finishes with the golden output, steps and cycles, counting the
+    exit in [ph_converged]/[ph_skipped_steps]. *)
 val trace_propagation :
   ?fault_bits:int -> target -> Rng.t -> dyn_index:int ->
   classification * fault * Propagation.summary

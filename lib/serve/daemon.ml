@@ -692,7 +692,10 @@ let start_runner d (job : Queue.job) =
       Some { job_id = job.Queue.id; pid; started = Unix.gettimeofday (); wake }
 
 (* Record a reaped runner child's outcome; its subscribers get the
-   rest of the log and the closing comment. *)
+   rest of the log and the closing comment.  Then collect the garbage
+   that handling jobs left: the daemon allocates too little between
+   jobs for the allocation-paced major GC to keep up, and every runner
+   child and shard worker it forks inherits its resident heap. *)
 let finish_runner d (r : running) =
   d.runner <- None;
   (try Unix.close r.wake with Unix.Unix_error _ -> ());
@@ -707,7 +710,8 @@ let finish_runner d (r : running) =
       settle d { job with Queue.state = Queue.Done; digest; error = "" }
     | Error e ->
       log "job %d failed: %s" r.job_id e;
-      settle d { job with Queue.state = Queue.Failed; error = e })
+      settle d { job with Queue.state = Queue.Failed; error = e });
+  Gc.full_major ()
 
 let reaped pid =
   match Unix.waitpid [ Unix.WNOHANG ] pid with

@@ -487,6 +487,35 @@ let test_run_dir_replay_equality () =
   rm_rf d1;
   rm_rf d2
 
+(* A worker flushes each event as it emits it: on a one-shard traced
+   campaign of about half a second, [Shard_started] reaches [on_event]
+   while the shard is still running, not together with
+   [Shard_finished]. *)
+let test_events_arrive_live () =
+  let m = (Option.get (Catalog.find "kmeans")).Catalog.build () in
+  let img = Machine.load (Pipeline.raw m).program in
+  let t = F.prepare ~engine:F.Scratch img in
+  let arrivals = ref [] in
+  let on_event (e : Events.t) =
+    let now = Unix.gettimeofday () in
+    arrivals := (Events.body_name e.Events.body, now) :: !arrivals
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Runner.run ~mode:Runner.Traced ~shards:1 ~seed:3L ~samples:20 ~on_event t
+      : Runner.result);
+  let run = Unix.gettimeofday () -. t0 in
+  let at name =
+    match List.assoc_opt name !arrivals with
+    | Some t -> t
+    | None -> Alcotest.failf "no %s event" name
+  in
+  let gap = at "shard_finished" -. at "shard_started" in
+  if gap < run /. 2.0 then
+    Alcotest.failf
+      "shard_started arrived %.0f ms before shard_finished in a %.0f ms run"
+      (gap *. 1000.0) (run *. 1000.0)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -510,6 +539,8 @@ let () =
         [
           Alcotest.test_case "round-trip + schema" `Quick test_event_roundtrip;
           Alcotest.test_case "replay" `Quick test_replay;
+          Alcotest.test_case "worker events arrive live" `Quick
+            test_events_arrive_live;
         ] );
       ( "recovery",
         [

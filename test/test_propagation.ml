@@ -1,7 +1,8 @@
 (* Tests for the fault-propagation tracer and the vulnerability-map
    campaigns: lockstep classification agreement, detection latency on a
-   fixed seed, escape explanations for SDCs, v2 record schema, and
-   byte-reproducible vulnmap JSONL export. *)
+   fixed seed, escape explanations for SDCs, v2 record schema,
+   byte-reproducible vulnmap JSONL export, and the fast engines' traced
+   convergence exit against the scratch lockstep oracle. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
@@ -115,6 +116,127 @@ let test_benign_run_no_divergence_left () =
   Alcotest.(check bool) "no corrupted output" true
     (summary.Propagation.first_output_divergence_at = None)
 
+(* ---- traced convergence exit ----
+
+   The fast engines end a traced suffix once its state equals the
+   lockstep golden state; the scratch engine observes every step to the
+   end.  Both must yield the same classification, fault, record and
+   summary for every sample. *)
+
+(* [t]'s traced samples [0, n) equal the scratch engine's. *)
+let check_traced name ~reference t ~seed ~n =
+  List.iteri
+    (fun sample ((rc, _, _, rs) as want) ->
+      let ((gc, _, _, gs) as got) = F.vulnmap_sample t ~seed ~sample in
+      if want <> got then
+        Alcotest.failf "%s %s sample %d: scratch %s@.%a@.but %s@.%a" name
+          (F.engine_name t.F.engine) sample (F.classification_name rc)
+          Propagation.pp_summary rs (F.classification_name gc)
+          Propagation.pp_summary gs)
+    (List.init n (fun sample -> F.vulnmap_sample reference ~seed ~sample))
+
+(* Original-provenance [Mov $5, %rax] is the only site; the corrupted
+   value is printed, then [%rax] and [%rdi] are overwritten, so the
+   tracer turns clean while the output already differs.  A long tail
+   leaves room for the exit. *)
+let printed_then_masked () =
+  let inert op = { Instr.op; prov = Instr.Instrumentation }
+  and reg r = Instr.Reg r in
+  Prog.program
+    [ Prog.func "main"
+        [ Prog.block "main"
+            [ Instr.original (Instr.Mov (Reg.Q, Instr.Imm 5L, reg Reg.RAX));
+              inert (Instr.Mov (Reg.Q, reg Reg.RAX, reg Reg.RDI));
+              inert (Instr.Call "print_i64");
+              inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RAX));
+              inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RDI));
+              inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RCX)) ];
+          Prog.block "tail"
+            [ inert (Instr.Alu (Instr.Add, Reg.Q, Instr.Imm 1L, reg Reg.RCX));
+              inert (Instr.Cmp (Reg.Q, Instr.Imm 2000L, reg Reg.RCX));
+              inert (Instr.Jcc (Cond.NE, "tail")) ];
+          Prog.block "done" [ inert Instr.Ret ] ] ]
+
+let test_printed_then_masked_stays_sdc () =
+  let img = Machine.load (printed_then_masked ()) in
+  let reference = F.prepare ~engine:F.Scratch img in
+  Alcotest.(check int) "one site" 1 reference.F.eligible_steps;
+  List.iter
+    (fun engine ->
+      let t = F.prepare ~engine img in
+      check_traced "printed-then-masked" ~reference t ~seed:13L ~n:10;
+      for sample = 0 to 9 do
+        let cls, _, _, s = F.vulnmap_sample t ~seed:13L ~sample in
+        Alcotest.(check string) "corrupted output stays an SDC" "sdc"
+          (F.classification_name cls);
+        Alcotest.(check (option int)) "printed at the third step" (Some 3)
+          s.Propagation.first_output_divergence_at;
+        Alcotest.(check int) "taint fully masked" 0
+          (s.Propagation.reg_taint_at_end + s.Propagation.mem_taint_at_end)
+      done;
+      Alcotest.(check int) "no exit over differing output" 0
+        (F.phases t).F.ph_converged)
+    [ F.Pooled; F.Checkpointed 64; F.default_engine ]
+
+(* All 32 catalogue targets (8 kernels x raw and three techniques) under
+   both site scopes: the fast engines' traced samples equal the
+   scratch oracle's, and on every protected target some of them took
+   the exit. *)
+let test_catalogue_traced_identity () =
+  let seed = 29L and n = 5 in
+  List.iter
+    (fun (entry : Ferrum_workloads.Catalog.entry) ->
+      let m = entry.build () in
+      List.iter
+        (fun (cname, (res : Pipeline.result)) ->
+          let img = Machine.load res.Pipeline.program in
+          let name = entry.name ^ "/" ^ cname in
+          let exits =
+            List.fold_left
+              (fun acc scope ->
+                let reference = F.prepare ~scope ~engine:F.Scratch img in
+                List.fold_left
+                  (fun acc engine ->
+                    let t = F.prepare ~scope ~engine img in
+                    check_traced name ~reference t ~seed ~n;
+                    acc + (F.phases t).F.ph_converged)
+                  acc
+                  [ F.Pooled; F.default_engine ])
+              0 [ F.Original_only; F.All_sites ]
+          in
+          if cname <> "raw" && exits = 0 then
+            Alcotest.failf "%s: no traced sample converged" name)
+        (("raw", Pipeline.raw m)
+        :: List.map
+             (fun tech -> (Technique.short_name tech, Pipeline.protect tech m))
+             Technique.all))
+    Ferrum_workloads.Catalog.all
+
+(* Random kernels, long enough to span several checker-tally blocks,
+   under a random configuration and scope, with random flips. *)
+let prop_random_traced_identity =
+  QCheck.Test.make ~name:"traced exit matches scratch on random kernels"
+    ~count:30
+    QCheck.(
+      quad Tgen.kernel_arbitrary (int_bound 3) bool (make QCheck.Gen.ui64))
+    (fun (k, config, all_sites, seed) ->
+      let m =
+        Tgen.build_kernel { k with Tgen.iterations = 40 * k.Tgen.iterations }
+      in
+      let res =
+        if config = 0 then Pipeline.raw m
+        else Pipeline.protect (List.nth Technique.all (config - 1)) m
+      in
+      let img = Machine.load res.Pipeline.program in
+      let scope = if all_sites then F.All_sites else F.Original_only in
+      let reference = F.prepare ~scope ~engine:F.Scratch img in
+      List.iter
+        (fun engine ->
+          let t = F.prepare ~scope ~engine img in
+          check_traced "random kernel" ~reference t ~seed ~n:6)
+        [ F.Pooled; F.Checkpointed 64 ];
+      true)
+
 (* ---- vulnerability maps ---- *)
 
 let vulnmap_lines img ~seed ~samples =
@@ -216,6 +338,12 @@ let () =
             test_sdc_explained_unprotected;
           Alcotest.test_case "benign leaves no corrupted output" `Quick
             test_benign_run_no_divergence_left ] );
+      ( "convergence",
+        [ Alcotest.test_case "printed then masked stays sdc" `Quick
+            test_printed_then_masked_stays_sdc;
+          Alcotest.test_case "catalogue matches scratch" `Slow
+            test_catalogue_traced_identity;
+          QCheck_alcotest.to_alcotest prop_random_traced_identity ] );
       ( "vulnmap",
         [ Alcotest.test_case "schema valid + reproducible" `Quick
             test_vulnmap_schema_valid_and_reproducible;

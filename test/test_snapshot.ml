@@ -431,6 +431,63 @@ let test_converged_scalars () =
   Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
   Alcotest.(check bool) "all restored" true (Snapshot.converged sl 5)
 
+(* ---- slot against slot ---- *)
+
+(* Two slots restored to checkpoint 3 of the loop fixture; [b] synced
+   from [a] after [a] ran 40 steps, then both run 60 more in lockstep,
+   so both dirty logs are non-empty. *)
+let test_identical_slots () =
+  let img = Machine.load (loop_program ()) in
+  let cache = Snapshot.build ~interval:64 ~counted:(fun _ -> true) img in
+  let pre = Predecode.get img in
+  let a = Snapshot.make_slot cache and b = Snapshot.make_slot cache in
+  let at = Snapshot.ckpt_steps cache 3 in
+  ignore (Snapshot.restore a ~dyn_index:at : int);
+  let x = Snapshot.state a in
+  for _ = 1 to 40 do ignore (Predecode.step1 pre x : int) done;
+  ignore (Snapshot.restore b ~dyn_index:at : int);
+  Snapshot.sync ~src:a b;
+  let y = Snapshot.state b in
+  for _ = 1 to 60 do
+    ignore (Predecode.step1 pre x : int);
+    ignore (Predecode.step1 pre y : int)
+  done;
+  Alcotest.(check bool) "lockstep slots are identical" true
+    (Snapshot.identical a b);
+  (* Each case changes exactly one thing, checks the compare sees it,
+     and undoes it. *)
+  let differs name change undo =
+    change ();
+    Alcotest.(check bool) name false (Snapshot.identical a b);
+    undo ();
+    Alcotest.(check bool) (name ^ ", undone") true (Snapshot.identical a b)
+  in
+  (* pages 100 and 101 are far from the fixture's data and stack *)
+  let byte st addr delta () =
+    let v = Machine.read_mem st addr Reg.B in
+    Machine.write_mem st addr Reg.B (Int64.add v delta)
+  in
+  let far = Int64.of_int ((100 lsl Machine.page_bits) + 7) in
+  differs "a byte in a page only the first slot dirtied" (byte x far 1L)
+    (byte x far (-1L));
+  let far = Int64.add far (Int64.of_int Machine.page_size) in
+  differs "a byte in a page only the second slot dirtied" (byte y far 1L)
+    (byte y far (-1L));
+  let out = x.Machine.out_rev in
+  differs "output"
+    (fun () -> x.Machine.out_rev <- 7L :: out)
+    (fun () -> x.Machine.out_rev <- out);
+  let cycles = y.Machine.cycles in
+  differs "cycles one ulp apart"
+    (fun () -> y.Machine.cycles <- Float.succ cycles)
+    (fun () -> y.Machine.cycles <- cycles);
+  let flip () = Machine.flip_flag x Cond.OF in
+  differs "one flag" flip flip;
+  let flip () = Machine.flip_simd_lane y 9 ~lane:5 ~bit:0 in
+  differs "one SIMD lane" flip flip;
+  let flip () = Machine.flip_gpr x Reg.R13 Reg.Q ~bit:40 in
+  differs "one GPR" flip flip
+
 (* ---- one golden walk: prepare's capture vs a reference walk ---- *)
 
 (* A checkpoint flattened to labelled field strings, so a mismatch
@@ -928,7 +985,9 @@ let () =
           Alcotest.test_case "golden deltas compared" `Quick
             test_converged_golden_deltas;
           Alcotest.test_case "output, cycles, registers" `Quick
-            test_converged_scalars ] );
+            test_converged_scalars;
+          Alcotest.test_case "slot against slot" `Quick
+            test_identical_slots ] );
       ( "catalogue",
         [ Alcotest.test_case "prepare matches a reference walk" `Slow
             test_prepare_catalogue;
