@@ -29,9 +29,9 @@ fmt:
 	fi
 
 # End-to-end smoke: small campaigns must produce schema-valid,
-# seed-reproducible metrics and vulnerability-map streams, a traced
-# campaign must not depend on the checkpoint interval (or on having
-# checkpoints at all), the propagation tracer must explain a replayed
+# seed-reproducible metrics and vulnerability-map streams, neither an
+# untraced nor a traced campaign may depend on the checkpoint interval
+# (or on having checkpoints at all), the propagation tracer must explain a replayed
 # sample, and `profile` (pipeline-stage spans + cycle tables) must be
 # byte-stable without --timings and run with them.
 smoke: build
@@ -39,6 +39,13 @@ smoke: build
 	$(CLI) metrics $(SMOKE)
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE).2 > /dev/null
 	cmp $(SMOKE) $(SMOKE).2
+	$(CLI) inject kNN -p ferrum --samples 200 --metrics $(SMOKE).knn > /dev/null
+	$(CLI) inject kNN -p ferrum --samples 200 --checkpoint-interval 977 \
+	  --metrics $(SMOKE).knn977 > /dev/null
+	$(CLI) inject kNN -p ferrum --samples 200 --no-checkpoints \
+	  --metrics $(SMOKE).knn0 > /dev/null
+	cmp $(SMOKE).knn $(SMOKE).knn977
+	cmp $(SMOKE).knn $(SMOKE).knn0
 	$(CLI) vulnmap kmeans -p ferrum --samples 20 --metrics $(VMAP) --only-sampled > /dev/null
 	$(CLI) metrics $(VMAP)
 	$(CLI) vulnmap kmeans -p ferrum --samples 20 --metrics $(VMAP).2 > /dev/null
@@ -163,6 +170,7 @@ check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke pe
 clean:
 	dune clean
 	rm -f $(SMOKE) $(SMOKE).2 $(VMAP) $(VMAP).2 $(LINTM) $(LINTM).2
+	rm -f $(SMOKE).knn $(SMOKE).knn977 $(SMOKE).knn0
 	rm -f $(VMAP).knn $(VMAP).knn977 $(VMAP).knn0
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded

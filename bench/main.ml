@@ -560,6 +560,16 @@ let micro () =
             fun () ->
               Ferrum_faultsim.Faultsim.inject target rng
                 ~dyn_index:(target.eligible_steps / 2)));
+      (* the fast path a campaign takes on the default engine: one
+         campaign sample per run, cycling over 256 seeded samples *)
+      Test.make ~name:"inject.fast-one-fault"
+        (Staged.stage
+           (let target = Ferrum_faultsim.Faultsim.prepare ferrum_img in
+            let sample = ref 0 in
+            fun () ->
+              sample := (!sample + 1) land 255;
+              Ferrum_faultsim.Faultsim.campaign_sample target ~seed:5L
+                ~sample:!sample));
       (* the per-span cost every traced campaign pays: recorder setup,
          one span open/close with its wall+rusage readings, one counter *)
       Test.make ~name:"trace.span"
@@ -591,8 +601,8 @@ let micro () =
       Hashtbl.iter
         (fun name ols ->
           match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ t ] -> Fmt.pr "  %-24s %12.1f ns/run@." name t
-          | _ -> Fmt.pr "  %-24s (no estimate)@." name)
+          | Some [ t ] -> Fmt.pr "  %-28s %12.1f ns/run@." name t
+          | _ -> Fmt.pr "  %-28s (no estimate)@." name)
         tbl)
     results
 

@@ -191,14 +191,15 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
              end);
          (* Engine-phase breakdown of this shard's work, as one span of
             deterministic counters (golden walk, checkpoint restores,
-            prefix replay, post-flip suffixes, predecode activity, golden
-            convergence). *)
+            prefix replay and its fused part, post-flip suffixes,
+            predecode activity, golden convergence). *)
          Trace.span tr "engine" (fun () ->
              let ph = F.phases target in
              Trace.counter tr "walks" ph.F.ph_walks;
              Trace.counter tr "walk_steps" ph.F.ph_walk_steps;
              Trace.counter tr "restores" ph.F.ph_restores;
              Trace.counter tr "prefix_steps" ph.F.ph_prefix_steps;
+             Trace.counter tr "forward_steps" ph.F.ph_forward_steps;
              Trace.counter tr "suffix_steps" ph.F.ph_suffix_steps;
              Trace.counter tr "decodes" ph.F.ph_decodes;
              Trace.counter tr "fused_steps" ph.F.ph_fused_steps;

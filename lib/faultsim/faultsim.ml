@@ -134,6 +134,7 @@ type phases = {
   mutable ph_walk_steps : int;
   mutable ph_restores : int; (* checkpoint/initial-state restores *)
   mutable ph_prefix_steps : int; (* unobserved replay up to the flip *)
+  mutable ph_forward_steps : int; (* of those, retired by the fused leg *)
   mutable ph_suffix_steps : int; (* flip + post-flip execution *)
   mutable ph_decodes : int; (* predecode lowerings of this target *)
   mutable ph_fused_steps : int; (* suffix steps retired as fused pairs *)
@@ -147,6 +148,7 @@ let zero_phases () =
     ph_walk_steps = 0;
     ph_restores = 0;
     ph_prefix_steps = 0;
+    ph_forward_steps = 0;
     ph_suffix_steps = 0;
     ph_decodes = 0;
     ph_fused_steps = 0;
@@ -169,6 +171,7 @@ type target = {
   dyn_static : int array; (* static site of each eligible write-back *)
   golden_checks : int; (* Check-provenance retirements *)
   checks_upto : int array; (* per block boundary b: checks in steps 1..b*B *)
+  eligible_upto : int array; (* ... and eligible retirements in steps 1..b*B *)
   fuel : int;
   engine : engine;
   cache : Snapshot.cache; (* golden checkpoints (none unless checkpointed) *)
@@ -187,6 +190,7 @@ let reset_phases (t : target) =
   p.ph_walk_steps <- 0;
   p.ph_restores <- 0;
   p.ph_prefix_steps <- 0;
+  p.ph_forward_steps <- 0;
   p.ph_suffix_steps <- 0;
   p.ph_decodes <- 0;
   p.ph_fused_steps <- 0;
@@ -195,17 +199,18 @@ let reset_phases (t : target) =
 
 exception Golden_failure of string
 
-(* B, the step granularity of the golden checker tallies: a converged
-   traced run counts checks for at most this many more steps before
-   taking the rest of its count from them. *)
+(* B, the step granularity of the golden tallies: a converged traced
+   run counts checks for at most this many more steps before taking the
+   rest of its count from them, and a prefix single-steps at most this
+   many steps before its flip. *)
 let check_block = 512
 
 (* Profile the fault-free run — output, step count, the eligible
    dynamic injection sites in order, the cycles per provenance, summed
-   in retirement order as {!Profile.run} sums them, and the checker
-   tallies per block of [check_block] steps — and, on the checkpointed
-   engine, capture the golden checkpoints on the way.  This is the
-   target's one golden walk. *)
+   in retirement order as {!Profile.run} sums them, and the checker and
+   eligible-site tallies per block of [check_block] steps — and, on the
+   checkpointed engine, capture the golden checkpoints on the way.  This
+   is the target's one golden walk. *)
 let prepare ?(scope = Original_only) ?(engine = default_engine)
     (img : Machine.image) : target =
   let eligible = eligibility img scope in
@@ -225,15 +230,15 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   in
   let costs = img.Machine.costs in
   let prov_cycles = Array.make (List.length Profile.provenances) 0.0 in
-  (* Checker retirements so far, and at each multiple of [check_block]
-     steps, newest first.  The observer only accumulates; the walk runs
-     in legs that end on every multiple of [check_block] and of the
-     checkpoint interval, and the tallies and checkpoints are taken
-     between legs, so the per-step cost stays what it was without
-     them. *)
+  (* Checker retirements so far, and the checker and eligible counts at
+     each multiple of [check_block] steps, newest first.  The observer
+     only accumulates; the walk runs in legs that end on every multiple
+     of [check_block] and of the checkpoint interval, and the tallies
+     and checkpoints are taken between legs, so the per-step cost stays
+     what it was without them. *)
   let check = Profile.prov_index Instr.Check in
   let is_check = Array.map (fun p -> if p = check then 1 else 0) prov in
-  let checks = ref 0 and upto = ref [ 0 ] in
+  let checks = ref 0 and upto = ref [ 0 ] and eupto = ref [ 0 ] in
   let on_step _st idx =
     let p = prov.(idx) in
     prov_cycles.(p) <- prov_cycles.(p) +. costs.(idx);
@@ -258,7 +263,10 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
     in
     match Predecode.exec_observed ~fuel ~on_step pre st with
     | Machine.Timeout when st.Machine.steps < Machine.default_fuel ->
-      if st.Machine.steps mod check_block = 0 then upto := !checks :: !upto;
+      if st.Machine.steps mod check_block = 0 then begin
+        upto := !checks :: !upto;
+        eupto := !count :: !eupto
+      end;
       Snapshot.record recorder ~seen:!count;
       walk ()
     | o -> o
@@ -267,6 +275,9 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   match outcome with
   | Machine.Exit out ->
     let steps = st.Machine.steps in
+    let table last l =
+      Array.of_list (List.rev (if steps mod check_block = 0 then last :: l else l))
+    in
     let phases = zero_phases () in
     phases.ph_walks <- 1;
     phases.ph_walk_steps <- steps;
@@ -280,10 +291,8 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       eligible_steps = !count;
       dyn_static = Array.sub !sites 0 !count;
       golden_checks = !checks;
-      checks_upto =
-        Array.of_list
-          (List.rev
-             (if steps mod check_block = 0 then !checks :: !upto else !upto));
+      checks_upto = table !checks !upto;
+      eligible_upto = table !count !eupto;
       fuel = (steps * 3) + 100_000;
       engine;
       cache = Snapshot.finish recorder ~steps;
@@ -483,16 +492,15 @@ let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
 (* Fast injection: pooled states, unobserved prefix, checkpoints.      *)
 (* ------------------------------------------------------------------ *)
 
-(* Execute [st] unobserved until it is positioned at the flip site —
-   the next instruction is eligible and [!seen = dyn_index] — or the
+(* Single-step [st] unobserved until it is positioned at the flip site
+   — the next instruction is eligible and [!seen = dyn_index] — or the
    run ends first.  Returns [None] when positioned (the flip
    instruction has *not* executed yet; {!Predecode.step1} reports the
    pre-step ip, so stopping on [st.ip] is exact), or [Some outcome]
    mirroring {!Predecode.exec}'s fuel / wild-control / halt / trap
-   semantics, in its check order (fuel before bounds).
-   Rides the pre-decoded single-step dispatch: never fused, so the
-   stop-at-site check runs before every instruction. *)
-let rec run_prefix (t : target) pre len st seen ~dyn_index =
+   semantics, in its check order (fuel before bounds).  Unfused, so
+   the stop-at-site check runs before every instruction. *)
+let rec step_prefix (t : target) pre len st seen ~dyn_index =
   if st.Machine.steps >= t.fuel then Some Machine.Timeout
   else
     let ip = st.Machine.ip in
@@ -505,7 +513,45 @@ let rec run_prefix (t : target) pre len st seen ~dyn_index =
       | exception Machine.Trap m -> Some (Machine.Crash m)
       | idx ->
         if t.eligible.(idx) then incr seen;
-        run_prefix t pre len st seen ~dyn_index
+        step_prefix t pre len st seen ~dyn_index
+
+(* The block of [check_block] steps that holds the flip: the last [b]
+   whose start precedes it ([eligible_upto.(b) <= dyn_index];
+   [eligible_upto.(0) = 0]). *)
+let flip_block (t : target) ~dyn_index =
+  let e = t.eligible_upto in
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if e.(mid) <= dyn_index then go mid hi else go lo mid
+  in
+  go 0 (Array.length e)
+
+(* Position the restored [st] at the flip site, as {!step_prefix} does.
+   The prefix is the golden run, so up to the start of the flip's block
+   it runs fused and unobserved ({!Predecode.exec}; fused pairs check
+   fuel between their halves, so it stops exactly there, and an
+   eligible site is never a second half), and [seen] is then that
+   block's golden tally.  Only the rest, at most [check_block] steps,
+   is single-stepped — all of it when the restored checkpoint already
+   lies at or past the block start. *)
+let run_prefix (t : target) pre st seen ~dyn_index =
+  let b = flip_block t ~dyn_index in
+  let start = b * check_block and s0 = st.Machine.steps in
+  let forwarded =
+    if s0 >= start then Machine.Timeout
+    else begin
+      seen := t.eligible_upto.(b);
+      Predecode.exec ~fuel:start pre st
+    end
+  in
+  t.phases.ph_forward_steps <-
+    t.phases.ph_forward_steps + (st.Machine.steps - s0);
+  match forwarded with
+  | Machine.Timeout ->
+    step_prefix t pre (Array.length t.img.Machine.code) st seen ~dyn_index
+  | o -> Some o
 
 (* A suffix whose state equals the golden run's at the same step ends
    as the golden run does: its output, steps and cycles.  The golden
@@ -560,8 +606,7 @@ let inject_fast ~fault_bits (t : target) rng ~dyn_index :
   let prefix_done () =
     t.phases.ph_prefix_steps <- t.phases.ph_prefix_steps + (st.Machine.steps - s0)
   in
-  match run_prefix t pre (Array.length t.img.Machine.code) st seen ~dyn_index
-  with
+  match run_prefix t pre st seen ~dyn_index with
   | Some o ->
     prefix_done ();
     (classify t o, unreached_fault dyn_index, st)
@@ -946,8 +991,7 @@ let trace_fast ~fault_bits (t : target) rng ~dyn_index :
   let prefix_done () =
     t.phases.ph_prefix_steps <- t.phases.ph_prefix_steps + (st.Machine.steps - s0)
   in
-  match run_prefix t pre (Array.length t.img.Machine.code) st seen ~dyn_index
-  with
+  match run_prefix t pre st seen ~dyn_index with
   | Some o ->
     (* Site unreached: the traced run never diverged, so the summary is
        that of a tracer that observed nothing. *)

@@ -88,6 +88,10 @@ type phases = {
   mutable ph_walk_steps : int;
   mutable ph_restores : int;  (** checkpoint/initial-state restores *)
   mutable ph_prefix_steps : int;  (** unobserved replay up to the flip *)
+  mutable ph_forward_steps : int;
+      (** the part of [ph_prefix_steps] run fused, up to the start of the
+          flip's block of [B] steps (see [eligible_upto]); the rest of
+          a prefix is single-stepped *)
   mutable ph_suffix_steps : int;  (** flip + post-flip execution *)
   mutable ph_decodes : int;  (** predecode lowerings of this target *)
   mutable ph_fused_steps : int;
@@ -127,6 +131,13 @@ type target = {
           fixed block of steps): golden checks among retirements
           [1 .. b * B] — what a converged traced run takes its
           remaining checker count from *)
+  eligible_upto : int array;
+      (** per block boundary [b], as [checks_upto]: golden eligible
+          retirements among [1 .. b * B].  A prefix aimed at dynamic
+          write-back [d] runs fused to the start of the last block with
+          [eligible_upto.(b) <= d] and single-steps only the rest.  When
+          [golden_steps] is a multiple of [B] the last entry is the
+          exit step's. *)
   fuel : int;  (** injected-run budget: 3x golden + slack *)
   engine : engine;
   cache : Ferrum_machine.Snapshot.cache;
@@ -137,6 +148,10 @@ type target = {
   mutable pre_ : Ferrum_machine.Predecode.t option;
   phases : phases;
 }
+
+(** [B], the block of steps of the golden tallies [checks_upto] and
+    [eligible_upto] (512). *)
+val check_block : int
 
 (** This process's engine-phase tallies for [target]. *)
 val phases : target -> phases

@@ -145,6 +145,35 @@ let memory_only_program () =
               inert (Instr.Call "print_i64");
               inert Instr.Ret ] ] ]
 
+(* Two single-occurrence sites on either side of a boundary of
+   [F.check_block] steps: 255 turns of a four-step loop whose first
+   instruction is the only other site, then site X retires at step 1024
+   (the last eligible retirement of block 1) and site Y at step 1025
+   (the first of block 2).  508 inert steps follow before the
+   three-step exit, so the golden run is exactly 3 blocks long. *)
+let block_program () =
+  let inert op = { Instr.op; prov = Instr.Instrumentation }
+  and reg r = Instr.Reg r in
+  let add c r = Instr.Alu (Instr.Add, Reg.Q, Instr.Imm c, reg r) in
+  Prog.program
+    [ Prog.func "main"
+        [ Prog.block "main"
+            [ inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RCX));
+              inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RAX)) ];
+          Prog.block "loop"
+            [ original (Instr.Alu (Instr.Add, Reg.Q, reg Reg.RCX, reg Reg.RAX));
+              inert (add 1L Reg.RCX);
+              inert (Instr.Cmp (Reg.Q, Instr.Imm 255L, reg Reg.RCX));
+              inert (Instr.Jcc (Cond.NE, "loop")) ];
+          Prog.block "edges"
+            ([ inert (Instr.Mov (Reg.Q, Instr.Imm 0L, reg Reg.RDX));
+               original (add 1L Reg.RAX);
+               original (add 2L Reg.RAX) ]
+            @ List.init 508 (fun _ -> inert (add 1L Reg.RDX))
+            @ [ inert (Instr.Mov (Reg.Q, reg Reg.RAX, reg Reg.RDI));
+                inert (Instr.Call "print_i64");
+                inert Instr.Ret ]) ] ]
+
 (* ---- helpers ---- *)
 
 let check_state_eq name (want : Machine.state) (got : Machine.state) =
@@ -209,9 +238,12 @@ let vulnmap_strings ~engine ~seed ~samples img =
   in
   List.rev !recs @ rows @ lats @ escs
 
+(* K = 977 restores some flips at or past their block's start and some
+   before it; the default engine restores all of these fixtures' flips
+   at step 0, so their prefixes run fused up to the flip's block. *)
 let fast_fixture_engines =
   [ F.Pooled; F.Checkpointed 1; F.Checkpointed 2; F.Checkpointed 3;
-    F.Checkpointed 64 ]
+    F.Checkpointed 64; F.Checkpointed 977; F.default_engine ]
 
 (* ---- dirty-page tracking ----
 
@@ -533,7 +565,8 @@ let cache_fields img cache =
    them: before each step, when the step count is a positive multiple
    of [k], copy the state and the pages dirtied since the previous copy.
    The check comes before the step, so nothing is captured at or past
-   the halting instruction. *)
+   the halting instruction.  The eligible and checker tallies are taken
+   at every multiple of [F.check_block], the halting step included. *)
 let reference_walk ?k img eligible =
   let st = Machine.fresh_state img in
   Machine.track_writes st;
@@ -541,6 +574,11 @@ let reference_walk ?k img eligible =
   let pre = Predecode.get img in
   let len = Array.length img.Machine.code in
   let seen = ref 0 and sites = ref [] and ckpts = ref [] in
+  let checks = ref 0 and upto = ref [] in
+  let tally () =
+    if st.Machine.steps mod F.check_block = 0 then
+      upto := (!seen, !checks) :: !upto
+  in
   let capture () =
     let pages = Array.sub tr.Machine.tr_pages 0 tr.Machine.tr_count in
     Array.sort compare pages;
@@ -570,17 +608,22 @@ let reference_walk ?k img eligible =
         | Some k when st.Machine.steps > 0 && st.Machine.steps mod k = 0 ->
           capture ()
         | _ -> ());
+        tally ();
         let idx = Predecode.step1 pre st in
+        if img.Machine.code.(idx).Instr.prov = Instr.Check then incr checks;
         if eligible.(idx) then begin
           incr seen;
           sites := idx :: !sites
         end
       done;
       assert false
-    with Machine.Halt (Machine.Exit out) -> out
+    with Machine.Halt (Machine.Exit out) ->
+      tally ();
+      out
   in
   ( ( st.Machine.steps, st.Machine.cycles, output, !seen,
       Array.of_list (List.rev !sites) ),
+    List.rev !upto,
     List.concat (List.rev !ckpts) )
 
 (* [prepare ~engine img]'s profile and cache equal the reference walk's
@@ -588,7 +631,7 @@ let reference_walk ?k img eligible =
 let check_prepared name ~engine img =
   let t = F.prepare ~engine img in
   let k = match engine with F.Checkpointed k -> Some k | _ -> None in
-  let (steps, cycles, output, eligible_steps, dyn_static), want =
+  let (steps, cycles, output, eligible_steps, dyn_static), upto, want =
     reference_walk ?k img t.F.eligible
   in
   let name = name ^ " " ^ F.engine_name engine in
@@ -602,6 +645,12 @@ let check_prepared name ~engine img =
     t.F.eligible_steps;
   Alcotest.(check (array int)) (name ^ ": dyn_static") dyn_static
     t.F.dyn_static;
+  Alcotest.(check (array int)) (name ^ ": eligible_upto")
+    (Array.of_list (List.map fst upto))
+    t.F.eligible_upto;
+  Alcotest.(check (array int)) (name ^ ": checks_upto")
+    (Array.of_list (List.map snd upto))
+    t.F.checks_upto;
   Alcotest.(check int) (name ^ ": fuel") ((steps * 3) + 100_000) t.F.fuel;
   Alcotest.(check (list string)) (name ^ ": checkpoints") want
     (cache_fields img t.F.cache);
@@ -614,7 +663,7 @@ let check_prepared name ~engine img =
 let fixture_programs =
   [ ("loop", loop_program); ("straddle", straddle_program);
     ("crash", crash_program); ("timeout", timeout_program);
-    ("memory-only", memory_only_program) ]
+    ("memory-only", memory_only_program); ("block", block_program) ]
 
 let test_prepare_fixtures () =
   List.iter
@@ -644,6 +693,21 @@ let test_prepare_exact_multiple () =
         ((g / k) - 1)
         (Snapshot.ckpt_count t.F.cache))
     [ g / divisor; g ]
+
+(* A golden run exactly [3 * B] steps long: the tallies' last entry is
+   taken at the exit step. *)
+let test_prepare_block_multiple () =
+  let img = Machine.load (block_program ()) in
+  List.iter
+    (fun engine ->
+      let t = check_prepared "block" ~engine img in
+      Alcotest.(check int) "golden run is 3 blocks" (3 * F.check_block)
+        t.F.golden_steps;
+      Alcotest.(check int) "one tally per block boundary, exit included" 4
+        (Array.length t.F.eligible_upto);
+      Alcotest.(check int) "last tally at the exit step" t.F.eligible_steps
+        t.F.eligible_upto.(3))
+    [ F.Pooled; F.Checkpointed 977; F.default_engine ]
 
 let test_prepare_scratch_pooled () =
   let img = Machine.load (loop_program ()) in
@@ -824,6 +888,89 @@ let test_memory_only_corruption () =
   Alcotest.(check bool) "repaired memory faults converge" true
     ((F.phases t).F.ph_converged > 0)
 
+(* ---- the fused prefix ----
+
+   A prefix runs fused to the start of its flip's block of
+   [F.check_block] steps and single-steps the rest; these aim at both
+   sides of a block boundary and at random programs several blocks
+   long. *)
+
+(* The scratch oracle's plain and traced samples, against each of
+   [targets]'. *)
+let check_samples name ~reference ?site targets ~seed ~samples =
+  let json r = Json.to_string (F.record_to_json r) in
+  List.iter
+    (fun sample ->
+      let rc, rf, rr = F.campaign_sample ?site reference ~seed ~sample in
+      let traced = F.vulnmap_sample ?site reference ~seed ~sample in
+      List.iter
+        (fun t ->
+          let label =
+            Printf.sprintf "%s %s sample %d" name (F.engine_name t.F.engine)
+              sample
+          in
+          let gc, gf, gr = F.campaign_sample ?site t ~seed ~sample in
+          Alcotest.(check string) (label ^ ": record") (json rr) (json gr);
+          if (rc, rf) <> (gc, gf) then Alcotest.failf "%s: class or fault" label;
+          if traced <> F.vulnmap_sample ?site t ~seed ~sample then
+            Alcotest.failf "%s: traced sample" label)
+        targets)
+    (List.init samples Fun.id)
+
+(* Pooled first. *)
+let prefix_engines =
+  [ F.Pooled; F.Checkpointed 64; F.Checkpointed 977; F.default_engine ]
+
+(* Flips at the last eligible retirement of block 1 (step 1024) and the
+   first of block 2 (step 1025).  The first is found by single-stepping
+   block 1, from its start or from a checkpoint past it (960, 977); the
+   second at the end of a fused leg, or with no leg at all from
+   checkpoint 1024. *)
+let test_block_edges () =
+  let img = Machine.load (block_program ()) in
+  let reference = F.prepare ~engine:F.Scratch img in
+  let targets = List.map (fun engine -> F.prepare ~engine img) prefix_engines in
+  let e = reference.F.eligible_upto in
+  List.iter
+    (fun (edge, dyn) ->
+      let site = reference.F.dyn_static.(dyn) in
+      let _, fault, _ = F.campaign_sample ~site reference ~seed:13L ~sample:0 in
+      Alcotest.(check int) (edge ^ " aims at its dynamic write-back") dyn
+        fault.F.dyn_index;
+      check_samples ("block " ^ edge) ~reference ~site targets ~seed:13L
+        ~samples:6)
+    [ ("last of block 1", e.(2) - 1); ("first of block 2", e.(2)) ];
+  Alcotest.(check bool) "pooled runs fused legs" true
+    ((F.phases (List.hd targets)).F.ph_forward_steps > 0)
+
+(* Random kernels several blocks long under a random configuration
+   and scope, with random flips: every fast engine's plain and traced
+   samples equal the scratch oracle's. *)
+let prop_random_prefix_identity =
+  QCheck.Test.make ~name:"fused prefix matches scratch on random kernels"
+    ~count:20
+    QCheck.(
+      quad Tgen.kernel_arbitrary (int_bound 3) bool (make QCheck.Gen.ui64))
+    (fun (k, config, all_sites, seed) ->
+      let m =
+        Tgen.build_kernel
+          { k with Tgen.iterations = 100 + (40 * k.Tgen.iterations) }
+      in
+      let res =
+        if config = 0 then Pipeline.raw m
+        else Pipeline.protect (List.nth Technique.all (config - 1)) m
+      in
+      let img = Machine.load res.Pipeline.program in
+      let scope = if all_sites then F.All_sites else F.Original_only in
+      let reference = F.prepare ~scope ~engine:F.Scratch img in
+      if reference.F.golden_steps < 3 * F.check_block then
+        QCheck.Test.fail_reportf "kernel of %d steps spans under 3 blocks"
+          reference.F.golden_steps;
+      check_samples "random kernel" ~reference
+        (List.map (fun engine -> F.prepare ~scope ~engine img) prefix_engines)
+        ~seed ~samples:4;
+      true)
+
 (* ---- engine bit-identity across the catalogue ---- *)
 
 (* K = 1 is exercised on the small fixtures above and on the smallest
@@ -966,6 +1113,8 @@ let () =
             test_prepare_fixtures;
           Alcotest.test_case "golden length a multiple of K" `Quick
             test_prepare_exact_multiple;
+          Alcotest.test_case "golden length a multiple of B" `Quick
+            test_prepare_block_multiple;
           Alcotest.test_case "scratch and pooled capture nothing" `Quick
             test_prepare_scratch_pooled;
           Alcotest.test_case "one golden walk" `Quick test_one_walk ] );
@@ -978,6 +1127,9 @@ let () =
           Alcotest.test_case "timeout near fuel" `Quick test_timeout_near_fuel;
           Alcotest.test_case "memory-only corruption" `Quick
             test_memory_only_corruption ] );
+      ( "fused prefix",
+        [ Alcotest.test_case "flips at a block's edges" `Quick test_block_edges;
+          QCheck_alcotest.to_alcotest prop_random_prefix_identity ] );
       ( "convergence",
         [ Alcotest.test_case "golden boundary" `Quick test_converged_at_boundary;
           Alcotest.test_case "page contents decide" `Quick

@@ -403,7 +403,8 @@ let test_campaign_trace () =
     (fun c ->
       Alcotest.(check bool) ("engine counts " ^ c) true
         (List.mem_assoc c engine.Trace.sp_counters))
-    [ "walks"; "suffix_steps"; "converged"; "skipped_steps" ];
+    [ "walks"; "prefix_steps"; "forward_steps"; "suffix_steps"; "converged";
+      "skipped_steps" ];
   (* logical rows are byte-identical across reruns; wall rows exist
      but are never compared *)
   let b = run () in
