@@ -7,6 +7,7 @@ CAMP = /tmp/ferrum_campaign
 STATS = /tmp/ferrum_stats
 TRACE = /tmp/ferrum_trace
 PROF = /tmp/ferrum_profile
+FLIGHT = /tmp/ferrum_flight
 
 .PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
 
@@ -32,8 +33,9 @@ fmt:
 # seed-reproducible metrics and vulnerability-map streams, neither an
 # untraced nor a traced campaign may depend on the checkpoint interval
 # (or on having checkpoints at all), the propagation tracer must explain a replayed
-# sample, and `profile` (pipeline-stage spans + cycle tables) must be
-# byte-stable without --timings and run with them.
+# sample, the flight recorder (`trace --fault`) must dump the same
+# window twice, and `profile` (pipeline-stage spans + cycle tables) must
+# be byte-stable without --timings and run with them.
 smoke: build
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE)
 	$(CLI) metrics $(SMOKE)
@@ -58,6 +60,9 @@ smoke: build
 	cmp $(VMAP).knn $(VMAP).knn977
 	cmp $(VMAP).knn $(VMAP).knn0
 	$(CLI) explain kmeans -p ferrum --fault 2024:0 > /dev/null
+	$(CLI) trace kmeans -p ferrum --fault > $(FLIGHT).txt
+	$(CLI) trace kmeans -p ferrum --fault > $(FLIGHT).2.txt
+	cmp $(FLIGHT).txt $(FLIGHT).2.txt
 	$(CLI) profile kmeans -p ferrum > $(PROF).txt
 	$(CLI) profile kmeans -p ferrum > $(PROF).2.txt
 	cmp $(PROF).txt $(PROF).2.txt
@@ -175,5 +180,6 @@ clean:
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
 	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json
+	rm -f $(FLIGHT).txt $(FLIGHT).2.txt
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).html $(CAMP).seq $(TRACE).d $(TRACE).d2
 	rm -rf .bench_build

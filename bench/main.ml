@@ -553,9 +553,12 @@ let micro () =
         (Staged.stage (fun () -> Ferrum_machine.Predecode.golden raw_img));
       Test.make ~name:"simulate.ferrum"
         (Staged.stage (fun () -> Ferrum_machine.Predecode.golden ferrum_img));
+      (* the scratch path: a fresh state, every step observed *)
       Test.make ~name:"inject.one-fault"
         (Staged.stage
-           (let target = Ferrum_faultsim.Faultsim.prepare ferrum_img in
+           (let target =
+              Ferrum_faultsim.Faultsim.(prepare ~engine:Scratch ferrum_img)
+            in
             let rng = Ferrum_faultsim.Rng.create ~seed:5L in
             fun () ->
               Ferrum_faultsim.Faultsim.inject target rng

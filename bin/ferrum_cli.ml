@@ -528,8 +528,10 @@ let inject_cmd =
 
 (* Replay seeded injections until one is caught (or otherwise ends the
    run), with a flight recorder attached; dump the window that led to
-   the event.  The sampling loop mirrors {!F.campaign}, so a fault
-   found here corresponds to the same-seed campaign's sample. *)
+   the event.  Attempt k draws its fault from the same-seed campaign's
+   sample-k stream ({!Rng.split_at}), so a fault found here is that
+   campaign's sample.  Always the scratch path: the recorder observes
+   every step. *)
 let trace_fault ?technique ~bench ~seed ~attempts ~depth ~all_sites img =
   let scope = if all_sites then F.All_sites else F.Original_only in
   let t = F.prepare ~scope img in
@@ -537,12 +539,11 @@ let trace_fault ?technique ~bench ~seed ~attempts ~depth ~all_sites img =
     Fmt.epr "no eligible injection sites@.";
     exit 1
   end;
-  let rng = Rng.create ~seed in
   let flight = Flight.create ~depth () in
   let rec hunt sample =
     if sample >= attempts then None
     else begin
-      let sample_rng = Rng.split rng in
+      let sample_rng = Rng.split_at ~seed sample in
       let dyn_index = Rng.int sample_rng t.F.eligible_steps in
       Flight.clear flight;
       let cls, fault, st =
@@ -1439,18 +1440,11 @@ let explain_cmd =
       Fmt.epr "no eligible injection sites@.";
       exit 1
     end;
-    (* Replay the campaign's RNG stream: sample k of a campaign uses the
-       (k+1)-th split of the root generator, so `explain SEED:IDX`
-       retraces exactly the fault that `inject --seed SEED` classified
-       as sample IDX. *)
-    let rng = Rng.create ~seed in
-    let sample_rng = ref (Rng.split rng) in
-    for _ = 1 to idx do
-      sample_rng := Rng.split rng
-    done;
-    let dyn_index = Rng.int !sample_rng t.F.eligible_steps in
-    let cls, fault, summary =
-      F.trace_propagation ~fault_bits t !sample_rng ~dyn_index
+    (* The campaign's own traced sample, so `explain SEED:IDX` retraces
+       exactly the fault that `inject --seed SEED` classified as sample
+       IDX. *)
+    let cls, fault, _, summary =
+      F.vulnmap_sample ~fault_bits t ~seed ~sample:idx
     in
     Fmt.pr "benchmark %s (%s), seed %Ld, sample %d@." bench
       (match technique with

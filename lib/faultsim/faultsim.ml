@@ -425,13 +425,6 @@ let flip_dest ?(bits = 1) rng st (dest : Instr.dest) =
     in
     (Printf.sprintf "flags.%s" name, Iflag f, 0)
 
-(* Run the target once, flipping one bit at the [dyn_index]-th eligible
-   write-back.  [on_inject] is called right after the flip with the
-   already-corrupted state; [observe] (e.g. a {!Ferrum_machine.Flight}
-   recorder or a {!Ferrum_telemetry.Propagation} tracer) is called after
-   the injection logic on every retired instruction, so it sees
-   post-flip state.  Returns the classification, the fault description
-   and the final machine state. *)
 let classify (t : target) = function
   | Machine.Exit out ->
     if
@@ -458,6 +451,14 @@ let apply_flip ~fault_bits (t : target) rng st ~dyn_index idx : fault =
   let dest_desc, info, bit = flip_dest ~bits:fault_bits rng st d in
   { dyn_index; static_index = idx; dest_desc; dest_info = Some info; bit }
 
+(* The scratch path: run the target once from a fresh state, flipping
+   one bit at the [dyn_index]-th eligible write-back.  [on_inject] is
+   called right after the flip with the already-corrupted state;
+   [observe] (e.g. a {!Ferrum_machine.Flight} recorder or a
+   {!Ferrum_telemetry.Propagation} tracer) is called after the injection
+   logic on every retired instruction, so it sees post-flip state.
+   Returns the classification, the fault description and the final
+   machine state. *)
 let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
     ~dyn_index : classification * fault * Machine.state =
   let st = Machine.fresh_state t.img in
@@ -487,6 +488,27 @@ let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
     match !fault with Some f -> f | None -> unreached_fault dyn_index
   in
   (cls, fault, st)
+
+(* ------------------------------------------------------------------ *)
+(* Propagation tracing.                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Propagation = Ferrum_telemetry.Propagation
+
+(* Like {!inject_full}, but with a golden run executing in lockstep:
+   returns the propagation summary (first divergence, taint spread,
+   detection latency, escape timeline) alongside the classification.
+   The scratch engine's traced path, and the oracle the fast one
+   ({!inject_fast} [~traced:true]) is tested against. *)
+let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
+    classification * fault * Propagation.summary =
+  let tracer = Propagation.create t.img in
+  let cls, fault, st =
+    inject_full ?fault_bits
+      ~on_inject:(Propagation.note_injection tracer)
+      ~observe:(Propagation.observe tracer) t rng ~dyn_index
+  in
+  (cls, fault, Propagation.finish tracer st)
 
 (* ------------------------------------------------------------------ *)
 (* Fast injection: pooled states, unobserved prefix, checkpoints.      *)
@@ -587,62 +609,182 @@ let run_suffix (t : target) pre sl st =
   in
   leg (Snapshot.next_ckpt cache ~steps:st.Machine.steps)
 
+exception Traced_converged
+
+exception Check_found
+
+(* The rest of a traced run whose state equals its lockstep golden
+   state after [st.steps] retirements: the golden run's.  Step on,
+   unobserved by the tracer, to the next multiple of [check_block]
+   counting checker retirements, take the count after that boundary
+   from [prepare]'s tallies, fold both into the tracer and end as the
+   golden run ends.  Should the tracer still lack a first check after
+   the divergence and none retired on the way, step on to it.  A run
+   that halts before the boundary has simply finished, its own outcome
+   and checkers exact. *)
+let converge_traced (t : target) pre tracer st =
+  let code = t.img.Machine.code in
+  let checks = ref 0 and first = ref (-1) in
+  let on_step (st : Machine.state) idx =
+    if code.(idx).Instr.prov = Instr.Check then begin
+      if !first < 0 then first := st.Machine.steps;
+      incr checks
+    end
+  in
+  let b = (st.Machine.steps + check_block - 1) / check_block in
+  let outcome =
+    Predecode.exec_observed ~fuel:(b * check_block) ~on_step pre st
+  in
+  let first_check () = if !first < 0 then None else Some !first in
+  match outcome with
+  | Machine.Timeout ->
+    let first_check () =
+      (if !first < 0 then
+         let stop st idx =
+           on_step st idx;
+           if !first >= 0 then raise_notrace Check_found
+         in
+         try ignore (Predecode.exec_observed ~fuel:t.fuel ~on_step:stop pre st)
+         with Check_found -> ());
+      first_check ()
+    in
+    Propagation.converge tracer
+      ~checks:(!checks + t.golden_checks - t.checks_upto.(b))
+      ~first_check;
+    end_as_golden t st
+  | o ->
+    Propagation.converge tracer ~checks:!checks ~first_check;
+    o
+
+(* The traced suffix: the tracer observes every retirement until the
+   run ends, or until {!Snapshot.identical} — asked each time the tracer
+   turns {!Propagation.clean} — finds it equal to its lockstep golden
+   state again ({!converge_traced}). *)
+let run_traced (t : target) pre tracer sl gsl st =
+  let was_clean = ref false in
+  let on_step st idx =
+    Propagation.observe tracer st idx;
+    let clean = Propagation.clean tracer in
+    if clean && (not !was_clean) && Snapshot.identical sl gsl then
+      raise_notrace Traced_converged;
+    was_clean := clean
+  in
+  match Predecode.exec_observed ~fuel:t.fuel ~on_step pre st with
+  | o -> o
+  | exception Traced_converged -> converge_traced t pre tracer st
+
 (* {!inject_full}'s exact semantics on a pooled, checkpoint-restored
    state: restore the nearest checkpoint at or below the flip point, run
    the remaining prefix unobserved, execute the flip instruction, flip,
    and run the suffix ({!run_suffix}).  Steps, cycles and fuel all count
-   from program start because the restored checkpoint carries them.  The
-   returned state is the pooled slot's — valid until the next sample —
-   and only its steps and cycles are meaningful once the suffix has
-   converged. *)
-let inject_fast ~fault_bits (t : target) rng ~dyn_index :
-    classification * fault * Machine.state =
+   from program start because the restored checkpoint carries them, and
+   only the final steps and cycles of the pooled slot's state are
+   returned: once the suffix has converged nothing else in it is
+   meaningful.
+
+   [traced] gives {!trace_propagation}'s summary too, for less work.
+   The tracer's observation of the pre-flip prefix is a no-op — injected
+   and golden states are bit-identical until the flip, so no divergence,
+   no taint, nothing recorded — which is what licenses skipping it: the
+   lockstep golden state is reconstructed at the flip site by restoring
+   a second slot to the same checkpoint and syncing the injected run's
+   dirty pages and registers onto it, and the tracer starts observing at
+   the flip instruction.  The suffix ({!run_traced}) ends lockstep at
+   convergence: whenever the tracer's taint sets empty, an exact state
+   compare decides whether the run now equals its golden run, and if so
+   it counts the remaining checkers off the golden tallies
+   ({!converge_traced}) and finishes with the golden output, steps and
+   cycles, the exit counted in [ph_converged]/[ph_skipped_steps]. *)
+let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
+    classification * fault * (int * float) * Propagation.summary option =
+  let ph = t.phases in
   let sl = slot t in
   let seen = ref (Snapshot.restore sl ~dyn_index) in
   let st = Snapshot.state sl in
   let pre = predecoded t in
-  t.phases.ph_restores <- t.phases.ph_restores + 1;
+  ph.ph_restores <- ph.ph_restores + 1;
   let s0 = st.Machine.steps in
-  let prefix_done () =
-    t.phases.ph_prefix_steps <- t.phases.ph_prefix_steps + (st.Machine.steps - s0)
+  let reached = run_prefix t pre st seen ~dyn_index in
+  ph.ph_prefix_steps <- ph.ph_prefix_steps + (st.Machine.steps - s0);
+  let result cls fault tracer =
+    ( cls,
+      fault,
+      (st.Machine.steps, st.Machine.cycles),
+      Option.map (fun tr -> Propagation.finish tr st) tracer )
   in
-  match run_prefix t pre st seen ~dyn_index with
+  match reached with
   | Some o ->
-    prefix_done ();
-    (classify t o, unreached_fault dyn_index, st)
-  | None -> (
-    prefix_done ();
-    let s1 = st.Machine.steps in
-    let suffix_done () =
-      t.phases.ph_suffix_steps <-
-        t.phases.ph_suffix_steps + (st.Machine.steps - s1)
+    (* Site unreached: a traced run never diverged, so its summary is
+       that of a tracer that observed nothing. *)
+    result (classify t o) (unreached_fault dyn_index)
+      (if traced then Some (Propagation.create t.img) else None)
+  | None ->
+    let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
+    let lockstep =
+      if not traced then None
+      else begin
+        let gsl = golden_slot t in
+        ignore (Snapshot.restore gsl ~dyn_index : int);
+        ph.ph_restores <- ph.ph_restores + 1;
+        Snapshot.sync ~src:sl gsl;
+        Some (gsl, Propagation.create ~golden:(Snapshot.state gsl) t.img)
+      end
     in
+    let tracer = Option.map snd lockstep in
     let idx = st.Machine.ip in
-    match Predecode.step1 pre st with
-    | _retired ->
+    let flip () =
       let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
-      let f0 = Predecode.fused_steps () in
-      let outcome = run_suffix t pre sl st in
-      t.phases.ph_fused_steps <-
-        t.phases.ph_fused_steps + (Predecode.fused_steps () - f0);
-      suffix_done ();
-      (classify t outcome, fault, st)
-    | exception Machine.Halt o ->
-      (* Unreachable in practice — halting instructions define no
-         destinations, so they are never eligible — but mirror
-         {!Predecode.exec_observed}, whose observer fires on the
-         halting step. *)
-      let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
-      suffix_done ();
-      (classify t o, fault, st)
-    | exception Machine.Trap m ->
-      (* A trapped step is never observed by {!Predecode.exec_observed}:
-         no flip, no RNG draws, the fault stays unreached. *)
-      suffix_done ();
-      (classify t (Machine.Crash m), unreached_fault dyn_index, st))
+      Option.iter
+        (fun tr ->
+          Propagation.note_injection tr st;
+          Propagation.observe tr st idx)
+        tracer;
+      fault
+    in
+    let cls, fault =
+      match Predecode.step1 pre st with
+      | _retired ->
+        let fault = flip () in
+        let outcome =
+          match lockstep with
+          | None -> run_suffix t pre sl st
+          | Some (gsl, tr) -> run_traced t pre tr sl gsl st
+        in
+        (classify t outcome, fault)
+      | exception Machine.Halt o ->
+        (* Unreachable in practice — halting instructions define no
+           destinations, so they are never eligible — but mirror
+           {!Predecode.exec_observed}, whose observer fires on the
+           halting step. *)
+        let fault = flip () in
+        (classify t o, fault)
+      | exception Machine.Trap m ->
+        (* A trapped step is never observed by {!Predecode.exec_observed}:
+           no flip, no RNG draws, the fault stays unreached. *)
+        (classify t (Machine.Crash m), unreached_fault dyn_index)
+    in
+    ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps () - f0);
+    ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
+    result cls fault tracer
 
-let inject ?fault_bits (t : target) rng ~dyn_index : classification * fault =
-  let cls, fault, _st = inject_full ?fault_bits t rng ~dyn_index in
+(* One sample on the target's engine — the only place that dispatches
+   on it.  Returns the class, the fault, the run's final steps and
+   cycles and, when [traced], the propagation summary. *)
+let run_sample ~traced ~fault_bits (t : target) rng ~dyn_index =
+  match t.engine with
+  | Pooled | Checkpointed _ -> inject_fast ~traced ~fault_bits t rng ~dyn_index
+  | Scratch when traced ->
+    let cls, fault, s = trace_propagation ~fault_bits t rng ~dyn_index in
+    (cls, fault, (s.Propagation.end_steps, s.Propagation.end_cycles), Some s)
+  | Scratch ->
+    let cls, fault, st = inject_full ~fault_bits t rng ~dyn_index in
+    (cls, fault, (st.Machine.steps, st.Machine.cycles), None)
+
+let inject ?(fault_bits = 1) (t : target) rng ~dyn_index :
+    classification * fault =
+  let cls, fault, _, _ =
+    run_sample ~traced:false ~fault_bits t rng ~dyn_index
+  in
   (cls, fault)
 
 (* ------------------------------------------------------------------ *)
@@ -785,15 +927,10 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     classification * fault * record =
   let rng = Rng.split_at ~seed sample in
   let dyn_index = sample_dyn_index t rng ~site in
-  let cls, fault, st =
-    match t.engine with
-    | Scratch -> inject_full ~fault_bits t rng ~dyn_index
-    | Pooled | Checkpointed _ -> inject_fast ~fault_bits t rng ~dyn_index
+  let cls, fault, (steps, cycles), _ =
+    run_sample ~traced:false ~fault_bits t rng ~dyn_index
   in
-  ( cls,
-    fault,
-    make_record t ~sample cls fault ~steps:st.Machine.steps
-      ~cycles:st.Machine.cycles )
+  (cls, fault, make_record t ~sample cls fault ~steps ~cycles)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive sample allocation.                                         *)
@@ -865,30 +1002,18 @@ let allocate (t : target) ~tally ~n : int array =
   out
 
 (* Sample [samples] single-fault runs with the given seed.  [on_record]
-   streams one structured record per injection, in sample order;
-   [progress] is called after every sample with (done, total);
-   [on_stats] observes the running counts every samples/32 injections
-   (and at the end) — the sequential per-batch confidence hook. *)
+   streams one structured record per injection, in sample order. *)
 let campaign ?(scope = Original_only) ?(seed = 42L) ?(fault_bits = 1) ?engine
-    ?on_record ?progress ?on_stats ~samples img =
+    ?on_record ~samples img =
   let t = prepare ~scope ?engine img in
   if t.eligible_steps = 0 then
     invalid_arg "Faultsim.campaign: no eligible injection sites";
-  let every = max 1 (samples / 32) in
   let rec go sample counts faults =
     if sample = samples then { counts; target = t; faults }
     else
       let cls, fault, record = campaign_sample ~fault_bits t ~seed ~sample in
-      let counts = add_count counts cls in
       (match on_record with Some f -> f record | None -> ());
-      (match progress with
-      | Some f -> f (sample + 1) samples
-      | None -> ());
-      (match on_stats with
-      | Some f when (sample + 1) mod every = 0 || sample + 1 = samples ->
-        f ~spent:(sample + 1) counts
-      | _ -> ());
-      go (sample + 1) counts ((cls, fault) :: faults)
+      go (sample + 1) (add_count counts cls) ((cls, fault) :: faults)
   in
   go 0 zero_counts []
 
@@ -903,146 +1028,6 @@ let sdc_coverage ~raw ~protected_ =
    (T_prot - T_raw) / T_raw. *)
 let overhead ~raw_cycles ~prot_cycles =
   if raw_cycles <= 0.0 then 0.0 else (prot_cycles -. raw_cycles) /. raw_cycles
-
-(* ------------------------------------------------------------------ *)
-(* Propagation tracing.                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Propagation = Ferrum_telemetry.Propagation
-
-(* Like {!inject_full}, but with a golden run executing in lockstep:
-   returns the propagation summary (first divergence, taint spread,
-   detection latency, escape timeline) alongside the classification. *)
-let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
-    classification * fault * Propagation.summary =
-  let tracer = Propagation.create t.img in
-  let cls, fault, st =
-    inject_full ?fault_bits
-      ~on_inject:(Propagation.note_injection tracer)
-      ~observe:(Propagation.observe tracer) t rng ~dyn_index
-  in
-  (cls, fault, Propagation.finish tracer st)
-
-exception Traced_converged
-
-exception Check_found
-
-(* The rest of a traced run whose state equals its lockstep golden
-   state after [st.steps] retirements: the golden run's.  Step on,
-   unobserved by the tracer, to the next multiple of [check_block]
-   counting checker retirements, take the count after that boundary
-   from [prepare]'s tallies, fold both into the tracer and end as the
-   golden run ends.  Should the tracer still lack a first check after
-   the divergence and none retired on the way, step on to it.  A run
-   that halts before the boundary has simply finished, its own outcome
-   and checkers exact. *)
-let converge_traced (t : target) pre tracer st =
-  let code = t.img.Machine.code in
-  let checks = ref 0 and first = ref (-1) in
-  let on_step (st : Machine.state) idx =
-    if code.(idx).Instr.prov = Instr.Check then begin
-      if !first < 0 then first := st.Machine.steps;
-      incr checks
-    end
-  in
-  let b = (st.Machine.steps + check_block - 1) / check_block in
-  let outcome =
-    Predecode.exec_observed ~fuel:(b * check_block) ~on_step pre st
-  in
-  let first_check () = if !first < 0 then None else Some !first in
-  match outcome with
-  | Machine.Timeout ->
-    let first_check () =
-      (if !first < 0 then
-         let stop st idx =
-           on_step st idx;
-           if !first >= 0 then raise_notrace Check_found
-         in
-         try ignore (Predecode.exec_observed ~fuel:t.fuel ~on_step:stop pre st)
-         with Check_found -> ());
-      first_check ()
-    in
-    Propagation.converge tracer
-      ~checks:(!checks + t.golden_checks - t.checks_upto.(b))
-      ~first_check;
-    end_as_golden t st
-  | o ->
-    Propagation.converge tracer ~checks:!checks ~first_check;
-    o
-
-(* {!trace_propagation} on pooled, checkpoint-restored states.  The
-   tracer's observation of the pre-flip prefix is a no-op — injected and
-   golden states are bit-identical until the flip, so no divergence, no
-   taint, nothing recorded — which is what licenses skipping it: the
-   lockstep golden state is reconstructed at the flip site by restoring
-   a second slot to the same checkpoint and syncing the injected run's
-   dirty pages and registers onto it, and the tracer starts observing at
-   the flip instruction.  The suffix ends early once the two states are
-   bit-identical again ({!converge_traced}): each time the tracer turns
-   {!Propagation.clean}, {!Snapshot.identical} decides. *)
-let trace_fast ~fault_bits (t : target) rng ~dyn_index :
-    classification * fault * Propagation.summary =
-  let isl = slot t in
-  let seen = ref (Snapshot.restore isl ~dyn_index) in
-  let st = Snapshot.state isl in
-  let pre = predecoded t in
-  t.phases.ph_restores <- t.phases.ph_restores + 1;
-  let s0 = st.Machine.steps in
-  let prefix_done () =
-    t.phases.ph_prefix_steps <- t.phases.ph_prefix_steps + (st.Machine.steps - s0)
-  in
-  match run_prefix t pre st seen ~dyn_index with
-  | Some o ->
-    (* Site unreached: the traced run never diverged, so the summary is
-       that of a tracer that observed nothing. *)
-    prefix_done ();
-    let tracer = Propagation.create t.img in
-    (classify t o, unreached_fault dyn_index, Propagation.finish tracer st)
-  | None -> (
-    prefix_done ();
-    let s1 = st.Machine.steps in
-    let suffix_done () =
-      t.phases.ph_suffix_steps <-
-        t.phases.ph_suffix_steps + (st.Machine.steps - s1)
-    in
-    let gsl = golden_slot t in
-    ignore (Snapshot.restore gsl ~dyn_index : int);
-    t.phases.ph_restores <- t.phases.ph_restores + 1;
-    Snapshot.sync ~src:isl gsl;
-    let tracer = Propagation.create ~golden:(Snapshot.state gsl) t.img in
-    let idx = st.Machine.ip in
-    match Predecode.step1 pre st with
-    | _retired ->
-      let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
-      Propagation.note_injection tracer st;
-      Propagation.observe tracer st idx;
-      let was_clean = ref false in
-      let on_step st idx =
-        Propagation.observe tracer st idx;
-        let clean = Propagation.clean tracer in
-        if clean && (not !was_clean) && Snapshot.identical isl gsl then
-          raise_notrace Traced_converged;
-        was_clean := clean
-      in
-      let outcome =
-        match Predecode.exec_observed ~fuel:t.fuel ~on_step pre st with
-        | o -> o
-        | exception Traced_converged -> converge_traced t pre tracer st
-      in
-      suffix_done ();
-      (classify t outcome, fault, Propagation.finish tracer st)
-    | exception Machine.Halt o ->
-      (* Unreachable (halting instructions are never eligible); mirrors
-         {!inject_full}'s observer firing on the halting step. *)
-      let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
-      Propagation.note_injection tracer st;
-      Propagation.observe tracer st idx;
-      suffix_done ();
-      (classify t o, fault, Propagation.finish tracer st)
-    | exception Machine.Trap m ->
-      suffix_done ();
-      (classify t (Machine.Crash m), unreached_fault dyn_index,
-       Propagation.finish tracer st))
 
 (* ------------------------------------------------------------------ *)
 (* Per-static-instruction vulnerability maps.                          *)
@@ -1074,16 +1059,13 @@ let vulnmap_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     classification * fault * record * Propagation.summary =
   let rng = Rng.split_at ~seed sample in
   let dyn_index = sample_dyn_index t rng ~site in
-  let cls, fault, summary =
-    match t.engine with
-    | Scratch -> trace_propagation ~fault_bits t rng ~dyn_index
-    | Pooled | Checkpointed _ -> trace_fast ~fault_bits t rng ~dyn_index
+  let cls, fault, (steps, cycles), summary =
+    run_sample ~traced:true ~fault_bits t rng ~dyn_index
   in
   ( cls,
     fault,
-    make_record t ~sample cls fault ~steps:summary.Propagation.end_steps
-      ~cycles:summary.Propagation.end_cycles,
-    summary )
+    make_record t ~sample cls fault ~steps ~cycles,
+    Option.get summary )
 
 (* Vulnerability-map aggregation, one traced sample at a time.  Kept
    separate from the sampling loop so a sharded campaign can replay the
@@ -1146,12 +1128,11 @@ let vulnmap_build b : vulnmap =
    static site.  [on_record] streams the same per-injection records as
    {!campaign}. *)
 let vulnmap_campaign ?(scope = Original_only) ?(seed = 42L) ?(fault_bits = 1)
-    ?engine ?on_record ?progress ?on_stats ~samples img : vulnmap =
+    ?engine ?on_record ~samples img : vulnmap =
   let t = prepare ~scope ?engine img in
   if t.eligible_steps = 0 then
     invalid_arg "Faultsim.vulnmap_campaign: no eligible injection sites";
   let b = vulnmap_builder t in
-  let every = max 1 (samples / 32) in
   for sample = 0 to samples - 1 do
     let cls, fault, record, summary =
       vulnmap_sample ~fault_bits t ~seed ~sample
@@ -1164,12 +1145,7 @@ let vulnmap_campaign ?(scope = Original_only) ?(seed = 42L) ?(fault_bits = 1)
     in
     vulnmap_add b ~sample ~static_index:fault.static_index cls ~latency
       ~escape;
-    (match on_record with Some f -> f record | None -> ());
-    (match on_stats with
-    | Some f when (sample + 1) mod every = 0 || sample + 1 = samples ->
-      f ~spent:(sample + 1) b.b_counts
-    | _ -> ());
-    match progress with Some f -> f (sample + 1) samples | None -> ()
+    match on_record with Some f -> f record | None -> ()
   done;
   vulnmap_build b
 

@@ -169,7 +169,7 @@ exception Golden_failure of string
 
 (** Profile the fault-free run.  Raises {!Golden_failure} if it does not
     exit normally.  [engine] (default {!default_engine}) selects how
-    {!campaign_sample}/{!vulnmap_sample} execute; under
+    {!inject}, {!campaign_sample} and {!vulnmap_sample} execute; under
     [Checkpointed k] the same walk captures the golden checkpoints, so
     it is the target's only golden walk (counted in [ph_walks]). *)
 val prepare : ?scope:scope -> ?engine:engine -> Machine.image -> target
@@ -196,16 +196,19 @@ type fault = {
 }
 
 (** Run once, flipping [fault_bits] (default 1) distinct bits of one
-    destination of the [dyn_index]-th eligible write-back. *)
+    destination of the [dyn_index]-th eligible write-back, on the
+    target's engine (see {!prepare}): every engine gives the same class
+    and fault. *)
 val inject :
   ?fault_bits:int -> target -> Rng.t -> dyn_index:int ->
   classification * fault
 
-(** Like {!inject}, but also returns the final machine state, calls
-    [on_inject] right after the bit flip (with the corrupted state), and
-    calls [observe] (e.g. {!Ferrum_machine.Flight.observe}) after the
-    injection logic on every retired instruction, so it sees post-flip
-    state. *)
+(** The scratch path, whatever the target's engine: like {!inject}, but
+    from a fresh state with every step observed.  Also returns the final
+    machine state, calls [on_inject] right after the bit flip (with the
+    corrupted state), and calls [observe] (e.g.
+    {!Ferrum_machine.Flight.observe}) after the injection logic on every
+    retired instruction, so it sees post-flip state. *)
 val inject_full :
   ?fault_bits:int ->
   ?on_inject:(Machine.state -> unit) ->
@@ -267,14 +270,10 @@ val campaign_sample :
   classification * fault * record
 
 (** Sample [samples] single-fault runs; bit-reproducible per seed.
-    [on_record] streams one {!record} per injection in sample order;
-    [progress] is called after every sample with [done_so_far total];
-    [on_stats] observes the running outcome counts every [samples/32]
-    injections and at the end — the per-batch confidence hook. *)
+    [on_record] streams one {!record} per injection in sample order. *)
 val campaign :
   ?scope:scope -> ?seed:int64 -> ?fault_bits:int -> ?engine:engine ->
-  ?on_record:(record -> unit) -> ?progress:(int -> int -> unit) ->
-  ?on_stats:(spent:int -> counts -> unit) ->
+  ?on_record:(record -> unit) ->
   samples:int -> Machine.image -> campaign_result
 
 (** {1 Adaptive sample allocation}
@@ -322,20 +321,12 @@ module Propagation = Ferrum_telemetry.Propagation
 (** Like {!inject_full}, but with the golden run executing in lockstep:
     also returns the propagation summary — first architectural
     divergence, taint spread, detection latency, and the escape timeline
-    for SDCs.  This is the reference path: a fresh state, every step
-    observed to the end of the run.
-
-    The fast engines' traced path ({!vulnmap_sample} on [Pooled] and
-    [Checkpointed]) returns the same classification, fault and summary
-    for less work.  It skips the identical pre-flip prefix, and it ends
-    lockstep at convergence: whenever the tracer's taint sets empty
-    ({!Propagation.clean}), an exact state compare
-    ({!Ferrum_machine.Snapshot.identical}) decides whether the run now
-    equals its golden run.  If so it steps at most one block of the
-    golden checker tallies ([checks_upto]) to count checkers (further
-    only to find the first checker when none has retired yet), and
-    finishes with the golden output, steps and cycles, counting the
-    exit in [ph_converged]/[ph_skipped_steps]. *)
+    for SDCs.  This is the scratch oracle, whatever the target's engine:
+    a fresh state, every step observed to the end of the run.
+    {!vulnmap_sample} runs it on [Scratch] targets; on the fast engines
+    it takes the same fast path as an untraced sample, with the tracer
+    attached from the flip on, and returns the same classification,
+    fault and summary as this. *)
 val trace_propagation :
   ?fault_bits:int -> target -> Rng.t -> dyn_index:int ->
   classification * fault * Propagation.summary
@@ -393,8 +384,7 @@ val vulnmap_build : vulnmap_builder -> vulnmap
     streams the same per-injection records as {!campaign}. *)
 val vulnmap_campaign :
   ?scope:scope -> ?seed:int64 -> ?fault_bits:int -> ?engine:engine ->
-  ?on_record:(record -> unit) -> ?progress:(int -> int -> unit) ->
-  ?on_stats:(spent:int -> counts -> unit) ->
+  ?on_record:(record -> unit) ->
   samples:int -> Machine.image -> vulnmap
 
 (** Mean detection latency (steps, cycles) of a site; [None] when no

@@ -10,6 +10,7 @@ module Machine = Ferrum_machine.Machine
 module Snapshot = Ferrum_machine.Snapshot
 module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
+module Rng = Ferrum_faultsim.Rng
 module Json = Ferrum_telemetry.Json
 module Propagation = Ferrum_telemetry.Propagation
 module Runner = Ferrum_campaign.Runner
@@ -69,12 +70,13 @@ let straddle_program () =
 (* Crash-at-flip-site: the very first eligible write-back loads a base
    register; flipping one of its high bits sends the immediately
    following load out of the address space, so the crash surfaces on
-   the first post-restore instruction. *)
-let crash_program () =
+   the first post-restore instruction.  A wild [base] makes that load
+   trap on its own. *)
+let crash_program ?(base = 4096L) () =
   Prog.program
     [ Prog.func "main"
         [ Prog.block "main"
-            [ original (Instr.Mov (Reg.Q, Instr.Imm 4096L, Instr.Reg Reg.RBX));
+            [ original (Instr.Mov (Reg.Q, Instr.Imm base, Instr.Reg Reg.RBX));
               original
                 (Instr.Mov
                    ( Reg.Q, Instr.Mem (Instr.mem ~base:Reg.RBX 0),
@@ -205,16 +207,27 @@ let target_lines t ~seed ~samples =
 let campaign_lines ~engine ~seed ~samples img =
   target_lines (F.prepare ~engine img) ~seed ~samples
 
+(* [F.inject]'s class and fault on each campaign sample's draw. *)
+let inject_results t ~seed ~samples =
+  List.init samples (fun sample ->
+      let rng = Rng.split_at ~seed sample in
+      let dyn_index = Rng.int rng t.F.eligible_steps in
+      F.inject t rng ~dyn_index)
+
 (* Assert every fast engine reproduces the scratch record stream byte
-   for byte. *)
+   for byte, and [F.inject]'s classes and faults. *)
 let check_identity name engines ~seed ~samples img =
-  let reference = campaign_lines ~engine:F.Scratch ~seed ~samples img in
+  let run engine =
+    let t = F.prepare ~engine img in
+    (target_lines t ~seed ~samples, inject_results t ~seed ~samples)
+  in
+  let reference, injected = run F.Scratch in
   List.iter
     (fun e ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s seed=%Ld %s" name seed (F.engine_name e))
-        reference
-        (campaign_lines ~engine:e ~seed ~samples img))
+      let label = Printf.sprintf "%s seed=%Ld %s" name seed (F.engine_name e) in
+      let lines, inj = run e in
+      Alcotest.(check (list string)) label reference lines;
+      if inj <> injected then Alcotest.failf "%s: inject class or fault" label)
     engines
 
 (* Everything a traced campaign produces, flattened to strings: the
@@ -662,7 +675,7 @@ let check_prepared name ~engine img =
 
 let fixture_programs =
   [ ("loop", loop_program); ("straddle", straddle_program);
-    ("crash", crash_program); ("timeout", timeout_program);
+    ("crash", fun () -> crash_program ()); ("timeout", timeout_program);
     ("memory-only", memory_only_program); ("block", block_program) ]
 
 let test_prepare_fixtures () =
@@ -895,14 +908,18 @@ let test_memory_only_corruption () =
    sides of a block boundary and at random programs several blocks
    long. *)
 
-(* The scratch oracle's plain and traced samples, against each of
-   [targets]'. *)
+(* The scratch oracle's plain and traced samples, and [F.inject] on the
+   same fault, against each of [targets]'. *)
 let check_samples name ~reference ?site targets ~seed ~samples =
   let json r = Json.to_string (F.record_to_json r) in
   List.iter
     (fun sample ->
       let rc, rf, rr = F.campaign_sample ?site reference ~seed ~sample in
       let traced = F.vulnmap_sample ?site reference ~seed ~sample in
+      let inject t =
+        F.inject t (Rng.split_at ~seed sample) ~dyn_index:rf.F.dyn_index
+      in
+      let injected = inject reference in
       List.iter
         (fun t ->
           let label =
@@ -913,7 +930,8 @@ let check_samples name ~reference ?site targets ~seed ~samples =
           Alcotest.(check string) (label ^ ": record") (json rr) (json gr);
           if (rc, rf) <> (gc, gf) then Alcotest.failf "%s: class or fault" label;
           if traced <> F.vulnmap_sample ?site t ~seed ~sample then
-            Alcotest.failf "%s: traced sample" label)
+            Alcotest.failf "%s: traced sample" label;
+          if injected <> inject t then Alcotest.failf "%s: inject" label)
         targets)
     (List.init samples Fun.id)
 
@@ -970,6 +988,24 @@ let prop_random_prefix_identity =
         (List.map (fun engine -> F.prepare ~scope ~engine img) prefix_engines)
         ~seed ~samples:4;
       true)
+
+(* A flip instruction that traps is never flipped, on any engine: the
+   fault stays unreached.  A replayed prefix is the golden run, so its
+   flip instruction cannot trap; here the targets run an image whose
+   first load has a wild base register, on the profile and checkpoints
+   of the image it was prepared on, which differs only there.  Engines
+   that restore at step 0 only. *)
+let test_trap_at_flip () =
+  let img = Machine.load (crash_program ()) in
+  let wild = Machine.load (crash_program ~base:0x4000_0000_0000L ()) in
+  let target engine = { (F.prepare ~engine img) with F.img = wild } in
+  let reference = target F.Scratch in
+  let cls, fault, _ = F.campaign_sample ~site:1 reference ~seed:3L ~sample:0 in
+  Alcotest.(check string) "the load traps" "crash" (F.classification_name cls);
+  Alcotest.(check int) "unreached" (-1) fault.F.static_index;
+  check_samples "trap at flip" ~reference ~site:1
+    (List.map target [ F.Pooled; F.Checkpointed 64; F.default_engine ])
+    ~seed:3L ~samples:3
 
 (* ---- engine bit-identity across the catalogue ---- *)
 
@@ -1126,7 +1162,9 @@ let () =
             test_crash_at_flip_site;
           Alcotest.test_case "timeout near fuel" `Quick test_timeout_near_fuel;
           Alcotest.test_case "memory-only corruption" `Quick
-            test_memory_only_corruption ] );
+            test_memory_only_corruption;
+          Alcotest.test_case "trap at the flip instruction" `Quick
+            test_trap_at_flip ] );
       ( "fused prefix",
         [ Alcotest.test_case "flips at a block's edges" `Quick test_block_edges;
           QCheck_alcotest.to_alcotest prop_random_prefix_identity ] );
