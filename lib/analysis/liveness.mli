@@ -1,7 +1,8 @@
 (** GPR liveness over {!Cfg}, built on the {!Dataflow} engine.
 
-    This replaces the hand-rolled fixpoint in [lib/core/liveness.ml]
-    (which is now a thin wrapper over this module) and adds the two
+    FERRUM's requisition path ([Ferrum_pass], with [use_liveness])
+    queries [dead_at] to clobber provably-dead registers without the
+    Fig. 7 push/pop.  Beyond the classic analysis it has the two
     refinements the static lint needs:
 
     - [?call_reads] overrides the conservative "a call reads every
@@ -30,8 +31,8 @@ val writes : Instr.t -> GSet.t
 type t
 
 (** Backward liveness to fixpoint over the function's CFG.  Defaults
-    reproduce [lib/core/liveness.ml] exactly: calls read all GPRs, every
-    instruction participates. *)
+    are the conservative analysis FERRUM's pass uses: calls read all
+    GPRs, every instruction participates. *)
 val analyze :
   ?call_reads:Reg.gpr list -> ?keep:(Instr.ins -> bool) -> Prog.func -> t
 

@@ -22,6 +22,7 @@
    returns, and whenever the four slots fill up. *)
 
 open Ferrum_asm
+module Liveness = Ferrum_analysis.Liveness
 
 type config = {
   use_simd : bool; (* E6 ablation: disable the SIMD path entirely *)
@@ -253,11 +254,12 @@ let protect_general ctx ?(pool = ctx.general_pool) (ins : Instr.ins) =
       | Some lv when ctx.cfg.use_liveness ->
         List.filter
           (fun r ->
-            (not (List.mem r (Instr.gprs_mentioned ins.op)))
+            Liveness.dead_at lv ~label:ctx.cur_label ~k:ctx.cur_index r
+            && (not (List.mem r (Instr.gprs_mentioned ins.op)))
             && (match ctx.pair with
                | Some (a, b) -> not (Reg.equal_gpr r a || Reg.equal_gpr r b)
                | None -> true))
-          (Liveness.dead_regs_at lv ~label:ctx.cur_label ~k:ctx.cur_index)
+          Spare.preference
       | _ -> []
     in
     if List.length dead_pool >= needed then begin

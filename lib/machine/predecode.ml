@@ -3,8 +3,8 @@
 
    This module is the one definition of what each instruction does.  It
    lowers an {!Machine.image} once into a flat array of resolved-operand
-   closures — one thunk per static index, each doing the accounting
-   preamble ([cycles]/[steps]/[ip]) followed by a body specialized at
+   closures — one thunk per static index, each doing the step preamble
+   ([retire]: cycles, steps, [ip]) followed by a body specialized at
    decode time ([fast_thunk] for hot shapes, the composed [mk_body]
    otherwise) — and drives them from three loops:
 
@@ -24,6 +24,21 @@
 
    {!run}, {!run_fresh} and {!golden} wrap them over the cached decode
    of an image.
+
+   Each rule the specialized thunks share is written once, as a
+   [let[@inline]] helper below: the step preamble ([retire]), the
+   effective address ([ea]), the end-of-memory guard before an
+   unchecked access ([guard]), the 64-bit ADD, SUB and logic flag rules
+   ([flags_add], [flags_sub], [flags_logic]), the 256-bit [vptest]
+   reduction ([vptest256]), the n-lane xor and test of the generic and
+   512-bit bodies ([xor_lanes], [test_lanes]) and the fused-pair fuel
+   check and epilogue ([check_fuel], [chain]).  They live in this file,
+   not in {!Machine}, because the dev profile compiles with [-opaque]:
+   a call into another module is never inlined, and a helper that is
+   not inlined receives its int64 arguments boxed.  Inlined, each one
+   expands inside the closure that calls it, which keeps one closure
+   per specialized shape (a branch on the operation inside a shared
+   closure would box).
 
    Two representation choices make the specialized thunks allocation-free:
 
@@ -59,26 +74,13 @@
 
 open Ferrum_asm
 
-(* Unboxed register-file access: these compile to direct loads/stores on
-   the bigarray data pointer.  Indices are decode-time constants in
-   [0, 15] (GPR) or [0, 127] (SIMD lanes), so the unchecked variants are
-   safe. *)
-external bget : Machine.regfile -> int -> int64 = "%caml_ba_unsafe_ref_1"
-
-external bset : Machine.regfile -> int -> int64 -> unit
-  = "%caml_ba_unsafe_set_1"
-
-(* Unchecked byte loads/stores, used only after an inline replica of
-   [Machine.check_addr] has validated the access (the checked/unchecked
-   variants agree on every address the check admits).  Native-endian:
-   the specialized memory arms are built only on little-endian hosts
-   (x86 order); big-endian hosts fall back to the generic bodies, which
-   go through [Machine.read_mem]/[write_mem]. *)
-external b_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
-
-external b_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-external b_get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+(* Unchecked register-file and byte access ({!Prims}).  Register
+   indices are decode-time constants in [0, 15] (GPR) or [0, 127] (SIMD
+   lanes); byte offsets pass [guard] first.  The byte loads/stores are
+   native-endian: the specialized memory arms are built only on
+   little-endian hosts (x86 order); big-endian hosts fall back to the
+   generic bodies, which go through [Machine.read_mem]/[write_mem]. *)
+open Prims
 
 let little_endian = not Sys.big_endian
 
@@ -153,14 +155,22 @@ let mk_ea (m : Instr.mem) : Machine.state -> int64 =
 
 (* Decode-time encoding of an effective address as plain scalars, for
    the specialized arms: base/index register slots ([-1] = absent), the
-   scale and displacement as int64.  The arms expand the same
-   base + index*scale + disp sum inline, so the address never crosses a
-   closure boundary (crossing would box it). *)
+   scale and displacement as int64.  The arms expand the sum inline
+   through [ea], so the address never crosses a closure boundary
+   (crossing would box it). *)
 let addr_parts (m : Instr.mem) =
   ( (match m.Instr.base with Some b -> Reg.gpr_index b | None -> -1),
     (match m.Instr.index with Some x -> Reg.gpr_index x | None -> -1),
     Int64.of_int m.Instr.scale,
     Int64.of_int m.Instr.disp )
+
+(* A register or immediate source as [(si, iv)]: [si >= 0] selects
+   register [si], else the immediate [iv] (read through [source]). *)
+let reg_or_imm (src : Instr.operand) =
+  match src with
+  | Instr.Imm i -> Some (-1, i)
+  | Instr.Reg r -> Some (Reg.gpr_index r, 0L)
+  | Instr.Mem _ -> None
 
 let mk_read s (o : Instr.operand) : Machine.state -> int64 =
   match o with
@@ -220,26 +230,152 @@ let mk_cond (c : Cond.t) : Machine.state -> bool =
   | Cond.NS -> fun st -> not st.Machine.sf
 
 (* ------------------------------------------------------------------ *)
+(* Shared rules, inlined into every closure that uses them.            *)
+(* ------------------------------------------------------------------ *)
+
+(* The step preamble: charge the cycle cost, count the step, set [ip]. *)
+let[@inline] retire cyc cost (st : Machine.state) ip =
+  cyc.fv <- cyc.fv +. cost;
+  st.Machine.steps <- st.Machine.steps + 1;
+  st.Machine.ip <- ip
+
+let[@inline] source g si iv = if si >= 0 then bget g si else iv
+
+(* base + index*scale + disp over the scalars of [addr_parts]. *)
+let[@inline] ea g bi xi sc disp =
+  Int64.add
+    (Int64.add
+       (if bi >= 0 then bget g bi else 0L)
+       (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
+    disp
+
+(* The end-of-memory guard before an unchecked access of [bytes] bytes
+   at [addr]: [Machine.check_addr] with its compares specialized (the
+   checked and unchecked accessors agree on every address it admits).
+   Returns the byte offset; only the trap allocates. *)
+let[@inline] guard (st : Machine.state) addr bytes =
+  let ml = Bytes.length st.Machine.mem in
+  let a = Int64.to_int addr in
+  if addr < 0L || addr >= Int64.of_int ml || a + bytes > ml || a < 0 then
+    Machine.trap "memory access at 0x%Lx" addr;
+  a
+
+(* Flag rules: the [Reg.Q] specializations of [Machine.set_flags_*]:
+   masking with [-1L] dropped, [sign_bit] a plain sign compare, and
+   [Int64.unsigned_compare a b < 0] rewritten as the sign-flipped signed
+   compare [Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int]
+   (the stdlib function is not specialized by the compiler; the rewrite
+   is). *)
+let[@inline] flags_logic (st : Machine.state) res =
+  st.Machine.zf <- Int64.equal res 0L;
+  st.Machine.sf <- res < 0L;
+  st.Machine.cf <- false;
+  st.Machine.off <- false
+
+let[@inline] flags_add (st : Machine.state) a b res =
+  st.Machine.zf <- Int64.equal res 0L;
+  st.Machine.sf <- res < 0L;
+  st.Machine.cf <-
+    Int64.logxor res Int64.min_int < Int64.logxor a Int64.min_int
+    || Int64.logxor res Int64.min_int < Int64.logxor b Int64.min_int;
+  st.Machine.off <- a < 0L = (b < 0L) && res < 0L <> (a < 0L)
+
+let[@inline] flags_sub (st : Machine.state) a b res =
+  st.Machine.zf <- Int64.equal res 0L;
+  st.Machine.sf <- res < 0L;
+  st.Machine.cf <- Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
+  st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L)
+
+(* 256-bit xor of SIMD slots [a8], [b8] into [d8]: lane-by-lane
+   read-then-write in lane order (visible if [d8] aliases a source). *)
+let[@inline] vpxor256 s a8 b8 d8 =
+  bset s d8 (Int64.logxor (bget s a8) (bget s b8));
+  bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
+  bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
+  bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)))
+
+(* 256-bit [vptest]: ZF when [b AND a] is zero, CF when [b AND NOT a]
+   is, over the four lanes unrolled. *)
+let[@inline] vptest256 (st : Machine.state) s a8 b8 =
+  let a0 = bget s a8
+  and a1 = bget s (a8 + 1)
+  and a2 = bget s (a8 + 2)
+  and a3 = bget s (a8 + 3) in
+  let b0 = bget s b8
+  and b1 = bget s (b8 + 1)
+  and b2 = bget s (b8 + 2)
+  and b3 = bget s (b8 + 3) in
+  let and_acc =
+    Int64.logor
+      (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
+      (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
+  in
+  let andn_acc =
+    Int64.logor
+      (Int64.logor
+         (Int64.logand b0 (Int64.lognot a0))
+         (Int64.logand b1 (Int64.lognot a1)))
+      (Int64.logor
+         (Int64.logand b2 (Int64.lognot a2))
+         (Int64.logand b3 (Int64.lognot a3)))
+  in
+  st.Machine.zf <- Int64.equal and_acc 0L;
+  st.Machine.cf <- Int64.equal andn_acc 0L;
+  st.Machine.sf <- false;
+  st.Machine.off <- false
+
+(* [vpxor256] and [vptest256] over [n] lanes, as a loop: the 512-bit
+   arms and the generic bodies. *)
+let[@inline] xor_lanes s n a8 b8 d8 =
+  for lane = 0 to n - 1 do
+    bset s (d8 + lane) (Int64.logxor (bget s (a8 + lane)) (bget s (b8 + lane)))
+  done
+
+let[@inline] test_lanes (st : Machine.state) s n a8 b8 =
+  let and_acc = ref 0L and andn_acc = ref 0L in
+  for lane = 0 to n - 1 do
+    let va = bget s (a8 + lane) and vb = bget s (b8 + lane) in
+    and_acc := Int64.logor !and_acc (Int64.logand vb va);
+    andn_acc := Int64.logor !andn_acc (Int64.logand vb (Int64.lognot va))
+  done;
+  st.Machine.zf <- Int64.equal !and_acc 0L;
+  st.Machine.cf <- Int64.equal !andn_acc 0L;
+  st.Machine.sf <- false;
+  st.Machine.off <- false
+
+(* Between the halves of a fused pair: stop if the first used the last
+   of the fuel. *)
+let[@inline] check_fuel fuel (st : Machine.state) =
+  if st.Machine.steps >= !fuel then raise Fuel
+
+(* A fused jcc's condition: [ck] (from [cond_kind], decode-constant)
+   reads ZF directly for E and NE and calls [ev] otherwise. *)
+let cond_kind (c : Cond.t) = match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
+
+let[@inline] taken ck ev (st : Machine.state) =
+  if ck = 0 then st.Machine.zf else if ck = 1 then not st.Machine.zf else ev st
+
+(* The fused-pair epilogue: count both steps, then tail-call the thunk
+   at the new [ip] while fuel lasts and [ip] is in range. *)
+let[@inline] chain fuel fused len (st : Machine.state) =
+  ctr.c_fused_steps <- ctr.c_fused_steps + 2;
+  let ip' = st.Machine.ip in
+  if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
+    (Array.unsafe_get fused ip') st
+
+(* ------------------------------------------------------------------ *)
 (* Thunk construction.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Fully-specialized thunks for the catalogue's hottest shapes: 64-bit
    moves and ALU (including memory operands, with the effective address
-   and the bounds check expanded inline), the SIMD duplicate/check ops
-   the protection transforms emit, resolved jumps, [lea], [set],
-   immediate shifts.  Each arm textually inlines the accounting
-   preamble, its operand dataflow and its flag predicates, so a retired
-   instruction is one closure call with no allocation.  Everything else
-   goes through the generic composed body below.  [None] means "no fast
-   shape".
-
-   Flag predicates are the [Reg.Q] specializations of
-   [Machine.set_flags_*]: masking with [-1L] dropped, [sign_bit] a plain
-   sign compare, and [Int64.unsigned_compare a b < 0] rewritten as the
-   sign-flipped signed compare
-   [Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int]
-   (the stdlib function is not specialized by the compiler; the
-   rewrite is). *)
+   and the end-of-memory guard expanded inline), the SIMD
+   duplicate/check ops the protection transforms emit, resolved jumps,
+   [lea], [set], immediate shifts.  Each arm is one closure built from
+   the inlined rules above — the preamble, its operand dataflow and its
+   flag rule — so a retired instruction is one closure call with no
+   allocation.  Everything else goes through the generic composed body
+   below.  [None] means "no fast shape". *)
 let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     (Machine.state -> unit) option =
   match op with
@@ -249,17 +385,13 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           bset st.Machine.gpr di v)
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
           bset g di (bget g ri))
     | Instr.Mem m ->
@@ -268,21 +400,9 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let a = guard st (ea g bi xi sc disp) 8 in
             bset g di (b_get64u st.Machine.mem a)))
   | Instr.Mov (Reg.Q, src, Instr.Mem m) -> (
     if not little_endian then None
@@ -292,42 +412,17 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Imm v ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            retire cyc cost st next;
+            let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             Machine.mark_dirty st a 8;
             b_set64u st.Machine.mem a v)
       | Instr.Reg r ->
         let ri = Reg.gpr_index r in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let a = guard st (ea g bi xi sc disp) 8 in
             Machine.mark_dirty st a 8;
             b_set64u st.Machine.mem a (bget g ri))
       | Instr.Mem _ -> None)
@@ -336,122 +431,66 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let bi, xi, sc, disp = addr_parts m in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         let g = st.Machine.gpr in
-        bset g di
-          (Int64.add
-             (Int64.add
-                (if bi >= 0 then bget g bi else 0L)
-                (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-             disp))
+        bset g di (ea g bi xi sc disp))
   | Instr.Alu (aop, Reg.Q, src, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
-    (* [si >= 0] selects the register source, else the immediate [iv];
-       the branch is decode-constant per thunk, so it predicts
-       perfectly and keeps one body per ALU op. *)
-    match
-      match src with
-      | Instr.Imm i -> Some (-1, i)
-      | Instr.Reg r -> Some (Reg.gpr_index r, 0L)
-      | Instr.Mem _ -> None
-    with
+    (* the [si >= 0] branch of [source] is decode-constant per thunk, so
+       it predicts perfectly and keeps one body per ALU op *)
+    match reg_or_imm src with
     | None -> None
     | Some (si, iv) -> (
       match aop with
       | Instr.Add ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let a = bget g di in
-            let b = if si >= 0 then bget g si else iv in
+            let a = bget g di and b = source g si iv in
             let res = Int64.add a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor res Int64.min_int < Int64.logxor a Int64.min_int
-              || Int64.logxor res Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L = (b < 0L) && res < 0L <> (a < 0L);
+            flags_add st a b res;
             bset g di res)
       | Instr.Sub ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let a = bget g di in
-            let b = if si >= 0 then bget g si else iv in
+            let a = bget g di and b = source g si iv in
             let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L);
+            flags_sub st a b res;
             bset g di res)
       | Instr.Imul ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let a = bget g di in
-            let b = if si >= 0 then bget g si else iv in
-            let res = Int64.mul a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
+            let res = Int64.mul (bget g di) (source g si iv) in
+            flags_logic st res;
             bset g di res)
       | Instr.And ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let res =
-              Int64.logand (bget g di) (if si >= 0 then bget g si else iv)
-            in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
+            let res = Int64.logand (bget g di) (source g si iv) in
+            flags_logic st res;
             bset g di res)
       | Instr.Or ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let res =
-              Int64.logor (bget g di) (if si >= 0 then bget g si else iv)
-            in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
+            let res = Int64.logor (bget g di) (source g si iv) in
+            flags_logic st res;
             bset g di res)
       | Instr.Xor ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
-            let res =
-              Int64.logxor (bget g di) (if si >= 0 then bget g si else iv)
-            in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
+            let res = Int64.logxor (bget g di) (source g si iv) in
+            flags_logic st res;
             bset g di res)))
   | Instr.Cmp (Reg.Q, src, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
@@ -459,92 +498,44 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm iv ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let a = bget st.Machine.gpr di in
-          let res = Int64.sub a iv in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <-
-            Int64.logxor a Int64.min_int < Int64.logxor iv Int64.min_int;
-          st.Machine.off <- a < 0L <> (iv < 0L) && res < 0L <> (a < 0L))
+          flags_sub st a iv (Int64.sub a iv))
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
-          let a = bget g di in
-          let b = bget g ri in
-          let res = Int64.sub a b in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <-
-            Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-          st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L))
+          let a = bget g di and b = bget g ri in
+          flags_sub st a b (Int64.sub a b))
     | Instr.Mem m ->
       if not little_endian then None
       else
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            retire cyc cost st next;
             let g = st.Machine.gpr in
             let a = bget g di in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let ai = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || ai + 8 > ml || ai < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
-            let b = b_get64u st.Machine.mem ai in
-            let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L)))
+            let b = b_get64u st.Machine.mem (guard st (ea g bi xi sc disp) 8) in
+            flags_sub st a b (Int64.sub a b)))
   | Instr.Test (Reg.Q, src, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
-    match
-      match src with
-      | Instr.Imm i -> Some (-1, i)
-      | Instr.Reg r -> Some (Reg.gpr_index r, 0L)
-      | Instr.Mem _ -> None
-    with
+    match reg_or_imm src with
     | None -> None
     | Some (si, iv) ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
-          let res =
-            Int64.logand (bget g di) (if si >= 0 then bget g si else iv)
-          in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false))
+          flags_logic st (Int64.logand (bget g di) (source g si iv))))
   | Instr.Set (c, Instr.Reg d) ->
     let di = Reg.gpr_index d in
     let ev = mk_cond c in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.logor
@@ -554,9 +545,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let ri = Reg.gpr_index r and di = Reg.gpr_index d in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.shift_right (Int64.shift_left (bget g ri) 32) 32))
@@ -567,21 +556,9 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let bi, xi, sc, disp = addr_parts m in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
-          let addr =
-            Int64.add
-              (Int64.add
-                 (if bi >= 0 then bget g bi else 0L)
-                 (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-              disp
-          in
-          let ml = Bytes.length st.Machine.mem in
-          let a = Int64.to_int addr in
-          if addr < 0L || addr >= Int64.of_int ml || a + 4 > ml || a < 0 then
-            Machine.trap "memory access at 0x%Lx" addr;
+          let a = guard st (ea g bi xi sc disp) 4 in
           bset g di (Int64.of_int32 (b_get32u st.Machine.mem a)))
   | Instr.Shift (k, Reg.Q, Instr.Amt_imm n, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
@@ -590,60 +567,36 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Shl ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_left (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          flags_logic st res;
           bset g di res)
     | Instr.Sar ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          flags_logic st res;
           bset g di res)
     | Instr.Shr ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right_logical (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          flags_logic st res;
           bset g di res))
   | Instr.Jmp _ -> (
     match img.Machine.links.(ip) with
-    | Machine.L_target t ->
-      Some
-        (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- t)
+    | Machine.L_target t -> Some (fun st -> retire cyc cost st t)
     | _ -> None)
   | Instr.Jcc (c, _) -> (
     match img.Machine.links.(ip) with
     | Machine.L_target t ->
       let ev = mk_cond c in
-      Some
-        (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- (if ev st then t else next))
+      Some (fun st -> retire cyc cost st (if ev st then t else next))
     | _ -> None)
   | Instr.MovQ_to_xmm (src, x) -> (
     let x8 = x * 8 in
@@ -651,9 +604,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let s = st.Machine.simd in
           bset s x8 v;
           bset s (x8 + 1) 0L)
@@ -661,9 +612,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           let s = st.Machine.simd in
           bset s x8 (bget st.Machine.gpr ri);
           bset s (x8 + 1) 0L)
@@ -673,21 +622,8 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            retire cyc cost st next;
+            let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             let s = st.Machine.simd in
             bset s x8 (b_get64u st.Machine.mem a);
             bset s (x8 + 1) 0L))
@@ -695,9 +631,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let x8 = x * 8 and di = Reg.gpr_index r in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         bset st.Machine.gpr di (bget st.Machine.simd x8))
   | Instr.Pinsrq (lane, src, x) -> (
     let li = (x * 8) + lane in
@@ -706,9 +640,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          retire cyc cost st next;
           bset st.Machine.simd li (bget st.Machine.gpr ri))
     | Instr.Psrc_mem m ->
       if not little_endian then None
@@ -716,29 +648,14 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            retire cyc cost st next;
+            let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             bset st.Machine.simd li (b_get64u st.Machine.mem a)))
   | Instr.Pextrq (lane, x, r) ->
     let li = (x * 8) + lane and di = Reg.gpr_index r in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         bset st.Machine.gpr di (bget st.Machine.simd li))
   | Instr.Vinserti128 (half, sx, ax, dx) ->
     (* The half selector is a decode-time constant, so the four source
@@ -751,9 +668,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let h1 = h0 + 1 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        retire cyc cost st next;
         let s = st.Machine.simd in
         let lo0 = bget s l0 in
         let lo1 = bget s l1 in
@@ -767,80 +682,26 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        (* lane-by-lane read-then-write, in lane order, like the
-           generic body's loop (visible if dst aliases a source) *)
-        bset s d8 (Int64.logxor (bget s a8) (bget s b8));
-        bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
-        bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
-        bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3))))
+        retire cyc cost st next;
+        vpxor256 st.Machine.simd a8 b8 d8)
   | Instr.Vptest (ax, bx) ->
     let a8 = ax * 8 and b8 = bx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        let a0 = bget s a8
-        and a1 = bget s (a8 + 1)
-        and a2 = bget s (a8 + 2)
-        and a3 = bget s (a8 + 3) in
-        let b0 = bget s b8
-        and b1 = bget s (b8 + 1)
-        and b2 = bget s (b8 + 2)
-        and b3 = bget s (b8 + 3) in
-        let and_acc =
-          Int64.logor
-            (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-            (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-        in
-        let andn_acc =
-          Int64.logor
-            (Int64.logor
-               (Int64.logand b0 (Int64.lognot a0))
-               (Int64.logand b1 (Int64.lognot a1)))
-            (Int64.logor
-               (Int64.logand b2 (Int64.lognot a2))
-               (Int64.logand b3 (Int64.lognot a3)))
-        in
-        st.Machine.zf <- Int64.equal and_acc 0L;
-        st.Machine.cf <- Int64.equal andn_acc 0L;
-        st.Machine.sf <- false;
-        st.Machine.off <- false)
+        retire cyc cost st next;
+        vptest256 st st.Machine.simd a8 b8)
   | Instr.Vpxorq512 (ax, bx, dx) ->
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        for lane = 0 to 7 do
-          bset s (d8 + lane)
-            (Int64.logxor (bget s (a8 + lane)) (bget s (b8 + lane)))
-        done)
+        retire cyc cost st next;
+        xor_lanes st.Machine.simd 8 a8 b8 d8)
   | Instr.Vptestmq512 (ax, bx) ->
     let a8 = ax * 8 and b8 = bx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        let and_acc = ref 0L and andn_acc = ref 0L in
-        for lane = 0 to 7 do
-          let va = bget s (a8 + lane) and vb = bget s (b8 + lane) in
-          and_acc := Int64.logor !and_acc (Int64.logand vb va);
-          andn_acc := Int64.logor !andn_acc (Int64.logand vb (Int64.lognot va))
-        done;
-        st.Machine.zf <- Int64.equal !and_acc 0L;
-        st.Machine.cf <- Int64.equal !andn_acc 0L;
-        st.Machine.sf <- false;
-        st.Machine.off <- false)
+        retire cyc cost st next;
+        test_lanes st st.Machine.simd 8 a8 b8)
   | _ -> None
 
 (* Generic body: operand closures resolved at decode time.  Evaluation
@@ -1058,26 +919,17 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
       Machine.set_simd_lane st d 2 hi0;
       Machine.set_simd_lane st d 3 hi1
   | Instr.Vpxor (a, b, d) ->
-    fun st ->
-      for lane = 0 to 3 do
-        Machine.set_simd_lane st d lane
-          (Int64.logxor (Machine.simd_lane st a lane)
-             (Machine.simd_lane st b lane))
-      done
+    let a8 = a * 8 and b8 = b * 8 and d8 = d * 8 in
+    fun st -> xor_lanes st.Machine.simd 4 a8 b8 d8
+  | Instr.Vpxorq512 (a, b, d) ->
+    let a8 = a * 8 and b8 = b * 8 and d8 = d * 8 in
+    fun st -> xor_lanes st.Machine.simd 8 a8 b8 d8
   | Instr.Vptest (a, b) ->
-    fun st ->
-      let and_zero = ref true and andn_zero = ref true in
-      for lane = 0 to 3 do
-        let va = Machine.simd_lane st a lane
-        and vb = Machine.simd_lane st b lane in
-        if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-        if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-          andn_zero := false
-      done;
-      st.Machine.zf <- !and_zero;
-      st.Machine.cf <- !andn_zero;
-      st.Machine.sf <- false;
-      st.Machine.off <- false
+    let a8 = a * 8 and b8 = b * 8 in
+    fun st -> test_lanes st st.Machine.simd 4 a8 b8
+  | Instr.Vptestmq512 (a, b) ->
+    let a8 = a * 8 and b8 = b * 8 in
+    fun st -> test_lanes st st.Machine.simd 8 a8 b8
   | Instr.Vinserti64x4 (half, src, a, d) ->
     fun st ->
       (* read everything first: src/a may alias d *)
@@ -1091,27 +943,6 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
         in
         Machine.set_simd_lane st d lane v
       done
-  | Instr.Vpxorq512 (a, b, d) ->
-    fun st ->
-      for lane = 0 to 7 do
-        Machine.set_simd_lane st d lane
-          (Int64.logxor (Machine.simd_lane st a lane)
-             (Machine.simd_lane st b lane))
-      done
-  | Instr.Vptestmq512 (a, b) ->
-    fun st ->
-      let and_zero = ref true and andn_zero = ref true in
-      for lane = 0 to 7 do
-        let va = Machine.simd_lane st a lane
-        and vb = Machine.simd_lane st b lane in
-        if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-        if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-          andn_zero := false
-      done;
-      st.Machine.zf <- !and_zero;
-      st.Machine.cf <- !andn_zero;
-      st.Machine.sf <- false;
-      st.Machine.off <- false
 
 let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
   let cost = img.Machine.costs.(ip) in
@@ -1122,9 +953,7 @@ let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
   | None ->
     let body = mk_body img ip op in
     fun st ->
-      cyc.fv <- cyc.fv +. cost;
-      st.Machine.steps <- st.Machine.steps + 1;
-      st.Machine.ip <- next;
+      retire cyc cost st next;
       body st
 
 (* ------------------------------------------------------------------ *)
@@ -1145,156 +974,50 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
   and op2 = img.Machine.code.(ip + 1).Instr.op in
   match (op1, op2) with
   | Instr.Vpxor (ax, bx, dx), Instr.Vptest (tx, ty) ->
-      (* the duplicate-check sequence the transforms emit: xor the
-         replica into a scratch register, then test it *)
-      let a8 = ax * 8
-      and b8 = bx * 8
-      and d8 = dx * 8
-      and t8 = tx * 8
-      and u8 = ty * 8 in
+    (* the duplicate-check sequence the transforms emit: xor the
+       replica into a scratch register, then test it *)
+    let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
+    let t8 = tx * 8 and u8 = ty * 8 in
+    Some
+      (fun st ->
+        retire cyc c1 st n1;
+        let s = st.Machine.simd in
+        vpxor256 s a8 b8 d8;
+        check_fuel fuel st;
+        retire cyc c2 st n2;
+        vptest256 st s t8 u8;
+        chain fuel fused len st)
+  | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
+    match img.Machine.links.(ip + 1) with
+    | Machine.L_target t ->
+      (* detector branch: test the accumulated difference mask, then
+         jump on the resulting ZF *)
+      let a8 = ax * 8 and b8 = bx * 8 in
+      let ck = cond_kind c and ev = mk_cond c in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. c1;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- n1;
-          let s = st.Machine.simd in
-          bset s d8 (Int64.logxor (bget s a8) (bget s b8));
-          bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
-          bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
-          bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)));
-          if st.Machine.steps >= !fuel then raise Fuel;
-          cyc.fv <- cyc.fv +. c2;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- n2;
-          let a0 = bget s t8
-          and a1 = bget s (t8 + 1)
-          and a2 = bget s (t8 + 2)
-          and a3 = bget s (t8 + 3) in
-          let b0 = bget s u8
-          and b1 = bget s (u8 + 1)
-          and b2 = bget s (u8 + 2)
-          and b3 = bget s (u8 + 3) in
-          let and_acc =
-            Int64.logor
-              (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-              (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-          in
-          let andn_acc =
-            Int64.logor
-              (Int64.logor
-                 (Int64.logand b0 (Int64.lognot a0))
-                 (Int64.logand b1 (Int64.lognot a1)))
-              (Int64.logor
-                 (Int64.logand b2 (Int64.lognot a2))
-                 (Int64.logand b3 (Int64.lognot a3)))
-          in
-          st.Machine.zf <- Int64.equal and_acc 0L;
-          st.Machine.cf <- Int64.equal andn_acc 0L;
-          st.Machine.sf <- false;
-          st.Machine.off <- false;
-          ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-          if st.Machine.steps < !fuel && n2 < len then
-            (Array.unsafe_get fused n2) st)
-    | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
-      match img.Machine.links.(ip + 1) with
-      | Machine.L_target t ->
-        (* detector branch: test the accumulated difference mask, then
-           jump on the resulting ZF.  [ck] selects the condition read
-           (decode-constant): 0 = E, 1 = NE, 2 = general. *)
-        let a8 = ax * 8 and b8 = bx * 8 in
-        let ck =
-          match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
-        in
-        let ev = mk_cond c in
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. c1;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- n1;
-            let s = st.Machine.simd in
-            let a0 = bget s a8
-            and a1 = bget s (a8 + 1)
-            and a2 = bget s (a8 + 2)
-            and a3 = bget s (a8 + 3) in
-            let b0 = bget s b8
-            and b1 = bget s (b8 + 1)
-            and b2 = bget s (b8 + 2)
-            and b3 = bget s (b8 + 3) in
-            let and_acc =
-              Int64.logor
-                (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-                (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-            in
-            let andn_acc =
-              Int64.logor
-                (Int64.logor
-                   (Int64.logand b0 (Int64.lognot a0))
-                   (Int64.logand b1 (Int64.lognot a1)))
-                (Int64.logor
-                   (Int64.logand b2 (Int64.lognot a2))
-                   (Int64.logand b3 (Int64.lognot a3)))
-            in
-            st.Machine.zf <- Int64.equal and_acc 0L;
-            st.Machine.cf <- Int64.equal andn_acc 0L;
-            st.Machine.sf <- false;
-            st.Machine.off <- false;
-            if st.Machine.steps >= !fuel then raise Fuel;
-            cyc.fv <- cyc.fv +. c2;
-            st.Machine.steps <- st.Machine.steps + 1;
-            let taken =
-              if ck = 0 then st.Machine.zf
-              else if ck = 1 then not st.Machine.zf
-              else ev st
-            in
-            st.Machine.ip <- (if taken then t else n2);
-            ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-            let ip' = st.Machine.ip in
-            if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-              (Array.unsafe_get fused ip') st)
-      | _ -> None)
-    | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
-      match (img.Machine.links.(ip + 1), src) with
-      | Machine.L_target t, (Instr.Imm _ | Instr.Reg _) ->
-        let di = Reg.gpr_index d in
-        let si, iv =
-          match src with
-          | Instr.Imm i -> (-1, i)
-          | Instr.Reg r -> (Reg.gpr_index r, 0L)
-          | Instr.Mem _ -> assert false
-        in
-        let ck =
-          match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
-        in
-        let ev = mk_cond c in
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. c1;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- n1;
-            let g = st.Machine.gpr in
-            let a = bget g di in
-            let b = if si >= 0 then bget g si else iv in
-            let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L);
-            if st.Machine.steps >= !fuel then raise Fuel;
-            cyc.fv <- cyc.fv +. c2;
-            st.Machine.steps <- st.Machine.steps + 1;
-            let taken =
-              if ck = 0 then st.Machine.zf
-              else if ck = 1 then not st.Machine.zf
-              else ev st
-            in
-            st.Machine.ip <- (if taken then t else n2);
-            ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-            let ip' = st.Machine.ip in
-            if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-              (Array.unsafe_get fused ip') st)
-      | _ -> None)
-    | _ -> None
+          retire cyc c1 st n1;
+          vptest256 st st.Machine.simd a8 b8;
+          check_fuel fuel st;
+          retire cyc c2 st (if taken ck ev st then t else n2);
+          chain fuel fused len st)
+    | _ -> None)
+  | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
+    match (img.Machine.links.(ip + 1), reg_or_imm src) with
+    | Machine.L_target t, Some (si, iv) ->
+      let di = Reg.gpr_index d in
+      let ck = cond_kind c and ev = mk_cond c in
+      Some
+        (fun st ->
+          retire cyc c1 st n1;
+          let g = st.Machine.gpr in
+          let a = bget g di and b = source g si iv in
+          flags_sub st a b (Int64.sub a b);
+          check_fuel fuel st;
+          retire cyc c2 st (if taken ck ev st then t else n2);
+          chain fuel fused len st)
+    | _ -> None)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction pattern table.                                     *)
@@ -1455,12 +1178,9 @@ let decode ?avoid (img : Machine.image) : t =
           fused.(ip) <-
             (fun st ->
               t1 st;
-              if st.Machine.steps >= !fuel then raise Fuel;
+              check_fuel fuel st;
               t2 st;
-              ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-              let ip' = st.Machine.ip in
-              if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-                (Array.unsafe_get fused ip') st))
+              chain fuel fused len st))
   done;
   ctr.c_decodes <- ctr.c_decodes + 1;
   {

@@ -294,14 +294,13 @@ let restore sl ~dyn_index =
   restore_to sl c;
   if c < 0 then 0 else sl.cache.ckpts.(c).c_seen
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-
-external rget : Machine.regfile -> int -> int64 = "%caml_ba_unsafe_ref_1"
-
 (* [a[ao, ao+len) = b[bo, bo+len)], eight bytes at a time. *)
 let sub_equal a ao b bo len =
   let i = ref 0 in
-  while !i + 8 <= len && (get64u a (ao + !i) : int64) = get64u b (bo + !i) do
+  while
+    !i + 8 <= len
+    && (Prims.b_get64u a (ao + !i) : int64) = Prims.b_get64u b (bo + !i)
+  do
     i := !i + 8
   done;
   while !i < len && Bytes.unsafe_get a (ao + !i) = Bytes.unsafe_get b (bo + !i)
@@ -313,7 +312,7 @@ let sub_equal a ao b bo len =
 let regfile_equal (a : Machine.regfile) (b : Machine.regfile) =
   let n = Bigarray.Array1.dim a in
   let i = ref 0 in
-  while !i < n && (rget a !i : int64) = rget b !i do
+  while !i < n && (Prims.bget a !i : int64) = Prims.bget b !i do
     incr i
   done;
   !i = n

@@ -190,7 +190,7 @@ let test_zmm_text_roundtrip () =
 
 (* ---- liveness analysis + liveness-directed pressure mode ---- *)
 
-module Liveness = Ferrum_eddi.Liveness
+module Liveness = Ferrum_analysis.Liveness
 
 let test_liveness_straightline () =
   (* rax written, read, then dead; rbx live into ret as the value path *)
@@ -252,7 +252,10 @@ let test_liveness_call_blocks_deadness () =
   let lv = Liveness.analyze (Prog.func "main" blocks) in
   (* conservatively, nothing is dead right before a call *)
   Alcotest.(check bool) "nothing dead before call" true
-    (Liveness.dead_regs_at lv ~label:"main" ~k:1 = [])
+    (not
+       (List.exists
+          (fun r -> Liveness.dead_at lv ~label:"main" ~k:1 r)
+          Ferrum_eddi.Spare.preference))
 
 let lv_pressure_config =
   { Ferrum_pass.default_config with

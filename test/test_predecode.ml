@@ -247,6 +247,69 @@ let test_counters_and_cache () =
   Alcotest.(check bool) "fused within fast" true
     (fused > 0 && fused <= Predecode.fast_steps ())
 
+(* ---- allocation: the specialized thunks never box ---- *)
+
+(* An endless loop made only of [fast_thunk] shapes: every guarded
+   memory arm, then the three flattened pairs at even offsets from the
+   loop head, so the fused dispatch chain runs each of them. *)
+let fast_loop_program () =
+  let m d = Instr.Mem (Instr.mem ~base:Reg.RBX d) in
+  Prog.program
+    [ Prog.func "main"
+        [ Prog.block "main"
+            (List.map original
+               [ Instr.Mov (Reg.Q, Instr.Imm 4096L, Instr.Reg Reg.RBX);
+                 Instr.Mov (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RCX) ]);
+          Prog.block "loop"
+            (List.map original
+               [ Instr.Mov (Reg.Q, Instr.Imm 7L, m 8);
+                 Instr.Mov (Reg.Q, Instr.Reg Reg.RCX, m 16);
+                 Instr.Mov (Reg.Q, m 16, Instr.Reg Reg.RAX);
+                 Instr.Cmp (Reg.Q, m 8, Instr.Reg Reg.RAX);
+                 Instr.Movslq (m 16, Reg.RDX);
+                 Instr.MovQ_to_xmm (m 8, 1);
+                 Instr.Pinsrq (1, Instr.Psrc_mem (Instr.mem ~base:Reg.RBX 16), 1);
+                 Instr.Alu (Instr.Add, Reg.Q, Instr.Imm 1L, Instr.Reg Reg.RCX);
+                 Instr.Vpxor (1, 1, 2);
+                 Instr.Vptest (2, 2);
+                 Instr.Vptest (2, 2);
+                 Instr.Jcc (Cond.NE, "never");
+                 Instr.Cmp (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RCX);
+                 Instr.Jcc (Cond.NE, "loop") ]);
+          Prog.block "never" [ original Instr.Ret ] ] ]
+
+(* Minor words allocated by an [exec] of [fuel] steps on a fresh,
+   write-tracked state. *)
+let exec_minor_words img fuel =
+  let p = Predecode.get img in
+  let st = Machine.fresh_state img in
+  Machine.track_writes st;
+  let before = Gc.minor_words () in
+  let o = Predecode.exec ~fuel p st in
+  let words = Gc.minor_words () -. before in
+  check_outcome "fast loop" Machine.Timeout o;
+  Alcotest.(check int) "ran to fuel" fuel st.Machine.steps;
+  words
+
+(* A rule that stops inlining boxes its int64 arguments on every step;
+   the words one run allocates must not grow with its step count. *)
+let test_fast_shapes_allocation_free () =
+  let img = Machine.load (fast_loop_program ()) in
+  let d = Predecode.get img in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " pair in fixture") true
+        (List.exists (fun (n, c) -> n = name && c > 0)
+           (Predecode.pattern_counts d)))
+    [ "cmp+jcc"; "pair" ];
+  Predecode.reset_counters ();
+  let short = exec_minor_words img 10_000 in
+  let long = exec_minor_words img 1_000_000 in
+  Alcotest.(check bool) "most steps fused" true
+    (Predecode.fused_steps () > Predecode.fast_steps () * 9 / 10);
+  if long -. short > 64. then
+    Alcotest.failf "%.0f minor words at 10^4 steps, %.0f at 10^6" short long
+
 (* ---- differential property: random straight-line programs ---- *)
 
 (* Memory large enough that [Tgen.mem]'s base + index * scale sums of
@@ -256,10 +319,10 @@ let diff_mem = 1 lsl 18
 let diff_fuel = 500
 
 (* Register seeds: data addresses, addresses within 8 bytes of the end
-   of memory (so 2-, 4- and 8-byte accesses straddle the bound the
-   inlined [check_addr] replicas test), small counts, values next to
-   the signed and unsigned wrap points (where carry and overflow flip),
-   and raw values. *)
+   of memory (so 2-, 4- and 8-byte accesses straddle the bound that
+   [Predecode]'s [guard] and [Machine.check_addr] test), small counts,
+   values next to the signed and unsigned wrap points (where carry and
+   overflow flip), and raw values. *)
 let seed_value =
   QCheck.Gen.(
     frequency
@@ -288,7 +351,10 @@ let hot_instr =
 
 (* Memory operands at the end of memory: an absolute address in its
    last 16 bytes, or a few bytes off a (possibly near-end) seeded base,
-   so 2-, 4- and 8-byte accesses land on both sides of the bound. *)
+   so 2-, 4- and 8-byte accesses land on both sides of the bound.  The
+   list includes every memory shape [fast_thunk] guards: 64-bit loads
+   and stores (register and immediate source), [cmpq mem, reg],
+   [movslq], [movq] to XMM and [pinsrq]. *)
 let edge_instr =
   let open QCheck.Gen in
   let* s = Tgen.size and* r = Tgen.operand_gpr and* x = int_range 0 15 in
@@ -298,14 +364,33 @@ let edge_instr =
         map2 (fun base disp -> Instr.mem ~base disp) Tgen.operand_gpr
           (int_range (-8) 8) ]
   in
-  let* op = Tgen.alu and* lane = int_range 0 1 in
+  let* op = Tgen.alu and* lane = int_range 0 1 and* v = seed_value in
   oneofl
     [ Instr.Mov (s, Instr.Reg r, Instr.Mem m);
       Instr.Mov (s, Instr.Mem m, Instr.Reg r);
+      Instr.Mov (Reg.Q, Instr.Imm v, Instr.Mem m);
       Instr.Alu (op, s, Instr.Mem m, Instr.Reg r);
       Instr.Cmp (s, Instr.Reg r, Instr.Mem m);
+      Instr.Cmp (Reg.Q, Instr.Mem m, Instr.Reg r);
+      Instr.Movslq (Instr.Mem m, r);
       Instr.MovQ_to_xmm (Instr.Mem m, x);
       Instr.Pinsrq (lane, Instr.Psrc_mem m, x) ]
+
+(* The pairs [fuse_pair] flattens, as adjacent instructions:
+   vpxor;vptest, vptest;jcc and cmpq reg/imm;jcc, the branches to a
+   forward target in [targets]. *)
+let fused_pair targets =
+  let open QCheck.Gen in
+  let* a = int_range 0 15 and* d = int_range 0 15 in
+  let* b = oneof [ return a; int_range 0 15 ] in
+  let* e = oneof [ return d; int_range 0 15 ] in
+  let* c = Tgen.cond and* l = oneofl targets in
+  let* r = Tgen.operand_gpr and* v = seed_value in
+  let* src = oneofl [ Instr.Reg r; Instr.Imm v ] and* dst = Tgen.operand_gpr in
+  oneofl
+    [ [ Instr.Vpxor (a, b, d); Instr.Vptest (d, e) ];
+      [ Instr.Vptest (d, e); Instr.Jcc (c, l) ];
+      [ Instr.Cmp (Reg.Q, src, Instr.Reg dst); Instr.Jcc (c, l) ] ]
 
 (* Shapes [Tgen.instr] leaves out: test, division, the 512-bit checks,
    prints and forward control transfers to [targets]. *)
@@ -344,13 +429,16 @@ let diff_program : Prog.t QCheck.Gen.t =
       List.init (n_blocks - i - 1) (fun j -> label (i + j + 1))
       @ [ "done"; Prog.exit_function_label ]
     in
-    list_size (int_range 0 14)
-      (let* op =
-         frequency
-           [ (6, Tgen.instr); (3, hot_instr); (2, edge_instr);
-             (1, extra_instr targets) ]
-       in
-       oneofl [ Instr.original op; Instr.dup op; Instr.check op ])
+    let one g = map (fun op -> [ op ]) g in
+    map List.concat
+      (list_size (int_range 0 14)
+         (let* ops =
+            frequency
+              [ (6, one Tgen.instr); (3, one hot_instr); (2, one edge_instr);
+                (1, one (extra_instr targets)); (1, fused_pair targets) ]
+          in
+          let* prov = oneofl [ Instr.original; Instr.dup; Instr.check ] in
+          return (List.map prov ops)))
   in
   let* bodies = flatten_l (List.init n_blocks block) in
   let bodies =
@@ -589,7 +677,9 @@ let () =
           Alcotest.test_case "resume mid-pair" `Quick test_resume_mid_pair ] );
       ( "counters",
         [ Alcotest.test_case "counters and cache" `Quick
-            test_counters_and_cache ] );
+            test_counters_and_cache;
+          Alcotest.test_case "fast shapes allocation-free" `Quick
+            test_fast_shapes_allocation_free ] );
       ( "engines",
         [ Alcotest.test_case "dispatcher-independent" `Slow
             test_engines_across_dispatchers ] );

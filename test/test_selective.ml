@@ -9,7 +9,8 @@ module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Ferrum_pass = Ferrum_eddi.Ferrum_pass
-module Liveness = Ferrum_eddi.Liveness
+module Liveness = Ferrum_analysis.Liveness
+module Spare = Ferrum_eddi.Spare
 module Selective = Ferrum_report.Selective
 
 let workload name = (Option.get (Ferrum_workloads.Catalog.find name)).build ()
@@ -144,7 +145,11 @@ let prop_liveness_sound =
               let n = List.length b.insns in
               if n > 0 then begin
                 let k = Rng.int rng n in
-                match Liveness.dead_regs_at lv ~label:b.label ~k with
+                match
+                  List.filter
+                    (fun r -> Liveness.dead_at lv ~label:b.label ~k r)
+                    Spare.preference
+                with
                 | [] -> ()
                 | dead ->
                   let r = List.nth dead (Rng.int rng (List.length dead)) in

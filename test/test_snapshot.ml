@@ -231,8 +231,10 @@ let check_identity name engines ~seed ~samples img =
     engines
 
 (* Everything a traced campaign produces, flattened to strings: the
-   record stream, the vulnmap rows, and the raw latency/escape lists
-   (hex floats, so equality is bit-exactness). *)
+   record stream, the vulnmap rows, the raw latency/escape lists and
+   each sample's propagation summary from [F.vulnmap_sample] on a
+   target prepared with the same engine (hex floats, so equality is
+   bit-exactness). *)
 let vulnmap_strings ~engine ~seed ~samples img =
   let recs = ref [] in
   let v =
@@ -249,7 +251,14 @@ let vulnmap_strings ~engine ~seed ~samples img =
       (fun (i, e) -> Printf.sprintf "%d:%s" i (Propagation.escape_name e))
       v.F.v_escapes
   in
-  List.rev !recs @ rows @ lats @ escs
+  let t = F.prepare ~engine img in
+  let sums =
+    List.init samples (fun sample ->
+        let _, _, _, s = F.vulnmap_sample t ~seed ~sample in
+        Fmt.str "%d: %a cycles %h..%h" sample Propagation.pp_summary s
+          s.Propagation.injected_cycles s.Propagation.end_cycles)
+  in
+  List.rev !recs @ rows @ lats @ escs @ sums
 
 (* K = 977 restores some flips at or past their block's start and some
    before it; the default engine restores all of these fixtures' flips
