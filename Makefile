@@ -90,7 +90,8 @@ lint: build
 
 # Sharded campaign smoke: a 2-shard fork-pool run must produce a
 # schema-valid event log, byte-reproducible run files, and injection
-# output byte-identical to the sequential campaign.
+# output byte-identical to `inject`'s 1-shard run (test_campaign checks
+# the runner against the in-process campaign loop).
 campaign: build
 	rm -rf $(CAMP) $(CAMP).2
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
@@ -105,12 +106,14 @@ campaign: build
 	cmp $(CAMP)/events.jsonl $(CAMP).2/events.jsonl
 	$(CLI) inject kmeans -p ferrum --samples 40 --metrics $(CAMP).seq > /dev/null
 	cmp $(CAMP)/injection.jsonl $(CAMP).seq
-	@echo "campaign: sharded run valid, reproducible and sequential-identical"
+	@echo "campaign: sharded run valid, reproducible and equal to 1 shard"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
-# schema-valid, byte-reproducible ferrum.stats.v1 stream, and a flat
-# run of the same workload must agree with it (overlapping Wilson
-# intervals — `ferrum stats A B` exits 1 on significant drift).
+# schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of
+# the same workload must agree with it (overlapping Wilson intervals —
+# `ferrum stats A B` exits 1 on significant drift), and an adaptive
+# `inject` must write the records and stats of a 2-shard adaptive
+# `campaign` byte for byte.
 stats-smoke: build
 	$(CLI) vulnmap kmeans -p ferrum --samples 60 --adaptive --rounds 3 \
 	  --stats $(STATS).jsonl > /dev/null
@@ -121,7 +124,14 @@ stats-smoke: build
 	$(CLI) vulnmap kmeans -p ferrum --samples 60 \
 	  --stats $(STATS).flat.jsonl > /dev/null
 	$(CLI) stats $(STATS).jsonl $(STATS).flat.jsonl
-	@echo "stats-smoke: confidence stream valid, reproducible, drift-free"
+	rm -rf $(STATS).d
+	$(CLI) inject kmeans -p ferrum --samples 60 --adaptive --rounds 3 \
+	  --metrics $(STATS).inj.jsonl --stats $(STATS).inj.stats.jsonl > /dev/null
+	$(CLI) campaign kmeans -p ferrum --samples 60 --adaptive --rounds 3 \
+	  --shards 2 --no-trace --out $(STATS).d > /dev/null
+	cmp $(STATS).inj.jsonl $(STATS).d/injection.jsonl
+	cmp $(STATS).inj.stats.jsonl $(STATS).d/stats.jsonl
+	@echo "stats-smoke: confidence stream valid, reproducible, drift-free, CLI = campaign"
 
 # Distributed-tracing smoke: a 2-shard campaign must yield one stitched
 # ferrum.trace.v1 document (single root, resolvable parent chains) whose

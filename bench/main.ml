@@ -122,17 +122,11 @@ let vulnmap_compare ~samples ~seed ~shards dir =
             let m = entry.build () in
             let p = (Ferrum_eddi.Pipeline.protect tech m).program in
             let img = Ferrum_machine.Machine.load p in
-            (* shards > 1 routes through the fork pool; the shard/merge
-               discipline makes the map identical to the sequential one. *)
             let v =
-              if shards <= 1 then F.vulnmap_campaign ~seed ~samples img
-              else
-                let target = F.prepare img in
-                Option.get
-                  (Ferrum_campaign.Runner.run
-                     ~mode:Ferrum_campaign.Runner.Traced ~shards ~seed
-                     ~samples target)
-                    .Ferrum_campaign.Runner.vulnmap
+              Option.get
+                (Ferrum_campaign.Runner.run ~mode:Ferrum_campaign.Runner.Traced
+                   ~shards ~seed ~samples (F.prepare img))
+                  .Ferrum_campaign.Runner.vulnmap
             in
             latencies := List.rev_append v.F.v_latencies !latencies;
             counts :=
@@ -247,7 +241,7 @@ let adaptive_compare ~samples ~seed =
         in
         let adaptive, adaptive_wall =
           timed (fun () ->
-              Runner.run_adaptive ~mode:Runner.Traced ~shards:1 ~seed ~budget
+              Runner.run ~mode:Runner.Traced ~shards:1 ~seed ~samples:budget
                 ~policy:{ F.rounds; target_ci = 0.0 }
                 target)
         in

@@ -299,43 +299,6 @@ let progress_renderer label =
       end
     end
 
-(* Synthesize heartbeat events from a sequential record stream so the
-   sequential paths drive the same renderer as the sharded runner. *)
-let sequential_heartbeats ~samples fire =
-  let tally = ref Events.zero_tally in
-  let clock = ref 0 and done_ = ref 0 in
-  let every = max 1 (samples / 10) in
-  fire
-    {
-      Events.seq = 0;
-      shard = 0;
-      attempt = 0;
-      body = Events.Shard_started { lo = 0; hi = samples };
-    };
-  fun (r : F.record) ->
-    incr done_;
-    clock := !clock + r.F.steps;
-    (match
-       Events.tally_of_name !tally (F.classification_name r.F.r_class)
-     with
-    | Some t -> tally := t
-    | None -> ());
-    if !done_ mod every = 0 || !done_ = samples then
-      fire
-        {
-          Events.seq = 0;
-          shard = 0;
-          attempt = 0;
-          body =
-            Events.Progress
-              { done_ = !done_; total = samples; tally = !tally;
-                clock = !clock; spent = !done_; budget = samples;
-                hw =
-                  Stats.half_width
-                    (Stats.wilson
-                       { Stats.n = !done_; k = !tally.Events.sdc }) };
-        }
-
 let progress_arg =
   let doc =
     "Render live progress on stderr (heartbeat-driven; quiet by \
@@ -364,6 +327,14 @@ let target_ci_arg =
   in
   Arg.(value & opt float 0.0 & info [ "target-ci" ] ~docv:"W" ~doc)
 
+(* The allocation policy of a campaign: [None] (no --adaptive) is a
+   flat campaign. *)
+let policy_term =
+  let make adaptive rounds target_ci =
+    if adaptive then Some { F.rounds; target_ci } else None
+  in
+  Term.(const make $ adaptive_arg $ rounds_arg $ target_ci_arg)
+
 let stats_out_arg =
   let doc =
     "Write the ferrum.stats.v1 convergence document (CI half-width vs \
@@ -371,79 +342,39 @@ let stats_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "stats" ] ~docv:"PATH" ~doc)
 
-let write_stats_file ~path ~bench ~technique ~samples ~seed ~all_sites
-    ~fault_bits lines =
-  let header =
-    Store.stats_header ~benchmark:bench ~technique:(technique_name technique)
-      ~samples ~seed ~all_sites ~fault_bits
-  in
-  Fsutil.write_file path (Store.jsonl header lines);
-  Fmt.epr "[stats] wrote %s@." path
+(* Write a campaign's [--metrics] or [--stats] file, when [path] is
+   given: [header] of the campaign's configuration, then [lines]. *)
+let write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
+    ~fault_bits header ~tag path lines =
+  Option.iter
+    (fun path ->
+      Fsutil.write_file path
+        (Store.jsonl
+           (header ~benchmark:bench ~technique:(technique_name technique)
+              ~samples ~seed ~all_sites ~fault_bits)
+           lines);
+      Fmt.epr "[%s] wrote %s@." tag path)
+    path
 
-let run_campaign ?technique ?stats_out ~bench ~samples ~seed ~all_sites
-    ~fault_bits ~engine ~metrics ~progress img =
+(* One campaign, flat or adaptive, on a single forked worker: the one
+   execution path of inject, vulnmap and `cc --emit inject'. *)
+let run_one_shard ?policy ~mode ~label ~all_sites ~engine ~fault_bits ~seed
+    ~samples ~progress img =
   let scope = if all_sites then F.All_sites else F.Original_only in
-  let heartbeat =
-    if progress then
-      sequential_heartbeats ~samples (progress_renderer "inject")
-    else fun _ -> ()
-  in
-  let stream =
-    match stats_out with
-    | None -> None
-    | Some path -> Some (path, Stats.create ~budget:samples ())
-  in
-  let observe (r : F.record) =
-    (match stream with
-    | Some (_, s) ->
-      Stats.observe s ~site:r.F.r_static_index ~sdc:(r.F.r_class = F.Sdc)
-    | None -> ());
-    heartbeat r
-  in
-  let res =
-    match metrics with
-    | None ->
-      F.campaign ~scope ~seed ~samples ~fault_bits ~engine
-        ~on_record:observe img
-    | Some path ->
-      let sink = Metrics.file_sink path in
-      Metrics.emit sink
-        (Store.injection_header ~benchmark:bench
-           ~technique:(technique_name technique) ~samples ~seed ~all_sites
-           ~fault_bits);
-      let on_record r =
-        Metrics.emit sink (F.record_to_json r);
-        observe r
-      in
-      let res =
-        Fun.protect
-          ~finally:(fun () -> Metrics.close sink)
-          (fun () ->
-            F.campaign ~scope ~seed ~samples ~fault_bits ~engine ~on_record
-              img)
-      in
-      Fmt.epr "[inject] wrote %s@." path;
-      res
-  in
-  (match stream with
-  | Some (path, s) ->
-    write_stats_file ~path ~bench ~technique ~samples ~seed ~all_sites
-      ~fault_bits (Stats.lines s)
-  | None -> ());
-  res
-
-(* Shared by inject/vulnmap --adaptive: a single-process adaptive
-   campaign through the runner's round machinery. *)
-let run_adaptive_local ~mode ~label ~rounds ~target_ci ~fault_bits ~seed
-    ~samples ~progress target =
   let on_event = if progress then Some (progress_renderer label) else None in
   try
-    Runner.run_adaptive ?on_event ~fault_bits
-      ~policy:{ F.rounds; target_ci } ~mode ~shards:1 ~seed ~budget:samples
-      target
+    Runner.run ?on_event ?policy ~fault_bits ~mode ~shards:1 ~seed ~samples
+      (F.prepare ~scope ~engine img)
   with Failure msg | Invalid_argument msg ->
     Fmt.epr "%s@." msg;
     exit 1
+
+let print_early_stop ?policy ~samples (counts : F.counts) =
+  match policy with
+  | Some { F.target_ci; _ } when counts.F.samples < samples ->
+    Fmt.pr "early stop: spent %d of %d budget (target ci %.4f)@."
+      counts.F.samples samples target_ci
+  | _ -> ()
 
 let pp_campaign_interval ppf (counts : F.counts) =
   let t = F.sdc_tally counts in
@@ -456,62 +387,39 @@ let pp_campaign_interval ppf (counts : F.counts) =
 
 let inject_cmd =
   let run bench technique knobs samples seed all_sites fault_bits engine
-      verbose metrics progress adaptive rounds target_ci stats_out =
+      verbose metrics progress policy stats_out =
     let p = program_of ?technique knobs (find_bench bench) in
-    let img = Machine.load p in
-    if adaptive then begin
-      let scope = if all_sites then F.All_sites else F.Original_only in
-      let target =
-        try F.prepare ~scope ~engine img
-        with Invalid_argument msg ->
-          Fmt.epr "%s@." msg;
-          exit 1
-      in
-      let result =
-        run_adaptive_local ~mode:Runner.Inject ~label:"inject" ~rounds
-          ~target_ci ~fault_bits ~seed ~samples ~progress target
-      in
-      (match metrics with
-      | None -> ()
-      | Some path ->
-        let header =
-          Store.injection_header ~benchmark:bench
-            ~technique:(technique_name technique) ~samples ~seed ~all_sites
-            ~fault_bits
-        in
-        Fsutil.write_file path
-          (Store.jsonl header result.Runner.record_lines);
-        Fmt.epr "[inject] wrote %s@." path);
-      (match stats_out with
-      | None -> ()
-      | Some path ->
-        write_stats_file ~path ~bench ~technique ~samples ~seed ~all_sites
-          ~fault_bits result.Runner.stats_lines);
-      Fmt.pr "%a@." F.pp_counts result.Runner.counts;
-      Fmt.pr "%a@." pp_campaign_interval result.Runner.counts;
-      if result.Runner.counts.F.samples < samples then
-        Fmt.pr "early stop: spent %d of %d budget (target ci %.4f)@."
-          result.Runner.counts.F.samples samples target_ci
-    end
-    else begin
-      let res =
-        run_campaign ?technique ?stats_out ~bench ~samples ~seed ~all_sites
-          ~fault_bits ~engine ~metrics ~progress img
-      in
-      Fmt.pr "%a@." F.pp_counts res.F.counts;
-      Fmt.pr "%a@." pp_campaign_interval res.F.counts;
-      if verbose then
-        List.iter
-          (fun (cls, (f : F.fault)) ->
-            Fmt.pr "  %-8s dyn=%-8d %s bit=%d@." (F.classification_name cls)
-              f.F.dyn_index f.F.dest_desc f.F.bit)
-          (List.rev res.F.faults)
-    end
+    let result =
+      run_one_shard ?policy ~mode:Runner.Inject ~label:"inject" ~all_sites
+        ~engine ~fault_bits ~seed ~samples ~progress (Machine.load p)
+    in
+    let write =
+      write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
+        ~fault_bits
+    in
+    write Store.injection_header ~tag:"inject" metrics
+      result.Runner.record_lines;
+    write Store.stats_header ~tag:"stats" stats_out result.Runner.stats_lines;
+    Fmt.pr "%a@." F.pp_counts result.Runner.counts;
+    Fmt.pr "%a@." pp_campaign_interval result.Runner.counts;
+    print_early_stop ?policy ~samples result.Runner.counts;
+    if verbose then
+      List.iter
+        (fun line ->
+          let j = Json.of_string line in
+          let field k = Option.get (Json.member k j) in
+          match
+            (field "class", field "dyn_index", field "dest", field "bit")
+          with
+          | Json.Str cls, Json.Int dyn, Json.Str dest, Json.Int bit ->
+            Fmt.pr "  %-8s dyn=%-8d %s bit=%d@." cls dyn dest bit
+          | _ -> assert false (* the shape of F.record_to_json *))
+        result.Runner.record_lines
   in
   let verbose_arg =
     Arg.(value & flag
          & info [ "v"; "verbose" ]
-             ~doc:"Print every fault (sequential campaigns only).")
+             ~doc:"Print every fault, in sample order.")
   in
   Cmd.v
     (Cmd.info "inject"
@@ -521,8 +429,8 @@ let inject_cmd =
     Term.(
       const run $ bench_arg $ protect_arg $ knobs_term $ samples_arg
       $ seed_arg $ all_sites_arg $ fault_bits_arg $ engine_term
-      $ verbose_arg $ metrics_arg $ progress_arg $ adaptive_arg
-      $ rounds_arg $ target_ci_arg $ stats_out_arg)
+      $ verbose_arg $ metrics_arg $ progress_arg $ policy_term
+      $ stats_out_arg)
 
 (* ---- trace: annotated execution trace / flight-recorder dump ---- *)
 
@@ -1223,72 +1131,20 @@ let metrics_cmd =
 
 let vulnmap_cmd =
   let run bench technique knobs samples seed all_sites fault_bits engine
-      metrics only_sampled progress adaptive rounds target_ci stats_out =
+      metrics only_sampled progress policy stats_out =
     let p = program_of ?technique knobs (find_bench bench) in
-    let img = Machine.load p in
-    let scope = if all_sites then F.All_sites else F.Original_only in
-    let v, stats_lines =
-      if adaptive then begin
-        let target =
-          try F.prepare ~scope ~engine img
-          with Invalid_argument msg ->
-            Fmt.epr "%s@." msg;
-            exit 1
-        in
-        let result =
-          run_adaptive_local ~mode:Runner.Traced ~label:"vulnmap" ~rounds
-            ~target_ci ~fault_bits ~seed ~samples ~progress target
-        in
-        match result.Runner.vulnmap with
-        | Some v -> (v, result.Runner.stats_lines)
-        | None -> assert false (* Traced mode always builds one *)
-      end
-      else begin
-        let heartbeat =
-          if progress then
-            sequential_heartbeats ~samples (progress_renderer "vulnmap")
-          else fun _ -> ()
-        in
-        let stream =
-          match stats_out with
-          | None -> None
-          | Some _ -> Some (Stats.create ~budget:samples ())
-        in
-        let on_record (r : F.record) =
-          (match stream with
-          | Some s ->
-            Stats.observe s ~site:r.F.r_static_index
-              ~sdc:(r.F.r_class = F.Sdc)
-          | None -> ());
-          heartbeat r
-        in
-        let v =
-          try
-            F.vulnmap_campaign ~scope ~seed ~samples ~fault_bits ~engine
-              ~on_record img
-          with Invalid_argument msg ->
-            Fmt.epr "%s@." msg;
-            exit 1
-        in
-        (v, match stream with Some s -> Stats.lines s | None -> [])
-      end
+    let result =
+      run_one_shard ?policy ~mode:Runner.Traced ~label:"vulnmap" ~all_sites
+        ~engine ~fault_bits ~seed ~samples ~progress (Machine.load p)
     in
-    (match metrics with
-    | None -> ()
-    | Some path ->
-      let sink = Metrics.file_sink path in
-      Metrics.emit sink
-        (Store.vulnmap_header ~benchmark:bench
-           ~technique:(technique_name technique) ~samples ~seed ~all_sites
-           ~fault_bits);
-      List.iter (Metrics.emit sink) (F.vulnmap_rows v);
-      Metrics.close sink;
-      Fmt.epr "[vulnmap] wrote %s@." path);
-    (match stats_out with
-    | None -> ()
-    | Some path ->
-      write_stats_file ~path ~bench ~technique ~samples ~seed ~all_sites
-        ~fault_bits stats_lines);
+    let v = Option.get result.Runner.vulnmap (* Traced mode builds one *) in
+    let write =
+      write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
+        ~fault_bits
+    in
+    write Store.vulnmap_header ~tag:"vulnmap" metrics
+      (List.map Json.to_string (F.vulnmap_rows v));
+    write Store.stats_header ~tag:"stats" stats_out result.Runner.stats_lines;
     print_string (Ferrum_report.Vulnmap.render ~only_sampled v)
   in
   let only_sampled_arg =
@@ -1308,8 +1164,8 @@ let vulnmap_cmd =
     Term.(
       const run $ bench_arg $ protect_arg $ knobs_term $ samples_arg
       $ seed_arg $ all_sites_arg $ fault_bits_arg $ engine_term
-      $ metrics_arg $ only_sampled_arg $ progress_arg $ adaptive_arg
-      $ rounds_arg $ target_ci_arg $ stats_out_arg)
+      $ metrics_arg $ only_sampled_arg $ progress_arg $ policy_term
+      $ stats_out_arg)
 
 (* ---- lint: static protection verifier ---- *)
 
@@ -1517,15 +1373,19 @@ let cc_cmd =
       Fmt.pr "model cycles: %.0f@." st.Machine.cycles;
       (match outcome with Machine.Exit _ -> () | _ -> exit 1)
     | "inject" ->
-      let img = Machine.load (program ()) in
       let res =
-        run_campaign ?technique ~bench:file ~samples ~seed ~all_sites:false
-          ~fault_bits ~engine:F.default_engine ~metrics ~progress:false img
+        run_one_shard ~mode:Runner.Inject ~label:"inject" ~all_sites:false
+          ~engine:F.default_engine ~fault_bits ~seed ~samples ~progress:false
+          (Machine.load (program ()))
       in
-      Fmt.pr "%a@." F.pp_counts res.F.counts;
+      write_campaign_file ~bench:file ~technique ~samples ~seed
+        ~all_sites:false ~fault_bits Store.injection_header ~tag:"inject"
+        metrics res.Runner.record_lines;
+      let counts = res.Runner.counts in
+      Fmt.pr "%a@." F.pp_counts counts;
       Fmt.pr "SDC probability: %.4f +/- %.4f (95%%)@."
-        (F.sdc_probability res.F.counts)
-        (Stats.half_width (Stats.wilson (F.sdc_tally res.F.counts)))
+        (F.sdc_probability counts)
+        (Stats.half_width (Stats.wilson (F.sdc_tally counts)))
     | other ->
       Fmt.epr "unknown --emit %S (expected ir, asm, run or inject)@." other;
       exit 2
@@ -1552,12 +1412,12 @@ let cc_cmd =
 let campaign_cmd =
   let run bench technique knobs samples seed all_sites fault_bits engine
       shards workers no_trace out events_path html_path trace_path resume
-      progress adaptive rounds target_ci =
+      progress policy =
     (* Configuration comes from the command line (BENCH given) or from a
        previous run's manifest (--resume DIR); the manifest's program
        digest gates resume against workload or knob drift. *)
     let bench, technique, samples, seed, all_sites, fault_bits, engine,
-        shards, traced, out, prior, adaptive, rounds, target_ci =
+        shards, traced, out, prior, policy =
       match resume with
       | Some dir -> (
         match Manifest.load ~dir with
@@ -1587,8 +1447,11 @@ let campaign_cmd =
             m.Manifest.seed, m.Manifest.scope = "all-sites",
             m.Manifest.fault_bits, engine, m.Manifest.shards,
             m.Manifest.traced, dir, Some m,
-            m.Manifest.policy = "adaptive", m.Manifest.rounds,
-            m.Manifest.target_ci ))
+            if m.Manifest.policy = "adaptive" then
+              Some
+                { F.rounds = m.Manifest.rounds;
+                  target_ci = m.Manifest.target_ci }
+            else None ))
       | None -> (
         match bench with
         | None ->
@@ -1603,9 +1466,7 @@ let campaign_cmd =
                 (bench ^ "." ^ technique_name technique)
           in
           ( bench, technique, samples, seed, all_sites, fault_bits,
-            engine, shards, not no_trace, out, None, adaptive,
-            (if adaptive then rounds else 1),
-            (if adaptive then target_ci else 0.0) ))
+            engine, shards, not no_trace, out, None, policy ))
     in
     let p = program_of ?technique knobs (find_bench bench) in
     (match prior with
@@ -1625,9 +1486,12 @@ let campaign_cmd =
         exit 1
     in
     let manifest =
-      Manifest.make
-        ~policy:(if adaptive then "adaptive" else "flat")
-        ~rounds ~target_ci ~benchmark:bench
+      let kind, rounds, target_ci =
+        match policy with
+        | Some p -> ("adaptive", p.F.rounds, p.F.target_ci)
+        | None -> ("flat", 1, 0.0)
+      in
+      Manifest.make ~policy:kind ~rounds ~target_ci ~benchmark:bench
         ~technique:(technique_name technique) ~samples ~seed ~shards
         ~fault_bits ~all_sites ~traced ~program:p target
     in
@@ -1652,16 +1516,9 @@ let campaign_cmd =
     let mode = if traced then Runner.Traced else Runner.Inject in
     let result =
       try
-        if adaptive then
-          Runner.run_adaptive ?workers ?on_event ~fault_bits
-            ~part_dir:(Store.parts_dir out)
-            ~policy:{ F.rounds; target_ci } ~mode ~shards ~seed
-            ~budget:samples target
-        else
-          Runner.run ?workers ?on_event ~fault_bits
-            ~part_dir:(Store.parts_dir out) ~mode ~shards ~seed ~samples
-            target
-      with Failure msg ->
+        Runner.run ?workers ?on_event ?policy ~fault_bits
+          ~part_dir:(Store.parts_dir out) ~mode ~shards ~seed ~samples target
+      with Failure msg | Invalid_argument msg ->
         Fmt.epr "%s@." msg;
         exit 1
     in
@@ -1704,9 +1561,7 @@ let campaign_cmd =
         exit 1));
     Fmt.pr "%a@." F.pp_counts result.Runner.counts;
     Fmt.pr "%a@." pp_campaign_interval result.Runner.counts;
-    if adaptive && result.Runner.counts.F.samples < samples then
-      Fmt.pr "early stop: spent %d of %d budget (target ci %.4f)@."
-        result.Runner.counts.F.samples samples target_ci;
+    print_early_stop ?policy ~samples result.Runner.counts;
     Fmt.pr "logical clock: %d steps over %d shards@." result.Runner.clock
       shards;
     if result.Runner.retried > 0 then
@@ -1787,8 +1642,7 @@ let campaign_cmd =
       const run $ bench_opt_arg $ protect_arg $ knobs_term $ samples_arg
       $ seed_arg $ all_sites_arg $ fault_bits_arg $ engine_term
       $ shards_arg $ workers_arg $ no_trace_arg $ out_arg $ events_arg
-      $ html_arg $ trace_arg $ resume_arg $ progress_arg $ adaptive_arg
-      $ rounds_arg $ target_ci_arg)
+      $ html_arg $ trace_arg $ resume_arg $ progress_arg $ policy_term)
 
 (* ---- trace-export ---- *)
 

@@ -24,7 +24,7 @@
    [part_dir]/shard-<i>.jsonl (write-then-rename), so an interrupted
    campaign resumes by replaying finished shards from disk.
 
-   Adaptive campaigns ([run_adaptive]) reuse the same machinery in
+   Adaptive campaigns ([run ~policy]) reuse the same machinery in
    waves: round r's shard s runs under the global shard id r*K + s, so
    part files, the event log and progress aggregation all work
    unchanged — each round-shard owns a unique id and a unique global
@@ -593,13 +593,8 @@ let stats_of_samples ~budget ~round_ends (all_samples : Shard.sample_out list)
     all_samples;
   Stats.lines s
 
-let started ~shards ~samples =
-  {
-    Events.seq = 0;
-    shard = -1;
-    attempt = 0;
-    body = Events.Campaign_started { shards; samples };
-  }
+(* A campaign-level event (no shard). *)
+let campaign_event body = { Events.seq = 0; shard = -1; attempt = 0; body }
 
 (* Canonical log: campaign start, then per shard (global id order) its
    retry markers followed by the successful attempt's events, then
@@ -615,7 +610,7 @@ let wave_body (datas : shard_data array) (markers : Events.t list array) =
          markers.(i) @ datas.(i).d_events))
 
 (* ------------------------------------------------------------------ *)
-(* Campaign drivers.                                                   *)
+(* Running a campaign.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The campaign tracer: continue a caller-provided context (daemon job
@@ -635,111 +630,54 @@ let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
     in
     Trace.create ~trace ~proc:"runner" ()
 
+(* Every campaign runs here.  A flat campaign ([policy] absent) is a
+   single round over [0, samples) with no allocation.  An adaptive one
+   splits the budget into [policy.rounds] rounds, allocating round r's
+   samples from the merged per-site statistics of rounds < r via
+   {!F.allocate}.  Rounds are barriers over contiguous global index
+   blocks and the allocation is a pure function of merged prior output,
+   so every record is byte-identical for any shard count, and a resumed
+   run (same part_dir) recomputes the same allocations from its part
+   files.  Each kind keeps its own artifacts: a flat run records its
+   effective shard count, closes no stats round and names its one span
+   "wave"; an adaptive run records the requested count, closes a stats
+   round per round and names its spans "round". *)
 let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
-    ?part_dir ?sabotage ?garble ?trace_ctx ?trace_id ~mode ~shards ~seed
-    ~samples (target : F.target) : result =
-  let traced = mode = Traced in
-  let ranges = Shard.plan ~shards ~samples in
-  let k = Array.length ranges in
-  if k = 0 then invalid_arg "Runner.run: samples must be positive";
-  let workers = match workers with Some w -> max 1 w | None -> min k 4 in
+    ?part_dir ?sabotage ?garble ?policy ?trace_ctx ?trace_id ~mode ~shards
+    ~seed ~samples (target : F.target) : result =
+  if samples <= 0 then invalid_arg "Runner.run: samples must be positive";
+  if target.F.eligible_steps = 0 then
+    invalid_arg "Runner.run: no eligible injection sites";
+  let adaptive = policy <> None in
+  let rounds, target_ci =
+    match policy with
+    | None -> ([| (0, samples) |], 0.0)
+    | Some p ->
+      (F.plan_rounds ~rounds:p.F.rounds ~budget:samples, p.F.target_ci)
+  in
   let fire = match on_event with Some f -> f | None -> ignore in
   let tracer = make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () in
-  let start = started ~shards:k ~samples in
-  fire start;
-  let counts, record_lines, vulnmap, clock, events, retried, stats_lines =
-    Trace.span tracer "campaign" (fun () ->
-        let datas, markers, retried =
-          Trace.span tracer "wave" (fun () ->
-              run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire
-                ~part_dir ~sabotage ~garble ~seed ~assign:None ~base_spent:0
-                ~budget:samples ~prior:Stats.zero ~tracer target
-                (Array.init k (fun i -> i))
-                ranges)
-        in
-        let all_samples =
-          List.concat_map (fun d -> d.d_samples) (Array.to_list datas)
-        in
-        let record_lines, clock, counts, vulnmap =
-          Trace.span tracer "merge" (fun () ->
-              merge_samples ~mode target all_samples)
-        in
-        let stats_lines =
-          Trace.span tracer "stats" (fun () ->
-              stats_of_samples ~budget:samples ~round_ends:[] all_samples)
-        in
-        Trace.counter tracer "samples" samples;
-        Trace.counter tracer "shards" k;
-        let finished =
-          {
-            Events.seq = 0;
-            shard = -1;
-            attempt = 0;
-            body =
-              Events.Campaign_finished
-                { total = samples; tally = tally_of_counts counts; clock };
-          }
-        in
-        fire finished;
-        ( counts,
-          record_lines,
-          vulnmap,
-          clock,
-          canonical_log ~start ~finished (wave_body datas markers),
-          retried,
-          stats_lines ))
+  let started_shards =
+    if adaptive then shards else Array.length (Shard.plan ~shards ~samples)
   in
-  {
-    counts;
-    record_lines;
-    vulnmap;
-    clock;
-    events;
-    retried;
-    stats_lines;
-    trace_spans = Trace.span_lines tracer;
-    trace_walls = Trace.wall_lines tracer;
-  }
-
-(* Adaptive campaign: split the budget into rounds, run each round as
-   one wave of K shards (global shard ids r*K + s), and allocate round
-   r's samples from the merged per-site statistics of rounds < r via
-   {!F.allocate}.  Because rounds are barriers over contiguous global
-   index blocks and the allocation is a pure function of merged prior
-   output, the sample-to-site assignment — and hence every record —
-   is byte-identical for any shard count, and a resumed run (same
-   part_dir, compatible manifest) recomputes the same allocations from
-   its part files. *)
-let run_adaptive ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers
-    ?on_event ?part_dir ?(policy = F.default_policy) ?trace_ctx ?trace_id
-    ~mode ~shards ~seed ~budget (target : F.target) : result =
-  let traced = mode = Traced in
-  if budget <= 0 then invalid_arg "Runner.run_adaptive: budget must be positive";
-  let round_ranges = F.plan_rounds ~rounds:policy.F.rounds ~budget in
-  let nr = Array.length round_ranges in
-  let fire = match on_event with Some f -> f | None -> ignore in
-  let tracer =
-    make_tracer ?trace_ctx ?trace_id ~seed ~samples:budget ~shards ()
+  let start =
+    campaign_event
+      (Events.Campaign_started { shards = started_shards; samples })
   in
-  let start = started ~shards ~samples:budget in
   fire start;
-  let counts, record_lines, vulnmap, clock, events, retried, stats_lines =
+  let r =
     Trace.span tracer "campaign" (fun () ->
         let site_tallies : (int, Stats.tally) Hashtbl.t = Hashtbl.create 64 in
         let tally site =
           Option.value ~default:Stats.zero (Hashtbl.find_opt site_tallies site)
         in
-        let candidates = F.site_candidates target in
         let prior = ref Stats.zero in
-        let rev_datas = ref [] in
-        let rev_body = ref [] in
-        let round_ends = ref [] in
-        let retried = ref 0 in
-        let round = ref 0 in
-        let stop = ref false in
-        while !round < nr && not !stop do
-          Trace.span tracer "round" (fun () ->
-              let lo, hi = round_ranges.(!round) in
+        let rev_samples = ref [] and rev_body = ref [] in
+        let round_ends = ref [] and retried = ref 0 in
+        let round = ref 0 and stop = ref false in
+        while !round < Array.length rounds && not !stop do
+          Trace.span tracer (if adaptive then "round" else "wave") (fun () ->
+              let lo, hi = rounds.(!round) in
               let n = hi - lo in
               let assign =
                 if !round = 0 then None
@@ -758,10 +696,10 @@ let run_adaptive ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers
               let ids = Array.init k (fun s -> (!round * shards) + s) in
               let wv = match workers with Some w -> max 1 w | None -> min k 4 in
               let datas, markers, r =
-                run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers:wv
-                  ~fire ~part_dir ~sabotage:None ~garble:None ~seed ~assign
-                  ~base_spent:lo ~budget ~prior:!prior ~tracer target ids
-                  ranges
+                run_wave ~fault_bits ~traced:(mode = Traced) ~heartbeats
+                  ~retries ~workers:wv ~fire ~part_dir ~sabotage ~garble ~seed
+                  ~assign ~base_spent:lo ~budget:samples ~prior:!prior ~tracer
+                  target ids ranges
               in
               Array.iter
                 (fun (d : shard_data) ->
@@ -770,74 +708,64 @@ let run_adaptive ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers
                       if o.Shard.o_static >= 0 then
                         Hashtbl.replace site_tallies o.o_static
                           (Stats.add (tally o.o_static) (o.o_class = F.Sdc));
-                      prior := Stats.add !prior (o.Shard.o_class = F.Sdc))
+                      prior := Stats.add !prior (o.Shard.o_class = F.Sdc);
+                      rev_samples := o :: !rev_samples)
                     d.d_samples)
                 datas;
-              Trace.counter tracer "round" !round;
-              Trace.counter tracer "samples" n;
-              rev_datas := datas :: !rev_datas;
+              if adaptive then begin
+                Trace.counter tracer "round" !round;
+                Trace.counter tracer "samples" n
+              end;
               rev_body := wave_body datas markers :: !rev_body;
               round_ends := hi :: !round_ends;
               retried := !retried + r;
               incr round;
-              if policy.F.target_ci > 0.0 && !round < nr then begin
-                let worst =
-                  Array.fold_left
-                    (fun acc site ->
-                      Float.max acc
-                        (Stats.half_width (Stats.wilson (tally site))))
-                    0.0 candidates
-                in
-                if worst <= policy.F.target_ci then stop := true
-              end)
+              if target_ci > 0.0 && !round < Array.length rounds then
+                stop :=
+                  Array.for_all
+                    (fun site ->
+                      Stats.half_width (Stats.wilson (tally site)) <= target_ci)
+                    (F.site_candidates target))
         done;
-        let all_samples =
-          List.concat_map
-            (fun datas ->
-              List.concat_map (fun d -> d.d_samples) (Array.to_list datas))
-            (List.rev !rev_datas)
-        in
+        let all_samples = List.rev !rev_samples in
         let record_lines, clock, counts, vulnmap =
           Trace.span tracer "merge" (fun () ->
               merge_samples ~mode target all_samples)
         in
         let stats_lines =
           Trace.span tracer "stats" (fun () ->
-              stats_of_samples ~budget ~round_ends:!round_ends all_samples)
+              stats_of_samples ~budget:samples
+                ~round_ends:(if adaptive then !round_ends else [])
+                all_samples)
         in
         Trace.counter tracer "samples" counts.F.samples;
-        Trace.counter tracer "rounds" !round;
+        if adaptive then Trace.counter tracer "rounds" !round
+        else Trace.counter tracer "shards" started_shards;
         let finished =
-          {
-            Events.seq = 0;
-            shard = -1;
-            attempt = 0;
-            body =
-              Events.Campaign_finished
-                {
-                  total = counts.F.samples;
-                  tally = tally_of_counts counts;
-                  clock;
-                };
-          }
+          campaign_event
+            (Events.Campaign_finished
+               {
+                 total = counts.F.samples;
+                 tally = tally_of_counts counts;
+                 clock;
+               })
         in
         fire finished;
-        ( counts,
-          record_lines,
-          vulnmap,
-          clock,
-          canonical_log ~start ~finished (List.concat (List.rev !rev_body)),
-          !retried,
-          stats_lines ))
+        {
+          counts;
+          record_lines;
+          vulnmap;
+          clock;
+          events =
+            canonical_log ~start ~finished (List.concat (List.rev !rev_body));
+          retried = !retried;
+          stats_lines;
+          trace_spans = [];
+          trace_walls = [];
+        })
   in
   {
-    counts;
-    record_lines;
-    vulnmap;
-    clock;
-    events;
-    retried;
-    stats_lines;
+    r with
     trace_spans = Trace.span_lines tracer;
     trace_walls = Trace.wall_lines tracer;
   }

@@ -21,8 +21,8 @@ type result = {
   counts : F.counts;
   record_lines : string list;
       (** serialized per-injection records, global sample order —
-          concatenating them under the usual header reproduces the
-          sequential [--metrics] file byte-for-byte *)
+          concatenating them under {!Store.injection_header} gives the
+          [inject --metrics] file byte-for-byte *)
   vulnmap : F.vulnmap option;  (** [Traced] mode only *)
   clock : int;  (** logical clock: summed injected-run steps *)
   events : Events.t list;
@@ -46,35 +46,55 @@ type result = {
           non-deterministic, never byte-compared *)
 }
 
-(** Run a campaign split into [shards] ranges on at most [workers]
-    (default [min shards 4]) concurrent forked workers.
+(** Run a campaign of [samples] injections as rounds of [shards]
+    shards each, on at most [workers] (default [min shards 4])
+    concurrent forked workers.
 
-    [heartbeats] (default 8) progress events per shard; [retries]
-    (default 2) extra attempts per shard before the campaign fails;
-    [on_event] observes events live in arrival order — including
+    Without [policy] the campaign is flat: one round, every sample
+    aimed uniformly at the eligible dynamic write-backs.  With [policy]
+    [samples] is a budget split into [policy.rounds] rounds; round 0
+    samples uniformly and each later round directs its samples at the
+    sites with the widest Wilson SDC intervals so far ({!F.allocate}
+    over the merged statistics of all prior rounds).  When
+    [policy.target_ci > 0] the campaign stops after the first round in
+    which every reached site's half-width is at or below the target;
+    [Campaign_finished] then reports the samples actually spent.
+    Round [r]'s shard [s] runs under the global shard id
+    [r * shards + s].  Rounds are barriers and allocations pure
+    functions of merged prior output, so the result is byte-identical
+    for any shard count.  A flat run's [Campaign_started] carries the
+    effective shard count and its stats document has no round rows; an
+    adaptive run's carries the requested count and one round row per
+    round.
+
+    [heartbeats] (default 8) progress events per shard, with
+    budget-denominated [spent]/[budget] and a live Wilson half-width;
+    [retries] (default 2) extra attempts per shard before the campaign
+    fails; [on_event] observes events live in arrival order — including
     heartbeats from attempts that later die, each closed off by a
     [Shard_retry] marker, so aggregating consumers should key on
     (shard, attempt) or treat a shard's latest event as authoritative
     (the [result]'s canonical log is ordered, renumbered and contains
-    only successful attempts); [part_dir] persists each
-    finished shard's stream (write-then-rename) and, when present
-    beforehand, resumes from any complete part files found there;
-    [sabotage] (tests) makes a worker die after [k] samples when it
-    returns [Some k] for a (shard, attempt); [garble] (tests) makes a
-    worker emit a malformed protocol line after [k] samples instead.
+    only successful attempts); [part_dir] persists each finished
+    shard's stream (write-then-rename) and resumes from any complete
+    part files already there; [sabotage] (tests) makes a worker die
+    after [k] samples when it returns [Some k] for a (global shard id,
+    attempt); [garble] (tests) makes it emit a malformed protocol line
+    there instead, which is handled like worker death.
 
-    Malformed worker output is treated like worker death: the worker
-    is killed and the shard retried.  Raises [Failure] if a shard
-    exhausts its retries — outstanding workers are killed and reaped
-    before the exception propagates.
+    Raises [Invalid_argument] before any fork when [samples] is not
+    positive or the target has no eligible injection sites, and
+    [Failure] if a shard exhausts its retries (outstanding workers are
+    killed and reaped first).
 
     Every campaign is traced: [trace_ctx] continues a caller's span
-    context (e.g. the serve daemon's job span) so the campaign spans
-    stitch under it; otherwise a fresh trace is rooted whose id is
-    [trace_id] when given and {!Trace.derive_id} of the campaign
-    parameters when not.  Worker span contexts are keyed on the global
-    shard id alone, so retries do not perturb span ids and the span
-    rows in [trace_spans] are byte-identical per seed. *)
+    context (e.g. the serve daemon's job span); otherwise a fresh trace
+    is rooted whose id is [trace_id] or {!Trace.derive_id} of the
+    campaign parameters.  The runner's own spans are "campaign" over
+    one "wave" (flat) or one "round" per round (adaptive, each with its
+    "allocate" phase), then "merge" and "stats".  Worker span contexts
+    are keyed on the global shard id alone, so retries do not perturb
+    span ids and [trace_spans] is byte-identical per seed. *)
 val run :
   ?fault_bits:int ->
   ?heartbeats:int ->
@@ -84,49 +104,12 @@ val run :
   ?part_dir:string ->
   ?sabotage:(shard:int -> attempt:int -> int option) ->
   ?garble:(shard:int -> attempt:int -> int option) ->
-  ?trace_ctx:Trace.ctx ->
-  ?trace_id:string ->
-  mode:mode ->
-  shards:int ->
-  seed:int64 ->
-  samples:int ->
-  F.target ->
-  result
-
-(** Run an adaptive campaign: the sample [budget] is split into
-    [policy.rounds] near-equal rounds; round 0 samples fault sites
-    uniformly, and each later round directs its samples at the sites
-    with the widest Wilson SDC confidence intervals so far
-    ({!F.allocate} over the merged statistics of all prior rounds).
-    When [policy.target_ci > 0], the campaign stops early once every
-    reached site's half-width is at or below the target — the
-    [Campaign_finished] total then reports the samples actually spent.
-
-    Each round runs as one worker-pool wave of [shards] shards under
-    global shard ids [round * shards + s], so part files, retry
-    markers and event aggregation behave exactly as in {!run}; rounds
-    are barriers over contiguous global sample ranges and allocations
-    are pure functions of merged prior output, so the result is
-    byte-identical for any shard count and resumable via [part_dir]
-    like a flat campaign.  Progress events carry budget-denominated
-    [spent]/[budget] and a live Wilson half-width, so ETA displays do
-    not overshoot when rounds stop early.
-
-    Tracing works as in {!run}, with one "round" span per round (each
-    holding its "allocate" phase and its workers' spans). *)
-val run_adaptive :
-  ?fault_bits:int ->
-  ?heartbeats:int ->
-  ?retries:int ->
-  ?workers:int ->
-  ?on_event:(Events.t -> unit) ->
-  ?part_dir:string ->
   ?policy:F.policy ->
   ?trace_ctx:Trace.ctx ->
   ?trace_id:string ->
   mode:mode ->
   shards:int ->
   seed:int64 ->
-  budget:int ->
+  samples:int ->
   F.target ->
   result

@@ -13,9 +13,9 @@
      parts/             per-shard raw streams (resume state)
 
    The header builders here are the single source of the campaign
-   metrics headers: the CLI's sequential `inject --metrics` and
-   `vulnmap --metrics` paths and the sharded runner both use them, which
-   is what makes the sharded files byte-comparable to sequential ones. *)
+   metrics headers: `inject --metrics`, `vulnmap --metrics` and run
+   directories all use them, which is what makes a 1-shard CLI file
+   byte-comparable to a sharded run's. *)
 
 module F = Ferrum_faultsim.Faultsim
 module Json = Ferrum_telemetry.Json

@@ -6,9 +6,9 @@
     (its non-deterministic wall/CPU/RSS sidecar), optionally
     [vulnmap.jsonl], and a [parts/] directory of per-shard resume
     state.  The header builders here are the single source of campaign
-    metrics headers — sequential CLI paths and the sharded runner
-    share them, which is what makes sharded output byte-comparable to
-    sequential output. *)
+    metrics headers — the CLI's [--metrics]/[--stats] files and run
+    directories share them, which is what makes output byte-comparable
+    across shard counts. *)
 
 module Json = Ferrum_telemetry.Json
 

@@ -168,8 +168,8 @@ type state = {
 }
 
 let mark_page tr p =
-  if Bytes.unsafe_get tr.tr_bits p = '\000' then begin
-    Bytes.unsafe_set tr.tr_bits p '\001';
+  if Prims.byte_get tr.tr_bits p = '\000' then begin
+    Prims.byte_set tr.tr_bits p '\001';
     tr.tr_pages.(tr.tr_count) <- p;
     tr.tr_count <- tr.tr_count + 1
   end
@@ -190,7 +190,7 @@ let clear_dirty st =
   | None -> ()
   | Some tr ->
     for i = 0 to tr.tr_count - 1 do
-      Bytes.unsafe_set tr.tr_bits tr.tr_pages.(i) '\000'
+      Prims.byte_set tr.tr_bits tr.tr_pages.(i) '\000'
     done;
     tr.tr_count <- 0
 

@@ -30,15 +30,16 @@
    effective address ([ea]), the end-of-memory guard before an
    unchecked access ([guard]), the 64-bit ADD, SUB and logic flag rules
    ([flags_add], [flags_sub], [flags_logic]), the 256-bit [vptest]
-   reduction ([vptest256]), the n-lane xor and test of the generic and
-   512-bit bodies ([xor_lanes], [test_lanes]) and the fused-pair fuel
+   reduction ([vptest256]), the n-lane xor and test of the 512-bit
+   arms ([xor_lanes], [test_lanes]) and the fused-pair fuel
    check and epilogue ([check_fuel], [chain]).  They live in this file,
    not in {!Machine}, because the dev profile compiles with [-opaque]:
    a call into another module is never inlined, and a helper that is
    not inlined receives its int64 arguments boxed.  Inlined, each one
    expands inside the closure that calls it, which keeps one closure
    per specialized shape (a branch on the operation inside a shared
-   closure would box).
+   closure would box).  The interface exports none of them, nor the
+   thunk constructors ([fast_thunk], [mk_body], [fuse_pair]).
 
    Two representation choices make the specialized thunks allocation-free:
 
@@ -91,7 +92,6 @@ let little_endian = not Sys.big_endian
 type facc = { mutable fv : float }
 
 type t = {
-  img : Machine.image;
   thunks : (Machine.state -> unit) array; (* standalone, one per index *)
   fused : (Machine.state -> unit) array; (* pair thunk at fused starts *)
   fused_name : string array; (* pattern name at fused starts, else "" *)
@@ -325,7 +325,7 @@ let[@inline] vptest256 (st : Machine.state) s a8 b8 =
   st.Machine.off <- false
 
 (* [vpxor256] and [vptest256] over [n] lanes, as a loop: the 512-bit
-   arms and the generic bodies. *)
+   arms. *)
 let[@inline] xor_lanes s n a8 b8 d8 =
   for lane = 0 to n - 1 do
     bset s (d8 + lane) (Int64.logxor (bget s (a8 + lane)) (bget s (b8 + lane)))
@@ -361,7 +361,7 @@ let[@inline] chain fuel fused len (st : Machine.state) =
   ctr.c_fused_steps <- ctr.c_fused_steps + 2;
   let ip' = st.Machine.ip in
   if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-    (Array.unsafe_get fused ip') st
+    (aget fused ip') st
 
 (* ------------------------------------------------------------------ *)
 (* Thunk construction.                                                 *)
@@ -918,18 +918,10 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
       Machine.set_simd_lane st d 1 lo1;
       Machine.set_simd_lane st d 2 hi0;
       Machine.set_simd_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) ->
-    let a8 = a * 8 and b8 = b * 8 and d8 = d * 8 in
-    fun st -> xor_lanes st.Machine.simd 4 a8 b8 d8
-  | Instr.Vpxorq512 (a, b, d) ->
-    let a8 = a * 8 and b8 = b * 8 and d8 = d * 8 in
-    fun st -> xor_lanes st.Machine.simd 8 a8 b8 d8
-  | Instr.Vptest (a, b) ->
-    let a8 = a * 8 and b8 = b * 8 in
-    fun st -> test_lanes st st.Machine.simd 4 a8 b8
-  | Instr.Vptestmq512 (a, b) ->
-    let a8 = a * 8 and b8 = b * 8 in
-    fun st -> test_lanes st st.Machine.simd 8 a8 b8
+  | Instr.Vpxor _ | Instr.Vpxorq512 _ | Instr.Vptest _ | Instr.Vptestmq512 _ ->
+    (* [fast_thunk] claims every instance of these four on every host:
+       its arms are their only definition. *)
+    invalid_arg "Predecode.mk_body: SIMD xor/test is built by fast_thunk"
   | Instr.Vinserti64x4 (half, src, a, d) ->
     fun st ->
       (* read everything first: src/a may alias d *)
@@ -1184,7 +1176,6 @@ let decode ?avoid (img : Machine.image) : t =
   done;
   ctr.c_decodes <- ctr.c_decodes + 1;
   {
-    img;
     thunks;
     fused;
     fused_name;
@@ -1221,8 +1212,6 @@ let get (img : Machine.image) : t =
 
 let length p = Array.length p.thunks
 
-let image p = p.img
-
 let fused_pairs p = p.n_fused
 
 let pattern_counts p = p.pattern_counts
@@ -1253,7 +1242,7 @@ let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
       while st.Machine.steps < fuel do
         let ip = st.Machine.ip in
         if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
-        (Array.unsafe_get fused ip) st
+        (aget fused ip) st
       done;
       Machine.Timeout
     with
@@ -1280,7 +1269,7 @@ let step1 (p : t) (st : Machine.state) =
   let ip = st.Machine.ip in
   let cyc = p.cyc in
   cyc.fv <- st.Machine.cycles;
-  (match (Array.unsafe_get p.thunks ip) st with
+  (match (aget p.thunks ip) st with
   | () -> st.Machine.cycles <- cyc.fv
   | exception e ->
     st.Machine.cycles <- cyc.fv;
@@ -1305,7 +1294,7 @@ let exec_observed ?(fuel = Machine.default_fuel) ~on_step (p : t)
       let ip0 = st.Machine.ip in
       if ip0 >= len || ip0 < 0 then Machine.trap "control reached 0x%x" ip0;
       cyc.fv <- st.Machine.cycles;
-      (match (Array.unsafe_get thunks ip0) st with
+      (match (aget thunks ip0) st with
       | () ->
         st.Machine.cycles <- cyc.fv;
         on_step st ip0

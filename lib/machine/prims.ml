@@ -14,3 +14,9 @@ external b_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external b_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 external b_get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+
+external aget : 'a array -> int -> 'a = "%array_unsafe_get"
+
+external byte_get : bytes -> int -> char = "%bytes_unsafe_get"
+
+external byte_set : bytes -> int -> char -> unit = "%bytes_unsafe_set"

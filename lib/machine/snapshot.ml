@@ -303,8 +303,7 @@ let sub_equal a ao b bo len =
   do
     i := !i + 8
   done;
-  while !i < len && Bytes.unsafe_get a (ao + !i) = Bytes.unsafe_get b (bo + !i)
-  do
+  while !i < len && Prims.byte_get a (ao + !i) = Prims.byte_get b (bo + !i) do
     incr i
   done;
   !i = len

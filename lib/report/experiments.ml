@@ -42,7 +42,7 @@ type options = {
   cost_model : Cost.model;
   ferrum_config : Ferrum_eddi.Ferrum_pass.config;
   benchmarks : string list option; (* None = all *)
-  shards : int; (* >1 = fork-pool campaigns (identical counts) *)
+  shards : int; (* fork-pool shards per campaign (identical counts) *)
   workers : int option;
 }
 
@@ -58,19 +58,15 @@ let default_options =
     workers = None;
   }
 
-(* Campaign outcome counts, sequentially or on the fork pool — the
-   shard/merge discipline makes the two byte-identical, so [shards] is
-   purely a wall-clock knob. *)
+(* Campaign outcome counts on the fork pool; the shard/merge discipline
+   makes them identical for any shard count, so [shards] is purely a
+   wall-clock knob. *)
 let campaign_counts opts img =
-  if opts.shards <= 1 then
-    (F.campaign ~scope:opts.scope ~seed:opts.seed ~samples:opts.samples img)
-      .F.counts
-  else
-    let target = F.prepare ~scope:opts.scope img in
-    (Ferrum_campaign.Runner.run ?workers:opts.workers
-       ~mode:Ferrum_campaign.Runner.Inject ~shards:opts.shards
-       ~seed:opts.seed ~samples:opts.samples target)
-      .Ferrum_campaign.Runner.counts
+  (Ferrum_campaign.Runner.run ?workers:opts.workers
+     ~mode:Ferrum_campaign.Runner.Inject ~shards:opts.shards ~seed:opts.seed
+     ~samples:opts.samples
+     (F.prepare ~scope:opts.scope img))
+    .Ferrum_campaign.Runner.counts
 
 let selected_entries opts =
   match opts.benchmarks with

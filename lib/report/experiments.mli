@@ -42,7 +42,7 @@ type options = {
   ferrum_config : Ferrum_eddi.Ferrum_pass.config;
   benchmarks : string list option;  (** [None] = the whole suite *)
   shards : int;
-      (** >1 runs campaigns on the fork worker pool; outcome counts are
+      (** fork worker pool shards per campaign; outcome counts are
           identical for any value, so this is purely a wall-clock knob *)
   workers : int option;  (** concurrent workers (default min shards 4) *)
 }

@@ -146,7 +146,7 @@ let run_job cfg ~jobdir ~notify (job : Queue.job) (r : Spec.resolved) :
               ~samples:spec.Spec.samples r.Spec.target
           with
           | result -> Ok result
-          | exception Failure msg -> Error msg
+          | exception (Failure msg | Invalid_argument msg) -> Error msg
         in
         close_out oc;
         Ok (manifest, result))

@@ -34,8 +34,9 @@ let checked_program () =
 
 let fixture_target () = F.prepare (Machine.load (checked_program ()))
 
-(* The sequential reference: record lines exactly as `inject --metrics`
-   streams them. *)
+(* The in-process reference: record lines of the sequential
+   {!F.campaign} / {!F.vulnmap_campaign} loops, which every runner
+   campaign must reproduce byte for byte. *)
 let sequential ~traced ~seed ~samples img =
   let buf = ref [] in
   let on_record r = buf := Json.to_string (F.record_to_json r) :: !buf in
@@ -382,6 +383,134 @@ let test_log_reproducible () =
   Alcotest.(check (list string))
     "two runs, byte-identical canonical logs" (ser a) (ser b)
 
+(* ---- adaptive campaigns under crashes and resume ---- *)
+
+(* A 3-round, 2-shard adaptive traced campaign over a real workload
+   with many sites, so later rounds' allocations depend on earlier
+   rounds' output.  Round r's shards run under global ids 2r and
+   2r + 1. *)
+let adaptive_target =
+  lazy
+    (let m = (Option.get (Catalog.find "kNN")).Catalog.build () in
+     F.prepare (Machine.load (Pipeline.raw m).program))
+
+let adaptive_run ?sabotage ?garble ?part_dir ?retries () =
+  Runner.run ?sabotage ?garble ?part_dir ?retries
+    ~policy:{ F.rounds = 3; target_ci = 0.0 }
+    ~mode:Runner.Traced ~shards:2 ~seed ~samples:36
+    (Lazy.force adaptive_target)
+
+let ser_events r =
+  List.map (fun e -> Json.to_string (Events.to_json e)) r.Runner.events
+
+(* A recovered run's canonical log is the clean run's with retry
+   markers spliced in and the successful attempt's number on the
+   retried shard's events: drop the markers, zero the attempts and
+   renumber. *)
+let ser_events_without_retries r =
+  ser_events
+    {
+      r with
+      Runner.events =
+        List.mapi
+          (fun i e -> { e with Events.seq = i; attempt = 0 })
+          (List.filter
+             (fun (e : Events.t) ->
+               match e.Events.body with
+               | Events.Shard_retry _ -> false
+               | _ -> true)
+             r.Runner.events);
+    }
+
+let check_same_campaign ~what ?(events = ser_events) (clean : Runner.result)
+    (r : Runner.result) =
+  let rows r =
+    List.map Json.to_string (F.vulnmap_rows (Option.get r.Runner.vulnmap))
+  in
+  Alcotest.(check (list string)) (what ^ ": records") clean.Runner.record_lines
+    r.Runner.record_lines;
+  Alcotest.(check (list string)) (what ^ ": stats") clean.Runner.stats_lines
+    r.Runner.stats_lines;
+  Alcotest.(check (list string)) (what ^ ": events") (events clean) (events r);
+  Alcotest.(check (list string)) (what ^ ": vulnmap") (rows clean) (rows r)
+
+let retry_shards r =
+  List.filter_map
+    (fun (e : Events.t) ->
+      match e.Events.body with
+      | Events.Shard_retry _ -> Some (e.Events.shard, e.Events.attempt)
+      | _ -> None)
+    r.Runner.events
+
+let test_adaptive_worker_death () =
+  let clean = adaptive_run () in
+  let sabotage ~shard ~attempt =
+    if shard = 2 && attempt = 0 then Some 2 else None
+  in
+  let r = adaptive_run ~sabotage () in
+  Alcotest.(check (list (pair int int))) "one retry, round 1 shard 0"
+    [ (2, 0) ] (retry_shards r);
+  check_same_campaign ~what:"killed in round 1"
+    ~events:ser_events_without_retries clean r
+
+let test_adaptive_protocol_error () =
+  let clean = adaptive_run () in
+  let garble ~shard ~attempt =
+    if shard = 4 && attempt = 0 then Some 2 else None
+  in
+  let r = adaptive_run ~garble () in
+  Alcotest.(check (list (pair int int))) "one retry, round 2 shard 0"
+    [ (4, 0) ] (retry_shards r);
+  check_same_campaign ~what:"garbled in round 2"
+    ~events:ser_events_without_retries clean r
+
+(* A rerun over the same part directory re-runs only the shard whose
+   part file is gone: any other worker would die at once and, with no
+   retries, fail the campaign. *)
+let test_adaptive_resume () =
+  let dir = tmp_dir "adaptive-resume" in
+  let clean = adaptive_run ~part_dir:dir () in
+  Sys.remove (Filename.concat dir "shard-2.jsonl");
+  let sabotage ~shard ~attempt:_ = if shard = 2 then None else Some 0 in
+  let r = adaptive_run ~part_dir:dir ~sabotage ~retries:0 () in
+  Alcotest.(check int) "no retries" 0 r.Runner.retried;
+  check_same_campaign ~what:"resumed" clean r;
+  Alcotest.(check bool) "part file rewritten" true
+    (Sys.file_exists (Filename.concat dir "shard-2.jsonl"));
+  rm_rf dir
+
+(* A target with no eligible sites is rejected before any worker forks:
+   no event fires, and the sabotage hook — which runs in a forked
+   worker — never leaves its marker. *)
+let test_no_eligible_sites () =
+  let p =
+    Prog.program
+      [ Prog.func "main" [ Prog.block "main" [ Instr.original Instr.Ret ] ] ]
+  in
+  let target = F.prepare (Machine.load p) in
+  Alcotest.(check int) "no eligible sites" 0 target.F.eligible_steps;
+  let dir = tmp_dir "no-sites" in
+  Unix.mkdir dir 0o755;
+  let marker = Filename.concat dir "forked" in
+  let sabotage ~shard:_ ~attempt:_ =
+    close_out (open_out marker);
+    None
+  in
+  let events = ref 0 in
+  List.iter
+    (fun policy ->
+      match
+        Runner.run ?policy ~sabotage
+          ~on_event:(fun _ -> incr events)
+          ~mode:Runner.Inject ~shards:2 ~seed ~samples target
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "expected Invalid_argument")
+    [ None; Some { F.rounds = 3; target_ci = 0.0 } ];
+  Alcotest.(check int) "no events" 0 !events;
+  Alcotest.(check bool) "no worker forked" false (Sys.file_exists marker);
+  rm_rf dir
+
 (* ---- manifests and run directories ---- *)
 
 let test_manifest_roundtrip () =
@@ -552,6 +681,14 @@ let () =
             test_corrupt_part_rejected;
           Alcotest.test_case "resume from part files" `Quick
             test_resume_from_parts;
+          Alcotest.test_case "adaptive: worker death in round 1" `Quick
+            test_adaptive_worker_death;
+          Alcotest.test_case "adaptive: protocol error in round 2" `Quick
+            test_adaptive_protocol_error;
+          Alcotest.test_case "adaptive: resume after a lost part" `Quick
+            test_adaptive_resume;
+          Alcotest.test_case "no eligible sites, no fork" `Quick
+            test_no_eligible_sites;
         ] );
       ( "manifest",
         [

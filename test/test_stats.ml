@@ -182,7 +182,7 @@ let test_adaptive_shard_identity () =
      stats documents must be byte-identical for any shard count. *)
   let run k =
     let r =
-      Runner.run_adaptive ~mode:Runner.Inject ~shards:k ~seed:77L ~budget:48
+      Runner.run ~mode:Runner.Inject ~shards:k ~seed:77L ~samples:48
         ~policy:{ F.rounds = 3; target_ci = 0.0 }
         (raw_workload "kNN")
     in
@@ -215,7 +215,7 @@ let test_adaptive_beats_flat_on_worst_decile () =
     Runner.run ~mode:Runner.Traced ~shards:1 ~seed ~samples:budget target
   in
   let adaptive =
-    Runner.run_adaptive ~mode:Runner.Traced ~shards:1 ~seed ~budget
+    Runner.run ~mode:Runner.Traced ~shards:1 ~seed ~samples:budget
       ~policy:{ F.rounds = 8; target_ci = 0.0 }
       target
   in
