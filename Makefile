@@ -34,11 +34,21 @@ fmt:
 # untraced nor a traced campaign may depend on the checkpoint interval
 # (or on having checkpoints at all), the propagation tracer must explain a replayed
 # sample, the flight recorder (`trace --fault`) must dump the same
-# window twice, and `profile` (pipeline-stage spans + cycle tables) must
-# be byte-stable without --timings and run with them.
+# window twice, `profile` (pipeline-stage spans + cycle tables) must
+# be byte-stable without --timings and run with them, and the last
+# `--progress` line must show the campaign's own Wilson half-width.
 smoke: build
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE)
 	$(CLI) metrics $(SMOKE)
+	$(CLI) inject kmeans -p ferrum --samples 30 --progress \
+	  > $(SMOKE).prog.out 2> $(SMOKE).prog.err
+	@ci=$$(tr '\r' '\n' < $(SMOKE).prog.err \
+	  | sed -n 's/.*ci ±\([0-9.]*\).*/\1/p' | tail -1); \
+	hw=$$(sed -n 's/.*+\/- \([0-9.]*\).*/\1/p' $(SMOKE).prog.out); \
+	if [ -z "$$ci" ] || [ "$$ci" != "$$hw" ]; then \
+	  echo "smoke: --progress ended on ci ±$$ci, the campaign on +/- $$hw"; \
+	  exit 1; \
+	fi
 	$(CLI) inject kmeans -p ferrum --samples 20 --metrics $(SMOKE).2 > /dev/null
 	cmp $(SMOKE) $(SMOKE).2
 	$(CLI) inject kNN -p ferrum --samples 200 --metrics $(SMOKE).knn > /dev/null
@@ -89,11 +99,13 @@ lint: build
 	@echo "lint: catalogue clean under all techniques"
 
 # Sharded campaign smoke: a 2-shard fork-pool run must produce a
-# schema-valid event log, byte-reproducible run files, and injection
-# output byte-identical to `inject`'s 1-shard run (test_campaign checks
-# the runner against the in-process campaign loop).
+# schema-valid event log, byte-reproducible run files, the same run
+# files as a one-round `--adaptive` run (a flat campaign is that case),
+# and injection output byte-identical to `inject`'s 1-shard run
+# (test_campaign checks the runner against an in-process loop over
+# `Faultsim.campaign_sample`).
 campaign: build
-	rm -rf $(CAMP) $(CAMP).2
+	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP) --html $(CAMP).html > /dev/null
 	$(CLI) metrics $(CAMP)/events.jsonl
@@ -104,9 +116,14 @@ campaign: build
 	cmp $(CAMP)/injection.jsonl $(CAMP).2/injection.jsonl
 	cmp $(CAMP)/vulnmap.jsonl $(CAMP).2/vulnmap.jsonl
 	cmp $(CAMP)/events.jsonl $(CAMP).2/events.jsonl
+	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 --adaptive \
+	  --rounds 1 --out $(CAMP).one > /dev/null
+	for f in injection.jsonl events.jsonl stats.jsonl trace.jsonl; do \
+	  cmp $(CAMP)/$$f $(CAMP).one/$$f || exit 1; \
+	done
 	$(CLI) inject kmeans -p ferrum --samples 40 --metrics $(CAMP).seq > /dev/null
 	cmp $(CAMP)/injection.jsonl $(CAMP).seq
-	@echo "campaign: sharded run valid, reproducible and equal to 1 shard"
+	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
 # schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of
@@ -186,10 +203,12 @@ clean:
 	dune clean
 	rm -f $(SMOKE) $(SMOKE).2 $(VMAP) $(VMAP).2 $(LINTM) $(LINTM).2
 	rm -f $(SMOKE).knn $(SMOKE).knn977 $(SMOKE).knn0
+	rm -f $(SMOKE).prog.out $(SMOKE).prog.err
 	rm -f $(VMAP).knn $(VMAP).knn977 $(VMAP).knn0
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
 	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
 	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json
 	rm -f $(FLIGHT).txt $(FLIGHT).2.txt
-	rm -rf $(CAMP) $(CAMP).2 $(CAMP).html $(CAMP).seq $(TRACE).d $(TRACE).d2
+	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).html $(CAMP).seq $(TRACE).d
+	rm -rf $(TRACE).d2
 	rm -rf .bench_build

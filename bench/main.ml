@@ -242,7 +242,7 @@ let adaptive_compare ~samples ~seed =
         let adaptive, adaptive_wall =
           timed (fun () ->
               Runner.run ~mode:Runner.Traced ~shards:1 ~seed ~samples:budget
-                ~policy:{ F.rounds; target_ci = 0.0 }
+                ~policy:{ Runner.rounds; target_ci = 0.0 }
                 target)
         in
         let site_counts (r : Runner.result) i =
@@ -426,8 +426,9 @@ let walk_ns_per_step img =
   ( best Ferrum_machine.Predecode.(exec (get img)),
     best (Ferrum_oracle.Ref_machine.run img) )
 
-(* Campaign throughput per engine on the FERRUM-protected catalogue,
-   outcome counts cross-checked across engines, and the golden walk's
+(* Campaign throughput per engine on the FERRUM-protected catalogue
+   (each campaign timed from [prepare] to its merged counts, on one
+   forked worker), outcome counts cross-checked across engines, and the golden walk's
    ns/step on the decoded loop and on the reference interpreter.
    [smoke] runs the first workload only and fails unless the decoded
    walk is the faster and ckpt beats scratch: the `make perf` gate. *)
@@ -449,8 +450,8 @@ let perf_compare ~samples ~seed ~smoke =
         let img = Ferrum_machine.Machine.load p in
         let timed engine =
           let t0 = Unix.gettimeofday () in
-          let res = F.campaign ~seed ~samples ~engine img in
-          (res.F.counts, float_of_int samples /. (Unix.gettimeofday () -. t0))
+          let c = R.Experiments.campaign_counts ~engine ~seed ~samples img in
+          (c, float_of_int samples /. (Unix.gettimeofday () -. t0))
         in
         let configs =
           [ ("scratch", timed F.Scratch);

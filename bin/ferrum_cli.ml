@@ -255,7 +255,6 @@ let progress_renderer label =
   let shards = Hashtbl.create 8 in
   let budget = ref (-1) in
   let hw = ref 0.0 in
-  let closed = ref false in
   fun (e : Events.t) ->
     (match e.Events.body with
     | Events.Shard_started { lo; hi } ->
@@ -275,11 +274,19 @@ let progress_renderer label =
     (* Denominator: the campaign's sample budget when heartbeats carry
        one (adaptive runs start shards round by round, so the sum of
        started shard ranges would undercount and the bar would jump),
-       else the started total.  An early-stopped adaptive campaign ends
-       below its budget, so closing the line waits for the
-       campaign-finished event rather than done = total. *)
+       else the started total.  Only the campaign-finished event closes
+       the line, with the interval of its own tally — the one the
+       campaign prints — since an early-stopped adaptive campaign ends
+       below its budget and the last heartbeat's interval is older. *)
     let total = if !budget > started then !budget else started in
-    if (not !closed) && total > 0 then begin
+    let finished, done_, clock =
+      match e.Events.body with
+      | Events.Campaign_finished { total = n; tally; clock } ->
+        hw := Stats.half_width (Stats.wilson (Stats.make ~n ~k:tally.sdc));
+        (true, n, clock)
+      | _ -> (false, done_, clock)
+    in
+    if total > 0 then begin
       let eta = Events.eta ~done_ ~total ~clock in
       if !hw > 0.0 then
         Fmt.epr
@@ -288,15 +295,7 @@ let progress_renderer label =
       else
         Fmt.epr "\r[%s] %d/%d samples  clock %d  eta ~%.0f steps   %!" label
           done_ total clock eta;
-      let finished =
-        match e.Events.body with
-        | Events.Campaign_finished _ -> true
-        | _ -> done_ = total
-      in
-      if finished then begin
-        Fmt.epr "@.";
-        closed := true
-      end
+      if finished then Fmt.epr "@."
     end
 
 let progress_arg =
@@ -331,7 +330,7 @@ let target_ci_arg =
    flat campaign. *)
 let policy_term =
   let make adaptive rounds target_ci =
-    if adaptive then Some { F.rounds; target_ci } else None
+    if adaptive then Some { Runner.rounds; target_ci } else None
   in
   Term.(const make $ adaptive_arg $ rounds_arg $ target_ci_arg)
 
@@ -371,7 +370,7 @@ let run_one_shard ?policy ~mode ~label ~all_sites ~engine ~fault_bits ~seed
 
 let print_early_stop ?policy ~samples (counts : F.counts) =
   match policy with
-  | Some { F.target_ci; _ } when counts.F.samples < samples ->
+  | Some { Runner.target_ci; _ } when counts.F.samples < samples ->
     Fmt.pr "early stop: spent %d of %d budget (target ci %.4f)@."
       counts.F.samples samples target_ci
   | _ -> ()
@@ -1449,7 +1448,7 @@ let campaign_cmd =
             m.Manifest.traced, dir, Some m,
             if m.Manifest.policy = "adaptive" then
               Some
-                { F.rounds = m.Manifest.rounds;
+                { Runner.rounds = m.Manifest.rounds;
                   target_ci = m.Manifest.target_ci }
             else None ))
       | None -> (
@@ -1488,7 +1487,7 @@ let campaign_cmd =
     let manifest =
       let kind, rounds, target_ci =
         match policy with
-        | Some p -> ("adaptive", p.F.rounds, p.F.target_ci)
+        | Some p -> ("adaptive", p.Runner.rounds, p.Runner.target_ci)
         | None -> ("flat", 1, 0.0)
       in
       Manifest.make ~policy:kind ~rounds ~target_ci ~benchmark:bench

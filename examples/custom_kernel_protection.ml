@@ -9,6 +9,7 @@ module B = Ferrum_ir.Builder
 module Ir = Ferrum_ir.Ir
 open Ferrum_machine
 module F = Ferrum_faultsim.Faultsim
+module Runner = Ferrum_campaign.Runner
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 
@@ -51,15 +52,20 @@ let () =
   let m = build_module () in
   Ferrum_ir.Verify.run m;
   let raw_img = Machine.load (Pipeline.raw m).program in
-  let samples = 250 in
-  let raw = (F.campaign ~seed:3L ~samples raw_img).F.counts in
+  (* a seeded campaign of 250 injections on one forked worker *)
+  let counts img =
+    (Runner.run ~mode:Runner.Inject ~shards:1 ~seed:3L ~samples:250
+       (F.prepare img))
+      .Runner.counts
+  in
+  let raw = counts raw_img in
   Fmt.pr "raw       %a@." F.pp_counts raw;
   List.iter
     (fun t ->
       let r = Pipeline.protect t m in
       let img = Machine.load r.program in
       let golden = Predecode.golden img in
-      let c = (F.campaign ~seed:3L ~samples img).F.counts in
+      let c = counts img in
       Fmt.pr "%-9s %a  coverage=%s  overhead=%+.1f%%@."
         (Technique.short_name t) F.pp_counts c
         (Ferrum_report.Ascii.percent (F.sdc_coverage ~raw ~protected_:c))

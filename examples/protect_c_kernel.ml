@@ -6,6 +6,7 @@
 
 open Ferrum_machine
 module F = Ferrum_faultsim.Faultsim
+module Runner = Ferrum_campaign.Runner
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 
@@ -22,8 +23,13 @@ let () =
   let raw_golden = Predecode.golden raw_img in
   Fmt.pr "unprotected: %a (%d dynamic instructions)@." Machine.pp_outcome
     raw_golden.Predecode.outcome raw_golden.Predecode.dyn_instructions;
-  let samples = 250 in
-  let raw_counts = (F.campaign ~seed:21L ~samples raw_img).F.counts in
+  (* a seeded campaign of 250 injections on one forked worker *)
+  let counts img =
+    (Runner.run ~mode:Runner.Inject ~shards:1 ~seed:21L ~samples:250
+       (F.prepare img))
+      .Runner.counts
+  in
+  let raw_counts = counts raw_img in
   Fmt.pr "raw faults:  %a@." F.pp_counts raw_counts;
   List.iter
     (fun t ->
@@ -31,7 +37,7 @@ let () =
       let img = Machine.load r.program in
       let g = Predecode.golden img in
       assert (Machine.equal_outcome g.outcome raw_golden.Predecode.outcome);
-      let c = (F.campaign ~seed:21L ~samples img).F.counts in
+      let c = counts img in
       Fmt.pr "%-9s coverage=%s overhead=%+.1f%% (%d static instrs)@."
         (Technique.short_name t)
         (Ferrum_report.Ascii.percent

@@ -149,42 +149,26 @@ let to_json (m : t) : Json.t =
 
 let ( let* ) = Result.bind
 
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | _ -> Error (Fmt.str "manifest: bad field %S" name)
-
-let str_member name j =
-  match Json.member name j with
-  | Some (Json.Str v) -> Ok v
-  | _ -> Error (Fmt.str "manifest: bad field %S" name)
-
-let float_member name j =
-  match Json.member name j with
-  | Some (Json.Float v) -> Ok v
-  | Some (Json.Int v) -> Ok (float_of_int v)
-  | _ -> Error (Fmt.str "manifest: bad field %S" name)
-
 let of_json (j : Json.t) : (t, string) result =
-  let* schema = str_member "schema" j in
+  let* schema = Json.str "schema" j in
   let* () =
     if schema = kind then Ok ()
     else Error (Fmt.str "manifest: schema is %S, expected %S" schema kind)
   in
-  let* benchmark = str_member "benchmark" j in
-  let* technique = str_member "technique" j in
-  let* samples = int_member "samples" j in
-  let* seed_s = str_member "seed" j in
+  let* benchmark = Json.str "benchmark" j in
+  let* technique = Json.str "technique" j in
+  let* samples = Json.int "samples" j in
+  let* seed_s = Json.str "seed" j in
   let* seed =
     match Int64.of_string_opt seed_s with
     | Some s -> Ok s
     | None -> Error "manifest: bad seed"
   in
-  let* shards = int_member "shards" j in
-  let* fault_bits = int_member "fault_bits" j in
-  let* scope = str_member "scope" j in
-  let* traced = int_member "traced" j in
-  let* engine = str_member "engine" j in
+  let* shards = Json.int "shards" j in
+  let* fault_bits = Json.int "fault_bits" j in
+  let* scope = Json.str "scope" j in
+  let* traced = Json.int "traced" j in
+  let* engine = Json.str "engine" j in
   (* pre-stats manifests lack the allocation policy: default to the
      behavior they recorded (flat, one round, no CI target) *)
   let* policy =
@@ -212,8 +196,8 @@ let of_json (j : Json.t) : (t, string) result =
       let ranges =
         List.map
           (fun r ->
-            let* lo = int_member "lo" r in
-            let* hi = int_member "hi" r in
+            let* lo = Json.int "lo" r in
+            let* hi = Json.int "hi" r in
             Ok { Shard.lo; hi })
           rs
       in
@@ -226,11 +210,11 @@ let of_json (j : Json.t) : (t, string) result =
       |> Result.map Array.of_list
     | _ -> Error "manifest: bad shard_map"
   in
-  let* program_digest = str_member "program_digest" j in
-  let* static_instructions = int_member "static_instructions" j in
-  let* golden_steps = int_member "golden_steps" j in
-  let* golden_cycles = float_member "golden_cycles" j in
-  let* eligible_steps = int_member "eligible_steps" j in
+  let* program_digest = Json.str "program_digest" j in
+  let* static_instructions = Json.int "static_instructions" j in
+  let* golden_steps = Json.int "golden_steps" j in
+  let* golden_cycles = Json.float "golden_cycles" j in
+  let* eligible_steps = Json.int "eligible_steps" j in
   let* profile =
     match Json.member "profile" j with
     | Some (Json.Obj fields) ->

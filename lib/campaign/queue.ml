@@ -73,28 +73,18 @@ let job_to_json (j : job) : Json.t =
 
 let ( let* ) = Result.bind
 
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | _ -> Error (Fmt.str "job: bad field %S" name)
-
-let str_member name j =
-  match Json.member name j with
-  | Some (Json.Str v) -> Ok v
-  | _ -> Error (Fmt.str "job: bad field %S" name)
-
 let job_of_json (j : Json.t) : (job, string) result =
-  let* id = int_member "id" j in
-  let* state_s = str_member "state" j in
+  let* id = Json.int "id" j in
+  let* state_s = Json.str "state" j in
   let* state =
     match state_of_name state_s with
     | Some s -> Ok s
     | None -> Error (Fmt.str "job: unknown state %S" state_s)
   in
-  let* digest = str_member "digest" j in
-  let* cached = int_member "cached" j in
-  let* error = str_member "error" j in
-  let* spec = str_member "spec" j in
+  let* digest = Json.str "digest" j in
+  let* cached = Json.int "cached" j in
+  let* error = Json.str "error" j in
+  let* spec = Json.str "spec" j in
   (* both absent from pre-trace queue files *)
   let trace =
     match Json.member "trace" j with Some (Json.Str t) -> t | _ -> ""

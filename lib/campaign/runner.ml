@@ -6,7 +6,7 @@
    pipes with Unix.select, detects worker death (EOF without the done
    marker) and retries the shard, then merges shard outputs in global
    sample order — which, with index-keyed per-sample RNG, makes the
-   merged result byte-identical to the sequential campaign.
+   merged result byte-identical for any shard count.
 
    Wire protocol (one JSON object per line, worker -> parent):
      {"t":"ev","ev":{...}}   a Ferrum_telemetry.Events event
@@ -24,13 +24,14 @@
    [part_dir]/shard-<i>.jsonl (write-then-rename), so an interrupted
    campaign resumes by replaying finished shards from disk.
 
-   Adaptive campaigns ([run ~policy]) reuse the same machinery in
-   waves: round r's shard s runs under the global shard id r*K + s, so
-   part files, the event log and progress aggregation all work
-   unchanged — each round-shard owns a unique id and a unique global
-   sample range.  Rounds are barriers: round r's allocation is a pure
-   function of the merged statistics of rounds < r, which is what keeps
-   adaptive runs byte-reproducible for any shard count.
+   A campaign runs in rounds (one, unless [run ~policy] asks for
+   more), one wave of shards each: round r's shard s runs under the
+   global shard id r*K + s, so part files, the event log and progress
+   aggregation need no notion of rounds — each round-shard owns a
+   unique id and a unique global sample range.  Rounds are barriers:
+   round r's allocation is a pure function of the merged statistics of
+   rounds < r, which is what keeps campaigns byte-reproducible for any
+   shard count.
 
    Live stream vs canonical log: [on_event] observes events as they
    arrive, including heartbeats from attempts that later die (each such
@@ -67,6 +68,59 @@ let tally_of_counts (c : F.counts) : Events.tally =
     crash = c.F.crash;
     timeout = c.F.timeout;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Adaptive sample allocation.                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* How an adaptive campaign splits its budget: [rounds] near-equal
+   contiguous slices (laid out as {!Shard.plan} lays out shards), each
+   allocated from the statistics of everything before it;
+   [target_ci] > 0 stops early (at round granularity) once every
+   candidate site's Wilson half-width is at or under the target. *)
+type policy = { rounds : int; target_ci : float }
+
+(* Allocate [n] samples over the candidate sites, in proportion to the
+   Wilson half-widths of their SDC tallies so far ([tally site]; an
+   unsampled site has half-width 0.5, maximal pull).  Largest-remainder
+   apportionment with ties broken by lower static index; the result
+   lists sites ascending with multiplicity, so the mapping from a
+   round-local sample index to its site is a pure function of the
+   merged prior statistics — byte-reproducible for any shard count. *)
+let allocate (t : F.target) ~tally ~n : int array =
+  let sites = F.site_candidates t in
+  let m = Array.length sites in
+  let w =
+    Array.map
+      (fun site -> Stats.half_width (Stats.wilson (tally site : Stats.tally)))
+      sites
+  in
+  let total = Array.fold_left ( +. ) 0.0 w in
+  let quota = Array.map (fun wi -> float_of_int n *. wi /. total) w in
+  let base = Array.map (fun q -> int_of_float (Float.floor q)) quota in
+  let rem = max 0 (n - Array.fold_left ( + ) 0 base) in
+  let order = Array.init m (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      let fa = quota.(a) -. Float.floor quota.(a)
+      and fb = quota.(b) -. Float.floor quota.(b) in
+      if fa = fb then compare a b else compare fb fa)
+    order;
+  for j = 0 to rem - 1 do
+    let i = order.(j mod m) in
+    base.(i) <- base.(i) + 1
+  done;
+  let out = Array.make n (-1) in
+  let pos = ref 0 in
+  Array.iteri
+    (fun i site ->
+      for _ = 1 to base.(i) do
+        out.(!pos) <- site;
+        incr pos
+      done)
+    sites;
+  assert (!pos = n);
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol.                                                      *)
@@ -319,10 +373,9 @@ let rec select_read fds =
 
 (* One wave of shard execution: spawn, multiplex, retry and persist a
    set of shards, where wave-local index i runs range [ranges.(i)]
-   under global shard id [ids.(i)].  A flat campaign is a single wave
-   with ids 0..K-1; an adaptive campaign runs one wave per round with
-   ids r*K + s.  Returns the per-shard successful streams, the
-   per-shard retry markers (chronological) and the retry count. *)
+   under global shard id [ids.(i)] (r*K + s in round r).  Returns the
+   per-shard successful streams, the per-shard retry markers
+   (chronological) and the retry count. *)
 let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
     ~sabotage ~garble ~seed ~assign ~base_spent ~budget ~prior ~tracer target
     (ids : int array) (ranges : Shard.range array) :
@@ -552,9 +605,9 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
 (* ------------------------------------------------------------------ *)
 
 (* Merge in global sample order: shard (and round) ranges are
-   contiguous and ascending, so processing order is sample order.  The
-   traced fold re-runs the float summation in exactly the sequential
-   order. *)
+   contiguous and ascending, so processing order is sample order, and
+   the traced fold runs the float summation in that one order whatever
+   the shard count. *)
 let merge_samples ~mode target (all_samples : Shard.sample_out list) =
   let record_lines = List.map (fun s -> s.Shard.o_record) all_samples in
   let clock =
@@ -630,40 +683,28 @@ let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
     in
     Trace.create ~trace ~proc:"runner" ()
 
-(* Every campaign runs here.  A flat campaign ([policy] absent) is a
-   single round over [0, samples) with no allocation.  An adaptive one
-   splits the budget into [policy.rounds] rounds, allocating round r's
-   samples from the merged per-site statistics of rounds < r via
-   {!F.allocate}.  Rounds are barriers over contiguous global index
-   blocks and the allocation is a pure function of merged prior output,
-   so every record is byte-identical for any shard count, and a resumed
-   run (same part_dir) recomputes the same allocations from its part
-   files.  Each kind keeps its own artifacts: a flat run records its
-   effective shard count, closes no stats round and names its one span
-   "wave"; an adaptive run records the requested count, closes a stats
-   round per round and names its spans "round". *)
+(* Every campaign runs here.  The budget is split into [policy.rounds]
+   rounds, round r's samples allocated from the merged per-site
+   statistics of rounds < r via {!allocate}; a flat campaign ([policy]
+   absent) is the one-round case, so it writes exactly what a one-round
+   adaptive run writes.  Rounds are barriers over contiguous global
+   index blocks and the allocation is a pure function of merged prior
+   output, so every record is byte-identical for any shard count, and a
+   resumed run (same part_dir) recomputes the same allocations from its
+   part files. *)
 let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
     ?part_dir ?sabotage ?garble ?policy ?trace_ctx ?trace_id ~mode ~shards
     ~seed ~samples (target : F.target) : result =
   if samples <= 0 then invalid_arg "Runner.run: samples must be positive";
   if target.F.eligible_steps = 0 then
     invalid_arg "Runner.run: no eligible injection sites";
-  let adaptive = policy <> None in
-  let rounds, target_ci =
-    match policy with
-    | None -> ([| (0, samples) |], 0.0)
-    | Some p ->
-      (F.plan_rounds ~rounds:p.F.rounds ~budget:samples, p.F.target_ci)
+  let { rounds; target_ci } =
+    Option.value policy ~default:{ rounds = 1; target_ci = 0.0 }
   in
+  let rounds = Shard.plan ~shards:rounds ~samples in
   let fire = match on_event with Some f -> f | None -> ignore in
   let tracer = make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () in
-  let started_shards =
-    if adaptive then shards else Array.length (Shard.plan ~shards ~samples)
-  in
-  let start =
-    campaign_event
-      (Events.Campaign_started { shards = started_shards; samples })
-  in
+  let start = campaign_event (Events.Campaign_started { shards; samples }) in
   fire start;
   let r =
     Trace.span tracer "campaign" (fun () ->
@@ -676,14 +717,14 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
         let round_ends = ref [] and retried = ref 0 in
         let round = ref 0 and stop = ref false in
         while !round < Array.length rounds && not !stop do
-          Trace.span tracer (if adaptive then "round" else "wave") (fun () ->
-              let lo, hi = rounds.(!round) in
+          Trace.span tracer "round" (fun () ->
+              let { Shard.lo; hi } = rounds.(!round) in
               let n = hi - lo in
               let assign =
                 if !round = 0 then None
                 else
                   Trace.span tracer "allocate" (fun () ->
-                      let alloc = F.allocate target ~tally ~n in
+                      let alloc = allocate target ~tally ~n in
                       Some (fun sample -> alloc.(sample - lo)))
               in
               let ranges =
@@ -712,10 +753,8 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
                       rev_samples := o :: !rev_samples)
                     d.d_samples)
                 datas;
-              if adaptive then begin
-                Trace.counter tracer "round" !round;
-                Trace.counter tracer "samples" n
-              end;
+              Trace.counter tracer "round" !round;
+              Trace.counter tracer "samples" n;
               rev_body := wave_body datas markers :: !rev_body;
               round_ends := hi :: !round_ends;
               retried := !retried + r;
@@ -734,13 +773,11 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
         in
         let stats_lines =
           Trace.span tracer "stats" (fun () ->
-              stats_of_samples ~budget:samples
-                ~round_ends:(if adaptive then !round_ends else [])
+              stats_of_samples ~budget:samples ~round_ends:!round_ends
                 all_samples)
         in
         Trace.counter tracer "samples" counts.F.samples;
-        if adaptive then Trace.counter tracer "rounds" !round
-        else Trace.counter tracer "shards" started_shards;
+        Trace.counter tracer "rounds" !round;
         let finished =
           campaign_event
             (Events.Campaign_finished

@@ -3,8 +3,11 @@
     Workers stream typed events and per-sample outputs over pipes; the
     parent multiplexes them with [Unix.select], detects worker death
     (EOF before the protocol's done marker), retries dead shards, and
-    merges shard outputs in global sample order — byte-identical to the
-    sequential campaign for any shard count. *)
+    merges shard outputs in global sample order — byte-identical for
+    any shard count.  This is the one campaign loop: every campaign,
+    from the CLI, the serve daemon, the report tables, the benchmarks
+    and the examples, runs here over {!F.campaign_sample} or
+    {!F.vulnmap_sample}. *)
 
 module F = Ferrum_faultsim.Faultsim
 module Events = Ferrum_telemetry.Events
@@ -13,6 +16,14 @@ module Trace = Ferrum_telemetry.Trace
 type mode =
   | Inject  (** plain campaign: outcome counts + record stream *)
   | Traced  (** lockstep-traced campaign: vulnerability map as well *)
+
+(** FastFlip-style uncertainty-directed sampling: run the campaign in
+    [rounds] budget slices and spend each round after the first on the
+    static sites whose SDC estimates are least certain; [target_ci] > 0
+    stops early (at round granularity) once every candidate site's
+    Wilson half-width is at or under the target (0: always spend the
+    budget). *)
+type policy = { rounds : int; target_ci : float }
 
 (** View a campaign's outcome counts as an event tally. *)
 val tally_of_counts : F.counts -> Events.tally
@@ -33,12 +44,12 @@ type result = {
   stats_lines : string list;
       (** [ferrum.stats.v1] convergence document built from the merged
           sample stream in global order: trace rows (CI half-width vs.
-          samples spent), per-site rows, round rows (adaptive runs
-          only) and the final campaign row *)
+          samples spent), per-site rows, one round row per round and
+          the final campaign row *)
   trace_spans : string list;
       (** [ferrum.trace.v1] span rows of the stitched campaign trace:
-          the runner's own spans (campaign / wave / round / allocate /
-          merge / stats) followed by each worker's spans in shard-id
+          the runner's own spans (campaign / round / allocate / merge /
+          stats) followed by each worker's spans in shard-id
           order — logical clocks only, byte-identical per seed for any
           shard count *)
   trace_walls : string list;
@@ -50,22 +61,21 @@ type result = {
     shards each, on at most [workers] (default [min shards 4])
     concurrent forked workers.
 
-    Without [policy] the campaign is flat: one round, every sample
-    aimed uniformly at the eligible dynamic write-backs.  With [policy]
     [samples] is a budget split into [policy.rounds] rounds; round 0
-    samples uniformly and each later round directs its samples at the
-    sites with the widest Wilson SDC intervals so far ({!F.allocate}
-    over the merged statistics of all prior rounds).  When
-    [policy.target_ci > 0] the campaign stops after the first round in
-    which every reached site's half-width is at or below the target;
-    [Campaign_finished] then reports the samples actually spent.
-    Round [r]'s shard [s] runs under the global shard id
+    samples uniformly over the eligible dynamic write-backs and each
+    later round directs its samples at the sites with the widest Wilson
+    SDC intervals so far (largest-remainder apportionment over the
+    merged statistics of all prior rounds, ties to the lower static
+    index).  Without [policy] the campaign is flat: one round, and
+    every artifact is what [{ rounds = 1; target_ci = 0. }] gives.
+    When [policy.target_ci > 0] the campaign stops after the first
+    round in which every reached site's half-width is at or below the
+    target; [Campaign_finished] then reports the samples actually
+    spent.  Round [r]'s shard [s] runs under the global shard id
     [r * shards + s].  Rounds are barriers and allocations pure
     functions of merged prior output, so the result is byte-identical
-    for any shard count.  A flat run's [Campaign_started] carries the
-    effective shard count and its stats document has no round rows; an
-    adaptive run's carries the requested count and one round row per
-    round.
+    for any shard count.  [Campaign_started] carries the requested
+    shard count.
 
     [heartbeats] (default 8) progress events per shard, with
     budget-denominated [spent]/[budget] and a live Wilson half-width;
@@ -90,9 +100,10 @@ type result = {
     Every campaign is traced: [trace_ctx] continues a caller's span
     context (e.g. the serve daemon's job span); otherwise a fresh trace
     is rooted whose id is [trace_id] or {!Trace.derive_id} of the
-    campaign parameters.  The runner's own spans are "campaign" over
-    one "wave" (flat) or one "round" per round (adaptive, each with its
-    "allocate" phase), then "merge" and "stats".  Worker span contexts
+    campaign parameters.  The runner's own spans are "campaign" (with a
+    "rounds" counter) over one "round" per round (with "round" and
+    "samples" counters, and an "allocate" phase after the first), then
+    "merge" and "stats".  Worker span contexts
     are keyed on the global shard id alone, so retries do not perturb
     span ids and [trace_spans] is byte-identical per seed. *)
 val run :
@@ -104,7 +115,7 @@ val run :
   ?part_dir:string ->
   ?sabotage:(shard:int -> attempt:int -> int option) ->
   ?garble:(shard:int -> attempt:int -> int option) ->
-  ?policy:F.policy ->
+  ?policy:policy ->
   ?trace_ctx:Trace.ctx ->
   ?trace_id:string ->
   mode:mode ->

@@ -4,8 +4,9 @@
    per-sample RNG is a pure function of the campaign seed and the global
    index (Rng.split_at, via Faultsim.campaign_sample), a shard can run
    anywhere — another process, another machine, a resumed run — and the
-   concatenation of shard outputs in index order is byte-identical to
-   the sequential campaign for any shard count. *)
+   concatenation of shard outputs in index order is byte-identical for
+   any shard count.  [run_range] is the one loop over a campaign's
+   samples. *)
 
 module F = Ferrum_faultsim.Faultsim
 module Propagation = Ferrum_telemetry.Propagation
@@ -41,7 +42,7 @@ let plan ~shards ~samples =
    (vulnmap) variant.  The detection-latency cycle value is a float the
    parent must re-sum in global order, so it crosses the worker pipe as
    its exact IEEE-754 bit pattern — a decimal rendering could lose the
-   low bits that byte-identity with the sequential run depends on. *)
+   low bits that byte-identity across shard counts depends on. *)
 type sample_out = {
   o_sample : int;
   o_class : F.classification;
@@ -76,28 +77,18 @@ let sample_out_to_json (o : sample_out) : Json.t =
 
 let ( let* ) = Result.bind
 
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | _ -> Error (Fmt.str "sample_out: bad field %S" name)
-
-let str_member name j =
-  match Json.member name j with
-  | Some (Json.Str v) -> Ok v
-  | _ -> Error (Fmt.str "sample_out: bad field %S" name)
-
 let sample_out_of_json (j : Json.t) : (sample_out, string) result =
-  let* o_sample = int_member "sample" j in
-  let* cls = str_member "class" j in
+  let* o_sample = Json.int "sample" j in
+  let* cls = Json.str "class" j in
   let* o_class =
     match F.classification_of_name cls with
     | Some c -> Ok c
     | None -> Error (Fmt.str "sample_out: unknown class %S" cls)
   in
-  let* o_static = int_member "static" j in
-  let* o_record = str_member "record" j in
-  let* lat_steps = int_member "lat_steps" j in
-  let* lat_bits = str_member "lat_cycles_bits" j in
+  let* o_static = Json.int "static" j in
+  let* o_record = Json.str "record" j in
+  let* lat_steps = Json.int "lat_steps" j in
+  let* lat_bits = Json.str "lat_cycles_bits" j in
   let* o_latency =
     if lat_steps < 0 then Ok None
     else
@@ -105,7 +96,7 @@ let sample_out_of_json (j : Json.t) : (sample_out, string) result =
       | Some bits -> Ok (Some (lat_steps, Int64.float_of_bits bits))
       | None -> Error "sample_out: bad lat_cycles_bits"
   in
-  let* esc = str_member "escape" j in
+  let* esc = Json.str "escape" j in
   let* o_escape =
     if esc = "" then Ok None
     else
@@ -113,7 +104,7 @@ let sample_out_of_json (j : Json.t) : (sample_out, string) result =
       | Some e -> Ok (Some e)
       | None -> Error (Fmt.str "sample_out: unknown escape %S" esc)
   in
-  let* o_steps = int_member "steps" j in
+  let* o_steps = Json.int "steps" j in
   Ok { o_sample; o_class; o_static; o_record; o_latency; o_escape; o_steps }
 
 (* ------------------------------------------------------------------ *)

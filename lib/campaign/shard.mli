@@ -2,9 +2,10 @@
 
     A shard is a contiguous range of global sample indices.  The
     per-sample RNG is a pure function of the campaign seed and the
-    global index, so concatenating shard outputs in index order is
-    byte-identical to the sequential {!Ferrum_faultsim.Faultsim}
-    campaign for any shard count. *)
+    global index, so concatenating shard outputs in index order gives
+    byte-identical campaign output for any shard count.  {!run_range}
+    is the one loop over a campaign's samples; {!Runner.run} drives it
+    in forked workers. *)
 
 module F = Ferrum_faultsim.Faultsim
 module Propagation = Ferrum_telemetry.Propagation
@@ -22,7 +23,8 @@ val plan : shards:int -> samples:int -> range array
 (** One sample's shard output: the serialized record line plus the
     traced-campaign aggregation inputs.  Detection-latency cycles cross
     process boundaries as exact IEEE-754 bit patterns so the parent's
-    re-summation in global order is bit-identical to sequential. *)
+    re-summation in global order is bit-identical for any shard
+    count. *)
 type sample_out = {
   o_sample : int;
   o_class : F.classification;

@@ -870,14 +870,8 @@ let record_fields =
 let metrics_kind = "ferrum.injection.v2"
 
 (* ------------------------------------------------------------------ *)
-(* Campaigns.                                                          *)
+(* Campaign samples.                                                   *)
 (* ------------------------------------------------------------------ *)
-
-type campaign_result = {
-  counts : counts;
-  target : target;
-  faults : (classification * fault) list; (* newest first *)
-}
 
 (* The record of one injected run, shared by the plain and the traced
    campaign paths (a traced run's [end_steps]/[end_cycles] are the final
@@ -922,7 +916,7 @@ let sample_dyn_index (t : target) rng ~site =
    per-sample generator is [Rng.split_at ~seed sample], exactly the
    stream the (sample+1)-th split of a fresh generator yields, so a
    shard can run any contiguous slice of a campaign and the union over
-   shards reproduces the sequential run bit for bit. *)
+   shards is the same for any shard count. *)
 let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     classification * fault * record =
   let rng = Rng.split_at ~seed sample in
@@ -931,91 +925,6 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     run_sample ~traced:false ~fault_bits t rng ~dyn_index
   in
   (cls, fault, make_record t ~sample cls fault ~steps ~cycles)
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive sample allocation.                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* How an adaptive campaign splits its budget: [rounds] equal slices,
-   each allocated from the statistics of everything before it;
-   [target_ci] > 0 stops early (at round granularity) once every
-   candidate site's Wilson half-width is at or under the target. *)
-type policy = { rounds : int; target_ci : float }
-
-let default_policy = { rounds = 8; target_ci = 0.0 }
-
-(* Contiguous global-sample ranges for the rounds, mirroring
-   {!Shard.plan}: near-equal, the first (budget mod rounds) rounds one
-   sample larger, clamped so every round is non-empty. *)
-let plan_rounds ~rounds ~budget : (int * int) array =
-  if budget <= 0 then [||]
-  else begin
-    let r = max 1 (min rounds budget) in
-    let base = budget / r and extra = budget mod r in
-    Array.init r (fun i ->
-        let lo = (i * base) + min i extra in
-        (lo, lo + base + if i < extra then 1 else 0))
-  end
-
-(* Allocate [n] samples over the candidate sites, in proportion to the
-   Wilson half-widths of their SDC tallies so far ([tally site]; an
-   unsampled site has half-width 0.5, maximal pull).  Largest-remainder
-   apportionment with ties broken by lower static index; the result
-   lists sites ascending with multiplicity, so the mapping from a
-   round-local sample index to its site is a pure function of the
-   merged prior statistics — byte-reproducible for any shard count. *)
-let allocate (t : target) ~tally ~n : int array =
-  let sites = site_candidates t in
-  let m = Array.length sites in
-  if m = 0 then invalid_arg "Faultsim.allocate: no eligible sites";
-  if n < 0 then invalid_arg "Faultsim.allocate: negative sample count";
-  let w =
-    Array.map
-      (fun site -> Stats.half_width (Stats.wilson (tally site : Stats.tally)))
-      sites
-  in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  let quota = Array.map (fun wi -> float_of_int n *. wi /. total) w in
-  let base = Array.map (fun q -> int_of_float (Float.floor q)) quota in
-  let rem = max 0 (n - Array.fold_left ( + ) 0 base) in
-  let order = Array.init m (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let fa = quota.(a) -. Float.floor quota.(a)
-      and fb = quota.(b) -. Float.floor quota.(b) in
-      if fa = fb then compare a b else compare fb fa)
-    order;
-  for j = 0 to rem - 1 do
-    let i = order.(j mod m) in
-    base.(i) <- base.(i) + 1
-  done;
-  let out = Array.make n (-1) in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i site ->
-      for _ = 1 to base.(i) do
-        out.(!pos) <- site;
-        incr pos
-      done)
-    sites;
-  assert (!pos = n);
-  out
-
-(* Sample [samples] single-fault runs with the given seed.  [on_record]
-   streams one structured record per injection, in sample order. *)
-let campaign ?(scope = Original_only) ?(seed = 42L) ?(fault_bits = 1) ?engine
-    ?on_record ~samples img =
-  let t = prepare ~scope ?engine img in
-  if t.eligible_steps = 0 then
-    invalid_arg "Faultsim.campaign: no eligible injection sites";
-  let rec go sample counts faults =
-    if sample = samples then { counts; target = t; faults }
-    else
-      let cls, fault, record = campaign_sample ~fault_bits t ~seed ~sample in
-      (match on_record with Some f -> f record | None -> ());
-      go (sample + 1) (add_count counts cls) ((cls, fault) :: faults)
-  in
-  go 0 zero_counts []
 
 (* SDC coverage of a protected program relative to the raw baseline
    (paper §IV-A3): (SDC_raw - SDC_prot) / SDC_raw. *)
@@ -1049,7 +958,8 @@ type vulnmap = {
   v_counts : counts; (* whole-campaign totals *)
   v_samples : int;
   v_latencies : (int * float) list; (* detected-run latencies, sample order *)
-  v_escapes : (int * Propagation.escape) list; (* sample index, per SDC *)
+  v_escapes : (int * int * Propagation.escape) list;
+      (* sample index and static site, per SDC *)
 }
 
 (* One traced campaign sample, addressed by its global index — same RNG
@@ -1067,18 +977,17 @@ let vulnmap_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     make_record t ~sample cls fault ~steps ~cycles,
     Option.get summary )
 
-(* Vulnerability-map aggregation, one traced sample at a time.  Kept
-   separate from the sampling loop so a sharded campaign can replay the
-   reduction in global sample order: detection-latency cycle sums are
-   floating-point, and only identical fold order makes the merged map
-   byte-identical to the sequential one. *)
+(* Vulnerability-map aggregation, one traced sample at a time, fed by
+   a campaign's merge step in global sample order: detection-latency
+   cycle sums are floating-point, and only that one fold order makes
+   the map byte-identical for any shard count. *)
 type vulnmap_builder = {
   b_target : target;
   b_sites : site_stat array;
   mutable b_counts : counts;
   mutable b_samples : int;
   mutable b_latencies : (int * float) list; (* newest first *)
-  mutable b_escapes : (int * Propagation.escape) list; (* newest first *)
+  mutable b_escapes : (int * int * Propagation.escape) list; (* newest first *)
 }
 
 let vulnmap_builder (t : target) =
@@ -1109,7 +1018,7 @@ let vulnmap_add b ~sample ~static_index cls ~latency ~escape =
   | Some l -> b.b_latencies <- l :: b.b_latencies
   | None -> ());
   match (cls, escape) with
-  | Sdc, Some e -> b.b_escapes <- (sample, e) :: b.b_escapes
+  | Sdc, Some e -> b.b_escapes <- (sample, static_index, e) :: b.b_escapes
   | _ -> ()
 
 let vulnmap_build b : vulnmap =
@@ -1121,33 +1030,6 @@ let vulnmap_build b : vulnmap =
     v_latencies = List.rev b.b_latencies;
     v_escapes = List.rev b.b_escapes;
   }
-
-(* Sample [samples] single-fault runs exactly as {!campaign} does (the
-   same seed yields the same faults), but trace each injection against
-   the golden run and aggregate outcomes and detection latencies per
-   static site.  [on_record] streams the same per-injection records as
-   {!campaign}. *)
-let vulnmap_campaign ?(scope = Original_only) ?(seed = 42L) ?(fault_bits = 1)
-    ?engine ?on_record ~samples img : vulnmap =
-  let t = prepare ~scope ?engine img in
-  if t.eligible_steps = 0 then
-    invalid_arg "Faultsim.vulnmap_campaign: no eligible injection sites";
-  let b = vulnmap_builder t in
-  for sample = 0 to samples - 1 do
-    let cls, fault, record, summary =
-      vulnmap_sample ~fault_bits t ~seed ~sample
-    in
-    let latency =
-      if cls = Detected then Propagation.detection_latency summary else None
-    in
-    let escape =
-      if cls = Sdc then Some (Propagation.explain_escape summary) else None
-    in
-    vulnmap_add b ~sample ~static_index:fault.static_index cls ~latency
-      ~escape;
-    match on_record with Some f -> f record | None -> ()
-  done;
-  vulnmap_build b
 
 let mean_latency (s : site_stat) =
   if s.s_counts.detected = 0 then None

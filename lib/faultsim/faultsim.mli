@@ -6,7 +6,11 @@
     of the RFLAGS bits the instruction defines — applied immediately
     after write-back.  Memory and caches are assumed ECC-protected and
     are never targets.  One fault per run; campaigns sample dynamic
-    sites uniformly, as the paper does with 1000 runs per benchmark. *)
+    sites uniformly, as the paper does with 1000 runs per benchmark.
+
+    This module runs one sample at a time ({!campaign_sample},
+    {!vulnmap_sample}); [Ferrum_campaign.Runner.run] is the campaign
+    loop over them. *)
 
 module Machine = Ferrum_machine.Machine
 
@@ -247,17 +251,11 @@ val record_fields : Ferrum_telemetry.Metrics.field list
     [dest_kind]/[dest_reg]/[dest_lane]/[dest_flag] coordinates). *)
 val metrics_kind : string
 
-type campaign_result = {
-  counts : counts;
-  target : target;
-  faults : (classification * fault) list;  (** newest first *)
-}
-
 (** One campaign sample, addressed by its global 0-based index.  The
     per-sample RNG is a pure function of [seed] and [sample]
     ({!Rng.split_at}), so any subrange of a campaign can run anywhere —
-    a shard needs only its index range — and still reproduce the
-    sequential run bit-for-bit.
+    a shard needs only its index range — and a campaign's records are
+    the same for any shard count.
 
     [site] (default -1) aims the sample: negative draws uniformly over
     all eligible dynamic write-backs (the flat campaign), a static site
@@ -268,41 +266,6 @@ type campaign_result = {
 val campaign_sample :
   ?fault_bits:int -> ?site:int -> target -> seed:int64 -> sample:int ->
   classification * fault * record
-
-(** Sample [samples] single-fault runs; bit-reproducible per seed.
-    [on_record] streams one {!record} per injection in sample order. *)
-val campaign :
-  ?scope:scope -> ?seed:int64 -> ?fault_bits:int -> ?engine:engine ->
-  ?on_record:(record -> unit) ->
-  samples:int -> Machine.image -> campaign_result
-
-(** {1 Adaptive sample allocation}
-
-    FastFlip-style uncertainty-directed sampling: run the campaign in
-    rounds, and spend each round's samples on the static sites whose
-    SDC estimates are least certain. *)
-
-(** [rounds] budget slices (default 8); [target_ci] > 0 stops early (at
-    round granularity) once every candidate site's Wilson half-width is
-    at or under the target (default 0: always spend the budget). *)
-type policy = { rounds : int; target_ci : float }
-
-val default_policy : policy
-
-(** Contiguous global-sample ranges [(lo, hi)] for the rounds:
-    near-equal, first [budget mod rounds] rounds one larger, clamped so
-    every round is non-empty.  Empty on a non-positive budget. *)
-val plan_rounds : rounds:int -> budget:int -> (int * int) array
-
-(** Allocate [n] samples over {!site_candidates}, proportionally to the
-    Wilson half-widths of their current SDC tallies ([tally site]),
-    largest-remainder apportioned with ties to the lower static index.
-    Returns the per-sample site assignment, sites ascending with
-    multiplicity — a pure function of the tallies, hence
-    byte-reproducible for any shard count. *)
-val allocate :
-  target -> tally:(int -> Ferrum_telemetry.Stats.tally) -> n:int ->
-  int array
 
 (** SDC coverage relative to the raw baseline (paper §IV-A3):
     [(p_raw - p_prot) / p_raw], clamped to [0; 1]. *)
@@ -351,8 +314,9 @@ type vulnmap = {
   v_samples : int;
   v_latencies : (int * float) list;
       (** (steps, cycles) of every detected run, in sample order *)
-  v_escapes : (int * Propagation.escape) list;
-      (** sample index and explanation of every SDC, in sample order *)
+  v_escapes : (int * int * Propagation.escape) list;
+      (** sample index, static site and explanation of every SDC, in
+          sample order *)
 }
 
 (** One traced campaign sample, addressed by its global index — the
@@ -362,15 +326,16 @@ val vulnmap_sample :
   ?fault_bits:int -> ?site:int -> target -> seed:int64 -> sample:int ->
   classification * fault * record * Propagation.summary
 
-(** Incremental vulnerability-map aggregation.  Feed samples in global
-    order: the latency cycle sums are floating-point, so only an
-    identical fold order reproduces the sequential map byte-for-byte —
-    this is what a sharded campaign's merge step uses. *)
+(** Incremental vulnerability-map aggregation, as a campaign's merge
+    step does it.  Feed samples in global order: the latency cycle sums
+    are floating-point, so only that fold order gives the same map
+    byte-for-byte for any shard count. *)
 type vulnmap_builder
 
 val vulnmap_builder : target -> vulnmap_builder
 
-(** Add one sample's outcome.  [latency] is the detection latency of a
+(** Add one sample's outcome at [static_index] (-1 when unreached).
+    [latency] is the detection latency of a
     [Detected] run ([None] otherwise); [escape] the explanation of an
     [Sdc] ([None] otherwise). *)
 val vulnmap_add :
@@ -378,14 +343,6 @@ val vulnmap_add :
   latency:(int * float) option -> escape:Propagation.escape option -> unit
 
 val vulnmap_build : vulnmap_builder -> vulnmap
-
-(** Sample exactly as {!campaign} does (same seed, same faults), but
-    trace each injection and aggregate per static site.  [on_record]
-    streams the same per-injection records as {!campaign}. *)
-val vulnmap_campaign :
-  ?scope:scope -> ?seed:int64 -> ?fault_bits:int -> ?engine:engine ->
-  ?on_record:(record -> unit) ->
-  samples:int -> Machine.image -> vulnmap
 
 (** Mean detection latency (steps, cycles) of a site; [None] when no
     injection there was detected. *)

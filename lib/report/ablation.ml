@@ -120,8 +120,8 @@ let run ?(samples = 150) ?(seed = 77L) () : row list =
             in
             let coverage =
               if samples > 0 then begin
-                let raw_c = (F.campaign ~seed ~samples raw_img).F.counts in
-                let c = (F.campaign ~seed ~samples img).F.counts in
+                let raw_c = campaign_counts ~seed ~samples raw_img in
+                let c = campaign_counts ~seed ~samples img in
                 Some (F.sdc_coverage ~raw:raw_c ~protected_:c)
               end
               else None
@@ -178,13 +178,13 @@ let optimized_backend ?(samples = 150) ?(seed = 55L) () =
           (fun optimize ->
             let raw_img = Machine.load (Pipeline.raw ~optimize m).program in
             let raw_g = Predecode.golden raw_img in
-            let raw_c = (F.campaign ~seed ~samples raw_img).F.counts in
+            let raw_c = campaign_counts ~seed ~samples raw_img in
             let ir =
               Machine.load
                 (Pipeline.protect ~optimize Technique.Ir_level_eddi m).program
             in
             let ir_g = Predecode.golden ir in
-            let ir_c = (F.campaign ~seed ~samples ir).F.counts in
+            let ir_c = campaign_counts ~seed ~samples ir in
             let fe =
               Machine.load
                 (Pipeline.protect ~optimize Technique.Ferrum m).program
@@ -222,9 +222,9 @@ let multibit ?(samples = 150) ?(seed = 123L) () =
         List.map
           (fun bits ->
             let raw_c =
-              (F.campaign ~seed ~samples ~fault_bits:bits raw_img).F.counts
+              campaign_counts ~seed ~samples ~fault_bits:bits raw_img
             in
-            let c = (F.campaign ~seed ~samples ~fault_bits:bits img).F.counts in
+            let c = campaign_counts ~seed ~samples ~fault_bits:bits img in
             [ e.name; string_of_int bits;
               Printf.sprintf "%.3f" (F.sdc_probability raw_c);
               string_of_int c.F.sdc;
@@ -248,10 +248,8 @@ let all_sites ?(samples = 150) ?(seed = 99L) () =
         let img = Machine.load prot.program in
         List.map
           (fun (scope, scope_name) ->
-            let raw_c =
-              (F.campaign ~scope ~seed ~samples raw_img).F.counts
-            in
-            let c = (F.campaign ~scope ~seed ~samples img).F.counts in
+            let raw_c = campaign_counts ~scope ~seed ~samples raw_img in
+            let c = campaign_counts ~scope ~seed ~samples img in
             [ e.name; scope_name; string_of_int c.F.sdc;
               string_of_int c.F.detected; string_of_int c.F.crash;
               Ascii.percent (F.sdc_coverage ~raw:raw_c ~protected_:c) ])

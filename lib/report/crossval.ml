@@ -2,6 +2,7 @@ open Ferrum_asm
 module F = Ferrum_faultsim.Faultsim
 module Machine = Ferrum_machine.Machine
 module Lint = Ferrum_analysis.Lint
+module Runner = Ferrum_campaign.Runner
 module Propagation = F.Propagation
 
 type violation = { x_sample : int; x_static_index : int; x_escape : string }
@@ -32,36 +33,31 @@ let run ?(seed = 2024L) ?(fault_bits = 1) ~samples (p : Prog.t) : outcome =
   List.iter
     (fun (s : Lint.site) -> Hashtbl.replace covered s.u_static_index ())
     sites;
-  (* v_escapes is keyed by sample index; collect each sample's injected
-     static site from the record stream to join the two. *)
-  let site_of_sample = Hashtbl.create samples in
-  let on_record (r : F.record) =
-    Hashtbl.replace site_of_sample r.F.sample r.F.r_static_index
+  let v =
+    Option.get
+      (Runner.run ~fault_bits ~mode:Runner.Traced ~shards:1 ~seed ~samples
+         (F.prepare (Machine.load p)))
+        .Runner.vulnmap
   in
-  let img = Machine.load p in
-  let v = F.vulnmap_campaign ~seed ~fault_bits ~on_record ~samples img in
   let checkables =
-    List.filter (fun (_, e) -> checkable e) v.F.v_escapes
+    List.filter (fun (_, _, e) -> checkable e) v.F.v_escapes
   in
-  let confirmed = ref 0 and violations = ref [] in
-  List.iter
-    (fun (sample, e) ->
-      let ix =
-        Option.value ~default:(-1) (Hashtbl.find_opt site_of_sample sample)
-      in
-      if Hashtbl.mem covered ix then incr confirmed
-      else
-        violations :=
-          { x_sample = sample; x_static_index = ix;
-            x_escape = Propagation.escape_name e }
-          :: !violations)
-    checkables;
+  let violations =
+    List.filter_map
+      (fun (sample, ix, e) ->
+        if Hashtbl.mem covered ix then None
+        else
+          Some
+            { x_sample = sample; x_static_index = ix;
+              x_escape = Propagation.escape_name e })
+      checkables
+  in
   {
     c_samples = samples;
     c_sdc = List.length v.F.v_escapes;
     c_checkable = List.length checkables;
-    c_confirmed = !confirmed;
-    c_violations = List.rev !violations;
+    c_confirmed = List.length checkables - List.length violations;
+    c_violations = violations;
     c_uncovered = List.length sites;
     c_eligible = eligible;
   }

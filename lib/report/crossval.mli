@@ -6,9 +6,10 @@
     [output-before-check] (the corrupted output preceded the first
     post-corruption check) or [unprotected-program] (no checkers in
     the image at all) ran a check-free path from its injection site,
-    so that site must be statically uncovered.  This module
-    replays a seeded {!Ferrum_faultsim.Faultsim.vulnmap_campaign} and
-    verifies the inclusion escape by escape. *)
+    so that site must be statically uncovered.  This module runs a
+    seeded traced campaign ([Ferrum_campaign.Runner.run], one shard)
+    and checks each escape's injected site, which the vulnerability
+    map's escape list carries, against that set. *)
 
 open Ferrum_asm
 

@@ -58,15 +58,22 @@ let default_options =
     workers = None;
   }
 
-(* Campaign outcome counts on the fork pool; the shard/merge discipline
-   makes them identical for any shard count, so [shards] is purely a
-   wall-clock knob. *)
-let campaign_counts opts img =
-  (Ferrum_campaign.Runner.run ?workers:opts.workers
-     ~mode:Ferrum_campaign.Runner.Inject ~shards:opts.shards ~seed:opts.seed
-     ~samples:opts.samples
-     (F.prepare ~scope:opts.scope img))
+(* Outcome counts of a flat campaign on the fork pool; the shard/merge
+   discipline makes them identical for any shard count, so [shards] is
+   purely a wall-clock knob. *)
+let campaign_counts ?workers ?(shards = 1) ?scope ?fault_bits ?engine ~seed
+    ~samples img =
+  (Ferrum_campaign.Runner.run ?workers ?fault_bits
+     ~mode:Ferrum_campaign.Runner.Inject ~shards ~seed ~samples
+     (F.prepare ?scope ?engine img))
     .Ferrum_campaign.Runner.counts
+
+let option_counts opts img =
+  if opts.samples > 0 then
+    Some
+      (campaign_counts ?workers:opts.workers ~shards:opts.shards
+         ~scope:opts.scope ~seed:opts.seed ~samples:opts.samples img)
+  else None
 
 let selected_entries opts =
   match opts.benchmarks with
@@ -102,9 +109,7 @@ let run_entry opts (e : Catalog.entry) : bench_result =
   | o ->
     Fmt.failwith "benchmark %s: raw golden run failed: %a" e.name
       Machine.pp_outcome o);
-  let raw_counts =
-    if opts.samples > 0 then Some (campaign_counts opts raw_img) else None
-  in
+  let raw_counts = option_counts opts raw_img in
   let techniques =
     List.map
       (fun t ->
@@ -120,10 +125,7 @@ let run_entry opts (e : Catalog.entry) : bench_result =
         | o ->
           Fmt.failwith "benchmark %s under %s: protected output wrong: %a"
             e.name (Technique.name t) Machine.pp_outcome o);
-        let counts =
-          if opts.samples > 0 then Some (campaign_counts opts img)
-          else None
-        in
+        let counts = option_counts opts img in
         let coverage =
           match (raw_counts, counts) with
           | Some raw, Some prot ->

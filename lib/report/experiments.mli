@@ -53,6 +53,15 @@ val default_options : options
 
 val selected_entries : options -> Catalog.entry list
 
+(** Outcome counts of a flat [samples]-injection campaign over [img]
+    ({!Ferrum_campaign.Runner.run} on [shards] (default 1) forked
+    shards, on the target {!F.prepare} gives for [scope] and [engine]);
+    the same counts for any [shards]. *)
+val campaign_counts :
+  ?workers:int -> ?shards:int -> ?scope:F.scope -> ?fault_bits:int ->
+  ?engine:F.engine -> seed:int64 -> samples:int -> Machine.image ->
+  F.counts
+
 (** Median wall-clock of a protection transform over repetitions. *)
 val transform_time :
   Technique.t ->

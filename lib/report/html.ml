@@ -59,18 +59,6 @@ let classes = [ "detected"; "sdc"; "crash"; "timeout"; "benign" ]
 let class_count r c =
   Option.value ~default:0 (List.assoc_opt c r.r_classes)
 
-let int_member name j =
-  match Json.member name j with Some (Json.Int v) -> Some v | _ -> None
-
-let str_member name j =
-  match Json.member name j with Some (Json.Str v) -> Some v | _ -> None
-
-let float_member name j =
-  match Json.member name j with
-  | Some (Json.Float v) -> Some v
-  | Some (Json.Int v) -> Some (float_of_int v)
-  | _ -> None
-
 let load_run dir : (run, string) result =
   match Manifest.load ~dir with
   | Error e -> Error (Fmt.str "%s: %s" dir e)
@@ -84,7 +72,8 @@ let load_run dir : (run, string) result =
         (fun i line ->
           if i > 0 then
             match
-              Option.bind (Json.of_string_opt line) (str_member "class")
+              Option.bind (Json.of_string_opt line) (fun j ->
+                  Result.to_option (Json.str "class" j))
             with
             | Some c ->
               Hashtbl.replace counts c
@@ -103,36 +92,20 @@ let load_run dir : (run, string) result =
           let sites =
             List.filteri (fun i _ -> i > 0) (Metrics.read_lines vulnmap)
             |> List.filter_map (fun line ->
-                   match Json.of_string_opt line with
-                   | None -> None
-                   | Some j -> (
-                     match
-                       ( int_member "static_index" j,
-                         str_member "opcode" j,
-                         str_member "prov" j,
-                         int_member "samples" j,
-                         int_member "sdc" j,
-                         int_member "detected" j,
-                         float_member "mean_det_cycles" j )
-                     with
-                     | ( Some si_index,
-                         Some si_opcode,
-                         Some si_prov,
-                         Some si_samples,
-                         Some si_sdc,
-                         Some si_detected,
-                         Some mean ) ->
-                       Some
-                         ( {
-                             si_index;
-                             si_opcode;
-                             si_prov;
-                             si_samples;
-                             si_sdc;
-                             si_detected;
-                           },
-                           mean )
-                     | _ -> None))
+                   Option.bind (Json.of_string_opt line) (fun j ->
+                       Result.to_option
+                         (let ( let* ) = Result.bind in
+                          let* si_index = Json.int "static_index" j in
+                          let* si_opcode = Json.str "opcode" j in
+                          let* si_prov = Json.str "prov" j in
+                          let* si_samples = Json.int "samples" j in
+                          let* si_sdc = Json.int "sdc" j in
+                          let* si_detected = Json.int "detected" j in
+                          let* mean = Json.float "mean_det_cycles" j in
+                          Ok
+                            ( { si_index; si_opcode; si_prov; si_samples;
+                                si_sdc; si_detected },
+                              mean ))))
           in
           let latency =
             List.filter_map

@@ -16,6 +16,8 @@ module F = Ferrum_faultsim.Faultsim
 module Technique = Ferrum_eddi.Technique
 module Pipeline = Ferrum_eddi.Pipeline
 module Ferrum_pass = Ferrum_eddi.Ferrum_pass
+module Runner = Ferrum_campaign.Runner
+module Json = Ferrum_telemetry.Json
 open Ferrum_asm
 
 (* Map flattened static instruction index -> (block label, index within
@@ -32,17 +34,24 @@ let site_table (p : Prog.t) : (string * int) array =
   Array.of_list (List.rev !out)
 
 (* Per-static-site SDC counts from a profiling campaign on the raw
-   program. *)
+   program, read off its records newest first: that order of first
+   insertion fixes the table's fold order, which is how {!select_sites}
+   breaks ties. *)
 let profile ~samples ~seed (img : Machine.image) =
-  let res = F.campaign ~seed ~samples img in
+  let res =
+    Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples (F.prepare img)
+  in
   let counts = Hashtbl.create 64 in
   List.iter
-    (fun (cls, (fault : F.fault)) ->
-      if cls = F.Sdc && fault.F.static_index >= 0 then
-        Hashtbl.replace counts fault.F.static_index
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts fault.F.static_index)))
-    res.F.faults;
-  (counts, res.F.counts)
+    (fun line ->
+      let j = Json.of_string line in
+      match (Json.str "class" j, Json.int "static_index" j) with
+      | Ok "sdc", Ok ix when ix >= 0 ->
+        Hashtbl.replace counts ix
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts ix))
+      | _ -> ())
+    (List.rev res.Runner.record_lines);
+  (counts, res.Runner.counts)
 
 (* The smallest set of static sites covering [budget] of the observed
    SDC mass, as a (label, index) selector. *)
@@ -82,7 +91,7 @@ let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
   let raw_img = Machine.load raw.program in
   let raw_golden = Predecode.golden raw_img in
   let counts, _ = profile ~samples ~seed:profile_seed raw_img in
-  let eval_raw = (F.campaign ~seed:eval_seed ~samples raw_img).F.counts in
+  let eval_raw = Experiments.campaign_counts ~seed:eval_seed ~samples raw_img in
   List.map
     (fun budget ->
       let config, sites_protected =
@@ -96,7 +105,7 @@ let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
       let prot = Pipeline.protect ~ferrum_config:config Technique.Ferrum m in
       let img = Machine.load prot.program in
       let golden = Predecode.golden img in
-      let eval = (F.campaign ~seed:eval_seed ~samples img).F.counts in
+      let eval = Experiments.campaign_counts ~seed:eval_seed ~samples img in
       {
         budget;
         sites_protected;

@@ -157,7 +157,7 @@ let summary (v : F.vulnmap) =
   | escapes ->
     let by_reason = Hashtbl.create 8 in
     List.iter
-      (fun (_, e) ->
+      (fun (_, _, e) ->
         let k = Propagation.escape_name e in
         Hashtbl.replace by_reason k
           (1 + Option.value ~default:0 (Hashtbl.find_opt by_reason k)))

@@ -146,12 +146,6 @@ let to_json (e : t) : Json.t =
       ("hw", Json.Float hw);
     ]
 
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | Some _ -> Error (Fmt.str "field %S is not an int" name)
-  | None -> Error (Fmt.str "missing field %S" name)
-
 (* The confidence fields arrived after v1 logs existed; stored logs
    without them still parse (and validate) with the unused defaults. *)
 let opt_int_member ~default name j =
@@ -167,43 +161,37 @@ let opt_float_member ~default name j =
   | Some _ -> Error (Fmt.str "field %S is not a number" name)
   | None -> Ok default
 
-let str_member name j =
-  match Json.member name j with
-  | Some (Json.Str v) -> Ok v
-  | Some _ -> Error (Fmt.str "field %S is not a string" name)
-  | None -> Error (Fmt.str "missing field %S" name)
-
 let ( let* ) = Result.bind
 
 let tally_of_json j =
-  let* benign = int_member "benign" j in
-  let* sdc = int_member "sdc" j in
-  let* detected = int_member "detected" j in
-  let* crash = int_member "crash" j in
-  let* timeout = int_member "timeout" j in
+  let* benign = Json.int "benign" j in
+  let* sdc = Json.int "sdc" j in
+  let* detected = Json.int "detected" j in
+  let* crash = Json.int "crash" j in
+  let* timeout = Json.int "timeout" j in
   Ok { benign; sdc; detected; crash; timeout }
 
 let of_json (j : Json.t) : (t, string) result =
-  let* name = str_member "event" j in
-  let* seq = int_member "seq" j in
-  let* shard = int_member "shard" j in
-  let* attempt = int_member "attempt" j in
+  let* name = Json.str "event" j in
+  let* seq = Json.int "seq" j in
+  let* shard = Json.int "shard" j in
+  let* attempt = Json.int "attempt" j in
   let progresslike j =
-    let* done_ = int_member "done" j in
-    let* total = int_member "total" j in
+    let* done_ = Json.int "done" j in
+    let* total = Json.int "total" j in
     let* tally = tally_of_json j in
-    let* clock = int_member "clock" j in
+    let* clock = Json.int "clock" j in
     Ok (done_, total, tally, clock)
   in
   let* body =
     match name with
     | "campaign_started" ->
-      let* shards = int_member "shards" j in
-      let* samples = int_member "samples" j in
+      let* shards = Json.int "shards" j in
+      let* samples = Json.int "samples" j in
       Ok (Campaign_started { shards; samples })
     | "shard_started" ->
-      let* lo = int_member "lo" j in
-      let* hi = int_member "hi" j in
+      let* lo = Json.int "lo" j in
+      let* hi = Json.int "hi" j in
       Ok (Shard_started { lo; hi })
     | "progress" ->
       let* done_, total, tally, clock = progresslike j in
@@ -215,7 +203,7 @@ let of_json (j : Json.t) : (t, string) result =
       let* done_, total, tally, clock = progresslike j in
       Ok (Shard_finished { done_; total; tally; clock })
     | "shard_retry" ->
-      let* reason = str_member "detail" j in
+      let* reason = Json.str "detail" j in
       Ok (Shard_retry { reason })
     | "campaign_finished" ->
       let* _, total, tally, clock = progresslike j in

@@ -245,3 +245,27 @@ let of_string_opt s = try Some (of_string s) with Parse_error _ -> None
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+(* Typed field readers: the one place a reader's error names a missing
+   or mistyped field. *)
+let bad name what = Error (Printf.sprintf "field %S is not %s" name what)
+let missing name = Error (Printf.sprintf "missing field %S" name)
+
+let int name j =
+  match member name j with
+  | Some (Int v) -> Ok v
+  | Some _ -> bad name "an int"
+  | None -> missing name
+
+let str name j =
+  match member name j with
+  | Some (Str v) -> Ok v
+  | Some _ -> bad name "a string"
+  | None -> missing name
+
+let float name j =
+  match member name j with
+  | Some (Float v) -> Ok v
+  | Some (Int v) -> Ok (float_of_int v)
+  | Some _ -> bad name "a number"
+  | None -> missing name

@@ -29,3 +29,9 @@ val of_string_opt : string -> t option
 
 (** Object field lookup; [None] on non-objects and missing keys. *)
 val member : string -> t -> t option
+
+(** Typed object field readers: [Error] names the field when it is
+    missing or holds another type.  [float] also accepts an [Int]. *)
+val int : string -> t -> (int, string) result
+val str : string -> t -> (string, string) result
+val float : string -> t -> (float, string) result

@@ -228,19 +228,6 @@ let row_json (r : row) : Json.t =
       ("jhi", Json.Float r.jhi);
     ]
 
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | Some _ -> Error (Fmt.str "field %S is not an int" name)
-  | None -> Error (Fmt.str "missing field %S" name)
-
-let float_member name j =
-  match Json.member name j with
-  | Some (Json.Float v) -> Ok v
-  | Some (Json.Int v) -> Ok (float_of_int v)
-  | Some _ -> Error (Fmt.str "field %S is not a number" name)
-  | None -> Error (Fmt.str "missing field %S" name)
-
 let ( let* ) = Result.bind
 
 let row_of_json (j : Json.t) : (row, string) result =
@@ -250,18 +237,18 @@ let row_of_json (j : Json.t) : (row, string) result =
     | Some _ -> Error "field \"row\" is not a string"
     | None -> Error "missing field \"row\""
   in
-  let* index = int_member "index" j in
-  let* round = int_member "round" j in
-  let* spent = int_member "spent" j in
-  let* budget = int_member "budget" j in
-  let* samples = int_member "samples" j in
-  let* sdc = int_member "sdc" j in
-  let* p = float_member "p" j in
-  let* lo = float_member "lo" j in
-  let* hi = float_member "hi" j in
-  let* hw = float_member "hw" j in
-  let* jlo = float_member "jlo" j in
-  let* jhi = float_member "jhi" j in
+  let* index = Json.int "index" j in
+  let* round = Json.int "round" j in
+  let* spent = Json.int "spent" j in
+  let* budget = Json.int "budget" j in
+  let* samples = Json.int "samples" j in
+  let* sdc = Json.int "sdc" j in
+  let* p = Json.float "p" j in
+  let* lo = Json.float "lo" j in
+  let* hi = Json.float "hi" j in
+  let* hw = Json.float "hw" j in
+  let* jlo = Json.float "jlo" j in
+  let* jhi = Json.float "jhi" j in
   Ok { row; index; round; spent; budget; samples; sdc; p; lo; hi; hw; jlo; jhi }
 
 let row_of_string line =

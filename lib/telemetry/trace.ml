@@ -312,32 +312,16 @@ let wall_line ~trace (w : wall) =
     (str trace) (str w.wl_span) (str w.wl_name) (str w.wl_proc) w.wl_start
     w.wl_end (num w.wl_cpu_user) (num w.wl_cpu_sys) w.wl_maxrss_kb
 
-let str_member name j =
-  match Json.member name j with
-  | Some (Json.Str v) -> Ok v
-  | _ -> Error (Fmt.str "trace row: bad field %S" name)
-
-let int_member name j =
-  match Json.member name j with
-  | Some (Json.Int v) -> Ok v
-  | _ -> Error (Fmt.str "trace row: bad field %S" name)
-
-let float_member name j =
-  match Json.member name j with
-  | Some (Json.Float v) -> Ok v
-  | Some (Json.Int v) -> Ok (float_of_int v)
-  | _ -> Error (Fmt.str "trace row: bad field %S" name)
-
 let ( let* ) = Result.bind
 
 let span_of_json j : (string * span, string) result =
-  let* trace = str_member "trace" j in
-  let* sp_id = str_member "span" j in
-  let* sp_parent = str_member "parent" j in
-  let* sp_name = str_member "name" j in
-  let* sp_proc = str_member "proc" j in
-  let* sp_l_start = int_member "l_start" j in
-  let* sp_l_end = int_member "l_end" j in
+  let* trace = Json.str "trace" j in
+  let* sp_id = Json.str "span" j in
+  let* sp_parent = Json.str "parent" j in
+  let* sp_name = Json.str "name" j in
+  let* sp_proc = Json.str "proc" j in
+  let* sp_l_start = Json.int "l_start" j in
+  let* sp_l_end = Json.int "l_end" j in
   let* sp_counters =
     match Json.member "counters" j with
     | None -> Ok []
@@ -354,15 +338,15 @@ let span_of_json j : (string * span, string) result =
   Ok (trace, { sp_id; sp_parent; sp_name; sp_proc; sp_l_start; sp_l_end; sp_counters })
 
 let wall_of_json j : (string * wall, string) result =
-  let* trace = str_member "trace" j in
-  let* wl_span = str_member "span" j in
-  let* wl_name = str_member "name" j in
-  let* wl_proc = str_member "proc" j in
-  let* wl_start = float_member "w_start" j in
-  let* wl_end = float_member "w_end" j in
-  let* wl_cpu_user = float_member "cpu_user" j in
-  let* wl_cpu_sys = float_member "cpu_sys" j in
-  let* wl_maxrss_kb = int_member "maxrss_kb" j in
+  let* trace = Json.str "trace" j in
+  let* wl_span = Json.str "span" j in
+  let* wl_name = Json.str "name" j in
+  let* wl_proc = Json.str "proc" j in
+  let* wl_start = Json.float "w_start" j in
+  let* wl_end = Json.float "w_end" j in
+  let* wl_cpu_user = Json.float "cpu_user" j in
+  let* wl_cpu_sys = Json.float "cpu_sys" j in
+  let* wl_maxrss_kb = Json.int "maxrss_kb" j in
   Ok
     ( trace,
       { wl_span; wl_name; wl_proc; wl_start; wl_end; wl_cpu_user; wl_cpu_sys;

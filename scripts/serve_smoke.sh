@@ -20,10 +20,12 @@ ROOT=${ROOT:-/tmp/ferrum_serve_smoke}
 
 rm -rf "$ROOT"
 mkdir -p "$(dirname "$ROOT")"
+# Both kills name the same daemon, which may already be gone by the
+# second (or the first): under set -e a failed kill here would turn a
+# passing smoke into exit 1.
 cleanup() {
-  [ -f "$ROOT/pid" ] && kill "$(cat "$ROOT/pid")" 2>/dev/null
-  kill "$DAEMON" 2>/dev/null
-  true
+  [ -f "$ROOT/pid" ] && kill "$(cat "$ROOT/pid")" 2>/dev/null || true
+  kill "$DAEMON" 2>/dev/null || true
 }
 trap cleanup EXIT
 

@@ -34,20 +34,14 @@ let checked_program () =
 
 let fixture_target () = F.prepare (Machine.load (checked_program ()))
 
-(* The in-process reference: record lines of the sequential
-   {!F.campaign} / {!F.vulnmap_campaign} loops, which every runner
-   campaign must reproduce byte for byte. *)
+(* The in-process reference: record lines, counts and (traced) map of
+   the {!Campaign_ref} loop, which every runner campaign must reproduce
+   byte for byte. *)
 let sequential ~traced ~seed ~samples img =
-  let buf = ref [] in
-  let on_record r = buf := Json.to_string (F.record_to_json r) :: !buf in
-  if traced then begin
-    let v = F.vulnmap_campaign ~seed ~samples ~on_record img in
-    (List.rev !buf, v.F.v_counts, Some v)
-  end
-  else begin
-    let res = F.campaign ~seed ~samples ~on_record img in
-    (List.rev !buf, res.F.counts, None)
-  end
+  let r = Campaign_ref.run ~traced ~seed ~samples (F.prepare img) in
+  ( Campaign_ref.lines r,
+    Campaign_ref.counts r,
+    if traced then Some r.Campaign_ref.vulnmap else None )
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -396,7 +390,7 @@ let adaptive_target =
 
 let adaptive_run ?sabotage ?garble ?part_dir ?retries () =
   Runner.run ?sabotage ?garble ?part_dir ?retries
-    ~policy:{ F.rounds = 3; target_ci = 0.0 }
+    ~policy:{ Runner.rounds = 3; target_ci = 0.0 }
     ~mode:Runner.Traced ~shards:2 ~seed ~samples:36
     (Lazy.force adaptive_target)
 
@@ -479,6 +473,28 @@ let test_adaptive_resume () =
     (Sys.file_exists (Filename.concat dir "shard-2.jsonl"));
   rm_rf dir
 
+(* A flat campaign is the one-round adaptive campaign, artifacts and
+   all: the same canonical event log (the requested shard count even
+   when the plan clamps it: 8 shards over 6 samples), stats document and
+   trace spans. *)
+let test_flat_is_one_round () =
+  let target = fixture_target () in
+  List.iter
+    (fun (shards, samples) ->
+      let run policy =
+        Runner.run ?policy ~mode:Runner.Traced ~shards ~seed ~samples target
+      in
+      let flat = run None
+      and one = run (Some { Runner.rounds = 1; target_ci = 0.0 }) in
+      let what = Fmt.str "%d shards, %d samples" shards samples in
+      Alcotest.(check (list string)) (what ^ ": events") (ser_events one)
+        (ser_events flat);
+      Alcotest.(check (list string)) (what ^ ": stats") one.Runner.stats_lines
+        flat.Runner.stats_lines;
+      Alcotest.(check (list string)) (what ^ ": trace spans")
+        one.Runner.trace_spans flat.Runner.trace_spans)
+    [ (2, samples); (8, 6) ]
+
 (* A target with no eligible sites is rejected before any worker forks:
    no event fires, and the sabotage hook — which runs in a forked
    worker — never leaves its marker. *)
@@ -506,7 +522,7 @@ let test_no_eligible_sites () =
       with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "expected Invalid_argument")
-    [ None; Some { F.rounds = 3; target_ci = 0.0 } ];
+    [ None; Some { Runner.rounds = 3; target_ci = 0.0 } ];
   Alcotest.(check int) "no events" 0 !events;
   Alcotest.(check bool) "no worker forked" false (Sys.file_exists marker);
   rm_rf dir
@@ -663,6 +679,8 @@ let () =
             test_workload_identity;
           Alcotest.test_case "canonical log reproducible" `Quick
             test_log_reproducible;
+          Alcotest.test_case "flat = one-round adaptive" `Quick
+            test_flat_is_one_round;
         ] );
       ( "events",
         [

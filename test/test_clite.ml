@@ -235,9 +235,8 @@ let test_example_no_sdc_under_ferrum () =
   let m = Clite.compile_file (example_path "examples/programs/sort.c") in
   let p = (Pipeline.protect Technique.Ferrum m).program in
   let c =
-    (Ferrum_faultsim.Faultsim.campaign ~seed:13L ~samples:150
-       (Machine.load p))
-      .Ferrum_faultsim.Faultsim.counts
+    Ferrum_report.Experiments.campaign_counts ~seed:13L ~samples:150
+      (Machine.load p)
   in
   Alcotest.(check int) "no sdc" 0 c.Ferrum_faultsim.Faultsim.sdc
 

@@ -12,6 +12,7 @@ module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Ferrum_pass = Ferrum_eddi.Ferrum_pass
 module Peephole = Ferrum_backend.Peephole
+module Experiments = Ferrum_report.Experiments
 
 let outcome_of p = fst (Predecode.run_fresh (Machine.load p))
 
@@ -324,9 +325,10 @@ let test_multibit_flips_distinct_bits () =
 let test_multibit_campaign_reproducible () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "kNN")).build () in
   let img = Machine.load (Pipeline.raw m).program in
-  let a = F.campaign ~seed:9L ~samples:30 ~fault_bits:2 img in
-  let b = F.campaign ~seed:9L ~samples:30 ~fault_bits:2 img in
-  Alcotest.(check bool) "reproducible" true (a.F.counts = b.F.counts)
+  let campaign () =
+    Experiments.campaign_counts ~seed:9L ~samples:30 ~fault_bits:2 img
+  in
+  Alcotest.(check bool) "reproducible" true (campaign () = campaign ())
 
 let test_multibit_ferrum_still_covers () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "BFS")).build () in
@@ -334,7 +336,9 @@ let test_multibit_ferrum_still_covers () =
   let img = Machine.load p in
   List.iter
     (fun bits ->
-      let c = (F.campaign ~seed:71L ~samples:100 ~fault_bits:bits img).F.counts in
+      let c =
+        Experiments.campaign_counts ~seed:71L ~samples:100 ~fault_bits:bits img
+      in
       Alcotest.(check int)
         (Printf.sprintf "no sdc at %d bits" bits)
         0 c.F.sdc)
@@ -364,7 +368,7 @@ let test_config_combinations () =
           let g = Predecode.golden img in
           if not (Machine.equal_outcome g.Predecode.outcome raw) then
             Alcotest.failf "%s combo %d broke semantics" name k;
-          let c = (F.campaign ~seed:3L ~samples:60 img).F.counts in
+          let c = Experiments.campaign_counts ~seed:3L ~samples:60 img in
           if c.F.sdc > 0 then Alcotest.failf "%s combo %d leaked SDC" name k)
         combos)
     [ "LUD"; "BFS" ]

@@ -8,6 +8,7 @@ module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
+module Runner = Ferrum_campaign.Runner
 
 (* ---- rng ---- *)
 
@@ -121,18 +122,20 @@ let test_injection_detected_when_protected () =
 let test_campaign_reproducible () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "kNN")).build () in
   let img = Machine.load (Pipeline.raw m).program in
-  let a = F.campaign ~seed:5L ~samples:40 img in
-  let b = F.campaign ~seed:5L ~samples:40 img in
-  Alcotest.(check bool) "same counts" true (a.F.counts = b.F.counts);
-  let c = F.campaign ~seed:6L ~samples:40 img in
+  let campaign seed =
+    Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples:40 (F.prepare img)
+  in
+  let a = campaign 5L and b = campaign 5L in
+  Alcotest.(check bool) "same counts" true (a.Runner.counts = b.Runner.counts);
+  let c = campaign 6L in
   Alcotest.(check bool) "likely different counts with another seed" true
-    (a.F.counts <> c.F.counts || a.F.faults <> c.F.faults)
+    (a.Runner.counts <> c.Runner.counts
+    || a.Runner.record_lines <> c.Runner.record_lines)
 
 let test_campaign_counts_sum () =
   let m = (Option.get (Ferrum_workloads.Catalog.find "Pathfinder")).build () in
   let img = Machine.load (Pipeline.raw m).program in
-  let r = F.campaign ~seed:8L ~samples:60 img in
-  let c = r.F.counts in
+  let c = Ferrum_report.Experiments.campaign_counts ~seed:8L ~samples:60 img in
   Alcotest.(check int) "samples" 60 c.F.samples;
   Alcotest.(check int) "partition" 60
     (c.F.benign + c.F.sdc + c.F.detected + c.F.crash + c.F.timeout);

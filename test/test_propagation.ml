@@ -13,6 +13,7 @@ module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
 module Json = Ferrum_telemetry.Json
 module Metrics = Ferrum_telemetry.Metrics
+module Runner = Ferrum_campaign.Runner
 
 let bench name = (Option.get (Ferrum_workloads.Catalog.find name)).build ()
 
@@ -239,10 +240,16 @@ let prop_random_traced_identity =
 
 (* ---- vulnerability maps ---- *)
 
+let campaign mode img ~seed ~samples =
+  Runner.run ~mode ~shards:1 ~seed ~samples (F.prepare img)
+
+let vulnmap img ~seed ~samples =
+  Option.get (campaign Runner.Traced img ~seed ~samples).Runner.vulnmap
+
 let vulnmap_lines img ~seed ~samples =
   let buf = Buffer.create 4096 in
   let sink = Metrics.buffer_sink buf in
-  let v = F.vulnmap_campaign ~seed ~samples img in
+  let v = vulnmap img ~seed ~samples in
   Metrics.emit sink
     (Metrics.header ~kind:F.vulnmap_kind
        [ ("seed", Json.Str (Int64.to_string seed));
@@ -282,14 +289,15 @@ let test_vulnmap_matches_campaign () =
   (* the traced campaign must classify exactly as the plain one *)
   let m = bench "BFS" in
   let img = Machine.load (Pipeline.protect Technique.Ferrum m).program in
-  let plain = F.campaign ~seed:4L ~samples:30 img in
-  let traced = F.vulnmap_campaign ~seed:4L ~samples:30 img in
-  Alcotest.(check bool) "same counts" true (plain.F.counts = traced.F.v_counts)
+  let plain = campaign Runner.Inject img ~seed:4L ~samples:30 in
+  let traced = vulnmap img ~seed:4L ~samples:30 in
+  Alcotest.(check bool) "same counts" true
+    (plain.Runner.counts = traced.F.v_counts)
 
 let test_render_smoke () =
   let m = bench "Pathfinder" in
   let img = Machine.load (Pipeline.protect Technique.Ferrum m).program in
-  let v = F.vulnmap_campaign ~seed:7L ~samples:30 img in
+  let v = vulnmap img ~seed:7L ~samples:30 in
   let text = Ferrum_report.Vulnmap.render ~only_sampled:true v in
   Alcotest.(check bool) "mentions samples" true
     (String.length text > 0 && contains ~sub:"30 samples" text)
@@ -299,12 +307,10 @@ let test_render_smoke () =
 let test_records_carry_structured_dest () =
   let m = bench "kmeans" in
   let img = Machine.load (Pipeline.raw m).program in
-  let records = ref [] in
-  let _ =
-    F.campaign ~seed:5L ~samples:25 ~on_record:(fun r -> records := r :: !records)
-      img
+  let records =
+    (Campaign_ref.run ~seed:5L ~samples:25 (F.prepare img)).Campaign_ref.records
   in
-  Alcotest.(check int) "one record per sample" 25 (List.length !records);
+  Alcotest.(check int) "one record per sample" 25 (List.length records);
   List.iter
     (fun (r : F.record) ->
       let j = F.record_to_json r in
@@ -325,7 +331,7 @@ let test_records_carry_structured_dest () =
           (String.length r.F.dest > 6 && String.sub r.F.dest 0 6 = "flags.")
       | None, Some (Json.Str "none") -> ()
       | _ -> Alcotest.fail "dest_kind disagrees with structured dest")
-    !records
+    records
 
 let () =
   Alcotest.run "propagation"

@@ -236,29 +236,26 @@ let check_identity name engines ~seed ~samples img =
    target prepared with the same engine (hex floats, so equality is
    bit-exactness). *)
 let vulnmap_strings ~engine ~seed ~samples img =
-  let recs = ref [] in
-  let v =
-    F.vulnmap_campaign ~engine ~seed ~samples
-      ~on_record:(fun r -> recs := Json.to_string (F.record_to_json r) :: !recs)
-      img
-  in
+  let t = F.prepare ~engine img in
+  let r = Campaign_ref.run ~traced:true ~seed ~samples t in
+  let v = r.Campaign_ref.vulnmap in
   let rows = List.map Json.to_string (F.vulnmap_rows v) in
   let lats =
     List.map (fun (s, c) -> Printf.sprintf "%d:%h" s c) v.F.v_latencies
   in
   let escs =
     List.map
-      (fun (i, e) -> Printf.sprintf "%d:%s" i (Propagation.escape_name e))
+      (fun (i, ix, e) ->
+        Printf.sprintf "%d:%d:%s" i ix (Propagation.escape_name e))
       v.F.v_escapes
   in
-  let t = F.prepare ~engine img in
   let sums =
     List.init samples (fun sample ->
         let _, _, _, s = F.vulnmap_sample t ~seed ~sample in
         Fmt.str "%d: %a cycles %h..%h" sample Propagation.pp_summary s
           s.Propagation.injected_cycles s.Propagation.end_cycles)
   in
-  List.rev !recs @ rows @ lats @ escs @ sums
+  Campaign_ref.lines r @ rows @ lats @ escs @ sums
 
 (* K = 977 restores some flips at or past their block's start and some
    before it; the default engine restores all of these fixtures' flips
@@ -869,9 +866,11 @@ let test_fixture_vulnmap_identity () =
 
 let test_crash_at_flip_site () =
   let img = Machine.load (crash_program ()) in
-  let res = F.campaign ~engine:F.Scratch ~seed:3L ~samples:40 img in
+  let res =
+    Campaign_ref.run ~seed:3L ~samples:40 (F.prepare ~engine:F.Scratch img)
+  in
   Alcotest.(check bool) "high-bit flips of the base register crash" true
-    (res.F.counts.F.crash > 0);
+    ((Campaign_ref.counts res).F.crash > 0);
   List.iter
     (fun seed ->
       check_identity "crash fixture" fast_fixture_engines ~seed ~samples:40 img)
@@ -879,9 +878,11 @@ let test_crash_at_flip_site () =
 
 let test_timeout_near_fuel () =
   let img = Machine.load (timeout_program ()) in
-  let res = F.campaign ~engine:F.Scratch ~seed:9L ~samples:40 img in
+  let res =
+    Campaign_ref.run ~seed:9L ~samples:40 (F.prepare ~engine:F.Scratch img)
+  in
   Alcotest.(check bool) "corrupted loop bounds exhaust the fuel" true
-    (res.F.counts.F.timeout > 0);
+    ((Campaign_ref.counts res).F.timeout > 0);
   List.iter
     (fun seed ->
       check_identity "timeout fixture" fast_fixture_engines ~seed ~samples:40
@@ -1121,7 +1122,11 @@ let test_sharded_checkpointed_identity () =
     | Some v -> v
     | None -> Alcotest.fail "traced run produced no vulnmap"
   in
-  let seq_v = F.vulnmap_campaign ~engine:F.Scratch ~seed ~samples img in
+  let seq_v =
+    (Campaign_ref.run ~traced:true ~seed ~samples
+       (F.prepare ~engine:F.Scratch img))
+      .Campaign_ref.vulnmap
+  in
   Alcotest.(check (list string)) "sharded vulnmap rows"
     (List.map Json.to_string (F.vulnmap_rows seq_v))
     (List.map Json.to_string (F.vulnmap_rows v))

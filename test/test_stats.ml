@@ -183,7 +183,7 @@ let test_adaptive_shard_identity () =
   let run k =
     let r =
       Runner.run ~mode:Runner.Inject ~shards:k ~seed:77L ~samples:48
-        ~policy:{ F.rounds = 3; target_ci = 0.0 }
+        ~policy:{ Runner.rounds = 3; target_ci = 0.0 }
         (raw_workload "kNN")
     in
     (r.Runner.record_lines, r.Runner.stats_lines)
@@ -216,7 +216,7 @@ let test_adaptive_beats_flat_on_worst_decile () =
   in
   let adaptive =
     Runner.run ~mode:Runner.Traced ~shards:1 ~seed ~samples:budget
-      ~policy:{ F.rounds = 8; target_ci = 0.0 }
+      ~policy:{ Runner.rounds = 8; target_ci = 0.0 }
       target
   in
   let site_counts r i =

@@ -109,14 +109,7 @@ let test_json_roundtrip () =
 let prepare_checked () = F.prepare (Machine.load (checked_program ()))
 
 let collect_records ~seed ~samples =
-  let records = ref [] in
-  let t = prepare_checked () in
-  let _ =
-    F.campaign ~seed ~samples
-      ~on_record:(fun r -> records := r :: !records)
-      t.F.img
-  in
-  List.rev !records
+  (Campaign_ref.run ~seed ~samples (prepare_checked ())).Campaign_ref.records
 
 let test_record_schema_roundtrip () =
   let records = collect_records ~seed:11L ~samples:25 in
@@ -169,12 +162,9 @@ let test_validate_rejects () =
 let campaign_bytes ~seed =
   let buf = Buffer.create 1024 in
   let sink = Metrics.buffer_sink buf in
-  let t = prepare_checked () in
-  let _ =
-    F.campaign ~seed ~samples:40
-      ~on_record:(fun r -> Metrics.emit sink (F.record_to_json r))
-      t.F.img
-  in
+  List.iter
+    (fun r -> Metrics.emit sink (F.record_to_json r))
+    (collect_records ~seed ~samples:40);
   Metrics.close sink;
   Buffer.contents buf
 

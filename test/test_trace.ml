@@ -392,7 +392,7 @@ let test_campaign_trace () =
   List.iter
     (fun n ->
       Alcotest.(check bool) (Fmt.str "has %s span" n) true (List.mem n names))
-    [ "campaign"; "wave"; "shard"; "engine"; "merge"; "stats" ];
+    [ "campaign"; "round"; "shard"; "engine"; "merge"; "stats" ];
   Alcotest.(check int) "one shard span per shard" 2
     (List.length (List.filter (( = ) "shard") names));
   (* every span carries the same derived trace id *)
