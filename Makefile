@@ -9,7 +9,7 @@ TRACE = /tmp/ferrum_trace
 PROF = /tmp/ferrum_profile
 FLIGHT = /tmp/ferrum_flight
 
-.PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
+.PHONY: all build test fmt exports smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
 
 all: build
 
@@ -28,6 +28,12 @@ fmt:
 	  out=$$(dune fmt 2>&1 | grep -v -e ocamlformat -e 'required by' -e context || true); \
 	  if [ -n "$$out" ]; then echo "$$out"; echo "dune files were not formatted"; exit 1; fi; \
 	fi
+
+# Interface diet: every value a lib/*/*.mli exports must be named
+# somewhere outside its own module, or be on scripts/exports.allow with
+# a reason.
+exports:
+	sh scripts/check_exports.sh
 
 # End-to-end smoke: small campaigns must produce schema-valid,
 # seed-reproducible metrics and vulnerability-map streams, neither an
@@ -196,7 +202,7 @@ bench-snapshot: build
 	$(CLI) metrics BENCH_$$n.json && \
 	echo "bench-snapshot: wrote BENCH_$$n.json"
 
-check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf \
+check: fmt exports build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf \
   bench-selftest
 
 clean:

@@ -834,24 +834,31 @@ let profile_cmd =
 (* ---- metrics: validate and summarise a JSONL metrics file ---- *)
 
 let metrics_cmd =
+  let records lines = List.tl lines |> List.map Json.of_string in
+  (* Count the string [field] over [records]; print the counts of the
+     values in [order] that occur, names padded to [width]. *)
+  let tally ~field ~width order records =
+    let counts = Hashtbl.create 8 in
+    List.iter
+      (fun j ->
+        match Json.member field j with
+        | Some (Json.Str v) ->
+          Hashtbl.replace counts v
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+        | _ -> ())
+      records;
+    List.iter
+      (fun v ->
+        match Hashtbl.find_opt counts v with
+        | Some n -> Fmt.pr "  %-*s %d@." width v n
+        | None -> ())
+      order
+  in
   (* Per-injection record files: outcome-class histogram. *)
   let summarize_injections lines =
-    let by_class = Hashtbl.create 8 in
-    List.iteri
-      (fun i line ->
-        if i > 0 then
-          match Json.member "class" (Json.of_string line) with
-          | Some (Json.Str c) ->
-            Hashtbl.replace by_class c
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_class c))
-          | _ -> ())
-      lines;
-    List.iter
-      (fun c ->
-        match Hashtbl.find_opt by_class c with
-        | Some k -> Fmt.pr "  %-8s %d@." c k
-        | None -> ())
+    tally ~field:"class" ~width:8
       [ "benign"; "sdc"; "detected"; "crash"; "timeout" ]
+      (records lines)
   in
   (* Vulnerability-map files: outcome classes summed over sites. *)
   let summarize_vulnmap lines =
@@ -878,42 +885,16 @@ let metrics_cmd =
   in
   (* Lint files: finding-kind histogram. *)
   let summarize_lint lines =
-    let by_kind = Hashtbl.create 8 in
-    List.iteri
-      (fun i line ->
-        if i > 0 then
-          match Json.member "kind" (Json.of_string line) with
-          | Some (Json.Str k) ->
-            Hashtbl.replace by_kind k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k))
-          | _ -> ())
-      lines;
-    List.iter
-      (fun k ->
-        match Hashtbl.find_opt by_kind k with
-        | Some n -> Fmt.pr "  %-20s %d@." k n
-        | None -> ())
+    tally ~field:"kind" ~width:20
       (List.map Shadow.kind_name Shadow.all_kinds @ [ "uncovered-site" ])
+      (records lines)
   in
   (* Event logs: event-type histogram plus a full replay check. *)
   let summarize_events lines =
-    let by_event = Hashtbl.create 8 in
-    List.iteri
-      (fun i line ->
-        if i > 0 then
-          match Json.member "event" (Json.of_string line) with
-          | Some (Json.Str e) ->
-            Hashtbl.replace by_event e
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_event e))
-          | _ -> ())
-      lines;
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt by_event e with
-        | Some n -> Fmt.pr "  %-18s %d@." e n
-        | None -> ())
+    tally ~field:"event" ~width:18
       [ "campaign_started"; "shard_started"; "progress"; "shard_retry";
-        "shard_finished"; "campaign_finished" ];
+        "shard_finished"; "campaign_finished" ]
+      (records lines);
     match Events.replay (List.tl lines) with
     | Ok (tally, clock) ->
       Fmt.pr "  replay: %d samples (%d sdc, %d detected), clock %d@."
@@ -968,34 +949,23 @@ let metrics_cmd =
      an id is the job's state. *)
   let summarize_jobs lines =
     let jobs = Hashtbl.create 64 in
-    List.iteri
-      (fun i line ->
-        if i > 0 then
-          let j = Json.of_string line in
-          match Json.member "id" j with
-          | Some (Json.Int id) -> Hashtbl.replace jobs id j
-          | _ -> ())
-      lines;
-    let by_state = Hashtbl.create 4 in
-    let cached = ref 0 in
-    Hashtbl.iter
-      (fun _ j ->
-        (match Json.member "state" j with
-        | Some (Json.Str s) ->
-          Hashtbl.replace by_state s
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_state s))
-        | _ -> ());
-        match Json.member "cached" j with
-        | Some (Json.Int c) when c <> 0 -> incr cached
-        | _ -> ())
-      jobs;
     List.iter
-      (fun s ->
-        match Hashtbl.find_opt by_state s with
-        | Some n -> Fmt.pr "  %-8s %d@." s n
-        | None -> ())
-      [ "pending"; "running"; "done"; "failed" ];
-    Fmt.pr "  cached   %d@." !cached
+      (fun j ->
+        match Json.member "id" j with
+        | Some (Json.Int id) -> Hashtbl.replace jobs id j
+        | _ -> ())
+      (records lines);
+    let latest = Hashtbl.fold (fun _ j acc -> j :: acc) jobs [] in
+    tally ~field:"state" ~width:8 [ "pending"; "running"; "done"; "failed" ]
+      latest;
+    Fmt.pr "  cached   %d@."
+      (List.length
+         (List.filter
+            (fun j ->
+              match Json.member "cached" j with
+              | Some (Json.Int c) -> c <> 0
+              | _ -> false)
+            latest))
   in
   (* Confidence telemetry: row-type histogram plus the campaign
      interval. *)

@@ -81,8 +81,4 @@ module Make (D : DOMAIN) = struct
       let acc = ref t.exit_.(block) in
       for i = n - 1 downto k do acc := D.transfer insns.(i) !acc done;
       !acc
-
-  let after t block k = before t block (k + 1)
-  let block_in t i = t.entry.(i)
-  let block_out t i = t.exit_.(i)
 end

@@ -38,13 +38,4 @@ module Make (D : DOMAIN) : sig
   val before : t -> int -> int -> D.fact
   (** [before t block k]: fact immediately before instruction [k] of
       block [block] (execution order, regardless of direction). *)
-
-  val after : t -> int -> int -> D.fact
-  (** Fact immediately after instruction [k]. *)
-
-  val block_in : t -> int -> D.fact
-  (** Fact at block entry (execution order). *)
-
-  val block_out : t -> int -> D.fact
-  (** Fact at block exit (execution order). *)
 end

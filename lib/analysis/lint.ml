@@ -96,10 +96,6 @@ let flatten (p : Prog.t) : flat =
   in
   { code; links; pos; index_of; entry_range = !entry_range }
 
-let static_index_of p ~label ~k =
-  let fl = flatten p in
-  Option.value ~default:(-1) (Hashtbl.find_opt fl.index_of (label, k))
-
 (* ------------------------------------------------------------------ *)
 (* Check-free-path analysis (uncovered set).                           *)
 (*                                                                     *)

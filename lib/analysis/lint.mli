@@ -50,10 +50,6 @@ type report = {
     program, protected or not. *)
 val uncovered : Prog.t -> site list * int
 
-(** Flattened instruction index of [(label, k)], mirroring
-    {!Ferrum_machine.Machine.load}'s layout. *)
-val static_index_of : Prog.t -> label:string -> k:int -> int
-
 val run : profile -> Prog.t -> report
 
 (** Error- / warning-severity finding counts. *)

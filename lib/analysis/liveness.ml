@@ -59,10 +59,8 @@ let writes (i : Instr.t) : GSet.t =
   in
   GSet.of_list l
 
-type t = {
-  live_in : (string * int, GSet.t) Hashtbl.t;
-  block_live_out : (string, GSet.t) Hashtbl.t;
-}
+(* Live-in set before each (Prog block label, index). *)
+type t = (string * int, GSet.t) Hashtbl.t
 
 let analyze ?call_reads ?(keep = fun (_ : Instr.ins) -> true) (f : Prog.func) :
     t =
@@ -83,25 +81,19 @@ let analyze ?call_reads ?(keep = fun (_ : Instr.ins) -> true) (f : Prog.func) :
   let cfg = Cfg.build f in
   let sol = E.solve Dataflow.Backward cfg in
   let live_in = Hashtbl.create 256 in
-  let block_live_out = Hashtbl.create 16 in
   Array.iteri
     (fun id (b : Cfg.block) ->
-      (* the last CFG block of each Prog block carries its live-out *)
-      Hashtbl.replace block_live_out b.label (E.block_out sol id);
       Array.iteri
         (fun k _ ->
           let label, kk = Cfg.position cfg id k in
           Hashtbl.replace live_in (label, kk) (E.before sol id k))
         b.insns)
     cfg.blocks;
-  { live_in; block_live_out }
+  live_in
 
-let live_in_at t ~label ~k = Hashtbl.find_opt t.live_in (label, k)
+let live_in_at t ~label ~k = Hashtbl.find_opt t (label, k)
 
 let dead_at t ~label ~k r =
   match live_in_at t ~label ~k with
   | Some live -> not (GSet.mem r live)
   | None -> false
-
-let block_live_out t ~label =
-  Option.value ~default:GSet.empty (Hashtbl.find_opt t.block_live_out label)

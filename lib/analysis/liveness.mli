@@ -20,14 +20,6 @@ open Ferrum_asm
 
 module GSet : Set.S with type elt = Reg.gpr
 
-(** Registers an instruction reads (address components and the read
-    half of read-modify-write destinations included). *)
-val reads : ?call_reads:Reg.gpr list -> Instr.t -> GSet.t
-
-(** Registers an instruction fully defines (64/32-bit writes kill;
-    partial 8/16-bit merges do not). *)
-val writes : Instr.t -> GSet.t
-
 type t
 
 (** Backward liveness to fixpoint over the function's CFG.  Defaults
@@ -43,6 +35,3 @@ val live_in_at : t -> label:string -> k:int -> GSet.t option
 (** Is [r] dead immediately before instruction [k] of block [label]?
     Unknown positions are live (conservative). *)
 val dead_at : t -> label:string -> k:int -> Reg.gpr -> bool
-
-(** Live-out set of Prog block [label] ([empty] if unknown). *)
-val block_live_out : t -> label:string -> GSet.t

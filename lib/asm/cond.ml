@@ -71,5 +71,3 @@ let reads = function
   | B | AE -> [ CF ]
   | BE | A -> [ CF; ZF ]
   | S | NS -> [ SF ]
-
-let pp ppf t = Fmt.string ppf (name t)

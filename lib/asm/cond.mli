@@ -37,5 +37,3 @@ type flag = ZF | SF | CF | OF
 (** Which flags a condition reads; used by the fault injector to decide
     whether a flag fault can influence a later conditional. *)
 val reads : t -> flag list
-
-val pp : Format.formatter -> t -> unit

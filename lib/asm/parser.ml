@@ -238,7 +238,7 @@ let parse_instr line : t =
             | _ -> parse_error "bad shift %S" line)
           | None, None -> parse_error "unknown mnemonic %S" line)))
 
-(* Parse a whole program in the format produced by {!Printer.pp_program}.
+(* Parse a whole program in the format produced by {!Printer.program_to_string}.
    Provenance comments are restored from the trailing "# dup" / "# check"
    / "# instr" markers. *)
 let program text : Prog.t =

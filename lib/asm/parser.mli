@@ -8,7 +8,7 @@ exception Parse_error of string
     "#" comments are ignored.  Raises {!Parse_error}. *)
 val parse_instr : string -> Instr.t
 
-(** Parse a whole program in {!Printer.pp_program} format: ".globl"
+(** Parse a whole program in {!Printer.program_to_string} format: ".globl"
     directives open functions, "label:" lines open blocks, and
     provenance is restored from the trailing comment markers.  Raises
     {!Parse_error}. *)

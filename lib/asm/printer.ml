@@ -117,5 +117,3 @@ let pp_program ?comments ppf (t : Prog.t) =
 
 let program_to_string ?comments t =
   Fmt.str "%a" (pp_program ?comments) t
-
-let instr_to_string = string_of_instr

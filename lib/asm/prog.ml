@@ -26,11 +26,6 @@ let func fname blocks = { fname; blocks }
 
 let program ?(entry = "main") funcs = { funcs; entry }
 
-let find_func t name = List.find_opt (fun f -> String.equal f.fname name) t.funcs
-
-let num_instructions_func f =
-  List.fold_left (fun acc b -> acc + List.length b.insns) 0 f.blocks
-
 (* Fold over every instruction in layout order — function order, then
    block order, then instruction order within the block.  This is the
    order the machine's loader assigns static indices in, so a visitor

@@ -28,26 +28,11 @@ val func : string -> block list -> func
 (** Build a program; the entry function defaults to ["main"]. *)
 val program : ?entry:string -> func list -> t
 
-val find_func : t -> string -> func option
-
-val num_instructions_func : func -> int
-
-(** [fold_insns f acc t] folds [f] over every instruction in layout
-    order — function order, then block order, then instruction order
-    within the block.  This is the order the machine's loader assigns
-    static indices in, so a visitor that counts calls reproduces each
-    instruction's global index (the static-analysis flattener and the
-    fault injector both rely on this agreement). *)
-val fold_insns : ('a -> func -> block -> Instr.ins -> 'a) -> 'a -> t -> 'a
-
 (** Static instruction count of the whole program (the paper's §IV-B3
     correlates FERRUM's transform time with this number). *)
 val num_instructions : t -> int
 
 val map_funcs : (func -> func) -> t -> t
-
-(** Block labels of a function, in layout order. *)
-val labels_of_func : func -> string list
 
 exception Ill_formed of string
 

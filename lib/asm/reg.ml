@@ -79,5 +79,3 @@ let gpr_of_name name =
 let xmm_name i = Printf.sprintf "xmm%d" i
 let ymm_name i = Printf.sprintf "ymm%d" i
 let zmm_name i = Printf.sprintf "zmm%d" i
-
-let pp_gpr ppf r = Fmt.pf ppf "%%%s" (gpr_name r Q)

@@ -51,6 +51,3 @@ val xmm_name : simd -> string
 
 val ymm_name : simd -> string
 val zmm_name : simd -> string
-
-(** Print a GPR at its 64-bit view with the AT&T "%" prefix. *)
-val pp_gpr : Format.formatter -> gpr -> unit

@@ -10,9 +10,6 @@ type t = {
   instrumentation : int;
 }
 
-(** Classes reported in {!t.by_class}, in display order. *)
-val all_klasses : Instr.klass list
-
 val of_program : Prog.t -> t
 
 (** Static code-size expansion of a protected program over its baseline

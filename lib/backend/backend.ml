@@ -308,7 +308,3 @@ let compile ?(oracle = default_oracle) (m : Ir.modul) : Prog.t =
   let p = Prog.program ~entry:m.main funcs in
   Prog.validate p;
   p
-
-(* Total bytes of global data, for memory sizing. *)
-let globals_bytes (m : Ir.modul) =
-  List.fold_left (fun acc (_, b) -> acc + ((b + 15) / 16 * 16)) 0 m.globals

@@ -17,12 +17,6 @@ open Ferrum_ir
 
 exception Error of string
 
-(** Base address of the global data region in simulator memory. *)
-val global_base : int
-
-(** Argument registers, in order (RDI, RSI, RDX, RCX, R8, R9). *)
-val arg_regs : Reg.gpr list
-
 (** IR-level protection passes insert shadow and checker IR code; this
     oracle lets them tag it so the lowered assembly carries the right
     provenance (the fault injector and the cycle model distinguish
@@ -34,14 +28,8 @@ type prov_oracle = {
       (** whole-block override, e.g. detector blocks *)
 }
 
-(** Everything tagged [Original]. *)
-val default_oracle : prov_oracle
-
 (** Compile a module (it is verified first).  Globals receive fixed
-    addresses from {!global_base} upward; the result passes
+    addresses from 0x1000 upward; the result passes
     {!Ferrum_asm.Prog.validate}.  Raises {!Error} on unsupported shapes
     (e.g. more than six call arguments). *)
 val compile : ?oracle:prov_oracle -> Ir.modul -> Prog.t
-
-(** Total bytes of global data after alignment, for memory sizing. *)
-val globals_bytes : Ir.modul -> int

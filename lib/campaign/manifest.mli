@@ -8,9 +8,6 @@
 
 module F = Ferrum_faultsim.Faultsim
 
-val kind : string
-(** ["ferrum.manifest.v1"] *)
-
 type t = {
   benchmark : string;
   technique : string;  (** short name, or "raw" *)
@@ -70,7 +67,6 @@ val of_workload :
   fault_bits:int -> all_sites:bool -> traced:bool -> workload -> t
 
 val to_json : t -> Ferrum_telemetry.Json.t
-val of_json : Ferrum_telemetry.Json.t -> (t, string) result
 
 (** [compatible recorded fresh] is true when part files written under
     the [recorded] manifest hold exactly the sample streams the

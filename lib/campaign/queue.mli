@@ -14,13 +14,9 @@ module Json = Ferrum_telemetry.Json
 val kind : string
 (** ["ferrum.jobs.v1"] *)
 
-val file : string
-(** ["jobs.jsonl"] *)
-
 type state = Pending | Running | Done | Failed
 
 val state_name : state -> string
-val state_of_name : string -> state option
 
 type job = {
   id : int;

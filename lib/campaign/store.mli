@@ -29,12 +29,6 @@ val stats_header :
   benchmark:string -> technique:string -> samples:int -> seed:int64 ->
   all_sites:bool -> fault_bits:int -> Json.t
 
-(** [ferrum.trace.v1] header with the shared campaign config fields
-    (used for both the span document and the wall sidecar). *)
-val trace_header :
-  benchmark:string -> technique:string -> samples:int -> seed:int64 ->
-  all_sites:bool -> fault_bits:int -> Json.t
-
 val injection_file : string
 val vulnmap_file : string
 val events_file : string
@@ -99,10 +93,6 @@ val run_header : (string * Json.t) list -> Json.t
 val entry_dir : root:string -> string -> string
 
 val index_file : string -> string
-
-(** 32 lowercase hex characters — the only strings accepted as entry
-    names (URL components are routed through this). *)
-val valid_digest : string -> bool
 
 type lookup =
   | Hit of string  (** entry directory; contents verified coherent *)

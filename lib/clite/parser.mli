@@ -4,8 +4,5 @@
 
 exception Error of string
 
-(** Parse a token stream into a program. *)
-val parse_program : Token.spanned list -> Ast.program
-
 (** Lex and parse source text. *)
 val parse : string -> Ast.program

@@ -14,15 +14,6 @@ open Ferrum_asm
 
 exception Unprotectable of string
 
-(** The single GPR destination of an instruction, if it has exactly
-    one. *)
-val dest_gpr : Instr.t -> (Reg.gpr * Reg.size) option
-
-(** Width at which a duplicate is compared: 32-bit writes zero-extend,
-    so D is widened to a strict 64-bit compare; B/W compare at their own
-    width. *)
-val check_width : Reg.size -> Reg.size
-
 (** The immediate Fig. 4 checker: [cmp dup, %orig; jne target]
     ([target] defaults to the detector label). *)
 val checker :

@@ -50,7 +50,6 @@ type stats = {
           requisition-wrapped, see DESIGN.md E7) *)
 }
 
-val fresh_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Protect a compiled program; the result is re-validated. *)

@@ -12,8 +12,6 @@
     are invisible to this pass: that is the coverage gap the paper
     measures at assembly level. *)
 
-val detect_builtin : string
-
 (** Bookkeeping of which vregs are shadows and which are checker
     comparisons, per function, plus detector/edge block labels; shared
     with {!Hybrid}'s signature pass. *)

@@ -152,10 +152,3 @@ let lint ?recorder ?(assert_clean = false) (r : result) : Lint.report =
 let raw ?recorder ?(optimize = false) (m : Ferrum_ir.Ir.modul) : result =
   { technique = None; program = compile_raw ?recorder ~optimize m;
     transform_seconds = 0.0 }
-
-(* All four configurations of a module: raw + the three techniques. *)
-let all_configurations ?recorder ?ferrum_config ?optimize m =
-  raw ?recorder ?optimize m
-  :: List.map
-       (fun t -> protect ?recorder ?ferrum_config ?optimize t m)
-       Technique.all

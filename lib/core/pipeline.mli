@@ -14,14 +14,6 @@ type result = {
   transform_seconds : float;  (** time spent in the protection transform *)
 }
 
-(** Compile only; [optimize] enables the backend peephole (E9). *)
-val compile_raw :
-  ?recorder:Ferrum_telemetry.Trace.recorder ->
-  ?optimize:bool ->
-  ?oracle:Ferrum_backend.Backend.prov_oracle ->
-  Ferrum_ir.Ir.modul ->
-  Ferrum_asm.Prog.t
-
 (** Protect with one technique.  The timed section covers the protection
     transform itself: the IR pass for IR-level techniques, the assembly
     pass for FERRUM — matching how the paper reports FERRUM's execution
@@ -41,17 +33,14 @@ val raw :
   Ferrum_ir.Ir.modul ->
   result
 
-(** {1 Static verification}
-
-    The shadow-consistency profile each technique promises (what
-    `ferrum lint` enforces): [None]/IR-EDDI have no assembly-level
-    invariants; hybrid adds Fig. 4 duplication; FERRUM adds pair
-    comparisons and SIMD batching. *)
-val lint_profile : Technique.t option -> Ferrum_analysis.Lint.profile
+(** {1 Static verification} *)
 
 exception Lint_failed of string
 
-(** Lint a pipeline result under its technique's profile.  With
+(** Lint a pipeline result under the shadow-consistency profile its
+    technique promises (what `ferrum lint` enforces): [None]/IR-EDDI
+    have no assembly-level invariants; hybrid adds Fig. 4 duplication;
+    FERRUM adds pair comparisons and SIMD batching.  With
     [assert_clean] (default false), raise {!Lint_failed} when any
     error-severity finding survives — lets callers assert transform
     output is provably well-formed.  Spans carry finding/uncovered
@@ -61,11 +50,3 @@ val lint :
   ?assert_clean:bool ->
   result ->
   Ferrum_analysis.Lint.report
-
-(** Raw followed by each technique, in {!Technique.all} order. *)
-val all_configurations :
-  ?recorder:Ferrum_telemetry.Trace.recorder ->
-  ?ferrum_config:Ferrum_pass.config ->
-  ?optimize:bool ->
-  Ferrum_ir.Ir.modul ->
-  result list

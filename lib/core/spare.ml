@@ -72,9 +72,3 @@ let block_unused (b : Prog.block) =
       List.iter (fun r -> used := GSet.add r !used) (Instr.gprs_mentioned i.op))
     b.insns;
   List.filter (fun r -> not (GSet.mem r !used)) preference
-
-(* Thresholds from the paper: 1 general spare for GENERAL-INSTRUCTIONS,
-   2 for comparison protection, 4 XMM spares for SIMD batching. *)
-let general_needed = 1
-let pair_needed = 2
-let simd_needed = 4

@@ -17,12 +17,6 @@ type t = {
   spare_simd : int list;
 }
 
-(** Registers a call may carry live values in. *)
-val call_clobbered : Reg.gpr list
-
-(** RSP and RBP, never spare. *)
-val never_spare : Reg.gpr list
-
 (** Preference order for spares, mirroring the paper's examples (R10 for
     duplication, R11/R12 for the flag pair). *)
 val preference : Reg.gpr list
@@ -32,10 +26,3 @@ val analyze_func : Prog.func -> t
 (** Registers unused inside one basic block: candidates for temporary
     requisition via push/pop (paper Fig. 7). *)
 val block_unused : Prog.block -> Reg.gpr list
-
-(** Paper thresholds: spares needed for GENERAL protection, the
-    comparison pair, and SIMD batching respectively. *)
-val general_needed : int
-
-val pair_needed : int
-val simd_needed : int

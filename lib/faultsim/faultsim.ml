@@ -25,7 +25,7 @@ type scope = Original_only | All_sites
    [Pooled] reuses one state per target/worker (dirty pages undone
    incrementally), runs the pre-flip prefix unobserved, and ends a
    traced suffix once it equals its lockstep golden state
-   ({!trace_fast}).  [Checkpointed k] additionally restores the
+   ({!run_traced}).  [Checkpointed k] additionally restores the
    golden-run checkpoint nearest below the sampled flip point, so each
    sample pays only the suffix, and also ends an untraced suffix at the
    first golden checkpoint its state matches ({!run_suffix}). *)

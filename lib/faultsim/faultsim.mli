@@ -76,9 +76,6 @@ val sdc_tally : counts -> Ferrum_telemetry.Stats.tally
 
 val pp_counts : Format.formatter -> counts -> unit
 
-(** Per static instruction: is it a sampling-eligible site? *)
-val eligibility : Machine.image -> scope -> bool array
-
 (** Cumulative per-process engine-phase tallies: golden walks
     ({!prepare}'s profiling run, which also captures checkpoints) and
     the machine steps spent restoring checkpoints, replaying unobserved

@@ -19,13 +19,8 @@ val finish : t -> Ir.modul
 (** A function under construction. *)
 type fb
 
-val fresh_vreg : fb -> int
-
 (** A fresh block label ["<func>_<hint><n>"]. *)
 val fresh_label : fb -> string -> string
-
-(** Append an instruction to the open block. *)
-val emit : fb -> Ir.instr -> unit
 
 (** Open a new block; the previous one must have been terminated. *)
 val start_block : fb -> string -> unit

@@ -8,9 +8,6 @@ type ty = I1 | I32 | I64 | Ptr
 
 let ty_name = function I1 -> "i1" | I32 -> "i32" | I64 -> "i64" | Ptr -> "ptr"
 
-(* Bytes a value of this type occupies in memory. *)
-let ty_bytes = function I1 -> 1 | I32 -> 4 | I64 -> 8 | Ptr -> 8
-
 type value =
   | Vreg of int
   | Const of ty * int64

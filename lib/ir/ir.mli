@@ -8,9 +8,6 @@ type ty = I1 | I32 | I64 | Ptr
 
 val ty_name : ty -> string
 
-(** Bytes a value of this type occupies in memory. *)
-val ty_bytes : ty -> int
-
 type value =
   | Vreg of int  (** a virtual register *)
   | Const of ty * int64
@@ -54,10 +51,6 @@ type modul = {
   main : string;
 }
 
-val binop_name : binop -> string
-val pred_name : pred -> string
-val cast_name : cast -> string
-
 (** Destination vreg defined by an instruction, if any. *)
 val def : instr -> int option
 
@@ -76,9 +69,4 @@ val find_func : modul -> string -> func option
 
 (** {1 LLVM-flavoured printer} *)
 
-val pp_value : Format.formatter -> value -> unit
-val pp_instr : Format.formatter -> instr -> unit
-val pp_term : Format.formatter -> terminator -> unit
-val pp_func : Format.formatter -> func -> unit
-val pp_modul : Format.formatter -> modul -> unit
 val to_string : modul -> string

@@ -43,11 +43,5 @@ val default : model
     ILP assumptions. *)
 val no_overlap : model
 
-(** True for the SSE/AVX/AVX-512 instructions of the subset. *)
-val is_simd_class : Ferrum_asm.Instr.t -> bool
-
-(** Base price of an instruction, before provenance discounts. *)
-val base_cost : model -> Ferrum_asm.Instr.t -> float
-
 (** Price of one instruction given its provenance. *)
 val cost : model -> Ferrum_asm.Instr.ins -> float

@@ -40,9 +40,6 @@ val observe : t -> Machine.image -> Machine.state -> int -> unit
 (** Entries currently held, oldest first; at most [depth]. *)
 val entries : t -> entry list
 
-val pp_write : Format.formatter -> write -> unit
-val pp_entry : Format.formatter -> entry -> unit
-
 (** The full window, oldest first, with a header stating how much
     history was dropped. *)
 val pp : Format.formatter -> t -> unit

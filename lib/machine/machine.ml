@@ -232,15 +232,6 @@ let reset_regs ~from:(src : state) st =
   st.steps <- src.steps;
   st.out_rev <- src.out_rev
 
-(* Reset a pooled state to [pristine] (a never-executed {!fresh_state})
-   by blitting, instead of allocating a new 1 MiB state per run.  The
-   whole memory image is copied; {!Snapshot} restores incrementally via
-   the dirty-page log instead when one is attached. *)
-let reset_state ~pristine st =
-  reset_regs ~from:pristine st;
-  Bytes.blit pristine.mem 0 st.mem 0 (Bytes.length st.mem);
-  clear_dirty st
-
 let output st = List.rev st.out_rev
 
 (* ------------------------------------------------------------------ *)

@@ -48,7 +48,7 @@ exception Halt of outcome
 
 (** Flatten, validate and link a program.  Default memory size is 1 MiB;
     the stack starts at its top, global data sits near the bottom
-    (see {!Ferrum_backend.Backend.global_base}). *)
+    (from 0x1000, where {!Ferrum_backend.Backend.compile} places it). *)
 val load : ?cost_model:Cost.model -> ?mem_size:int -> Prog.t -> image
 
 (** {1 Dirty-page tracking}
@@ -77,9 +77,6 @@ type track = {
     barrier), which is what lets {!Predecode}'s specialized thunks run
     allocation-free.  Index with [r.{i}]. *)
 type regfile = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(** Fresh zero-filled register file of [n] slots. *)
-val make_regfile : int -> regfile
 
 val copy_regfile : regfile -> regfile
 
@@ -123,12 +120,6 @@ val mark_page : track -> int -> unit
     except memory — from [from] into the destination state. *)
 val reset_regs : from:state -> state -> unit
 
-(** Reset a pooled state to [pristine] (a never-executed
-    {!fresh_state} of the same image) by blitting registers and the
-    whole memory image; clears the dirty log.  Replaces per-run
-    [fresh_state] allocation in sample loops. *)
-val reset_state : pristine:state -> state -> unit
-
 (** The output collected so far, oldest first. *)
 val output : state -> int64 list
 
@@ -168,11 +159,6 @@ val read_gpr : state -> Reg.gpr -> Reg.size -> int64
 val read_mem : state -> int64 -> Reg.size -> int64
 
 val write_mem : state -> int64 -> Reg.size -> int64 -> unit
-
-(** [check_addr st addr bytes] validates an access of [bytes] bytes at
-    [addr] and returns it as an int offset, or raises {!Trap}
-    ("memory access at 0x...") when the access leaves memory. *)
-val check_addr : state -> int64 -> int -> int
 
 (** Mark the page(s) of an [n]-byte write at offset [a] dirty when a
     log is attached (inlined stores call this after their own bounds

@@ -81,10 +81,6 @@ type ckpt = private {
 (** Checkpoint [c], [0 <= c < ckpt_count cache]. *)
 val ckpt : cache -> int -> ckpt
 
-(** Index of the latest checkpoint whose eligible-write-back count is
-    [<= dyn_index]; [-1] when only the pristine start qualifies. *)
-val select : cache -> dyn_index:int -> int
-
 (** Step count of checkpoint [c], [0 <= c < ckpt_count cache]. *)
 val ckpt_steps : cache -> int -> int
 

@@ -10,11 +10,6 @@ type variant = {
   cost_model : Ferrum_machine.Cost.model;
 }
 
-val baseline_variant : variant
-
-(** ferrum / zmm / no-simd / 2-spares / 0-spares / no-overlap. *)
-val variants : variant list
-
 type row = {
   variant : variant;
   avg_overhead : float;

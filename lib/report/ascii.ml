@@ -4,10 +4,6 @@ let pad width s =
   let n = String.length s in
   if n >= width then s else s ^ String.make (width - n) ' '
 
-let pad_left width s =
-  let n = String.length s in
-  if n >= width then s else String.make (width - n) ' ' ^ s
-
 (* Render a table with a header row; column widths fit the content. *)
 let table ~header ~rows =
   let all = header :: rows in

@@ -1,8 +1,5 @@
 (** Plain-text rendering of the paper's tables and bar-chart figures. *)
 
-val pad : int -> string -> string
-val pad_left : int -> string -> string
-
 (** Render a bordered table; column widths fit the content. *)
 val table : header:string list -> rows:string list list -> string
 

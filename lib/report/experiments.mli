@@ -51,8 +51,6 @@ type options = {
     FERRUM config, all benchmarks, sequential (1 shard). *)
 val default_options : options
 
-val selected_entries : options -> Catalog.entry list
-
 (** Outcome counts of a flat [samples]-injection campaign over [img]
     ({!Ferrum_campaign.Runner.run} on [shards] (default 1) forked
     shards, on the target {!F.prepare} gives for [scope] and [engine]);
@@ -62,14 +60,6 @@ val campaign_counts :
   ?engine:F.engine -> seed:int64 -> samples:int -> Machine.image ->
   F.counts
 
-(** Median wall-clock of a protection transform over repetitions. *)
-val transform_time :
-  Technique.t ->
-  ?ferrum_config:Ferrum_eddi.Ferrum_pass.config ->
-  Ferrum_ir.Ir.modul ->
-  float
-
-val run_entry : options -> Catalog.entry -> bench_result
 val run : ?options:options -> unit -> bench_result list
 
 (** The record for one technique within a benchmark's results. *)

@@ -41,20 +41,6 @@ type perf_result = {
   p_predecoded : float;
 }
 
-(** Bench metrics document: meta (sample count, seed), per-experiment
-    wall times (wall clock is confined here; per-benchmark results are
-    deterministic per seed), per-benchmark results, and — when the
-    comparisons ran — flat-vs-adaptive [adaptive] and per-engine
-    throughput [perf] sections. *)
-val metrics_json :
-  ?adaptive:adaptive_result list ->
-  ?perf:perf_result list ->
-  samples:int ->
-  seed:int64 ->
-  experiments:(string * float) list ->
-  Experiments.bench_result list ->
-  Ferrum_telemetry.Json.t
-
 val write_metrics_json :
   ?adaptive:adaptive_result list ->
   ?perf:perf_result list ->

@@ -49,10 +49,8 @@ let label r =
   r.r_manifest.Manifest.benchmark ^ "." ^ r.r_manifest.Manifest.technique
 
 let manifest r = r.r_manifest
-let run_dir r = r.r_dir
 let latency r = r.r_latency
 let sites r = r.r_sites
-let convergence r = r.r_trace
 
 let classes = [ "detected"; "sdc"; "crash"; "timeout"; "benign" ]
 

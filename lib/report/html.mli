@@ -17,10 +17,6 @@ type run
     [injection.jsonl]; [vulnmap.jsonl] is optional). *)
 val load_run : string -> (run, string) result
 
-(** Load [dir] itself (if it is a run directory) or every immediate
-    subdirectory with a manifest, sorted by name. *)
-val load_runs : string -> (run list, string) result
-
 (** {1 Run accessors} *)
 
 (** One vulnerability-map site of a traced run. *)
@@ -34,7 +30,6 @@ type site = {
 }
 
 val manifest : run -> Ferrum_campaign.Manifest.t
-val run_dir : run -> string
 
 (** ["BENCH.TECH"]. *)
 val label : run -> string
@@ -52,11 +47,6 @@ val latency : run -> (float * int) list
     untraced. *)
 val sites : run -> site list
 
-(** Convergence trace from [stats.jsonl]: (samples spent, SDC p-hat,
-    Wilson 95% lo, hi), chronological; empty when the run has no
-    confidence telemetry. *)
-val convergence : run -> (int * float * float * float) list
-
 (** {1 Page building blocks} *)
 
 (** HTML-escape text content. *)
@@ -65,29 +55,14 @@ val esc : string -> string
 (** The shared stylesheet (light/dark). *)
 val style : string
 
-(** Colour-chip legend from (name, CSS variable) pairs. *)
-val legend : (string * string) list -> string
-
 (** {1 Panels} *)
 
 val outcomes_panel : run list -> string
 
-(** Campaign SDC estimate vs samples spent, with Wilson 95% confidence
-    bands — rendered from each run's [stats.jsonl]. *)
-val convergence_panel : run list -> string
-
 val latency_panel : run list -> string
 val vulnmap_panel : run list -> string
-val overhead_panel : run list -> string
 
-(** Packed span icicle (flamegraph layout) per run from each run
-    directory's [trace.jsonl], with wall/CPU hover detail and a
-    hottest-spans table from the [trace-wall.jsonl] sidecar; [""] when
-    no run has a trace. *)
-val trace_panel : run list -> string
-
-(** Render the dashboard document. *)
-val render : run list -> string
-
-(** [load_runs] followed by {!render}. *)
+(** The dashboard document over [dir] itself (if it is a run
+    directory) or every immediate subdirectory with a manifest, sorted by
+    name. *)
 val render_dir : string -> (string, string) result

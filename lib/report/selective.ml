@@ -34,9 +34,7 @@ let site_table (p : Prog.t) : (string * int) array =
   Array.of_list (List.rev !out)
 
 (* Per-static-site SDC counts from a profiling campaign on the raw
-   program, read off its records newest first: that order of first
-   insertion fixes the table's fold order, which is how {!select_sites}
-   breaks ties. *)
+   program. *)
 let profile ~samples ~seed (img : Machine.image) =
   let res =
     Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples (F.prepare img)
@@ -50,16 +48,19 @@ let profile ~samples ~seed (img : Machine.image) =
         Hashtbl.replace counts ix
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts ix))
       | _ -> ())
-    (List.rev res.Runner.record_lines);
+    res.Runner.record_lines;
   (counts, res.Runner.counts)
 
 (* The smallest set of static sites covering [budget] of the observed
-   SDC mass, as a (label, index) selector. *)
+   SDC mass, as a (label, index) selector.  Sites are ranked by SDC
+   count, ties by static index, so the set does not depend on the
+   table's insertion order. *)
 let select_sites (p : Prog.t) counts ~budget =
   let table = site_table p in
   let ranked =
     Hashtbl.fold (fun idx n acc -> (idx, n) :: acc) counts []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    |> List.sort (fun (i, a) (j, b) ->
+           if a <> b then compare b a else compare i j)
   in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 ranked in
   let want = int_of_float (ceil (budget *. float_of_int total)) in

@@ -6,26 +6,5 @@
     detection-latency distribution, the most SDC-prone sites and the
     escape-explanation histogram. *)
 
-type latency_stats = {
-  detected : int;
-  mean_steps : float;
-  p50_steps : int;
-  p95_steps : int;
-  max_steps : int;
-  mean_cycles : float;
-}
-
-(** Detection-latency distribution over a campaign's detected runs;
-    [None] when nothing was detected. *)
-val latency_stats : Ferrum_faultsim.Faultsim.vulnmap -> latency_stats option
-
-(** The annotated listing alone.  With [only_sampled] (default false),
-    unsampled lines are omitted. *)
-val listing : ?only_sampled:bool -> Ferrum_faultsim.Faultsim.vulnmap -> string
-
-(** The campaign summary alone: totals, latency distribution, worst
-    sites, escape histogram. *)
-val summary : Ferrum_faultsim.Faultsim.vulnmap -> string
-
 (** Listing followed by summary. *)
 val render : ?only_sampled:bool -> Ferrum_faultsim.Faultsim.vulnmap -> string

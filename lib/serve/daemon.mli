@@ -34,16 +34,8 @@ type config = {
   port : int;  (** 0 auto-assigns; the bound port is written to [port] *)
 }
 
-val queue_dir : string -> string
-val store_root : string -> string
-
 (** File recording the actually-bound port (written after listen). *)
 val port_file : string -> string
-
-val pid_file : string -> string
-
-(** Live event log name inside a job directory. *)
-val live_events_file : string
 
 (** [fork_watched child] forks a process that runs [child wr] and exits.
     The child holds [wr], the only write end of a fresh pipe, and may

@@ -21,14 +21,7 @@ type t = {
   engine : string;  (** {!F.engine_name} form *)
 }
 
-(** Canonical rendering: fixed key order, stable across round-trips. *)
-val to_json : t -> Json.t
-
 val to_string : t -> string
-
-(** Parse a submission; every field except [benchmark] defaults to the
-    [ferrum campaign] flag default. *)
-val of_json : Json.t -> (t, string) result
 
 val of_string : string -> (t, string) result
 

@@ -23,9 +23,6 @@ type tally = {
 val zero_tally : tally
 val tally_total : tally -> int
 
-(** Component-wise sum. *)
-val tally_add : tally -> tally -> tally
-
 (** Bump the component named by a classification name
     ({!Ferrum_faultsim} [classification_name]); [None] on unknown
     names. *)

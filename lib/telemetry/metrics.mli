@@ -10,10 +10,6 @@ val schema_version : int
 
 type sink
 
-(** Emit lines to a channel; flushes on [close] (closes the channel
-    with [~close:true]). *)
-val channel_sink : ?close:bool -> out_channel -> sink
-
 (** Truncate/create [path] and close it on [close]. *)
 val file_sink : string -> sink
 

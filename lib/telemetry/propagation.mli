@@ -22,8 +22,6 @@ type loc =
   | Lflag of Cond.flag
   | Lmem of int  (** byte address *)
 
-val loc_name : loc -> string
-
 (** The first write-back at which the two runs differed. *)
 type divergence = {
   div_step : int;  (** dynamic instruction number *)

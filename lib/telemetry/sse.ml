@@ -15,9 +15,6 @@
 
 let encode ~id data = Fmt.str "id: %d\ndata: %s\n\n" id data
 
-let encode_event (e : Events.t) =
-  encode ~id:e.Events.seq (Json.to_string (Events.to_json e))
-
 (* A comment frame: ignored by decoders, useful as a keep-alive and as
    an explicit end-of-stream marker that is not an event. *)
 let comment text = Fmt.str ": %s\n\n" text

@@ -13,9 +13,6 @@
 (** One SSE frame: [id: <id>\ndata: <data>\n\n]. *)
 val encode : id:int -> string -> string
 
-(** {!encode} of an event's canonical JSON under its [seq]. *)
-val encode_event : Events.t -> string
-
 (** A comment frame ([: text]) — ignored by decoders; used as
     keep-alive and end-of-stream marker. *)
 val comment : string -> string

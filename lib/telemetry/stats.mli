@@ -26,9 +26,6 @@ val add : tally -> bool -> tally
 
 val merge : tally -> tally -> tally
 
-(** Point estimate [k/n]; [0.] when [n = 0]. *)
-val p_hat : tally -> float
-
 (** {1 Interval estimators} *)
 
 type interval = { lo : float; hi : float }
@@ -77,13 +74,7 @@ type row = {
   jhi : float;
 }
 
-(** Build a row (both interval families computed) from a tally. *)
-val row_of :
-  row:string -> index:int -> round:int -> spent:int -> budget:int ->
-  tally -> row
-
 val row_json : row -> Json.t
-val row_of_json : Json.t -> (row, string) result
 val row_of_string : string -> (row, string) result
 
 (** Field specs for [Metrics.validate_lines]. *)

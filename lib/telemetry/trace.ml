@@ -143,8 +143,6 @@ let create ~trace ~proc () = make ~trace ~proc ~base:"" ~parent:""
 let scoped (c : ctx) ~proc =
   make ~trace:c.c_trace ~proc ~base:c.c_span ~parent:c.c_parent
 
-let trace_id r = r.r_trace
-let logical r = r.r_logical
 let advance r n = r.r_logical <- r.r_logical + n
 
 let now_cpu () =

@@ -69,11 +69,6 @@ val create : trace:string -> proc:string -> unit -> recorder
     is the context's pre-minted span id, parented under the sender. *)
 val scoped : ctx -> proc:string -> recorder
 
-val trace_id : recorder -> string
-
-(** Current logical clock; advanced only by {!advance}. *)
-val logical : recorder -> int
-
 (** Advance the logical clock (e.g. by an injected run's steps). *)
 val advance : recorder -> int -> unit
 
@@ -117,14 +112,7 @@ val span_to_json : trace:string -> span -> Json.t
     ([%.6f]); everything else renders as {!Json.to_string} would. *)
 val wall_line : trace:string -> wall -> string
 
-(** Parse one row; returns its trace id alongside the payload. *)
-val span_of_json : Json.t -> (string * span, string) result
-
-val wall_of_json : Json.t -> (string * wall, string) result
-
 type row = Span_row of string * span | Wall_row of string * wall
-
-val row_of_json : Json.t -> (row, string) result
 
 (** Parse record lines (header excluded); errors carry the document
     line number (records start at line 2). *)

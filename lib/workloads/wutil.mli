@@ -5,9 +5,6 @@
 module B = Ferrum_ir.Builder
 module Ir = Ferrum_ir.Ir
 
-val lcg_mul : int64
-val lcg_inc : int64
-
 (** Add the module-level PRNG: a global state cell plus the functions
     [@lcg_seed] (reset to [seed]) and [@lcg_next] (step; returns a
     non-negative 31-bit value). *)

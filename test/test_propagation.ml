@@ -124,8 +124,13 @@ let test_benign_run_no_divergence_left () =
    end.  Both must yield the same classification, fault, record and
    summary for every sample. *)
 
-(* [t]'s traced samples [0, n) equal the scratch engine's. *)
-let check_traced name ~reference t ~seed ~n =
+(* The scratch engine's traced samples [0, n), built once per target
+   and scope and checked against every fast engine. *)
+let scratch_samples reference ~seed ~n =
+  List.init n (fun sample -> F.vulnmap_sample reference ~seed ~sample)
+
+(* [t]'s traced samples equal [expected], the scratch engine's. *)
+let check_traced name ~expected t ~seed =
   List.iteri
     (fun sample ((rc, _, _, rs) as want) ->
       let ((gc, _, _, gs) as got) = F.vulnmap_sample t ~seed ~sample in
@@ -134,7 +139,7 @@ let check_traced name ~reference t ~seed ~n =
           (F.engine_name t.F.engine) sample (F.classification_name rc)
           Propagation.pp_summary rs (F.classification_name gc)
           Propagation.pp_summary gs)
-    (List.init n (fun sample -> F.vulnmap_sample reference ~seed ~sample))
+    expected
 
 (* Original-provenance [Mov $5, %rax] is the only site; the corrupted
    value is printed, then [%rax] and [%rdi] are overwritten, so the
@@ -162,10 +167,11 @@ let test_printed_then_masked_stays_sdc () =
   let img = Machine.load (printed_then_masked ()) in
   let reference = F.prepare ~engine:F.Scratch img in
   Alcotest.(check int) "one site" 1 reference.F.eligible_steps;
+  let expected = scratch_samples reference ~seed:13L ~n:10 in
   List.iter
     (fun engine ->
       let t = F.prepare ~engine img in
-      check_traced "printed-then-masked" ~reference t ~seed:13L ~n:10;
+      check_traced "printed-then-masked" ~expected t ~seed:13L;
       for sample = 0 to 9 do
         let cls, _, _, s = F.vulnmap_sample t ~seed:13L ~sample in
         Alcotest.(check string) "corrupted output stays an SDC" "sdc"
@@ -195,11 +201,14 @@ let test_catalogue_traced_identity () =
           let exits =
             List.fold_left
               (fun acc scope ->
-                let reference = F.prepare ~scope ~engine:F.Scratch img in
+                let expected =
+                  scratch_samples (F.prepare ~scope ~engine:F.Scratch img)
+                    ~seed ~n
+                in
                 List.fold_left
                   (fun acc engine ->
                     let t = F.prepare ~scope ~engine img in
-                    check_traced name ~reference t ~seed ~n;
+                    check_traced name ~expected t ~seed;
                     acc + (F.phases t).F.ph_converged)
                   acc
                   [ F.Pooled; F.default_engine ])
@@ -230,11 +239,13 @@ let prop_random_traced_identity =
       in
       let img = Machine.load res.Pipeline.program in
       let scope = if all_sites then F.All_sites else F.Original_only in
-      let reference = F.prepare ~scope ~engine:F.Scratch img in
+      let expected =
+        scratch_samples (F.prepare ~scope ~engine:F.Scratch img) ~seed ~n:6
+      in
       List.iter
         (fun engine ->
           let t = F.prepare ~scope ~engine img in
-          check_traced "random kernel" ~reference t ~seed ~n:6)
+          check_traced "random kernel" ~expected t ~seed)
         [ F.Pooled; F.Checkpointed 64 ];
       true)
 

@@ -97,6 +97,33 @@ let test_profile_attributes_sdc () =
   Alcotest.(check int) "every sdc attributed to a site" totals.F.sdc
     attributed
 
+(* Sites with equal SDC counts are ranked by static index, so the
+   selection does not depend on the order in which sites entered the
+   profile's table. *)
+let test_select_ties_by_index () =
+  let p = (Pipeline.raw (workload "LUD")).program in
+  let table = Selective.site_table p in
+  let sites = List.init 100 (fun i -> 2 * i) in
+  let chosen order ~budget =
+    let counts = Hashtbl.create 16 in
+    List.iter (fun ix -> Hashtbl.replace counts ix 1) order;
+    let selected, n = Selective.select_sites p counts ~budget in
+    ( n,
+      List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) selected [])
+    )
+  in
+  let expect = Alcotest.(pair int (list (pair string int))) in
+  List.iter
+    (fun (budget, k) ->
+      let lowest =
+        (k, List.sort compare (List.init k (fun i -> table.(2 * i))))
+      in
+      Alcotest.(check expect) "ascending inserts" lowest
+        (chosen sites ~budget);
+      Alcotest.(check expect) "descending inserts" lowest
+        (chosen (List.rev sites) ~budget))
+    [ (0.25, 25); (0.5, 50); (0.75, 75) ]
+
 (* ---- liveness soundness property ----
 
    If the analysis says register r is dead right before instruction k,
@@ -176,7 +203,9 @@ let () =
             test_selected_subset_semantics;
           Alcotest.test_case "profile attribution" `Quick
             test_profile_attributes_sdc;
-          Alcotest.test_case "budget curve" `Slow test_budget_monotone_overhead
+          Alcotest.test_case "budget curve" `Slow test_budget_monotone_overhead;
+          Alcotest.test_case "ties by static index" `Quick
+            test_select_ties_by_index
         ] );
       ( "liveness-soundness",
         [ QCheck_alcotest.to_alcotest prop_liveness_sound ] );
