@@ -79,7 +79,7 @@ let analyze ?call_reads ?(keep = fun (_ : Instr.ins) -> true) (f : Prog.func) :
   end in
   let module E = Dataflow.Make (D) in
   let cfg = Cfg.build f in
-  let sol = E.solve Dataflow.Backward cfg in
+  let sol = E.solve cfg in
   let live_in = Hashtbl.create 256 in
   Array.iteri
     (fun id (b : Cfg.block) ->

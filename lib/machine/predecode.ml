@@ -29,10 +29,12 @@
    [let[@inline]] helper below: the step preamble ([retire]), the
    effective address ([ea]), the end-of-memory guard before an
    unchecked access ([guard]), the 64-bit ADD, SUB and logic flag rules
-   ([flags_add], [flags_sub], [flags_logic]), the 256-bit [vptest]
-   reduction ([vptest256]), the n-lane xor and test of the 512-bit
-   arms ([xor_lanes], [test_lanes]) and the fused-pair fuel
-   check and epilogue ([check_fuel], [chain]).  They live in this file,
+   ([flags_add], [flags_sub], [flags_logic]) and the 8-bit SUB rule
+   ([flags_sub8]) with its byte operands ([source8], [dest8]), the
+   256-bit [vptest] reduction ([vptest256]), the n-lane xor and test of
+   the 512-bit arms ([xor_lanes], [test_lanes]), a conditional branch
+   to a target or to the detector ([jcc]) and the fused-pair fuel check
+   and epilogue ([check_fuel], [chain]).  They live in this file,
    not in {!Machine}, because the dev profile compiles with [-opaque]:
    a call into another module is never inlined, and a helper that is
    not inlined receives its int64 arguments boxed.  Inlined, each one
@@ -77,10 +79,12 @@ open Ferrum_asm
 
 (* Unchecked register-file and byte access ({!Prims}).  Register
    indices are decode-time constants in [0, 15] (GPR) or [0, 127] (SIMD
-   lanes); byte offsets pass [guard] first.  The byte loads/stores are
-   native-endian: the specialized memory arms are built only on
-   little-endian hosts (x86 order); big-endian hosts fall back to the
-   generic bodies, which go through [Machine.read_mem]/[write_mem]. *)
+   lanes); byte offsets pass [guard] first.  The 4- and 8-byte
+   loads/stores are native-endian: their specialized arms are built
+   only on little-endian hosts (x86 order); big-endian hosts fall back
+   to the generic bodies, which go through
+   [Machine.read_mem]/[write_mem].  Single-byte arms have no byte
+   order and are built everywhere. *)
 open Prims
 
 let little_endian = not Sys.big_endian
@@ -93,6 +97,7 @@ type facc = { mutable fv : float }
 
 type t = {
   thunks : (Machine.state -> unit) array; (* standalone, one per index *)
+  specialized : bool array; (* thunk built by [fast_thunk], per index *)
   fused : (Machine.state -> unit) array; (* pair thunk at fused starts *)
   fused_name : string array; (* pattern name at fused starts, else "" *)
   n_fused : int; (* number of fused pair starts *)
@@ -171,6 +176,15 @@ let reg_or_imm (src : Instr.operand) =
   | Instr.Imm i -> Some (-1, i)
   | Instr.Reg r -> Some (Reg.gpr_index r, 0L)
   | Instr.Mem _ -> None
+
+(* A register or memory destination as [(di, addr_parts)], read
+   through [dest8]: [di >= 0] selects register [di], else the memory
+   operand. *)
+let byte_dest (dst : Instr.operand) =
+  match dst with
+  | Instr.Reg r -> Some (Reg.gpr_index r, (-1, -1, 0L, 0L))
+  | Instr.Mem m -> Some (-1, addr_parts m)
+  | Instr.Imm _ -> None
 
 let mk_read s (o : Instr.operand) : Machine.state -> int64 =
   match o with
@@ -286,6 +300,33 @@ let[@inline] flags_sub (st : Machine.state) a b res =
   st.Machine.cf <- Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
   st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L)
 
+(* The [Reg.B] specialization of [Machine.set_flags_sub], over operands
+   already reduced to their low byte as native ints ([low8], [load8]):
+   the sign bit is bit 7 and the unsigned borrow a plain compare. *)
+let[@inline] flags_sub8 (st : Machine.state) a b =
+  let res = (a - b) land 0xFF in
+  st.Machine.zf <- res = 0;
+  st.Machine.sf <- res >= 0x80;
+  st.Machine.cf <- a < b;
+  st.Machine.off <- a >= 0x80 <> (b >= 0x80) && res >= 0x80 <> (a >= 0x80)
+
+let[@inline] low8 v = Int64.to_int v land 0xFF
+
+(* The byte at offset [a], which has passed [guard]. *)
+let[@inline] load8 (st : Machine.state) a =
+  Char.code (byte_get st.Machine.mem a)
+
+(* [source]'s low byte, the immediate reduced at decode time: taking
+   [low8] of [source] instead would box the register read. *)
+let[@inline] source8 g si iv8 = if si >= 0 then low8 (bget g si) else iv8
+
+(* The low byte of a register ([di >= 0]) or the byte at a memory
+   operand given by [addr_parts] ([di = -1]), as [byte_dest] encodes a
+   destination at decode time. *)
+let[@inline] dest8 st g di bi xi sc disp =
+  if di >= 0 then low8 (bget g di)
+  else load8 st (guard st (ea g bi xi sc disp) 1)
+
 (* 256-bit xor of SIMD slots [a8], [b8] into [d8]: lane-by-lane
    read-then-write in lane order (visible if [d8] aliases a source). *)
 let[@inline] vpxor256 s a8 b8 d8 =
@@ -355,6 +396,25 @@ let cond_kind (c : Cond.t) = match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
 let[@inline] taken ck ev (st : Machine.state) =
   if ck = 0 then st.Machine.zf else if ck = 1 then not st.Machine.zf else ev st
 
+(* A conditional branch's resolved link: the target index, or [-1] for
+   the protection's branch to the detector ([Machine.L_detect]). *)
+let jcc_target (img : Machine.image) ip =
+  match img.Machine.links.(ip) with
+  | Machine.L_target t -> Some t
+  | Machine.L_detect -> Some (-1)
+  | _ -> None
+
+(* What a taken branch to the detector raises, allocated once. *)
+let detected = Machine.Halt Machine.Detected
+
+(* A whole jcc step over a [jcc_target] link: a taken branch to the
+   detector retires (falling through, like the generic body) and then
+   halts the run. *)
+let[@inline] jcc cyc cost ck ev t next (st : Machine.state) =
+  let tk = taken ck ev st in
+  retire cyc cost st (if tk && t >= 0 then t else next);
+  if tk && t < 0 then raise detected
+
 (* The fused-pair epilogue: count both steps, then tail-call the thunk
    at the new [ip] while fuel lasts and [ip] is in range. *)
 let[@inline] chain fuel fused len (st : Machine.state) =
@@ -369,9 +429,11 @@ let[@inline] chain fuel fused len (st : Machine.state) =
 
 (* Fully-specialized thunks for the catalogue's hottest shapes: 64-bit
    moves and ALU (including memory operands, with the effective address
-   and the end-of-memory guard expanded inline), the SIMD
-   duplicate/check ops the protection transforms emit, resolved jumps,
-   [lea], [set], immediate shifts.  Each arm is one closure built from
+   and the end-of-memory guard expanded inline), byte moves to and from
+   memory and byte compares, the SIMD duplicate/check ops the
+   protection transforms emit, resolved jumps and conditional branches
+   (the branch to the detector included), [lea], [set], immediate
+   shifts.  Each arm is one closure built from
    the inlined rules above — the preamble, its operand dataflow and its
    flag rule — so a retired instruction is one closure call with no
    allocation.  Everything else goes through the generic composed body
@@ -426,6 +488,30 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
             Machine.mark_dirty st a 8;
             b_set64u st.Machine.mem a (bget g ri))
       | Instr.Mem _ -> None)
+  | Instr.Mov (Reg.B, src, Instr.Mem m) -> (
+    match reg_or_imm src with
+    | None -> None
+    | Some (si, iv) ->
+      let iv8 = low8 iv and bi, xi, sc, disp = addr_parts m in
+      Some
+        (fun st ->
+          retire cyc cost st next;
+          let g = st.Machine.gpr in
+          let a = guard st (ea g bi xi sc disp) 1 in
+          Machine.mark_dirty st a 1;
+          byte_set st.Machine.mem a (Char.unsafe_chr (source8 g si iv8))))
+  | Instr.Mov (Reg.B, Instr.Mem m, Instr.Reg d) ->
+    let di = Reg.gpr_index d in
+    let bi, xi, sc, disp = addr_parts m in
+    Some
+      (fun st ->
+        retire cyc cost st next;
+        let g = st.Machine.gpr in
+        let v = load8 st (guard st (ea g bi xi sc disp) 1) in
+        bset g di
+          (Int64.logor
+             (Int64.logand (bget g di) (Int64.lognot 0xFFL))
+             (Int64.of_int v)))
   | Instr.Lea (m, d) ->
     let di = Reg.gpr_index d in
     let bi, xi, sc, disp = addr_parts m in
@@ -520,6 +606,16 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
             let a = bget g di in
             let b = b_get64u st.Machine.mem (guard st (ea g bi xi sc disp) 8) in
             flags_sub st a b (Int64.sub a b)))
+  | Instr.Cmp (Reg.B, src, dst) -> (
+    match (reg_or_imm src, byte_dest dst) with
+    | Some (si, iv), Some (di, (bi, xi, sc, disp)) ->
+      let iv8 = low8 iv in
+      Some
+        (fun st ->
+          retire cyc cost st next;
+          let g = st.Machine.gpr in
+          flags_sub8 st (dest8 st g di bi xi sc disp) (source8 g si iv8))
+    | _ -> None)
   | Instr.Test (Reg.Q, src, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
     match reg_or_imm src with
@@ -593,11 +689,11 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Machine.L_target t -> Some (fun st -> retire cyc cost st t)
     | _ -> None)
   | Instr.Jcc (c, _) -> (
-    match img.Machine.links.(ip) with
-    | Machine.L_target t ->
-      let ev = mk_cond c in
-      Some (fun st -> retire cyc cost st (if ev st then t else next))
-    | _ -> None)
+    match jcc_target img ip with
+    | Some t ->
+      let ck = cond_kind c and ev = mk_cond c in
+      Some (fun st -> jcc cyc cost ck ev t next st)
+    | None -> None)
   | Instr.MovQ_to_xmm (src, x) -> (
     let x8 = x * 8 in
     match src with
@@ -827,13 +923,11 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
     | Machine.L_target t -> fun st -> st.Machine.ip <- t
     | Machine.L_detect -> fun _ -> raise (Machine.Halt Machine.Detected)
     | _ -> fun _ -> Machine.trap "bad jmp link")
-  | Instr.Jcc (c, _) -> (
+  | Instr.Jcc (c, _) ->
+    (* [fast_thunk] builds every jcc whose link resolved, to a target or
+       to the detector ([jcc_target]); only a bad link reaches here. *)
     let ev = mk_cond c in
-    match img.Machine.links.(ip) with
-    | Machine.L_target t -> fun st -> if ev st then st.Machine.ip <- t
-    | Machine.L_detect ->
-      fun st -> if ev st then raise (Machine.Halt Machine.Detected)
-    | _ -> fun st -> if ev st then Machine.trap "bad jcc link")
+    fun st -> if ev st then Machine.trap "bad jcc link"
   | Instr.Call _ -> (
     match img.Machine.links.(ip) with
     | Machine.L_call entry ->
@@ -936,17 +1030,19 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
         Machine.set_simd_lane st d lane v
       done
 
-let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
+(* The thunk for [ip], and whether [fast_thunk] specialized it. *)
+let mk_thunk cyc (img : Machine.image) ip : (Machine.state -> unit) * bool =
   let cost = img.Machine.costs.(ip) in
   let next = ip + 1 in
   let op = img.Machine.code.(ip).Instr.op in
   match fast_thunk cyc ~cost ~next img ip op with
-  | Some t -> t
+  | Some t -> (t, true)
   | None ->
     let body = mk_body img ip op in
-    fun st ->
-      retire cyc cost st next;
-      body st
+    ( (fun st ->
+        retire cyc cost st next;
+        body st),
+      false )
 
 (* ------------------------------------------------------------------ *)
 (* Flattened superinstruction bodies.                                  *)
@@ -980,8 +1076,8 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
         vptest256 st s t8 u8;
         chain fuel fused len st)
   | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
-    match img.Machine.links.(ip + 1) with
-    | Machine.L_target t ->
+    match jcc_target img (ip + 1) with
+    | Some t ->
       (* detector branch: test the accumulated difference mask, then
          jump on the resulting ZF *)
       let a8 = ax * 8 and b8 = bx * 8 in
@@ -991,12 +1087,26 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
           retire cyc c1 st n1;
           vptest256 st st.Machine.simd a8 b8;
           check_fuel fuel st;
-          retire cyc c2 st (if taken ck ev st then t else n2);
+          jcc cyc c2 ck ev t n2 st;
+          chain fuel fused len st)
+    | None -> None)
+  | Instr.Cmp (Reg.B, src, dst), Instr.Jcc (c, _) -> (
+    match (jcc_target img (ip + 1), reg_or_imm src, byte_dest dst) with
+    | Some t, Some (si, iv), Some (di, (bi, xi, sc, disp)) ->
+      let iv8 = low8 iv in
+      let ck = cond_kind c and ev = mk_cond c in
+      Some
+        (fun st ->
+          retire cyc c1 st n1;
+          let g = st.Machine.gpr in
+          flags_sub8 st (dest8 st g di bi xi sc disp) (source8 g si iv8);
+          check_fuel fuel st;
+          jcc cyc c2 ck ev t n2 st;
           chain fuel fused len st)
     | _ -> None)
   | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
-    match (img.Machine.links.(ip + 1), reg_or_imm src) with
-    | Machine.L_target t, Some (si, iv) ->
+    match (jcc_target img (ip + 1), reg_or_imm src) with
+    | Some t, Some (si, iv) ->
       let di = Reg.gpr_index d in
       let ck = cond_kind c and ev = mk_cond c in
       Some
@@ -1006,7 +1116,7 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
           let a = bget g di and b = source g si iv in
           flags_sub st a b (Int64.sub a b);
           check_fuel fuel st;
-          retire cyc c2 st (if taken ck ev st then t else n2);
+          jcc cyc c2 ck ev t n2 st;
           chain fuel fused len st)
     | _ -> None)
   | _ -> None
@@ -1129,7 +1239,8 @@ let patterns =
 let decode ?avoid (img : Machine.image) : t =
   let len = Array.length img.Machine.code in
   let cyc = { fv = 0.0 } in
-  let thunks = Array.init len (mk_thunk cyc img) in
+  let made = Array.init len (mk_thunk cyc img) in
+  let thunks = Array.map fst made in
   (* Join points: indices where control can enter other than by falling
      through from the previous instruction.  Fusion is bypassed when the
      second half of a pair is one. *)
@@ -1177,6 +1288,7 @@ let decode ?avoid (img : Machine.image) : t =
   ctr.c_decodes <- ctr.c_decodes + 1;
   {
     thunks;
+    specialized = Array.map snd made;
     fused;
     fused_name;
     n_fused = !n_fused;
@@ -1220,6 +1332,8 @@ let pattern_counts p = p.pattern_counts
 let fused_name p ip = p.fused_name.(ip)
 
 let is_fused_start p ip = p.fused_name.(ip) <> ""
+
+let is_specialized p ip = p.specialized.(ip)
 
 (* ------------------------------------------------------------------ *)
 (* Execution loops.                                                    *)

@@ -36,6 +36,10 @@ val fused_name : t -> int -> string
 
 val is_fused_start : t -> int -> bool
 
+(** True when [ip]'s instruction has a specialized thunk; false when it
+    runs through the generic body (the shapes no fast arm covers). *)
+val is_specialized : t -> int -> bool
+
 (** {1 Process-wide counters}
 
     Per worker after a fork. *)

@@ -96,8 +96,9 @@ let run ?fuel (img : Machine.image) : t =
 
    How much of the program the threaded dispatcher covers: static fused
    pair sites, the share of a golden run's steps the unobserved fast
-   path retires, and a dynamic histogram of which superinstruction
-   patterns actually fire (static pair counts overweight cold code). *)
+   path retires, the share that runs through generic (unspecialized)
+   bodies, and a dynamic histogram of which superinstruction patterns
+   actually fire (static pair counts overweight cold code). *)
 
 type dispatch = {
   d_sites : int; (* static code length *)
@@ -105,6 +106,7 @@ type dispatch = {
   d_steps : int; (* golden-run dynamic steps *)
   d_fast_steps : int; (* steps retired by the unobserved fast path *)
   d_fused_steps : int; (* steps retired inside fused superinstructions *)
+  d_generic_steps : int; (* steps retired by generic, unspecialized bodies *)
   d_patterns : (string * int) list; (* dynamic pairs fired, descending *)
 }
 
@@ -118,8 +120,9 @@ let dispatch ?fuel (img : Machine.image) : dispatch =
      way the fused dispatcher does — a pair fires when control enters a
      fused head and the second half retires right after it. *)
   let tbl : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let pending = ref (-1) in
+  let pending = ref (-1) and generic = ref 0 in
   let on_step (_ : Machine.state) idx =
+    if not (Predecode.is_specialized d idx) then incr generic;
     if !pending >= 0 && idx = !pending + 1 then begin
       let name = Predecode.fused_name d !pending in
       (match Hashtbl.find_opt tbl name with
@@ -143,6 +146,7 @@ let dispatch ?fuel (img : Machine.image) : dispatch =
     d_steps = st.Machine.steps;
     d_fast_steps = fast;
     d_fused_steps = fused;
+    d_generic_steps = !generic;
     d_patterns = patterns;
   }
 
@@ -162,6 +166,8 @@ let dispatch_to_json dp =
        Json.Float (ipct dp.d_fused_sites (max 1 (dp.d_sites - 1))));
       ("fast_path_pct", Json.Float (ipct dp.d_fast_steps dp.d_steps));
       ("fused_steps_pct", Json.Float (ipct dp.d_fused_steps dp.d_steps));
+      ("generic_steps", Json.Int dp.d_generic_steps);
+      ("generic_steps_pct", Json.Float (ipct dp.d_generic_steps dp.d_steps));
       ("patterns",
        Json.Arr
          (List.map
@@ -176,10 +182,12 @@ let pp_dispatch ppf dp =
     dp.d_fused_sites (max 1 (dp.d_sites - 1))
     (ipct dp.d_fused_sites (max 1 (dp.d_sites - 1)));
   Fmt.pf ppf
-    "  fast path retired %d/%d steps (%.1f%%), %.1f%% in superinstructions@."
+    "  fast path retired %d/%d steps (%.1f%%), %.1f%% in superinstructions, \
+     %.1f%% in generic bodies@."
     dp.d_fast_steps dp.d_steps
     (ipct dp.d_fast_steps dp.d_steps)
-    (ipct dp.d_fused_steps dp.d_steps);
+    (ipct dp.d_fused_steps dp.d_steps)
+    (ipct dp.d_generic_steps dp.d_steps);
   if dp.d_patterns <> [] then begin
     Fmt.pf ppf "  %-16s %10s %7s@." "superinstruction" "pairs" "steps%";
     List.iter

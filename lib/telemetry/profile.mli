@@ -52,8 +52,10 @@ val pp_provenance : Format.formatter -> t -> unit
 
     Coverage of {!Ferrum_machine.Predecode}'s threaded dispatcher over
     one image: static fused superinstruction sites, the share of a
-    golden run's steps the unobserved fast path retires, and a dynamic
-    histogram of the superinstruction patterns that actually fire. *)
+    golden run's steps the unobserved fast path retires, the share
+    retired by generic bodies (instructions no specialized thunk
+    covers), and a dynamic histogram of the superinstruction patterns
+    that actually fire. *)
 
 type dispatch = {
   d_sites : int;  (** static code length *)
@@ -61,6 +63,9 @@ type dispatch = {
   d_steps : int;  (** golden-run dynamic steps *)
   d_fast_steps : int;  (** steps retired by the unobserved fast path *)
   d_fused_steps : int;  (** steps retired inside fused superinstructions *)
+  d_generic_steps : int;
+      (** steps retired by generic bodies, the instructions
+          {!Ferrum_machine.Predecode.is_specialized} rejects *)
   d_patterns : (string * int) list;
       (** dynamic pairs fired per pattern, descending *)
 }

@@ -250,10 +250,14 @@ let test_counters_and_cache () =
 (* ---- allocation: the specialized thunks never box ---- *)
 
 (* An endless loop made only of [fast_thunk] shapes: every guarded
-   memory arm, then the three flattened pairs at even offsets from the
-   loop head, so the fused dispatch chain runs each of them. *)
+   memory arm (the byte moves and compares included), then each
+   flattened pair at an even offset from the loop head, so the fused
+   dispatch chain runs it, and a standalone branch to the detector
+   after a branch, so no pair covers it.  The detector branches are
+   never taken. *)
 let fast_loop_program () =
   let m d = Instr.Mem (Instr.mem ~base:Reg.RBX d) in
+  let detect = Prog.exit_function_label in
   Prog.program
     [ Prog.func "main"
         [ Prog.block "main"
@@ -274,6 +278,19 @@ let fast_loop_program () =
                  Instr.Vptest (2, 2);
                  Instr.Vptest (2, 2);
                  Instr.Jcc (Cond.NE, "never");
+                 Instr.Mov (Reg.B, Instr.Imm 5L, m 24);
+                 Instr.Mov (Reg.B, Instr.Reg Reg.RCX, m 25);
+                 Instr.Mov (Reg.B, m 24, Instr.Reg Reg.RAX);
+                 Instr.Cmp (Reg.B, Instr.Reg Reg.RCX, Instr.Reg Reg.RAX);
+                 Instr.Cmp (Reg.B, Instr.Imm 5L, Instr.Reg Reg.RAX);
+                 Instr.Jcc (Cond.NE, "never");
+                 Instr.Cmp (Reg.B, Instr.Imm 5L, m 24);
+                 Instr.Jcc (Cond.NE, detect);
+                 Instr.Vptest (2, 2);
+                 Instr.Jcc (Cond.NE, detect);
+                 Instr.Cmp (Reg.Q, Instr.Reg Reg.RCX, Instr.Reg Reg.RCX);
+                 Instr.Jcc (Cond.NE, detect);
+                 Instr.Jcc (Cond.NE, detect);
                  Instr.Cmp (Reg.Q, Instr.Imm 0L, Instr.Reg Reg.RCX);
                  Instr.Jcc (Cond.NE, "loop") ]);
           Prog.block "never" [ original Instr.Ret ] ] ]
@@ -310,6 +327,46 @@ let test_fast_shapes_allocation_free () =
   if long -. short > 64. then
     Alcotest.failf "%.0f minor words at 10^4 steps, %.0f at 10^6" short long
 
+(* Every catalogue build's golden run through [exec]: the generic
+   bodies left (call, return, push, pop, cqto, idiv) must keep the
+   words allocated per retired step under this bound. *)
+let catalogue_words_per_step = 0.2
+
+let test_catalogue_allocation () =
+  let builds (e : Catalog.entry) =
+    ("raw", Pipeline.raw (e.Catalog.build ()))
+    :: List.map
+         (fun t ->
+           (Technique.short_name t, Pipeline.protect t (e.Catalog.build ())))
+         Technique.all
+  in
+  let over =
+    List.concat_map
+      (fun (e : Catalog.entry) ->
+        List.filter_map
+          (fun (cfg, res) ->
+            let name = Printf.sprintf "%s/%s" e.Catalog.name cfg in
+            let img = Machine.load res.Pipeline.program in
+            let p = Predecode.get img in
+            let st = Machine.fresh_state img in
+            Machine.track_writes st;
+            let before = Gc.minor_words () in
+            let o = Predecode.exec p st in
+            let words = Gc.minor_words () -. before in
+            (match o with
+            | Machine.Exit _ -> ()
+            | o -> Alcotest.failf "%s: %a" name Machine.pp_outcome o);
+            let per_step = words /. float_of_int st.Machine.steps in
+            if per_step > catalogue_words_per_step then
+              Some (Printf.sprintf "%s %.3f" name per_step)
+            else None)
+          (builds e))
+      Catalog.all
+  in
+  if over <> [] then
+    Alcotest.failf "minor words per golden step above %.2f: %s"
+      catalogue_words_per_step (String.concat ", " over)
+
 (* ---- differential property: random straight-line programs ---- *)
 
 (* Memory large enough that [Tgen.mem]'s base + index * scale sums of
@@ -335,50 +392,66 @@ let seed_value =
             (map Int64.of_int (int_range (-3) 3)) );
         (1, ui64) ])
 
-(* The 64-bit register and immediate shapes [fast_thunk] specializes,
-   with a flag reader. *)
+(* The register and immediate shapes [fast_thunk] specializes, with a
+   flag reader: the 64-bit ones, and [cmpb] against a register whose
+   low byte is first set next to the 8-bit rule's edges (0x7F/0x80
+   flip SF and OF, 0x00/0xFF CF), from a register, an edge immediate or
+   a wide one. *)
 let hot_instr =
   let open QCheck.Gen in
   let* r = Tgen.operand_gpr and* d = Tgen.operand_gpr in
   let* v = seed_value and* op = Tgen.alu and* c = Tgen.cond in
   let* src = oneofl [ Instr.Reg r; Instr.Imm v ] in
+  let* edge = oneofl [ 0x00L; 0x01L; 0x7FL; 0x80L; 0x81L; 0xFEL; 0xFFL ] in
+  let* src8 = oneofl [ Instr.Reg r; Instr.Imm v; Instr.Imm edge ] in
   oneofl
-    [ Instr.Alu (op, Reg.Q, src, Instr.Reg d);
-      Instr.Cmp (Reg.Q, src, Instr.Reg d);
-      Instr.Test (Reg.Q, src, Instr.Reg d);
-      Instr.Mov (Reg.Q, src, Instr.Reg d);
-      Instr.Set (c, Instr.Reg d) ]
+    [ [ Instr.Alu (op, Reg.Q, src, Instr.Reg d) ];
+      [ Instr.Cmp (Reg.Q, src, Instr.Reg d) ];
+      [ Instr.Test (Reg.Q, src, Instr.Reg d) ];
+      [ Instr.Mov (Reg.Q, src, Instr.Reg d) ];
+      [ Instr.Set (c, Instr.Reg d) ];
+      [ Instr.Mov (Reg.B, Instr.Imm edge, Instr.Reg d);
+        Instr.Cmp (Reg.B, src8, Instr.Reg d) ] ]
 
 (* Memory operands at the end of memory: an absolute address in its
    last 16 bytes, or a few bytes off a (possibly near-end) seeded base,
-   so 2-, 4- and 8-byte accesses land on both sides of the bound.  The
-   list includes every memory shape [fast_thunk] guards: 64-bit loads
-   and stores (register and immediate source), [cmpq mem, reg],
-   [movslq], [movq] to XMM and [pinsrq]. *)
+   so 1-, 2-, 4- and 8-byte accesses land on both sides of the bound. *)
+let edge_mem =
+  let open QCheck.Gen in
+  oneof
+    [ map (fun k -> Instr.mem (diff_mem - k)) (int_range 1 16);
+      map2 (fun base disp -> Instr.mem ~base disp) Tgen.operand_gpr
+        (int_range (-8) 8) ]
+
+(* The list includes every memory shape [fast_thunk] guards: 64-bit
+   loads and stores (register and immediate source), byte loads and
+   stores ([s] = [Reg.B]) and [movb $imm, mem], [cmpq mem, reg],
+   [cmpb reg, mem] and [cmpb $imm, mem], [movslq], [movq] to XMM and
+   [pinsrq]. *)
 let edge_instr =
   let open QCheck.Gen in
   let* s = Tgen.size and* r = Tgen.operand_gpr and* x = int_range 0 15 in
-  let* m =
-    oneof
-      [ map (fun k -> Instr.mem (diff_mem - k)) (int_range 1 16);
-        map2 (fun base disp -> Instr.mem ~base disp) Tgen.operand_gpr
-          (int_range (-8) 8) ]
-  in
+  let* m = edge_mem in
   let* op = Tgen.alu and* lane = int_range 0 1 and* v = seed_value in
   oneofl
     [ Instr.Mov (s, Instr.Reg r, Instr.Mem m);
       Instr.Mov (s, Instr.Mem m, Instr.Reg r);
       Instr.Mov (Reg.Q, Instr.Imm v, Instr.Mem m);
+      Instr.Mov (Reg.B, Instr.Imm v, Instr.Mem m);
       Instr.Alu (op, s, Instr.Mem m, Instr.Reg r);
       Instr.Cmp (s, Instr.Reg r, Instr.Mem m);
+      Instr.Cmp (Reg.B, Instr.Imm v, Instr.Mem m);
       Instr.Cmp (Reg.Q, Instr.Mem m, Instr.Reg r);
       Instr.Movslq (Instr.Mem m, r);
       Instr.MovQ_to_xmm (Instr.Mem m, x);
       Instr.Pinsrq (lane, Instr.Psrc_mem m, x) ]
 
 (* The pairs [fuse_pair] flattens, as adjacent instructions:
-   vpxor;vptest, vptest;jcc and cmpq reg/imm;jcc, the branches to a
-   forward target in [targets]. *)
+   vpxor;vptest, vptest;jcc, cmpq reg/imm;jcc and cmpb reg/imm against
+   a register or an end-of-memory byte;jcc, the branches to a forward
+   target in [targets] (which links as a jump or, for
+   [Prog.exit_function_label], as the branch to the detector), and the
+   cmpq and vptest pairs also with that detector branch explicitly. *)
 let fused_pair targets =
   let open QCheck.Gen in
   let* a = int_range 0 15 and* d = int_range 0 15 in
@@ -387,10 +460,17 @@ let fused_pair targets =
   let* c = Tgen.cond and* l = oneofl targets in
   let* r = Tgen.operand_gpr and* v = seed_value in
   let* src = oneofl [ Instr.Reg r; Instr.Imm v ] and* dst = Tgen.operand_gpr in
+  let* dst8 =
+    oneof [ return (Instr.Reg dst); map (fun m -> Instr.Mem m) edge_mem ]
+  in
+  let detect = Prog.exit_function_label in
   oneofl
     [ [ Instr.Vpxor (a, b, d); Instr.Vptest (d, e) ];
       [ Instr.Vptest (d, e); Instr.Jcc (c, l) ];
-      [ Instr.Cmp (Reg.Q, src, Instr.Reg dst); Instr.Jcc (c, l) ] ]
+      [ Instr.Cmp (Reg.Q, src, Instr.Reg dst); Instr.Jcc (c, l) ];
+      [ Instr.Vptest (d, e); Instr.Jcc (c, detect) ];
+      [ Instr.Cmp (Reg.Q, src, Instr.Reg dst); Instr.Jcc (c, detect) ];
+      [ Instr.Cmp (Reg.B, src, dst8); Instr.Jcc (c, l) ] ]
 
 (* Shapes [Tgen.instr] leaves out: test, division, the 512-bit checks,
    prints and forward control transfers to [targets]. *)
@@ -434,7 +514,7 @@ let diff_program : Prog.t QCheck.Gen.t =
       (list_size (int_range 0 14)
          (let* ops =
             frequency
-              [ (6, one Tgen.instr); (3, one hot_instr); (2, one edge_instr);
+              [ (6, one Tgen.instr); (3, hot_instr); (2, one edge_instr);
                 (1, one (extra_instr targets)); (1, fused_pair targets) ]
           in
           let* prov = oneofl [ Instr.original; Instr.dup; Instr.check ] in
@@ -679,7 +759,9 @@ let () =
         [ Alcotest.test_case "counters and cache" `Quick
             test_counters_and_cache;
           Alcotest.test_case "fast shapes allocation-free" `Quick
-            test_fast_shapes_allocation_free ] );
+            test_fast_shapes_allocation_free;
+          Alcotest.test_case "catalogue golden runs allocation bound" `Slow
+            test_catalogue_allocation ] );
       ( "engines",
         [ Alcotest.test_case "dispatcher-independent" `Slow
             test_engines_across_dispatchers ] );
