@@ -159,12 +159,21 @@ stats-smoke: build
 # Distributed-tracing smoke: a 2-shard campaign must yield one stitched
 # ferrum.trace.v1 document (single root, resolvable parent chains) whose
 # logical rows are byte-identical across reruns, and the exporters must
-# emit loadable Perfetto JSON and folded flamegraph stacks.
+# emit loadable Perfetto JSON and folded flamegraph stacks.  Each worker
+# inherits the prepared target, so its engine span must report no
+# golden walk and no decode.
 trace-smoke: build
 	rm -rf $(TRACE).d $(TRACE).d2
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(TRACE).d --trace $(TRACE).jsonl > /dev/null
 	$(CLI) metrics $(TRACE).jsonl
+	@engines=$$(grep -c '"name":"engine"' $(TRACE).jsonl); \
+	inherited=$$(grep '"name":"engine"' $(TRACE).jsonl \
+	  | grep '"walks":0,' | grep -c '"decodes":0,'); \
+	if [ "$$engines" -ne 2 ] || [ "$$inherited" -ne 2 ]; then \
+	  echo "trace-smoke: each of the 2 worker engine spans must report walks 0 and decodes 0"; \
+	  exit 1; \
+	fi
 	$(CLI) trace-export $(TRACE).d --perfetto $(TRACE).perfetto.json \
 	  --folded $(TRACE).folded
 	grep -q traceEvents $(TRACE).perfetto.json
@@ -172,7 +181,7 @@ trace-smoke: build
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(TRACE).d2 > /dev/null
 	cmp $(TRACE).jsonl $(TRACE).d2/trace.jsonl
-	@echo "trace-smoke: stitched, reproducible, exporters loadable"
+	@echo "trace-smoke: stitched, reproducible, exporters loadable, workers inherit the prepared target"
 
 # Campaign-service smoke: daemon + job queue + live SSE (replay-valid)
 # + content-addressed store cache hit with byte-identical artifacts.

@@ -112,88 +112,6 @@ let reverse_postorder (t : t) : int array =
   let rest = List.filter (fun i -> not seen.(i)) (List.init n Fun.id) in
   Array.of_list (reachable @ rest)
 
-(* Cooper–Harvey–Kennedy "engineered" dominator iteration. *)
-let dominators (t : t) : int array =
-  let n = Array.length t.blocks in
-  let rpo = reverse_postorder t in
-  let order = Array.make n (-1) in
-  (* position of each reachable block in the rpo sequence *)
-  let reachable = Array.make n false in
-  let count = ref 0 in
-  Array.iter
-    (fun i ->
-      order.(i) <- !count;
-      incr count)
-    rpo;
-  (* mark reachability via dfs order: rpo lists reachable blocks first *)
-  let seen = Array.make n false in
-  let rec dfs i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      reachable.(i) <- true;
-      List.iter dfs t.blocks.(i).succs
-    end
-  in
-  if n > 0 then dfs 0;
-  let idom = Array.make n (-1) in
-  if n = 0 then idom
-  else begin
-    idom.(0) <- 0;
-    let intersect a b =
-      let a = ref a and b = ref b in
-      while !a <> !b do
-        while order.(!a) > order.(!b) do
-          a := idom.(!a)
-        done;
-        while order.(!b) > order.(!a) do
-          b := idom.(!b)
-        done
-      done;
-      !a
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun i ->
-          if i <> 0 && reachable.(i) then begin
-            let preds =
-              List.filter (fun p -> reachable.(p) && idom.(p) <> -1)
-                t.blocks.(i).preds
-            in
-            match preds with
-            | [] -> ()
-            | p :: rest ->
-              let d = List.fold_left intersect p rest in
-              if idom.(i) <> d then begin
-                idom.(i) <- d;
-                changed := true
-              end
-          end)
-        rpo
-    done;
-    idom
-  end
-
-let dominates (_t : t) (idom : int array) a b =
-  if b < 0 || b >= Array.length idom || idom.(b) = -1 then false
-  else begin
-    let rec walk x = x = a || (x <> idom.(x) && walk idom.(x)) in
-    walk b
-  end
-
-let unreachable (t : t) : int list =
-  let n = Array.length t.blocks in
-  let seen = Array.make n false in
-  let rec dfs i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      List.iter dfs t.blocks.(i).succs
-    end
-  in
-  if n > 0 then dfs 0;
-  List.filter (fun i -> not seen.(i)) (List.init n Fun.id)
-
 let position (t : t) id k =
   let b = t.blocks.(id) in
   (b.label, b.offset + k)

@@ -40,18 +40,6 @@ val build : Prog.func -> t
     once). *)
 val reverse_postorder : t -> int array
 
-(** Immediate dominator of every reachable block ([idom.(entry) =
-    entry]); unreachable blocks map to [-1].  Cooper–Harvey–Kennedy
-    iteration over the reverse postorder. *)
-val dominators : t -> int array
-
-(** [dominates t doms a b]: does block [a] dominate block [b]?
-    (Reflexive; false when [b] is unreachable.) *)
-val dominates : t -> int array -> int -> int -> bool
-
-(** Ids of blocks unreachable from the entry. *)
-val unreachable : t -> int list
-
 (** Enclosing source position of instruction [k] of block [id], as
     (Prog-block label, index within that Prog block). *)
 val position : t -> int -> int -> string * int

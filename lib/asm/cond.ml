@@ -36,14 +36,6 @@ let of_name = function
   | "ns" -> Some NS
   | _ -> None
 
-let negate = function
-  | E -> NE | NE -> E
-  | L -> GE | GE -> L
-  | LE -> G | G -> LE
-  | B -> AE | AE -> B
-  | BE -> A | A -> BE
-  | S -> NS | NS -> S
-
 (* Evaluate the condition against concrete flag values. *)
 let eval t ~zf ~sf ~cf ~of_ =
   match t with

@@ -25,9 +25,6 @@ val name : t -> string
 (** Parse a suffix; accepts the common aliases ("z", "nz", "c", "nc"). *)
 val of_name : string -> t option
 
-(** Logical negation: [eval (negate c) = not (eval c)] for all flags. *)
-val negate : t -> t
-
 (** Evaluate the condition against concrete flag values. *)
 val eval : t -> zf:bool -> sf:bool -> cf:bool -> of_:bool -> bool
 

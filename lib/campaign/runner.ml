@@ -290,6 +290,71 @@ type shard_data = {
   d_tw : string list;  (** raw wall rows, stream order *)
 }
 
+(* A shard's stream as read so far, from a live worker's pipe or from a
+   saved part file: both go through {!absorb_line}, so a replayed part
+   is accepted exactly when the attempt that wrote it was. *)
+type stream = {
+  mutable s_events : Events.t list;  (** reversed *)
+  mutable s_samples : Shard.sample_out list;  (** reversed *)
+  mutable s_lines : string list;  (** reversed *)
+  mutable s_tr : string list;  (** reversed *)
+  mutable s_tw : string list;  (** reversed *)
+  mutable s_next : int;  (** the sample expected next *)
+  mutable s_done : bool;
+}
+
+let empty_stream (range : Shard.range) =
+  { s_events = []; s_samples = []; s_lines = []; s_tr = []; s_tw = [];
+    s_next = range.Shard.lo; s_done = false }
+
+(* Apply one protocol line to [s]; returns what it parsed to.  A line
+   that does not parse, a sample out of order and any line after the
+   done marker are protocol errors. *)
+let absorb_line s line : (wire, string) Stdlib.result =
+  let keep w =
+    s.s_lines <- line :: s.s_lines;
+    Ok w
+  in
+  if s.s_done then Error "worker line after the done marker"
+  else
+    match parse_wire line with
+    | Error e -> Error e
+    | Ok (W_event e as w) ->
+      s.s_events <- e :: s.s_events;
+      keep w
+    | Ok (W_sample x as w) ->
+      if x.Shard.o_sample <> s.s_next then
+        Error
+          (Fmt.str "sample %d where %d was due" x.Shard.o_sample s.s_next)
+      else begin
+        s.s_samples <- x :: s.s_samples;
+        s.s_next <- s.s_next + 1;
+        keep w
+      end
+    | Ok (W_trace l as w) ->
+      s.s_tr <- l :: s.s_tr;
+      keep w
+    | Ok (W_twall l as w) ->
+      s.s_tw <- l :: s.s_tw;
+      keep w
+    | Ok (W_done as w) ->
+      s.s_done <- true;
+      keep w
+
+(* The shard's data once [s] is complete for [range]: ended by the done
+   marker after exactly the samples [lo, hi), in order. *)
+let complete (range : Shard.range) s : shard_data option =
+  if s.s_done && s.s_next = range.Shard.hi then
+    Some
+      {
+        d_events = List.rev s.s_events;
+        d_samples = List.rev s.s_samples;
+        d_lines = List.rev s.s_lines;
+        d_tr = List.rev s.s_tr;
+        d_tw = List.rev s.s_tw;
+      }
+  else None
+
 type running = {
   r_shard : int;  (** global shard id *)
   r_index : int;  (** index into this wave's range array *)
@@ -297,12 +362,7 @@ type running = {
   r_pid : int;
   r_fd : Unix.file_descr;
   r_buf : Buffer.t;  (** partial trailing line *)
-  mutable r_events : Events.t list;  (** reversed *)
-  mutable r_samples : Shard.sample_out list;  (** reversed *)
-  mutable r_lines : string list;  (** reversed *)
-  mutable r_tr : string list;  (** reversed *)
-  mutable r_tw : string list;  (** reversed *)
-  mutable r_done : bool;
+  r_stream : stream;
   mutable r_fail : string option;
       (** protocol violation on this attempt's stream; treated like
           worker death (kill, reap, retry) *)
@@ -310,39 +370,18 @@ type running = {
 
 let part_path dir shard = Filename.concat dir (Fmt.str "shard-%d.jsonl" shard)
 
-(* Parse a saved part stream; [None] unless it is a complete, coherent
-   stream for [range] (ends with the done marker, samples are exactly
-   [lo, hi) in order). *)
+(* Replay a saved part stream; [None] unless it is {!complete} for
+   [range]. *)
 let load_part (range : Shard.range) path : shard_data option =
   if not (Sys.file_exists path) then None
   else begin
-    let lines = Ferrum_telemetry.Metrics.read_lines path in
-    let rec go events samples tr tw expected = function
-      | [] -> None (* no done marker *)
-      | [ last ] -> (
-        match parse_wire last with
-        | Ok W_done when expected = range.Shard.hi ->
-          Some
-            {
-              d_events = List.rev events;
-              d_samples = List.rev samples;
-              d_lines = lines;
-              d_tr = List.rev tr;
-              d_tw = List.rev tw;
-            }
-        | _ -> None)
+    let s = empty_stream range in
+    let rec go = function
+      | [] -> complete range s
       | line :: rest -> (
-        match parse_wire line with
-        | Ok (W_event e) -> go (e :: events) samples tr tw expected rest
-        | Ok (W_sample s) ->
-          if s.Shard.o_sample = expected then
-            go events (s :: samples) tr tw (expected + 1) rest
-          else None
-        | Ok (W_trace l) -> go events samples (l :: tr) tw expected rest
-        | Ok (W_twall l) -> go events samples tr (l :: tw) expected rest
-        | Ok W_done | Error _ -> None)
+        match absorb_line s line with Ok _ -> go rest | Error _ -> None)
     in
-    go [] [] [] [] range.Shard.lo lines
+    go (Ferrum_telemetry.Metrics.read_lines path)
   end
 
 let save_part dir shard (d : shard_data) =
@@ -435,12 +474,7 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
           r_pid = pid;
           r_fd = rfd;
           r_buf = Buffer.create 4096;
-          r_events = [];
-          r_samples = [];
-          r_lines = [];
-          r_tr = [];
-          r_tw = [];
-          r_done = false;
+          r_stream = empty_stream ranges.(i);
           r_fail = None;
         }
         :: !running
@@ -460,27 +494,9 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
       | Some nl ->
         let line = String.sub data start (nl - start) in
         if String.trim line <> "" then begin
-          match parse_wire line with
-          | Ok (W_event e) ->
-            fire e;
-            r.r_events <- e :: r.r_events;
-            r.r_lines <- line :: r.r_lines;
-            consume (nl + 1)
-          | Ok (W_sample s) ->
-            r.r_samples <- s :: r.r_samples;
-            r.r_lines <- line :: r.r_lines;
-            consume (nl + 1)
-          | Ok (W_trace l) ->
-            r.r_tr <- l :: r.r_tr;
-            r.r_lines <- line :: r.r_lines;
-            consume (nl + 1)
-          | Ok (W_twall l) ->
-            r.r_tw <- l :: r.r_tw;
-            r.r_lines <- line :: r.r_lines;
-            consume (nl + 1)
-          | Ok W_done ->
-            r.r_done <- true;
-            r.r_lines <- line :: r.r_lines;
+          match absorb_line r.r_stream line with
+          | Ok w ->
+            (match w with W_event e -> fire e | _ -> ());
             consume (nl + 1)
           | Error e ->
             r.r_fail <- Some e;
@@ -505,24 +521,16 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
     (try Unix.close r.r_fd with Unix.Unix_error _ -> ());
     let _, status = Unix.waitpid [] r.r_pid in
     running := List.filter (fun x -> x != r) !running;
-    let total = Shard.range_samples ranges.(r.r_index) in
-    let got = List.length r.r_samples in
-    if r.r_fail = None && r.r_done && got = total then begin
-      let d =
-        {
-          d_events = List.rev r.r_events;
-          d_samples = List.rev r.r_samples;
-          d_lines = List.rev r.r_lines;
-          d_tr = List.rev r.r_tr;
-          d_tw = List.rev r.r_tw;
-        }
-      in
+    let range = ranges.(r.r_index) in
+    let total = Shard.range_samples range in
+    let got = r.r_stream.s_next - range.Shard.lo in
+    match (r.r_fail, complete range r.r_stream) with
+    | None, Some d -> (
       completed.(r.r_index) <- Some d;
       match part_dir with
       | Some dir -> save_part dir r.r_shard d
-      | None -> ()
-    end
-    else begin
+      | None -> ())
+    | _ ->
       let reason =
         match r.r_fail with
         | Some e -> Fmt.str "protocol error after %d/%d samples: %s" got total e
@@ -546,7 +554,6 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
              (r.r_attempt + 1) reason)
       end
       else spawn r.r_index (r.r_attempt + 1)
-    end
   in
   let next = ref 0 in
   let buf = Bytes.create 65536 in

@@ -62,13 +62,3 @@ let analyze_func (f : Prog.func) =
     List.filter (fun x -> not (ISet.mem x !used_simd)) [ 15; 14; 13; 12; 11; 10; 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
   in
   { used_gprs = !used; spare_gprs; used_simd = !used_simd; spare_simd }
-
-(* Registers unused inside one basic block (candidates for temporary
-   requisition via push/pop, paper Fig. 7). *)
-let block_unused (b : Prog.block) =
-  let used = ref (GSet.of_list never_spare) in
-  List.iter
-    (fun (i : Instr.ins) ->
-      List.iter (fun r -> used := GSet.add r !used) (Instr.gprs_mentioned i.op))
-    b.insns;
-  List.filter (fun r -> not (GSet.mem r !used)) preference

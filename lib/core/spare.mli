@@ -22,7 +22,3 @@ type t = {
 val preference : Reg.gpr list
 
 val analyze_func : Prog.func -> t
-
-(** Registers unused inside one basic block: candidates for temporary
-    requisition via push/pop (paper Fig. 7). *)
-val block_unused : Prog.block -> Reg.gpr list

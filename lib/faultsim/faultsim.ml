@@ -122,9 +122,10 @@ let eligibility (img : Machine.image) scope =
     img.Machine.code
 
 (* Cumulative engine-phase tallies for one process: how many golden
-   walks ({!prepare}, which also captures the checkpoints) ran and how
-   many machine steps went into each phase of the fast engines —
-   checkpoint restores, replayed prefixes, post-flip suffixes.
+   walks ({!prepare}, which also captures the checkpoints) and decodes
+   ({!prepare} too) ran and how many machine steps went into each phase
+   of the fast engines — checkpoint restores, replayed prefixes,
+   post-flip suffixes.
    Deterministic for a given seed and sample set, so campaign trace
    spans can carry them as counters without breaking
    byte-reproducibility.  Reset per worker process
@@ -136,7 +137,7 @@ type phases = {
   mutable ph_prefix_steps : int; (* unobserved replay up to the flip *)
   mutable ph_forward_steps : int; (* of those, retired by the fused leg *)
   mutable ph_suffix_steps : int; (* flip + post-flip execution *)
-  mutable ph_decodes : int; (* predecode lowerings of this target *)
+  mutable ph_decodes : int; (* decodes of this target ({!prepare}) *)
   mutable ph_fused_steps : int; (* suffix steps retired as fused pairs *)
   mutable ph_converged : int; (* suffixes ended equal to the golden run *)
   mutable ph_skipped_steps : int; (* golden steps those suffixes skipped *)
@@ -156,13 +157,14 @@ let zero_phases () =
     ph_skipped_steps = 0;
   }
 
-(* A profiled program ready for injection.  The checkpoint cache is
-   captured by {!prepare}'s golden walk, so campaign workers forked
-   after it inherit the cache and never walk again; the pooled slots
-   are built lazily, per process. *)
+(* A profiled program ready for injection.  The decoded program and the
+   checkpoint cache are built by {!prepare}, so campaign workers forked
+   after it inherit both and never decode or walk again; the pooled
+   slots are built lazily, per process. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
+  pre : Predecode.t; (* the one decode, [eligible] as fusion [avoid] *)
   golden_output : int64 list;
   golden_steps : int;
   golden_cycles : float;
@@ -178,7 +180,6 @@ type target = {
   mutable slot_ : Snapshot.slot option; (* pooled injected-run state *)
   mutable golden_slot_ : Snapshot.slot option; (* pooled lockstep golden *)
   mutable occ_ : int array array option; (* lazy per-site occurrences *)
-  mutable pre_ : Predecode.t option; (* lazy pre-decoded program *)
   phases : phases; (* per-process engine-phase tallies *)
 }
 
@@ -210,7 +211,10 @@ let check_block = 512
    in retirement order as {!Profile.run} sums them, and the checker and
    eligible-site tallies per block of [check_block] steps — and, on the
    checkpointed engine, capture the golden checkpoints on the way.  This
-   is the target's one golden walk. *)
+   is the target's one golden walk, on its one decode: the eligible-site
+   mask is the fusion [avoid] set, so no injection site ever sits in
+   the second half of a superinstruction, and the observed walk, which
+   never fuses, runs the same steps under it. *)
 let prepare ?(scope = Original_only) ?(engine = default_engine)
     (img : Machine.image) : target =
   let eligible = eligibility img scope in
@@ -253,7 +257,7 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       incr count
     end
   in
-  let pre = Predecode.get img in
+  let pre = Predecode.decode ~avoid:eligible img in
   let k = Option.value interval ~default:max_int in
   let next_multiple m = ((st.Machine.steps / m) + 1) * m in
   let rec walk () =
@@ -281,9 +285,11 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
     let phases = zero_phases () in
     phases.ph_walks <- 1;
     phases.ph_walk_steps <- steps;
+    phases.ph_decodes <- 1;
     {
       img;
       eligible;
+      pre;
       golden_output = out;
       golden_steps = steps;
       golden_cycles = st.Machine.cycles;
@@ -299,7 +305,6 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       slot_ = None;
       golden_slot_ = None;
       occ_ = None;
-      pre_ = None;
       phases;
     }
   | o ->
@@ -354,18 +359,7 @@ let golden_slot (t : target) =
     t.golden_slot_ <- Some s;
     s
 
-(* The target's pre-decoded program, lowered once per process (forked
-   workers inherit a decoded parent handle for free).  The eligible-site
-   mask is passed as the fusion [avoid] set so no injection site ever
-   sits in the second half of a superinstruction. *)
-let predecoded (t : target) =
-  match t.pre_ with
-  | Some p -> p
-  | None ->
-    let p = Predecode.decode ~avoid:t.eligible t.img in
-    t.phases.ph_decodes <- t.phases.ph_decodes + 1;
-    t.pre_ <- Some p;
-    p
+let predecoded (t : target) = t.pre
 
 (* ------------------------------------------------------------------ *)
 (* One injection.                                                      *)
@@ -476,7 +470,7 @@ let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
     end;
     match observe with Some f -> f mstate idx | None -> ()
   in
-  let outcome = Predecode.exec_observed ~fuel:t.fuel ~on_step (predecoded t) st in
+  let outcome = Predecode.exec_observed ~fuel:t.fuel ~on_step t.pre st in
   (* Phase accounting for the scratch engine: everything up to the flip
      is prefix, the rest suffix (an unreached site is all prefix). *)
   let pre = if !flip_steps >= 0 then !flip_steps else st.Machine.steps in
@@ -502,7 +496,7 @@ module Propagation = Ferrum_telemetry.Propagation
    ({!inject_fast} [~traced:true]) is tested against. *)
 let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
     classification * fault * Propagation.summary =
-  let tracer = Propagation.create t.img in
+  let tracer = Propagation.create t.pre t.img in
   let cls, fault, st =
     inject_full ?fault_bits
       ~on_inject:(Propagation.note_injection tracer)
@@ -701,7 +695,7 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
   let sl = slot t in
   let seen = ref (Snapshot.restore sl ~dyn_index) in
   let st = Snapshot.state sl in
-  let pre = predecoded t in
+  let pre = t.pre in
   ph.ph_restores <- ph.ph_restores + 1;
   let s0 = st.Machine.steps in
   let reached = run_prefix t pre st seen ~dyn_index in
@@ -717,7 +711,7 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
     (* Site unreached: a traced run never diverged, so its summary is
        that of a tracer that observed nothing. *)
     result (classify t o) (unreached_fault dyn_index)
-      (if traced then Some (Propagation.create t.img) else None)
+      (if traced then Some (Propagation.create t.pre t.img) else None)
   | None ->
     let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
     let lockstep =
@@ -727,7 +721,7 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
         ignore (Snapshot.restore gsl ~dyn_index : int);
         ph.ph_restores <- ph.ph_restores + 1;
         Snapshot.sync ~src:sl gsl;
-        Some (gsl, Propagation.create ~golden:(Snapshot.state gsl) t.img)
+        Some (gsl, Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
       end
     in
     let tracer = Option.map snd lockstep in

@@ -94,7 +94,9 @@ type phases = {
           flip's block of [B] steps (see [eligible_upto]); the rest of
           a prefix is single-stepped *)
   mutable ph_suffix_steps : int;  (** flip + post-flip execution *)
-  mutable ph_decodes : int;  (** predecode lowerings of this target *)
+  mutable ph_decodes : int;
+      (** decodes of this target: 1 in the process that ran {!prepare},
+          0 in a campaign worker (it inherits the decode) *)
   mutable ph_fused_steps : int;
       (** suffix steps retired as fused superinstruction pairs *)
   mutable ph_converged : int;
@@ -107,14 +109,18 @@ type phases = {
           counted in [ph_suffix_steps] *)
 }
 
-(** A profiled program ready for injection.  [cache] holds the golden
-    checkpoints {!prepare} captured during its one golden walk, so
-    forked campaign workers inherit them and never walk again.  The
-    trailing mutable fields lazily cache the pooled run states and
-    per-process tables. *)
+(** A profiled program ready for injection.  [pre] is the program's one
+    decode and [cache] the golden checkpoints {!prepare} captured during
+    its one golden walk, so forked campaign workers inherit both and
+    never decode or walk again.  The trailing mutable fields lazily
+    cache the pooled run states and per-process tables. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
+  pre : Ferrum_machine.Predecode.t;
+      (** the decoded program, with [eligible] as the fusion [avoid]
+          set, so injection sites never sit in the second half of a
+          superinstruction *)
   golden_output : int64 list;
   golden_steps : int;
   golden_cycles : float;
@@ -146,7 +152,6 @@ type target = {
   mutable slot_ : Ferrum_machine.Snapshot.slot option;
   mutable golden_slot_ : Ferrum_machine.Snapshot.slot option;
   mutable occ_ : int array array option;
-  mutable pre_ : Ferrum_machine.Predecode.t option;
   phases : phases;
 }
 
@@ -157,9 +162,7 @@ val check_block : int
 (** This process's engine-phase tallies for [target]. *)
 val phases : target -> phases
 
-(** The target's pre-decoded program (lowered lazily, once per process).
-    The eligible-site mask is the fusion [avoid] set, so injection
-    sites never sit in the second half of a superinstruction. *)
+(** [target.pre]. *)
 val predecoded : target -> Ferrum_machine.Predecode.t
 
 (** Zero the tallies (each campaign worker resets at startup so its
@@ -172,7 +175,9 @@ exception Golden_failure of string
     exit normally.  [engine] (default {!default_engine}) selects how
     {!inject}, {!campaign_sample} and {!vulnmap_sample} execute; under
     [Checkpointed k] the same walk captures the golden checkpoints, so
-    it is the target's only golden walk (counted in [ph_walks]). *)
+    it is the target's only golden walk (counted in [ph_walks]).  It
+    also makes the target's only decode, [pre], which every engine runs
+    (counted in [ph_decodes]). *)
 val prepare : ?scope:scope -> ?engine:engine -> Machine.image -> target
 
 (** Static sites with at least one eligible dynamic occurrence,

@@ -22,8 +22,10 @@
      exact step or site boundaries (prefix replays to the injection
      site).
 
-   {!run}, {!run_fresh} and {!golden} wrap them over the cached decode
-   of an image.
+   {!run}, {!run_fresh} and {!golden} decode an image and run it once.
+   A caller that runs the same image repeatedly decodes it once itself
+   and keeps the result: a prepared injection target owns its decode
+   ([Faultsim.prepare]).
 
    Each rule the specialized thunks share is written once, as a
    [let[@inline]] helper below: the step preamble ([retire]), the
@@ -114,19 +116,15 @@ exception Fuel
 (* ------------------------------------------------------------------ *)
 
 type counters = {
-  mutable c_decodes : int;
   mutable c_fast_steps : int; (* steps retired by {!exec} *)
   mutable c_fused_steps : int; (* subset retired as fused pairs *)
 }
 
-let ctr = { c_decodes = 0; c_fast_steps = 0; c_fused_steps = 0 }
+let ctr = { c_fast_steps = 0; c_fused_steps = 0 }
 
 let reset_counters () =
-  ctr.c_decodes <- 0;
   ctr.c_fast_steps <- 0;
   ctr.c_fused_steps <- 0
-
-let decodes () = ctr.c_decodes
 
 let fast_steps () = ctr.c_fast_steps
 
@@ -1285,7 +1283,6 @@ let decode ?avoid (img : Machine.image) : t =
               t2 st;
               chain fuel fused len st))
   done;
-  ctr.c_decodes <- ctr.c_decodes + 1;
   {
     thunks;
     specialized = Array.map snd made;
@@ -1296,27 +1293,6 @@ let decode ?avoid (img : Machine.image) : t =
     fuel;
     cyc;
   }
-
-(* Per-process decode cache keyed by physical identity of the image.
-   Bounded so long-lived processes (the serve daemon) cannot retain an
-   unbounded set of old programs; forked shard workers inherit the
-   parent's cache for free. *)
-let cache : (Machine.image * t) list ref = ref []
-
-let cache_cap = 32
-
-let get (img : Machine.image) : t =
-  match List.find_opt (fun (k, _) -> k == img) !cache with
-  | Some (_, p) -> p
-  | None ->
-    let p = decode img in
-    let kept =
-      if List.length !cache >= cache_cap then
-        List.filteri (fun i _ -> i < cache_cap - 1) !cache
-      else !cache
-    in
-    cache := (img, p) :: kept;
-    p
 
 (* ------------------------------------------------------------------ *)
 (* Static accessors.                                                   *)
@@ -1426,15 +1402,16 @@ let exec_observed ?(fuel = Machine.default_fuel) ~on_step (p : t)
   | Machine.Trap msg -> Machine.Crash msg
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program runs over the cached decode.                          *)
+(* Whole-program runs of a fresh decode.                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Run to halt, trap or fuel exhaustion: {!exec} without an observer,
    {!exec_observed} with one. *)
 let run ?fuel ?on_step (img : Machine.image) (st : Machine.state) =
+  let p = decode img in
   match on_step with
-  | None -> exec ?fuel (get img) st
-  | Some on_step -> exec_observed ?fuel ~on_step (get img) st
+  | None -> exec ?fuel p st
+  | Some on_step -> exec_observed ?fuel ~on_step p st
 
 (* Run from a fresh state; returns the outcome and the final state. *)
 let run_fresh ?fuel ?on_step img =

@@ -16,10 +16,6 @@ type t
     loop that stops at such a site never lands mid-pair. *)
 val decode : ?avoid:bool array -> Machine.image -> t
 
-(** The cached decode of an image, keyed by physical identity; the
-    cache is per process and bounded. *)
-val get : Machine.image -> t
-
 (** {1 Static accessors} *)
 
 (** Number of static instructions. *)
@@ -45,9 +41,6 @@ val is_specialized : t -> int -> bool
     Per worker after a fork. *)
 
 val reset_counters : unit -> unit
-
-(** Decodes run. *)
-val decodes : unit -> int
 
 (** Steps retired by {!exec}. *)
 val fast_steps : unit -> int
@@ -78,7 +71,10 @@ val exec_observed :
   Machine.state ->
   Machine.outcome
 
-(** {1 Whole-program runs over the cached decode} *)
+(** {1 Whole-program runs}
+
+    Each decodes the image it runs; a caller that runs an image more
+    than once decodes it once with {!decode} and keeps the result. *)
 
 (** {!exec} without an observer, {!exec_observed} with one. *)
 val run :

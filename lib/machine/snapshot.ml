@@ -153,7 +153,7 @@ let build ?interval ~counted img =
       record r ~seen:!seen
     in
     ignore
-      (Predecode.exec_observed ~on_step (Predecode.get img) st
+      (Predecode.exec_observed ~on_step (Predecode.decode img) st
         : Machine.outcome)
   end;
   finish r ~steps:st.Machine.steps

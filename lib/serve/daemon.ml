@@ -244,10 +244,10 @@ type subscriber = {
   mutable s_next : int;
 }
 
-(* Resolved workloads kept across submissions.  Holding all 32
-   catalogue targets (each with its decoded program) measured ~160 MiB
-   resident and the first 8 ~32 MiB, so a small constant bounds the
-   daemon. *)
+(* Resolved workloads kept across submissions.  Each target holds its
+   one decoded program and nothing else keeps a decode alive, so the
+   memo bounds the daemon: holding all 32 catalogue targets measured
+   ~140 MiB resident and the first 8 ~37 MiB. *)
 let memo_capacity = 8
 
 type daemon = {

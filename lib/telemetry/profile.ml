@@ -111,7 +111,7 @@ type dispatch = {
 }
 
 let dispatch ?fuel (img : Machine.image) : dispatch =
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   Predecode.reset_counters ();
   let st = Machine.fresh_state img in
   ignore (Predecode.exec ?fuel d st);
@@ -134,7 +134,7 @@ let dispatch ?fuel (img : Machine.image) : dispatch =
       pending := idx
     else pending := -1
   in
-  ignore (Predecode.run ?fuel ~on_step img (Machine.fresh_state img));
+  ignore (Predecode.exec_observed ?fuel ~on_step d (Machine.fresh_state img));
   let patterns =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
     |> List.sort (fun (n1, c1) (n2, c2) ->

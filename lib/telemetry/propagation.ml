@@ -73,6 +73,7 @@ type phase = Lockstep | Diverged
 
 type t = {
   img : Machine.image;
+  pre : Predecode.t; (* [img]'s decode, which steps the golden replica *)
   golden : Machine.state;
   has_checks : bool;
   reg_taint : (loc, unit) Hashtbl.t; (* GPRs, SIMD lanes, flags *)
@@ -93,9 +94,10 @@ type t = {
   mutable reactivated_at : int option;
 }
 
-let create ?golden (img : Machine.image) =
+let create ?golden pre (img : Machine.image) =
   {
     img;
+    pre;
     golden =
       (match golden with Some g -> g | None -> Machine.fresh_state img);
     has_checks =
@@ -276,7 +278,7 @@ let observe t (st : Machine.state) idx =
       (* the faulted run retired an instruction the golden run did not *)
       mark_control_divergence t st idx
     else begin
-      (match Predecode.step1 (Predecode.get t.img) t.golden with
+      (match Predecode.step1 t.pre t.golden with
       | (_ : int) -> ()
       | exception Machine.Halt _ -> t.golden_exited <- true
       | exception Machine.Trap _ ->

@@ -9,8 +9,8 @@
     a mechanical explanation of why the checkers missed.
 
     Driven by {!Ferrum_faultsim.Faultsim.trace_propagation}; the tracer
-    itself only needs a loaded {!Ferrum_machine.Machine.image} and the
-    observer/injection hooks. *)
+    itself only needs a loaded {!Ferrum_machine.Machine.image}, its
+    decode and the observer/injection hooks. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
@@ -35,11 +35,15 @@ type divergence = {
 
 type t
 
-(** [golden] (default a fresh state of [img]) is the lockstep golden
-    state the tracer steps alongside the injected run.  A checkpointed
-    injector passes a state already advanced to the flip site, since
-    observing the identical pre-flip prefix records nothing. *)
-val create : ?golden:Machine.state -> Machine.image -> t
+(** [create pre img]: [golden] (default a fresh state of [img]) is the
+    lockstep golden state the tracer steps alongside the injected run,
+    on [pre], a decode of [img] — the injected run's own may be passed,
+    since {!Ferrum_machine.Predecode.step1} is safe inside its
+    observer.  A checkpointed injector passes a state already advanced
+    to the flip site, since observing the identical pre-flip prefix
+    records nothing. *)
+val create :
+  ?golden:Machine.state -> Ferrum_machine.Predecode.t -> Machine.image -> t
 
 (** To be called right after the injector flips the bit(s) (see
     [?on_inject] of {!Ferrum_faultsim.Faultsim.inject_full}). *)

@@ -333,9 +333,6 @@ let round_end s =
 let spent s = s.s_spent
 let total s = s.total
 
-let site_tally s site =
-  Option.value ~default:zero (Hashtbl.find_opt s.sites site)
-
 let rows s =
   let site_rows =
     Hashtbl.fold (fun site t acc -> (site, t) :: acc) s.sites []

@@ -104,7 +104,6 @@ val round_end : stream -> unit
 
 val spent : stream -> int
 val total : stream -> tally
-val site_tally : stream -> int -> tally
 
 (** All rows in canonical order: the chronological trace (trace and
     round rows), then site rows ascending by static index, then the

@@ -46,21 +46,6 @@ let test_sizes () =
 
 (* ---- condition codes ---- *)
 
-let test_cond_negate_involution () =
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "negate twice" true
-        (Cond.negate (Cond.negate c) = c))
-    Cond.all
-
-let prop_cond_negate_eval =
-  QCheck.Test.make ~name:"cond: eval (negate c) = not (eval c)" ~count:500
-    QCheck.(
-      quad (QCheck.make Tgen.cond) bool bool (pair bool bool))
-    (fun (c, zf, sf, (cf, of_)) ->
-      Cond.eval (Cond.negate c) ~zf ~sf ~cf ~of_
-      = not (Cond.eval c ~zf ~sf ~cf ~of_))
-
 let test_cond_names () =
   List.iter
     (fun c ->
@@ -243,11 +228,8 @@ let () =
           Alcotest.test_case "index roundtrip" `Quick test_gpr_index_roundtrip;
           Alcotest.test_case "sizes" `Quick test_sizes ] );
       ( "conditions",
-        [ Alcotest.test_case "negate involution" `Quick
-            test_cond_negate_involution;
-          Alcotest.test_case "names" `Quick test_cond_names;
-          Alcotest.test_case "flag reads" `Quick test_cond_reads;
-          QCheck_alcotest.to_alcotest prop_cond_negate_eval ] );
+        [ Alcotest.test_case "names" `Quick test_cond_names;
+          Alcotest.test_case "flag reads" `Quick test_cond_reads ] );
       ( "metadata",
         [ Alcotest.test_case "defs" `Quick test_defs;
           Alcotest.test_case "gprs mentioned" `Quick test_gprs_mentioned;

@@ -59,7 +59,7 @@ let run_ref ?fuel img =
   (o, st)
 
 let run_fast ?fuel img =
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   let st = Machine.fresh_state img in
   let o = Predecode.exec ?fuel d st in
   (o, st)
@@ -98,7 +98,7 @@ let test_catalogue_roundtrip () =
 
 let test_observed_stream_identity () =
   let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   let observe st0 =
     let seen = ref [] in
     let on_step (st : Machine.state) idx =
@@ -125,7 +125,7 @@ let test_observed_stream_identity () =
 
 let test_step1_lockstep () =
   let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   let st1 = Machine.fresh_state img and st2 = Machine.fresh_state img in
   let halted = ref false in
   while not !halted do
@@ -152,7 +152,7 @@ let test_step1_lockstep () =
    of a pair. *)
 let test_join_target_unfused () =
   let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   Alcotest.(check bool) "some pairs fused" true (Predecode.fused_pairs d > 0);
   let checked = ref 0 in
   Array.iteri
@@ -212,7 +212,7 @@ let test_fuel_mid_pair () =
    point. *)
 let test_resume_mid_pair () =
   let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   for k = 1 to 9 do
     let st1 = Machine.fresh_state img in
     for _ = 1 to k do
@@ -228,15 +228,11 @@ let test_resume_mid_pair () =
     check_state_eq (Printf.sprintf "resume k=%d" k) st1 st2
   done
 
-(* ---- counters and decode cache ---- *)
+(* ---- counters ---- *)
 
 let test_counters_and_cache () =
   let img = Machine.load (loop_program ()) in
-  Predecode.reset_counters ();
-  let d = Predecode.get img in
-  Alcotest.(check int) "decode counted" 1 (Predecode.decodes ());
-  Alcotest.(check bool) "cache hit is physical" true (Predecode.get img == d);
-  Alcotest.(check int) "cache hit decodes nothing" 1 (Predecode.decodes ());
+  let d = Predecode.decode img in
   Predecode.reset_counters ();
   let st = Machine.fresh_state img in
   ignore (Predecode.exec d st);
@@ -298,7 +294,7 @@ let fast_loop_program () =
 (* Minor words allocated by an [exec] of [fuel] steps on a fresh,
    write-tracked state. *)
 let exec_minor_words img fuel =
-  let p = Predecode.get img in
+  let p = Predecode.decode img in
   let st = Machine.fresh_state img in
   Machine.track_writes st;
   let before = Gc.minor_words () in
@@ -312,7 +308,7 @@ let exec_minor_words img fuel =
    the words one run allocates must not grow with its step count. *)
 let test_fast_shapes_allocation_free () =
   let img = Machine.load (fast_loop_program ()) in
-  let d = Predecode.get img in
+  let d = Predecode.decode img in
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " pair in fixture") true
@@ -347,7 +343,7 @@ let test_catalogue_allocation () =
           (fun (cfg, res) ->
             let name = Printf.sprintf "%s/%s" e.Catalog.name cfg in
             let img = Machine.load res.Pipeline.program in
-            let p = Predecode.get img in
+            let p = Predecode.decode img in
             let st = Machine.fresh_state img in
             Machine.track_writes st;
             let before = Gc.minor_words () in
@@ -567,7 +563,7 @@ let reference ~fuel ~flip img st =
 let loops =
   [ ( "exec",
       fun ~fuel ~flip img st ->
-        let p = Predecode.get img in
+        let p = Predecode.decode img in
         match flip with
         | Some (k, f) when k <= fuel -> (
           match Predecode.exec ~fuel:k p st with
@@ -580,10 +576,10 @@ let loops =
       fun ~fuel ~flip img st ->
         Predecode.exec_observed ~fuel
           ~on_step:(fun st _ -> flip_after flip st)
-          (Predecode.get img) st );
+          (Predecode.decode img) st );
     ( "step1",
       fun ~fuel ~flip img st ->
-        let p = Predecode.get img in
+        let p = Predecode.decode img in
         try
           while st.Machine.steps < fuel do
             let ip = st.Machine.ip in

@@ -62,16 +62,6 @@ let test_spare_analysis () =
       Alcotest.(check int) "all xmm spare" 16 (List.length sp.Spare.spare_simd))
     p.funcs
 
-let test_block_unused () =
-  let b =
-    Prog.block "b"
-      [ Instr.original (Instr.Mov (Reg.Q, Instr.Reg Reg.RAX, Instr.Reg Reg.RCX));
-        Instr.original Instr.Ret ]
-  in
-  let unused = Spare.block_unused b in
-  Alcotest.(check bool) "rax not unused" false (List.mem Reg.RAX unused);
-  Alcotest.(check bool) "r10 unused" true (List.mem Reg.R10 unused)
-
 (* ---- Asm_protect unit behaviour ---- *)
 
 let test_protect_movslq_fig4 () =
@@ -351,8 +341,7 @@ let () =
           Alcotest.test_case "duplicates equivalent" `Quick
             test_executed_duplicates_are_equivalent ] );
       ( "spare",
-        [ Alcotest.test_case "function analysis" `Quick test_spare_analysis;
-          Alcotest.test_case "block unused" `Quick test_block_unused ] );
+        [ Alcotest.test_case "function analysis" `Quick test_spare_analysis ] );
       ( "asm_protect",
         [ Alcotest.test_case "Fig. 4 movslq" `Quick test_protect_movslq_fig4;
           Alcotest.test_case "accumulator shapes" `Quick

@@ -708,6 +708,31 @@ let test_resolve_memo () =
   Alcotest.(check (pair int int)) "failures leave the counters" (4, 4)
     (counts ())
 
+(* The memo bounds what the daemon keeps: once a workload is evicted
+   and its results are dropped, nothing else holds its program image
+   (nor the decode its target owns), so a major collection frees it. *)
+let test_memo_releases_evicted () =
+  let spec benchmark =
+    { Spec.benchmark; technique = "raw"; samples = 20; seed = 1L; shards = 1;
+      fault_bits = 1; scope = "original"; traced = false; engine = "pooled" }
+  in
+  let memo = Spec.memo ~capacity:1 in
+  let resolve s =
+    match Spec.resolve_memo memo s with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "resolve_memo: %s" e
+  in
+  let image_a = Weak.create 1 in
+  let[@inline never] resolve_a () =
+    Weak.set image_a 0 (Some (resolve (spec "kmeans")).Spec.target.F.img)
+  in
+  resolve_a ();
+  Alcotest.(check bool) "A's image alive while memoized" true
+    (Weak.check image_a 0);
+  ignore (resolve (spec "bfs") : Spec.resolved);
+  Gc.full_major ();
+  Alcotest.(check bool) "evicted image collected" false (Weak.check image_a 0)
+
 module Lru = Ferrum_serve.Lru
 
 (* Failed builds are returned, never stored: the next lookup builds
@@ -1269,6 +1294,8 @@ let () =
       ( "spec",
         [ Alcotest.test_case "defaults and round-trip" `Quick test_spec_roundtrip;
           Alcotest.test_case "resolve memo" `Quick test_resolve_memo;
+          Alcotest.test_case "memo releases evicted workloads" `Quick
+            test_memo_releases_evicted;
           Alcotest.test_case "lru keeps successes only" `Quick test_lru ] );
       ( "daemon",
         [

@@ -272,6 +272,7 @@ let fast_fixture_engines =
 
 let test_track_attach_and_pages () =
   let img = Machine.load (loop_program ()) in
+  let pre = Predecode.decode img in
   let st = Machine.fresh_state img in
   Alcotest.(check bool) "fresh state untracked" true (st.Machine.track = None);
   Machine.track_writes st;
@@ -286,7 +287,7 @@ let test_track_attach_and_pages () =
   | None -> Alcotest.fail "tracker lost");
   (try
      while true do
-       ignore (Predecode.step1 (Predecode.get img) st)
+       ignore (Predecode.step1 pre st)
      done
    with Machine.Halt _ -> ());
   let pages =
@@ -300,16 +301,17 @@ let test_track_attach_and_pages () =
     (List.mem 1 uniq);
   Machine.clear_dirty st;
   Alcotest.(check int) "clear_dirty empties the log" 0 tr.Machine.tr_count;
-  ignore (Predecode.step1 (Predecode.get img) (Machine.fresh_state img))
+  ignore (Predecode.step1 pre (Machine.fresh_state img))
 
 let test_track_straddling_store () =
   let img = Machine.load (straddle_program ()) in
+  let pre = Predecode.decode img in
   let st = Machine.fresh_state img in
   Machine.track_writes st;
   let tr = match st.Machine.track with Some tr -> tr | None -> assert false in
   (try
      while true do
-       ignore (Predecode.step1 (Predecode.get img) st)
+       ignore (Predecode.step1 pre st)
      done
    with Machine.Halt _ -> ());
   let pages =
@@ -323,17 +325,18 @@ let test_track_straddling_store () =
 
 (* Reference: a fresh state single-stepped to exactly [steps] retired
    instructions. *)
-let stepped_reference img steps =
+let stepped_reference img pre steps =
   let st = Machine.fresh_state img in
   (try
      while st.Machine.steps < steps do
-       ignore (Predecode.step1 (Predecode.get img) st)
+       ignore (Predecode.step1 pre st)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   st
 
 let test_restore_exactness () =
   let img = Machine.load (loop_program ()) in
+  let pre = Predecode.decode img in
   let cache = Snapshot.build ~interval:7 ~counted:(fun _ -> true) img in
   Alcotest.(check bool) "many checkpoints captured" true
     (Snapshot.ckpt_count cache > 100);
@@ -350,11 +353,11 @@ let test_restore_exactness () =
         (seen <= dyn);
       check_state_eq
         (Printf.sprintf "restore dyn=%d" dyn)
-        (stepped_reference img st.Machine.steps)
+        (stepped_reference img pre st.Machine.steps)
         st;
       try
         for _ = 1 to 50 do
-          ignore (Predecode.step1 (Predecode.get img) st)
+          ignore (Predecode.step1 pre st)
         done
       with Machine.Halt _ | Machine.Trap _ -> ())
     [ 0; 3; 900; 14; 500; 499; 1300; 2; 0; 700 ];
@@ -366,6 +369,7 @@ let test_pooled_cache_resets () =
   (* interval:None — no checkpoints, but restore-to-pristine must still
      be exact after the slot has run to completion. *)
   let img = Machine.load (loop_program ()) in
+  let pre = Predecode.decode img in
   let cache = Snapshot.build ~counted:(fun _ -> true) img in
   Alcotest.(check int) "no checkpoints" 0 (Snapshot.ckpt_count cache);
   let sl = Snapshot.make_slot cache in
@@ -376,13 +380,14 @@ let test_pooled_cache_resets () =
     check_state_eq "pristine slot" (Machine.fresh_state img) st;
     try
       while true do
-        ignore (Predecode.step1 (Predecode.get img) st)
+        ignore (Predecode.step1 pre st)
       done
     with Machine.Halt _ -> ()
   done
 
 let test_sync_clones_run_state () =
   let img = Machine.load (loop_program ()) in
+  let pre = Predecode.decode img in
   let cache = Snapshot.build ~interval:13 ~counted:(fun _ -> true) img in
   let src = Snapshot.make_slot cache in
   let dst = Snapshot.make_slot cache in
@@ -390,7 +395,7 @@ let test_sync_clones_run_state () =
   let sst = Snapshot.state src in
   (try
      for _ = 1 to 37 do
-       ignore (Predecode.step1 (Predecode.get img) sst)
+       ignore (Predecode.step1 pre sst)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   ignore (Snapshot.restore dst ~dyn_index:400);
@@ -400,8 +405,8 @@ let test_sync_clones_run_state () =
   let dstt = Snapshot.state dst in
   (try
      for _ = 1 to 100 do
-       ignore (Predecode.step1 (Predecode.get img) sst);
-       ignore (Predecode.step1 (Predecode.get img) dstt)
+       ignore (Predecode.step1 pre sst);
+       ignore (Predecode.step1 pre dstt)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   check_state_eq "synced slot tracks the source" sst dstt
@@ -423,7 +428,8 @@ let converged_fixture () =
   Alcotest.(check int) "next checkpoint after the restore point" 4
     (Snapshot.next_ckpt cache ~steps:st.Machine.steps);
   (match
-     Predecode.exec ~fuel:(Snapshot.ckpt_steps cache 5) (Predecode.get img) st
+     Predecode.exec ~fuel:(Snapshot.ckpt_steps cache 5) (Predecode.decode img)
+       st
    with
   | Machine.Timeout -> ()
   | o -> Alcotest.failf "leg ended early: %a" Machine.pp_outcome o);
@@ -490,7 +496,7 @@ let test_converged_scalars () =
 let test_identical_slots () =
   let img = Machine.load (loop_program ()) in
   let cache = Snapshot.build ~interval:64 ~counted:(fun _ -> true) img in
-  let pre = Predecode.get img in
+  let pre = Predecode.decode img in
   let a = Snapshot.make_slot cache and b = Snapshot.make_slot cache in
   let at = Snapshot.ckpt_steps cache 3 in
   ignore (Snapshot.restore a ~dyn_index:at : int);
@@ -590,7 +596,7 @@ let reference_walk ?k img eligible =
   let st = Machine.fresh_state img in
   Machine.track_writes st;
   let tr = Option.get st.Machine.track in
-  let pre = Predecode.get img in
+  let pre = Predecode.decode img in
   let len = Array.length img.Machine.code in
   let seen = ref 0 and sites = ref [] and ckpts = ref [] in
   let checks = ref 0 and upto = ref [] in
@@ -818,18 +824,21 @@ let test_prepare_manifest_catalogue () =
     Catalog.all;
   Fsutil.rm_rf dir
 
-(* The walk is counted where it happens: once, in the process that
-   prepared the target.  Samples never walk again, and forked workers,
-   which reset their tallies, report none. *)
+(* The walk and the decode are counted where they happen: once each, in
+   the process that prepared the target.  Samples never walk or decode
+   again, and forked workers, which reset their tallies and inherit the
+   target, report none. *)
 let test_one_walk () =
   let img = Machine.load (loop_program ()) in
   let t = F.prepare ~engine:(F.Checkpointed 64) img in
   let walks () = ((F.phases t).F.ph_walks, (F.phases t).F.ph_walk_steps) in
   Alcotest.(check (pair int int)) "prepare walks once" (1, t.F.golden_steps)
     (walks ());
+  Alcotest.(check int) "prepare decodes once" 1 (F.phases t).F.ph_decodes;
   ignore (target_lines t ~seed:3L ~samples:20 : string list);
   Alcotest.(check (pair int int)) "samples never walk" (1, t.F.golden_steps)
     (walks ());
+  Alcotest.(check int) "samples never decode" 1 (F.phases t).F.ph_decodes;
   let r = Runner.run ~mode:Runner.Traced ~shards:2 ~seed:3L ~samples:20 t in
   let spans =
     match Trace.rows_of_lines r.Runner.trace_spans with
@@ -841,7 +850,9 @@ let test_one_walk () =
   List.iter
     (fun s ->
       Alcotest.(check (option int)) "workers do not walk" (Some 0)
-        (List.assoc_opt "walks" s.Trace.sp_counters))
+        (List.assoc_opt "walks" s.Trace.sp_counters);
+      Alcotest.(check (option int)) "workers do not decode" (Some 0)
+        (List.assoc_opt "decodes" s.Trace.sp_counters))
     engines
 
 (* ---- engine bit-identity on fixtures ---- *)
@@ -1002,13 +1013,16 @@ let prop_random_prefix_identity =
 (* A flip instruction that traps is never flipped, on any engine: the
    fault stays unreached.  A replayed prefix is the golden run, so its
    flip instruction cannot trap; here the targets run an image whose
-   first load has a wild base register, on the profile and checkpoints
-   of the image it was prepared on, which differs only there.  Engines
-   that restore at step 0 only. *)
+   first load has a wild base register, decoded with the eligible-site
+   mask, on the profile and checkpoints of the image it was prepared
+   on, which differs only there.  Engines that restore at step 0 only. *)
 let test_trap_at_flip () =
   let img = Machine.load (crash_program ()) in
   let wild = Machine.load (crash_program ~base:0x4000_0000_0000L ()) in
-  let target engine = { (F.prepare ~engine img) with F.img = wild } in
+  let target engine =
+    let t = F.prepare ~engine img in
+    { t with F.img = wild; pre = Predecode.decode ~avoid:t.F.eligible wild }
+  in
   let reference = target F.Scratch in
   let cls, fault, _ = F.campaign_sample ~site:1 reference ~seed:3L ~sample:0 in
   Alcotest.(check string) "the load traps" "crash" (F.classification_name cls);

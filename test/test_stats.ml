@@ -149,8 +149,6 @@ let test_stream_sites_and_rows () =
   Alcotest.(check int) "spent" 3 (Stats.spent s);
   Alcotest.(check bool) "total tally" true
     (Stats.total s = Stats.make ~n:3 ~k:1);
-  Alcotest.(check bool) "site tally" true
-    (Stats.site_tally s 3 = Stats.make ~n:2 ~k:1);
   (* every serialized row must parse back to itself *)
   List.iter
     (fun line ->
