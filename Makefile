@@ -107,11 +107,13 @@ lint: build
 # Sharded campaign smoke: a 2-shard fork-pool run must produce a
 # schema-valid event log, byte-reproducible run files, the same run
 # files as a one-round `--adaptive` run (a flat campaign is that case),
-# and injection output byte-identical to `inject`'s 1-shard run
+# injection output byte-identical to `inject`'s 1-shard run
 # (test_campaign checks the runner against an in-process loop over
-# `Faultsim.campaign_sample`).
+# `Faultsim.campaign_sample`), and `--resume` of the first run must
+# replay both part files (no part rewritten, so no worker ran) into the
+# same run files byte for byte.
 campaign: build
-	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one
+	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).copy
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP) --html $(CAMP).html > /dev/null
 	$(CLI) metrics $(CAMP)/events.jsonl
@@ -129,7 +131,17 @@ campaign: build
 	done
 	$(CLI) inject kmeans -p ferrum --samples 40 --metrics $(CAMP).seq > /dev/null
 	cmp $(CAMP)/injection.jsonl $(CAMP).seq
-	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard"
+	cp -r $(CAMP) $(CAMP).copy
+	touch $(CAMP).stamp
+	$(CLI) campaign --resume $(CAMP) > /dev/null
+	@if [ -n "$$(find $(CAMP)/parts -newer $(CAMP).stamp)" ]; then \
+	  echo "campaign: --resume reran a shard instead of replaying its part file"; \
+	  exit 1; \
+	fi
+	for f in injection.jsonl events.jsonl stats.jsonl trace.jsonl vulnmap.jsonl; do \
+	  cmp $(CAMP)/$$f $(CAMP).copy/$$f || exit 1; \
+	done
+	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
 # schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of
@@ -225,5 +237,6 @@ clean:
 	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json
 	rm -f $(FLIGHT).txt $(FLIGHT).2.txt
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).html $(CAMP).seq $(TRACE).d
+	rm -rf $(CAMP).copy $(CAMP).stamp
 	rm -rf $(TRACE).d2
 	rm -rf .bench_build

@@ -224,7 +224,7 @@ let run_cmd =
     let outcome, st = Predecode.run_fresh img in
     Fmt.pr "outcome: %a@." Machine.pp_outcome outcome;
     Fmt.pr "dynamic instructions: %d@." st.Machine.steps;
-    Fmt.pr "model cycles: %.0f@." st.Machine.cycles;
+    Fmt.pr "model cycles: %.0f@." st.Machine.cycles.Machine.fv;
     Fmt.pr "static instructions: %d@." (Ferrum_asm.Prog.num_instructions p);
     match outcome with Machine.Exit _ -> () | _ -> exit 1
   in
@@ -476,7 +476,7 @@ let trace_fault ?technique ~bench ~seed ~attempts ~depth ~all_sites img =
       "fault: bit %d of %s at static index %d (dynamic write-back %d)@."
       fault.F.bit fault.F.dest_desc fault.F.static_index fault.F.dyn_index;
     Fmt.pr "run: %d instructions, %.0f model cycles@.@." st.Machine.steps
-      st.Machine.cycles;
+      st.Machine.cycles.Machine.fv;
     Fmt.pr "%a" Flight.pp flight
 
 let trace_cmd =
@@ -576,7 +576,8 @@ let check_cmd =
         if execute then begin
           let outcome, st = Predecode.run_fresh (Machine.load p) in
           Fmt.pr "outcome: %a (%d instructions, %.0f cycles)@."
-            Machine.pp_outcome outcome st.Machine.steps st.Machine.cycles;
+            Machine.pp_outcome outcome st.Machine.steps
+            st.Machine.cycles.Machine.fv;
           match outcome with Machine.Exit _ -> () | _ -> exit 1
         end)
   in
@@ -1339,7 +1340,7 @@ let cc_cmd =
       let outcome, st = Predecode.run_fresh img in
       Fmt.pr "outcome: %a@." Machine.pp_outcome outcome;
       Fmt.pr "dynamic instructions: %d@." st.Machine.steps;
-      Fmt.pr "model cycles: %.0f@." st.Machine.cycles;
+      Fmt.pr "model cycles: %.0f@." st.Machine.cycles.Machine.fv;
       (match outcome with Machine.Exit _ -> () | _ -> exit 1)
     | "inject" ->
       let res =

@@ -28,20 +28,22 @@ let () =
   (* compile unprotected and run *)
   let raw = Pipeline.raw m in
   let outcome, st = Predecode.run_fresh (Machine.load raw.program) in
+  let cycles = st.Machine.cycles.Machine.fv in
   Fmt.pr "unprotected: %a in %d instructions, %.0f model cycles@."
-    Machine.pp_outcome outcome st.Machine.steps st.Machine.cycles;
+    Machine.pp_outcome outcome st.Machine.steps cycles;
 
   (* protect with FERRUM and run again: same output, full duplication *)
   let prot = Pipeline.protect Technique.Ferrum m in
   let outcome', st' = Predecode.run_fresh (Machine.load prot.program) in
+  let cycles' = st'.Machine.cycles.Machine.fv in
   Fmt.pr "FERRUM:      %a in %d instructions, %.0f model cycles@."
-    Machine.pp_outcome outcome' st'.Machine.steps st'.Machine.cycles;
+    Machine.pp_outcome outcome' st'.Machine.steps cycles';
   assert (Machine.equal_outcome outcome outcome');
 
   let stats = Ferrum_asm.Stats.of_program prot.program in
   Fmt.pr "@.protected program: %a" Ferrum_asm.Stats.pp stats;
   Fmt.pr "runtime overhead under the cycle model: %+.1f%%@."
-    (100.0 *. (st'.Machine.cycles -. st.Machine.cycles) /. st.Machine.cycles);
+    (100.0 *. (cycles' -. cycles) /. cycles);
   Fmt.pr "@.first 25 lines of protected assembly:@.";
   let text = Ferrum_asm.Printer.program_to_string prot.program in
   String.split_on_char '\n' text

@@ -8,12 +8,19 @@
    sample order — which, with index-keyed per-sample RNG, makes the
    merged result byte-identical for any shard count.
 
-   Wire protocol (one JSON object per line, worker -> parent):
+   Wire protocol (one line each, worker -> parent):
+     s<TAB>...<TAB>{record}  a sample (Shard.write_sample): the fields
+                             the merge needs, tab-separated, then the
+                             record JSON verbatim, rendered once in the
+                             worker and never re-escaped or parsed
      {"t":"ev","ev":{...}}   a Ferrum_telemetry.Events event
-     {"t":"s","d":{...}}     a Shard.sample_out
      {"t":"tr","l":"..."}    a serialized ferrum.trace.v1 span row
      {"t":"tw","l":"..."}    a serialized ferrum.trace.v1 wall row
      {"t":"done"}            clean end of stream
+   A sample line whose fields do not read back (a truncated line, a
+   misplaced separator, a record of another sample) is a protocol error,
+   like a line that is not JSON, a sample out of order or any line after
+   the done marker: the attempt is killed and retried.
 
    Trace rows are emitted in one batch after the shard's last sample
    (a worker that dies or garbles mid-shard contributes none), so the
@@ -133,33 +140,42 @@ type wire =
   | W_twall of string  (** raw ferrum.trace.v1 wall row *)
   | W_done
 
+(* A sample line is read by {!Shard.read_sample}; every other line is a
+   JSON object tagged by its "t" field. *)
 let parse_wire line : (wire, string) Stdlib.result =
-  match Json.of_string_opt line with
-  | None -> Error "worker line is not valid JSON"
-  | Some j -> (
-    match Json.member "t" j with
-    | Some (Json.Str "ev") -> (
-      match Json.member "ev" j with
-      | Some ev -> Result.map (fun e -> W_event e) (Events.of_json ev)
-      | None -> Error "ev line lacks payload")
-    | Some (Json.Str "s") -> (
-      match Json.member "d" j with
-      | Some d -> Result.map (fun s -> W_sample s) (Shard.sample_out_of_json d)
-      | None -> Error "sample line lacks payload")
-    | Some (Json.Str "tr") -> (
-      match Json.member "l" j with
-      | Some (Json.Str l) -> Ok (W_trace l)
-      | _ -> Error "trace line lacks payload")
-    | Some (Json.Str "tw") -> (
-      match Json.member "l" j with
-      | Some (Json.Str l) -> Ok (W_twall l)
-      | _ -> Error "trace wall line lacks payload")
-    | Some (Json.Str "done") -> Ok W_done
-    | _ -> Error "worker line lacks a known tag")
+  if String.length line > 1 && line.[0] = 's' && line.[1] = '\t' then
+    Result.map (fun s -> W_sample s) (Shard.read_sample line)
+  else
+    match Json.of_string_opt line with
+    | None -> Error "worker line is not valid JSON"
+    | Some j -> (
+      match Json.member "t" j with
+      | Some (Json.Str "ev") -> (
+        match Json.member "ev" j with
+        | Some ev -> Result.map (fun e -> W_event e) (Events.of_json ev)
+        | None -> Error "ev line lacks payload")
+      | Some (Json.Str "tr") -> (
+        match Json.member "l" j with
+        | Some (Json.Str l) -> Ok (W_trace l)
+        | _ -> Error "trace line lacks payload")
+      | Some (Json.Str "tw") -> (
+        match Json.member "l" j with
+        | Some (Json.Str l) -> Ok (W_twall l)
+        | _ -> Error "trace wall line lacks payload")
+      | Some (Json.Str "done") -> Ok W_done
+      | _ -> Error "worker line lacks a known tag")
 
 (* ------------------------------------------------------------------ *)
 (* Worker side.                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* A class's counter in a worker's running tally. *)
+let class_slot = function
+  | F.Benign -> 0
+  | F.Sdc -> 1
+  | F.Detected -> 2
+  | F.Crash -> 3
+  | F.Timeout -> 4
 
 (* Runs in the forked child; never returns.  Exits with Unix._exit so
    no parent at_exit handler (test runners, sinks) fires twice.
@@ -203,40 +219,46 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
      Trace.span tr "shard" (fun () ->
          emit_event
            (Events.Shard_started { lo = range.Shard.lo; hi = range.hi });
-         let done_ = ref 0 and tally = ref Events.zero_tally and clock = ref 0 in
+         let done_ = ref 0 and clock = ref 0 in
+         (* per-class sample counts, in {!class_slot} order *)
+         let by_class = Array.make 5 0 in
+         let tally () =
+           {
+             Events.benign = by_class.(0);
+             sdc = by_class.(1);
+             detected = by_class.(2);
+             crash = by_class.(3);
+             timeout = by_class.(4);
+           }
+         in
          Shard.run_range ~fault_bits ?assign ~traced ~seed target range
-           ~on_sample:(fun out ->
+           ~on_sample:(fun record line ->
              (match die_after with
              | Some k when !done_ >= k ->
                flush oc;
                Unix._exit 66
              | _ -> ());
              (match garble_after with
-             | Some k when !done_ = k ->
-               output_string oc "{\"t\":\"bogus\"}\n"
-             | _ -> ());
-             emit_line
-               (Json.Obj
-                  [ ("t", Json.Str "s"); ("d", Shard.sample_out_to_json out) ]);
+             | Some (k, garbled) when !done_ = k ->
+               output_string oc (garbled (Buffer.contents line))
+             | _ -> Buffer.output_buffer oc line);
+             output_char oc '\n';
              incr done_;
-             clock := !clock + out.Shard.o_steps;
-             Trace.advance tr out.Shard.o_steps;
-             (match
-                Events.tally_of_name !tally
-                  (F.classification_name out.Shard.o_class)
-              with
-             | Some t -> tally := t
-             | None -> ());
+             let steps = record.F.steps in
+             clock := !clock + steps;
+             Trace.advance tr steps;
+             let c = class_slot record.F.r_class in
+             by_class.(c) <- by_class.(c) + 1;
              if !done_ mod every = 0 && !done_ < total then begin
                let seen =
-                 Stats.merge prior { Stats.n = !done_; k = !tally.Events.sdc }
+                 Stats.merge prior { Stats.n = !done_; k = by_class.(1) }
                in
                emit_event
                  (Events.Progress
                     {
                       done_ = !done_;
                       total;
-                      tally = !tally;
+                      tally = tally ();
                       clock = !clock;
                       spent = base_spent + !done_;
                       budget;
@@ -262,7 +284,7 @@ let worker_main ~fault_bits ~traced ~seed ~heartbeats ~shard ~attempt
          Trace.counter tr "samples" !done_;
          emit_event
            (Events.Shard_finished
-              { done_ = !done_; total; tally = !tally; clock = !clock }));
+              { done_ = !done_; total; tally = tally (); clock = !clock }));
      List.iter
        (fun l -> emit_line (Json.Obj [ ("t", Json.Str "tr"); ("l", Json.Str l) ]))
        (Trace.span_lines tr);

@@ -89,8 +89,10 @@ type result = {
     shard's stream (write-then-rename) and resumes from any complete
     part files already there; [sabotage] (tests) makes a worker die
     after [k] samples when it returns [Some k] for a (global shard id,
-    attempt); [garble] (tests) makes it emit a malformed protocol line
-    there instead, which is handled like worker death.
+    attempt); [garble] (tests) makes it write [f line] in place of the
+    wire line of its [k]-th sample (0-based) when it returns
+    [Some (k, f)] — a malformed, truncated or out-of-order line, which
+    is handled like worker death.
 
     Raises [Invalid_argument] before any fork when [samples] is not
     positive or the target has no eligible injection sites, and
@@ -114,7 +116,7 @@ val run :
   ?on_event:(Events.t -> unit) ->
   ?part_dir:string ->
   ?sabotage:(shard:int -> attempt:int -> int option) ->
-  ?garble:(shard:int -> attempt:int -> int option) ->
+  ?garble:(shard:int -> attempt:int -> (int * (string -> string)) option) ->
   ?policy:policy ->
   ?trace_ctx:Trace.ctx ->
   ?trace_id:string ->

@@ -34,15 +34,12 @@ let plan ~shards ~samples =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-sample shard output.                                            *)
+(* Per-sample shard output and its wire line.                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the merge step needs from one sample: the already
-   serialized record line, plus the aggregation inputs of the traced
-   (vulnmap) variant.  The detection-latency cycle value is a float the
-   parent must re-sum in global order, so it crosses the worker pipe as
-   its exact IEEE-754 bit pattern — a decimal rendering could lose the
-   low bits that byte-identity across shard counts depends on. *)
+(* Everything the merge step needs from one sample: the serialized
+   record line, plus the aggregation inputs of the traced (vulnmap)
+   variant. *)
 type sample_out = {
   o_sample : int;
   o_class : F.classification;
@@ -53,76 +50,118 @@ type sample_out = {
   o_steps : int;  (** logical-clock contribution (injected-run steps) *)
 }
 
-let sample_out_to_json (o : sample_out) : Json.t =
-  let lat_steps, lat_bits =
-    match o.o_latency with
-    | Some (s, c) -> (s, Int64.to_string (Int64.bits_of_float c))
-    | None -> (-1, "")
-  in
-  Json.Obj
-    [
-      ("sample", Json.Int o.o_sample);
-      ("class", Json.Str (F.classification_name o.o_class));
-      ("static", Json.Int o.o_static);
-      ("record", Json.Str o.o_record);
-      ("lat_steps", Json.Int lat_steps);
-      ("lat_cycles_bits", Json.Str lat_bits);
-      ( "escape",
-        Json.Str
-          (match o.o_escape with
-          | Some e -> Propagation.escape_name e
-          | None -> "") );
-      ("steps", Json.Int o.o_steps);
-    ]
+(* A sample's wire line: the tag ["s"] and eight tab-separated fields —
+   sample, class, static site, steps, detection-latency steps (-1
+   without a latency), the latency's cycles as the 16 hex digits of
+   their IEEE-754 bits (empty without), escape name (empty without) and
+   the record JSON, written verbatim as the last field.  The latency
+   cycles are a float the parent re-sums in global order, so they cross
+   as their exact bit pattern: a decimal rendering could lose the low
+   bits that byte-identity across shard counts depends on.  JSON
+   escapes every tab and newline inside a string, so the record holds
+   neither. *)
+let add_hex64 buf bits =
+  for i = 15 downto 0 do
+    let d = Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15 in
+    Buffer.add_char buf (Char.unsafe_chr (if d < 10 then 48 + d else 87 + d))
+  done
+
+let tab buf = Buffer.add_char buf '\t'
+
+let write_sample buf (r : F.record) ~latency ~escape =
+  Buffer.add_char buf 's';
+  tab buf;
+  Json.add_int buf r.F.sample;
+  tab buf;
+  Buffer.add_string buf (F.classification_name r.F.r_class);
+  tab buf;
+  Json.add_int buf r.F.r_static_index;
+  tab buf;
+  Json.add_int buf r.F.steps;
+  tab buf;
+  (match latency with
+  | Some (steps, _) -> Json.add_int buf steps
+  | None -> Json.add_int buf (-1));
+  tab buf;
+  (match latency with
+  | Some (_, cycles) -> add_hex64 buf (Int64.bits_of_float cycles)
+  | None -> ());
+  tab buf;
+  (match escape with
+  | Some e -> Buffer.add_string buf (Propagation.escape_name e)
+  | None -> ());
+  tab buf;
+  F.write_record buf r
 
 let ( let* ) = Result.bind
 
-let sample_out_of_json (j : Json.t) : (sample_out, string) result =
-  let* o_sample = Json.int "sample" j in
-  let* cls = Json.str "class" j in
-  let* o_class =
-    match F.classification_of_name cls with
-    | Some c -> Ok c
-    | None -> Error (Fmt.str "sample_out: unknown class %S" cls)
-  in
-  let* o_static = Json.int "static" j in
-  let* o_record = Json.str "record" j in
-  let* lat_steps = Json.int "lat_steps" j in
-  let* lat_bits = Json.str "lat_cycles_bits" j in
-  let* o_latency =
-    if lat_steps < 0 then Ok None
+let int_field name s =
+  match int_of_string_opt s with
+  | Some i when s <> "" && (s.[0] = '-' || (s.[0] >= '0' && s.[0] <= '9')) ->
+    Ok i
+  | _ -> Error (Fmt.str "sample line: bad %s %S" name s)
+
+let read_sample line : (sample_out, string) result =
+  match String.split_on_char '\t' line with
+  | [ "s"; sample; cls; static; steps; lat_steps; lat_bits; esc; o_record ] ->
+    let* o_sample = int_field "sample" sample in
+    let* o_class =
+      match F.classification_of_name cls with
+      | Some c -> Ok c
+      | None -> Error (Fmt.str "sample line: unknown class %S" cls)
+    in
+    let* o_static = int_field "static site" static in
+    let* o_steps = int_field "steps" steps in
+    let* lat_steps = int_field "latency steps" lat_steps in
+    let* o_latency =
+      if lat_steps < 0 then
+        if lat_bits = "" then Ok None
+        else Error "sample line: latency bits without a latency"
+      else
+        match
+          if String.length lat_bits = 16 then
+            Int64.of_string_opt ("0x" ^ lat_bits)
+          else None
+        with
+        | Some bits -> Ok (Some (lat_steps, Int64.float_of_bits bits))
+        | None -> Error (Fmt.str "sample line: bad latency bits %S" lat_bits)
+    in
+    let* o_escape =
+      if esc = "" then Ok None
+      else
+        match Propagation.escape_of_name esc with
+        | Some e -> Ok (Some e)
+        | None -> Error (Fmt.str "sample line: unknown escape %S" esc)
+    in
+    (* the record must be whole and be this sample's *)
+    let head = Fmt.str "{\"sample\":%d," o_sample in
+    let n = String.length o_record and h = String.length head in
+    if n <= h || String.sub o_record 0 h <> head || o_record.[n - 1] <> '}'
+    then Error "sample line: truncated or foreign record"
     else
-      match Int64.of_string_opt lat_bits with
-      | Some bits -> Ok (Some (lat_steps, Int64.float_of_bits bits))
-      | None -> Error "sample_out: bad lat_cycles_bits"
-  in
-  let* esc = Json.str "escape" j in
-  let* o_escape =
-    if esc = "" then Ok None
-    else
-      match Propagation.escape_of_name esc with
-      | Some e -> Ok (Some e)
-      | None -> Error (Fmt.str "sample_out: unknown escape %S" esc)
-  in
-  let* o_steps = Json.int "steps" j in
-  Ok { o_sample; o_class; o_static; o_record; o_latency; o_escape; o_steps }
+      Ok { o_sample; o_class; o_static; o_record; o_latency; o_escape; o_steps }
+  | _ -> Error "sample line: not nine tab-separated fields"
 
 (* ------------------------------------------------------------------ *)
 (* Running a range.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one shard's samples in index order.  [traced] selects the
+(* Run one shard's samples in index order, handing each sample's record
+   and its wire line ({!write_sample}, rendered into one buffer reused
+   for the whole range) to [on_sample].  [traced] selects the
    lockstep-traced variant (vulnmap campaigns); the record stream is
    identical either way.  [assign] maps a global sample index to the
    static site the adaptive allocator aimed it at (negative = uniform,
    the default and the whole story for flat campaigns). *)
 let run_range ?(fault_bits = 1) ?(assign = fun _ -> -1) ~traced ~seed
     (t : F.target) (r : range) ~on_sample =
+  let line = Buffer.create 512 in
   for sample = r.lo to r.hi - 1 do
     let site = assign sample in
-    let out =
+    Buffer.clear line;
+    let record =
       if traced then begin
-        let cls, fault, record, summary =
+        let cls, _, record, summary =
           F.vulnmap_sample ~fault_bits ~site t ~seed ~sample
         in
         let latency =
@@ -133,30 +172,16 @@ let run_range ?(fault_bits = 1) ?(assign = fun _ -> -1) ~traced ~seed
           if cls = F.Sdc then Some (Propagation.explain_escape summary)
           else None
         in
-        {
-          o_sample = sample;
-          o_class = cls;
-          o_static = fault.F.static_index;
-          o_record = Json.to_string (F.record_to_json record);
-          o_latency = latency;
-          o_escape = escape;
-          o_steps = record.F.steps;
-        }
+        write_sample line record ~latency ~escape;
+        record
       end
       else begin
-        let cls, fault, record =
+        let _, _, record =
           F.campaign_sample ~fault_bits ~site t ~seed ~sample
         in
-        {
-          o_sample = sample;
-          o_class = cls;
-          o_static = fault.F.static_index;
-          o_record = Json.to_string (F.record_to_json record);
-          o_latency = None;
-          o_escape = None;
-          o_steps = record.F.steps;
-        }
+        write_sample line record ~latency:None ~escape:None;
+        record
       end
     in
-    on_sample out
+    on_sample record line
   done

@@ -9,7 +9,6 @@
 
 module F = Ferrum_faultsim.Faultsim
 module Propagation = Ferrum_telemetry.Propagation
-module Json = Ferrum_telemetry.Json
 
 (** Sample range [lo, hi). *)
 type range = { lo : int; hi : int }
@@ -20,11 +19,9 @@ val range_samples : range -> int
     ranges (clamped to [1, samples]; empty on [samples <= 0]). *)
 val plan : shards:int -> samples:int -> range array
 
-(** One sample's shard output: the serialized record line plus the
-    traced-campaign aggregation inputs.  Detection-latency cycles cross
-    process boundaries as exact IEEE-754 bit patterns so the parent's
-    re-summation in global order is bit-identical for any shard
-    count. *)
+(** One sample's shard output, as the parent reads it off its wire
+    line: the serialized record plus the traced-campaign aggregation
+    inputs. *)
 type sample_out = {
   o_sample : int;
   o_class : F.classification;
@@ -35,13 +32,32 @@ type sample_out = {
   o_steps : int;  (** logical-clock contribution *)
 }
 
-val sample_out_to_json : sample_out -> Json.t
-val sample_out_of_json : Json.t -> (sample_out, string) result
+(** [write_sample buf r ~latency ~escape] appends record [r]'s wire
+    line, without its newline: the tag ["s"], then tab-separated the
+    sample index, class name, static site, steps, detection-latency
+    steps ([-1] without a latency), the latency cycles' IEEE-754 bit
+    pattern as 16 hex digits (empty without) so the parent's re-summation
+    in global order is bit-identical for any shard count, the escape
+    name (empty without), and last the record rendered verbatim by
+    {!F.write_record}.  Only a non-integral cycle count allocates. *)
+val write_sample :
+  Buffer.t ->
+  F.record ->
+  latency:(int * float) option ->
+  escape:Propagation.escape option ->
+  unit
+
+(** Read a {!write_sample} line back without parsing the record:
+    [Error] on a missing or extra separator, a field that does not
+    parse, or a record that is truncated or names another sample. *)
+val read_sample : string -> (sample_out, string) result
 
 (** Run one shard's samples in index order; [traced] selects the
-    lockstep-traced (vulnmap) variant.  [assign] maps a global sample
-    index to the static site the adaptive allocator aimed it at
-    (negative = uniform draw; default). *)
+    lockstep-traced (vulnmap) variant.  [on_sample r line] receives each
+    record and its {!write_sample} line, in a buffer reused for the
+    whole range.  [assign] maps a global sample index to the static site
+    the adaptive allocator aimed it at (negative = uniform draw;
+    default). *)
 val run_range :
   ?fault_bits:int -> ?assign:(int -> int) -> traced:bool -> seed:int64 ->
-  F.target -> range -> on_sample:(sample_out -> unit) -> unit
+  F.target -> range -> on_sample:(F.record -> Buffer.t -> unit) -> unit

@@ -292,7 +292,7 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       pre;
       golden_output = out;
       golden_steps = steps;
-      golden_cycles = st.Machine.cycles;
+      golden_cycles = st.Machine.cycles.Machine.fv;
       golden_prov_cycles = prov_cycles;
       eligible_steps = !count;
       dyn_static = Array.sub !sites 0 !count;
@@ -382,42 +382,84 @@ type fault = {
   bit : int; (* first flipped bit *)
 }
 
-(* Draw [n] distinct values below [bound]. *)
+(* Destination names and structured views, built once: a campaign
+   sample looks its flipped destination up instead of formatting it. *)
+let size_slot = function Reg.B -> 0 | Reg.W -> 1 | Reg.D -> 2 | Reg.Q -> 3
+
+let gpr_dests =
+  let a = Array.make 64 ("", None) in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun s ->
+          a.((Reg.gpr_index r * 4) + size_slot s) <-
+            ("%" ^ Reg.gpr_name r s, Some (Igpr (r, s))))
+        Reg.[ B; W; D; Q ])
+    Reg.all_gprs;
+  a
+
+let simd_dests =
+  Array.init 128 (fun i ->
+      let x = i / 8 and lane = i mod 8 in
+      (Printf.sprintf "%%%s[%d]" (Reg.xmm_name x) lane, Some (Isimd (x, lane))))
+
+let flag_dest =
+  let dest f name = ("flags." ^ name, Some (Iflag f)) in
+  let zf = dest Cond.ZF "ZF" and sf = dest Cond.SF "SF"
+  and cf = dest Cond.CF "CF" and of_ = dest Cond.OF "OF" in
+  function Cond.ZF -> zf | Cond.SF -> sf | Cond.CF -> cf | Cond.OF -> of_
+
+(* The values {!distinct_below} drew, in draw order.  Bounds are at
+   most 64 (a register's bits), so it never overflows. *)
+let picks = Array.make 64 0
+
+(* Draw [n] distinct values below [bound] into [picks] (a repeat is
+   drawn again); returns how many, [min n bound]. *)
 let distinct_below rng ~n ~bound =
   let n = min n bound in
-  let rec go acc =
-    if List.length acc >= n then acc
-    else
-      let v = Rng.int rng bound in
-      if List.mem v acc then go acc else go (v :: acc)
-  in
-  go []
+  let k = ref 0 in
+  while !k < n do
+    let v = Rng.int rng bound in
+    let fresh = ref true in
+    for i = 0 to !k - 1 do
+      if picks.(i) = v then fresh := false
+    done;
+    if !fresh then begin
+      picks.(!k) <- v;
+      incr k
+    end
+  done;
+  n
 
 (* Flip [bits] distinct bits of the destination — the paper's model uses
    single flips; [bits > 1] reproduces its multiple-bit-upset future
-   work (DESIGN.md E11). *)
-let flip_dest ?(bits = 1) rng st (dest : Instr.dest) =
+   work (DESIGN.md E11).  The fault names the last bit drawn. *)
+let flip_dest ~bits rng st (dest : Instr.dest) ~dyn_index ~static_index =
   match dest with
   | Instr.Dgpr (r, s) ->
-    let positions = distinct_below rng ~n:bits ~bound:(Reg.size_bits s) in
-    List.iter (fun bit -> Machine.flip_gpr st r s ~bit) positions;
-    (Printf.sprintf "%%%s" (Reg.gpr_name r s), Igpr (r, s), List.hd positions)
+    let n = distinct_below rng ~n:bits ~bound:(Reg.size_bits s) in
+    for i = 0 to n - 1 do
+      Machine.flip_gpr st r s ~bit:picks.(i)
+    done;
+    let dest_desc, dest_info =
+      gpr_dests.((Reg.gpr_index r * 4) + size_slot s)
+    in
+    { dyn_index; static_index; dest_desc; dest_info; bit = picks.(n - 1) }
   | Instr.Dsimd (x, lanes) ->
     let lane = List.nth lanes (Rng.int rng (List.length lanes)) in
-    let positions = distinct_below rng ~n:bits ~bound:64 in
-    List.iter (fun bit -> Machine.flip_simd_lane st x ~lane ~bit) positions;
-    ( Printf.sprintf "%%%s[%d]" (Reg.xmm_name x) lane,
-      Isimd (x, lane),
-      List.hd positions )
+    let n = distinct_below rng ~n:bits ~bound:64 in
+    for i = 0 to n - 1 do
+      Machine.flip_simd_lane st x ~lane ~bit:picks.(i)
+    done;
+    let dest_desc, dest_info = simd_dests.((x * 8) + lane) in
+    { dyn_index; static_index; dest_desc; dest_info; bit = picks.(n - 1) }
   | Instr.Dflags flags ->
-    let picks = distinct_below rng ~n:bits ~bound:(List.length flags) in
-    List.iter (fun i -> Machine.flip_flag st (List.nth flags i)) picks;
-    let f = List.nth flags (List.hd picks) in
-    let name =
-      match f with
-      | Cond.ZF -> "ZF" | Cond.SF -> "SF" | Cond.CF -> "CF" | Cond.OF -> "OF"
-    in
-    (Printf.sprintf "flags.%s" name, Iflag f, 0)
+    let n = distinct_below rng ~n:bits ~bound:(List.length flags) in
+    for i = 0 to n - 1 do
+      Machine.flip_flag st (List.nth flags picks.(i))
+    done;
+    let dest_desc, dest_info = flag_dest (List.nth flags picks.(n - 1)) in
+    { dyn_index; static_index; dest_desc; dest_info; bit = 0 }
 
 let classify (t : target) = function
   | Machine.Exit out ->
@@ -442,8 +484,7 @@ let unreached_fault dyn_index =
 let apply_flip ~fault_bits (t : target) rng st ~dyn_index idx : fault =
   let dests = t.img.Machine.dests.(idx) in
   let d = List.nth dests (Rng.int rng (List.length dests)) in
-  let dest_desc, info, bit = flip_dest ~bits:fault_bits rng st d in
-  { dyn_index; static_index = idx; dest_desc; dest_info = Some info; bit }
+  flip_dest ~bits:fault_bits rng st d ~dyn_index ~static_index:idx
 
 (* The scratch path: run the target once from a fresh state, flipping
    one bit at the [dyn_index]-th eligible write-back.  [on_inject] is
@@ -494,15 +535,19 @@ module Propagation = Ferrum_telemetry.Propagation
    detection latency, escape timeline) alongside the classification.
    The scratch engine's traced path, and the oracle the fast one
    ({!inject_fast} [~traced:true]) is tested against. *)
-let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
-    classification * fault * Propagation.summary =
+let trace_full ?fault_bits (t : target) rng ~dyn_index =
   let tracer = Propagation.create t.pre t.img in
   let cls, fault, st =
     inject_full ?fault_bits
       ~on_inject:(Propagation.note_injection tracer)
       ~observe:(Propagation.observe tracer) t rng ~dyn_index
   in
-  (cls, fault, Propagation.finish tracer st)
+  (cls, fault, st, Propagation.finish tracer st)
+
+let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
+    classification * fault * Propagation.summary =
+  let cls, fault, _, s = trace_full ?fault_bits t rng ~dyn_index in
+  (cls, fault, s)
 
 (* ------------------------------------------------------------------ *)
 (* Fast injection: pooled states, unobserved prefix, checkpoints.      *)
@@ -522,13 +567,13 @@ let rec step_prefix (t : target) pre len st seen ~dyn_index =
     let ip = st.Machine.ip in
     if ip >= len || ip < 0 then
       Some (Machine.Crash (Printf.sprintf "control reached 0x%x" ip))
-    else if t.eligible.(ip) && !seen = dyn_index then None
+    else if t.eligible.(ip) && seen = dyn_index then None
     else
       match Predecode.step1 pre st with
       | exception Machine.Halt o -> Some o
       | exception Machine.Trap m -> Some (Machine.Crash m)
       | idx ->
-        if t.eligible.(idx) then incr seen;
+        let seen = if t.eligible.(idx) then seen + 1 else seen in
         step_prefix t pre len st seen ~dyn_index
 
 (* The block of [check_block] steps that holds the flip: the last [b]
@@ -536,13 +581,12 @@ let rec step_prefix (t : target) pre len st seen ~dyn_index =
    [eligible_upto.(0) = 0]). *)
 let flip_block (t : target) ~dyn_index =
   let e = t.eligible_upto in
-  let rec go lo hi =
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if e.(mid) <= dyn_index then go mid hi else go lo mid
-  in
-  go 0 (Array.length e)
+  let lo = ref 0 and hi = ref (Array.length e) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if e.(mid) <= dyn_index then lo := mid else hi := mid
+  done;
+  !lo
 
 (* Position the restored [st] at the flip site, as {!step_prefix} does.
    The prefix is the golden run, so up to the start of the flip's block
@@ -552,15 +596,12 @@ let flip_block (t : target) ~dyn_index =
    block's golden tally.  Only the rest, at most [check_block] steps,
    is single-stepped — all of it when the restored checkpoint already
    lies at or past the block start. *)
-let run_prefix (t : target) pre st seen ~dyn_index =
+let run_prefix (t : target) pre st ~seen ~dyn_index =
   let b = flip_block t ~dyn_index in
   let start = b * check_block and s0 = st.Machine.steps in
-  let forwarded =
-    if s0 >= start then Machine.Timeout
-    else begin
-      seen := t.eligible_upto.(b);
-      Predecode.exec ~fuel:start pre st
-    end
+  let forwarded, seen =
+    if s0 >= start then (Machine.Timeout, seen)
+    else (Predecode.exec ~fuel:start pre st, t.eligible_upto.(b))
   in
   t.phases.ph_forward_steps <-
     t.phases.ph_forward_steps + (st.Machine.steps - s0);
@@ -579,7 +620,7 @@ let end_as_golden (t : target) st =
   ph.ph_skipped_steps <- ph.ph_skipped_steps + skipped;
   ph.ph_suffix_steps <- ph.ph_suffix_steps - skipped;
   st.Machine.steps <- t.golden_steps;
-  st.Machine.cycles <- t.golden_cycles;
+  st.Machine.cycles.Machine.fv <- t.golden_cycles;
   Machine.Exit t.golden_output
 
 (* Run the post-flip suffix unobserved, in legs that end on the golden
@@ -590,18 +631,17 @@ let end_as_golden (t : target) st =
    the state {!Snapshot.converged} compares — so it ends there as the
    golden run does, with its output, steps and cycles.  Without
    checkpoints (the pooled engine) this is one plain leg. *)
-let run_suffix (t : target) pre sl st =
+let rec suffix_legs (t : target) pre sl st c =
   let cache = t.cache in
-  let n = Snapshot.ckpt_count cache in
-  let rec leg c =
-    if c >= n then Predecode.exec ~fuel:t.fuel pre st
-    else
-      match Predecode.exec ~fuel:(Snapshot.ckpt_steps cache c) pre st with
-      | Machine.Timeout when Snapshot.converged sl c -> end_as_golden t st
-      | Machine.Timeout -> leg (c + 1)
-      | o -> o
-  in
-  leg (Snapshot.next_ckpt cache ~steps:st.Machine.steps)
+  if c >= Snapshot.ckpt_count cache then Predecode.exec ~fuel:t.fuel pre st
+  else
+    match Predecode.exec ~fuel:(Snapshot.ckpt_steps cache c) pre st with
+    | Machine.Timeout when Snapshot.converged sl c -> end_as_golden t st
+    | Machine.Timeout -> suffix_legs t pre sl st (c + 1)
+    | o -> o
+
+let run_suffix (t : target) pre sl st =
+  suffix_legs t pre sl st (Snapshot.next_ckpt t.cache ~steps:st.Machine.steps)
 
 exception Traced_converged
 
@@ -667,13 +707,24 @@ let run_traced (t : target) pre tracer sl gsl st =
   | o -> o
   | exception Traced_converged -> converge_traced t pre tracer st
 
+(* Flip at the site [st] just retired and, traced, show the tracer the
+   flip and that retirement. *)
+let flip_at ~fault_bits t rng tracer st ~dyn_index idx =
+  let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
+  (match tracer with
+  | Some tr ->
+    Propagation.note_injection tr st;
+    Propagation.observe tr st idx
+  | None -> ());
+  fault
+
 (* {!inject_full}'s exact semantics on a pooled, checkpoint-restored
    state: restore the nearest checkpoint at or below the flip point, run
    the remaining prefix unobserved, execute the flip instruction, flip,
    and run the suffix ({!run_suffix}).  Steps, cycles and fuel all count
-   from program start because the restored checkpoint carries them, and
-   only the final steps and cycles of the pooled slot's state are
-   returned: once the suffix has converged nothing else in it is
+   from program start because the restored checkpoint carries them.
+   The pooled slot's state is returned, but only its final steps and
+   cycles count: once the suffix has converged nothing else in it is
    meaningful.
 
    [traced] gives {!trace_propagation}'s summary too, for less work.
@@ -689,60 +740,46 @@ let run_traced (t : target) pre tracer sl gsl st =
    it counts the remaining checkers off the golden tallies
    ({!converge_traced}) and finishes with the golden output, steps and
    cycles, the exit counted in [ph_converged]/[ph_skipped_steps]. *)
-let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
-    classification * fault * (int * float) * Propagation.summary option =
+let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index =
   let ph = t.phases in
   let sl = slot t in
-  let seen = ref (Snapshot.restore sl ~dyn_index) in
+  let seen = Snapshot.restore sl ~dyn_index in
   let st = Snapshot.state sl in
   let pre = t.pre in
   ph.ph_restores <- ph.ph_restores + 1;
   let s0 = st.Machine.steps in
-  let reached = run_prefix t pre st seen ~dyn_index in
+  let reached = run_prefix t pre st ~seen ~dyn_index in
   ph.ph_prefix_steps <- ph.ph_prefix_steps + (st.Machine.steps - s0);
-  let result cls fault tracer =
-    ( cls,
-      fault,
-      (st.Machine.steps, st.Machine.cycles),
-      Option.map (fun tr -> Propagation.finish tr st) tracer )
-  in
   match reached with
   | Some o ->
     (* Site unreached: a traced run never diverged, so its summary is
        that of a tracer that observed nothing. *)
-    result (classify t o) (unreached_fault dyn_index)
-      (if traced then Some (Propagation.create t.pre t.img) else None)
+    let summary =
+      if not traced then None
+      else Some (Propagation.finish (Propagation.create t.pre t.img) st)
+    in
+    (classify t o, unreached_fault dyn_index, st, summary)
   | None ->
     let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
-    let lockstep =
+    let tracer =
       if not traced then None
       else begin
         let gsl = golden_slot t in
         ignore (Snapshot.restore gsl ~dyn_index : int);
         ph.ph_restores <- ph.ph_restores + 1;
         Snapshot.sync ~src:sl gsl;
-        Some (gsl, Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
+        Some (Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
       end
     in
-    let tracer = Option.map snd lockstep in
     let idx = st.Machine.ip in
-    let flip () =
-      let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
-      Option.iter
-        (fun tr ->
-          Propagation.note_injection tr st;
-          Propagation.observe tr st idx)
-        tracer;
-      fault
-    in
     let cls, fault =
       match Predecode.step1 pre st with
       | _retired ->
-        let fault = flip () in
+        let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
         let outcome =
-          match lockstep with
+          match tracer with
           | None -> run_suffix t pre sl st
-          | Some (gsl, tr) -> run_traced t pre tr sl gsl st
+          | Some tr -> run_traced t pre tr sl (golden_slot t) st
         in
         (classify t outcome, fault)
       | exception Machine.Halt o ->
@@ -750,7 +787,7 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
            destinations, so they are never eligible — but mirror
            {!Predecode.exec_observed}, whose observer fires on the
            halting step. *)
-        let fault = flip () in
+        let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
         (classify t o, fault)
       | exception Machine.Trap m ->
         (* A trapped step is never observed by {!Predecode.exec_observed}:
@@ -759,20 +796,26 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index :
     in
     ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps () - f0);
     ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
-    result cls fault tracer
+    let summary =
+      match tracer with
+      | Some tr -> Some (Propagation.finish tr st)
+      | None -> None
+    in
+    (cls, fault, st, summary)
 
 (* One sample on the target's engine — the only place that dispatches
-   on it.  Returns the class, the fault, the run's final steps and
-   cycles and, when [traced], the propagation summary. *)
+   on it.  Returns the class, the fault, the run's final state (its
+   steps and cycles are the record's) and, when [traced], the
+   propagation summary. *)
 let run_sample ~traced ~fault_bits (t : target) rng ~dyn_index =
   match t.engine with
   | Pooled | Checkpointed _ -> inject_fast ~traced ~fault_bits t rng ~dyn_index
   | Scratch when traced ->
-    let cls, fault, s = trace_propagation ~fault_bits t rng ~dyn_index in
-    (cls, fault, (s.Propagation.end_steps, s.Propagation.end_cycles), Some s)
+    let cls, fault, st, s = trace_full ~fault_bits t rng ~dyn_index in
+    (cls, fault, st, Some s)
   | Scratch ->
     let cls, fault, st = inject_full ~fault_bits t rng ~dyn_index in
-    (cls, fault, (st.Machine.steps, st.Machine.cycles), None)
+    (cls, fault, st, None)
 
 let inject ?(fault_bits = 1) (t : target) rng ~dyn_index :
     classification * fault =
@@ -841,6 +884,40 @@ let record_to_json r =
       ("cycles", Json.Float r.cycles);
     ]
 
+(* [Json.to_string (record_to_json r)], appended to [buf] without
+   building the tree: a campaign worker renders every record it ships
+   this way, into one buffer it reuses. *)
+let write_record buf r =
+  let dest_kind, dest_reg, dest_lane, dest_flag = dest_info_fields r.r_dest in
+  let add = Buffer.add_string in
+  add buf "{\"sample\":";
+  Json.add_int buf r.sample;
+  add buf ",\"dyn_index\":";
+  Json.add_int buf r.r_dyn_index;
+  add buf ",\"static_index\":";
+  Json.add_int buf r.r_static_index;
+  add buf ",\"opcode\":";
+  Json.add_string buf r.opcode;
+  add buf ",\"dest\":";
+  Json.add_string buf r.dest;
+  add buf ",\"dest_kind\":";
+  Json.add_string buf dest_kind;
+  add buf ",\"dest_reg\":";
+  Json.add_int buf dest_reg;
+  add buf ",\"dest_lane\":";
+  Json.add_int buf dest_lane;
+  add buf ",\"dest_flag\":";
+  Json.add_int buf dest_flag;
+  add buf ",\"bit\":";
+  Json.add_int buf r.r_bit;
+  add buf ",\"class\":";
+  Json.add_string buf (classification_name r.r_class);
+  add buf ",\"steps\":";
+  Json.add_int buf r.steps;
+  add buf ",\"cycles\":";
+  Json.add_float buf r.cycles;
+  Buffer.add_char buf '}'
+
 (* Schema of one record line, for `ferrum metrics` and the smoke
    check. *)
 let record_fields =
@@ -867,10 +944,10 @@ let metrics_kind = "ferrum.injection.v2"
 (* Campaign samples.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The record of one injected run, shared by the plain and the traced
-   campaign paths (a traced run's [end_steps]/[end_cycles] are the final
-   state's, so both paths render byte-identical record streams). *)
-let make_record (t : target) ~sample cls (fault : fault) ~steps ~cycles :
+(* The record of one injected run, from its final state [st], shared by
+   the plain and the traced campaign paths, so both render
+   byte-identical record streams. *)
+let make_record (t : target) ~sample cls (fault : fault) (st : Machine.state) :
     record =
   let opcode =
     if fault.static_index < 0 then "?"
@@ -885,8 +962,8 @@ let make_record (t : target) ~sample cls (fault : fault) ~steps ~cycles :
     r_dest = fault.dest_info;
     r_bit = fault.bit;
     r_class = cls;
-    steps;
-    cycles;
+    steps = st.Machine.steps;
+    cycles = st.Machine.cycles.Machine.fv;
   }
 
 (* Where sample [site] aims: uniform over all eligible dynamic
@@ -915,10 +992,10 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     classification * fault * record =
   let rng = Rng.split_at ~seed sample in
   let dyn_index = sample_dyn_index t rng ~site in
-  let cls, fault, (steps, cycles), _ =
+  let cls, fault, st, _ =
     run_sample ~traced:false ~fault_bits t rng ~dyn_index
   in
-  (cls, fault, make_record t ~sample cls fault ~steps ~cycles)
+  (cls, fault, make_record t ~sample cls fault st)
 
 (* SDC coverage of a protected program relative to the raw baseline
    (paper §IV-A3): (SDC_raw - SDC_prot) / SDC_raw. *)
@@ -963,13 +1040,10 @@ let vulnmap_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     classification * fault * record * Propagation.summary =
   let rng = Rng.split_at ~seed sample in
   let dyn_index = sample_dyn_index t rng ~site in
-  let cls, fault, (steps, cycles), summary =
+  let cls, fault, st, summary =
     run_sample ~traced:true ~fault_bits t rng ~dyn_index
   in
-  ( cls,
-    fault,
-    make_record t ~sample cls fault ~steps ~cycles,
-    Option.get summary )
+  (cls, fault, make_record t ~sample cls fault st, Option.get summary)
 
 (* Vulnerability-map aggregation, one traced sample at a time, fed by
    a campaign's merge step in global sample order: detection-latency

@@ -244,6 +244,10 @@ type record = {
 
 val record_to_json : record -> Ferrum_telemetry.Json.t
 
+(** [Json.to_string (record_to_json r)], appended to a buffer without
+    building the tree; what campaign workers ship. *)
+val write_record : Buffer.t -> record -> unit
+
 (** Schema of one record line, for `ferrum metrics` and the smoke
     check. *)
 val record_fields : Ferrum_telemetry.Metrics.field list

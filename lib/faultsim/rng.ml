@@ -1,21 +1,29 @@
 (* Deterministic splitmix64 PRNG.  All randomness in fault-injection
    campaigns flows through one of these, seeded explicitly, so every
-   experiment in EXPERIMENTS.md is reproducible bit-for-bit. *)
+   experiment in EXPERIMENTS.md is reproducible bit-for-bit.
 
-type t = { mutable state : int64 }
+   The state is eight bytes read and written as one int64: unlike a
+   [mutable] int64 record field, which boxes every update, a draw then
+   allocates nothing. *)
 
-let create ~seed = { state = seed }
+type t = Bytes.t
+
+let[@inline] create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 (* Uniform integer in [0, bound). *)
 let int t bound =

@@ -55,7 +55,7 @@ exception Trap of string
 
 exception Halt of outcome
 
-let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
+let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Loading: flatten blocks, resolve labels and calls.                  *)
@@ -152,6 +152,12 @@ let blit_regfile (src : regfile) (dst : regfile) = Bigarray.Array1.blit src dst
 let dump_regfile (r : regfile) =
   Array.init (Bigarray.Array1.dim r) (Bigarray.Array1.get r)
 
+(* A record whose fields are all [float] is stored flat, so
+   [c.fv <- c.fv +. cost] neither allocates nor takes the write barrier
+   (a [mutable] float field of the mixed-field [state] would box every
+   update). *)
+type fcell = { mutable fv : float }
+
 type state = {
   gpr : regfile; (* 16 *)
   simd : regfile; (* 16 registers x 8 lanes (ZMM width) *)
@@ -161,7 +167,7 @@ type state = {
   mutable off : bool; (* OF *)
   mem : Bytes.t;
   mutable ip : int;
-  mutable cycles : float;
+  cycles : fcell; (* owned by this state: copied by value, never shared *)
   mutable steps : int;
   mutable out_rev : int64 list;
   mutable track : track option;
@@ -205,7 +211,7 @@ let fresh_state (img : image) =
       off = false;
       mem = Bytes.make img.mem_size '\000';
       ip = img.entry_ip;
-      cycles = 0.0;
+      cycles = { fv = 0.0 };
       steps = 0;
       out_rev = [];
       track = None;
@@ -228,7 +234,7 @@ let reset_regs ~from:(src : state) st =
   st.cf <- src.cf;
   st.off <- src.off;
   st.ip <- src.ip;
-  st.cycles <- src.cycles;
+  st.cycles.fv <- src.cycles.fv;
   st.steps <- src.steps;
   st.out_rev <- src.out_rev
 

@@ -86,7 +86,14 @@ val blit_regfile : regfile -> regfile -> unit
 (** Plain-array snapshot, for tests and display code. *)
 val dump_regfile : regfile -> int64 array
 
-(** Architectural state.  [simd] is indexed [reg * 8 + lane]. *)
+(** An unboxed float cell: an all-float record is stored flat, so
+    updating [fv] neither allocates nor takes the write barrier. *)
+type fcell = { mutable fv : float }
+
+(** Architectural state.  [simd] is indexed [reg * 8 + lane].  The
+    cycle count lives in its own {!fcell}, which every instruction
+    updates in place; states never share one ({!fresh_state},
+    {!reset_regs} and checkpoints copy the value). *)
 type state = {
   gpr : regfile;
   simd : regfile;
@@ -96,7 +103,7 @@ type state = {
   mutable off : bool;
   mem : Bytes.t;
   mutable ip : int;
-  mutable cycles : float;
+  cycles : fcell;
   mutable steps : int;
   mutable out_rev : int64 list;
   mutable track : track option;
@@ -148,7 +155,7 @@ val effective_address : state -> Instr.mem -> int64
     differential tests against the reference interpreter check. *)
 
 (** Raise {!Trap} with a formatted message. *)
-val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
+val trap : ('a, unit, string, 'b) format4 -> 'a
 
 val mask_of_size : Reg.size -> int64
 val sign_extend : int64 -> Reg.size -> int64

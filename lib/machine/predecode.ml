@@ -34,9 +34,10 @@
    ([flags_add], [flags_sub], [flags_logic]) and the 8-bit SUB rule
    ([flags_sub8]) with its byte operands ([source8], [dest8]), the
    256-bit [vptest] reduction ([vptest256]), the n-lane xor and test of
-   the 512-bit arms ([xor_lanes], [test_lanes]), a conditional branch
-   to a target or to the detector ([jcc]) and the fused-pair fuel check
-   and epilogue ([check_fuel], [chain]).  They live in this file,
+   the 512-bit arms ([xor_lanes], [test_lanes]), the stack push and pop
+   ([push64], [pop64]), a conditional branch to a target or to the
+   detector ([jcc]) and the fused-pair fuel check and epilogue
+   ([check_fuel], [chain]).  They live in this file,
    not in {!Machine}, because the dev profile compiles with [-opaque]:
    a call into another module is never inlined, and a helper that is
    not inlined receives its int64 arguments boxed.  Inlined, each one
@@ -53,12 +54,11 @@
      loads, ALU, flag predicates, the store — stays in machine registers;
      int64 comparisons ([=], [<], [Int64.equal], [Int64.compare]) are
      specialized by the compiler and never box.
-   - Cycles accumulate into an unboxed one-field float record owned by
-     the decoded program ([t.cyc]) rather than the boxed
-     [state.cycles] field; every entry point seeds it from [state.cycles]
-     and writes it back on exit (and around every observer call), so the
-     architectural field holds the bit-identical float sum whenever
-     anyone can look.
+   - Cycles accumulate into the state's unboxed float cell
+     ({!Machine.fcell}), updated in place by every retirement, so no loop
+     boxes a float and a decode holds no per-run state besides its fuel
+     bound: any number of states (an injected run and its lockstep golden
+     replica) can step through one decode.
 
    Superinstruction fusion is a pure dispatch optimization: a fused thunk
    at index [i] executes instructions [i] and [i+1] with per-instruction
@@ -91,12 +91,6 @@ open Prims
 
 let little_endian = not Sys.big_endian
 
-(* Unboxed cycle accumulator: a record whose fields are all [float] is
-   stored flat, so [cyc.fv <- cyc.fv +. cost] neither allocates nor
-   takes the write barrier (unlike the boxed [state.cycles] field of the
-   mixed-field [Machine.state]). *)
-type facc = { mutable fv : float }
-
 type t = {
   thunks : (Machine.state -> unit) array; (* standalone, one per index *)
   specialized : bool array; (* thunk built by [fast_thunk], per index *)
@@ -105,7 +99,6 @@ type t = {
   n_fused : int; (* number of fused pair starts *)
   pattern_counts : (string * int) list; (* per-pattern static pair count *)
   fuel : int ref; (* fuel bound of the current {!exec} run *)
-  cyc : facc; (* cycle accumulator the thunks write *)
 }
 
 (* Raised by a fused thunk when fuel runs out between its two halves. *)
@@ -246,8 +239,9 @@ let mk_cond (c : Cond.t) : Machine.state -> bool =
 (* ------------------------------------------------------------------ *)
 
 (* The step preamble: charge the cycle cost, count the step, set [ip]. *)
-let[@inline] retire cyc cost (st : Machine.state) ip =
-  cyc.fv <- cyc.fv +. cost;
+let[@inline] retire cost (st : Machine.state) ip =
+  let c = st.Machine.cycles in
+  c.Machine.fv <- c.Machine.fv +. cost;
   st.Machine.steps <- st.Machine.steps + 1;
   st.Machine.ip <- ip
 
@@ -382,6 +376,26 @@ let[@inline] test_lanes (st : Machine.state) s n a8 b8 =
   st.Machine.sf <- false;
   st.Machine.off <- false
 
+let rsp_i = Reg.gpr_index Reg.RSP
+
+(* [Machine.push] and [Machine.pop] over the guarded native-endian
+   accessors: RSP moves before the store's bounds check, and only after
+   the load's. *)
+let[@inline] push64 (st : Machine.state) v =
+  let g = st.Machine.gpr in
+  let sp = Int64.sub (bget g rsp_i) 8L in
+  bset g rsp_i sp;
+  let a = guard st sp 8 in
+  Machine.mark_dirty st a 8;
+  b_set64u st.Machine.mem a v
+
+let[@inline] pop64 (st : Machine.state) =
+  let g = st.Machine.gpr in
+  let sp = bget g rsp_i in
+  let v = b_get64u st.Machine.mem (guard st sp 8) in
+  bset g rsp_i (Int64.add sp 8L);
+  v
+
 (* Between the halves of a fused pair: stop if the first used the last
    of the fuel. *)
 let[@inline] check_fuel fuel (st : Machine.state) =
@@ -408,9 +422,9 @@ let detected = Machine.Halt Machine.Detected
 (* A whole jcc step over a [jcc_target] link: a taken branch to the
    detector retires (falling through, like the generic body) and then
    halts the run. *)
-let[@inline] jcc cyc cost ck ev t next (st : Machine.state) =
+let[@inline] jcc cost ck ev t next (st : Machine.state) =
   let tk = taken ck ev st in
-  retire cyc cost st (if tk && t >= 0 then t else next);
+  retire cost st (if tk && t >= 0 then t else next);
   if tk && t < 0 then raise detected
 
 (* The fused-pair epilogue: count both steps, then tail-call the thunk
@@ -428,15 +442,16 @@ let[@inline] chain fuel fused len (st : Machine.state) =
 (* Fully-specialized thunks for the catalogue's hottest shapes: 64-bit
    moves and ALU (including memory operands, with the effective address
    and the end-of-memory guard expanded inline), byte moves to and from
-   memory and byte compares, the SIMD duplicate/check ops the
-   protection transforms emit, resolved jumps and conditional branches
-   (the branch to the detector included), [lea], [set], immediate
-   shifts.  Each arm is one closure built from
-   the inlined rules above — the preamble, its operand dataflow and its
-   flag rule — so a retired instruction is one closure call with no
-   allocation.  Everything else goes through the generic composed body
-   below.  [None] means "no fast shape". *)
-let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
+   memory and between registers, byte compares, the SIMD duplicate/check
+   ops the protection transforms emit, resolved jumps and conditional
+   branches (the branch to the detector included), [lea], [set],
+   immediate shifts, calls, returns, [push], [pop], [cqto] and [idiv].
+   Each arm is one closure built from the inlined rules above — the
+   preamble, its operand dataflow and its flag rule — so a retired
+   instruction is one closure call with no allocation.  Everything else
+   goes through the generic composed body below.  [None] means "no fast
+   shape". *)
+let fast_thunk ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     (Machine.state -> unit) option =
   match op with
   | Instr.Mov (Reg.Q, src, Instr.Reg d) -> (
@@ -445,13 +460,13 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           bset st.Machine.gpr di v)
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           bset g di (bget g ri))
     | Instr.Mem m ->
@@ -460,7 +475,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let a = guard st (ea g bi xi sc disp) 8 in
             bset g di (b_get64u st.Machine.mem a)))
@@ -472,7 +487,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Imm v ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             Machine.mark_dirty st a 8;
             b_set64u st.Machine.mem a v)
@@ -480,7 +495,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let ri = Reg.gpr_index r in
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let a = guard st (ea g bi xi sc disp) 8 in
             Machine.mark_dirty st a 8;
@@ -493,7 +508,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let iv8 = low8 iv and bi, xi, sc, disp = addr_parts m in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let a = guard st (ea g bi xi sc disp) 1 in
           Machine.mark_dirty st a 1;
@@ -503,19 +518,32 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let bi, xi, sc, disp = addr_parts m in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         let g = st.Machine.gpr in
         let v = load8 st (guard st (ea g bi xi sc disp) 1) in
         bset g di
           (Int64.logor
              (Int64.logand (bget g di) (Int64.lognot 0xFFL))
              (Int64.of_int v)))
+  | Instr.Mov (Reg.B, src, Instr.Reg d) -> (
+    match reg_or_imm src with
+    | None -> None
+    | Some (si, iv) ->
+      let di = Reg.gpr_index d and iv8 = low8 iv in
+      Some
+        (fun st ->
+          retire cost st next;
+          let g = st.Machine.gpr in
+          bset g di
+            (Int64.logor
+               (Int64.logand (bget g di) (Int64.lognot 0xFFL))
+               (Int64.of_int (source8 g si iv8)))))
   | Instr.Lea (m, d) ->
     let di = Reg.gpr_index d in
     let bi, xi, sc, disp = addr_parts m in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         let g = st.Machine.gpr in
         bset g di (ea g bi xi sc disp))
   | Instr.Alu (aop, Reg.Q, src, Instr.Reg d) -> (
@@ -529,7 +557,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Add ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let a = bget g di and b = source g si iv in
             let res = Int64.add a b in
@@ -538,7 +566,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Sub ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let a = bget g di and b = source g si iv in
             let res = Int64.sub a b in
@@ -547,7 +575,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Imul ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let res = Int64.mul (bget g di) (source g si iv) in
             flags_logic st res;
@@ -555,7 +583,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.And ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let res = Int64.logand (bget g di) (source g si iv) in
             flags_logic st res;
@@ -563,7 +591,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Or ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let res = Int64.logor (bget g di) (source g si iv) in
             flags_logic st res;
@@ -571,7 +599,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Xor ->
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let res = Int64.logxor (bget g di) (source g si iv) in
             flags_logic st res;
@@ -582,14 +610,14 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm iv ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let a = bget st.Machine.gpr di in
           flags_sub st a iv (Int64.sub a iv))
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let a = bget g di and b = bget g ri in
           flags_sub st a b (Int64.sub a b))
@@ -599,7 +627,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let g = st.Machine.gpr in
             let a = bget g di in
             let b = b_get64u st.Machine.mem (guard st (ea g bi xi sc disp) 8) in
@@ -610,7 +638,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let iv8 = low8 iv in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           flags_sub8 st (dest8 st g di bi xi sc disp) (source8 g si iv8))
     | _ -> None)
@@ -621,7 +649,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Some (si, iv) ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           flags_logic st (Int64.logand (bget g di) (source g si iv))))
   | Instr.Set (c, Instr.Reg d) ->
@@ -629,7 +657,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let ev = mk_cond c in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.logor
@@ -639,7 +667,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let ri = Reg.gpr_index r and di = Reg.gpr_index d in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.shift_right (Int64.shift_left (bget g ri) 32) 32))
@@ -650,7 +678,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let bi, xi, sc, disp = addr_parts m in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let a = guard st (ea g bi xi sc disp) 4 in
           bset g di (Int64.of_int32 (b_get32u st.Machine.mem a)))
@@ -661,7 +689,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Shl ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_left (bget g di) n in
           flags_logic st res;
@@ -669,7 +697,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Sar ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right (bget g di) n in
           flags_logic st res;
@@ -677,20 +705,20 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Shr ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right_logical (bget g di) n in
           flags_logic st res;
           bset g di res))
   | Instr.Jmp _ -> (
     match img.Machine.links.(ip) with
-    | Machine.L_target t -> Some (fun st -> retire cyc cost st t)
+    | Machine.L_target t -> Some (fun st -> retire cost st t)
     | _ -> None)
   | Instr.Jcc (c, _) -> (
     match jcc_target img ip with
     | Some t ->
       let ck = cond_kind c and ev = mk_cond c in
-      Some (fun st -> jcc cyc cost ck ev t next st)
+      Some (fun st -> jcc cost ck ev t next st)
     | None -> None)
   | Instr.MovQ_to_xmm (src, x) -> (
     let x8 = x * 8 in
@@ -698,7 +726,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let s = st.Machine.simd in
           bset s x8 v;
           bset s (x8 + 1) 0L)
@@ -706,7 +734,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           let s = st.Machine.simd in
           bset s x8 (bget st.Machine.gpr ri);
           bset s (x8 + 1) 0L)
@@ -716,7 +744,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             let s = st.Machine.simd in
             bset s x8 (b_get64u st.Machine.mem a);
@@ -725,7 +753,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let x8 = x * 8 and di = Reg.gpr_index r in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         bset st.Machine.gpr di (bget st.Machine.simd x8))
   | Instr.Pinsrq (lane, src, x) -> (
     let li = (x * 8) + lane in
@@ -734,7 +762,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          retire cyc cost st next;
+          retire cost st next;
           bset st.Machine.simd li (bget st.Machine.gpr ri))
     | Instr.Psrc_mem m ->
       if not little_endian then None
@@ -742,14 +770,14 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            retire cyc cost st next;
+            retire cost st next;
             let a = guard st (ea st.Machine.gpr bi xi sc disp) 8 in
             bset st.Machine.simd li (b_get64u st.Machine.mem a)))
   | Instr.Pextrq (lane, x, r) ->
     let li = (x * 8) + lane and di = Reg.gpr_index r in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         bset st.Machine.gpr di (bget st.Machine.simd li))
   | Instr.Vinserti128 (half, sx, ax, dx) ->
     (* The half selector is a decode-time constant, so the four source
@@ -762,7 +790,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let h1 = h0 + 1 in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         let s = st.Machine.simd in
         let lo0 = bget s l0 in
         let lo1 = bget s l1 in
@@ -776,26 +804,92 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         vpxor256 st.Machine.simd a8 b8 d8)
   | Instr.Vptest (ax, bx) ->
     let a8 = ax * 8 and b8 = bx * 8 in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         vptest256 st st.Machine.simd a8 b8)
   | Instr.Vpxorq512 (ax, bx, dx) ->
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         xor_lanes st.Machine.simd 8 a8 b8 d8)
   | Instr.Vptestmq512 (ax, bx) ->
     let a8 = ax * 8 and b8 = bx * 8 in
     Some
       (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         test_lanes st st.Machine.simd 8 a8 b8)
+  | Instr.Call _ when little_endian -> (
+    match img.Machine.links.(ip) with
+    | Machine.L_call entry ->
+      let ra = Int64.of_int next in
+      Some
+        (fun st ->
+          retire cost st next;
+          push64 st ra;
+          st.Machine.ip <- entry)
+    | _ -> None)
+  | Instr.Ret when little_endian ->
+    let halt_ip = img.Machine.halt_ip in
+    let len = Array.length img.Machine.code in
+    Some
+      (fun st ->
+        retire cost st next;
+        let ra = Int64.to_int (pop64 st) in
+        if ra = halt_ip then
+          raise (Machine.Halt (Machine.Exit (Machine.output st)))
+        else if ra < 0 || ra >= len then Machine.trap "wild return to %d" ra
+        else st.Machine.ip <- ra)
+  (* one closure per source kind: a [source] read of either would box
+     the pushed value *)
+  | Instr.Push (Instr.Reg r) when little_endian ->
+    let ri = Reg.gpr_index r in
+    Some
+      (fun st ->
+        retire cost st next;
+        push64 st (bget st.Machine.gpr ri))
+  | Instr.Push (Instr.Imm v) when little_endian ->
+    Some
+      (fun st ->
+        retire cost st next;
+        push64 st v)
+  | Instr.Pop r when little_endian ->
+    let di = Reg.gpr_index r in
+    Some
+      (fun st ->
+        retire cost st next;
+        let v = pop64 st in
+        bset st.Machine.gpr di v)
+  | Instr.Cqto ->
+    let rax = Reg.gpr_index Reg.RAX and rdx = Reg.gpr_index Reg.RDX in
+    Some
+      (fun st ->
+        retire cost st next;
+        let g = st.Machine.gpr in
+        bset g rdx (Int64.shift_right (bget g rax) 63))
+  | Instr.Idiv (Reg.Q, src) -> (
+    (* a corrupted RDX (not RAX's sign extension) is the divide
+       error: the quotient of RDX:RAX would not fit in 64 bits *)
+    let rax = Reg.gpr_index Reg.RAX and rdx = Reg.gpr_index Reg.RDX in
+    match reg_or_imm src with
+    | None -> None
+    | Some (si, iv) ->
+      Some
+        (fun st ->
+          retire cost st next;
+          let g = st.Machine.gpr in
+          let d = source g si iv in
+          if Int64.equal d 0L then Machine.trap "divide by zero";
+          let a = bget g rax in
+          if not (Int64.equal (bget g rdx) (Int64.shift_right a 63)) then
+            Machine.trap "divide overflow";
+          bset g rax (Int64.div a d);
+          bset g rdx (Int64.rem a d)))
   | _ -> None
 
 (* Generic body: operand closures resolved at decode time.  Evaluation
@@ -953,10 +1047,6 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
   | Instr.Pop r ->
     let wr = mk_write_gpr Reg.Q r in
     fun st -> wr st (Machine.pop st)
-  | Instr.Cqto ->
-    let rax = Reg.gpr_index Reg.RAX and rdx = Reg.gpr_index Reg.RDX in
-    fun st ->
-      bset st.Machine.gpr rdx (Int64.shift_right (bget st.Machine.gpr rax) 63)
   | Instr.Idiv (s, src) ->
     if s <> Reg.Q then fun _ ->
       Machine.trap "idiv: only 64-bit division is supported"
@@ -1010,10 +1100,11 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
       Machine.set_simd_lane st d 1 lo1;
       Machine.set_simd_lane st d 2 hi0;
       Machine.set_simd_lane st d 3 hi1
-  | Instr.Vpxor _ | Instr.Vpxorq512 _ | Instr.Vptest _ | Instr.Vptestmq512 _ ->
-    (* [fast_thunk] claims every instance of these four on every host:
+  | Instr.Cqto | Instr.Vpxor _ | Instr.Vpxorq512 _ | Instr.Vptest _
+  | Instr.Vptestmq512 _ ->
+    (* [fast_thunk] claims every instance of these five on every host:
        its arms are their only definition. *)
-    invalid_arg "Predecode.mk_body: SIMD xor/test is built by fast_thunk"
+    invalid_arg "Predecode.mk_body: fast_thunk builds cqto and SIMD xor/test"
   | Instr.Vinserti64x4 (half, src, a, d) ->
     fun st ->
       (* read everything first: src/a may alias d *)
@@ -1029,16 +1120,16 @@ let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
       done
 
 (* The thunk for [ip], and whether [fast_thunk] specialized it. *)
-let mk_thunk cyc (img : Machine.image) ip : (Machine.state -> unit) * bool =
+let mk_thunk (img : Machine.image) ip : (Machine.state -> unit) * bool =
   let cost = img.Machine.costs.(ip) in
   let next = ip + 1 in
   let op = img.Machine.code.(ip).Instr.op in
-  match fast_thunk cyc ~cost ~next img ip op with
+  match fast_thunk ~cost ~next img ip op with
   | Some t -> (t, true)
   | None ->
     let body = mk_body img ip op in
     ( (fun st ->
-        retire cyc cost st next;
+        retire cost st next;
         body st),
       false )
 
@@ -1052,7 +1143,7 @@ let mk_thunk cyc (img : Machine.image) ip : (Machine.state -> unit) * bool =
    cost, step count, [ip] update, then the body — so a trap or fuel
    timeout between the halves leaves the same architectural state
    single-stepping would. *)
-let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
+let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
     len (img : Machine.image) ip : (Machine.state -> unit) option =
   let c1 = img.Machine.costs.(ip) and c2 = img.Machine.costs.(ip + 1) in
   let n1 = ip + 1 and n2 = ip + 2 in
@@ -1066,11 +1157,11 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
     let t8 = tx * 8 and u8 = ty * 8 in
     Some
       (fun st ->
-        retire cyc c1 st n1;
+        retire c1 st n1;
         let s = st.Machine.simd in
         vpxor256 s a8 b8 d8;
         check_fuel fuel st;
-        retire cyc c2 st n2;
+        retire c2 st n2;
         vptest256 st s t8 u8;
         chain fuel fused len st)
   | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
@@ -1082,10 +1173,10 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
       let ck = cond_kind c and ev = mk_cond c in
       Some
         (fun st ->
-          retire cyc c1 st n1;
+          retire c1 st n1;
           vptest256 st st.Machine.simd a8 b8;
           check_fuel fuel st;
-          jcc cyc c2 ck ev t n2 st;
+          jcc c2 ck ev t n2 st;
           chain fuel fused len st)
     | None -> None)
   | Instr.Cmp (Reg.B, src, dst), Instr.Jcc (c, _) -> (
@@ -1095,11 +1186,11 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
       let ck = cond_kind c and ev = mk_cond c in
       Some
         (fun st ->
-          retire cyc c1 st n1;
+          retire c1 st n1;
           let g = st.Machine.gpr in
           flags_sub8 st (dest8 st g di bi xi sc disp) (source8 g si iv8);
           check_fuel fuel st;
-          jcc cyc c2 ck ev t n2 st;
+          jcc c2 ck ev t n2 st;
           chain fuel fused len st)
     | _ -> None)
   | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
@@ -1109,12 +1200,12 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
       let ck = cond_kind c and ev = mk_cond c in
       Some
         (fun st ->
-          retire cyc c1 st n1;
+          retire c1 st n1;
           let g = st.Machine.gpr in
           let a = bget g di and b = source g si iv in
           flags_sub st a b (Int64.sub a b);
           check_fuel fuel st;
-          jcc cyc c2 ck ev t n2 st;
+          jcc c2 ck ev t n2 st;
           chain fuel fused len st)
     | _ -> None)
   | _ -> None
@@ -1236,8 +1327,7 @@ let patterns =
 
 let decode ?avoid (img : Machine.image) : t =
   let len = Array.length img.Machine.code in
-  let cyc = { fv = 0.0 } in
-  let made = Array.init len (mk_thunk cyc img) in
+  let made = Array.init len (mk_thunk img) in
   let thunks = Array.map fst made in
   (* Join points: indices where control can enter other than by falling
      through from the previous instruction.  Fusion is bypassed when the
@@ -1272,7 +1362,7 @@ let decode ?avoid (img : Machine.image) : t =
         fused_name.(ip) <- p.p_name;
         incr n_fused;
         incr (List.assoc p.p_name counts);
-        (match fuse_pair cyc fuel fused len img ip with
+        (match fuse_pair fuel fused len img ip with
         | Some flat -> fused.(ip) <- flat
         | None ->
           let t1 = thunks.(ip) and t2 = thunks.(ip + 1) in
@@ -1291,7 +1381,6 @@ let decode ?avoid (img : Machine.image) : t =
     n_fused = !n_fused;
     pattern_counts = List.map (fun (n, r) -> (n, !r)) counts;
     fuel;
-    cyc;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1316,17 +1405,12 @@ let is_specialized p ip = p.specialized.(ip)
 (* ------------------------------------------------------------------ *)
 
 (* The unobserved fast path: threaded dispatch over the fused thunk
-   array.  The cycle accumulator is seeded from the architectural field
-   on entry and written back on every exit path, so [st.cycles] is exact
-   (the same float additions in the same order) whenever the caller can
-   observe it. *)
+   array. *)
 let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
   let s0 = st.Machine.steps in
   let len = Array.length p.thunks in
   let fused = p.fused in
-  let cyc = p.cyc in
   p.fuel := fuel;
-  cyc.fv <- st.Machine.cycles;
   let outcome =
     try
       while st.Machine.steps < fuel do
@@ -1339,11 +1423,7 @@ let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
     | Machine.Halt o -> o
     | Machine.Trap msg -> Machine.Crash msg
     | Fuel -> Machine.Timeout
-    | e ->
-      st.Machine.cycles <- cyc.fv;
-      raise e
   in
-  st.Machine.cycles <- cyc.fv;
   ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
   outcome
 
@@ -1351,50 +1431,30 @@ let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
    [Machine.Halt] when the program ends and [Machine.Trap] on a machine
    fault.  Never fused, so callers that stop at exact step or site
    boundaries (prefix replay) stay exact.  The caller checks [st.ip]
-   bounds.  The cycle accumulator is bracketed around the thunk
-   (reseeded before, written back after, including on [Halt]/[Trap]),
-   which also makes nested use safe: a lockstep observer may run
-   [step1] on the same decoded program from inside [exec_observed]. *)
+   bounds. *)
 let step1 (p : t) (st : Machine.state) =
   let ip = st.Machine.ip in
-  let cyc = p.cyc in
-  cyc.fv <- st.Machine.cycles;
-  (match (aget p.thunks ip) st with
-  | () -> st.Machine.cycles <- cyc.fv
-  | exception e ->
-    st.Machine.cycles <- cyc.fv;
-    raise e);
+  (aget p.thunks ip) st;
   ip
 
 (* The observed path: [on_step] receives the state and the static index
    of the instruction that just retired (its destinations are in
    [img.dests]), including the halting one, and its mutations are
    visible to the next step.  Fusion is bypassed so injection sites and
-   lockstep replicas see the exact retirement stream.  The cycle
-   accumulator is bracketed around every thunk so the observer reads an
-   exact [st.cycles] and the bracket tolerates reentrant [step1] calls
-   on the same program. *)
+   lockstep replicas see the exact retirement stream. *)
 let exec_observed ?(fuel = Machine.default_fuel) ~on_step (p : t)
     (st : Machine.state) =
   let len = Array.length p.thunks in
   let thunks = p.thunks in
-  let cyc = p.cyc in
   try
     while st.Machine.steps < fuel do
       let ip0 = st.Machine.ip in
       if ip0 >= len || ip0 < 0 then Machine.trap "control reached 0x%x" ip0;
-      cyc.fv <- st.Machine.cycles;
-      (match (aget thunks ip0) st with
-      | () ->
-        st.Machine.cycles <- cyc.fv;
-        on_step st ip0
+      match (aget thunks ip0) st with
+      | () -> on_step st ip0
       | exception Machine.Halt o ->
-        st.Machine.cycles <- cyc.fv;
         on_step st ip0;
         raise (Machine.Halt o)
-      | exception e ->
-        st.Machine.cycles <- cyc.fv;
-        raise e)
     done;
     Machine.Timeout
   with
@@ -1428,4 +1488,8 @@ type golden = {
 
 let golden ?fuel img =
   let outcome, st = run_fresh ?fuel img in
-  { outcome; dyn_instructions = st.Machine.steps; cycles = st.Machine.cycles }
+  {
+    outcome;
+    dyn_instructions = st.Machine.steps;
+    cycles = st.Machine.cycles.Machine.fv;
+  }

@@ -6,7 +6,9 @@
     hottest static pairs.  {!exec} runs them unobserved, {!exec_observed}
     hands every retired instruction to an observer, and {!step1} retires
     exactly one; all three give bit-identical steps, cycles, traps and
-    timeouts. *)
+    timeouts.  A decode keeps no run state in it (cycles accumulate in
+    the state's own {!Machine.fcell}), so any number of states can run
+    on one decode, one nested inside another's observer included. *)
 
 (** A decoded program. *)
 type t
@@ -51,14 +53,12 @@ val fused_steps : unit -> int
 (** {1 Execution loops} *)
 
 (** The unobserved fast path: run until halt, trap or [fuel] total
-    steps (default {!Machine.default_fuel}), with fused pairs.
-    [st.cycles] is exact on every exit. *)
+    steps (default {!Machine.default_fuel}), with fused pairs. *)
 val exec : ?fuel:int -> t -> Machine.state -> Machine.outcome
 
 (** One step, never fused; returns the retired static index.  Raises
     [Machine.Halt] when the program ends and [Machine.Trap] on a
-    machine fault.  The caller checks [st.ip] bounds.  Safe to call on
-    the same program from inside an {!exec_observed} observer. *)
+    machine fault.  The caller checks [st.ip] bounds. *)
 val step1 : t -> Machine.state -> int
 
 (** The observed path: [on_step] receives the state and the static

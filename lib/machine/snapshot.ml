@@ -80,7 +80,7 @@ let capture (st : Machine.state) ~seen =
     c_cf = st.Machine.cf;
     c_off = st.Machine.off;
     c_ip = st.Machine.ip;
-    c_cycles = st.Machine.cycles;
+    c_cycles = st.Machine.cycles.Machine.fv;
     c_steps = st.Machine.steps;
     c_out_rev = st.Machine.out_rev;
     c_seen = seen;
@@ -250,7 +250,7 @@ let load_regs sl c =
     st.Machine.cf <- ck.c_cf;
     st.Machine.off <- ck.c_off;
     st.Machine.ip <- ck.c_ip;
-    st.Machine.cycles <- ck.c_cycles;
+    st.Machine.cycles.Machine.fv <- ck.c_cycles;
     st.Machine.steps <- ck.c_steps;
     st.Machine.out_rev <- ck.c_out_rev
   end
@@ -260,29 +260,44 @@ let load_regs sl c =
    since its last restore and (2) the union of the golden deltas
    strictly after min(at, c) up to max(at, c) — symmetric, so both
    forward and backward moves work.  Every other page still holds the
-   contents the slot was restored with, which equal checkpoint [c]'s. *)
+   contents the slot was restored with, which equal checkpoint [c]'s.
+   [f sl c p] visits page [p] and returns false to end the walk there;
+   the result is whether the walk ran to the end.  Callers pass
+   top-level functions, so a walk allocates nothing. *)
+let visit_pages sl c f pages n =
+  let i = ref 0 and go = ref true in
+  while !go && !i < n do
+    let p = pages.(!i) in
+    if sl.stamp.(p) <> sl.gen then begin
+      sl.stamp.(p) <- sl.gen;
+      go := f sl c p
+    end;
+    incr i
+  done;
+  !go
+
 let iter_candidates sl c f =
   sl.gen <- sl.gen + 1;
-  let gen = sl.gen in
-  let visit p =
-    if sl.stamp.(p) <> gen then begin
-      sl.stamp.(p) <- gen;
-      f p
-    end
+  let go =
+    ref
+      (match sl.st.Machine.track with
+      | None -> true
+      | Some tr -> visit_pages sl c f tr.Machine.tr_pages tr.Machine.tr_count)
   in
-  (match sl.st.Machine.track with
-  | None -> ()
-  | Some tr ->
-    for i = 0 to tr.Machine.tr_count - 1 do
-      visit tr.Machine.tr_pages.(i)
-    done);
-  let lo = min sl.at c and hi = max sl.at c in
-  for ci = lo + 1 to hi do
-    Array.iter visit sl.cache.ckpts.(ci).c_pages
-  done
+  let ci = ref (min sl.at c + 1) and hi = max sl.at c in
+  while !go && !ci <= hi do
+    let pages = sl.cache.ckpts.(!ci).c_pages in
+    go := visit_pages sl c f pages (Array.length pages);
+    incr ci
+  done;
+  !go
+
+let reload_page sl c p =
+  load_page sl ~c p;
+  true
 
 let restore_to sl c =
-  iter_candidates sl c (load_page sl ~c);
+  ignore (iter_candidates sl c reload_page : bool);
   Machine.clear_dirty sl.st;
   load_regs sl c;
   sl.at <- c
@@ -337,21 +352,18 @@ let page_equal sl ~c p =
     sub_equal ck.c_data (find_pos ck.c_pages p * page_size) sl.st.Machine.mem
       off len
 
+(* {!page_equal}, remembering a page that differs in [sl.miss]. *)
+let page_same sl c p =
+  page_equal sl ~c p
+  ||
+  (sl.miss <- p;
+   false)
+
 (* Memory half of {!converged}.  The page that failed last goes first: a
    run whose corruption sits in memory keeps failing on the same page,
    so it pays about one page compare per boundary. *)
 let pages_equal sl c =
-  (sl.miss < 0 || page_equal sl ~c sl.miss)
-  &&
-  match
-    iter_candidates sl c (fun p ->
-        if not (page_equal sl ~c p) then begin
-          sl.miss <- p;
-          raise_notrace Exit
-        end)
-  with
-  | () -> true
-  | exception Exit -> false
+  (sl.miss < 0 || page_equal sl ~c sl.miss) && iter_candidates sl c page_same
 
 (* Cheapest first: scalars, then register files and output, then only
    the pages that can differ. *)
@@ -361,7 +373,7 @@ let converged sl c =
   st.Machine.steps = ck.c_steps
   && st.Machine.ip = ck.c_ip
   && Int64.equal
-       (Int64.bits_of_float st.Machine.cycles)
+       (Int64.bits_of_float st.Machine.cycles.Machine.fv)
        (Int64.bits_of_float ck.c_cycles)
   && st.Machine.zf = ck.c_zf
   && st.Machine.sf = ck.c_sf
@@ -388,8 +400,8 @@ let identical a b =
   x.Machine.steps = y.Machine.steps
   && x.Machine.ip = y.Machine.ip
   && Int64.equal
-       (Int64.bits_of_float x.Machine.cycles)
-       (Int64.bits_of_float y.Machine.cycles)
+       (Int64.bits_of_float x.Machine.cycles.Machine.fv)
+       (Int64.bits_of_float y.Machine.cycles.Machine.fv)
   && x.Machine.zf = y.Machine.zf
   && x.Machine.sf = y.Machine.sf
   && x.Machine.cf = y.Machine.cf

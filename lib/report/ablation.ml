@@ -102,13 +102,13 @@ let run ?(samples = 150) ?(seed = 77L) () : row list =
             let m = e.build () in
             let raw = Pipeline.raw m in
             let raw_img = Machine.load ~cost_model:v.cost_model raw.program in
-            let raw_g = Predecode.golden raw_img in
+            let raw_g, raw_t = golden_for ~samples raw_img in
             let prot =
               Pipeline.protect ~ferrum_config:v.ferrum_config Technique.Ferrum
                 m
             in
             let img = Machine.load ~cost_model:v.cost_model prot.program in
-            let g = Predecode.golden img in
+            let g, t = golden_for ~samples img in
             (match g.Predecode.outcome with
             | Machine.Exit _ -> ()
             | o ->
@@ -119,12 +119,12 @@ let run ?(samples = 150) ?(seed = 77L) () : row list =
                 ~prot_cycles:g.Predecode.cycles
             in
             let coverage =
-              if samples > 0 then begin
-                let raw_c = campaign_counts ~seed ~samples raw_img in
-                let c = campaign_counts ~seed ~samples img in
+              match (raw_t, t) with
+              | Some raw_t, Some t ->
+                let raw_c = target_counts ~seed ~samples raw_t in
+                let c = target_counts ~seed ~samples t in
                 Some (F.sdc_coverage ~raw:raw_c ~protected_:c)
-              end
-              else None
+              | _ -> None
             in
             (overhead, coverage))
           entries
@@ -176,15 +176,19 @@ let optimized_backend ?(samples = 150) ?(seed = 55L) () =
         let m = e.build () in
         List.map
           (fun optimize ->
-            let raw_img = Machine.load (Pipeline.raw ~optimize m).program in
-            let raw_g = Predecode.golden raw_img in
-            let raw_c = campaign_counts ~seed ~samples raw_img in
-            let ir =
-              Machine.load
-                (Pipeline.protect ~optimize Technique.Ir_level_eddi m).program
+            let raw_t =
+              F.prepare (Machine.load (Pipeline.raw ~optimize m).program)
             in
-            let ir_g = Predecode.golden ir in
-            let ir_c = campaign_counts ~seed ~samples ir in
+            let raw_g = golden_of_target raw_t in
+            let raw_c = target_counts ~seed ~samples raw_t in
+            let ir_t =
+              F.prepare
+                (Machine.load
+                   (Pipeline.protect ~optimize Technique.Ir_level_eddi m)
+                     .program)
+            in
+            let ir_g = golden_of_target ir_t in
+            let ir_c = target_counts ~seed ~samples ir_t in
             let fe =
               Machine.load
                 (Pipeline.protect ~optimize Technique.Ferrum m).program

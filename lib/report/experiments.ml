@@ -61,19 +61,39 @@ let default_options =
 (* Outcome counts of a flat campaign on the fork pool; the shard/merge
    discipline makes them identical for any shard count, so [shards] is
    purely a wall-clock knob. *)
-let campaign_counts ?workers ?(shards = 1) ?scope ?fault_bits ?engine ~seed
-    ~samples img =
+let target_counts ?workers ?(shards = 1) ?fault_bits ~seed ~samples target =
   (Ferrum_campaign.Runner.run ?workers ?fault_bits
-     ~mode:Ferrum_campaign.Runner.Inject ~shards ~seed ~samples
-     (F.prepare ?scope ?engine img))
+     ~mode:Ferrum_campaign.Runner.Inject ~shards ~seed ~samples target)
     .Ferrum_campaign.Runner.counts
 
-let option_counts opts img =
-  if opts.samples > 0 then
-    Some
-      (campaign_counts ?workers:opts.workers ~shards:opts.shards
-         ~scope:opts.scope ~seed:opts.seed ~samples:opts.samples img)
-  else None
+let campaign_counts ?workers ?shards ?scope ?fault_bits ?engine ~seed ~samples
+    img =
+  target_counts ?workers ?shards ?fault_bits ~seed ~samples
+    (F.prepare ?scope ?engine img)
+
+(* The golden run a prepared target walked, as {!Predecode.golden}
+   reports it. *)
+let golden_of_target (t : F.target) =
+  {
+    Predecode.outcome = Machine.Exit t.F.golden_output;
+    dyn_instructions = t.F.golden_steps;
+    cycles = t.F.golden_cycles;
+  }
+
+(* [img]'s golden run and, when a campaign follows ([samples > 0]), the
+   target it runs on: preparing the target walks the golden run, and the
+   figures read that walk rather than making a second. *)
+let golden_for ?scope ~samples img =
+  if samples <= 0 then (Predecode.golden img, None)
+  else
+    let t = F.prepare ?scope img in
+    (golden_of_target t, Some t)
+
+let option_counts opts target =
+  Option.map
+    (target_counts ?workers:opts.workers ~shards:opts.shards ~seed:opts.seed
+       ~samples:opts.samples)
+    target
 
 let selected_entries opts =
   match opts.benchmarks with
@@ -103,13 +123,15 @@ let run_entry opts (e : Catalog.entry) : bench_result =
   let m = e.build () in
   let raw = Pipeline.raw m in
   let raw_img = Machine.load ~cost_model:opts.cost_model raw.program in
-  let raw_golden = Predecode.golden raw_img in
+  let raw_golden, raw_target =
+    golden_for ~scope:opts.scope ~samples:opts.samples raw_img
+  in
   (match raw_golden.outcome with
   | Machine.Exit _ -> ()
   | o ->
     Fmt.failwith "benchmark %s: raw golden run failed: %a" e.name
       Machine.pp_outcome o);
-  let raw_counts = option_counts opts raw_img in
+  let raw_counts = option_counts opts raw_target in
   let techniques =
     List.map
       (fun t ->
@@ -117,7 +139,9 @@ let run_entry opts (e : Catalog.entry) : bench_result =
           Pipeline.protect ~ferrum_config:opts.ferrum_config t m
         in
         let img = Machine.load ~cost_model:opts.cost_model r.program in
-        let golden = Predecode.golden img in
+        let golden, target =
+          golden_for ~scope:opts.scope ~samples:opts.samples img
+        in
         (match golden.outcome with
         | Machine.Exit out
           when Machine.equal_outcome (Machine.Exit out) raw_golden.outcome ->
@@ -125,7 +149,7 @@ let run_entry opts (e : Catalog.entry) : bench_result =
         | o ->
           Fmt.failwith "benchmark %s under %s: protected output wrong: %a"
             e.name (Technique.name t) Machine.pp_outcome o);
-        let counts = option_counts opts img in
+        let counts = option_counts opts target in
         let coverage =
           match (raw_counts, counts) with
           | Some raw, Some prot ->

@@ -60,6 +60,25 @@ val campaign_counts :
   ?engine:F.engine -> seed:int64 -> samples:int -> Machine.image ->
   F.counts
 
+(** {!campaign_counts} on a target already prepared. *)
+val target_counts :
+  ?workers:int -> ?shards:int -> ?fault_bits:int -> seed:int64 ->
+  samples:int -> F.target -> F.counts
+
+(** The golden run a prepared target walked, as
+    {!Ferrum_machine.Predecode.golden} reports it. *)
+val golden_of_target : F.target -> Ferrum_machine.Predecode.golden
+
+(** [golden_for ~samples img]: [img]'s golden run and, when
+    [samples > 0], the target prepared for its campaign, whose walk the
+    golden figures are read from (one walk, not two); preparing raises
+    {!F.Golden_failure} if that run does not exit.  Without a campaign
+    the figures are {!Ferrum_machine.Predecode.golden}'s and the target
+    is [None]. *)
+val golden_for :
+  ?scope:F.scope -> samples:int -> Machine.image ->
+  Ferrum_machine.Predecode.golden * F.target option
+
 val run : ?options:options -> unit -> bench_result list
 
 (** The record for one technique within a benchmark's results. *)

@@ -33,14 +33,6 @@ let tally_add a b =
     timeout = a.timeout + b.timeout;
   }
 
-let tally_of_name t = function
-  | "benign" -> Some { t with benign = t.benign + 1 }
-  | "sdc" -> Some { t with sdc = t.sdc + 1 }
-  | "detected" -> Some { t with detected = t.detected + 1 }
-  | "crash" -> Some { t with crash = t.crash + 1 }
-  | "timeout" -> Some { t with timeout = t.timeout + 1 }
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Events.                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -20,13 +20,7 @@ type tally = {
   timeout : int;
 }
 
-val zero_tally : tally
 val tally_total : tally -> int
-
-(** Bump the component named by a classification name
-    ({!Ferrum_faultsim} [classification_name]); [None] on unknown
-    names. *)
-val tally_of_name : tally -> string -> tally option
 
 (** {1 Events} *)
 

@@ -20,36 +20,62 @@ type t =
 (* Serialisation.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string buf s =
+(* The quoted, escaped string. *)
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+      Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '"'
 
-(* Fixed float format: integral values render as "x.0", everything else
-   through %.12g (12 significant digits cover the cycle model's sums
-   exactly while staying locale-independent). *)
+(* [string_of_int i], digit by digit: the magnitude is taken negative,
+   so [min_int] needs no special case. *)
+let add_int buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  let n = if i < 0 then i else -i in
+  let pow = ref 1 in
+  while n / !pow <= -10 do
+    pow := !pow * 10
+  done;
+  while !pow > 0 do
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n / !pow mod 10)));
+    pow := !pow / 10
+  done
+
+(* What [Printf.sprintf "%.12g"] calls. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Fixed float format: integral values render as "x.0" (["%.1f"],
+   written here from the integer, so they allocate nothing), everything
+   else through %.12g (12 significant digits cover the cycle model's
+   sums exactly while staying locale-independent). *)
+let add_float buf f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if f = 0.0 && Float.sign_bit f then Buffer.add_char buf '-';
+    add_int buf (int_of_float f);
+    Buffer.add_string buf ".0"
+  end
+  else Buffer.add_string buf (format_float "%.12g" f)
+
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  let buf = Buffer.create 24 in
+  add_float buf f;
+  Buffer.contents buf
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | Str s -> escape_string buf s
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
+  | Str s -> add_string buf s
   | Arr xs ->
     Buffer.add_char buf '[';
     List.iteri
@@ -63,7 +89,7 @@ let rec write buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        escape_string buf k;
+        add_string buf k;
         Buffer.add_char buf ':';
         write buf v)
       kvs;

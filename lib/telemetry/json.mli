@@ -19,6 +19,15 @@ val to_string : t -> string
     below 1e15, else ["%.12g"]. *)
 val float_repr : float -> string
 
+(** {!to_string}'s renderings of an [Int], a [Float] and a [Str]
+    (quoted and escaped), appended to a buffer, for writers of a fixed
+    JSON shape that build no tree.  Only the digits of a non-integral
+    float and the escape of a control character allocate. *)
+val add_int : Buffer.t -> int -> unit
+
+val add_float : Buffer.t -> float -> unit
+val add_string : Buffer.t -> string -> unit
+
 exception Parse_error of string
 
 (** Parse one JSON value; raises {!Parse_error} on malformed or

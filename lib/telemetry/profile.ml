@@ -87,7 +87,7 @@ let run ?fuel (img : Machine.image) : t =
   {
     outcome;
     steps = st.Machine.steps;
-    total_cycles = st.Machine.cycles;
+    total_cycles = st.Machine.cycles.Machine.fv;
     rows;
     by_provenance;
   }

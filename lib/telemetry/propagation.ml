@@ -127,7 +127,7 @@ let create ?golden pre (img : Machine.image) =
 let note_injection t (st : Machine.state) =
   if t.injected_at = None then begin
     t.injected_at <- Some st.Machine.steps;
-    t.injected_cycles <- st.Machine.cycles
+    t.injected_cycles <- st.Machine.cycles.Machine.fv
   end
 
 (* ------------------------------------------------------------------ *)
@@ -356,7 +356,7 @@ let finish t (st : Machine.state) =
     masked_at = t.masked_at;
     reactivated_at = t.reactivated_at;
     end_steps = st.Machine.steps;
-    end_cycles = st.Machine.cycles;
+    end_cycles = st.Machine.cycles.Machine.fv;
   }
 
 let detection_latency s =

@@ -37,9 +37,8 @@ type t
 
 (** [create pre img]: [golden] (default a fresh state of [img]) is the
     lockstep golden state the tracer steps alongside the injected run,
-    on [pre], a decode of [img] — the injected run's own may be passed,
-    since {!Ferrum_machine.Predecode.step1} is safe inside its
-    observer.  A checkpointed injector passes a state already advanced
+    on [pre], a decode of [img] — the injected run's own, typically.  A
+    checkpointed injector passes a state already advanced
     to the flip site, since observing the identical pre-flip prefix
     records nothing. *)
 val create :

@@ -80,7 +80,7 @@ let exec_shift st k s amt dst =
 let step (img : image) (st : state) =
   let ip = st.ip in
   let ins = img.code.(ip) in
-  st.cycles <- st.cycles +. img.costs.(ip);
+  st.cycles.fv <- st.cycles.fv +. img.costs.(ip);
   st.steps <- st.steps + 1;
   st.ip <- ip + 1;
   (match ins.op with
@@ -302,10 +302,10 @@ let diff_state (a : state) (b : state) =
         if a.steps = b.steps then None
         else Some (Printf.sprintf "steps: %d vs %d" a.steps b.steps));
       (fun () ->
-        if Int64.equal (Int64.bits_of_float a.cycles)
-             (Int64.bits_of_float b.cycles)
+        if Int64.equal (Int64.bits_of_float a.cycles.fv)
+             (Int64.bits_of_float b.cycles.fv)
         then None
-        else Some (Printf.sprintf "cycles: %h vs %h" a.cycles b.cycles));
+        else Some (Printf.sprintf "cycles: %h vs %h" a.cycles.fv b.cycles.fv));
       (fun () -> if a.out_rev = b.out_rev then None else Some "output");
       (fun () -> if Bytes.equal a.mem b.mem then None else Some "memory");
       (fun () ->

@@ -286,6 +286,25 @@ let test_worker_death () =
     Alcotest.(check bool) "replayed tally" true
       (tally = Runner.tally_of_counts r.Runner.counts)
 
+(* Ways a worker can garble its 3rd sample's wire line: a line that is
+   neither a sample nor JSON, a truncated sample line, a separator moved
+   from between two fields into one, and a dropped line, which puts the
+   next sample out of order. *)
+let garbles =
+  let move_separator l =
+    (* "s\t<sample>\t<class>..." -> "s\t<sample><class>\t..." *)
+    let i = String.index_from l 2 '\t' in
+    let j = String.index_from l (i + 1) '\t' in
+    String.sub l 0 i
+    ^ String.sub l (i + 1) (j - i - 1)
+    ^ "\t"
+    ^ String.sub l (j + 1) (String.length l - j - 1)
+  in
+  [ ("bogus line", fun _ -> "{\"t\":\"bogus\"}");
+    ("truncated sample line", fun l -> String.sub l 0 (String.length l - 9));
+    ("misplaced separator", move_separator);
+    ("out-of-order sample", fun _ -> "") ]
+
 (* A malformed protocol line must not abort the campaign (or leak the
    other workers): the offending worker is killed and its shard retried
    through the ordinary death path. *)
@@ -293,28 +312,35 @@ let test_protocol_error () =
   let img = Machine.load (checked_program ()) in
   let target = F.prepare img in
   let ref_lines, ref_counts, _ = sequential ~traced:false ~seed ~samples img in
-  let garble ~shard ~attempt =
-    if shard = 1 && attempt = 0 then Some 2 else None
-  in
-  let r =
-    Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~garble target
-  in
-  Alcotest.(check int) "one retry" 1 r.Runner.retried;
-  Alcotest.(check (list string)) "records unaffected" ref_lines
-    r.Runner.record_lines;
-  Alcotest.(check bool) "counts unaffected" true (r.Runner.counts = ref_counts);
-  match
-    List.filter_map
-      (fun (e : Events.t) ->
-        match e.Events.body with
-        | Events.Shard_retry { reason } -> Some reason
-        | _ -> None)
-      r.Runner.events
-  with
-  | [ reason ] ->
-    Alcotest.(check bool) "reason names the protocol error" true
-      (contains ~affix:"protocol error" reason)
-  | l -> Alcotest.failf "expected one retry marker, got %d" (List.length l)
+  List.iter
+    (fun (what, garbled) ->
+      let garble ~shard ~attempt =
+        if shard = 1 && attempt = 0 then Some (2, garbled) else None
+      in
+      let r =
+        Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~garble target
+      in
+      Alcotest.(check int) (what ^ ": one retry") 1 r.Runner.retried;
+      Alcotest.(check (list string)) (what ^ ": records unaffected") ref_lines
+        r.Runner.record_lines;
+      Alcotest.(check bool) (what ^ ": counts unaffected") true
+        (r.Runner.counts = ref_counts);
+      match
+        List.filter_map
+          (fun (e : Events.t) ->
+            match e.Events.body with
+            | Events.Shard_retry { reason } -> Some reason
+            | _ -> None)
+          r.Runner.events
+      with
+      | [ reason ] ->
+        Alcotest.(check bool) (what ^ ": reason names the protocol error")
+          true
+          (contains ~affix:"protocol error" reason)
+      | l ->
+        Alcotest.failf "%s: expected one retry marker, got %d" what
+          (List.length l))
+    garbles
 
 (* A corrupt part file is rejected by the resume loader, so the shard
    re-runs and the merged output is unchanged. *)
@@ -450,7 +476,9 @@ let test_adaptive_worker_death () =
 let test_adaptive_protocol_error () =
   let clean = adaptive_run () in
   let garble ~shard ~attempt =
-    if shard = 4 && attempt = 0 then Some 2 else None
+    if shard = 4 && attempt = 0 then
+      Some (2, List.assoc "truncated sample line" garbles)
+    else None
   in
   let r = adaptive_run ~garble () in
   Alcotest.(check (list (pair int int))) "one retry, round 2 shard 0"
@@ -661,6 +689,138 @@ let test_events_arrive_live () =
       "shard_started arrived %.0f ms before shard_finished in a %.0f ms run"
       (gap *. 1000.0) (run *. 1000.0)
 
+(* ---- the sample wire line ---- *)
+
+module Propagation = Ferrum_telemetry.Propagation
+
+(* Records over every destination kind, unreached faults, every class,
+   strings that need escaping, and cycles that are integral (negative
+   zero included), fractional, at or past 1e15, or negative. *)
+let record_gen =
+  let open QCheck.Gen in
+  let any_int = oneof [ int_range (-1) 100_000; int ] in
+  let text =
+    oneof
+      [ oneofl [ "movq"; "%rax"; "%xmm15[1]"; "flags.ZF"; "?"; "unreached" ];
+        string_size ~gen:char (int_range 0 12) ]
+  in
+  let dest =
+    oneof
+      [ return None;
+        map2 (fun r s -> Some (F.Igpr (r, s))) Tgen.gpr Tgen.size;
+        map2
+          (fun x l -> Some (F.Isimd (x, l)))
+          (int_range 0 15) (int_range 0 7);
+        map (fun f -> Some (F.Iflag f)) (oneofl Cond.[ ZF; SF; CF; OF ]) ]
+  in
+  let cycles =
+    oneof
+      [ map float_of_int (int_range (-1000) 10_000_000);
+        return (-0.0);
+        float;
+        map (fun x -> 1e15 +. Float.abs x) float;
+        map (fun k -> float_of_int k +. 0.25) (int_range (-50) 50) ]
+  in
+  let* sample = any_int and* r_dyn_index = any_int in
+  let* r_static_index = any_int in
+  let* opcode = text and* dest_s = text and* r_dest = dest in
+  let* r_bit = any_int and* steps = any_int and* cycles = cycles in
+  let* r_class = oneofl F.[ Benign; Sdc; Detected; Crash; Timeout ] in
+  return
+    {
+      F.sample;
+      r_dyn_index;
+      r_static_index;
+      opcode;
+      dest = dest_s;
+      r_dest;
+      r_bit;
+      r_class;
+      steps;
+      cycles;
+    }
+
+let print_record r = Json.to_string (F.record_to_json r)
+
+let prop_record_rendering =
+  QCheck.Test.make ~name:"worker rendering = Json.to_string (record_to_json r)"
+    ~count:2000
+    (QCheck.make ~print:print_record record_gen)
+    (fun r ->
+      let buf = Buffer.create 64 in
+      F.write_record buf r;
+      Buffer.contents buf = Json.to_string (F.record_to_json r))
+
+let escapes =
+  Propagation.
+    [ Unprotected_program; Unchecked_site; Masked_then_reactivated;
+      Output_before_check; Memory_before_check; Check_missed_taint ]
+
+let prop_sample_line_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      triple record_gen
+        (opt (pair (int_range 0 1_000_000) float))
+        (opt (oneofl escapes)))
+  in
+  QCheck.Test.make ~name:"a sample line round-trips every field" ~count:1000
+    (QCheck.make ~print:(fun (r, _, _) -> print_record r) gen)
+    (fun (r, latency, escape) ->
+      let buf = Buffer.create 64 in
+      Shard.write_sample buf r ~latency ~escape;
+      match Shard.read_sample (Buffer.contents buf) with
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" (Buffer.contents buf) e
+      | Ok o ->
+        let same_latency =
+          match (latency, o.Shard.o_latency) with
+          | None, None -> true
+          | Some (s, c), Some (s', c') ->
+            s = s'
+            && Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float c')
+          | _ -> false
+        in
+        o.Shard.o_sample = r.F.sample
+        && o.Shard.o_class = r.F.r_class
+        && o.Shard.o_static = r.F.r_static_index
+        && o.Shard.o_steps = r.F.steps
+        && o.Shard.o_record = Json.to_string (F.record_to_json r)
+        && o.Shard.o_escape = escape && same_latency)
+
+(* What one sample costs the forked worker in minor words, its record
+   and wire line included: samples 100-299 of a run_range, after a
+   warm-up range, on every hybrid and FERRUM catalogue build. *)
+let words_per_sample_budget = 150.
+
+let test_sample_allocation_budget () =
+  let over =
+    List.concat_map
+      (fun (e : Catalog.entry) ->
+        List.filter_map
+          (fun tq ->
+            let img =
+              Machine.load (Pipeline.protect tq (e.Catalog.build ())).program
+            in
+            let t = F.prepare img in
+            let bytes = ref 0 in
+            let on_sample _ line = bytes := !bytes + Buffer.length line in
+            Shard.run_range ~traced:false ~seed t { Shard.lo = 0; hi = 20 }
+              ~on_sample;
+            let before = Gc.minor_words () in
+            Shard.run_range ~traced:false ~seed t { Shard.lo = 100; hi = 300 }
+              ~on_sample;
+            let per_sample = (Gc.minor_words () -. before) /. 200. in
+            if per_sample > words_per_sample_budget then
+              Some
+                (Printf.sprintf "%s/%s %.0f" e.Catalog.name
+                   (Technique.short_name tq) per_sample)
+            else None)
+          Technique.[ Hybrid_assembly_eddi; Ferrum ])
+      Catalog.all
+  in
+  if over <> [] then
+    Alcotest.failf "minor words per campaign sample above %.0f: %s"
+      words_per_sample_budget (String.concat ", " over)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -681,6 +841,13 @@ let () =
             test_log_reproducible;
           Alcotest.test_case "flat = one-round adaptive" `Quick
             test_flat_is_one_round;
+        ] );
+      ( "wire",
+        [
+          QCheck_alcotest.to_alcotest prop_record_rendering;
+          QCheck_alcotest.to_alcotest prop_sample_line_roundtrip;
+          Alcotest.test_case "sample allocation budget" `Slow
+            test_sample_allocation_budget;
         ] );
       ( "events",
         [

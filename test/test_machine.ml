@@ -466,7 +466,8 @@ let test_cycles_accumulate () =
   in
   exit_ok outcome;
   Alcotest.(check int) "steps" 3 st.Machine.steps;
-  Alcotest.(check bool) "cycles positive" true (st.Machine.cycles > 0.0)
+  Alcotest.(check bool) "cycles positive" true
+    (st.Machine.cycles.Machine.fv > 0.0)
 
 let () =
   Alcotest.run "machine"

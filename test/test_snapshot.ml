@@ -191,8 +191,8 @@ let check_state_eq name (want : Machine.state) (got : Machine.state) =
   Alcotest.(check bool) (name ^ ": off") want.Machine.off got.Machine.off;
   Alcotest.(check int) (name ^ ": ip") want.Machine.ip got.Machine.ip;
   Alcotest.(check int) (name ^ ": steps") want.Machine.steps got.Machine.steps;
-  Alcotest.(check (float 0.)) (name ^ ": cycles") want.Machine.cycles
-    got.Machine.cycles;
+  Alcotest.(check (float 0.)) (name ^ ": cycles") want.Machine.cycles.Machine.fv
+    got.Machine.cycles.Machine.fv;
   Alcotest.(check (list int64)) (name ^ ": output") want.Machine.out_rev
     got.Machine.out_rev;
   Alcotest.(check bool) (name ^ ": memory") true
@@ -479,10 +479,10 @@ let test_converged_scalars () =
   Alcotest.(check bool) "only the output differs" false
     (Snapshot.converged sl 5);
   st.Machine.out_rev <- out;
-  let cycles = st.Machine.cycles in
-  st.Machine.cycles <- Float.succ cycles;
+  let cycles = st.Machine.cycles.Machine.fv in
+  st.Machine.cycles.Machine.fv <- Float.succ cycles;
   Alcotest.(check bool) "cycles one ulp apart" false (Snapshot.converged sl 5);
-  st.Machine.cycles <- cycles;
+  st.Machine.cycles.Machine.fv <- cycles;
   Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
   Alcotest.(check bool) "one SIMD bit apart" false (Snapshot.converged sl 5);
   Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
@@ -534,10 +534,10 @@ let test_identical_slots () =
   differs "output"
     (fun () -> x.Machine.out_rev <- 7L :: out)
     (fun () -> x.Machine.out_rev <- out);
-  let cycles = y.Machine.cycles in
+  let cycles = y.Machine.cycles.Machine.fv in
   differs "cycles one ulp apart"
-    (fun () -> y.Machine.cycles <- Float.succ cycles)
-    (fun () -> y.Machine.cycles <- cycles);
+    (fun () -> y.Machine.cycles.Machine.fv <- Float.succ cycles)
+    (fun () -> y.Machine.cycles.Machine.fv <- cycles);
   let flip () = Machine.flip_flag x Cond.OF in
   differs "one flag" flip flip;
   let flip () = Machine.flip_simd_lane y 9 ~lane:5 ~bit:0 in
@@ -618,7 +618,7 @@ let reference_walk ?k img eligible =
     ckpts :=
       ckpt_fields ~mem_size:img.Machine.mem_size (List.length !ckpts)
         ~steps:st.Machine.steps ~seen:!seen ~ip:st.Machine.ip
-        ~cycles:st.Machine.cycles
+        ~cycles:st.Machine.cycles.Machine.fv
         ~flags:(flags_of st.Machine.zf st.Machine.sf st.Machine.cf st.Machine.off)
         ~gpr:st.Machine.gpr ~simd:st.Machine.simd
         ~out_rev:st.Machine.out_rev ~pages ~data
@@ -646,7 +646,7 @@ let reference_walk ?k img eligible =
       tally ();
       out
   in
-  ( ( st.Machine.steps, st.Machine.cycles, output, !seen,
+  ( ( st.Machine.steps, st.Machine.cycles.Machine.fv, output, !seen,
       Array.of_list (List.rev !sites) ),
     List.rev !upto,
     List.concat (List.rev !ckpts) )

@@ -104,6 +104,50 @@ let test_json_roundtrip () =
   | None -> ()
   | Some _ -> Alcotest.fail "malformed JSON must not parse"
 
+(* The buffer renderers must keep printing numbers as the formats they
+   replace: [string_of_int] for an int, ["%.1f"] for an integral float
+   below 1e15 and ["%.12g"] for every other float. *)
+let reference_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.12g" f
+
+let edge_ints = [ 0; 1; -1; 9; 10; -10; 99; 100; min_int; max_int;
+                  min_int + 1; max_int - 1 ]
+
+let edge_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 0.5; -2.5; 4.0; 1e15; -1e15;
+    Float.pred 1e15; Float.succ 1e15; Float.pred (-1e15);
+    Float.succ (-1e15); 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15 +. 1.0;
+    -.(1e15 +. 1.0); 999999999999999.0; 4503599627370496.0;
+    Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+    Float.max_float; -.Float.max_float; Float.min_float; epsilon_float;
+    Float.of_int max_int; Float.of_int min_int; 1e-7; 123456789.125 ]
+
+let render add v =
+  let buf = Buffer.create 8 in
+  Buffer.add_string buf "x";
+  add buf v;
+  Buffer.contents buf
+
+let prop_add_int =
+  QCheck.Test.make ~name:"add_int = string_of_int" ~count:2000
+    QCheck.(oneof [ int; oneofl edge_ints; map (fun i -> i mod 100_000) int ])
+    (fun i -> render Json.add_int i = "x" ^ string_of_int i)
+
+let prop_add_float =
+  QCheck.Test.make ~name:"add_float = %.1f / %.12g" ~count:2000
+    QCheck.(
+      oneof
+        [ float; oneofl edge_floats;
+          (* integral values on both sides of the 1e15 cut-off *)
+          map (fun i -> Float.of_int (i mod 2_000_000_000_000_000)) int;
+          map (fun i -> Float.of_int (i mod 1_000_000) /. 8.0) int ])
+    (fun f ->
+      let want = reference_float f in
+      Json.float_repr f = want
+      && render Json.add_float f = "x" ^ want
+      && Json.to_string (Json.Float f) = want)
+
 (* ---- metrics records: schema round-trip ---- *)
 
 let prepare_checked () = F.prepare (Machine.load (checked_program ()))
@@ -235,7 +279,9 @@ let () =
         [ Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;
           Alcotest.test_case "no wrap + bad depth" `Quick test_flight_no_wrap ] );
       ( "json",
-        [ Alcotest.test_case "canonical round-trip" `Quick test_json_roundtrip ] );
+        [ Alcotest.test_case "canonical round-trip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_add_int;
+          QCheck_alcotest.to_alcotest prop_add_float ] );
       ( "metrics",
         [ Alcotest.test_case "record schema round-trip" `Quick
             test_record_schema_roundtrip;
