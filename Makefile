@@ -109,11 +109,13 @@ lint: build
 # files as a one-round `--adaptive` run (a flat campaign is that case),
 # injection output byte-identical to `inject`'s 1-shard run
 # (test_campaign checks the runner against an in-process loop over
-# `Faultsim.campaign_sample`), and `--resume` of the first run must
+# `Faultsim.campaign_sample`), `--resume` of the first run must
 # replay both part files (no part rewritten, so no worker ran) into the
-# same run files byte for byte.
+# same run files byte for byte, and no worker may outlive the CLI: the
+# pipe reaches end of file only once every process holding its write
+# end (the CLI's stdout, inherited by each worker) has exited.
 campaign: build
-	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).copy
+	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).copy $(CAMP).knn
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP) --html $(CAMP).html > /dev/null
 	$(CLI) metrics $(CAMP)/events.jsonl
@@ -141,7 +143,10 @@ campaign: build
 	for f in injection.jsonl events.jsonl stats.jsonl trace.jsonl vulnmap.jsonl; do \
 	  cmp $(CAMP)/$$f $(CAMP).copy/$$f || exit 1; \
 	done
-	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable"
+	timeout 60 sh -c '$(CLI) campaign kNN -p ferrum --samples 40 --shards 2 \
+	  --out $(CAMP).knn | cat > /dev/null'
+	$(CLI) metrics $(CAMP).knn/injection.jsonl > /dev/null
+	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable, no lingering worker"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
 # schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of
@@ -237,6 +242,6 @@ clean:
 	rm -f $(PROF).txt $(PROF).2.txt $(PROF).json $(PROF).2.json
 	rm -f $(FLIGHT).txt $(FLIGHT).2.txt
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).html $(CAMP).seq $(TRACE).d
-	rm -rf $(CAMP).copy $(CAMP).stamp
+	rm -rf $(CAMP).copy $(CAMP).stamp $(CAMP).knn
 	rm -rf $(TRACE).d2
 	rm -rf .bench_build

@@ -342,7 +342,7 @@ let stats_out_arg =
   Arg.(value & opt (some string) None & info [ "stats" ] ~docv:"PATH" ~doc)
 
 (* Write a campaign's [--metrics] or [--stats] file, when [path] is
-   given: [header] of the campaign's configuration, then [lines]. *)
+   given: [header] of the campaign's configuration, then [lines ()]. *)
 let write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
     ~fault_bits header ~tag path lines =
   Option.iter
@@ -351,7 +351,7 @@ let write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
         (Store.jsonl
            (header ~benchmark:bench ~technique:(technique_name technique)
               ~samples ~seed ~all_sites ~fault_bits)
-           lines);
+           (lines ()));
       Fmt.epr "[%s] wrote %s@." tag path)
     path
 
@@ -396,9 +396,10 @@ let inject_cmd =
       write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
         ~fault_bits
     in
-    write Store.injection_header ~tag:"inject" metrics
-      result.Runner.record_lines;
-    write Store.stats_header ~tag:"stats" stats_out result.Runner.stats_lines;
+    write Store.injection_header ~tag:"inject" metrics (fun () ->
+        result.Runner.record_lines);
+    write Store.stats_header ~tag:"stats" stats_out (fun () ->
+        Runner.stats_lines result);
     Fmt.pr "%a@." F.pp_counts result.Runner.counts;
     Fmt.pr "%a@." pp_campaign_interval result.Runner.counts;
     print_early_stop ?policy ~samples result.Runner.counts;
@@ -1112,9 +1113,10 @@ let vulnmap_cmd =
       write_campaign_file ~bench ~technique ~samples ~seed ~all_sites
         ~fault_bits
     in
-    write Store.vulnmap_header ~tag:"vulnmap" metrics
-      (List.map Json.to_string (F.vulnmap_rows v));
-    write Store.stats_header ~tag:"stats" stats_out result.Runner.stats_lines;
+    write Store.vulnmap_header ~tag:"vulnmap" metrics (fun () ->
+        List.map Json.to_string (F.vulnmap_rows v));
+    write Store.stats_header ~tag:"stats" stats_out (fun () ->
+        Runner.stats_lines result);
     print_string (Ferrum_report.Vulnmap.render ~only_sampled v)
   in
   let only_sampled_arg =
@@ -1350,7 +1352,7 @@ let cc_cmd =
       in
       write_campaign_file ~bench:file ~technique ~samples ~seed
         ~all_sites:false ~fault_bits Store.injection_header ~tag:"inject"
-        metrics res.Runner.record_lines;
+        metrics (fun () -> res.Runner.record_lines);
       let counts = res.Runner.counts in
       Fmt.pr "%a@." F.pp_counts counts;
       Fmt.pr "SDC probability: %.4f +/- %.4f (95%%)@."

@@ -1,13 +1,24 @@
-(** Sharded campaign execution on a [Unix.fork] worker pool.
+(** Sharded campaign execution on persistent forked workers.
 
-    Workers stream typed events and per-sample outputs over pipes; the
-    parent multiplexes them with [Unix.select], detects worker death
-    (EOF before the protocol's done marker), retries dead shards, and
-    merges shard outputs in global sample order — byte-identical for
-    any shard count.  This is the one campaign loop: every campaign,
-    from the CLI, the serve daemon, the report tables, the benchmarks
-    and the examples, runs here over {!F.campaign_sample} or
-    {!F.vulnmap_sample}. *)
+    Each target has a pool of workers, forked on its first campaign and
+    kept for every later one: every round of an adaptive campaign and
+    every repeated campaign on the target pay fork and copy-on-write
+    once per worker.  A pool closes when its target is collected and at
+    exit; at most eight targets keep theirs, the least recently used
+    closing first.  The parent sends an idle worker one command per
+    shard (shard id, attempt, range, seed, fault width, traced flag,
+    heartbeats, the heartbeat's budget figures, the shard's trace
+    context, the sabotage verdict and the range's adaptive allocation);
+    the worker streams typed events and per-sample outputs back over
+    its pipe, ends with a done marker and waits for the next command.
+    The parent multiplexes the busy workers with [Unix.select], kills,
+    reaps and replaces a worker that dies or garbles its stream,
+    retries the shard, and merges shard outputs in global sample order
+    — byte-identical for any shard count.  A worker that died while
+    idle is replaced without a retry.  This is the one campaign loop:
+    every campaign, from the CLI, the serve daemon, the report tables,
+    the benchmarks and the examples, runs here over
+    {!F.campaign_sample} or {!F.vulnmap_sample}. *)
 
 module F = Ferrum_faultsim.Faultsim
 module Events = Ferrum_telemetry.Events
@@ -28,6 +39,9 @@ type policy = { rounds : int; target_ci : float }
 (** View a campaign's outcome counts as an event tally. *)
 val tally_of_counts : F.counts -> Events.tally
 
+(** What {!stats_lines} builds the stats document from. *)
+type stats_src
+
 type result = {
   counts : F.counts;
   record_lines : string list;
@@ -41,25 +55,30 @@ type result = {
           (index order) its retry markers and successful attempt's
           events, then campaign_finished; [seq] contiguous from 0 *)
   retried : int;  (** worker deaths recovered by retry *)
-  stats_lines : string list;
-      (** [ferrum.stats.v1] convergence document built from the merged
-          sample stream in global order: trace rows (CI half-width vs.
-          samples spent), per-site rows, one round row per round and
-          the final campaign row *)
+  stats_src : stats_src;
   trace_spans : string list;
       (** [ferrum.trace.v1] span rows of the stitched campaign trace:
           the runner's own spans (campaign / round / allocate / merge /
-          stats) followed by each worker's spans in shard-id
-          order — logical clocks only, byte-identical per seed for any
-          shard count *)
+          stats, which packs the stats document's input) followed by
+          each worker's spans in shard-id order — logical clocks only,
+          byte-identical per seed for any shard count *)
   trace_walls : string list;
       (** wall-clock / CPU / peak-RSS sidecar rows for the same spans;
           non-deterministic, never byte-compared *)
 }
 
+(** The campaign's [ferrum.stats.v1] convergence document, built on
+    demand from the merged sample stream in global order: trace rows
+    (CI half-width vs. samples spent), per-site rows, one round row per
+    round and the final campaign row. *)
+val stats_lines : result -> string list
+
+(** The pids of [target]'s live workers in this process, oldest first. *)
+val worker_pids : F.target -> int list
+
 (** Run a campaign of [samples] injections as rounds of [shards]
     shards each, on at most [workers] (default [min shards 4])
-    concurrent forked workers.
+    concurrent workers of the target's pool.
 
     [samples] is a budget split into [policy.rounds] rounds; round 0
     samples uniformly over the eligible dynamic write-backs and each
@@ -89,15 +108,16 @@ type result = {
     shard's stream (write-then-rename) and resumes from any complete
     part files already there; [sabotage] (tests) makes a worker die
     after [k] samples when it returns [Some k] for a (global shard id,
-    attempt); [garble] (tests) makes it write [f line] in place of the
-    wire line of its [k]-th sample (0-based) when it returns
+    attempt), evaluated in the parent and sent with the command;
+    [garble] (tests) makes the parent read [f line] in place of the
+    wire line of the attempt's [k]-th sample (0-based) when it returns
     [Some (k, f)] — a malformed, truncated or out-of-order line, which
     is handled like worker death.
 
     Raises [Invalid_argument] before any fork when [samples] is not
     positive or the target has no eligible injection sites, and
-    [Failure] if a shard exhausts its retries (outstanding workers are
-    killed and reaped first).
+    [Failure] if a shard exhausts its retries (busy workers are killed
+    and reaped first).
 
     Every campaign is traced: [trace_ctx] continues a caller's span
     context (e.g. the serve daemon's job span); otherwise a fresh trace
@@ -105,9 +125,9 @@ type result = {
     campaign parameters.  The runner's own spans are "campaign" (with a
     "rounds" counter) over one "round" per round (with "round" and
     "samples" counters, and an "allocate" phase after the first), then
-    "merge" and "stats".  Worker span contexts
-    are keyed on the global shard id alone, so retries do not perturb
-    span ids and [trace_spans] is byte-identical per seed. *)
+    "merge" and "stats" (packing {!stats_lines}' input).  Worker span
+    contexts are keyed on the global shard id alone, so retries do not
+    perturb span ids and [trace_spans] is byte-identical per seed. *)
 val run :
   ?fault_bits:int ->
   ?heartbeats:int ->

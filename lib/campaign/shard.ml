@@ -134,9 +134,12 @@ let read_sample line : (sample_out, string) result =
         | None -> Error (Fmt.str "sample line: unknown escape %S" esc)
     in
     (* the record must be whole and be this sample's *)
-    let head = Fmt.str "{\"sample\":%d," o_sample in
-    let n = String.length o_record and h = String.length head in
-    if n <= h || String.sub o_record 0 h <> head || o_record.[n - 1] <> '}'
+    let head = "{\"sample\":" ^ string_of_int o_sample ^ "," in
+    let n = String.length o_record in
+    if
+      n <= String.length head
+      || (not (String.starts_with ~prefix:head o_record))
+      || o_record.[n - 1] <> '}'
     then Error "sample line: truncated or foreign record"
     else
       Ok { o_sample; o_class; o_static; o_record; o_latency; o_escape; o_steps }

@@ -121,7 +121,7 @@ let write_run ?(extra_trace = ([], [])) ~dir ~(manifest : Manifest.t)
           result.Runner.events));
   Fsutil.write_file
     (Filename.concat dir stats_file)
-    (jsonl (header_of stats_header) result.Runner.stats_lines);
+    (jsonl (header_of stats_header) (Runner.stats_lines result));
   let extra_spans, extra_walls = extra_trace in
   Fsutil.write_file
     (Filename.concat dir trace_file)

@@ -753,10 +753,13 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index =
   match reached with
   | Some o ->
     (* Site unreached: a traced run never diverged, so its summary is
-       that of a tracer that observed nothing. *)
+       that of a tracer that observed nothing.  Such a tracer never
+       steps its golden replica, so the run's own state stands in for
+       it rather than a fresh machine state. *)
     let summary =
       if not traced then None
-      else Some (Propagation.finish (Propagation.create t.pre t.img) st)
+      else
+        Some (Propagation.finish (Propagation.create ~golden:st t.pre t.img) st)
     in
     (classify t o, unreached_fault dyn_index, st, summary)
   | None ->

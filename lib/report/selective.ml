@@ -11,7 +11,6 @@
    seed than profiling, so the selection must generalise. *)
 
 module Machine = Ferrum_machine.Machine
-module Predecode = Ferrum_machine.Predecode
 module F = Ferrum_faultsim.Faultsim
 module Technique = Ferrum_eddi.Technique
 module Pipeline = Ferrum_eddi.Pipeline
@@ -34,11 +33,9 @@ let site_table (p : Prog.t) : (string * int) array =
   Array.of_list (List.rev !out)
 
 (* Per-static-site SDC counts from a profiling campaign on the raw
-   program. *)
-let profile ~samples ~seed (img : Machine.image) =
-  let res =
-    Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples (F.prepare img)
-  in
+   program's target. *)
+let profile ~samples ~seed (target : F.target) =
+  let res = Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples target in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun line ->
@@ -89,10 +86,12 @@ type point = {
 let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
     (m : Ferrum_ir.Ir.modul) : point list =
   let raw = Pipeline.raw m in
-  let raw_img = Machine.load raw.program in
-  let raw_golden = Predecode.golden raw_img in
-  let counts, _ = profile ~samples ~seed:profile_seed raw_img in
-  let eval_raw = Experiments.campaign_counts ~seed:eval_seed ~samples raw_img in
+  (* One prepared target per image: its one golden walk gives the
+     cycles, and the profiling and evaluation campaigns share it (and
+     its workers). *)
+  let raw_t = F.prepare (Machine.load raw.program) in
+  let counts, _ = profile ~samples ~seed:profile_seed raw_t in
+  let eval_raw = Experiments.target_counts ~seed:eval_seed ~samples raw_t in
   List.map
     (fun budget ->
       let config, sites_protected =
@@ -104,15 +103,14 @@ let run_benchmark ?(samples = 300) ?(profile_seed = 404L) ?(eval_seed = 505L)
             n )
       in
       let prot = Pipeline.protect ~ferrum_config:config Technique.Ferrum m in
-      let img = Machine.load prot.program in
-      let golden = Predecode.golden img in
-      let eval = Experiments.campaign_counts ~seed:eval_seed ~samples img in
+      let t = F.prepare (Machine.load prot.program) in
+      let eval = Experiments.target_counts ~seed:eval_seed ~samples t in
       {
         budget;
         sites_protected;
         overhead =
-          F.overhead ~raw_cycles:raw_golden.Predecode.cycles
-            ~prot_cycles:golden.Predecode.cycles;
+          F.overhead ~raw_cycles:raw_t.F.golden_cycles
+            ~prot_cycles:t.F.golden_cycles;
         coverage = F.sdc_coverage ~raw:eval_raw ~protected_:eval;
       })
     [ 0.25; 0.5; 0.75; 0.9; 1.0; 2.0 (* 2.0 = full FERRUM *) ]

@@ -5,17 +5,16 @@
     only the sites covering a budget of the observed SDC mass.
     Evaluation uses an independent seed from profiling. *)
 
-module Machine = Ferrum_machine.Machine
 module F = Ferrum_faultsim.Faultsim
 
 (** Flattened static index -> (block label, index within block), in the
     loader's flatten order. *)
 val site_table : Ferrum_asm.Prog.t -> (string * int) array
 
-(** Per-static-site SDC counts plus the campaign totals. *)
+(** Per-static-site SDC counts of a campaign on a prepared target, plus
+    the campaign totals. *)
 val profile :
-  samples:int -> seed:int64 -> Machine.image ->
-  (int, int) Hashtbl.t * F.counts
+  samples:int -> seed:int64 -> F.target -> (int, int) Hashtbl.t * F.counts
 
 (** Smallest site set covering [budget] of the observed SDC mass, as a
     (label, index) set, plus its cardinality. *)

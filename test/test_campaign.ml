@@ -449,8 +449,8 @@ let check_same_campaign ~what ?(events = ser_events) (clean : Runner.result)
   in
   Alcotest.(check (list string)) (what ^ ": records") clean.Runner.record_lines
     r.Runner.record_lines;
-  Alcotest.(check (list string)) (what ^ ": stats") clean.Runner.stats_lines
-    r.Runner.stats_lines;
+  Alcotest.(check (list string)) (what ^ ": stats") (Runner.stats_lines clean)
+    (Runner.stats_lines r);
   Alcotest.(check (list string)) (what ^ ": events") (events clean) (events r);
   Alcotest.(check (list string)) (what ^ ": vulnmap") (rows clean) (rows r)
 
@@ -517,8 +517,8 @@ let test_flat_is_one_round () =
       let what = Fmt.str "%d shards, %d samples" shards samples in
       Alcotest.(check (list string)) (what ^ ": events") (ser_events one)
         (ser_events flat);
-      Alcotest.(check (list string)) (what ^ ": stats") one.Runner.stats_lines
-        flat.Runner.stats_lines;
+      Alcotest.(check (list string)) (what ^ ": stats") (Runner.stats_lines one)
+        (Runner.stats_lines flat);
       Alcotest.(check (list string)) (what ^ ": trace spans")
         one.Runner.trace_spans flat.Runner.trace_spans)
     [ (2, samples); (8, 6) ]
@@ -554,6 +554,187 @@ let test_no_eligible_sites () =
   Alcotest.(check int) "no events" 0 !events;
   Alcotest.(check bool) "no worker forked" false (Sys.file_exists marker);
   rm_rf dir
+
+(* ---- persistent workers ---- *)
+
+let knn_ferrum () =
+  let m = (Option.get (Catalog.find "kNN")).Catalog.build () in
+  F.prepare (Machine.load (Pipeline.protect Technique.Ferrum m).program)
+
+(* What a campaign leaves: records, canonical events, stats document
+   and trace span rows. *)
+let artifacts r =
+  ( r.Runner.record_lines,
+    ser_events r,
+    Runner.stats_lines r,
+    r.Runner.trace_spans )
+
+let same_artifacts what a b =
+  let ra, ea, sa, ta = a and rb, eb, sb, tb = b in
+  Alcotest.(check (list string)) (what ^ ": records") ra rb;
+  Alcotest.(check (list string)) (what ^ ": events") ea eb;
+  Alcotest.(check (list string)) (what ^ ": stats") sa sb;
+  Alcotest.(check (list string)) (what ^ ": trace spans") ta tb
+
+(* [f ()] in a forked child, whose campaigns fork workers of their own;
+   returns what [f] returned. *)
+let in_fresh_process (f : unit -> 'a) : 'a =
+  let rd, wr = Unix.pipe () in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let oc = Unix.out_channel_of_descr wr in
+    Marshal.to_channel oc (f ()) [];
+    close_out oc;
+    exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let v = try Some (Marshal.from_channel ic : 'a) with End_of_file -> None in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    Option.get v
+
+let pool_campaigns =
+  [ ("flat", Runner.Inject, None);
+    ("adaptive", Runner.Traced, Some { Runner.rounds = 3; target_ci = 0.0 });
+    ("flat again", Runner.Inject, None) ]
+
+let pool_run ?on_event t (_, mode, policy) =
+  Runner.run ?on_event ?policy ~mode ~shards:2 ~seed ~samples:60 t
+
+(* One target campaigned three times runs on the same two workers, and
+   each campaign leaves what it leaves in a fresh process. *)
+let test_pool_reuse () =
+  let fresh =
+    List.map
+      (fun c -> in_fresh_process (fun () -> artifacts (pool_run (knn_ferrum ()) c)))
+      pool_campaigns
+  in
+  let t = knn_ferrum () in
+  let pids = ref [] in
+  List.iter2
+    (fun ((what, _, _) as c) expected ->
+      same_artifacts what expected (artifacts (pool_run t c));
+      (match !pids with
+      | [] -> pids := Runner.worker_pids t
+      | p -> Alcotest.(check (list int)) (what ^ ": same workers") p
+               (Runner.worker_pids t));
+      Alcotest.(check int) (what ^ ": two workers") 2 (List.length !pids))
+    pool_campaigns fresh
+
+(* Campaigns on two targets interleave without disturbing each other's
+   workers, and once a target is collected its workers are gone. *)
+let test_pool_interleaving () =
+  let c = List.hd pool_campaigns in
+  let alone build = in_fresh_process (fun () -> artifacts (pool_run (build ()) c)) in
+  let ref_a = alone knn_ferrum and ref_b = alone fixture_target in
+  let a = knn_ferrum () and b = ref (Some (fixture_target ())) in
+  same_artifacts "A" ref_a (artifacts (pool_run a c));
+  same_artifacts "B" ref_b (artifacts (pool_run (Option.get !b) c));
+  same_artifacts "A again" ref_a (artifacts (pool_run a c));
+  let b_pids = Runner.worker_pids (Option.get !b) in
+  Alcotest.(check int) "B's workers" 2 (List.length b_pids);
+  b := None;
+  Gc.full_major ();
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | () -> Alcotest.failf "worker %d outlived its collected target" pid
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+    b_pids;
+  Alcotest.(check int) "A's workers stay" 2 (List.length (Runner.worker_pids a))
+
+(* A worker killed while idle is dropped by the next campaign without
+   a retry: it took no part in that campaign.  Its shard goes to a new
+   worker, or to the other one if that is idle by then, so the pool is
+   back to two workers one campaign later at the latest. *)
+let test_pool_dead_idle_worker () =
+  let c = List.hd pool_campaigns in
+  let t = knn_ferrum () in
+  let clean = artifacts (pool_run t c) in
+  let victim = List.hd (Runner.worker_pids t) in
+  Unix.kill victim Sys.sigkill;
+  let retries = ref 0 in
+  let on_event (e : Events.t) =
+    match e.Events.body with Events.Shard_retry _ -> incr retries | _ -> ()
+  in
+  let r = pool_run ~on_event t c in
+  Alcotest.(check int) "no retry" 0 r.Runner.retried;
+  Alcotest.(check int) "no retry event" 0 !retries;
+  same_artifacts "after the kill" clean (artifacts r);
+  Alcotest.(check bool) "the dead one dropped" false
+    (List.mem victim (Runner.worker_pids t));
+  same_artifacts "one campaign later" clean (artifacts (pool_run t c));
+  Alcotest.(check int) "two workers again" 2
+    (List.length (Runner.worker_pids t))
+
+(* A process that ran campaigns on two targets and exits leaves no
+   worker behind: by the time it is reaped, it has reaped its workers,
+   and every holder of its watch pipe — it and the workers it forked —
+   is gone.  Killed instead, it runs no exit handler; its workers then
+   read end of file on their command pipes and exit on their own. *)
+let test_pool_exit () =
+  let watched ~killed =
+    Ferrum_serve.Daemon.fork_watched (fun wr ->
+        let a = knn_ferrum () and b = fixture_target () in
+        ignore (pool_run a (List.hd pool_campaigns) : Runner.result);
+        ignore (pool_run b (List.hd pool_campaigns) : Runner.result);
+        let pids = Runner.worker_pids a @ Runner.worker_pids b in
+        let line = String.concat " " (List.map string_of_int pids) ^ "\n" in
+        ignore (Unix.write_substring wr line 0 (String.length line) : int);
+        if killed then Unix.sleepf 60.0)
+  in
+  (* what the watch pipe carries until end of file, if that comes
+     within [timeout] seconds of each read *)
+  let drain wake ~timeout =
+    let buf = Buffer.create 64 and chunk = Bytes.create 256 in
+    let rec go () =
+      match Unix.select [ wake ] [] [] timeout with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read wake chunk 0 256 with
+        | 0 -> Some (Buffer.contents buf)
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ())
+    in
+    let r = go () in
+    Unix.close wake;
+    r
+  in
+  let pids_of text =
+    List.filter_map int_of_string_opt
+      (String.split_on_char ' ' (String.trim text))
+  in
+  let pid, wake = watched ~killed:false in
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "the child exited 0" true (status = Unix.WEXITED 0);
+  (match drain wake ~timeout:0.0 with
+  | None -> Alcotest.fail "watch pipe not at end of file when the child is reaped"
+  | Some text ->
+    let pids = pids_of text in
+    Alcotest.(check int) "four workers" 4 (List.length pids);
+    List.iter
+      (fun w ->
+        match Unix.kill w 0 with
+        | () -> Alcotest.failf "worker %d not reaped by its exiting runner" w
+        | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+      pids);
+  let pid, wake = watched ~killed:true in
+  let rec line () =
+    match Unix.select [ wake ] [] [] 20.0 with
+    | [], _, _ -> Alcotest.fail "the child did not run its campaigns"
+    | _ ->
+      let b = Bytes.create 1 in
+      if Unix.read wake b 0 1 = 1 && Bytes.get b 0 <> '\n' then line ()
+  in
+  line ();
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  Alcotest.(check bool) "watch pipe at end of file after a kill" true
+    (drain wake ~timeout:20.0 <> None)
 
 (* ---- manifests and run directories ---- *)
 
@@ -874,6 +1055,17 @@ let () =
             test_adaptive_resume;
           Alcotest.test_case "no eligible sites, no fork" `Quick
             test_no_eligible_sites;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "reused workers = a fresh process" `Quick
+            test_pool_reuse;
+          Alcotest.test_case "interleaved targets, collected pool" `Quick
+            test_pool_interleaving;
+          Alcotest.test_case "idle worker killed, replaced silently" `Quick
+            test_pool_dead_idle_worker;
+          Alcotest.test_case "no worker outlives its process" `Quick
+            test_pool_exit;
         ] );
       ( "manifest",
         [

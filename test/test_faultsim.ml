@@ -117,6 +117,32 @@ let test_injection_detected_when_protected () =
   Alcotest.(check int) "no sdc" 0 !sdc;
   Alcotest.(check bool) "many detected" true (!detected > 20)
 
+(* A traced fault whose site is never reached: the fast engine's
+   record and summary are the scratch oracle's, and building them
+   allocates no fresh machine state (the image's memory alone is
+   1 MiB).  The targets claim a thousand eligible write-backs where the
+   program retires a few, so drawn faults land past the last one. *)
+let test_traced_unreached () =
+  let img = Machine.load (small_program ()) in
+  let target engine =
+    { (F.prepare ~engine img) with F.eligible_steps = 1000 }
+  in
+  let scratch = target F.Scratch and fast = target F.default_engine in
+  let sample t k = F.vulnmap_sample t ~seed:4L ~sample:k in
+  ignore (sample fast 0);
+  for k = 1 to 3 do
+    let cls, fault, record, summary = sample scratch k in
+    let before = Gc.allocated_bytes () in
+    let cls', fault', record', summary' = sample fast k in
+    let bytes = Gc.allocated_bytes () -. before in
+    Alcotest.(check int) "unreached" (-1) fault.F.static_index;
+    Alcotest.(check bool) "the oracle's class, fault, record and summary"
+      true
+      (cls = cls' && fault = fault' && record = record' && summary = summary');
+    if bytes > float_of_int (img.Machine.mem_size / 2) then
+      Alcotest.failf "a traced unreached sample allocated %.0f bytes" bytes
+  done
+
 (* ---- campaigns ---- *)
 
 let test_campaign_reproducible () =
@@ -194,6 +220,8 @@ let () =
       ( "injection",
         [ Alcotest.test_case "unprotected print corrupts" `Quick
             test_injection_flips_output;
+          Alcotest.test_case "traced, unreached site" `Quick
+            test_traced_unreached;
           Alcotest.test_case "protected detects" `Quick
             test_injection_detected_when_protected ] );
       ( "campaign",

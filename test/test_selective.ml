@@ -92,7 +92,9 @@ let test_budget_monotone_overhead () =
 let test_profile_attributes_sdc () =
   let m = workload "Backprop" in
   let img = Machine.load (Pipeline.raw m).program in
-  let counts, totals = Selective.profile ~samples:200 ~seed:31L img in
+  let counts, totals =
+    Selective.profile ~samples:200 ~seed:31L (F.prepare img)
+  in
   let attributed = Hashtbl.fold (fun _ n acc -> acc + n) counts 0 in
   Alcotest.(check int) "every sdc attributed to a site" totals.F.sdc
     attributed

@@ -184,7 +184,7 @@ let test_adaptive_shard_identity () =
         ~policy:{ Runner.rounds = 3; target_ci = 0.0 }
         (raw_workload "kNN")
     in
-    (r.Runner.record_lines, r.Runner.stats_lines)
+    (r.Runner.record_lines, Runner.stats_lines r)
   in
   let ref_records, ref_stats = run 1 in
   List.iter
