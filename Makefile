@@ -113,9 +113,13 @@ lint: build
 # replay both part files (no part rewritten, so no worker ran) into the
 # same run files byte for byte, and no worker may outlive the CLI: the
 # pipe reaches end of file only once every process holding its write
-# end (the CLI's stdout, inherited by each worker) has exited.
+# end (the CLI's stdout, inherited by each worker) has exited.  Last, a
+# 1-shard kNN campaign of 1,200 samples, whose worker runs three
+# windows of samples off its golden cursor, must write the injection
+# file of a 3-shard run, with checkpoints every 977 steps and with none.
 campaign: build
-	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).copy $(CAMP).knn
+	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).copy $(CAMP).knn \
+	  $(CAMP).w1 $(CAMP).w3
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP) --html $(CAMP).html > /dev/null
 	$(CLI) metrics $(CAMP)/events.jsonl
@@ -146,7 +150,15 @@ campaign: build
 	timeout 60 sh -c '$(CLI) campaign kNN -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP).knn | cat > /dev/null'
 	$(CLI) metrics $(CAMP).knn/injection.jsonl > /dev/null
-	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable, no lingering worker"
+	$(CLI) campaign kNN -p ferrum --samples 1200 --shards 3 \
+	  --out $(CAMP).w3 > /dev/null
+	for e in "--checkpoint-interval 977" --no-checkpoints; do \
+	  rm -rf $(CAMP).w1; \
+	  $(CLI) campaign kNN -p ferrum --samples 1200 --shards 1 $$e \
+	    --out $(CAMP).w1 > /dev/null || exit 1; \
+	  cmp $(CAMP).w3/injection.jsonl $(CAMP).w1/injection.jsonl || exit 1; \
+	done
+	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable, no lingering worker, multi-window shards equal"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
 # schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of

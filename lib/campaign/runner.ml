@@ -270,19 +270,19 @@ let run_command target oc c =
         }
       in
       Shard.run_range ~fault_bits:c.c_fault_bits ?assign ~traced:c.c_traced
-        ~seed:c.c_seed target c.c_range ~on_sample:(fun record line ->
+        ~seed:c.c_seed target c.c_range
+        ~on_sample:(fun cls ~steps text pos len ->
           (match c.c_die_after with
           | Some k when !done_ >= k ->
             flush oc;
             Unix._exit 66
           | _ -> ());
-          Buffer.output_buffer oc line;
+          output oc text pos len;
           output_char oc '\n';
           incr done_;
-          let steps = record.F.steps in
           clock := !clock + steps;
           Trace.advance tr steps;
-          let k = class_slot record.F.r_class in
+          let k = class_slot cls in
           by_class.(k) <- by_class.(k) + 1;
           if !done_ mod every = 0 && !done_ < total then begin
             let seen =

@@ -52,12 +52,15 @@ val write_sample :
     parse, or a record that is truncated or names another sample. *)
 val read_sample : string -> (sample_out, string) result
 
-(** Run one shard's samples in index order; [traced] selects the
-    lockstep-traced (vulnmap) variant.  [on_sample r line] receives each
-    record and its {!write_sample} line, in a buffer reused for the
-    whole range.  [assign] maps a global sample index to the static site
-    the adaptive allocator aimed it at (negative = uniform draw;
-    default). *)
+(** Run one shard's samples, window by window in flip order off one
+    golden run ({!F.run_window}); [traced] selects the lockstep-traced
+    (vulnmap) variant.  [on_sample cls ~steps text pos len] receives
+    each sample's class, steps and {!write_sample} line ([len] bytes of
+    [text] from [pos], valid during the call), in index order.
+    [assign] maps a global sample index to the static site the adaptive
+    allocator aimed it at (negative = uniform draw; default). *)
 val run_range :
   ?fault_bits:int -> ?assign:(int -> int) -> traced:bool -> seed:int64 ->
-  F.target -> range -> on_sample:(F.record -> Buffer.t -> unit) -> unit
+  F.target -> range ->
+  on_sample:(F.classification -> steps:int -> Bytes.t -> int -> int -> unit) ->
+  unit

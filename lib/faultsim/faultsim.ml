@@ -133,7 +133,7 @@ let eligibility (img : Machine.image) scope =
 type phases = {
   mutable ph_walks : int; (* golden walks ({!prepare}) *)
   mutable ph_walk_steps : int;
-  mutable ph_restores : int; (* checkpoint/initial-state restores *)
+  mutable ph_restores : int; (* slot restores, the golden cursor's too *)
   mutable ph_prefix_steps : int; (* unobserved replay up to the flip *)
   mutable ph_forward_steps : int; (* of those, retired by the fused leg *)
   mutable ph_suffix_steps : int; (* flip + post-flip execution *)
@@ -157,10 +157,26 @@ let zero_phases () =
     ph_skipped_steps = 0;
   }
 
+(* The scratch of a window of campaign samples ({!run_window}), kept
+   per target and reused from window to window: where the golden cursor
+   stands, the samples' draws in flip order, and their rendered lines. *)
+type window = {
+  mutable cursor_seen : int;
+      (* eligible write-backs the cursor has retired; -1 = restore first *)
+  sites : int array; (* per window position: the sample's adaptive site *)
+  keys : int array; (* (dyn_index lsl window_bits) lor position, sorted *)
+  classes : classification array; (* per position: its class *)
+  steps : int array; (* ... its record's steps *)
+  offs : int array; (* ... where its line starts in [text] *)
+  lens : int array; (* ... and the line's length *)
+  line : Buffer.t; (* the line being rendered *)
+  mutable text : Bytes.t; (* the window's lines, in run order *)
+}
+
 (* A profiled program ready for injection.  The decoded program and the
    checkpoint cache are built by {!prepare}, so campaign workers forked
    after it inherit both and never decode or walk again; the pooled
-   slots are built lazily, per process. *)
+   slots and the window scratch are built lazily, per process. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -179,13 +195,20 @@ type target = {
   cache : Snapshot.cache; (* golden checkpoints (none unless checkpointed) *)
   mutable slot_ : Snapshot.slot option; (* pooled injected-run state *)
   mutable golden_slot_ : Snapshot.slot option; (* pooled lockstep golden *)
+  mutable cursor_ : Snapshot.slot option; (* golden cursor, never flipped *)
+  mutable window_ : window option; (* {!run_window}'s scratch *)
+  picks : int array; (* {!distinct_below}'s draws, in draw order *)
   mutable occ_ : int array array option; (* lazy per-site occurrences *)
   phases : phases; (* per-process engine-phase tallies *)
 }
 
 let phases (t : target) = t.phases
 
+(* Also sends the golden cursor back to be restored before its next use,
+   so that the phases of the work after a reset depend on that work
+   alone, not on where an earlier window left the cursor. *)
 let reset_phases (t : target) =
+  Option.iter (fun w -> w.cursor_seen <- -1) t.window_;
   let p = t.phases in
   p.ph_walks <- 0;
   p.ph_walk_steps <- 0;
@@ -304,6 +327,9 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       cache = Snapshot.finish recorder ~steps;
       slot_ = None;
       golden_slot_ = None;
+      cursor_ = None;
+      window_ = None;
+      picks = Array.make 64 0;
       occ_ = None;
       phases;
     }
@@ -359,6 +385,14 @@ let golden_slot (t : target) =
     t.golden_slot_ <- Some s;
     s
 
+let cursor (t : target) =
+  match t.cursor_ with
+  | Some s -> s
+  | None ->
+    let s = Snapshot.make_slot t.cache in
+    t.cursor_ <- Some s;
+    s
+
 let predecoded (t : target) = t.pre
 
 (* ------------------------------------------------------------------ *)
@@ -409,13 +443,10 @@ let flag_dest =
   and cf = dest Cond.CF "CF" and of_ = dest Cond.OF "OF" in
   function Cond.ZF -> zf | Cond.SF -> sf | Cond.CF -> cf | Cond.OF -> of_
 
-(* The values {!distinct_below} drew, in draw order.  Bounds are at
-   most 64 (a register's bits), so it never overflows. *)
-let picks = Array.make 64 0
-
 (* Draw [n] distinct values below [bound] into [picks] (a repeat is
-   drawn again); returns how many, [min n bound]. *)
-let distinct_below rng ~n ~bound =
+   drawn again); returns how many, [min n bound].  Bounds are at most 64
+   (a register's bits), so the target's 64 [picks] never overflow. *)
+let distinct_below picks rng ~n ~bound =
   let n = min n bound in
   let k = ref 0 in
   while !k < n do
@@ -434,10 +465,11 @@ let distinct_below rng ~n ~bound =
 (* Flip [bits] distinct bits of the destination — the paper's model uses
    single flips; [bits > 1] reproduces its multiple-bit-upset future
    work (DESIGN.md E11).  The fault names the last bit drawn. *)
-let flip_dest ~bits rng st (dest : Instr.dest) ~dyn_index ~static_index =
+let flip_dest ~bits picks rng st (dest : Instr.dest) ~dyn_index ~static_index
+    =
   match dest with
   | Instr.Dgpr (r, s) ->
-    let n = distinct_below rng ~n:bits ~bound:(Reg.size_bits s) in
+    let n = distinct_below picks rng ~n:bits ~bound:(Reg.size_bits s) in
     for i = 0 to n - 1 do
       Machine.flip_gpr st r s ~bit:picks.(i)
     done;
@@ -447,14 +479,14 @@ let flip_dest ~bits rng st (dest : Instr.dest) ~dyn_index ~static_index =
     { dyn_index; static_index; dest_desc; dest_info; bit = picks.(n - 1) }
   | Instr.Dsimd (x, lanes) ->
     let lane = List.nth lanes (Rng.int rng (List.length lanes)) in
-    let n = distinct_below rng ~n:bits ~bound:64 in
+    let n = distinct_below picks rng ~n:bits ~bound:64 in
     for i = 0 to n - 1 do
       Machine.flip_simd_lane st x ~lane ~bit:picks.(i)
     done;
     let dest_desc, dest_info = simd_dests.((x * 8) + lane) in
     { dyn_index; static_index; dest_desc; dest_info; bit = picks.(n - 1) }
   | Instr.Dflags flags ->
-    let n = distinct_below rng ~n:bits ~bound:(List.length flags) in
+    let n = distinct_below picks rng ~n:bits ~bound:(List.length flags) in
     for i = 0 to n - 1 do
       Machine.flip_flag st (List.nth flags picks.(i))
     done;
@@ -484,7 +516,7 @@ let unreached_fault dyn_index =
 let apply_flip ~fault_bits (t : target) rng st ~dyn_index idx : fault =
   let dests = t.img.Machine.dests.(idx) in
   let d = List.nth dests (Rng.int rng (List.length dests)) in
-  flip_dest ~bits:fault_bits rng st d ~dyn_index ~static_index:idx
+  flip_dest ~bits:fault_bits t.picks rng st d ~dyn_index ~static_index:idx
 
 (* The scratch path: run the target once from a fresh state, flipping
    one bit at the [dyn_index]-th eligible write-back.  [on_inject] is
@@ -718,6 +750,76 @@ let flip_at ~fault_bits t rng tracer st ~dyn_index idx =
   | None -> ());
   fault
 
+(* The flip and the suffix, once the pooled slot [sl] is positioned at
+   the flip site with the instruction not yet executed.  [src] is a slot
+   holding that same state — [sl] itself, or the golden cursor [sl] was
+   copied from — and a traced run's lockstep golden slot is copied from
+   it.  Counts the suffix phases; returns what {!inject_fast} does. *)
+let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
+  let ph = t.phases and pre = t.pre in
+  let st = Snapshot.state sl in
+  let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
+  let tracer =
+    if not traced then None
+    else begin
+      let gsl = golden_slot t in
+      Snapshot.copy ~src gsl;
+      ph.ph_restores <- ph.ph_restores + 1;
+      Some (Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
+    end
+  in
+  let idx = st.Machine.ip in
+  let cls, fault =
+    match Predecode.step1 pre st with
+    | _retired ->
+      let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
+      let outcome =
+        match tracer with
+        | None -> run_suffix t pre sl st
+        | Some tr -> run_traced t pre tr sl (golden_slot t) st
+      in
+      (classify t outcome, fault)
+    | exception Machine.Halt o ->
+      (* Unreachable in practice — halting instructions define no
+         destinations, so they are never eligible — but mirror
+         {!Predecode.exec_observed}, whose observer fires on the
+         halting step. *)
+      let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
+      (classify t o, fault)
+    | exception Machine.Trap m ->
+      (* A trapped step is never observed by {!Predecode.exec_observed}:
+         no flip, no RNG draws, the fault stays unreached. *)
+      (classify t (Machine.Crash m), unreached_fault dyn_index)
+  in
+  ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps () - f0);
+  ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
+  let summary =
+    match tracer with
+    | Some tr -> Some (Propagation.finish tr st)
+    | None -> None
+  in
+  (cls, fault, st, summary)
+
+(* A prefix that ended before its flip site — possible only for a
+   [dyn_index] out of range: a traced run never diverged, so its summary
+   is that of a tracer that observed nothing.  Such a tracer never steps
+   its golden replica, so the run's own state [st] stands in for it
+   rather than a fresh machine state. *)
+let unreached ~traced (t : target) o st ~dyn_index =
+  let summary =
+    if not traced then None
+    else Some (Propagation.finish (Propagation.create ~golden:st t.pre t.img) st)
+  in
+  (classify t o, unreached_fault dyn_index, st, summary)
+
+(* Run [sl]'s prefix from its restored or current position, counting
+   the steps. *)
+let advance (t : target) st ~seen ~dyn_index =
+  let s0 = st.Machine.steps in
+  let reached = run_prefix t t.pre st ~seen ~dyn_index in
+  t.phases.ph_prefix_steps <- t.phases.ph_prefix_steps + (st.Machine.steps - s0);
+  reached
+
 (* {!inject_full}'s exact semantics on a pooled, checkpoint-restored
    state: restore the nearest checkpoint at or below the flip point, run
    the remaining prefix unobserved, execute the flip instruction, flip,
@@ -741,70 +843,13 @@ let flip_at ~fault_bits t rng tracer st ~dyn_index idx =
    ({!converge_traced}) and finishes with the golden output, steps and
    cycles, the exit counted in [ph_converged]/[ph_skipped_steps]. *)
 let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index =
-  let ph = t.phases in
   let sl = slot t in
   let seen = Snapshot.restore sl ~dyn_index in
+  t.phases.ph_restores <- t.phases.ph_restores + 1;
   let st = Snapshot.state sl in
-  let pre = t.pre in
-  ph.ph_restores <- ph.ph_restores + 1;
-  let s0 = st.Machine.steps in
-  let reached = run_prefix t pre st ~seen ~dyn_index in
-  ph.ph_prefix_steps <- ph.ph_prefix_steps + (st.Machine.steps - s0);
-  match reached with
-  | Some o ->
-    (* Site unreached: a traced run never diverged, so its summary is
-       that of a tracer that observed nothing.  Such a tracer never
-       steps its golden replica, so the run's own state stands in for
-       it rather than a fresh machine state. *)
-    let summary =
-      if not traced then None
-      else
-        Some (Propagation.finish (Propagation.create ~golden:st t.pre t.img) st)
-    in
-    (classify t o, unreached_fault dyn_index, st, summary)
-  | None ->
-    let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
-    let tracer =
-      if not traced then None
-      else begin
-        let gsl = golden_slot t in
-        ignore (Snapshot.restore gsl ~dyn_index : int);
-        ph.ph_restores <- ph.ph_restores + 1;
-        Snapshot.sync ~src:sl gsl;
-        Some (Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
-      end
-    in
-    let idx = st.Machine.ip in
-    let cls, fault =
-      match Predecode.step1 pre st with
-      | _retired ->
-        let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
-        let outcome =
-          match tracer with
-          | None -> run_suffix t pre sl st
-          | Some tr -> run_traced t pre tr sl (golden_slot t) st
-        in
-        (classify t outcome, fault)
-      | exception Machine.Halt o ->
-        (* Unreachable in practice — halting instructions define no
-           destinations, so they are never eligible — but mirror
-           {!Predecode.exec_observed}, whose observer fires on the
-           halting step. *)
-        let fault = flip_at ~fault_bits t rng tracer st ~dyn_index idx in
-        (classify t o, fault)
-      | exception Machine.Trap m ->
-        (* A trapped step is never observed by {!Predecode.exec_observed}:
-           no flip, no RNG draws, the fault stays unreached. *)
-        (classify t (Machine.Crash m), unreached_fault dyn_index)
-    in
-    ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps () - f0);
-    ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
-    let summary =
-      match tracer with
-      | Some tr -> Some (Propagation.finish tr st)
-      | None -> None
-    in
-    (cls, fault, st, summary)
+  match advance t st ~seen ~dyn_index with
+  | Some o -> unreached ~traced t o st ~dyn_index
+  | None -> run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:sl sl
 
 (* One sample on the target's engine — the only place that dispatches
    on it.  Returns the class, the fault, the run's final state (its
@@ -999,6 +1044,126 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
     run_sample ~traced:false ~fault_bits t rng ~dyn_index
   in
   (cls, fault, make_record t ~sample cls fault st)
+
+(* ------------------------------------------------------------------ *)
+(* Windows of campaign samples, in flip order off a golden cursor.     *)
+(* ------------------------------------------------------------------ *)
+
+(* A window's samples, in flip order, run off one golden run: the
+   cursor, a third pooled slot that is never flipped.  Between two
+   samples it runs on from the earlier flip site to the later one, fused
+   to the later one's block start ({!run_prefix}).  It is restored only
+   when it stands under an earlier checkpoint than the flip's (the
+   checkpoint is then nearer) or past the flip (the window started
+   behind it), so [Snapshot.at cursor] is always the flip's checkpoint
+   and its dirty log spans at most one interval.  The pooled slot is
+   then copied from it and the sample runs on as {!inject_fast}'s
+   does.  The cursor is the golden run, so the copy is bit-identical to
+   {!inject_fast}'s positioned slot, and so is everything after it. *)
+let inject_cursor ~traced ~fault_bits (t : target) w rng ~dyn_index =
+  let ph = t.phases and cur = cursor t in
+  let c = Snapshot.select t.cache ~dyn_index in
+  if w.cursor_seen < 0 || w.cursor_seen > dyn_index || Snapshot.at cur <> c
+  then begin
+    w.cursor_seen <- Snapshot.restore_to cur c;
+    ph.ph_restores <- ph.ph_restores + 1
+  end;
+  let cst = Snapshot.state cur in
+  match advance t cst ~seen:w.cursor_seen ~dyn_index with
+  | Some o ->
+    w.cursor_seen <- -1;
+    unreached ~traced t o cst ~dyn_index
+  | None ->
+    w.cursor_seen <- dyn_index;
+    let sl = slot t in
+    Snapshot.copy ~src:cur sl;
+    ph.ph_restores <- ph.ph_restores + 1;
+    run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:cur sl
+
+(* Samples per window, a power of two so that a sort key holds the
+   dyn_index above the window position. *)
+let window_bits = 9
+
+let window_size = 1 lsl window_bits
+
+let window (t : target) =
+  match t.window_ with
+  | Some w -> w
+  | None ->
+    let w =
+      {
+        cursor_seen = -1;
+        sites = Array.make window_size (-1);
+        keys = Array.make window_size 0;
+        classes = Array.make window_size Benign;
+        steps = Array.make window_size 0;
+        offs = Array.make window_size 0;
+        lens = Array.make window_size 0;
+        line = Buffer.create 512;
+        text = Bytes.create (window_size * 384);
+      }
+    in
+    t.window_ <- Some w;
+    w
+
+(* Campaign samples [lo, lo + n), [n <= window_size], as
+   {!campaign_sample} ([traced]: {!vulnmap_sample}) would run them one
+   by one.  Every sample's dyn_index is drawn first — each from its own
+   [Rng.split_at ~seed sample], so order changes no draw — and the
+   samples then run in dyn_index order off the golden cursor
+   ({!inject_cursor}; the scratch engine runs them as {!run_sample}
+   does).  [render] writes each one's line as it finishes; [emit] then
+   gets the lines in sample order, with each sample's class and steps.
+   Nothing is allocated per window: the draws, order and lines live in
+   the target's window scratch, reused. *)
+let run_window ?(fault_bits = 1) ~traced ~site (t : target) ~seed ~lo ~n ~render
+    ~emit =
+  if n < 0 || n > window_size then invalid_arg "Faultsim.run_window: n";
+  let w = window t in
+  let keys = w.keys in
+  for j = 0 to window_size - 1 do
+    keys.(j) <-
+      (if j < n then begin
+         let s = site (lo + j) in
+         w.sites.(j) <- s;
+         let d = sample_dyn_index t (Rng.split_at ~seed (lo + j)) ~site:s in
+         (d lsl window_bits) lor j
+       end
+       else max_int)
+  done;
+  Array.sort Int.compare keys;
+  let used = ref 0 in
+  for k = 0 to n - 1 do
+    let j = keys.(k) land (window_size - 1)
+    and dyn_index = keys.(k) lsr window_bits in
+    let sample = lo + j in
+    let rng = Rng.split_at ~seed sample in
+    ignore (sample_dyn_index t rng ~site:w.sites.(j) : int);
+    let cls, fault, st, summary =
+      match t.engine with
+      | Pooled | Checkpointed _ ->
+        inject_cursor ~traced ~fault_bits t w rng ~dyn_index
+      | Scratch -> run_sample ~traced ~fault_bits t rng ~dyn_index
+    in
+    let record = make_record t ~sample cls fault st in
+    Buffer.clear w.line;
+    render w.line record summary;
+    let len = Buffer.length w.line in
+    if !used + len > Bytes.length w.text then begin
+      let text = Bytes.create (2 * (!used + len)) in
+      Bytes.blit w.text 0 text 0 !used;
+      w.text <- text
+    end;
+    Buffer.blit w.line 0 w.text !used len;
+    w.classes.(j) <- cls;
+    w.steps.(j) <- record.steps;
+    w.offs.(j) <- !used;
+    w.lens.(j) <- len;
+    used := !used + len
+  done;
+  for j = 0 to n - 1 do
+    emit w.classes.(j) ~steps:w.steps.(j) w.text w.offs.(j) w.lens.(j)
+  done
 
 (* SDC coverage of a protected program relative to the raw baseline
    (paper §IV-A3): (SDC_raw - SDC_prot) / SDC_raw. *)

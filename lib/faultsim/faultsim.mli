@@ -87,8 +87,12 @@ type phases = {
       (** golden walks: 1 in the process that ran {!prepare}, 0 in a
           campaign worker (it resets its phases and inherits the cache) *)
   mutable ph_walk_steps : int;
-  mutable ph_restores : int;  (** checkpoint/initial-state restores *)
-  mutable ph_prefix_steps : int;  (** unobserved replay up to the flip *)
+  mutable ph_restores : int;
+      (** slot restores: one per fast sample (two when traced), plus
+          the golden cursor's in {!run_window} *)
+  mutable ph_prefix_steps : int;
+      (** unobserved replay up to the flip; in {!run_window}, the golden
+          cursor's steps, shared by the window's samples *)
   mutable ph_forward_steps : int;
       (** the part of [ph_prefix_steps] run fused, up to the start of the
           flip's block of [B] steps (see [eligible_upto]); the rest of
@@ -109,11 +113,16 @@ type phases = {
           counted in [ph_suffix_steps] *)
 }
 
+(** {!run_window}'s per-target scratch. *)
+type window
+
 (** A profiled program ready for injection.  [pre] is the program's one
     decode and [cache] the golden checkpoints {!prepare} captured during
     its one golden walk, so forked campaign workers inherit both and
-    never decode or walk again.  The trailing mutable fields lazily
-    cache the pooled run states and per-process tables. *)
+    never decode or walk again.  The trailing fields lazily cache the
+    pooled run states (the injected run, its lockstep golden run and
+    {!run_window}'s golden cursor), the window scratch, the bit-draw
+    scratch and per-process tables. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -151,6 +160,9 @@ type target = {
       (** golden checkpoints (none unless the engine is checkpointed) *)
   mutable slot_ : Ferrum_machine.Snapshot.slot option;
   mutable golden_slot_ : Ferrum_machine.Snapshot.slot option;
+  mutable cursor_ : Ferrum_machine.Snapshot.slot option;
+  mutable window_ : window option;
+  picks : int array;
   mutable occ_ : int array array option;
   phases : phases;
 }
@@ -165,8 +177,10 @@ val phases : target -> phases
 (** [target.pre]. *)
 val predecoded : target -> Ferrum_machine.Predecode.t
 
-(** Zero the tallies (each campaign worker resets at startup so its
-    shard's counters cover exactly its own work). *)
+(** Zero the tallies, and have {!run_window}'s golden cursor restored
+    before its next use (each campaign worker resets before every shard
+    so its shard's counters cover exactly its own work, whatever shards
+    it ran before). *)
 val reset_phases : target -> unit
 
 exception Golden_failure of string
@@ -272,6 +286,30 @@ val metrics_kind : string
 val campaign_sample :
   ?fault_bits:int -> ?site:int -> target -> seed:int64 -> sample:int ->
   classification * fault * record
+
+(** Samples per {!run_window} window (512). *)
+val window_size : int
+
+(** [run_window ~traced ~site t ~seed ~lo ~n ~render ~emit] runs
+    campaign samples [lo, lo + n) ([0 <= n <= window_size]) and gives
+    the records {!campaign_sample} ([traced]: {!vulnmap_sample}, with
+    its summary) gives, sample [s] aimed at [site s] (negative =
+    uniform).  The samples run in dyn_index order off one golden run,
+    a pooled slot of the target that is never flipped: each prefix
+    starts from where that run stands or from the flip's checkpoint,
+    whichever is nearer.  [render buf r summary] writes sample [r]'s
+    line into [buf] as it finishes, in run order; then [emit cls
+    ~steps text pos len] receives each sample's class, steps and line
+    ([text], from [pos], [len] bytes; valid during the call), in sample
+    order.
+    @raise Invalid_argument if [n] is out of range. *)
+val run_window :
+  ?fault_bits:int -> traced:bool -> site:(int -> int) -> target ->
+  seed:int64 -> lo:int -> n:int ->
+  render:
+    (Buffer.t -> record -> Ferrum_telemetry.Propagation.summary option -> unit) ->
+  emit:(classification -> steps:int -> Bytes.t -> int -> int -> unit) ->
+  unit
 
 (** SDC coverage relative to the raw baseline (paper §IV-A3):
     [(p_raw - p_prot) / p_raw], clamped to [0; 1]. *)

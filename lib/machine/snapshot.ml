@@ -296,18 +296,18 @@ let reload_page sl c p =
   load_page sl ~c p;
   true
 
+let at sl = sl.at
+
 let restore_to sl c =
   ignore (iter_candidates sl c reload_page : bool);
   Machine.clear_dirty sl.st;
   load_regs sl c;
-  sl.at <- c
-
-let reset sl = restore_to sl (-1)
-
-let restore sl ~dyn_index =
-  let c = select sl.cache ~dyn_index in
-  restore_to sl c;
+  sl.at <- c;
   if c < 0 then 0 else sl.cache.ckpts.(c).c_seen
+
+let reset sl = ignore (restore_to sl (-1) : int)
+
+let restore sl ~dyn_index = restore_to sl (select sl.cache ~dyn_index)
 
 (* [a[ao, ao+len) = b[bo, bo+len)], eight bytes at a time. *)
 let sub_equal a ao b bo len =
@@ -450,3 +450,11 @@ let sync ~src dst =
       Bytes.blit src.st.Machine.mem off dst.st.Machine.mem off len;
       Machine.mark_page dtr p
     done
+
+(* [dst] restored to [src]'s checkpoint, then {!sync}ed: a clean copy of
+   a slot that has run on from its checkpoint, at the price of the
+   pages the two slots dirtied and the deltas between their
+   checkpoints. *)
+let copy ~src dst =
+  ignore (restore_to dst src.at : int);
+  sync ~src dst

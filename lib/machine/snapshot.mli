@@ -94,10 +94,19 @@ val make_slot : cache -> slot
 (** The slot's state.  Valid until the next [restore]/[reset]. *)
 val state : slot -> Machine.state
 
-(** Restore the slot to the latest checkpoint at or before the
-    [dyn_index]-th eligible write-back and return that checkpoint's
-    eligible-write-back count (0 when restored to the pristine
-    start). *)
+(** The latest checkpoint at or before the [dyn_index]-th eligible
+    write-back; [-1] (the pristine start) when there is none. *)
+val select : cache -> dyn_index:int -> int
+
+(** The checkpoint the slot was last restored to ([-1] = pristine). *)
+val at : slot -> int
+
+(** [restore_to sl c]: restore the slot to checkpoint [c] ([-1] =
+    pristine) and return that checkpoint's eligible-write-back count (0
+    at the pristine start). *)
+val restore_to : slot -> int -> int
+
+(** [restore_to sl (select cache ~dyn_index)]. *)
 val restore : slot -> dyn_index:int -> int
 
 (** Restore the slot to the pristine start-of-program state. *)
@@ -107,6 +116,11 @@ val reset : slot -> unit
     and the pages [src] has dirtied.  Both slots must have been
     restored to the same checkpoint, with [dst] not executed since. *)
 val sync : src:slot -> slot -> unit
+
+(** [copy ~src dst]: restore [dst] to [src]'s checkpoint, then {!sync}
+    it, so its state is bit-identical to [src]'s.  [src] must only have
+    executed since its own restore. *)
+val copy : src:slot -> slot -> unit
 
 (** [converged sl c]: is the slot's state bit-identical to golden
     checkpoint [c] — the fields {!restore} writes: steps, ip, the bits of

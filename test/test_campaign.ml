@@ -983,7 +983,7 @@ let test_sample_allocation_budget () =
             in
             let t = F.prepare img in
             let bytes = ref 0 in
-            let on_sample _ line = bytes := !bytes + Buffer.length line in
+            let on_sample _ ~steps:_ _ _ len = bytes := !bytes + len in
             Shard.run_range ~traced:false ~seed t { Shard.lo = 0; hi = 20 }
               ~on_sample;
             let before = Gc.minor_words () in

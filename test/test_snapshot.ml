@@ -21,6 +21,7 @@ module Trace = Ferrum_telemetry.Trace
 module Profile = Ferrum_telemetry.Profile
 module Manifest = Ferrum_campaign.Manifest
 module Fsutil = Ferrum_campaign.Fsutil
+module Shard = Ferrum_campaign.Shard
 
 let original = Instr.original
 
@@ -1010,6 +1011,192 @@ let prop_random_prefix_identity =
         ~seed ~samples:4;
       true)
 
+(* ---- windows off the golden cursor ----
+
+   [Shard.run_range] runs a shard's samples window by window, in flip
+   order off one golden run, the cursor.  Each window must hand over,
+   in sample order, exactly the wire lines that one-by-one
+   [F.campaign_sample]s (traced: [F.vulnmap_sample]s) of the scratch
+   oracle render. *)
+
+(* Sample [sample]'s wire line, rendered from the one-by-one path. *)
+let sample_line ~traced ?site t ~seed ~sample =
+  let buf = Buffer.create 256 in
+  (if traced then begin
+     let cls, _, r, s = F.vulnmap_sample ?site t ~seed ~sample in
+     let latency =
+       if cls = F.Detected then Propagation.detection_latency s else None
+     in
+     let escape =
+       if cls = F.Sdc then Some (Propagation.explain_escape s) else None
+     in
+     Shard.write_sample buf r ~latency ~escape
+   end
+   else
+     let _, _, r = F.campaign_sample ?site t ~seed ~sample in
+     Shard.write_sample buf r ~latency:None ~escape:None);
+  Buffer.contents buf
+
+(* The lines [Shard.run_range] hands over for [range], in order; the
+   class and steps it hands with each must be the line's. *)
+let window_lines ?assign ~traced t ~seed range =
+  let lines = ref [] in
+  Shard.run_range ?assign ~traced ~seed t range
+    ~on_sample:(fun cls ~steps text pos len ->
+      let line = Bytes.sub_string text pos len in
+      (match Shard.read_sample line with
+      | Ok o when o.Shard.o_class = cls && o.Shard.o_steps = steps -> ()
+      | _ -> Alcotest.failf "class or steps beside line %S" line);
+      lines := line :: !lines);
+  List.rev !lines
+
+(* Every target's windows over [range], plain and traced, against the
+   reference's one-by-one samples. *)
+let check_windows name ?(assign = fun _ -> -1) ~reference targets ~seed
+    (range : Shard.range) =
+  List.iter
+    (fun traced ->
+      let want =
+        List.init (Shard.range_samples range) (fun i ->
+            let sample = range.Shard.lo + i in
+            let site = assign sample in
+            sample_line ~traced ~site reference ~seed ~sample)
+      in
+      List.iter
+        (fun t ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s%s" name (F.engine_name t.F.engine)
+               (if traced then " traced" else ""))
+            want
+            (window_lines ~assign ~traced t ~seed range))
+        targets)
+    [ false; true ]
+
+(* Random kernels, as [prop_random_prefix_identity] draws them, one
+   window of random flips each, some of them aimed at random sites. *)
+let prop_random_window_identity =
+  QCheck.Test.make ~name:"a window matches one-by-one samples on random kernels"
+    ~count:12
+    QCheck.(
+      quad Tgen.kernel_arbitrary (int_bound 3) bool (make QCheck.Gen.ui64))
+    (fun (k, config, all_sites, seed) ->
+      let m =
+        Tgen.build_kernel
+          { k with Tgen.iterations = 100 + (40 * k.Tgen.iterations) }
+      in
+      let res =
+        if config = 0 then Pipeline.raw m
+        else Pipeline.protect (List.nth Technique.all (config - 1)) m
+      in
+      let img = Machine.load res.Pipeline.program in
+      let scope = if all_sites then F.All_sites else F.Original_only in
+      let reference = F.prepare ~scope ~engine:F.Scratch img in
+      let sites = F.site_candidates reference in
+      let assign sample =
+        if sample mod 3 = 0 then
+          sites.(Int64.to_int (Int64.unsigned_rem seed 1000L) * sample
+                 mod Array.length sites)
+        else -1
+      in
+      check_windows "random kernel" ~assign ~reference
+        (List.map (fun engine -> F.prepare ~scope ~engine img) prefix_engines)
+        ~seed { Shard.lo = 3; hi = 12 };
+      true)
+
+(* [block_program]'s two sites at a block edge, X (step 1024) and Y
+   (step 1025), and its loop site. *)
+let block_sites () =
+  let img = Machine.load (block_program ()) in
+  let reference = F.prepare ~engine:F.Scratch img in
+  let e = reference.F.eligible_upto in
+  let x = reference.F.dyn_static.(e.(2) - 1)
+  and y = reference.F.dyn_static.(e.(2)) in
+  (img, reference, x, y, reference.F.dyn_static.(0))
+
+(* One window aims every sample at X, the site with one occurrence:
+   each flip repeats the last, and the cursor stays where it is. *)
+let test_window_duplicates () =
+  let img, reference, x, _, _ = block_sites () in
+  let targets = List.map (fun engine -> F.prepare ~engine img) prefix_engines in
+  check_windows "all at X" ~assign:(fun _ -> x) ~reference targets ~seed:21L
+    { Shard.lo = 0; hi = 9 };
+  List.iter
+    (fun t ->
+      (* after a shard's reset, one cursor restore serves the window *)
+      F.reset_phases t;
+      ignore (window_lines ~assign:(fun _ -> x) ~traced:false t ~seed:21L
+                { Shard.lo = 0; hi = 9 });
+      Alcotest.(check int)
+        (F.engine_name t.F.engine ^ ": one cursor restore, one per sample")
+        10 (F.phases t).F.ph_restores)
+    targets
+
+(* Flips at X and Y, on both sides of the block edge at step 1024 and,
+   under [Checkpointed 64], of the checkpoint there, mixed with loop
+   flips and uniform ones in one window; the engines with K = 977 and
+   4096 restore X and Y from before the edge. *)
+let test_window_edges () =
+  let img, reference, x, y, loop = block_sites () in
+  let targets = List.map (fun engine -> F.prepare ~engine img) prefix_engines in
+  let aim = [| y; x; -1; loop; y; -1; x; x; loop; y; -1 |] in
+  check_windows "block edges" ~assign:(fun s -> aim.(s mod Array.length aim))
+    ~reference targets ~seed:13L { Shard.lo = 0; hi = 22 }
+
+(* A window whose first flips lie behind where the previous window left
+   the cursor (at Y, the last site): the cursor is restored, on every
+   engine, and the records stay the oracle's. *)
+let test_window_behind_cursor () =
+  let img, reference, _, y, _ = block_sites () in
+  List.iter
+    (fun engine ->
+      let t = F.prepare ~engine img in
+      check_windows "at Y" ~assign:(fun _ -> y) ~reference [ t ] ~seed:5L
+        { Shard.lo = 0; hi = 2 };
+      let before = (F.phases t).F.ph_restores in
+      let range = { Shard.lo = 2; hi = 10 } in
+      Alcotest.(check (list string))
+        (F.engine_name engine ^ ": then behind")
+        (List.init 8 (fun i ->
+             sample_line ~traced:false reference ~seed:5L ~sample:(2 + i)))
+        (window_lines ~traced:false t ~seed:5L range);
+      (* one restore per sample, and at least one of the cursor *)
+      Alcotest.(check bool)
+        (F.engine_name engine ^ ": the cursor was restored")
+        true
+        ((F.phases t).F.ph_restores - before > 8);
+      check_windows "then behind" ~reference [ t ] ~seed:5L range)
+    prefix_engines
+
+(* Adaptive rounds hand [run_range] an allocation; a multi-window
+   shard (two windows and a part) runs it window by window. *)
+let test_window_adaptive () =
+  let img, reference, x, y, loop = block_sites () in
+  let sites = [| x; y; loop |] in
+  let assign s = if s mod 4 = 3 then -1 else sites.(s * 7 mod 3) in
+  let lo = 500 and hi = 500 + F.window_size + 40 in
+  let t = F.prepare img in
+  let got = window_lines ~assign ~traced:false t ~seed:9L { Shard.lo; hi } in
+  Alcotest.(check (list string)) "adaptive shard across windows"
+    (List.init (hi - lo) (fun i ->
+         let sample = lo + i in
+         sample_line ~traced:false ~site:(assign sample) reference ~seed:9L
+           ~sample))
+    got
+
+(* A worker that dies mid-window has emitted the window's first
+   samples only, in order; the retried shard's records equal the
+   one-by-one campaign's. *)
+let test_window_die_after () =
+  let img = Machine.load (block_program ()) in
+  let t = F.prepare img in
+  let samples = F.window_size + 100 and seed = 17L in
+  let want = Campaign_ref.lines (Campaign_ref.run ~seed ~samples t) in
+  let sabotage ~shard:_ ~attempt = if attempt = 0 then Some 300 else None in
+  let res = Runner.run ~mode:Runner.Inject ~shards:1 ~seed ~samples ~sabotage t in
+  Alcotest.(check int) "one retry" 1 res.Runner.retried;
+  Alcotest.(check (list string)) "records after a death mid-window" want
+    res.Runner.record_lines
+
 (* A flip instruction that traps is never flipped, on any engine: the
    fault stays unreached.  A replayed prefix is the golden run, so its
    flip instruction cannot trap; here the targets run an image whose
@@ -1196,6 +1383,17 @@ let () =
       ( "fused prefix",
         [ Alcotest.test_case "flips at a block's edges" `Quick test_block_edges;
           QCheck_alcotest.to_alcotest prop_random_prefix_identity ] );
+      ( "window",
+        [ Alcotest.test_case "duplicate flips" `Quick test_window_duplicates;
+          Alcotest.test_case "checkpoint and block edges" `Quick
+            test_window_edges;
+          Alcotest.test_case "starts behind the cursor" `Quick
+            test_window_behind_cursor;
+          Alcotest.test_case "adaptive assign across windows" `Quick
+            test_window_adaptive;
+          Alcotest.test_case "die_after mid-window" `Quick
+            test_window_die_after;
+          QCheck_alcotest.to_alcotest prop_random_window_identity ] );
       ( "convergence",
         [ Alcotest.test_case "golden boundary" `Quick test_converged_at_boundary;
           Alcotest.test_case "page contents decide" `Quick
