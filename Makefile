@@ -9,7 +9,7 @@ TRACE = /tmp/ferrum_trace
 PROF = /tmp/ferrum_profile
 FLIGHT = /tmp/ferrum_flight
 
-.PHONY: all build test fmt exports smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
+.PHONY: all build test fmt exports globals smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-selftest bench-snapshot check clean
 
 all: build
 
@@ -34,6 +34,12 @@ fmt:
 # a reason.
 exports:
 	sh scripts/check_exports.sh
+
+# No process-global mutable state: a top-level ref, table, buffer or
+# mutable record in lib/*/*.ml must be on scripts/globals.allow with a
+# reason.
+globals:
+	sh scripts/check_globals.sh
 
 # End-to-end smoke: small campaigns must produce schema-valid,
 # seed-reproducible metrics and vulnerability-map streams, neither an
@@ -240,7 +246,7 @@ bench-snapshot: build
 	$(CLI) metrics BENCH_$$n.json && \
 	echo "bench-snapshot: wrote BENCH_$$n.json"
 
-check: fmt exports build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf \
+check: fmt exports globals build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf \
   bench-selftest
 
 clean:

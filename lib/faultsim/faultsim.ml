@@ -758,7 +758,7 @@ let flip_at ~fault_bits t rng tracer st ~dyn_index idx =
 let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
   let ph = t.phases and pre = t.pre in
   let st = Snapshot.state sl in
-  let s1 = st.Machine.steps and f0 = Predecode.fused_steps () in
+  let s1 = st.Machine.steps and f0 = Predecode.fused_steps pre in
   let tracer =
     if not traced then None
     else begin
@@ -791,7 +791,7 @@ let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
          no flip, no RNG draws, the fault stays unreached. *)
       (classify t (Machine.Crash m), unreached_fault dyn_index)
   in
-  ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps () - f0);
+  ph.ph_fused_steps <- ph.ph_fused_steps + (Predecode.fused_steps pre - f0);
   ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
   let summary =
     match tracer with
@@ -1052,33 +1052,42 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
 (* A window's samples, in flip order, run off one golden run: the
    cursor, a third pooled slot that is never flipped.  Between two
    samples it runs on from the earlier flip site to the later one, fused
-   to the later one's block start ({!run_prefix}).  It is restored only
-   when it stands under an earlier checkpoint than the flip's (the
-   checkpoint is then nearer) or past the flip (the window started
-   behind it), so [Snapshot.at cursor] is always the flip's checkpoint
-   and its dirty log spans at most one interval.  The pooled slot is
-   then copied from it and the sample runs on as {!inject_fast}'s
-   does.  The cursor is the golden run, so the copy is bit-identical to
-   {!inject_fast}'s positioned slot, and so is everything after it. *)
-let inject_cursor ~traced ~fault_bits (t : target) w rng ~dyn_index =
+   to the later one's block start ({!run_prefix}).  It stands usable
+   when it is at the flip's checkpoint and not past the flip; the pooled
+   slot is then copied from it and the sample runs on as
+   {!inject_fast}'s does.  Otherwise it is restored to the flip's
+   checkpoint only when [next], the window's next flip (-1 when none),
+   selects that checkpoint too, so it will run on; a flip alone in its
+   checkpoint interval is {!inject_fast}'s sample, and the cursor stays
+   where it stands.  A used cursor is thus at its flip's checkpoint, and
+   its dirty log spans at most one interval.  The cursor is the golden
+   run, so the copy is bit-identical to {!inject_fast}'s positioned
+   slot, and so is everything after it. *)
+let inject_cursor ~traced ~fault_bits (t : target) w rng ~dyn_index ~next =
   let ph = t.phases and cur = cursor t in
   let c = Snapshot.select t.cache ~dyn_index in
-  if w.cursor_seen < 0 || w.cursor_seen > dyn_index || Snapshot.at cur <> c
-  then begin
-    w.cursor_seen <- Snapshot.restore_to cur c;
-    ph.ph_restores <- ph.ph_restores + 1
-  end;
-  let cst = Snapshot.state cur in
-  match advance t cst ~seen:w.cursor_seen ~dyn_index with
-  | Some o ->
-    w.cursor_seen <- -1;
-    unreached ~traced t o cst ~dyn_index
-  | None ->
-    w.cursor_seen <- dyn_index;
-    let sl = slot t in
-    Snapshot.copy ~src:cur sl;
-    ph.ph_restores <- ph.ph_restores + 1;
-    run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:cur sl
+  let usable =
+    w.cursor_seen >= 0 && w.cursor_seen <= dyn_index && Snapshot.at cur = c
+  in
+  if (not usable) && (next < 0 || Snapshot.select t.cache ~dyn_index:next <> c)
+  then inject_fast ~traced ~fault_bits t rng ~dyn_index
+  else begin
+    if not usable then begin
+      w.cursor_seen <- Snapshot.restore_to cur c;
+      ph.ph_restores <- ph.ph_restores + 1
+    end;
+    let cst = Snapshot.state cur in
+    match advance t cst ~seen:w.cursor_seen ~dyn_index with
+    | Some o ->
+      w.cursor_seen <- -1;
+      unreached ~traced t o cst ~dyn_index
+    | None ->
+      w.cursor_seen <- dyn_index;
+      let sl = slot t in
+      Snapshot.copy ~src:cur sl;
+      ph.ph_restores <- ph.ph_restores + 1;
+      run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:cur sl
+  end
 
 (* Samples per window, a power of two so that a sort key holds the
    dyn_index above the window position. *)
@@ -1142,7 +1151,8 @@ let run_window ?(fault_bits = 1) ~traced ~site (t : target) ~seed ~lo ~n ~render
     let cls, fault, st, summary =
       match t.engine with
       | Pooled | Checkpointed _ ->
-        inject_cursor ~traced ~fault_bits t w rng ~dyn_index
+        let next = if k + 1 < n then keys.(k + 1) lsr window_bits else -1 in
+        inject_cursor ~traced ~fault_bits t w rng ~dyn_index ~next
       | Scratch -> run_sample ~traced ~fault_bits t rng ~dyn_index
     in
     let record = make_record t ~sample cls fault st in

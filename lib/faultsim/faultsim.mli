@@ -92,7 +92,7 @@ type phases = {
           the golden cursor's in {!run_window} *)
   mutable ph_prefix_steps : int;
       (** unobserved replay up to the flip; in {!run_window}, the golden
-          cursor's steps, shared by the window's samples *)
+          cursor's steps, shared by the samples that run off it *)
   mutable ph_forward_steps : int;
       (** the part of [ph_prefix_steps] run fused, up to the start of the
           flip's block of [B] steps (see [eligible_upto]); the rest of
@@ -297,7 +297,8 @@ val window_size : int
     uniform).  The samples run in dyn_index order off one golden run,
     a pooled slot of the target that is never flipped: each prefix
     starts from where that run stands or from the flip's checkpoint,
-    whichever is nearer.  [render buf r summary] writes sample [r]'s
+    whichever is nearer, and a flip alone in its checkpoint interval
+    runs from the checkpoint, as {!campaign_sample} runs it.  [render buf r summary] writes sample [r]'s
     line into [buf] as it finishes, in run order; then [emit cls
     ~steps text pos len] receives each sample's class, steps and line
     ([text], from [pos], [len] bytes; valid during the call), in sample

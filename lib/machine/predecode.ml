@@ -57,8 +57,10 @@
    - Cycles accumulate into the state's unboxed float cell
      ({!Machine.fcell}), updated in place by every retirement, so no loop
      boxes a float and a decode holds no per-run state besides its fuel
-     bound: any number of states (an injected run and its lockstep golden
-     replica) can step through one decode.
+     bound and its count of fused steps, which only ever grows: any
+     number of states (an injected run and its lockstep golden replica)
+     can step through one decode, and a caller reads the steps one run
+     fused as the count's delta over it.
 
    Superinstruction fusion is a pure dispatch optimization: a fused thunk
    at index [i] executes instructions [i] and [i+1] with per-instruction
@@ -99,29 +101,11 @@ type t = {
   n_fused : int; (* number of fused pair starts *)
   pattern_counts : (string * int) list; (* per-pattern static pair count *)
   fuel : int ref; (* fuel bound of the current {!exec} run *)
+  fused_steps : int ref; (* steps ever retired here as fused pairs *)
 }
 
 (* Raised by a fused thunk when fuel runs out between its two halves. *)
 exception Fuel
-
-(* ------------------------------------------------------------------ *)
-(* Process-wide dispatch counters (per worker after a fork).           *)
-(* ------------------------------------------------------------------ *)
-
-type counters = {
-  mutable c_fast_steps : int; (* steps retired by {!exec} *)
-  mutable c_fused_steps : int; (* subset retired as fused pairs *)
-}
-
-let ctr = { c_fast_steps = 0; c_fused_steps = 0 }
-
-let reset_counters () =
-  ctr.c_fast_steps <- 0;
-  ctr.c_fused_steps <- 0
-
-let fast_steps () = ctr.c_fast_steps
-
-let fused_steps () = ctr.c_fused_steps
 
 (* ------------------------------------------------------------------ *)
 (* Operand specialization (generic closures, for the composed bodies). *)
@@ -427,10 +411,11 @@ let[@inline] jcc cost ck ev t next (st : Machine.state) =
   retire cost st (if tk && t >= 0 then t else next);
   if tk && t < 0 then raise detected
 
-(* The fused-pair epilogue: count both steps, then tail-call the thunk
-   at the new [ip] while fuel lasts and [ip] is in range. *)
-let[@inline] chain fuel fused len (st : Machine.state) =
-  ctr.c_fused_steps <- ctr.c_fused_steps + 2;
+(* The fused-pair epilogue: count both steps in [count], then
+   tail-call the thunk at the new [ip] while fuel lasts and [ip] is in
+   range. *)
+let[@inline] chain fuel count fused len (st : Machine.state) =
+  count := !count + 2;
   let ip' = st.Machine.ip in
   if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
     (aget fused ip') st
@@ -1143,7 +1128,7 @@ let mk_thunk (img : Machine.image) ip : (Machine.state -> unit) * bool =
    cost, step count, [ip] update, then the body — so a trap or fuel
    timeout between the halves leaves the same architectural state
    single-stepping would. *)
-let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
+let fuse_pair (fuel : int ref) count (fused : (Machine.state -> unit) array)
     len (img : Machine.image) ip : (Machine.state -> unit) option =
   let c1 = img.Machine.costs.(ip) and c2 = img.Machine.costs.(ip + 1) in
   let n1 = ip + 1 and n2 = ip + 2 in
@@ -1163,7 +1148,7 @@ let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
         check_fuel fuel st;
         retire c2 st n2;
         vptest256 st s t8 u8;
-        chain fuel fused len st)
+        chain fuel count fused len st)
   | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
     match jcc_target img (ip + 1) with
     | Some t ->
@@ -1177,7 +1162,7 @@ let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
           vptest256 st st.Machine.simd a8 b8;
           check_fuel fuel st;
           jcc c2 ck ev t n2 st;
-          chain fuel fused len st)
+          chain fuel count fused len st)
     | None -> None)
   | Instr.Cmp (Reg.B, src, dst), Instr.Jcc (c, _) -> (
     match (jcc_target img (ip + 1), reg_or_imm src, byte_dest dst) with
@@ -1191,7 +1176,7 @@ let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
           flags_sub8 st (dest8 st g di bi xi sc disp) (source8 g si iv8);
           check_fuel fuel st;
           jcc c2 ck ev t n2 st;
-          chain fuel fused len st)
+          chain fuel count fused len st)
     | _ -> None)
   | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
     match (jcc_target img (ip + 1), reg_or_imm src) with
@@ -1206,7 +1191,7 @@ let fuse_pair (fuel : int ref) (fused : (Machine.state -> unit) array)
           flags_sub st a b (Int64.sub a b);
           check_fuel fuel st;
           jcc c2 ck ev t n2 st;
-          chain fuel fused len st)
+          chain fuel count fused len st)
     | _ -> None)
   | _ -> None
 
@@ -1348,7 +1333,7 @@ let decode ?avoid (img : Machine.image) : t =
   let fused_name = Array.make len "" in
   let n_fused = ref 0 in
   let counts = List.map (fun p -> (p.p_name, ref 0)) patterns in
-  let fuel = ref max_int in
+  let fuel = ref max_int and count = ref 0 in
   for ip = 0 to len - 2 do
     let a = img.Machine.code.(ip) and b = img.Machine.code.(ip + 1) in
     if
@@ -1362,7 +1347,7 @@ let decode ?avoid (img : Machine.image) : t =
         fused_name.(ip) <- p.p_name;
         incr n_fused;
         incr (List.assoc p.p_name counts);
-        (match fuse_pair fuel fused len img ip with
+        (match fuse_pair fuel count fused len img ip with
         | Some flat -> fused.(ip) <- flat
         | None ->
           let t1 = thunks.(ip) and t2 = thunks.(ip + 1) in
@@ -1371,7 +1356,7 @@ let decode ?avoid (img : Machine.image) : t =
               t1 st;
               check_fuel fuel st;
               t2 st;
-              chain fuel fused len st))
+              chain fuel count fused len st))
   done;
   {
     thunks;
@@ -1381,6 +1366,7 @@ let decode ?avoid (img : Machine.image) : t =
     n_fused = !n_fused;
     pattern_counts = List.map (fun (n, r) -> (n, !r)) counts;
     fuel;
+    fused_steps = count;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1407,25 +1393,22 @@ let is_specialized p ip = p.specialized.(ip)
 (* The unobserved fast path: threaded dispatch over the fused thunk
    array. *)
 let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
-  let s0 = st.Machine.steps in
   let len = Array.length p.thunks in
   let fused = p.fused in
   p.fuel := fuel;
-  let outcome =
-    try
-      while st.Machine.steps < fuel do
-        let ip = st.Machine.ip in
-        if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
-        (aget fused ip) st
-      done;
-      Machine.Timeout
-    with
-    | Machine.Halt o -> o
-    | Machine.Trap msg -> Machine.Crash msg
-    | Fuel -> Machine.Timeout
-  in
-  ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
-  outcome
+  try
+    while st.Machine.steps < fuel do
+      let ip = st.Machine.ip in
+      if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
+      (aget fused ip) st
+    done;
+    Machine.Timeout
+  with
+  | Machine.Halt o -> o
+  | Machine.Trap msg -> Machine.Crash msg
+  | Fuel -> Machine.Timeout
+
+let fused_steps p = !(p.fused_steps)
 
 (* One pre-decoded step; returns the retired static index.  Raises
    [Machine.Halt] when the program ends and [Machine.Trap] on a machine

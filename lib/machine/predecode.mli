@@ -6,9 +6,10 @@
     hottest static pairs.  {!exec} runs them unobserved, {!exec_observed}
     hands every retired instruction to an observer, and {!step1} retires
     exactly one; all three give bit-identical steps, cycles, traps and
-    timeouts.  A decode keeps no run state in it (cycles accumulate in
-    the state's own {!Machine.fcell}), so any number of states can run
-    on one decode, one nested inside another's observer included. *)
+    timeouts.  A decode keeps no run state in it but {!fused_steps}
+    (cycles accumulate in the state's own {!Machine.fcell}), so any
+    number of states can run on one decode, one nested inside another's
+    observer included. *)
 
 (** A decoded program. *)
 type t
@@ -38,23 +39,15 @@ val is_fused_start : t -> int -> bool
     runs through the generic body (the shapes no fast arm covers). *)
 val is_specialized : t -> int -> bool
 
-(** {1 Process-wide counters}
-
-    Per worker after a fork. *)
-
-val reset_counters : unit -> unit
-
-(** Steps retired by {!exec}. *)
-val fast_steps : unit -> int
-
-(** The subset of {!fast_steps} retired as fused pairs. *)
-val fused_steps : unit -> int
-
 (** {1 Execution loops} *)
 
 (** The unobserved fast path: run until halt, trap or [fuel] total
     steps (default {!Machine.default_fuel}), with fused pairs. *)
 val exec : ?fuel:int -> t -> Machine.state -> Machine.outcome
+
+(** Steps that {!exec} has retired as fused pairs on this decode, over
+    every run so far; a run's share is the delta across it. *)
+val fused_steps : t -> int
 
 (** One step, never fused; returns the retired static index.  Raises
     [Machine.Halt] when the program ends and [Machine.Trap] on a

@@ -256,6 +256,7 @@ type daemon = {
   listen_fd : Unix.file_descr;
   memo : Spec.memo;
   mutable runner : running option;
+  wake_buf : Bytes.t; (* drains the runner's wake pipe *)
   mutable subs : subscriber list;
   (* /metricz counters *)
   mutable http_requests : int;
@@ -725,8 +726,6 @@ let reaped pid =
    the wait at once; the timeout only backs the pipe up (a runner whose
    descendants outlive it, holding the pipe open, is still reaped by
    [waitpid]). *)
-let wake_buf = Bytes.create 512
-
 let rec loop d =
   (match d.runner with
   | Some r when reaped r.pid -> finish_runner d r
@@ -739,7 +738,7 @@ let rec loop d =
   | ready, _, _ ->
     (match d.runner with
     | Some r when List.mem r.wake ready -> (
-      match Unix.read r.wake wake_buf 0 (Bytes.length wake_buf) with
+      match Unix.read r.wake d.wake_buf 0 (Bytes.length d.wake_buf) with
       | 0 ->
         (* end of file: the runner has exited, so this wait is short *)
         (try ignore (Unix.waitpid [] r.pid) with Unix.Unix_error _ -> ());
@@ -793,6 +792,7 @@ let serve (cfg : config) : unit =
       listen_fd;
       memo = Spec.memo ~capacity:memo_capacity;
       runner = None;
+      wake_buf = Bytes.create 512;
       subs = [];
       http_requests = 0;
       jobs_submitted = 0;

@@ -103,8 +103,7 @@ let run ?fuel (img : Machine.image) : t =
 type dispatch = {
   d_sites : int; (* static code length *)
   d_fused_sites : int; (* static fused pair sites *)
-  d_steps : int; (* golden-run dynamic steps *)
-  d_fast_steps : int; (* steps retired by the unobserved fast path *)
+  d_steps : int; (* golden-run dynamic steps, all by the fast path *)
   d_fused_steps : int; (* steps retired inside fused superinstructions *)
   d_generic_steps : int; (* steps retired by generic, unspecialized bodies *)
   d_patterns : (string * int) list; (* dynamic pairs fired, descending *)
@@ -112,10 +111,8 @@ type dispatch = {
 
 let dispatch ?fuel (img : Machine.image) : dispatch =
   let d = Predecode.decode img in
-  Predecode.reset_counters ();
   let st = Machine.fresh_state img in
   ignore (Predecode.exec ?fuel d st);
-  let fast = Predecode.fast_steps () and fused = Predecode.fused_steps () in
   (* Dynamic pattern histogram: replay observed and pair retirements the
      way the fused dispatcher does — a pair fires when control enters a
      fused head and the second half retires right after it. *)
@@ -144,8 +141,7 @@ let dispatch ?fuel (img : Machine.image) : dispatch =
     d_sites = Predecode.length d;
     d_fused_sites = Predecode.fused_pairs d;
     d_steps = st.Machine.steps;
-    d_fast_steps = fast;
-    d_fused_steps = fused;
+    d_fused_steps = Predecode.fused_steps d;
     d_generic_steps = !generic;
     d_patterns = patterns;
   }
@@ -160,11 +156,11 @@ let dispatch_to_json dp =
       ("sites", Json.Int dp.d_sites);
       ("fused_sites", Json.Int dp.d_fused_sites);
       ("steps", Json.Int dp.d_steps);
-      ("fast_steps", Json.Int dp.d_fast_steps);
+      ("fast_steps", Json.Int dp.d_steps);
       ("fused_steps", Json.Int dp.d_fused_steps);
       ("fused_boundary_pct",
        Json.Float (ipct dp.d_fused_sites (max 1 (dp.d_sites - 1))));
-      ("fast_path_pct", Json.Float (ipct dp.d_fast_steps dp.d_steps));
+      ("fast_path_pct", Json.Float (ipct dp.d_steps dp.d_steps));
       ("fused_steps_pct", Json.Float (ipct dp.d_fused_steps dp.d_steps));
       ("generic_steps", Json.Int dp.d_generic_steps);
       ("generic_steps_pct", Json.Float (ipct dp.d_generic_steps dp.d_steps));
@@ -184,8 +180,8 @@ let pp_dispatch ppf dp =
   Fmt.pf ppf
     "  fast path retired %d/%d steps (%.1f%%), %.1f%% in superinstructions, \
      %.1f%% in generic bodies@."
-    dp.d_fast_steps dp.d_steps
-    (ipct dp.d_fast_steps dp.d_steps)
+    dp.d_steps dp.d_steps
+    (ipct dp.d_steps dp.d_steps)
     (ipct dp.d_fused_steps dp.d_steps)
     (ipct dp.d_generic_steps dp.d_steps);
   if dp.d_patterns <> [] then begin

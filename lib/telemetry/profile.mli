@@ -61,7 +61,6 @@ type dispatch = {
   d_sites : int;  (** static code length *)
   d_fused_sites : int;  (** static fused pair sites *)
   d_steps : int;  (** golden-run dynamic steps *)
-  d_fast_steps : int;  (** steps retired by the unobserved fast path *)
   d_fused_steps : int;  (** steps retired inside fused superinstructions *)
   d_generic_steps : int;
       (** steps retired by generic bodies, the instructions

@@ -136,7 +136,7 @@ let beta_quantile a b q =
 (* Jeffreys interval: equal-tailed credible interval of the
    Beta(k + 1/2, n - k + 1/2) posterior, with the standard endpoint
    convention (lower bound 0 when k = 0, upper bound 1 when k = n). *)
-let jeffreys_exact ~coverage t =
+let jeffreys ?(coverage = 0.95) t =
   if t.n = 0 then { lo = 0.0; hi = 1.0 }
   else begin
     let a = float_of_int t.k +. 0.5 in
@@ -146,24 +146,6 @@ let jeffreys_exact ~coverage t =
     let hi = if t.k = t.n then 1.0 else beta_quantile a b (1.0 -. tail) in
     { lo; hi }
   end
-
-(* Each interval costs ~120 [betai] evaluations, and a campaign's site
-   rows repeat the same few small tallies, so intervals are memoized.
-   The memo is bounded: it is emptied when full. *)
-let jeffreys_memo : (int * int * float, interval) Hashtbl.t = Hashtbl.create 64
-
-let jeffreys_memo_cap = 4096
-
-let jeffreys ?(coverage = 0.95) t =
-  let key = (t.n, t.k, coverage) in
-  match Hashtbl.find_opt jeffreys_memo key with
-  | Some i -> i
-  | None ->
-    let i = jeffreys_exact ~coverage t in
-    if Hashtbl.length jeffreys_memo >= jeffreys_memo_cap then
-      Hashtbl.reset jeffreys_memo;
-    Hashtbl.add jeffreys_memo key i;
-    i
 
 (* ------------------------------------------------------------------ *)
 (* Schema: ferrum.stats.v1.                                            *)
@@ -191,24 +173,6 @@ type row = {
   jlo : float;
   jhi : float;
 }
-
-let row_of ~row ~index ~round ~spent ~budget t =
-  let w = wilson t and j = jeffreys t in
-  {
-    row;
-    index;
-    round;
-    spent;
-    budget;
-    samples = t.n;
-    sdc = t.k;
-    p = p_hat t;
-    lo = w.lo;
-    hi = w.hi;
-    hw = half_width w;
-    jlo = j.lo;
-    jhi = j.hi;
-  }
 
 let row_json (r : row) : Json.t =
   Json.Obj
@@ -294,6 +258,7 @@ type stream = {
   mutable total : tally;
   sites : (int, tally) Hashtbl.t;
   mutable rev_trace : row list;
+  jeffreys_memo : (tally, interval) Hashtbl.t; (* per tally of a row *)
 }
 
 let create ?stride ~budget () =
@@ -308,6 +273,36 @@ let create ?stride ~budget () =
     total = zero;
     sites = Hashtbl.create 64;
     rev_trace = [];
+    jeffreys_memo = Hashtbl.create 64;
+  }
+
+(* Row [row] of [s] for the tally [t].  Each Jeffreys interval costs
+   ~120 [betai] evaluations and a campaign's site rows repeat the same
+   few small tallies, so a stream memoizes the intervals of its rows. *)
+let row_of s ~row ~index t =
+  let w = wilson t in
+  let j =
+    match Hashtbl.find_opt s.jeffreys_memo t with
+    | Some j -> j
+    | None ->
+      let j = jeffreys t in
+      Hashtbl.add s.jeffreys_memo t j;
+      j
+  in
+  {
+    row;
+    index;
+    round = s.s_round;
+    spent = s.s_spent;
+    budget = s.s_budget;
+    samples = t.n;
+    sdc = t.k;
+    p = p_hat t;
+    lo = w.lo;
+    hi = w.hi;
+    hw = half_width w;
+    jlo = j.lo;
+    jhi = j.hi;
   }
 
 let observe s ~site ~sdc =
@@ -319,14 +314,12 @@ let observe s ~site ~sdc =
   s.s_spent <- s.s_spent + 1;
   if s.s_spent mod s.stride = 0 || s.s_spent = s.s_budget then
     s.rev_trace <-
-      row_of ~row:"trace" ~index:(-1) ~round:s.s_round ~spent:s.s_spent
-        ~budget:s.s_budget s.total
+      row_of s ~row:"trace" ~index:(-1) s.total
       :: s.rev_trace
 
 let round_end s =
   s.rev_trace <-
-    row_of ~row:"round" ~index:(-1) ~round:s.s_round ~spent:s.s_spent
-      ~budget:s.s_budget s.total
+    row_of s ~row:"round" ~index:(-1) s.total
     :: s.rev_trace;
   s.s_round <- s.s_round + 1
 
@@ -337,15 +330,10 @@ let rows s =
   let site_rows =
     Hashtbl.fold (fun site t acc -> (site, t) :: acc) s.sites []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (site, t) ->
-           row_of ~row:"site" ~index:site ~round:s.s_round ~spent:s.s_spent
-             ~budget:s.s_budget t)
+    |> List.map (fun (site, t) -> row_of s ~row:"site" ~index:site t)
   in
   List.rev s.rev_trace
   @ site_rows
-  @ [
-      row_of ~row:"campaign" ~index:(-1) ~round:s.s_round ~spent:s.s_spent
-        ~budget:s.s_budget s.total;
-    ]
+  @ [ row_of s ~row:"campaign" ~index:(-1) s.total ]
 
 let lines s = List.map (fun r -> Json.to_string (row_json r)) (rows s)

@@ -230,18 +230,26 @@ let test_resume_mid_pair () =
 
 (* ---- counters ---- *)
 
+(* The fused-step count belongs to its decode: it counts on over runs,
+   and a run on another decode of the same image leaves it alone. *)
 let test_counters_and_cache () =
   let img = Machine.load (loop_program ()) in
   let d = Predecode.decode img in
-  Predecode.reset_counters ();
+  Alcotest.(check int) "fresh decode" 0 (Predecode.fused_steps d);
   let st = Machine.fresh_state img in
   ignore (Predecode.exec d st);
-  Alcotest.(check int) "fast_steps = dynamic steps" st.Machine.steps
-    (Predecode.fast_steps ());
-  let fused = Predecode.fused_steps () in
+  let fused = Predecode.fused_steps d in
   Alcotest.(check bool) "fused_steps even" true (fused mod 2 = 0);
-  Alcotest.(check bool) "fused within fast" true
-    (fused > 0 && fused <= Predecode.fast_steps ())
+  Alcotest.(check bool) "fused within the run" true
+    (fused > 0 && fused <= st.Machine.steps);
+  let other = Predecode.decode img in
+  ignore (Predecode.exec other (Machine.fresh_state img));
+  Alcotest.(check int) "another decode's run" fused (Predecode.fused_steps d);
+  Alcotest.(check int) "that decode's own count" fused
+    (Predecode.fused_steps other);
+  ignore (Predecode.exec d (Machine.fresh_state img));
+  Alcotest.(check int) "a second run counts on" (2 * fused)
+    (Predecode.fused_steps d)
 
 (* ---- allocation: the specialized thunks never box ---- *)
 
@@ -291,10 +299,9 @@ let fast_loop_program () =
                  Instr.Jcc (Cond.NE, "loop") ]);
           Prog.block "never" [ original Instr.Ret ] ] ]
 
-(* Minor words allocated by an [exec] of [fuel] steps on a fresh,
-   write-tracked state. *)
-let exec_minor_words img fuel =
-  let p = Predecode.decode img in
+(* Minor words allocated by an [exec] of [fuel] steps of [p] on a
+   fresh, write-tracked state. *)
+let exec_minor_words img p fuel =
   let st = Machine.fresh_state img in
   Machine.track_writes st;
   let before = Gc.minor_words () in
@@ -315,11 +322,10 @@ let test_fast_shapes_allocation_free () =
         (List.exists (fun (n, c) -> n = name && c > 0)
            (Predecode.pattern_counts d)))
     [ "cmp+jcc"; "pair" ];
-  Predecode.reset_counters ();
-  let short = exec_minor_words img 10_000 in
-  let long = exec_minor_words img 1_000_000 in
+  let short = exec_minor_words img (Predecode.decode img) 10_000 in
+  let long = exec_minor_words img d 1_000_000 in
   Alcotest.(check bool) "most steps fused" true
-    (Predecode.fused_steps () > Predecode.fast_steps () * 9 / 10);
+    (Predecode.fused_steps d > 1_000_000 * 9 / 10);
   if long -. short > 64. then
     Alcotest.failf "%.0f minor words at 10^4 steps, %.0f at 10^6" short long
 

@@ -1143,27 +1143,50 @@ let test_window_edges () =
     ~reference targets ~seed:13L { Shard.lo = 0; hi = 22 }
 
 (* A window whose first flips lie behind where the previous window left
-   the cursor (at Y, the last site): the cursor is restored, on every
-   engine, and the records stay the oracle's. *)
+   the cursor (at Y, the last site): the records stay the oracle's.
+   Flips behind it that share a checkpoint restore the cursor once, on
+   every engine; a flip alone in its checkpoint interval runs as
+   [F.inject_fast] does and leaves the cursor where it stands. *)
 let test_window_behind_cursor () =
-  let img, reference, _, y, _ = block_sites () in
+  let img, reference, x, y, _ = block_sites () in
   List.iter
     (fun engine ->
       let t = F.prepare ~engine img in
+      let name = F.engine_name engine in
+      let at_y () =
+        window_lines ~assign:(fun _ -> y) ~traced:false t ~seed:5L
+          { Shard.lo = 0; hi = 2 }
+      in
       check_windows "at Y" ~assign:(fun _ -> y) ~reference [ t ] ~seed:5L
         { Shard.lo = 0; hi = 2 };
-      let before = (F.phases t).F.ph_restores in
       let range = { Shard.lo = 2; hi = 10 } in
       Alcotest.(check (list string))
-        (F.engine_name engine ^ ": then behind")
+        (name ^ ": then behind")
         (List.init 8 (fun i ->
              sample_line ~traced:false reference ~seed:5L ~sample:(2 + i)))
         (window_lines ~traced:false t ~seed:5L range);
-      (* one restore per sample, and at least one of the cursor *)
-      Alcotest.(check bool)
-        (F.engine_name engine ^ ": the cursor was restored")
-        true
-        ((F.phases t).F.ph_restores - before > 8);
+      ignore (at_y ());
+      let before = (F.phases t).F.ph_restores in
+      ignore (window_lines ~assign:(fun _ -> x) ~traced:false t ~seed:5L range);
+      Alcotest.(check int)
+        (name ^ ": eight flips at X, one cursor restore")
+        9
+        ((F.phases t).F.ph_restores - before);
+      ignore (at_y ());
+      let before = (F.phases t).F.ph_restores in
+      ignore
+        (window_lines ~assign:(fun _ -> x) ~traced:false t ~seed:5L
+           { Shard.lo = 2; hi = 3 });
+      Alcotest.(check int)
+        (name ^ ": a lone flip at X, no cursor restore")
+        1
+        ((F.phases t).F.ph_restores - before);
+      let before = (F.phases t).F.ph_restores in
+      ignore (at_y ());
+      Alcotest.(check int)
+        (name ^ ": the cursor left at Y")
+        2
+        ((F.phases t).F.ph_restores - before);
       check_windows "then behind" ~reference [ t ] ~seed:5L range)
     prefix_engines
 
@@ -1346,6 +1369,63 @@ let test_engine_names_roundtrip () =
   Alcotest.(check bool) "unknown name rejected" true
     (F.engine_of_name "ckpt-0" = None && F.engine_of_name "warp" = None)
 
+(* ---- two targets in one process ----
+
+   Whatever else the process runs, a target's records and engine
+   counters depend only on that target's own work.  Two catalogue
+   targets, each with its own decode, run a mix of one-by-one samples,
+   traced samples and windows (plain and traced), first each alone,
+   then with the two interleaved op by op. *)
+
+type op = Sample of int | Traced of int | Window of bool * Shard.range
+
+let phase_counters (ph : F.phases) =
+  [ ph.F.ph_walks; ph.F.ph_walk_steps; ph.F.ph_restores;
+    ph.F.ph_prefix_steps; ph.F.ph_forward_steps; ph.F.ph_suffix_steps;
+    ph.F.ph_decodes; ph.F.ph_fused_steps; ph.F.ph_converged;
+    ph.F.ph_skipped_steps ]
+
+(* One op's lines, then the target's counters after it. *)
+let run_op t ~seed op =
+  let lines =
+    match op with
+    | Sample sample -> [ sample_line ~traced:false t ~seed ~sample ]
+    | Traced sample -> [ sample_line ~traced:true t ~seed ~sample ]
+    | Window (traced, range) -> window_lines ~traced t ~seed range
+  in
+  (lines, phase_counters (F.phases t))
+
+let test_interleaved_targets () =
+  let prepare name tech =
+    let m = (Option.get (Catalog.find name)).Catalog.build () in
+    fun () -> F.prepare (Machine.load (Pipeline.protect tech m).program)
+  in
+  let knn = prepare "kNN" Technique.Ferrum
+  and lud = prepare "LUD" Technique.Hybrid_assembly_eddi in
+  let ops =
+    [ Sample 0; Window (false, { Shard.lo = 1; hi = 40 }); Traced 40;
+      Sample 41; Window (true, { Shard.lo = 42; hi = 60 }); Traced 3;
+      Window (false, { Shard.lo = 60; hi = 120 }); Sample 7 ]
+  in
+  let seed = 31L in
+  let alone make = List.map (run_op (make ()) ~seed) ops in
+  let want_a = alone knn and want_b = alone lud in
+  let a = knn () and b = lud () in
+  let got =
+    List.map (fun op -> (run_op a ~seed op, run_op b ~seed op)) ops
+  in
+  List.iteri
+    (fun i ((wa, wb), (ga, gb)) ->
+      let check name (wl, wc) (gl, gc) =
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s op %d: records" name i) wl gl;
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s op %d: phases" name i) wc gc
+      in
+      check "kNN FERRUM" wa ga;
+      check "LUD hybrid" wb gb)
+    (List.combine (List.combine want_a want_b) got)
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -1393,6 +1473,8 @@ let () =
             test_window_adaptive;
           Alcotest.test_case "die_after mid-window" `Quick
             test_window_die_after;
+          Alcotest.test_case "two targets interleaved" `Quick
+            test_interleaved_targets;
           QCheck_alcotest.to_alcotest prop_random_window_identity ] );
       ( "convergence",
         [ Alcotest.test_case "golden boundary" `Quick test_converged_at_boundary;

@@ -73,11 +73,13 @@ let test_jeffreys_quantiles () =
   let all = Stats.jeffreys (Stats.make ~n:10 ~k:10) in
   feq "k=n upper bound" 1.0 all.Stats.hi
 
-(* Memoized intervals must be the ones a fresh computation gives, bit
-   for bit.  The reference recomputes each Beta quantile by the same
-   60-step bisection on the exposed [betai]; every tally is asked for
-   twice (a miss, then a hit), and the grid is big enough to overflow
-   the memo's bound once. *)
+(* [Stats.jeffreys], and the intervals a stream memoizes for its rows,
+   must be the ones a fresh computation gives, bit for bit.  The
+   reference recomputes each Beta quantile by the same 60-step bisection
+   on the exposed [betai].  Two streams share their first 120 outcomes, so
+   their trace rows share tallies, and their site, round and campaign
+   rows repeat tallies within each stream; built in either order, each
+   gives the same rows. *)
 let test_jeffreys_memo () =
   let quantile a b q =
     let lo = ref 0.0 and hi = ref 1.0 in
@@ -87,7 +89,7 @@ let test_jeffreys_memo () =
     done;
     0.5 *. (!lo +. !hi)
   in
-  let fresh ~coverage n k =
+  let fresh ?(coverage = 0.95) n k =
     if n = 0 then (0.0, 1.0)
     else
       let a = float_of_int k +. 0.5 and b = float_of_int (n - k) +. 0.5 in
@@ -96,21 +98,46 @@ let test_jeffreys_memo () =
         if k = n then 1.0 else quantile a b (1.0 -. tail) )
   in
   let bits (lo, hi) = (Int64.bits_of_float lo, Int64.bits_of_float hi) in
+  for n = 0 to 64 do
+    for k = 0 to n do
+      let j = Stats.jeffreys ~coverage:0.9 (Stats.make ~n ~k) in
+      Alcotest.(check (pair int64 int64))
+        (Printf.sprintf "n=%d k=%d coverage=0.9" n k)
+        (bits (fresh ~coverage:0.9 n k))
+        (bits (j.Stats.lo, j.Stats.hi))
+    done
+  done;
+  let build own =
+    let s = Stats.create ~stride:4 ~budget:240 () in
+    for i = 0 to 239 do
+      if i = 120 then Stats.round_end s;
+      if i < 120 then Stats.observe s ~site:(i mod 7) ~sdc:(i mod 3 = 0)
+      else Stats.observe s ~site:(i mod 5) ~sdc:((i + own) mod 4 = 0)
+    done;
+    Stats.rows s
+  in
+  let a = build 0 in
+  let b = build 1 in
+  let b' = build 1 in
+  let a' = build 0 in
   List.iter
-    (fun coverage ->
-      for n = 0 to 64 do
-        for k = 0 to n do
-          let want = bits (fresh ~coverage n k) in
-          for _ = 1 to 2 do
-            let j = Stats.jeffreys ~coverage (Stats.make ~n ~k) in
-            Alcotest.(check (pair int64 int64))
-              (Printf.sprintf "n=%d k=%d coverage=%g" n k coverage)
-              want
-              (bits (j.Stats.lo, j.Stats.hi))
-          done
-        done
-      done)
-    [ 0.95; 0.9 ]
+    (fun rows ->
+      List.iter
+        (fun (r : Stats.row) ->
+          Alcotest.(check (pair int64 int64))
+            (Printf.sprintf "%s n=%d k=%d" r.Stats.row r.Stats.samples
+               r.Stats.sdc)
+            (bits (fresh r.Stats.samples r.Stats.sdc))
+            (bits (r.Stats.jlo, r.Stats.jhi)))
+        rows)
+    [ a; b ];
+  let lines =
+    List.map (fun r -> Ferrum_telemetry.Json.to_string (Stats.row_json r))
+  in
+  Alcotest.(check (list string)) "first stream, either order" (lines a)
+    (lines a');
+  Alcotest.(check (list string)) "second stream, either order" (lines b)
+    (lines b')
 
 (* ---- tallies: streaming vs batch, merge algebra ---- *)
 
