@@ -196,7 +196,9 @@ stats-smoke: build
 # logical rows are byte-identical across reruns, and the exporters must
 # emit loadable Perfetto JSON and folded flamegraph stacks.  Each worker
 # inherits the prepared target, so its engine span must report no
-# golden walk and no decode.
+# golden walk and no decode.  A traced campaign re-traces exactly the
+# SDCs of a checked build: none on kmeans FERRUM (no SDC) or on raw kNN
+# (no checkers), every one on kNN IR-EDDI.
 trace-smoke: build
 	rm -rf $(TRACE).d $(TRACE).d2
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
@@ -216,7 +218,29 @@ trace-smoke: build
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(TRACE).d2 > /dev/null
 	cmp $(TRACE).jsonl $(TRACE).d2/trace.jsonl
-	@echo "trace-smoke: stitched, reproducible, exporters loadable, workers inherit the prepared target"
+	@zero=$$(grep '"name":"engine"' $(TRACE).jsonl | grep -c '"retraces":0[,}]'); \
+	if [ "$$zero" -ne 2 ]; then \
+	  echo "trace-smoke: kmeans FERRUM: both engine spans must report retraces 0"; \
+	  exit 1; \
+	fi
+	rm -rf $(TRACE).eddi $(TRACE).raw
+	$(CLI) campaign kNN -p ir-eddi --samples 40 --shards 2 \
+	  --out $(TRACE).eddi > /dev/null
+	$(CLI) campaign kNN --samples 40 --shards 2 --out $(TRACE).raw > /dev/null
+	@retraces() { grep '"name":"engine"' $$1/trace.jsonl \
+	  | grep -o '"retraces":[0-9]*' | awk -F: '{ s += $$2 } END { print s + 0 }'; }; \
+	sdc=$$(grep '"event":"campaign_finished"' $(TRACE).eddi/events.jsonl \
+	  | grep -o '"sdc":[0-9]*' | cut -d: -f2); \
+	eddi=$$(retraces $(TRACE).eddi); raw=$$(retraces $(TRACE).raw); \
+	if [ -z "$$sdc" ] || [ "$$sdc" -eq 0 ] || [ "$$eddi" -ne "$$sdc" ]; then \
+	  echo "trace-smoke: kNN IR-EDDI re-traced $$eddi samples, want its $$sdc SDCs (> 0)"; \
+	  exit 1; \
+	fi; \
+	if [ "$$raw" -ne 0 ]; then \
+	  echo "trace-smoke: raw kNN re-traced $$raw samples, want 0"; \
+	  exit 1; \
+	fi
+	@echo "trace-smoke: stitched, reproducible, exporters loadable, workers inherit the prepared target, only checked-build SDCs re-traced"
 
 # Campaign-service smoke: daemon + job queue + live SSE (replay-valid)
 # + content-addressed store cache hit with byte-identical artifacts.
@@ -261,5 +285,5 @@ clean:
 	rm -f $(FLIGHT).txt $(FLIGHT).2.txt
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).one $(CAMP).html $(CAMP).seq $(TRACE).d
 	rm -rf $(CAMP).copy $(CAMP).stamp $(CAMP).knn
-	rm -rf $(TRACE).d2
+	rm -rf $(TRACE).d2 $(TRACE).eddi $(TRACE).raw
 	rm -rf .bench_build

@@ -303,7 +303,7 @@ let run_command target oc c =
       (* Engine-phase breakdown of this shard's work, as one span of
          deterministic counters (golden walk, checkpoint restores,
          prefix replay and its fused part, post-flip suffixes, predecode
-         activity, golden convergence). *)
+         activity, golden convergence, re-traced SDCs). *)
       Trace.span tr "engine" (fun () ->
           let ph = F.phases target in
           Trace.counter tr "walks" ph.F.ph_walks;
@@ -315,7 +315,8 @@ let run_command target oc c =
           Trace.counter tr "decodes" ph.F.ph_decodes;
           Trace.counter tr "fused_steps" ph.F.ph_fused_steps;
           Trace.counter tr "converged" ph.F.ph_converged;
-          Trace.counter tr "skipped_steps" ph.F.ph_skipped_steps);
+          Trace.counter tr "skipped_steps" ph.F.ph_skipped_steps;
+          Trace.counter tr "retraces" ph.F.ph_retraces);
       Trace.counter tr "samples" !done_;
       emit_event
         (Events.Shard_finished

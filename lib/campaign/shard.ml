@@ -152,32 +152,16 @@ let read_sample line : (sample_out, string) result =
 (* Run one shard's samples, window by window ({!F.run_window}: in flip
    order off a golden cursor), handing each sample's class, steps and
    wire line ({!write_sample}) to [on_sample] in index order.  [traced]
-   selects the lockstep-traced variant (vulnmap campaigns); the record
+   adds the vulnmap inputs (latency, escape) to the lines; the record
    stream is identical either way.  [assign] maps a global sample index
    to the static site the adaptive allocator aimed it at (negative =
    uniform, the default and the whole story for flat campaigns). *)
 let run_range ?(fault_bits = 1) ?(assign = fun _ -> -1) ~traced ~seed
     (t : F.target) (r : range) ~on_sample =
-  let render line (record : F.record) summary =
-    match summary with
-    | Some summary ->
-      let latency =
-        if record.F.r_class = F.Detected then
-          Propagation.detection_latency summary
-        else None
-      in
-      let escape =
-        if record.F.r_class = F.Sdc then
-          Some (Propagation.explain_escape summary)
-        else None
-      in
-      write_sample line record ~latency ~escape
-    | None -> write_sample line record ~latency:None ~escape:None
-  in
   let lo = ref r.lo in
   while !lo < r.hi do
     let n = min F.window_size (r.hi - !lo) in
-    F.run_window ~fault_bits ~traced ~site:assign t ~seed ~lo:!lo ~n ~render
-      ~emit:on_sample;
+    F.run_window ~fault_bits ~traced ~site:assign t ~seed ~lo:!lo ~n
+      ~render:write_sample ~emit:on_sample;
     lo := !lo + n
   done

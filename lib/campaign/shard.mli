@@ -53,10 +53,11 @@ val write_sample :
 val read_sample : string -> (sample_out, string) result
 
 (** Run one shard's samples, window by window in flip order off one
-    golden run ({!F.run_window}); [traced] selects the lockstep-traced
-    (vulnmap) variant.  [on_sample cls ~steps text pos len] receives
-    each sample's class, steps and {!write_sample} line ([len] bytes of
-    [text] from [pos], valid during the call), in index order.
+    golden run ({!F.run_window}); [traced] adds the vulnmap inputs
+    (detection latency, SDC escape) to each line.  [on_sample cls
+    ~steps text pos len] receives each sample's class, steps and
+    {!write_sample} line ([len] bytes of [text] from [pos], valid
+    during the call), in index order.
     [assign] maps a global sample index to the static site the adaptive
     allocator aimed it at (negative = uniform draw; default). *)
 val run_range :

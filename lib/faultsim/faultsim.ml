@@ -23,12 +23,12 @@ type scope = Original_only | All_sites
    speed.  [Scratch] is the historical reference path: a fresh 1 MiB
    state per sample, the whole prefix re-executed under the observer.
    [Pooled] reuses one state per target/worker (dirty pages undone
-   incrementally), runs the pre-flip prefix unobserved, and ends a
-   traced suffix once it equals its lockstep golden state
-   ({!run_traced}).  [Checkpointed k] additionally restores the
-   golden-run checkpoint nearest below the sampled flip point, so each
-   sample pays only the suffix, and also ends an untraced suffix at the
-   first golden checkpoint its state matches ({!run_suffix}). *)
+   incrementally), runs the pre-flip prefix unobserved and attaches a
+   traced run's tracer at the flip ({!run_traced}).  [Checkpointed k]
+   additionally restores the golden-run checkpoint nearest below the
+   sampled flip point, so each sample pays only the suffix, and ends an
+   untraced suffix at the first golden checkpoint its state matches
+   ({!run_suffix}). *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 let default_engine = Checkpointed 4096
@@ -141,6 +141,7 @@ type phases = {
   mutable ph_fused_steps : int; (* suffix steps retired as fused pairs *)
   mutable ph_converged : int; (* suffixes ended equal to the golden run *)
   mutable ph_skipped_steps : int; (* golden steps those suffixes skipped *)
+  mutable ph_retraces : int; (* checked-build SDCs re-run under the tracer *)
 }
 
 let zero_phases () =
@@ -155,6 +156,7 @@ let zero_phases () =
     ph_fused_steps = 0;
     ph_converged = 0;
     ph_skipped_steps = 0;
+    ph_retraces = 0;
   }
 
 (* The scratch of a window of campaign samples ({!run_window}), kept
@@ -187,12 +189,13 @@ type target = {
   golden_prov_cycles : float array; (* per {!Profile.provenances} *)
   eligible_steps : int; (* dynamic count of eligible write-backs *)
   dyn_static : int array; (* static site of each eligible write-back *)
-  golden_checks : int; (* Check-provenance retirements *)
-  checks_upto : int array; (* per block boundary b: checks in steps 1..b*B *)
-  eligible_upto : int array; (* ... and eligible retirements in steps 1..b*B *)
+  eligible_upto : int array; (* per block boundary b: eligible in 1..b*B *)
+  has_checks : bool; (* any Check-provenance instruction in the image *)
   fuel : int;
   engine : engine;
   cache : Snapshot.cache; (* golden checkpoints (none unless checkpointed) *)
+  mutable flip_steps : int; (* steps, once the last flip retired ... *)
+  flip_cycles : Machine.fcell; (* ... and cycles: a latency's origin *)
   mutable slot_ : Snapshot.slot option; (* pooled injected-run state *)
   mutable golden_slot_ : Snapshot.slot option; (* pooled lockstep golden *)
   mutable cursor_ : Snapshot.slot option; (* golden cursor, never flipped *)
@@ -219,20 +222,19 @@ let reset_phases (t : target) =
   p.ph_decodes <- 0;
   p.ph_fused_steps <- 0;
   p.ph_converged <- 0;
-  p.ph_skipped_steps <- 0
+  p.ph_skipped_steps <- 0;
+  p.ph_retraces <- 0
 
 exception Golden_failure of string
 
-(* B, the step granularity of the golden tallies: a converged traced
-   run counts checks for at most this many more steps before taking the
-   rest of its count from them, and a prefix single-steps at most this
-   many steps before its flip. *)
-let check_block = 512
+(* B, the step granularity of the golden eligible tally: a prefix
+   single-steps at most this many steps before its flip. *)
+let prefix_block = 512
 
 (* Profile the fault-free run — output, step count, the eligible
    dynamic injection sites in order, the cycles per provenance, summed
-   in retirement order as {!Profile.run} sums them, and the checker and
-   eligible-site tallies per block of [check_block] steps — and, on the
+   in retirement order as {!Profile.run} sums them, and the
+   eligible-site tally per block of [prefix_block] steps — and, on the
    checkpointed engine, capture the golden checkpoints on the way.  This
    is the target's one golden walk, on its one decode: the eligible-site
    mask is the fusion [avoid] set, so no injection site ever sits in
@@ -257,19 +259,15 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   in
   let costs = img.Machine.costs in
   let prov_cycles = Array.make (List.length Profile.provenances) 0.0 in
-  (* Checker retirements so far, and the checker and eligible counts at
-     each multiple of [check_block] steps, newest first.  The observer
-     only accumulates; the walk runs in legs that end on every multiple
-     of [check_block] and of the checkpoint interval, and the tallies
-     and checkpoints are taken between legs, so the per-step cost stays
-     what it was without them. *)
-  let check = Profile.prov_index Instr.Check in
-  let is_check = Array.map (fun p -> if p = check then 1 else 0) prov in
-  let checks = ref 0 and upto = ref [ 0 ] and eupto = ref [ 0 ] in
+  (* The eligible count at each multiple of [prefix_block] steps,
+     newest first.  The observer only accumulates; the walk runs in legs
+     that end on every multiple of [prefix_block] and of the checkpoint
+     interval, and the tally and checkpoints are taken between legs, so
+     the per-step cost stays what it was without them. *)
+  let eupto = ref [ 0 ] in
   let on_step _st idx =
     let p = prov.(idx) in
     prov_cycles.(p) <- prov_cycles.(p) +. costs.(idx);
-    checks := !checks + is_check.(idx);
     if eligible.(idx) then begin
       if !count = Array.length !sites then begin
         let grown = Array.make (2 * !count) 0 in
@@ -286,14 +284,11 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   let rec walk () =
     let fuel =
       min Machine.default_fuel
-        (min (next_multiple check_block) (next_multiple k))
+        (min (next_multiple prefix_block) (next_multiple k))
     in
     match Predecode.exec_observed ~fuel ~on_step pre st with
     | Machine.Timeout when st.Machine.steps < Machine.default_fuel ->
-      if st.Machine.steps mod check_block = 0 then begin
-        upto := !checks :: !upto;
-        eupto := !count :: !eupto
-      end;
+      if st.Machine.steps mod prefix_block = 0 then eupto := !count :: !eupto;
       Snapshot.record recorder ~seen:!count;
       walk ()
     | o -> o
@@ -302,8 +297,8 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
   match outcome with
   | Machine.Exit out ->
     let steps = st.Machine.steps in
-    let table last l =
-      Array.of_list (List.rev (if steps mod check_block = 0 then last :: l else l))
+    let eupto =
+      if steps mod prefix_block = 0 then !count :: !eupto else !eupto
     in
     let phases = zero_phases () in
     phases.ph_walks <- 1;
@@ -319,12 +314,16 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       golden_prov_cycles = prov_cycles;
       eligible_steps = !count;
       dyn_static = Array.sub !sites 0 !count;
-      golden_checks = !checks;
-      checks_upto = table !checks !upto;
-      eligible_upto = table !count !eupto;
+      eligible_upto = Array.of_list (List.rev eupto);
+      has_checks =
+        Array.exists
+          (fun (ins : Instr.ins) -> ins.Instr.prov = Instr.Check)
+          img.Machine.code;
       fuel = (steps * 3) + 100_000;
       engine;
       cache = Snapshot.finish recorder ~steps;
+      flip_steps = 0;
+      flip_cycles = { Machine.fv = 0.0 };
       slot_ = None;
       golden_slot_ = None;
       cursor_ = None;
@@ -608,7 +607,7 @@ let rec step_prefix (t : target) pre len st seen ~dyn_index =
         let seen = if t.eligible.(idx) then seen + 1 else seen in
         step_prefix t pre len st seen ~dyn_index
 
-(* The block of [check_block] steps that holds the flip: the last [b]
+(* The block of [prefix_block] steps that holds the flip: the last [b]
    whose start precedes it ([eligible_upto.(b) <= dyn_index];
    [eligible_upto.(0) = 0]). *)
 let flip_block (t : target) ~dyn_index =
@@ -625,12 +624,12 @@ let flip_block (t : target) ~dyn_index =
    it runs fused and unobserved ({!Predecode.exec}; fused pairs check
    fuel between their halves, so it stops exactly there, and an
    eligible site is never a second half), and [seen] is then that
-   block's golden tally.  Only the rest, at most [check_block] steps,
+   block's golden tally.  Only the rest, at most [prefix_block] steps,
    is single-stepped — all of it when the restored checkpoint already
    lies at or past the block start. *)
 let run_prefix (t : target) pre st ~seen ~dyn_index =
   let b = flip_block t ~dyn_index in
-  let start = b * check_block and s0 = st.Machine.steps in
+  let start = b * prefix_block and s0 = st.Machine.steps in
   let forwarded, seen =
     if s0 >= start then (Machine.Timeout, seen)
     else (Predecode.exec ~fuel:start pre st, t.eligible_upto.(b))
@@ -675,74 +674,20 @@ let rec suffix_legs (t : target) pre sl st c =
 let run_suffix (t : target) pre sl st =
   suffix_legs t pre sl st (Snapshot.next_ckpt t.cache ~steps:st.Machine.steps)
 
-exception Traced_converged
+(* The traced suffix: the tracer observes every retirement to the end
+   of the run. *)
+let run_traced (t : target) pre tracer st =
+  Predecode.exec_observed ~fuel:t.fuel ~on_step:(Propagation.observe tracer)
+    pre st
 
-exception Check_found
-
-(* The rest of a traced run whose state equals its lockstep golden
-   state after [st.steps] retirements: the golden run's.  Step on,
-   unobserved by the tracer, to the next multiple of [check_block]
-   counting checker retirements, take the count after that boundary
-   from [prepare]'s tallies, fold both into the tracer and end as the
-   golden run ends.  Should the tracer still lack a first check after
-   the divergence and none retired on the way, step on to it.  A run
-   that halts before the boundary has simply finished, its own outcome
-   and checkers exact. *)
-let converge_traced (t : target) pre tracer st =
-  let code = t.img.Machine.code in
-  let checks = ref 0 and first = ref (-1) in
-  let on_step (st : Machine.state) idx =
-    if code.(idx).Instr.prov = Instr.Check then begin
-      if !first < 0 then first := st.Machine.steps;
-      incr checks
-    end
-  in
-  let b = (st.Machine.steps + check_block - 1) / check_block in
-  let outcome =
-    Predecode.exec_observed ~fuel:(b * check_block) ~on_step pre st
-  in
-  let first_check () = if !first < 0 then None else Some !first in
-  match outcome with
-  | Machine.Timeout ->
-    let first_check () =
-      (if !first < 0 then
-         let stop st idx =
-           on_step st idx;
-           if !first >= 0 then raise_notrace Check_found
-         in
-         try ignore (Predecode.exec_observed ~fuel:t.fuel ~on_step:stop pre st)
-         with Check_found -> ());
-      first_check ()
-    in
-    Propagation.converge tracer
-      ~checks:(!checks + t.golden_checks - t.checks_upto.(b))
-      ~first_check;
-    end_as_golden t st
-  | o ->
-    Propagation.converge tracer ~checks:!checks ~first_check;
-    o
-
-(* The traced suffix: the tracer observes every retirement until the
-   run ends, or until {!Snapshot.identical} — asked each time the tracer
-   turns {!Propagation.clean} — finds it equal to its lockstep golden
-   state again ({!converge_traced}). *)
-let run_traced (t : target) pre tracer sl gsl st =
-  let was_clean = ref false in
-  let on_step st idx =
-    Propagation.observe tracer st idx;
-    let clean = Propagation.clean tracer in
-    if clean && (not !was_clean) && Snapshot.identical sl gsl then
-      raise_notrace Traced_converged;
-    was_clean := clean
-  in
-  match Predecode.exec_observed ~fuel:t.fuel ~on_step pre st with
-  | o -> o
-  | exception Traced_converged -> converge_traced t pre tracer st
-
-(* Flip at the site [st] just retired and, traced, show the tracer the
-   flip and that retirement. *)
-let flip_at ~fault_bits t rng tracer st ~dyn_index idx =
+(* Flip at the site [st] just retired, mark where the flip stands (as
+   {!Propagation.note_injection} does: a Detected run's latency counts
+   from there) and, traced, show the tracer the flip and that
+   retirement. *)
+let flip_at ~fault_bits (t : target) rng tracer st ~dyn_index idx =
   let fault = apply_flip ~fault_bits t rng st ~dyn_index idx in
+  t.flip_steps <- st.Machine.steps;
+  t.flip_cycles.Machine.fv <- st.Machine.cycles.Machine.fv;
   (match tracer with
   | Some tr ->
     Propagation.note_injection tr st;
@@ -776,7 +721,7 @@ let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
       let outcome =
         match tracer with
         | None -> run_suffix t pre sl st
-        | Some tr -> run_traced t pre tr sl (golden_slot t) st
+        | Some tr -> run_traced t pre tr st
       in
       (classify t outcome, fault)
     | exception Machine.Halt o ->
@@ -836,12 +781,7 @@ let advance (t : target) st ~seen ~dyn_index =
    lockstep golden state is reconstructed at the flip site by restoring
    a second slot to the same checkpoint and syncing the injected run's
    dirty pages and registers onto it, and the tracer starts observing at
-   the flip instruction.  The suffix ({!run_traced}) ends lockstep at
-   convergence: whenever the tracer's taint sets empty, an exact state
-   compare decides whether the run now equals its golden run, and if so
-   it counts the remaining checkers off the golden tallies
-   ({!converge_traced}) and finishes with the golden output, steps and
-   cycles, the exit counted in [ph_converged]/[ph_skipped_steps]. *)
+   the flip instruction and runs to the end ({!run_traced}). *)
 let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index =
   let sl = slot t in
   let seen = Snapshot.restore sl ~dyn_index in
@@ -1063,14 +1003,14 @@ let campaign_sample ?(fault_bits = 1) ?(site = -1) (t : target) ~seed ~sample :
    its dirty log spans at most one interval.  The cursor is the golden
    run, so the copy is bit-identical to {!inject_fast}'s positioned
    slot, and so is everything after it. *)
-let inject_cursor ~traced ~fault_bits (t : target) w rng ~dyn_index ~next =
+let inject_cursor ~fault_bits (t : target) w rng ~dyn_index ~next =
   let ph = t.phases and cur = cursor t in
   let c = Snapshot.select t.cache ~dyn_index in
   let usable =
     w.cursor_seen >= 0 && w.cursor_seen <= dyn_index && Snapshot.at cur = c
   in
   if (not usable) && (next < 0 || Snapshot.select t.cache ~dyn_index:next <> c)
-  then inject_fast ~traced ~fault_bits t rng ~dyn_index
+  then inject_fast ~traced:false ~fault_bits t rng ~dyn_index
   else begin
     if not usable then begin
       w.cursor_seen <- Snapshot.restore_to cur c;
@@ -1080,13 +1020,13 @@ let inject_cursor ~traced ~fault_bits (t : target) w rng ~dyn_index ~next =
     match advance t cst ~seen:w.cursor_seen ~dyn_index with
     | Some o ->
       w.cursor_seen <- -1;
-      unreached ~traced t o cst ~dyn_index
+      unreached ~traced:false t o cst ~dyn_index
     | None ->
       w.cursor_seen <- dyn_index;
       let sl = slot t in
       Snapshot.copy ~src:cur sl;
       ph.ph_restores <- ph.ph_restores + 1;
-      run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:cur sl
+      run_from_site ~traced:false ~fault_bits t rng ~dyn_index ~src:cur sl
   end
 
 (* Samples per window, a power of two so that a sort key holds the
@@ -1115,16 +1055,47 @@ let window (t : target) =
     t.window_ <- Some w;
     w
 
+(* What a traced campaign's map keeps of a sample beyond its record
+   ({!vulnmap_add}): a Detected run's latency and an SDC's escape.  A
+   summary gives both.  A fast-engine sample runs untraced, so its
+   latency counts from the flip's mark ({!flip_at}) to the run's end —
+   a Detected run never converges, so that end is its own — and, on a
+   build without checkers, every escape is [Unprotected_program],
+   {!Propagation.explain_escape}'s first rule.  Only an SDC of a checked
+   build needs the timeline: it runs again under the tracer, from its
+   checkpoint and on its own draws, counted in [ph_retraces]. *)
+let map_inputs ~fault_bits (t : target) ~seed ~sample ~site cls (fault : fault)
+    (st : Machine.state) summary =
+  match (summary, cls) with
+  | Some s, Detected -> (Propagation.detection_latency s, None)
+  | Some s, Sdc -> (None, Some (Propagation.explain_escape s))
+  | None, Detected when fault.static_index >= 0 ->
+    ( Some
+        ( st.Machine.steps - t.flip_steps,
+          st.Machine.cycles.Machine.fv -. t.flip_cycles.Machine.fv ),
+      None )
+  | None, Sdc when not t.has_checks ->
+    (None, Some Propagation.Unprotected_program)
+  | None, Sdc ->
+    t.phases.ph_retraces <- t.phases.ph_retraces + 1;
+    let rng = Rng.split_at ~seed sample in
+    let dyn_index = sample_dyn_index t rng ~site in
+    let _, _, _, s = inject_fast ~traced:true ~fault_bits t rng ~dyn_index in
+    (None, Some (Propagation.explain_escape (Option.get s)))
+  | _ -> (None, None)
+
 (* Campaign samples [lo, lo + n), [n <= window_size], as
-   {!campaign_sample} ([traced]: {!vulnmap_sample}) would run them one
-   by one.  Every sample's dyn_index is drawn first — each from its own
-   [Rng.split_at ~seed sample], so order changes no draw — and the
-   samples then run in dyn_index order off the golden cursor
-   ({!inject_cursor}; the scratch engine runs them as {!run_sample}
-   does).  [render] writes each one's line as it finishes; [emit] then
-   gets the lines in sample order, with each sample's class and steps.
-   Nothing is allocated per window: the draws, order and lines live in
-   the target's window scratch, reused. *)
+   {!campaign_sample} would run them one by one, and, [traced], with
+   {!vulnmap_sample}'s map inputs ({!map_inputs}).  Every sample's
+   dyn_index is drawn first — each from its own [Rng.split_at ~seed
+   sample], so order changes no draw — and the samples then run in
+   dyn_index order off the golden cursor ({!inject_cursor}, untraced
+   whether or not [traced]; the scratch engine runs them as
+   {!run_sample} does, traced with [traced]).  [render] writes each
+   one's line as it finishes; [emit] then gets the lines in sample
+   order, with each sample's class and steps.  Nothing is allocated
+   per window: the draws, order and lines live in the target's window
+   scratch, reused. *)
 let run_window ?(fault_bits = 1) ~traced ~site (t : target) ~seed ~lo ~n ~render
     ~emit =
   if n < 0 || n > window_size then invalid_arg "Faultsim.run_window: n";
@@ -1152,12 +1123,18 @@ let run_window ?(fault_bits = 1) ~traced ~site (t : target) ~seed ~lo ~n ~render
       match t.engine with
       | Pooled | Checkpointed _ ->
         let next = if k + 1 < n then keys.(k + 1) lsr window_bits else -1 in
-        inject_cursor ~traced ~fault_bits t w rng ~dyn_index ~next
+        inject_cursor ~fault_bits t w rng ~dyn_index ~next
       | Scratch -> run_sample ~traced ~fault_bits t rng ~dyn_index
     in
     let record = make_record t ~sample cls fault st in
+    let latency, escape =
+      if not traced then (None, None)
+      else
+        map_inputs ~fault_bits t ~seed ~sample ~site:w.sites.(j) cls fault st
+          summary
+    in
     Buffer.clear w.line;
-    render w.line record summary;
+    render w.line record ~latency ~escape;
     let len = Buffer.length w.line in
     if !used + len > Bytes.length w.text then begin
       let text = Bytes.create (2 * (!used + len)) in

@@ -24,12 +24,11 @@ type scope = Original_only | All_sites
     classifications, records and JSONL streams; they differ only in
     speed.  [Scratch]: a fresh state per sample, full observed prefix
     (the historical reference path).  [Pooled]: one reusable state per
-    target/worker, unobserved prefix, and a traced suffix ends once it
-    equals its lockstep golden state.  [Checkpointed k]: additionally
-    restore the golden-run checkpoint (captured every [k] dynamic
-    instructions) nearest below the flip point, paying only the
-    suffix, and end an untraced suffix too, at the first checkpoint
-    whose state it matches. *)
+    target/worker, unobserved prefix, and a traced run's tracer
+    attached at the flip.  [Checkpointed k]: additionally restore the
+    golden-run checkpoint (captured every [k] dynamic instructions)
+    nearest below the flip point, paying only the suffix, and end an
+    untraced suffix at the first checkpoint whose state it matches. *)
 type engine = Scratch | Pooled | Checkpointed of int
 
 (** [Checkpointed 4096]. *)
@@ -88,8 +87,9 @@ type phases = {
           campaign worker (it resets its phases and inherits the cache) *)
   mutable ph_walk_steps : int;
   mutable ph_restores : int;
-      (** slot restores: one per fast sample (two when traced), plus
-          the golden cursor's in {!run_window} *)
+      (** slot restores: one per fast sample, plus the lockstep golden
+          slot's of a traced one ({!vulnmap_sample}, a retrace) and the
+          golden cursor's in {!run_window} *)
   mutable ph_prefix_steps : int;
       (** unobserved replay up to the flip; in {!run_window}, the golden
           cursor's steps, shared by the samples that run off it *)
@@ -104,13 +104,16 @@ type phases = {
   mutable ph_fused_steps : int;
       (** suffix steps retired as fused superinstruction pairs *)
   mutable ph_converged : int;
-      (** suffixes ended early because their state matched the golden
-          run's: an untraced suffix at a golden checkpoint (checkpointed
-          engine only), a traced one at any step where it equals its
-          lockstep golden state (both fast engines) *)
+      (** untraced suffixes ended early at a golden checkpoint whose
+          state they matched (checkpointed engine only); a traced suffix
+          always runs to the end *)
   mutable ph_skipped_steps : int;
       (** golden steps those converged suffixes did not execute; not
           counted in [ph_suffix_steps] *)
+  mutable ph_retraces : int;
+      (** SDCs of a checked build that a traced {!run_window} ran again
+          under the tracer, for their escape class; their steps count in
+          the phases above too *)
 }
 
 (** {!run_window}'s per-target scratch. *)
@@ -119,10 +122,10 @@ type window
 (** A profiled program ready for injection.  [pre] is the program's one
     decode and [cache] the golden checkpoints {!prepare} captured during
     its one golden walk, so forked campaign workers inherit both and
-    never decode or walk again.  The trailing fields lazily cache the
-    pooled run states (the injected run, its lockstep golden run and
-    {!run_window}'s golden cursor), the window scratch, the bit-draw
-    scratch and per-process tables. *)
+    never decode or walk again.  The trailing fields mark the last
+    flip and lazily cache the pooled run states (the injected run, its
+    lockstep golden run and {!run_window}'s golden cursor), the window
+    scratch, the bit-draw scratch and per-process tables. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -141,23 +144,25 @@ type target = {
   dyn_static : int array;
       (** static site of each eligible dynamic write-back, in dynamic
           order (length [eligible_steps]) *)
-  golden_checks : int;  (** golden [Check]-provenance retirements *)
-  checks_upto : int array;
-      (** per block boundary [b] ([0 <= b <= golden_steps / B], [B] a
-          fixed block of steps): golden checks among retirements
-          [1 .. b * B] — what a converged traced run takes its
-          remaining checker count from *)
   eligible_upto : int array;
-      (** per block boundary [b], as [checks_upto]: golden eligible
-          retirements among [1 .. b * B].  A prefix aimed at dynamic
+      (** per block boundary [b] ([0 <= b <= golden_steps / B], [B] a
+          fixed block of 512 steps): golden eligible retirements among
+          [1 .. b * B].  A prefix aimed at dynamic
           write-back [d] runs fused to the start of the last block with
           [eligible_upto.(b) <= d] and single-steps only the rest.  When
           [golden_steps] is a multiple of [B] the last entry is the
           exit step's. *)
+  has_checks : bool;
+      (** any [Check]-provenance instruction in the image, as
+          {!Propagation.summary}'s [program_has_checks] *)
   fuel : int;  (** injected-run budget: 3x golden + slack *)
   engine : engine;
   cache : Ferrum_machine.Snapshot.cache;
       (** golden checkpoints (none unless the engine is checkpointed) *)
+  mutable flip_steps : int;
+      (** steps of the last fast-engine sample right after its flip
+          retired: a Detected run's latency counts from here *)
+  flip_cycles : Machine.fcell;  (** and its cycles then *)
   mutable slot_ : Ferrum_machine.Snapshot.slot option;
   mutable golden_slot_ : Ferrum_machine.Snapshot.slot option;
   mutable cursor_ : Ferrum_machine.Snapshot.slot option;
@@ -166,10 +171,6 @@ type target = {
   mutable occ_ : int array array option;
   phases : phases;
 }
-
-(** [B], the block of steps of the golden tallies [checks_upto] and
-    [eligible_upto] (512). *)
-val check_block : int
 
 (** This process's engine-phase tallies for [target]. *)
 val phases : target -> phases
@@ -292,23 +293,37 @@ val window_size : int
 
 (** [run_window ~traced ~site t ~seed ~lo ~n ~render ~emit] runs
     campaign samples [lo, lo + n) ([0 <= n <= window_size]) and gives
-    the records {!campaign_sample} ([traced]: {!vulnmap_sample}, with
-    its summary) gives, sample [s] aimed at [site s] (negative =
-    uniform).  The samples run in dyn_index order off one golden run,
-    a pooled slot of the target that is never flipped: each prefix
-    starts from where that run stands or from the flip's checkpoint,
-    whichever is nearer, and a flip alone in its checkpoint interval
-    runs from the checkpoint, as {!campaign_sample} runs it.  [render buf r summary] writes sample [r]'s
-    line into [buf] as it finishes, in run order; then [emit cls
-    ~steps text pos len] receives each sample's class, steps and line
-    ([text], from [pos], [len] bytes; valid during the call), in sample
-    order.
+    the records {!campaign_sample} gives, sample [s] aimed at [site s]
+    (negative = uniform).  The samples run in dyn_index order off one
+    golden run, a pooled slot of the target that is never flipped: each
+    prefix starts from where that run stands or from the flip's
+    checkpoint, whichever is nearer, and a flip alone in its checkpoint
+    interval runs from the checkpoint, as {!campaign_sample} runs it.
+
+    [traced] adds what a vulnerability map keeps of each sample
+    ({!vulnmap_add}), equal to what {!vulnmap_sample}'s summary gives:
+    a Detected run's [latency] and an SDC's [escape] ([None]
+    otherwise, and always [None] untraced).  On the fast engines every
+    sample still runs untraced: the latency is measured from the flip
+    to the run's end, an SDC of a build without checkers escapes as
+    [Unprotected_program], and only an SDC of a checked build runs
+    again under the lockstep tracer, from its checkpoint (counted in
+    [ph_retraces]).  The scratch engine traces every sample.
+
+    [render buf r ~latency ~escape] writes sample [r]'s line into
+    [buf] as it finishes, in run order; then [emit cls ~steps text pos
+    len] receives each sample's class, steps and line ([text], from
+    [pos], [len] bytes; valid during the call), in sample order.
     @raise Invalid_argument if [n] is out of range. *)
 val run_window :
   ?fault_bits:int -> traced:bool -> site:(int -> int) -> target ->
   seed:int64 -> lo:int -> n:int ->
   render:
-    (Buffer.t -> record -> Ferrum_telemetry.Propagation.summary option -> unit) ->
+    (Buffer.t ->
+    record ->
+    latency:(int * float) option ->
+    escape:Ferrum_telemetry.Propagation.escape option ->
+    unit) ->
   emit:(classification -> steps:int -> Bytes.t -> int -> int -> unit) ->
   unit
 
@@ -366,7 +381,9 @@ type vulnmap = {
 
 (** One traced campaign sample, addressed by its global index — the
     same RNG stream as {!campaign_sample}, so the record stream is
-    byte-identical whether or not tracing is on. *)
+    byte-identical whether or not tracing is on.  Unlike a traced
+    {!run_window}, it runs the full lockstep tracer on every sample, so
+    it returns the whole propagation summary. *)
 val vulnmap_sample :
   ?fault_bits:int -> ?site:int -> target -> seed:int64 -> sample:int ->
   classification * fault * record * Propagation.summary

@@ -384,53 +384,6 @@ let converged sl c =
   && out_equal st.Machine.out_rev ck.c_out_rev
   && pages_equal sl c
 
-(* Slot against slot, for two runs restored to the same checkpoint and
-   only stepped since (one possibly {!sync}ed from the other): a page
-   neither dirtied still holds that checkpoint's contents in both, so
-   memory compares only the pages in the two dirty logs.  Scalars
-   first, as in {!converged}. *)
-let identical a b =
-  assert (a.at = b.at);
-  let x = a.st and y = b.st in
-  let page_same p =
-    let off = p lsl page_bits in
-    if not (sub_equal x.Machine.mem off y.Machine.mem off (page_len a.cache p))
-    then raise_notrace Exit
-  in
-  x.Machine.steps = y.Machine.steps
-  && x.Machine.ip = y.Machine.ip
-  && Int64.equal
-       (Int64.bits_of_float x.Machine.cycles.Machine.fv)
-       (Int64.bits_of_float y.Machine.cycles.Machine.fv)
-  && x.Machine.zf = y.Machine.zf
-  && x.Machine.sf = y.Machine.sf
-  && x.Machine.cf = y.Machine.cf
-  && x.Machine.off = y.Machine.off
-  && regfile_equal x.Machine.gpr y.Machine.gpr
-  && regfile_equal x.Machine.simd y.Machine.simd
-  && out_equal x.Machine.out_rev y.Machine.out_rev
-  &&
-  (* each dirtied page once, under a fresh generation of [a]'s stamps *)
-  let dirty (st : Machine.state) =
-    match st.Machine.track with
-    | None -> ()
-    | Some tr ->
-      for i = 0 to tr.Machine.tr_count - 1 do
-        let p = tr.Machine.tr_pages.(i) in
-        if a.stamp.(p) <> a.gen then begin
-          a.stamp.(p) <- a.gen;
-          page_same p
-        end
-      done
-  in
-  a.gen <- a.gen + 1;
-  match
-    dirty x;
-    dirty y
-  with
-  | () -> true
-  | exception Exit -> false
-
 (* Make [dst] bit-identical to [src].  Precondition: both slots were
    last restored to the same checkpoint, [dst] untouched since.  Only
    registers and the pages [src] has dirtied can differ; those pages are

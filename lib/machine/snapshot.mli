@@ -132,12 +132,3 @@ val copy : src:slot -> slot -> unit
     machine is a deterministic function of exactly this state, so a
     converged run retires the rest of the golden run. *)
 val converged : slot -> int -> bool
-
-(** [identical a b]: are the two slots' states bit-identical — steps,
-    ip, the bits of cycles, flags, both register files, output and
-    memory?  Both must have been restored to the same checkpoint and
-    only executed (or {!sync}ed) since, so every page outside the two
-    slots' dirty logs is equal by construction; memory compares just
-    the dirtied pages.  This is the exact test behind a traced run's
-    golden-convergence exit. *)
-val identical : slot -> slot -> bool

@@ -103,7 +103,7 @@ let run ?fuel (img : Machine.image) : t =
 type dispatch = {
   d_sites : int; (* static code length *)
   d_fused_sites : int; (* static fused pair sites *)
-  d_steps : int; (* golden-run dynamic steps, all by the fast path *)
+  d_steps : int; (* golden-run dynamic steps *)
   d_fused_steps : int; (* steps retired inside fused superinstructions *)
   d_generic_steps : int; (* steps retired by generic, unspecialized bodies *)
   d_patterns : (string * int) list; (* dynamic pairs fired, descending *)
@@ -156,11 +156,9 @@ let dispatch_to_json dp =
       ("sites", Json.Int dp.d_sites);
       ("fused_sites", Json.Int dp.d_fused_sites);
       ("steps", Json.Int dp.d_steps);
-      ("fast_steps", Json.Int dp.d_steps);
       ("fused_steps", Json.Int dp.d_fused_steps);
       ("fused_boundary_pct",
        Json.Float (ipct dp.d_fused_sites (max 1 (dp.d_sites - 1))));
-      ("fast_path_pct", Json.Float (ipct dp.d_steps dp.d_steps));
       ("fused_steps_pct", Json.Float (ipct dp.d_fused_steps dp.d_steps));
       ("generic_steps", Json.Int dp.d_generic_steps);
       ("generic_steps_pct", Json.Float (ipct dp.d_generic_steps dp.d_steps));
@@ -178,10 +176,9 @@ let pp_dispatch ppf dp =
     dp.d_fused_sites (max 1 (dp.d_sites - 1))
     (ipct dp.d_fused_sites (max 1 (dp.d_sites - 1)));
   Fmt.pf ppf
-    "  fast path retired %d/%d steps (%.1f%%), %.1f%% in superinstructions, \
-     %.1f%% in generic bodies@."
-    dp.d_steps dp.d_steps
-    (ipct dp.d_steps dp.d_steps)
+    "  %d golden steps, %.1f%% in superinstructions, %.1f%% in generic \
+     bodies@."
+    dp.d_steps
     (ipct dp.d_fused_steps dp.d_steps)
     (ipct dp.d_generic_steps dp.d_steps);
   if dp.d_patterns <> [] then begin

@@ -52,7 +52,7 @@ val pp_provenance : Format.formatter -> t -> unit
 
     Coverage of {!Ferrum_machine.Predecode}'s threaded dispatcher over
     one image: static fused superinstruction sites, the share of a
-    golden run's steps the unobserved fast path retires, the share
+    golden run's steps retired inside superinstructions, the share
     retired by generic bodies (instructions no specialized thunk
     covers), and a dynamic histogram of the superinstruction patterns
     that actually fire. *)

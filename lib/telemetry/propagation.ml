@@ -18,13 +18,6 @@
    records the control divergence and from then on only watches the
    faulted run for checker executions and output events.
 
-   Lockstep can also end at convergence.  Once both taint sets are
-   empty ({!clean}) the caller may compare the two whole states; if
-   they are bit-identical, the rest of the faulted run is the golden
-   run, which can add nothing to the summary but its checker count
-   ({!converge}).  Empty taint is only the trigger: a corrupted value
-   printed and then masked leaves clean taint over differing output.
-
    The resulting {!summary} answers the questions the final
    classification cannot: where the flip first became architecturally
    visible, how far it spread, whether it reached ECC-protected memory
@@ -293,26 +286,6 @@ let observe t (st : Machine.state) idx =
       if (not t.golden_exited) && st.Machine.ip <> t.golden.Machine.ip then
         mark_control_divergence t st idx
     end
-
-(* Lockstep with the golden run alive and nothing tainted: the one
-   point at which the two states may be identical.  O(1). *)
-let clean t =
-  t.phase = Lockstep
-  && (not t.golden_exited)
-  && Hashtbl.length t.reg_taint = 0
-  && Hashtbl.length t.mem_taint = 0
-
-(* The faulted run converged: its remaining retirements are the golden
-   run's, so only their checkers still count, and always as untainted
-   checks after the divergence — what {!note_instruction} would record
-   on each of them.  The first one's step is asked for only if no
-   check has been seen yet. *)
-let converge t ~checks ~first_check =
-  if t.first_divergence <> None && checks > 0 then begin
-    t.checks_after_divergence <- t.checks_after_divergence + checks;
-    if t.first_check_after_divergence = None then
-      t.first_check_after_divergence <- first_check ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Summaries.                                                          *)

@@ -52,23 +52,6 @@ val note_injection : t -> Machine.state -> unit
     updates the tainted set.  Pass as [?observe] to [inject_full]. *)
 val observe : t -> Machine.state -> int -> unit
 
-(** Lockstep, the golden run not yet exited, and no tainted location:
-    the only point at which the faulted state can equal the golden one.
-    Constant time.  Empty taint does not imply equal states (output and
-    unwatched locations are not tainted), so a caller confirms with an
-    exact state compare before calling {!converge}. *)
-val clean : t -> bool
-
-(** [converge t ~checks ~first_check]: the faulted run's state equals
-    the lockstep golden state, so its remaining retirements are the
-    golden run's, [checks] of them [Check]-provenance, the first at
-    retired-instruction number [first_check ()] — called only when no
-    check after the divergence has been seen yet.  Folds them in as
-    {!observe} would have; {!finish} then takes the golden run's final
-    state.  No further {!observe} may follow. *)
-val converge :
-  t -> checks:int -> first_check:(unit -> int option) -> unit
-
 (** {1 Summaries} *)
 
 type summary = {

@@ -2,7 +2,7 @@
    campaigns: lockstep classification agreement, detection latency on a
    fixed seed, escape explanations for SDCs, v2 record schema,
    byte-reproducible vulnmap JSONL export, and the fast engines' traced
-   convergence exit against the scratch lockstep oracle. *)
+   samples against the scratch lockstep oracle. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
@@ -117,23 +117,26 @@ let test_benign_run_no_divergence_left () =
   Alcotest.(check bool) "no corrupted output" true
     (summary.Propagation.first_output_divergence_at = None)
 
-(* ---- traced convergence exit ----
+(* ---- traced samples on the fast engines ----
 
-   The fast engines end a traced suffix once its state equals the
-   lockstep golden state; the scratch engine observes every step to the
-   end.  Both must yield the same classification, fault, record and
-   summary for every sample. *)
+   The fast engines run the prefix untraced and attach the tracer, with
+   a lockstep golden replica, at the flip; the scratch engine observes
+   every step from the start.  Both must yield the same classification,
+   fault, record and summary for every sample. *)
 
 (* The scratch engine's traced samples [0, n), built once per target
    and scope and checked against every fast engine. *)
-let scratch_samples reference ~seed ~n =
-  List.init n (fun sample -> F.vulnmap_sample reference ~seed ~sample)
+let scratch_samples ?fault_bits reference ~seed ~n =
+  List.init n (fun sample ->
+      F.vulnmap_sample ?fault_bits reference ~seed ~sample)
 
 (* [t]'s traced samples equal [expected], the scratch engine's. *)
-let check_traced name ~expected t ~seed =
+let check_traced name ?fault_bits ~expected t ~seed =
   List.iteri
     (fun sample ((rc, _, _, rs) as want) ->
-      let ((gc, _, _, gs) as got) = F.vulnmap_sample t ~seed ~sample in
+      let ((gc, _, _, gs) as got) =
+        F.vulnmap_sample ?fault_bits t ~seed ~sample
+      in
       if want <> got then
         Alcotest.failf "%s %s sample %d: scratch %s@.%a@.but %s@.%a" name
           (F.engine_name t.F.engine) sample (F.classification_name rc)
@@ -141,10 +144,65 @@ let check_traced name ~expected t ~seed =
           Propagation.pp_summary gs)
     expected
 
+(* ---- map inputs on demand ----
+
+   A traced campaign window runs every fast-engine sample untraced: a
+   Detected run's latency is measured from the flip, an SDC of a build
+   without checkers escapes as unprotected, and only an SDC of a checked
+   build runs again under the tracer.  What it hands to the map must be
+   what the full tracer's summary gives. *)
+
+(* A sample's record and map inputs, as one comparable line (floats by
+   bit pattern). *)
+let show_inputs (r : F.record) ~latency ~escape =
+  Fmt.str "%s latency %s escape %s"
+    (Json.to_string (F.record_to_json r))
+    (match latency with
+    | Some (steps, cycles) -> Printf.sprintf "%d/%h" steps cycles
+    | None -> "-")
+    (match escape with Some e -> Propagation.escape_name e | None -> "-")
+
+(* [t]'s traced window over samples [0, n) against the full tracer:
+   [reference s] is sample [s] traced on the scratch engine, asked for
+   where the window's class carries a map input (Detected, SDC); the
+   other classes must carry none.  (The records themselves are held to
+   the scratch engine's by test_snapshot's window tests.)  The window
+   must re-trace exactly the SDCs of a checked build; returns how many
+   it re-traced. *)
+let check_map_inputs name ?fault_bits ~reference ~n (t : F.target) ~seed =
+  let want = Array.make n "" and have = Array.make n "" and sdcs = ref 0 in
+  F.reset_phases t;
+  F.run_window ?fault_bits ~traced:true ~site:(fun _ -> -1) t ~seed ~lo:0 ~n
+    ~render:(fun _ r ~latency ~escape ->
+      want.(r.F.sample) <-
+        (match r.F.r_class with
+        | F.Detected | F.Sdc ->
+          let cls, _, wr, s = reference r.F.sample in
+          if cls = F.Sdc then incr sdcs;
+          Alcotest.(check bool) (name ^ ": has_checks")
+            s.Propagation.program_has_checks t.F.has_checks;
+          show_inputs wr
+            ~latency:
+              (if cls = F.Detected then Propagation.detection_latency s
+               else None)
+            ~escape:
+              (if cls = F.Sdc then Some (Propagation.explain_escape s)
+               else None)
+        | _ -> show_inputs r ~latency:None ~escape:None);
+      have.(r.F.sample) <- show_inputs r ~latency ~escape)
+    ~emit:(fun _ ~steps:_ _ _ _ -> ());
+  let label = name ^ " " ^ F.engine_name t.F.engine in
+  Alcotest.(check (array string)) (label ^ ": map inputs") want have;
+  let retraces = (F.phases t).F.ph_retraces in
+  Alcotest.(check int) (label ^ ": retraces")
+    (if t.F.has_checks then !sdcs else 0)
+    retraces;
+  retraces
+
 (* Original-provenance [Mov $5, %rax] is the only site; the corrupted
    value is printed, then [%rax] and [%rdi] are overwritten, so the
-   tracer turns clean while the output already differs.  A long tail
-   leaves room for the exit. *)
+   taint is gone while the output already differs.  A long tail follows
+   in which the run equals the golden one but for its output. *)
 let printed_then_masked () =
   let inert op = { Instr.op; prov = Instr.Instrumentation }
   and reg r = Instr.Reg r in
@@ -187,8 +245,7 @@ let test_printed_then_masked_stays_sdc () =
 
 (* All 32 catalogue targets (8 kernels x raw and three techniques) under
    both site scopes: the fast engines' traced samples equal the
-   scratch oracle's, and on every protected target some of them took
-   the exit. *)
+   scratch oracle's. *)
 let test_catalogue_traced_identity () =
   let seed = 29L and n = 5 in
   List.iter
@@ -198,31 +255,27 @@ let test_catalogue_traced_identity () =
         (fun (cname, (res : Pipeline.result)) ->
           let img = Machine.load res.Pipeline.program in
           let name = entry.name ^ "/" ^ cname in
-          let exits =
-            List.fold_left
-              (fun acc scope ->
-                let expected =
-                  scratch_samples (F.prepare ~scope ~engine:F.Scratch img)
-                    ~seed ~n
-                in
-                List.fold_left
-                  (fun acc engine ->
-                    let t = F.prepare ~scope ~engine img in
-                    check_traced name ~expected t ~seed;
-                    acc + (F.phases t).F.ph_converged)
-                  acc
-                  [ F.Pooled; F.default_engine ])
-              0 [ F.Original_only; F.All_sites ]
-          in
-          if cname <> "raw" && exits = 0 then
-            Alcotest.failf "%s: no traced sample converged" name)
+          List.iter
+            (fun scope ->
+              let expected =
+                scratch_samples (F.prepare ~scope ~engine:F.Scratch img) ~seed
+                  ~n
+              in
+              List.iter
+                (fun engine ->
+                  let t = F.prepare ~scope ~engine img in
+                  check_traced name ~expected t ~seed;
+                  let reference = List.nth expected in
+                  ignore (check_map_inputs name ~reference ~n t ~seed : int))
+                [ F.Pooled; F.default_engine ])
+            [ F.Original_only; F.All_sites ])
         (("raw", Pipeline.raw m)
         :: List.map
              (fun tech -> (Technique.short_name tech, Pipeline.protect tech m))
              Technique.all))
     Ferrum_workloads.Catalog.all
 
-(* Random kernels, long enough to span several checker-tally blocks,
+(* Random kernels, long enough to span several prefix blocks,
    under a random configuration and scope, with random flips. *)
 let prop_random_traced_identity =
   QCheck.Test.make ~name:"traced exit matches scratch on random kernels"
@@ -246,6 +299,86 @@ let prop_random_traced_identity =
         (fun engine ->
           let t = F.prepare ~scope ~engine img in
           check_traced "random kernel" ~expected t ~seed)
+        [ F.Pooled; F.Checkpointed 64 ];
+      true)
+
+(* The full tracer's sample [s] of [reference] (never the target under
+   test), each computed once on first use and shared by every engine
+   checked against it. *)
+let memo_samples ?fault_bits reference ~seed =
+  let memo = Hashtbl.create 64 in
+  fun sample ->
+    match Hashtbl.find_opt memo sample with
+    | Some r -> r
+    | None ->
+      let r = F.vulnmap_sample ?fault_bits reference ~seed ~sample in
+      Hashtbl.replace memo sample r;
+      r
+
+(* All 32 catalogue targets under both scopes and fault widths 1 and
+   2: the traced windows of both fast engines hand the map what the
+   full tracer gives, and some checked-build SDC was re-traced.  The
+   reference is the default engine's full tracer, attached at the flip
+   (the scratch engine's tracer observes every prefix step of both runs
+   too, which costs minutes here); "catalogue matches scratch" holds it
+   to the scratch engine's. *)
+let test_catalogue_map_inputs () =
+  let seed = 37L and n = 40 and retraces = ref 0 in
+  List.iter
+    (fun (entry : Ferrum_workloads.Catalog.entry) ->
+      let m = entry.build () in
+      List.iter
+        (fun (cname, (res : Pipeline.result)) ->
+          let img = Machine.load res.Pipeline.program in
+          let name = entry.name ^ "/" ^ cname in
+          List.iter
+            (fun (scope, fault_bits) ->
+              let reference =
+                memo_samples ~fault_bits (F.prepare ~scope img) ~seed
+              in
+              List.iter
+                (fun engine ->
+                  retraces :=
+                    !retraces
+                    + check_map_inputs name ~fault_bits ~reference ~n
+                        (F.prepare ~scope ~engine img) ~seed)
+                [ F.Pooled; F.default_engine ])
+            [ (F.Original_only, 1); (F.Original_only, 2); (F.All_sites, 1);
+              (F.All_sites, 2) ])
+        (("raw", Pipeline.raw m)
+        :: List.map
+             (fun tech -> (Technique.short_name tech, Pipeline.protect tech m))
+             Technique.all))
+    Ferrum_workloads.Catalog.all;
+  if !retraces = 0 then Alcotest.fail "no checked-build SDC was re-traced"
+
+(* Random kernels, raw or checked, under either scope and fault width. *)
+let prop_random_map_inputs =
+  QCheck.Test.make ~name:"map inputs match the tracer on random kernels"
+    ~count:40
+    QCheck.(
+      quad Tgen.kernel_arbitrary
+        (pair (int_bound 3) bool)
+        (int_range 1 2) (make QCheck.Gen.ui64))
+    (fun (k, (config, all_sites), fault_bits, seed) ->
+      let m =
+        Tgen.build_kernel { k with Tgen.iterations = 40 * k.Tgen.iterations }
+      in
+      let res =
+        if config = 0 then Pipeline.raw m
+        else Pipeline.protect (List.nth Technique.all (config - 1)) m
+      in
+      let img = Machine.load res.Pipeline.program in
+      let scope = if all_sites then F.All_sites else F.Original_only in
+      let reference =
+        memo_samples ~fault_bits (F.prepare ~scope ~engine:F.Scratch img) ~seed
+      in
+      List.iter
+        (fun engine ->
+          ignore
+            (check_map_inputs "random kernel" ~fault_bits ~reference ~n:24
+               (F.prepare ~scope ~engine img) ~seed
+              : int))
         [ F.Pooled; F.Checkpointed 64 ];
       true)
 
@@ -361,6 +494,10 @@ let () =
           Alcotest.test_case "catalogue matches scratch" `Slow
             test_catalogue_traced_identity;
           QCheck_alcotest.to_alcotest prop_random_traced_identity ] );
+      ( "map inputs",
+        [ Alcotest.test_case "catalogue matches the tracer" `Slow
+            test_catalogue_map_inputs;
+          QCheck_alcotest.to_alcotest prop_random_map_inputs ] );
       ( "vulnmap",
         [ Alcotest.test_case "schema valid + reproducible" `Quick
             test_vulnmap_schema_valid_and_reproducible;

@@ -25,6 +25,11 @@ module Shard = Ferrum_campaign.Shard
 
 let original = Instr.original
 
+(* B, the block of steps of the golden eligible tally
+   [F.eligible_upto]: a prefix runs fused to the start of its flip's
+   block and single-steps the rest. *)
+let block = 512
+
 (* A loop fixture with enough dynamic instructions (~1400) to span
    many checkpoints, and stores that walk across the page 0 / page 1
    boundary so restores must undo real memory dirt. *)
@@ -149,7 +154,7 @@ let memory_only_program () =
               inert Instr.Ret ] ] ]
 
 (* Two single-occurrence sites on either side of a boundary of
-   [F.check_block] steps: 255 turns of a four-step loop whose first
+   [block] steps: 255 turns of a four-step loop whose first
    instruction is the only other site, then site X retires at step 1024
    (the last eligible retirement of block 1) and site Y at step 1025
    (the first of block 2).  508 inert steps follow before the
@@ -489,63 +494,6 @@ let test_converged_scalars () =
   Machine.flip_simd_lane st 15 ~lane:3 ~bit:63;
   Alcotest.(check bool) "all restored" true (Snapshot.converged sl 5)
 
-(* ---- slot against slot ---- *)
-
-(* Two slots restored to checkpoint 3 of the loop fixture; [b] synced
-   from [a] after [a] ran 40 steps, then both run 60 more in lockstep,
-   so both dirty logs are non-empty. *)
-let test_identical_slots () =
-  let img = Machine.load (loop_program ()) in
-  let cache = Snapshot.build ~interval:64 ~counted:(fun _ -> true) img in
-  let pre = Predecode.decode img in
-  let a = Snapshot.make_slot cache and b = Snapshot.make_slot cache in
-  let at = Snapshot.ckpt_steps cache 3 in
-  ignore (Snapshot.restore a ~dyn_index:at : int);
-  let x = Snapshot.state a in
-  for _ = 1 to 40 do ignore (Predecode.step1 pre x : int) done;
-  ignore (Snapshot.restore b ~dyn_index:at : int);
-  Snapshot.sync ~src:a b;
-  let y = Snapshot.state b in
-  for _ = 1 to 60 do
-    ignore (Predecode.step1 pre x : int);
-    ignore (Predecode.step1 pre y : int)
-  done;
-  Alcotest.(check bool) "lockstep slots are identical" true
-    (Snapshot.identical a b);
-  (* Each case changes exactly one thing, checks the compare sees it,
-     and undoes it. *)
-  let differs name change undo =
-    change ();
-    Alcotest.(check bool) name false (Snapshot.identical a b);
-    undo ();
-    Alcotest.(check bool) (name ^ ", undone") true (Snapshot.identical a b)
-  in
-  (* pages 100 and 101 are far from the fixture's data and stack *)
-  let byte st addr delta () =
-    let v = Machine.read_mem st addr Reg.B in
-    Machine.write_mem st addr Reg.B (Int64.add v delta)
-  in
-  let far = Int64.of_int ((100 lsl Machine.page_bits) + 7) in
-  differs "a byte in a page only the first slot dirtied" (byte x far 1L)
-    (byte x far (-1L));
-  let far = Int64.add far (Int64.of_int Machine.page_size) in
-  differs "a byte in a page only the second slot dirtied" (byte y far 1L)
-    (byte y far (-1L));
-  let out = x.Machine.out_rev in
-  differs "output"
-    (fun () -> x.Machine.out_rev <- 7L :: out)
-    (fun () -> x.Machine.out_rev <- out);
-  let cycles = y.Machine.cycles.Machine.fv in
-  differs "cycles one ulp apart"
-    (fun () -> y.Machine.cycles.Machine.fv <- Float.succ cycles)
-    (fun () -> y.Machine.cycles.Machine.fv <- cycles);
-  let flip () = Machine.flip_flag x Cond.OF in
-  differs "one flag" flip flip;
-  let flip () = Machine.flip_simd_lane y 9 ~lane:5 ~bit:0 in
-  differs "one SIMD lane" flip flip;
-  let flip () = Machine.flip_gpr x Reg.R13 Reg.Q ~bit:40 in
-  differs "one GPR" flip flip
-
 (* ---- one golden walk: prepare's capture vs a reference walk ---- *)
 
 (* A checkpoint flattened to labelled field strings, so a mismatch
@@ -591,8 +539,8 @@ let cache_fields img cache =
    them: before each step, when the step count is a positive multiple
    of [k], copy the state and the pages dirtied since the previous copy.
    The check comes before the step, so nothing is captured at or past
-   the halting instruction.  The eligible and checker tallies are taken
-   at every multiple of [F.check_block], the halting step included. *)
+   the halting instruction.  The eligible tally is taken at every
+   multiple of [block], the halting step included. *)
 let reference_walk ?k img eligible =
   let st = Machine.fresh_state img in
   Machine.track_writes st;
@@ -600,10 +548,9 @@ let reference_walk ?k img eligible =
   let pre = Predecode.decode img in
   let len = Array.length img.Machine.code in
   let seen = ref 0 and sites = ref [] and ckpts = ref [] in
-  let checks = ref 0 and upto = ref [] in
+  let upto = ref [] in
   let tally () =
-    if st.Machine.steps mod F.check_block = 0 then
-      upto := (!seen, !checks) :: !upto
+    if st.Machine.steps mod block = 0 then upto := !seen :: !upto
   in
   let capture () =
     let pages = Array.sub tr.Machine.tr_pages 0 tr.Machine.tr_count in
@@ -636,7 +583,6 @@ let reference_walk ?k img eligible =
         | _ -> ());
         tally ();
         let idx = Predecode.step1 pre st in
-        if img.Machine.code.(idx).Instr.prov = Instr.Check then incr checks;
         if eligible.(idx) then begin
           incr seen;
           sites := idx :: !sites
@@ -671,12 +617,8 @@ let check_prepared name ~engine img =
     t.F.eligible_steps;
   Alcotest.(check (array int)) (name ^ ": dyn_static") dyn_static
     t.F.dyn_static;
-  Alcotest.(check (array int)) (name ^ ": eligible_upto")
-    (Array.of_list (List.map fst upto))
+  Alcotest.(check (array int)) (name ^ ": eligible_upto") (Array.of_list upto)
     t.F.eligible_upto;
-  Alcotest.(check (array int)) (name ^ ": checks_upto")
-    (Array.of_list (List.map snd upto))
-    t.F.checks_upto;
   Alcotest.(check int) (name ^ ": fuel") ((steps * 3) + 100_000) t.F.fuel;
   Alcotest.(check (list string)) (name ^ ": checkpoints") want
     (cache_fields img t.F.cache);
@@ -727,7 +669,7 @@ let test_prepare_block_multiple () =
   List.iter
     (fun engine ->
       let t = check_prepared "block" ~engine img in
-      Alcotest.(check int) "golden run is 3 blocks" (3 * F.check_block)
+      Alcotest.(check int) "golden run is 3 blocks" (3 * block)
         t.F.golden_steps;
       Alcotest.(check int) "one tally per block boundary, exit included" 4
         (Array.length t.F.eligible_upto);
@@ -926,7 +868,7 @@ let test_memory_only_corruption () =
 (* ---- the fused prefix ----
 
    A prefix runs fused to the start of its flip's block of
-   [F.check_block] steps and single-steps the rest; these aim at both
+   [block] steps and single-steps the rest; these aim at both
    sides of a block boundary and at random programs several blocks
    long. *)
 
@@ -1003,7 +945,7 @@ let prop_random_prefix_identity =
       let img = Machine.load res.Pipeline.program in
       let scope = if all_sites then F.All_sites else F.Original_only in
       let reference = F.prepare ~scope ~engine:F.Scratch img in
-      if reference.F.golden_steps < 3 * F.check_block then
+      if reference.F.golden_steps < 3 * block then
         QCheck.Test.fail_reportf "kernel of %d steps spans under 3 blocks"
           reference.F.golden_steps;
       check_samples "random kernel" ~reference
@@ -1383,7 +1325,7 @@ let phase_counters (ph : F.phases) =
   [ ph.F.ph_walks; ph.F.ph_walk_steps; ph.F.ph_restores;
     ph.F.ph_prefix_steps; ph.F.ph_forward_steps; ph.F.ph_suffix_steps;
     ph.F.ph_decodes; ph.F.ph_fused_steps; ph.F.ph_converged;
-    ph.F.ph_skipped_steps ]
+    ph.F.ph_skipped_steps; ph.F.ph_retraces ]
 
 (* One op's lines, then the target's counters after it. *)
 let run_op t ~seed op =
@@ -1483,9 +1425,7 @@ let () =
           Alcotest.test_case "golden deltas compared" `Quick
             test_converged_golden_deltas;
           Alcotest.test_case "output, cycles, registers" `Quick
-            test_converged_scalars;
-          Alcotest.test_case "slot against slot" `Quick
-            test_identical_slots ] );
+            test_converged_scalars ] );
       ( "catalogue",
         [ Alcotest.test_case "prepare matches a reference walk" `Slow
             test_prepare_catalogue;
