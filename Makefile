@@ -128,6 +128,10 @@ campaign: build
 	  $(CAMP).w1 $(CAMP).w3
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(CAMP) --html $(CAMP).html > /dev/null
+	@if [ "$$(ls -A $(CAMP)/parts | tr '\n' ' ')" != "shard-0.jsonl shard-1.jsonl " ]; then \
+	  echo "campaign: parts/ must hold exactly shard-0.jsonl and shard-1.jsonl, no .tmp"; \
+	  ls -A $(CAMP)/parts; exit 1; \
+	fi
 	$(CLI) metrics $(CAMP)/events.jsonl
 	$(CLI) metrics $(CAMP)/injection.jsonl > /dev/null
 	$(CLI) metrics $(CAMP)/vulnmap.jsonl > /dev/null
@@ -164,7 +168,7 @@ campaign: build
 	    --out $(CAMP).w1 > /dev/null || exit 1; \
 	  cmp $(CAMP).w3/injection.jsonl $(CAMP).w1/injection.jsonl || exit 1; \
 	done
-	@echo "campaign: sharded run valid, reproducible, one-round, equal to 1 shard, resumable, no lingering worker, multi-window shards equal"
+	@echo "campaign: sharded run valid, parts whole, reproducible, one-round, equal to 1 shard, resumable, no lingering worker, multi-window shards equal"
 
 # Confidence-telemetry smoke: an adaptive vulnmap campaign must emit a
 # schema-valid, byte-reproducible ferrum.stats.v1 stream, a flat run of

@@ -1467,21 +1467,8 @@ let campaign_cmd =
         ~technique:(technique_name technique) ~samples ~seed ~shards
         ~fault_bits ~all_sites ~traced ~program:p target
     in
-    (* Part files are only trusted when the manifest they were written
-       under matches this run's configuration — a fresh run over a
-       reused --out directory (the default one is stable per
-       BENCH.TECH) must not silently replay parts left by a run with a
-       different seed, scope, fault width or workload.  The --resume
-       path is already gated by the digest check above. *)
-    (match prior with
-    | Some _ -> ()
-    | None -> (
-      match Manifest.load ~dir:out with
-      | Ok recorded when Manifest.compatible recorded manifest -> ()
-      | Ok _ | Error _ -> Fsutil.rm_rf (Store.parts_dir out)));
-    (* Saved before the run so an interruption leaves a resumable
-       directory: parts/ plus the manifest that vouches for it. *)
-    Manifest.save ~dir:out manifest;
+    (* The --resume path is already gated by the digest check above. *)
+    Store.open_run ~resume:(prior <> None) ~dir:out manifest;
     let on_event =
       if progress then Some (progress_renderer "campaign") else None
     in

@@ -14,27 +14,31 @@
 
    Command (parent -> worker, one per shard): a {!command} record,
    marshalled (both ends are the same forked executable): global shard
-   id, attempt, range, seed, fault width, traced flag, heartbeats, the
-   heartbeat's base_spent/budget/prior, the shard span's trace context,
-   the sabotage hook's die_after, and the adaptive allocation of the
-   range.  A worker reads end of file when its pool closes, and exits.
+   id, attempt, range, seed, fault width, traced flag, the heartbeat's
+   base_spent/budget/prior, the shard span's trace context, the
+   sabotage hook's die_after, and the adaptive allocation of the range.
+   A worker reads end of file when its pool closes, and exits.
 
-   Wire protocol (one line each, worker -> parent):
+   Wire protocol (worker -> parent): one line each, a one-letter tag, a
+   tab, then the payload:
      s<TAB>...<TAB>{record}  a sample (Shard.write_sample): the fields
                              the merge needs, tab-separated, then the
                              record JSON verbatim, rendered once in the
                              worker and never re-escaped or parsed
-     {"t":"ev","ev":{...}}   a Ferrum_telemetry.Events event
-     {"t":"tr","l":"..."}    a serialized ferrum.trace.v1 span row
-     {"t":"tw","l":"..."}    a serialized ferrum.trace.v1 wall row
-     {"t":"done"}            clean end of the shard's stream
-   A sample line whose fields do not read back (a truncated line, a
-   misplaced separator, a record of another sample) is a protocol error,
-   like a line that is not JSON, a sample out of order or any data after
-   the done marker: the worker is killed, reaped and replaced, and the
-   attempt retried.  The test hooks act in the parent: [sabotage]'s
-   verdict travels in the command as die_after, and [garble] rewrites
-   the attempt's k-th sample line before it is absorbed.
+     e<TAB>{...}             a Ferrum_telemetry.Events event
+     t<TAB>{...}             a ferrum.trace.v1 span row, verbatim
+     w<TAB>{...}             a ferrum.trace.v1 wall row, verbatim
+     d<TAB>                  clean end of the shard's stream
+   An unknown tag, a sample whose fields do not read back (a truncated
+   line, a misplaced separator, a record of another sample), an event
+   that does not parse, a row that is not a whole object, a sample out
+   of order and any data after the done marker are protocol errors: the
+   worker is killed, reaped and replaced, and the attempt retried.  The
+   parent cuts each line once, straight from its read buffer, carrying
+   only a partial trailing line between reads.  The test hooks act in
+   the parent: [sabotage]'s verdict travels in the command as
+   die_after, and [garble] rewrites the attempt's k-th sample line
+   before it is absorbed.
 
    Trace rows are emitted in one batch after the shard's last sample
    (a worker that dies or garbles mid-shard contributes none), so the
@@ -43,9 +47,11 @@
    worker resets its engine-phase tallies at each command, so a reused
    worker's rows are a fresh one's.
 
-   A shard's successful raw stream is also persisted verbatim to
-   [part_dir]/shard-<i>.jsonl (write-then-rename), so an interrupted
-   campaign resumes by replaying finished shards from disk.
+   With a [part_dir], each absorbed line is also streamed verbatim to
+   [part_dir]/shard-<i>.jsonl.tmp, renamed to shard-<i>.jsonl when the
+   attempt succeeds and removed when it fails, so an interrupted
+   campaign resumes by replaying finished shards from disk and the
+   parent holds no second copy of a shard's lines.
 
    A campaign runs in rounds (one, unless [run ~policy] asks for
    more), one wave of shards each: round r's shard s runs under the
@@ -151,44 +157,11 @@ let allocate (t : F.target) ~tally ~n : int array =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Wire protocol.                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type wire =
-  | W_event of Events.t
-  | W_sample of Shard.sample_out
-  | W_trace of string  (** raw ferrum.trace.v1 span row *)
-  | W_twall of string  (** raw ferrum.trace.v1 wall row *)
-  | W_done
-
-(* A sample line is read by {!Shard.read_sample}; every other line is a
-   JSON object tagged by its "t" field. *)
-let parse_wire line : (wire, string) Stdlib.result =
-  if String.length line > 1 && line.[0] = 's' && line.[1] = '\t' then
-    Result.map (fun s -> W_sample s) (Shard.read_sample line)
-  else
-    match Json.of_string_opt line with
-    | None -> Error "worker line is not valid JSON"
-    | Some j -> (
-      match Json.member "t" j with
-      | Some (Json.Str "ev") -> (
-        match Json.member "ev" j with
-        | Some ev -> Result.map (fun e -> W_event e) (Events.of_json ev)
-        | None -> Error "ev line lacks payload")
-      | Some (Json.Str "tr") -> (
-        match Json.member "l" j with
-        | Some (Json.Str l) -> Ok (W_trace l)
-        | _ -> Error "trace line lacks payload")
-      | Some (Json.Str "tw") -> (
-        match Json.member "l" j with
-        | Some (Json.Str l) -> Ok (W_twall l)
-        | _ -> Error "trace wall line lacks payload")
-      | Some (Json.Str "done") -> Ok W_done
-      | _ -> Error "worker line lacks a known tag")
-
-(* ------------------------------------------------------------------ *)
 (* Worker side.                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Progress events per shard. *)
+let heartbeats = 8
 
 (* A class's counter in a worker's running tally. *)
 let class_slot = function
@@ -213,7 +186,6 @@ type command = {
   c_seed : int64;
   c_fault_bits : int;
   c_traced : bool;
-  c_heartbeats : int;
   c_base_spent : int;
   c_budget : int;
   c_prior : Stats.tally;
@@ -231,29 +203,27 @@ type command = {
    deterministic under retries. *)
 let run_command target oc c =
   let { Shard.lo; hi } = c.c_range in
-  let emit_line j =
-    output_string oc (Json.to_string j);
+  let emit tag row =
+    output_char oc tag;
+    output_char oc '\t';
+    output_string oc row;
     output_char oc '\n'
   in
   (* Events go out as they happen, so the runner, the live log and its
      subscribers see a shard start and progress while it runs; sample
      lines ride along in the channel buffer. *)
   let emit_event body =
-    emit_line
-      (Json.Obj
-         [
-           ("t", Json.Str "ev");
-           ( "ev",
-             Events.to_json
-               { Events.seq = 0; shard = c.c_shard; attempt = c.c_attempt; body }
-           );
-         ]);
+    emit 'e'
+      (Json.to_string
+         (Events.to_json
+            { Events.seq = 0; shard = c.c_shard; attempt = c.c_attempt;
+              body }));
     flush oc
   in
   let tr = Trace.scoped c.c_ctx ~proc:(Fmt.str "worker-%d" c.c_shard) in
   F.reset_phases target;
   let total = hi - lo in
-  let every = max 1 (total / max 1 c.c_heartbeats) in
+  let every = max 1 (total / heartbeats) in
   let assign = Option.map (fun a sample -> a.(sample - lo)) c.c_assign in
   Trace.span tr "shard" (fun () ->
       emit_event (Events.Shard_started { lo; hi });
@@ -277,6 +247,7 @@ let run_command target oc c =
             flush oc;
             Unix._exit 66
           | _ -> ());
+          output_string oc "s\t";
           output oc text pos len;
           output_char oc '\n';
           incr done_;
@@ -321,13 +292,9 @@ let run_command target oc c =
       emit_event
         (Events.Shard_finished
            { done_ = !done_; total; tally = tally (); clock = !clock }));
-  List.iter
-    (fun l -> emit_line (Json.Obj [ ("t", Json.Str "tr"); ("l", Json.Str l) ]))
-    (Trace.span_lines tr);
-  List.iter
-    (fun l -> emit_line (Json.Obj [ ("t", Json.Str "tw"); ("l", Json.Str l) ]))
-    (Trace.wall_lines tr);
-  emit_line (Json.Obj [ ("t", Json.Str "done") ]);
+  List.iter (emit 't') (Trace.span_lines tr);
+  List.iter (emit 'w') (Trace.wall_lines tr);
+  output_string oc "d\t\n";
   flush oc
 
 (* A worker's life, in the forked child: run commands until the parent
@@ -500,89 +467,90 @@ let send w (c : command) =
 (* Parent side.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One shard's parsed successful stream, plus the raw lines for the
-   part file. *)
-type shard_data = {
-  d_events : Events.t list;  (** stream order *)
-  d_samples : Shard.sample_out list;  (** stream order *)
-  d_lines : string list;  (** raw protocol lines, stream order *)
-  d_tr : string list;  (** raw span rows, stream order *)
-  d_tw : string list;  (** raw wall rows, stream order *)
-}
-
 (* A shard's stream as read so far, from a live worker's pipe or from a
    saved part file: both go through {!absorb_line}, so a replayed part
    is accepted exactly when the attempt that wrote it was. *)
 type stream = {
   mutable s_events : Events.t list;  (** reversed *)
   mutable s_samples : Shard.sample_out list;  (** reversed *)
-  mutable s_lines : string list;  (** reversed *)
-  mutable s_tr : string list;  (** reversed *)
-  mutable s_tw : string list;  (** reversed *)
+  mutable s_tr : string list;  (** span rows, reversed *)
+  mutable s_tw : string list;  (** wall rows, reversed *)
   mutable s_next : int;  (** the sample expected next *)
   mutable s_done : bool;
 }
 
 let empty_stream (range : Shard.range) =
-  { s_events = []; s_samples = []; s_lines = []; s_tr = []; s_tw = [];
+  { s_events = []; s_samples = []; s_tr = []; s_tw = [];
     s_next = range.Shard.lo; s_done = false }
 
-(* Apply one protocol line to [s]; returns what it parsed to.  A line
-   that does not parse, a sample out of order and any line after the
-   done marker are protocol errors. *)
-let absorb_line s line : (wire, string) Stdlib.result =
-  let keep w =
-    s.s_lines <- line :: s.s_lines;
-    Ok w
-  in
+(* Apply the [len]-byte wire line at [pos] of [buf] to [s], cutting its
+   payload out once; an event is also returned, for the caller to fire.
+   A line that does not parse, a sample out of order and any line after
+   the done marker are protocol errors. *)
+let absorb_line s buf pos len : (Events.t option, string) Stdlib.result =
   if s.s_done then Error "worker line after the done marker"
+  else if len < 2 || Bytes.get buf (pos + 1) <> '\t' then
+    Error "worker line lacks a tag"
   else
-    match parse_wire line with
-    | Error e -> Error e
-    | Ok (W_event e as w) ->
-      s.s_events <- e :: s.s_events;
-      keep w
-    | Ok (W_sample x as w) ->
-      if x.Shard.o_sample <> s.s_next then
-        Error
-          (Fmt.str "sample %d where %d was due" x.Shard.o_sample s.s_next)
-      else begin
+    let payload () = Bytes.sub_string buf (pos + 2) (len - 2) in
+    match Bytes.get buf pos with
+    | 's' -> (
+      match Shard.read_sample (payload ()) with
+      | Error e -> Error e
+      | Ok x when x.Shard.o_sample <> s.s_next ->
+        Error (Fmt.str "sample %d where %d was due" x.Shard.o_sample s.s_next)
+      | Ok x ->
         s.s_samples <- x :: s.s_samples;
         s.s_next <- s.s_next + 1;
-        keep w
+        Ok None)
+    | 'e' -> (
+      match Option.map Events.of_json (Json.of_string_opt (payload ())) with
+      | None -> Error "event line is not JSON"
+      | Some (Error e) -> Error e
+      | Some (Ok e) ->
+        s.s_events <- e :: s.s_events;
+        Ok (Some e))
+    | ('t' | 'w') as tag ->
+      let row = payload () and n = len - 2 in
+      if n < 2 || row.[0] <> '{' || row.[n - 1] <> '}' then
+        Error "trace row is not a whole object"
+      else begin
+        if tag = 't' then s.s_tr <- row :: s.s_tr else s.s_tw <- row :: s.s_tw;
+        Ok None
       end
-    | Ok (W_trace l as w) ->
-      s.s_tr <- l :: s.s_tr;
-      keep w
-    | Ok (W_twall l as w) ->
-      s.s_tw <- l :: s.s_tw;
-      keep w
-    | Ok (W_done as w) ->
+    | 'd' when len = 2 ->
       s.s_done <- true;
-      keep w
+      Ok None
+    | c -> Error (Fmt.str "worker line with unknown tag %C" c)
 
-(* The shard's data once [s] is complete for [range]: ended by the done
-   marker after exactly the samples [lo, hi), in order. *)
-let complete (range : Shard.range) s : shard_data option =
-  if s.s_done && s.s_next = range.Shard.hi then
-    Some
-      {
-        d_events = List.rev s.s_events;
-        d_samples = List.rev s.s_samples;
-        d_lines = List.rev s.s_lines;
-        d_tr = List.rev s.s_tr;
-        d_tw = List.rev s.s_tw;
-      }
-  else None
+(* Hand each newline-ended line among the first [stop] bytes of [buf] to
+   [f buf pos len] while [f] accepts them; returns where the unread rest
+   begins, or -1 once [f] has refused a line. *)
+let each_line f buf stop =
+  let rec go pos i =
+    if i >= stop then pos
+    else if Bytes.unsafe_get buf i <> '\n' then go pos (i + 1)
+    else if f buf pos (i - pos) then go (i + 1) (i + 1)
+    else -1
+  in
+  go 0 0
+
+(* Whether [s] is complete for [range]: ended by the done marker after
+   exactly the samples [lo, hi), in order. *)
+let complete (range : Shard.range) s = s.s_done && s.s_next = range.Shard.hi
 
 (* One attempt at a shard, on a worker. *)
 type running = {
   r_index : int;  (** index into this wave's range array *)
   r_cmd : command;
   r_worker : worker;
-  r_buf : Buffer.t;  (** partial trailing line *)
   r_stream : stream;
+  r_part : (out_channel * string) option;
+      (** the part file's path and the channel streaming its [.tmp] *)
   r_garble : (int * (string -> string)) option;
+  mutable r_buf : Bytes.t;
+      (** read buffer: a partial trailing line, then the next read *)
+  mutable r_len : int;  (** bytes of the partial line at its front *)
   mutable r_seen : int;  (** sample lines read, before any garbling *)
   mutable r_fail : string option;
       (** protocol violation on this attempt's stream; treated like
@@ -591,32 +559,37 @@ type running = {
 
 let part_path dir shard = Filename.concat dir (Fmt.str "shard-%d.jsonl" shard)
 
-(* Replay a saved part stream; [None] unless it is {!complete} for
-   [range]. *)
-let load_part (range : Shard.range) path : shard_data option =
+(* Replay a saved part stream; [None] unless every line is absorbed and
+   the stream is {!complete} for [range]. *)
+let load_part (range : Shard.range) path : stream option =
   if not (Sys.file_exists path) then None
   else begin
+    let text = Bytes.unsafe_of_string (Fsutil.read_file path) in
     let s = empty_stream range in
-    let rec go = function
-      | [] -> complete range s
-      | line :: rest -> (
-        match absorb_line s line with Ok _ -> go rest | Error _ -> None)
-    in
-    go (Ferrum_telemetry.Metrics.read_lines path)
+    let absorb buf pos len = Result.is_ok (absorb_line s buf pos len) in
+    if each_line absorb text (Bytes.length text) = Bytes.length text
+       && complete range s
+    then Some s
+    else None
   end
 
-let save_part dir shard (d : shard_data) =
-  Fsutil.mkdir_p dir;
+(* Start streaming an attempt's part file, or end it: kept (renamed
+   into place) when the attempt succeeded, removed otherwise. *)
+let open_part dir shard =
   let path = part_path dir shard in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    d.d_lines;
-  close_out oc;
-  Sys.rename tmp path
+  (open_out_bin (path ^ ".tmp"), path)
+
+let close_part ~keep = function
+  | None -> ()
+  | Some (oc, path) ->
+    if keep then begin
+      close_out oc;
+      Sys.rename (path ^ ".tmp") path
+    end
+    else begin
+      close_out_noerr oc;
+      try Sys.remove (path ^ ".tmp") with Sys_error _ -> ()
+    end
 
 let status_reason status ~got ~total =
   match status with
@@ -638,13 +611,13 @@ let rec select_read fds =
    round's first sample [alloc_lo].  Returns the per-shard successful
    streams, the per-shard retry markers (chronological) and the retry
    count. *)
-let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
-    ~sabotage ~garble ~seed ~alloc ~alloc_lo ~base_spent ~budget ~prior
-    ~tracer ~pool target (ids : int array) (ranges : Shard.range array) :
-    shard_data array * Events.t list array * int =
+let run_wave ~fault_bits ~traced ~retries ~workers ~fire ~part_dir ~sabotage
+    ~garble ~seed ~alloc ~alloc_lo ~base_spent ~budget ~prior ~tracer ~pool
+    target (ids : int array) (ranges : Shard.range array) :
+    stream array * Events.t list array * int =
   let k = Array.length ranges in
   (* Resume: replay finished shards from their part files. *)
-  let completed : shard_data option array = Array.make k None in
+  let completed : stream option array = Array.make k None in
   (match part_dir with
   | Some dir ->
     Array.iteri
@@ -653,7 +626,7 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
   | None -> ());
   Array.iter
     (function
-      | Some d -> List.iter fire d.d_events
+      | Some s -> List.iter fire (List.rev s.s_events)
       | None -> ())
     completed;
   let retry_markers : Events.t list array = Array.make k [] (* reversed *) in
@@ -673,7 +646,6 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
       c_seed = seed;
       c_fault_bits = fault_bits;
       c_traced = traced;
-      c_heartbeats = heartbeats;
       c_base_spent = base_spent;
       c_budget = budget;
       c_prior = prior;
@@ -705,10 +677,12 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
           r_index = i;
           r_cmd = c;
           r_worker = w;
-          r_buf = Buffer.create 4096;
           r_stream = empty_stream ranges.(i);
+          r_part = Option.map (fun dir -> open_part dir c.c_shard) part_dir;
           r_garble =
             Option.bind garble (fun f -> f ~shard:c.c_shard ~attempt:c.c_attempt);
+          r_buf = Bytes.create 65536;
+          r_len = 0;
           r_seen = 0;
           r_fail = None;
         }
@@ -718,75 +692,77 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
       dispatch i c
     end
   in
-  (* Absorb the complete lines of [chunk].  The garble hook rewrites
-     the attempt's k-th sample line first.  A line that fails to parse
-     poisons the attempt: stop consuming, drop the rest of the buffered
-     data, and let the caller route the worker through the ordinary
-     death/retry path.  Never raise from inside the select loop — that
-     would leak busy workers. *)
-  let feed r chunk =
-    Buffer.add_string r.r_buf chunk;
-    let data = Buffer.contents r.r_buf in
-    let absorb line =
-      if String.trim line = "" then true
-      else
-        match absorb_line r.r_stream line with
-        | Ok w ->
-          (match w with W_event e -> fire e | _ -> ());
-          true
-        | Error e ->
-          r.r_fail <- Some e;
-          false
+  (* Absorb the complete lines among the first [stop] bytes of [r]'s
+     buffer, each cut from it once and streamed to the part file, then
+     carry the partial trailing line to the front.  The garble hook
+     rewrites the attempt's k-th sample line first ("" drops it).  A
+     line that fails poisons the attempt: stop consuming, and let the
+     caller route the worker through the ordinary death/retry path.
+     Never raise from inside the select loop — that would leak busy
+     workers. *)
+  let feed r stop =
+    let absorb buf pos len =
+      match absorb_line r.r_stream buf pos len with
+      | Ok e ->
+        Option.iter fire e;
+        Option.iter
+          (fun (oc, _) ->
+            output oc buf pos len;
+            output_char oc '\n')
+          r.r_part;
+        true
+      | Error e ->
+        r.r_fail <- Some e;
+        false
     in
-    let rec consume start =
-      match String.index_from_opt data start '\n' with
-      | None ->
-        Buffer.clear r.r_buf;
-        Buffer.add_substring r.r_buf data start (String.length data - start)
-      | Some nl ->
-        let line = String.sub data start (nl - start) in
-        let lines =
-          if String.length line > 1 && line.[0] = 's' && line.[1] = '\t' then begin
-            r.r_seen <- r.r_seen + 1;
-            match r.r_garble with
-            | Some (g, f) when r.r_seen - 1 = g ->
-              String.split_on_char '\n' (f line)
-            | _ -> [ line ]
-          end
-          else [ line ]
-        in
-        if List.for_all absorb lines then consume (nl + 1)
-        else Buffer.clear r.r_buf
+    let line buf pos len =
+      let sample =
+        len > 1 && Bytes.get buf pos = 's' && Bytes.get buf (pos + 1) = '\t'
+      in
+      if sample then r.r_seen <- r.r_seen + 1;
+      match r.r_garble with
+      | Some (g, f) when sample && r.r_seen - 1 = g ->
+        let text = f (Bytes.sub_string buf pos len) in
+        text = ""
+        || each_line absorb (Bytes.of_string (text ^ "\n"))
+             (String.length text + 1)
+           >= 0
+      | _ -> absorb buf pos len
     in
-    consume 0
+    let rest = each_line line r.r_buf stop in
+    if rest >= 0 then begin
+      r.r_len <- stop - rest;
+      Bytes.blit r.r_buf rest r.r_buf 0 r.r_len
+    end
   in
   (* Kill and reap every busy worker; used before the campaign
      propagates a failure so no worker is left mid-shard. *)
   let reap_all () =
     List.iter
-      (fun r -> ignore (drop r.r_worker : Unix.process_status))
+      (fun r ->
+        close_part ~keep:false r.r_part;
+        ignore (drop r.r_worker : Unix.process_status))
       !running;
     running := []
   in
   (* The attempt [r] delivered its shard whole: its worker is idle
-     again. *)
-  let succeed r d =
+     again, and its part file is in place. *)
+  let succeed r =
     running := List.filter (fun x -> x != r) !running;
     r.r_worker.w_idle <- true;
     r.r_worker.w_served <- r.r_worker.w_served + 1;
-    completed.(r.r_index) <- Some d;
-    match part_dir with
-    | Some dir -> save_part dir r.r_cmd.c_shard d
-    | None -> ()
+    completed.(r.r_index) <- Some r.r_stream;
+    close_part ~keep:true r.r_part
   in
   (* The attempt [r]'s worker died or garbled its stream, and has been
      reaped: [status] is how it ended. *)
   let fail r status =
     running := List.filter (fun x -> x != r) !running;
-    if r.r_fail = None && r.r_stream.s_lines = [] && r.r_worker.w_served > 0
+    close_part ~keep:false r.r_part;
+    if r.r_fail = None && r.r_stream.s_events = [] && r.r_worker.w_served > 0
     then
-      (* a reused worker that died before its first line never started
-         the shard: it died idle *)
+      (* a reused worker that died before its first line (always an
+         event) never started the shard: it died idle *)
       dispatch r.r_index r.r_cmd
     else begin
       let range = ranges.(r.r_index) in
@@ -814,7 +790,6 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
     end
   in
   let next = ref 0 in
-  let buf = Bytes.create 65536 in
   let loop () =
     while !next < k || !running <> [] do
       while
@@ -832,16 +807,19 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
             match List.find_opt (fun r -> r.r_worker.w_out = fd) !running with
             | None -> ()
             | Some r -> (
-              match Unix.read fd buf 0 (Bytes.length buf) with
+              if r.r_len = Bytes.length r.r_buf then
+                r.r_buf <- Bytes.extend r.r_buf 0 r.r_len;
+              let room = Bytes.length r.r_buf - r.r_len in
+              match Unix.read fd r.r_buf r.r_len room with
               | 0 -> fail r (drop r.r_worker)
               | n ->
-                feed r (Bytes.sub_string buf 0 n);
+                feed r (r.r_len + n);
                 if r.r_fail = None && r.r_stream.s_done then begin
-                  match complete ranges.(r.r_index) r.r_stream with
-                  | Some d when Buffer.length r.r_buf = 0 -> succeed r d
-                  | Some _ -> r.r_fail <- Some "worker data after the done marker"
-                  | None ->
+                  if not (complete ranges.(r.r_index) r.r_stream) then
                     r.r_fail <- Some "done marker before the shard's last sample"
+                  else if r.r_len > 0 then
+                    r.r_fail <- Some "worker data after the done marker"
+                  else succeed r
                 end;
                 if r.r_fail <> None then fail r (drop r.r_worker)
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
@@ -853,9 +831,9 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
    with e ->
      reap_all ();
      raise e);
-  let datas =
+  let streams =
     Array.map
-      (function Some d -> d | None -> assert false (* loop invariant *))
+      (function Some s -> s | None -> assert false (* loop invariant *))
       completed
   in
   (* Stitch worker rows into the parent recorder in shard-id order —
@@ -863,16 +841,17 @@ let run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire ~part_dir
      the parent's logical clock past the wave's work so later spans
      start after every child span they follow. *)
   Array.iter
-    (fun (d : shard_data) ->
-      Trace.absorb tracer ~span_lines:d.d_tr ~wall_lines:d.d_tw)
-    datas;
+    (fun s ->
+      Trace.absorb tracer ~span_lines:(List.rev s.s_tr)
+        ~wall_lines:(List.rev s.s_tw))
+    streams;
   Trace.advance tracer
     (Array.fold_left
-       (fun acc d ->
+       (fun acc s ->
          List.fold_left (fun a (o : Shard.sample_out) -> a + o.Shard.o_steps)
-           acc d.d_samples)
-       0 datas);
-  (datas, Array.map List.rev retry_markers, !retried)
+           acc s.s_samples)
+       0 streams);
+  (streams, Array.map List.rev retry_markers, !retried)
 
 (* ------------------------------------------------------------------ *)
 (* Merging.                                                            *)
@@ -944,31 +923,26 @@ let canonical_log ~start ~finished body =
     (fun i e -> { e with Events.seq = i })
     ((start :: body) @ [ finished ])
 
-let wave_body (datas : shard_data array) (markers : Events.t list array) =
+let wave_body (streams : stream array) (markers : Events.t list array) =
   List.concat
-    (List.init (Array.length datas) (fun i ->
-         markers.(i) @ datas.(i).d_events))
+    (List.init (Array.length streams) (fun i ->
+         markers.(i) @ List.rev streams.(i).s_events))
 
 (* ------------------------------------------------------------------ *)
 (* Running a campaign.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The campaign tracer: continue a caller-provided context (daemon job
-   span), or root a fresh trace whose id is either caller-chosen or
-   derived from the campaign parameters — so a campaign traces
-   unconditionally and trace.jsonl is a total artifact like the event
-   log. *)
-let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
+   span), or root a fresh trace whose id is derived from the campaign
+   parameters — so a campaign traces unconditionally and trace.jsonl is
+   a total artifact like the event log. *)
+let make_tracer ?trace_ctx ~seed ~samples ~shards () =
   match trace_ctx with
   | Some ctx -> Trace.scoped ctx ~proc:"runner"
   | None ->
-    let trace =
-      match trace_id with
-      | Some t -> t
-      | None ->
-        Trace.derive_id ~seed (Fmt.str "campaign:%d:%d" samples shards)
-    in
-    Trace.create ~trace ~proc:"runner" ()
+    Trace.create
+      ~trace:(Trace.derive_id ~seed (Fmt.str "campaign:%d:%d" samples shards))
+      ~proc:"runner" ()
 
 (* Every campaign runs here.  The budget is split into [policy.rounds]
    rounds, round r's samples allocated from the merged per-site
@@ -979,9 +953,9 @@ let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
    output, so every record is byte-identical for any shard count, and a
    resumed run (same part_dir) recomputes the same allocations from its
    part files. *)
-let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
-    ?part_dir ?sabotage ?garble ?policy ?trace_ctx ?trace_id ~mode ~shards
-    ~seed ~samples (target : F.target) : result =
+let run ?(fault_bits = 1) ?(retries = 2) ?workers ?on_event ?part_dir
+    ?sabotage ?garble ?policy ?trace_ctx ~mode ~shards ~seed ~samples
+    (target : F.target) : result =
   if samples <= 0 then invalid_arg "Runner.run: samples must be positive";
   if target.F.eligible_steps = 0 then
     invalid_arg "Runner.run: no eligible injection sites";
@@ -991,7 +965,8 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
   let rounds = Shard.plan ~shards:rounds ~samples in
   let fire = match on_event with Some f -> f | None -> ignore in
   let pool = pool_for target in
-  let tracer = make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () in
+  let tracer = make_tracer ?trace_ctx ~seed ~samples ~shards () in
+  Option.iter Fsutil.mkdir_p part_dir;
   let start = campaign_event (Events.Campaign_started { shards; samples }) in
   fire start;
   let r =
@@ -1023,26 +998,26 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
               let k = Array.length ranges in
               let ids = Array.init k (fun s -> (!round * shards) + s) in
               let wv = match workers with Some w -> max 1 w | None -> min k 4 in
-              let datas, markers, r =
-                run_wave ~fault_bits ~traced:(mode = Traced) ~heartbeats
-                  ~retries ~workers:wv ~fire ~part_dir ~sabotage ~garble ~seed
+              let streams, markers, r =
+                run_wave ~fault_bits ~traced:(mode = Traced) ~retries
+                  ~workers:wv ~fire ~part_dir ~sabotage ~garble ~seed
                   ~alloc ~alloc_lo:lo ~base_spent:lo ~budget:samples
                   ~prior:!prior ~tracer ~pool target ids ranges
               in
               Array.iter
-                (fun (d : shard_data) ->
+                (fun s ->
                   List.iter
                     (fun (o : Shard.sample_out) ->
                       if o.Shard.o_static >= 0 then
                         Hashtbl.replace site_tallies o.o_static
                           (Stats.add (tally o.o_static) (o.o_class = F.Sdc));
-                      prior := Stats.add !prior (o.Shard.o_class = F.Sdc);
-                      rev_samples := o :: !rev_samples)
-                    d.d_samples)
-                datas;
+                      prior := Stats.add !prior (o.Shard.o_class = F.Sdc))
+                    s.s_samples;
+                  rev_samples := s.s_samples @ !rev_samples)
+                streams;
               Trace.counter tracer "round" !round;
               Trace.counter tracer "samples" n;
-              rev_body := wave_body datas markers :: !rev_body;
+              rev_body := wave_body streams markers :: !rev_body;
               round_ends := hi :: !round_ends;
               retried := !retried + r;
               incr round;

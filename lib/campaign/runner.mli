@@ -7,15 +7,19 @@
     exit; at most eight targets keep theirs, the least recently used
     closing first.  The parent sends an idle worker one command per
     shard (shard id, attempt, range, seed, fault width, traced flag,
-    heartbeats, the heartbeat's budget figures, the shard's trace
-    context, the sabotage verdict and the range's adaptive allocation);
-    the worker streams typed events and per-sample outputs back over
-    its pipe, ends with a done marker and waits for the next command.
-    The parent multiplexes the busy workers with [Unix.select], kills,
-    reaps and replaces a worker that dies or garbles its stream,
-    retries the shard, and merges shard outputs in global sample order
-    — byte-identical for any shard count.  A worker that died while
-    idle is replaced without a retry.  This is the one campaign loop:
+    the heartbeat's budget figures, the shard's trace context, the
+    sabotage verdict and the range's adaptive allocation); the worker
+    streams lines back over its pipe, each a one-letter tag, a tab and
+    the payload: [s] a sample ({!Shard.write_sample}), [e] an event's
+    JSON, [t]/[w] a span/wall row verbatim, and last [d] for done; then
+    it waits for the next command.  The parent multiplexes the busy
+    workers with [Unix.select] and cuts each line once from its read
+    buffer.  It kills, reaps and replaces a worker that dies or garbles
+    its stream (an unknown tag, a line that does not parse, a row that
+    is not a whole object, a sample out of order, data after the done
+    marker), retries the shard, and merges shard outputs in global
+    sample order — byte-identical for any shard count.  A worker that
+    died while idle is replaced without a retry.  This is the one campaign loop:
     every campaign, from the CLI, the serve daemon, the report tables,
     the benchmarks and the examples, runs here over
     {!F.campaign_sample} or {!F.vulnmap_sample}. *)
@@ -96,23 +100,26 @@ val worker_pids : F.target -> int list
     for any shard count.  [Campaign_started] carries the requested
     shard count.
 
-    [heartbeats] (default 8) progress events per shard, with
-    budget-denominated [spent]/[budget] and a live Wilson half-width;
-    [retries] (default 2) extra attempts per shard before the campaign
-    fails; [on_event] observes events live in arrival order — including
-    heartbeats from attempts that later die, each closed off by a
-    [Shard_retry] marker, so aggregating consumers should key on
-    (shard, attempt) or treat a shard's latest event as authoritative
-    (the [result]'s canonical log is ordered, renumbered and contains
-    only successful attempts); [part_dir] persists each finished
-    shard's stream (write-then-rename) and resumes from any complete
-    part files already there; [sabotage] (tests) makes a worker die
-    after [k] samples when it returns [Some k] for a (global shard id,
-    attempt), evaluated in the parent and sent with the command;
-    [garble] (tests) makes the parent read [f line] in place of the
-    wire line of the attempt's [k]-th sample (0-based) when it returns
-    [Some (k, f)] — a malformed, truncated or out-of-order line, which
-    is handled like worker death.
+    Each shard sends eight progress events, with budget-denominated
+    [spent]/[budget] and a live Wilson half-width; [retries] (default 2)
+    extra attempts per shard before the campaign fails; [on_event]
+    observes events live in arrival order — including heartbeats from
+    attempts that later die, each closed off by a [Shard_retry] marker,
+    so aggregating consumers should key on (shard, attempt) or treat a
+    shard's latest event as authoritative (the [result]'s canonical log
+    is ordered, renumbered and contains only successful attempts);
+    [part_dir] streams each attempt's lines to [shard-<id>.jsonl.tmp] as
+    they are absorbed, renames it to [shard-<id>.jsonl] when the attempt
+    succeeds and removes it when it fails, and resumes from any complete
+    part files already there (a part that does not replay, such as one
+    in an older wire format, re-runs its shard); [sabotage] (tests)
+    makes a worker die after [k] samples when it returns [Some k] for a
+    (global shard id, attempt), evaluated in the parent and sent with
+    the command; [garble] (tests) makes the parent read the lines of
+    [f line] (none when it is empty) in place of the wire line of the
+    attempt's [k]-th sample (0-based) when it returns [Some (k, f)] — a
+    malformed, truncated or out-of-order line, which is handled like
+    worker death.
 
     Raises [Invalid_argument] before any fork when [samples] is not
     positive or the target has no eligible injection sites, and
@@ -121,8 +128,8 @@ val worker_pids : F.target -> int list
 
     Every campaign is traced: [trace_ctx] continues a caller's span
     context (e.g. the serve daemon's job span); otherwise a fresh trace
-    is rooted whose id is [trace_id] or {!Trace.derive_id} of the
-    campaign parameters.  The runner's own spans are "campaign" (with a
+    is rooted whose id is {!Trace.derive_id} of the campaign
+    parameters.  The runner's own spans are "campaign" (with a
     "rounds" counter) over one "round" per round (with "round" and
     "samples" counters, and an "allocate" phase after the first), then
     "merge" and "stats" (packing {!stats_lines}' input).  Worker span
@@ -130,7 +137,6 @@ val worker_pids : F.target -> int list
     perturb span ids and [trace_spans] is byte-identical per seed. *)
 val run :
   ?fault_bits:int ->
-  ?heartbeats:int ->
   ?retries:int ->
   ?workers:int ->
   ?on_event:(Events.t -> unit) ->
@@ -139,7 +145,6 @@ val run :
   ?garble:(shard:int -> attempt:int -> (int * (string -> string)) option) ->
   ?policy:policy ->
   ?trace_ctx:Trace.ctx ->
-  ?trace_id:string ->
   mode:mode ->
   shards:int ->
   seed:int64 ->

@@ -50,16 +50,16 @@ type sample_out = {
   o_steps : int;  (** logical-clock contribution (injected-run steps) *)
 }
 
-(* A sample's wire line: the tag ["s"] and eight tab-separated fields —
-   sample, class, static site, steps, detection-latency steps (-1
-   without a latency), the latency's cycles as the 16 hex digits of
-   their IEEE-754 bits (empty without), escape name (empty without) and
-   the record JSON, written verbatim as the last field.  The latency
-   cycles are a float the parent re-sums in global order, so they cross
-   as their exact bit pattern: a decimal rendering could lose the low
-   bits that byte-identity across shard counts depends on.  JSON
-   escapes every tab and newline inside a string, so the record holds
-   neither. *)
+(* A sample's wire payload (the runner frames it under the tag ["s"]):
+   eight tab-separated fields — sample, class, static site, steps,
+   detection-latency steps (-1 without a latency), the latency's cycles
+   as the 16 hex digits of their IEEE-754 bits (empty without), escape
+   name (empty without) and the record JSON, written verbatim as the
+   last field.  The latency cycles are a float the parent re-sums in
+   global order, so they cross as their exact bit pattern: a decimal
+   rendering could lose the low bits that byte-identity across shard
+   counts depends on.  JSON escapes every tab and newline inside a
+   string, so the record holds neither. *)
 let add_hex64 buf bits =
   for i = 15 downto 0 do
     let d = Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15 in
@@ -69,8 +69,6 @@ let add_hex64 buf bits =
 let tab buf = Buffer.add_char buf '\t'
 
 let write_sample buf (r : F.record) ~latency ~escape =
-  Buffer.add_char buf 's';
-  tab buf;
   Json.add_int buf r.F.sample;
   tab buf;
   Buffer.add_string buf (F.classification_name r.F.r_class);
@@ -103,7 +101,7 @@ let int_field name s =
 
 let read_sample line : (sample_out, string) result =
   match String.split_on_char '\t' line with
-  | [ "s"; sample; cls; static; steps; lat_steps; lat_bits; esc; o_record ] ->
+  | [ sample; cls; static; steps; lat_steps; lat_bits; esc; o_record ] ->
     let* o_sample = int_field "sample" sample in
     let* o_class =
       match F.classification_of_name cls with
@@ -143,7 +141,7 @@ let read_sample line : (sample_out, string) result =
     then Error "sample line: truncated or foreign record"
     else
       Ok { o_sample; o_class; o_static; o_record; o_latency; o_escape; o_steps }
-  | _ -> Error "sample line: not nine tab-separated fields"
+  | _ -> Error "sample line: not eight tab-separated fields"
 
 (* ------------------------------------------------------------------ *)
 (* Running a range.                                                    *)
@@ -151,7 +149,7 @@ let read_sample line : (sample_out, string) result =
 
 (* Run one shard's samples, window by window ({!F.run_window}: in flip
    order off a golden cursor), handing each sample's class, steps and
-   wire line ({!write_sample}) to [on_sample] in index order.  [traced]
+   wire payload ({!write_sample}) to [on_sample] in index order.  [traced]
    adds the vulnmap inputs (latency, escape) to the lines; the record
    stream is identical either way.  [assign] maps a global sample index
    to the static site the adaptive allocator aimed it at (negative =

@@ -33,7 +33,7 @@ type sample_out = {
 }
 
 (** [write_sample buf r ~latency ~escape] appends record [r]'s wire
-    line, without its newline: the tag ["s"], then tab-separated the
+    payload, which {!Runner} sends under the tag ["s"]: tab-separated the
     sample index, class name, static site, steps, detection-latency
     steps ([-1] without a latency), the latency cycles' IEEE-754 bit
     pattern as 16 hex digits (empty without) so the parent's re-summation
@@ -47,7 +47,7 @@ val write_sample :
   escape:Propagation.escape option ->
   unit
 
-(** Read a {!write_sample} line back without parsing the record:
+(** Read a {!write_sample} payload back without parsing the record:
     [Error] on a missing or extra separator, a field that does not
     parse, or a record that is truncated or names another sample. *)
 val read_sample : string -> (sample_out, string) result
@@ -56,7 +56,7 @@ val read_sample : string -> (sample_out, string) result
     golden run ({!F.run_window}); [traced] adds the vulnmap inputs
     (detection latency, SDC escape) to each line.  [on_sample cls
     ~steps text pos len] receives each sample's class, steps and
-    {!write_sample} line ([len] bytes of [text] from [pos], valid
+    {!write_sample} payload ([len] bytes of [text] from [pos], valid
     during the call), in index order.
     [assign] maps a global sample index to the static site the adaptive
     allocator aimed it at (negative = uniform draw; default). *)

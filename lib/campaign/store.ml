@@ -75,6 +75,18 @@ let trace_file = "trace.jsonl"
 let trace_wall_file = "trace-wall.jsonl"
 let parts_dir dir = Filename.concat dir "parts"
 
+(* Part files are only trusted when the manifest they were written
+   under matches this run's configuration: a fresh run over a reused
+   directory must not silently replay parts left by a run with a
+   different seed, scope, fault width or workload.  A resumed run has
+   already checked the manifest it read back. *)
+let open_run ~resume ~dir manifest =
+  (if not resume then
+     match Manifest.load ~dir with
+     | Ok recorded when Manifest.compatible recorded manifest -> ()
+     | Ok _ | Error _ -> Fsutil.rm_rf (parts_dir dir));
+  Manifest.save ~dir manifest
+
 let jsonl header lines =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Json.to_string header);

@@ -47,6 +47,14 @@ val trace_wall_file : string
     directory [dir]. *)
 val parts_dir : string -> string
 
+(** [open_run ~resume ~dir manifest] readies run directory [dir]
+    (created if missing) for a run under [manifest]: unless [resume],
+    it clears [parts/] when the manifest recorded in [dir] is missing or
+    not {!Manifest.compatible} with [manifest]; then it saves
+    [manifest], so an interrupted run leaves [parts/] and the manifest
+    that vouches for it. *)
+val open_run : resume:bool -> dir:string -> Manifest.t -> unit
+
 (** One JSONL document: header line then record lines. *)
 val jsonl : Json.t -> string list -> string
 

@@ -43,7 +43,6 @@ type options = {
   ferrum_config : Ferrum_eddi.Ferrum_pass.config;
   benchmarks : string list option; (* None = all *)
   shards : int; (* fork-pool shards per campaign (identical counts) *)
-  workers : int option;
 }
 
 let default_options =
@@ -55,20 +54,18 @@ let default_options =
     ferrum_config = Ferrum_eddi.Ferrum_pass.default_config;
     benchmarks = None;
     shards = 1;
-    workers = None;
   }
 
 (* Outcome counts of a flat campaign on the fork pool; the shard/merge
    discipline makes them identical for any shard count, so [shards] is
    purely a wall-clock knob. *)
-let target_counts ?workers ?(shards = 1) ?fault_bits ~seed ~samples target =
-  (Ferrum_campaign.Runner.run ?workers ?fault_bits
+let target_counts ?(shards = 1) ?fault_bits ~seed ~samples target =
+  (Ferrum_campaign.Runner.run ?fault_bits
      ~mode:Ferrum_campaign.Runner.Inject ~shards ~seed ~samples target)
     .Ferrum_campaign.Runner.counts
 
-let campaign_counts ?workers ?shards ?scope ?fault_bits ?engine ~seed ~samples
-    img =
-  target_counts ?workers ?shards ?fault_bits ~seed ~samples
+let campaign_counts ?shards ?scope ?fault_bits ?engine ~seed ~samples img =
+  target_counts ?shards ?fault_bits ~seed ~samples
     (F.prepare ?scope ?engine img)
 
 (* The golden run a prepared target walked, as {!Predecode.golden}
@@ -91,8 +88,7 @@ let golden_for ?scope ~samples img =
 
 let option_counts opts target =
   Option.map
-    (target_counts ?workers:opts.workers ~shards:opts.shards ~seed:opts.seed
-       ~samples:opts.samples)
+    (target_counts ~shards:opts.shards ~seed:opts.seed ~samples:opts.samples)
     target
 
 let selected_entries opts =

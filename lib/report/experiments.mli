@@ -44,7 +44,6 @@ type options = {
   shards : int;
       (** fork worker pool shards per campaign; outcome counts are
           identical for any value, so this is purely a wall-clock knob *)
-  workers : int option;  (** concurrent workers (default min shards 4) *)
 }
 
 (** 400 samples, seed 2024, original-site scope, default cost model and
@@ -56,13 +55,13 @@ val default_options : options
     shards, on the target {!F.prepare} gives for [scope] and [engine]);
     the same counts for any [shards]. *)
 val campaign_counts :
-  ?workers:int -> ?shards:int -> ?scope:F.scope -> ?fault_bits:int ->
+  ?shards:int -> ?scope:F.scope -> ?fault_bits:int ->
   ?engine:F.engine -> seed:int64 -> samples:int -> Machine.image ->
   F.counts
 
 (** {!campaign_counts} on a target already prepared. *)
 val target_counts :
-  ?workers:int -> ?shards:int -> ?fault_bits:int -> seed:int64 ->
+  ?shards:int -> ?fault_bits:int -> seed:int64 ->
   samples:int -> F.target -> F.counts
 
 (** The golden run a prepared target walked, as

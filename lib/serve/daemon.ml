@@ -108,15 +108,11 @@ let run_job cfg ~jobdir ~notify (job : Queue.job) (r : Spec.resolved) :
           Trace.span ~w_start:job.Queue.submitted tracer "queue-wait"
             (fun () -> ());
         let manifest = Trace.span tracer "resolve" (fun () -> r.Spec.manifest) in
-        Fsutil.mkdir_p jobdir;
         (* Part files left by an earlier attempt are only replayed when
            they were written under a compatible manifest (same
            workload, seed, shard map ...) — the same gate the CLI
            campaign applies. *)
-        (match Manifest.load ~dir:jobdir with
-        | Ok recorded when Manifest.compatible recorded manifest -> ()
-        | Ok _ | Error _ -> Fsutil.rm_rf (Store.parts_dir jobdir));
-        Manifest.save ~dir:jobdir manifest;
+        Store.open_run ~resume:false ~dir:jobdir manifest;
         let all_sites = spec.Spec.scope = "all-sites" in
         let oc = open_out (Filename.concat jobdir live_events_file) in
         output_string oc

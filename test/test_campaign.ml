@@ -286,10 +286,11 @@ let test_worker_death () =
     Alcotest.(check bool) "replayed tally" true
       (tally = Runner.tally_of_counts r.Runner.counts)
 
-(* Ways a worker can garble its 3rd sample's wire line: a line that is
-   neither a sample nor JSON, a truncated sample line, a separator moved
-   from between two fields into one, and a dropped line, which puts the
-   next sample out of order. *)
+(* Ways a worker can garble its 3rd sample's wire line: a line with an
+   unknown tag, an event that does not parse, a span row cut short, a
+   done marker before the rest of the stream, a truncated sample line,
+   a separator moved from between two fields into one, and a dropped
+   line, which puts the next sample out of order. *)
 let garbles =
   let move_separator l =
     (* "s\t<sample>\t<class>..." -> "s\t<sample><class>\t..." *)
@@ -300,7 +301,10 @@ let garbles =
     ^ "\t"
     ^ String.sub l (j + 1) (String.length l - j - 1)
   in
-  [ ("bogus line", fun _ -> "{\"t\":\"bogus\"}");
+  [ ("unknown tag", fun _ -> "x\t{}");
+    ("bad event", fun _ -> "e\t{\"event\":\"bogus\"}");
+    ("cut span row", fun l -> l ^ "\nt\t{\"row\":\"span\",\"name\":\"sh");
+    ("line after the done marker", fun l -> l ^ "\nd\t");
     ("truncated sample line", fun l -> String.sub l 0 (String.length l - 9));
     ("misplaced separator", move_separator);
     ("out-of-order sample", fun _ -> "") ]
@@ -355,7 +359,7 @@ let test_corrupt_part_rejected () =
        target);
   let part = Filename.concat dir "shard-1.jsonl" in
   let oc = open_out part in
-  output_string oc "{\"t\":\"bogus\"}\n";
+  output_string oc "x\tbogus\n";
   close_out oc;
   let resumed =
     Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir
@@ -390,6 +394,166 @@ let test_resume_from_parts () =
   Alcotest.(check (list string)) "resumed canonical log" (ser first)
     (ser resumed);
   rm_rf dir
+
+(* A part file holds the attempt's wire lines verbatim, each tag once
+   it has crossed the pipe: the sample records, event JSON and span and
+   wall rows the parent absorbed from it, ending with the done marker. *)
+let test_wire_tags () =
+  let target = fixture_target () in
+  let dir = tmp_dir "tags" in
+  let r =
+    Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir
+      target
+  in
+  let lines = Metrics.read_lines (Filename.concat dir "shard-1.jsonl") in
+  let tagged tag =
+    List.filter_map
+      (fun l ->
+        if l.[0] = tag && l.[1] = '\t' then
+          Some (String.sub l 2 (String.length l - 2))
+        else None)
+      lines
+  in
+  let records =
+    List.map
+      (fun p -> List.nth (String.split_on_char '\t' p) 7)
+      (tagged 's')
+  in
+  Alcotest.(check (list string)) "s: the shard's records"
+    (List.filteri (fun i _ -> i >= 16 && i < 32) r.Runner.record_lines)
+    records;
+  Alcotest.(check (list string)) "e: the shard's events"
+    (List.filter_map
+       (fun (e : Events.t) ->
+         if e.Events.shard = 1 then
+           Some (Json.to_string (Events.to_json { e with Events.seq = 0 }))
+         else None)
+       r.Runner.events)
+    (tagged 'e');
+  let subset what rows all =
+    Alcotest.(check bool) what true
+      (rows <> [] && List.for_all (fun row -> List.mem row all) rows)
+  in
+  subset "t: rows of the stitched trace" (tagged 't') r.Runner.trace_spans;
+  subset "w: rows of the wall sidecar" (tagged 'w') r.Runner.trace_walls;
+  Alcotest.(check string) "d: last" "d\t"
+    (List.nth lines (List.length lines - 1));
+  Alcotest.(check int) "no other tag" (List.length lines)
+    (List.length (tagged 's') + List.length (tagged 'e')
+    + List.length (tagged 't') + List.length (tagged 'w') + 1);
+  rm_rf dir
+
+(* A part file in the older wire format, where every line but a sample
+   was a JSON envelope tagged by its "t" field, does not replay: its
+   shard re-runs (no other worker may run, or the campaign fails) and
+   its part is rewritten in the current format. *)
+let test_envelope_part_reruns () =
+  let target = fixture_target () in
+  let dir = tmp_dir "envelope" in
+  let first =
+    Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir
+      target
+  in
+  let part = Filename.concat dir "shard-1.jsonl" in
+  let current = Metrics.read_lines part in
+  let envelope l =
+    let payload = String.sub l 2 (String.length l - 2) in
+    match l.[0] with
+    | 's' -> l
+    | 'e' -> "{\"t\":\"ev\",\"ev\":" ^ payload ^ "}"
+    | ('t' | 'w') as tag ->
+      Json.to_string
+        (Json.Obj
+           [ ("t", Json.Str (if tag = 't' then "tr" else "tw"));
+             ("l", Json.Str payload) ])
+    | _ -> "{\"t\":\"done\"}"
+  in
+  let oc = open_out_bin part in
+  List.iter (fun l -> output_string oc (envelope l ^ "\n")) current;
+  close_out oc;
+  let resumed =
+    Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir
+      ~retries:0
+      ~sabotage:(fun ~shard ~attempt:_ -> if shard = 1 then None else Some 0)
+      target
+  in
+  Alcotest.(check (list string)) "records unaffected"
+    first.Runner.record_lines resumed.Runner.record_lines;
+  Alcotest.(check int) "shard re-ran without a retry" 0 resumed.Runner.retried;
+  Alcotest.(check (list string)) "part rewritten in the current format"
+    (List.filter (fun l -> l.[0] = 's') current)
+    (List.filter (fun l -> l.[0] = 's') (Metrics.read_lines part));
+  Alcotest.(check bool) "no envelope left" true
+    (List.for_all (fun l -> l.[0] <> '{') (Metrics.read_lines part));
+  rm_rf dir
+
+(* A worker killed mid-shard leaves nothing of its attempt: the retried
+   shard's part holds the lines of a clean run (events differ only in
+   their attempt number, wall rows only in their clock readings), and
+   no .tmp remains, not even one a crashed runner left behind.  Without
+   retries the shard has no part at all. *)
+let test_killed_worker_no_part () =
+  let target = fixture_target () in
+  let clean_dir = tmp_dir "kill-clean" and dir = tmp_dir "kill" in
+  ignore
+    (Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples
+       ~part_dir:clean_dir target);
+  let sabotage ~shard ~attempt =
+    if shard = 1 && attempt = 0 then Some 5 else None
+  in
+  Ferrum_campaign.Fsutil.write_file
+    (Filename.concat dir "shard-0.jsonl.tmp")
+    "s\tstale\n";
+  let r =
+    Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir
+      ~sabotage target
+  in
+  Alcotest.(check int) "one retry" 1 r.Runner.retried;
+  let no_tmp what dir =
+    Alcotest.(check (list string)) (what ^ ": no .tmp") []
+      (List.filter
+         (fun f -> Filename.check_suffix f ".tmp")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  no_tmp "retried" dir;
+  let canon l =
+    match l.[0] with
+    | 'e' -> (
+      match
+        Json.of_string_opt (String.sub l 2 (String.length l - 2))
+        |> Option.map Events.of_json
+      with
+      | Some (Ok e) ->
+        "e\t" ^ Json.to_string (Events.to_json { e with Events.attempt = 0 })
+      | _ -> l)
+    | 'w' -> "w"
+    | _ -> l
+  in
+  let part dir i =
+    List.map canon
+      (Metrics.read_lines (Filename.concat dir (Fmt.str "shard-%d.jsonl" i)))
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string))
+        (Fmt.str "shard %d: part = clean part" i)
+        (part clean_dir i) (part dir i))
+    [ 0; 1; 2 ];
+  Alcotest.(check bool) "events carried the retry's attempt" true
+    (List.exists
+       (fun l -> contains ~affix:"\"attempt\":1" l)
+       (Metrics.read_lines (Filename.concat dir "shard-1.jsonl")));
+  let dir0 = tmp_dir "kill-no-retry" in
+  (match
+     Runner.run ~mode:Runner.Inject ~shards:3 ~seed ~samples ~part_dir:dir0
+       ~sabotage ~retries:0 target
+   with
+  | _ -> Alcotest.fail "a shard out of retries must fail the campaign"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "no part for the failed shard" false
+    (Sys.file_exists (Filename.concat dir0 "shard-1.jsonl"));
+  no_tmp "failed" dir0;
+  List.iter rm_rf [ clean_dir; dir; dir0 ]
 
 let test_log_reproducible () =
   let target = fixture_target () in
@@ -791,6 +955,36 @@ let test_manifest_compatible () =
   in
   check "program change" false (make ~program:other ())
 
+(* The one gate in front of a run directory's part files: a fresh run
+   keeps them only under a compatible recorded manifest; a resumed run
+   keeps them whatever is recorded.  The run's manifest is saved either
+   way. *)
+let test_parts_gate () =
+  let p = checked_program () in
+  let target = F.prepare (Machine.load p) in
+  let make seed =
+    Manifest.make ~benchmark:"fixture" ~technique:"raw" ~samples ~seed
+      ~shards:3 ~fault_bits:1 ~all_sites:false ~traced:true ~program:p target
+  in
+  let m = make seed and other = make 8L in
+  let dir = tmp_dir "gate" in
+  let part = Filename.concat (Store.parts_dir dir) "shard-0.jsonl" in
+  let case what ~recorded ~resume ~kept =
+    rm_rf dir;
+    Option.iter (fun r -> Manifest.save ~dir r) recorded;
+    Ferrum_campaign.Fsutil.write_file part "d\t\n";
+    Store.open_run ~resume ~dir m;
+    Alcotest.(check bool) (what ^ ": parts kept") kept (Sys.file_exists part);
+    Alcotest.(check bool) (what ^ ": manifest saved") true
+      (Manifest.load ~dir = Ok m)
+  in
+  case "compatible" ~recorded:(Some m) ~resume:false ~kept:true;
+  case "incompatible" ~recorded:(Some other) ~resume:false ~kept:false;
+  case "no manifest" ~recorded:None ~resume:false ~kept:false;
+  case "resume, incompatible" ~recorded:(Some other) ~resume:true ~kept:true;
+  case "resume, no manifest" ~recorded:None ~resume:true ~kept:true;
+  rm_rf dir
+
 let test_run_dir_replay_equality () =
   let p = checked_program () in
   let target = F.prepare (Machine.load p) in
@@ -1027,6 +1221,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_record_rendering;
           QCheck_alcotest.to_alcotest prop_sample_line_roundtrip;
+          Alcotest.test_case "every tag round-trips through a part" `Quick
+            test_wire_tags;
           Alcotest.test_case "sample allocation budget" `Slow
             test_sample_allocation_budget;
         ] );
@@ -1047,6 +1243,10 @@ let () =
             test_corrupt_part_rejected;
           Alcotest.test_case "resume from part files" `Quick
             test_resume_from_parts;
+          Alcotest.test_case "older-format part re-runs its shard" `Quick
+            test_envelope_part_reruns;
+          Alcotest.test_case "killed worker leaves no part" `Quick
+            test_killed_worker_no_part;
           Alcotest.test_case "adaptive: worker death in round 1" `Quick
             test_adaptive_worker_death;
           Alcotest.test_case "adaptive: protocol error in round 2" `Quick
@@ -1073,6 +1273,8 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "compatibility gate" `Quick
             test_manifest_compatible;
+          Alcotest.test_case "parts gate, no-op on resume" `Quick
+            test_parts_gate;
           Alcotest.test_case "run directories replay equal" `Quick
             test_run_dir_replay_equality;
         ] );
