@@ -202,7 +202,10 @@ stats-smoke: build
 # inherits the prepared target, so its engine span must report no
 # golden walk and no decode.  A traced campaign re-traces exactly the
 # SDCs of a checked build: none on kmeans FERRUM (no SDC) or on raw kNN
-# (no checkers), every one on kNN IR-EDDI.
+# (no checkers), every one on kNN IR-EDDI.  Those re-traces stop once
+# their escape is decided: kNN IR-EDDI's engine spans must count some
+# lockstep steps, but fewer than its SDCs' suffixes (flip to end, from
+# `explain`), and raw kNN's none.
 trace-smoke: build
 	rm -rf $(TRACE).d $(TRACE).d2
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
@@ -231,11 +234,11 @@ trace-smoke: build
 	$(CLI) campaign kNN -p ir-eddi --samples 40 --shards 2 \
 	  --out $(TRACE).eddi > /dev/null
 	$(CLI) campaign kNN --samples 40 --shards 2 --out $(TRACE).raw > /dev/null
-	@retraces() { grep '"name":"engine"' $$1/trace.jsonl \
-	  | grep -o '"retraces":[0-9]*' | awk -F: '{ s += $$2 } END { print s + 0 }'; }; \
+	@engine() { grep '"name":"engine"' $$1/trace.jsonl \
+	  | grep -o "\"$$2\":[0-9]*" | awk -F: '{ s += $$2 } END { print s + 0 }'; }; \
 	sdc=$$(grep '"event":"campaign_finished"' $(TRACE).eddi/events.jsonl \
 	  | grep -o '"sdc":[0-9]*' | cut -d: -f2); \
-	eddi=$$(retraces $(TRACE).eddi); raw=$$(retraces $(TRACE).raw); \
+	eddi=$$(engine $(TRACE).eddi retraces); raw=$$(engine $(TRACE).raw retraces); \
 	if [ -z "$$sdc" ] || [ "$$sdc" -eq 0 ] || [ "$$eddi" -ne "$$sdc" ]; then \
 	  echo "trace-smoke: kNN IR-EDDI re-traced $$eddi samples, want its $$sdc SDCs (> 0)"; \
 	  exit 1; \
@@ -243,8 +246,26 @@ trace-smoke: build
 	if [ "$$raw" -ne 0 ]; then \
 	  echo "trace-smoke: raw kNN re-traced $$raw samples, want 0"; \
 	  exit 1; \
+	fi; \
+	lock=$$(engine $(TRACE).eddi lockstep_steps); \
+	rawlock=$$(engine $(TRACE).raw lockstep_steps); \
+	full=0; \
+	for s in $$(grep '"class":"sdc"' $(TRACE).eddi/injection.jsonl \
+	  | sed 's/^{"sample":\([0-9]*\),.*/\1/'); do \
+	  out=$$($(CLI) explain kNN -p ir-eddi --fault 2024:$$s) || exit 1; \
+	  at=$$(echo "$$out" | sed -n 's/^injected at retired instruction \([0-9]*\).*/\1/p'); \
+	  end=$$(echo "$$out" | sed -n 's/^run ended after \([0-9]*\) instructions.*/\1/p'); \
+	  full=$$((full + end - at + 1)); \
+	done; \
+	if [ "$$lock" -eq 0 ] || [ "$$lock" -ge "$$full" ]; then \
+	  echo "trace-smoke: kNN IR-EDDI ran $$lock lockstep steps, want > 0 and fewer than its SDCs' $$full suffix steps"; \
+	  exit 1; \
+	fi; \
+	if [ "$$rawlock" -ne 0 ]; then \
+	  echo "trace-smoke: raw kNN ran $$rawlock lockstep steps, want 0"; \
+	  exit 1; \
 	fi
-	@echo "trace-smoke: stitched, reproducible, exporters loadable, workers inherit the prepared target, only checked-build SDCs re-traced"
+	@echo "trace-smoke: stitched, reproducible, exporters loadable, workers inherit the prepared target, only checked-build SDCs re-traced, and they stop early"
 
 # Campaign-service smoke: daemon + job queue + live SSE (replay-valid)
 # + content-addressed store cache hit with byte-identical artifacts.

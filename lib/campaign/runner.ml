@@ -274,7 +274,8 @@ let run_command target oc c =
       (* Engine-phase breakdown of this shard's work, as one span of
          deterministic counters (golden walk, checkpoint restores,
          prefix replay and its fused part, post-flip suffixes, predecode
-         activity, golden convergence, re-traced SDCs). *)
+         activity, golden convergence, re-traced SDCs and the steps
+         run under the lockstep tracer). *)
       Trace.span tr "engine" (fun () ->
           let ph = F.phases target in
           Trace.counter tr "walks" ph.F.ph_walks;
@@ -287,7 +288,8 @@ let run_command target oc c =
           Trace.counter tr "fused_steps" ph.F.ph_fused_steps;
           Trace.counter tr "converged" ph.F.ph_converged;
           Trace.counter tr "skipped_steps" ph.F.ph_skipped_steps;
-          Trace.counter tr "retraces" ph.F.ph_retraces);
+          Trace.counter tr "retraces" ph.F.ph_retraces;
+          Trace.counter tr "lockstep_steps" ph.F.ph_lockstep_steps);
       Trace.counter tr "samples" !done_;
       emit_event
         (Events.Shard_finished
@@ -521,6 +523,7 @@ let absorb_line s buf pos len : (Events.t option, string) Stdlib.result =
     | 'd' when len = 2 ->
       s.s_done <- true;
       Ok None
+    | 'd' -> Error "done marker with a payload"
     | c -> Error (Fmt.str "worker line with unknown tag %C" c)
 
 (* Hand each newline-ended line among the first [stop] bytes of [buf] to

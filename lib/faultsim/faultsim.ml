@@ -98,6 +98,7 @@ let sdc_probability c =
 
 module Stats = Ferrum_telemetry.Stats
 module Profile = Ferrum_telemetry.Profile
+module Propagation = Ferrum_telemetry.Propagation
 
 let sdc_tally c : Stats.tally = { Stats.n = c.samples; k = c.sdc }
 
@@ -142,6 +143,7 @@ type phases = {
   mutable ph_converged : int; (* suffixes ended equal to the golden run *)
   mutable ph_skipped_steps : int; (* golden steps those suffixes skipped *)
   mutable ph_retraces : int; (* checked-build SDCs re-run under the tracer *)
+  mutable ph_lockstep_steps : int; (* steps the tracer's replica took *)
 }
 
 let zero_phases () =
@@ -157,6 +159,7 @@ let zero_phases () =
     ph_converged = 0;
     ph_skipped_steps = 0;
     ph_retraces = 0;
+    ph_lockstep_steps = 0;
   }
 
 (* The scratch of a window of campaign samples ({!run_window}), kept
@@ -198,6 +201,7 @@ type target = {
   flip_cycles : Machine.fcell; (* ... and cycles: a latency's origin *)
   mutable slot_ : Snapshot.slot option; (* pooled injected-run state *)
   mutable golden_slot_ : Snapshot.slot option; (* pooled lockstep golden *)
+  mutable tracer_ : Propagation.t option; (* the tracer of every traced run *)
   mutable cursor_ : Snapshot.slot option; (* golden cursor, never flipped *)
   mutable window_ : window option; (* {!run_window}'s scratch *)
   picks : int array; (* {!distinct_below}'s draws, in draw order *)
@@ -223,7 +227,8 @@ let reset_phases (t : target) =
   p.ph_fused_steps <- 0;
   p.ph_converged <- 0;
   p.ph_skipped_steps <- 0;
-  p.ph_retraces <- 0
+  p.ph_retraces <- 0;
+  p.ph_lockstep_steps <- 0
 
 exception Golden_failure of string
 
@@ -326,6 +331,7 @@ let prepare ?(scope = Original_only) ?(engine = default_engine)
       flip_cycles = { Machine.fv = 0.0 };
       slot_ = None;
       golden_slot_ = None;
+      tracer_ = None;
       cursor_ = None;
       window_ = None;
       picks = Array.make 64 0;
@@ -383,6 +389,14 @@ let golden_slot (t : target) =
     let s = Snapshot.make_slot t.cache in
     t.golden_slot_ <- Some s;
     s
+
+let tracer (t : target) =
+  match t.tracer_ with
+  | Some tr -> tr
+  | None ->
+    let tr = Propagation.create ~has_checks:t.has_checks t.pre t.img in
+    t.tracer_ <- Some tr;
+    tr
 
 let cursor (t : target) =
   match t.cursor_ with
@@ -559,7 +573,11 @@ let inject_full ?(fault_bits = 1) ?on_inject ?observe (t : target) rng
 (* Propagation tracing.                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Propagation = Ferrum_telemetry.Propagation
+(* Add the last traced run's lockstep steps to the target's tally. *)
+let count_lockstep (t : target) =
+  let ph = t.phases in
+  ph.ph_lockstep_steps <-
+    ph.ph_lockstep_steps + Propagation.lockstep_steps (tracer t)
 
 (* Like {!inject_full}, but with a golden run executing in lockstep:
    returns the propagation summary (first divergence, taint spread,
@@ -567,12 +585,14 @@ module Propagation = Ferrum_telemetry.Propagation
    The scratch engine's traced path, and the oracle the fast one
    ({!inject_fast} [~traced:true]) is tested against. *)
 let trace_full ?fault_bits (t : target) rng ~dyn_index =
-  let tracer = Propagation.create t.pre t.img in
+  let tracer = tracer t in
+  Propagation.start tracer ~golden:(Machine.fresh_state t.img);
   let cls, fault, st =
     inject_full ?fault_bits
       ~on_inject:(Propagation.note_injection tracer)
       ~observe:(Propagation.observe tracer) t rng ~dyn_index
   in
+  count_lockstep t;
   (cls, fault, st, Propagation.finish tracer st)
 
 let trace_propagation ?fault_bits (t : target) rng ~dyn_index :
@@ -695,6 +715,17 @@ let flip_at ~fault_bits (t : target) rng tracer st ~dyn_index idx =
   | None -> ());
   fault
 
+(* Start the target's tracer on a run that stands at its flip site, the
+   instruction not yet executed: its lockstep golden slot is copied from
+   [src], a slot holding that same state. *)
+let attach_tracer (t : target) ~src =
+  let gsl = golden_slot t in
+  Snapshot.copy ~src gsl;
+  t.phases.ph_restores <- t.phases.ph_restores + 1;
+  let tr = tracer t in
+  Propagation.start tr ~golden:(Snapshot.state gsl);
+  tr
+
 (* The flip and the suffix, once the pooled slot [sl] is positioned at
    the flip site with the instruction not yet executed.  [src] is a slot
    holding that same state — [sl] itself, or the golden cursor [sl] was
@@ -704,15 +735,7 @@ let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
   let ph = t.phases and pre = t.pre in
   let st = Snapshot.state sl in
   let s1 = st.Machine.steps and f0 = Predecode.fused_steps pre in
-  let tracer =
-    if not traced then None
-    else begin
-      let gsl = golden_slot t in
-      Snapshot.copy ~src gsl;
-      ph.ph_restores <- ph.ph_restores + 1;
-      Some (Propagation.create ~golden:(Snapshot.state gsl) t.pre t.img)
-    end
-  in
+  let tracer = if traced then Some (attach_tracer t ~src) else None in
   let idx = st.Machine.ip in
   let cls, fault =
     match Predecode.step1 pre st with
@@ -740,7 +763,9 @@ let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
   ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
   let summary =
     match tracer with
-    | Some tr -> Some (Propagation.finish tr st)
+    | Some tr ->
+      count_lockstep t;
+      Some (Propagation.finish tr st)
     | None -> None
   in
   (cls, fault, st, summary)
@@ -753,7 +778,11 @@ let run_from_site ~traced ~fault_bits (t : target) rng ~dyn_index ~src sl =
 let unreached ~traced (t : target) o st ~dyn_index =
   let summary =
     if not traced then None
-    else Some (Propagation.finish (Propagation.create ~golden:st t.pre t.img) st)
+    else begin
+      let tr = tracer t in
+      Propagation.start tr ~golden:st;
+      Some (Propagation.finish tr st)
+    end
   in
   (classify t o, unreached_fault dyn_index, st, summary)
 
@@ -790,6 +819,41 @@ let inject_fast ~traced ~fault_bits (t : target) rng ~dyn_index =
   match advance t st ~seen ~dyn_index with
   | Some o -> unreached ~traced t o st ~dyn_index
   | None -> run_from_site ~traced ~fault_bits t rng ~dyn_index ~src:sl sl
+
+(* An SDC of a checked build, run again for its escape class alone:
+   {!inject_fast}'s traced sample, on the same draws, but its tracer's
+   observer stops the run as soon as the escape is decided
+   ({!Propagation.decided}), which is then the escape of the whole run.
+   Counted in [ph_retraces]; its steps count as suffix and lockstep
+   steps. *)
+let retrace ~fault_bits (t : target) rng ~dyn_index =
+  let ph = t.phases and pre = t.pre in
+  ph.ph_retraces <- ph.ph_retraces + 1;
+  let sl = slot t in
+  let seen = Snapshot.restore sl ~dyn_index in
+  ph.ph_restores <- ph.ph_restores + 1;
+  let st = Snapshot.state sl in
+  (match advance t st ~seen ~dyn_index with
+  | Some _ -> Propagation.start (tracer t) ~golden:st
+  | None -> (
+    let tr = attach_tracer t ~src:sl and s1 = st.Machine.steps in
+    let idx = st.Machine.ip in
+    (match Predecode.step1 pre st with
+    | _retired -> (
+      ignore (flip_at ~fault_bits t rng (Some tr) st ~dyn_index idx : fault);
+      if not (Propagation.decided tr) then
+        match
+          Predecode.exec_observed ~fuel:t.fuel
+            ~on_step:(Propagation.observe_escape tr) pre st
+        with
+        | (_ : Machine.outcome) -> ()
+        | exception Propagation.Decided -> ())
+    | exception Machine.Halt _ ->
+      ignore (flip_at ~fault_bits t rng (Some tr) st ~dyn_index idx : fault)
+    | exception Machine.Trap _ -> ());
+    ph.ph_suffix_steps <- ph.ph_suffix_steps + (st.Machine.steps - s1);
+    count_lockstep t));
+  Propagation.explain_escape (Propagation.finish (tracer t) st)
 
 (* One sample on the target's engine — the only place that dispatches
    on it.  Returns the class, the fault, the run's final state (its
@@ -1077,11 +1141,9 @@ let map_inputs ~fault_bits (t : target) ~seed ~sample ~site cls (fault : fault)
   | None, Sdc when not t.has_checks ->
     (None, Some Propagation.Unprotected_program)
   | None, Sdc ->
-    t.phases.ph_retraces <- t.phases.ph_retraces + 1;
     let rng = Rng.split_at ~seed sample in
     let dyn_index = sample_dyn_index t rng ~site in
-    let _, _, _, s = inject_fast ~traced:true ~fault_bits t rng ~dyn_index in
-    (None, Some (Propagation.explain_escape (Option.get s)))
+    (None, Some (retrace ~fault_bits t rng ~dyn_index))
   | _ -> (None, None)
 
 (* Campaign samples [lo, lo + n), [n <= window_size], as

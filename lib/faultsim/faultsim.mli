@@ -112,8 +112,16 @@ type phases = {
           counted in [ph_suffix_steps] *)
   mutable ph_retraces : int;
       (** SDCs of a checked build that a traced {!run_window} ran again
-          under the tracer, for their escape class; their steps count in
-          the phases above too *)
+          under the tracer, for their escape class alone: each stops
+          once its escape is decided
+          ({!Ferrum_telemetry.Propagation.decided}); their steps count
+          in the phases above too *)
+  mutable ph_lockstep_steps : int;
+      (** steps the lockstep tracer's golden replica took beside a
+          traced run ({!Ferrum_telemetry.Propagation.lockstep_steps}):
+          from the flip on a fast engine, from the first step on the
+          scratch engine, up to the run's end, its control divergence
+          or, in a re-trace, its stop *)
 }
 
 (** {!run_window}'s per-target scratch. *)
@@ -124,8 +132,9 @@ type window
     its one golden walk, so forked campaign workers inherit both and
     never decode or walk again.  The trailing fields mark the last
     flip and lazily cache the pooled run states (the injected run, its
-    lockstep golden run and {!run_window}'s golden cursor), the window
-    scratch, the bit-draw scratch and per-process tables. *)
+    lockstep golden run and {!run_window}'s golden cursor), the
+    lockstep tracer, the window scratch, the bit-draw scratch and
+    per-process tables. *)
 type target = {
   img : Machine.image;
   eligible : bool array;
@@ -165,6 +174,10 @@ type target = {
   flip_cycles : Machine.fcell;  (** and its cycles then *)
   mutable slot_ : Ferrum_machine.Snapshot.slot option;
   mutable golden_slot_ : Ferrum_machine.Snapshot.slot option;
+  mutable tracer_ : Ferrum_telemetry.Propagation.t option;
+      (** the lockstep tracer of every traced run, built on the first
+          one and reused: its per-instruction tables and taint sets are
+          built once per target and process *)
   mutable cursor_ : Ferrum_machine.Snapshot.slot option;
   mutable window_ : window option;
   picks : int array;
@@ -308,7 +321,10 @@ val window_size : int
     to the run's end, an SDC of a build without checkers escapes as
     [Unprotected_program], and only an SDC of a checked build runs
     again under the lockstep tracer, from its checkpoint (counted in
-    [ph_retraces]).  The scratch engine traces every sample.
+    [ph_retraces]).  That re-trace stops as soon as its escape is
+    decided ({!Ferrum_telemetry.Propagation.decided}), the escape of
+    the whole run from then on.  The scratch engine traces every
+    sample to its end.
 
     [render buf r ~latency ~escape] writes sample [r]'s line into
     [buf] as it finishes, in run order; then [emit cls ~steps text pos

@@ -33,24 +33,60 @@ type divergence = {
 
 (** {1 Tracing} *)
 
+(** A lockstep tracer for the runs of one image.  Its per-instruction
+    tables (written register slots, store addresses, checker and print
+    marks) are built once by {!create}; its taint sets are dense — one
+    bitset over the 16 GPRs, 128 SIMD lanes and 4 flags, one over the
+    image's memory bytes, each with a count — and are reused by every
+    run it traces, so a lockstep step allocates nothing. *)
 type t
 
-(** [create pre img]: [golden] (default a fresh state of [img]) is the
-    lockstep golden state the tracer steps alongside the injected run,
-    on [pre], a decode of [img] — the injected run's own, typically.  A
-    checkpointed injector passes a state already advanced
-    to the flip site, since observing the identical pre-flip prefix
-    records nothing. *)
+(** [create ~has_checks pre img]: a tracer for runs of [img] on [pre],
+    a decode of [img] (the injected run's own, typically).
+    [has_checks] is whether [img] carries a [Check]-provenance
+    instruction, as {!summary}'s [program_has_checks]; the caller has
+    it already, so the image is not scanned again. *)
 val create :
-  ?golden:Machine.state -> Ferrum_machine.Predecode.t -> Machine.image -> t
+  has_checks:bool -> Ferrum_machine.Predecode.t -> Machine.image -> t
+
+(** Begin a run: clear the taint and the timeline, and step [golden]
+    alongside it, the lockstep golden state.  A checkpointed injector
+    passes a state already advanced to the flip site, since observing
+    the identical pre-flip prefix records nothing.  Of the memory
+    bitset, only the pages in which a bit was set are cleared. *)
+val start : t -> golden:Machine.state -> unit
 
 (** To be called right after the injector flips the bit(s) (see
     [?on_inject] of {!Ferrum_faultsim.Faultsim.inject_full}). *)
 val note_injection : t -> Machine.state -> unit
 
 (** The per-step observer: steps the golden machine in lockstep and
-    updates the tainted set.  Pass as [?observe] to [inject_full]. *)
+    updates the tainted set.  Pass as [?observe] to [inject_full].
+    @raise Invalid_argument before {!start}. *)
 val observe : t -> Machine.state -> int -> unit
+
+(** Whether {!explain_escape} of the run's summary is already settled,
+    whatever the run does next: the program has checkers, a checker
+    has run since the first divergence, and either register taint was
+    reactivated from memory or control flow has diverged.  The rule's
+    counters only grow; [reactivated_at] is set only in lockstep; and
+    the tests of [first_output_divergence_at] and [first_mem_taint_at]
+    against the first check are settled once that check has run. *)
+val decided : t -> bool
+
+(** Raised by {!observe_escape}. *)
+exception Decided
+
+(** {!observe}, then raise {!Decided} once the run is {!decided}: the
+    observer of a run traced only for its escape class, which stops it
+    there. *)
+val observe_escape : t -> Machine.state -> int -> unit
+
+(** Steps the golden replica has taken beside this run: the run's
+    steps observed in lockstep, each compared write by write.  After a
+    control divergence the tracer only watches for checkers and output
+    and the replica stands still. *)
+val lockstep_steps : t -> int
 
 (** {1 Summaries} *)
 

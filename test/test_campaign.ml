@@ -286,11 +286,12 @@ let test_worker_death () =
     Alcotest.(check bool) "replayed tally" true
       (tally = Runner.tally_of_counts r.Runner.counts)
 
-(* Ways a worker can garble its 3rd sample's wire line: a line with an
-   unknown tag, an event that does not parse, a span row cut short, a
-   done marker before the rest of the stream, a truncated sample line,
-   a separator moved from between two fields into one, and a dropped
-   line, which puts the next sample out of order. *)
+(* Ways a worker can garble its 3rd sample's wire line, each with what
+   the retry's reason must name: a line with an unknown tag, an event
+   that does not parse, a span row cut short, a done marker before the
+   rest of the stream, a done marker with a payload, a truncated sample
+   line, a separator moved from between two fields into one, and a
+   dropped line, which puts the next sample out of order. *)
 let garbles =
   let move_separator l =
     (* "s\t<sample>\t<class>..." -> "s\t<sample><class>\t..." *)
@@ -301,13 +302,22 @@ let garbles =
     ^ "\t"
     ^ String.sub l (j + 1) (String.length l - j - 1)
   in
-  [ ("unknown tag", fun _ -> "x\t{}");
-    ("bad event", fun _ -> "e\t{\"event\":\"bogus\"}");
-    ("cut span row", fun l -> l ^ "\nt\t{\"row\":\"span\",\"name\":\"sh");
-    ("line after the done marker", fun l -> l ^ "\nd\t");
-    ("truncated sample line", fun l -> String.sub l 0 (String.length l - 9));
-    ("misplaced separator", move_separator);
-    ("out-of-order sample", fun _ -> "") ]
+  [ ("unknown tag", "unknown tag", fun _ -> "x\t{}");
+    ("bad event", "missing field", fun _ -> "e\t{\"event\":\"bogus\"}");
+    ( "cut span row",
+      "trace row",
+      fun l -> l ^ "\nt\t{\"row\":\"span\",\"name\":\"sh" );
+    ( "line after the done marker",
+      "after the done marker",
+      fun l -> l ^ "\nd\t" );
+    ( "done marker with a payload",
+      "done marker with a payload",
+      fun _ -> "d\tx" );
+    ( "truncated sample line",
+      "sample line",
+      fun l -> String.sub l 0 (String.length l - 9) );
+    ("misplaced separator", "sample line", move_separator);
+    ("out-of-order sample", "was due", fun _ -> "") ]
 
 (* A malformed protocol line must not abort the campaign (or leak the
    other workers): the offending worker is killed and its shard retried
@@ -317,7 +327,7 @@ let test_protocol_error () =
   let target = F.prepare img in
   let ref_lines, ref_counts, _ = sequential ~traced:false ~seed ~samples img in
   List.iter
-    (fun (what, garbled) ->
+    (fun (what, names, garbled) ->
       let garble ~shard ~attempt =
         if shard = 1 && attempt = 0 then Some (2, garbled) else None
       in
@@ -340,7 +350,8 @@ let test_protocol_error () =
       | [ reason ] ->
         Alcotest.(check bool) (what ^ ": reason names the protocol error")
           true
-          (contains ~affix:"protocol error" reason)
+          (contains ~affix:"protocol error" reason
+          && contains ~affix:names reason)
       | l ->
         Alcotest.failf "%s: expected one retry marker, got %d" what
           (List.length l))
@@ -641,7 +652,10 @@ let test_adaptive_protocol_error () =
   let clean = adaptive_run () in
   let garble ~shard ~attempt =
     if shard = 4 && attempt = 0 then
-      Some (2, List.assoc "truncated sample line" garbles)
+      let _, _, f =
+        List.find (fun (w, _, _) -> w = "truncated sample line") garbles
+      in
+      Some (2, f)
     else None
   in
   let r = adaptive_run ~garble () in

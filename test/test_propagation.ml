@@ -352,14 +352,73 @@ let test_catalogue_map_inputs () =
     Ferrum_workloads.Catalog.all;
   if !retraces = 0 then Alcotest.fail "no checked-build SDC was re-traced"
 
-(* Random kernels, raw or checked, under either scope and fault width. *)
+(* Every catalogue IR-EDDI and hybrid target under both scopes: each
+   re-trace of a traced window hands the map the full tracer's escape,
+   and stops once that escape is decided, so that on every IR-EDDI
+   target some re-trace stops before its run ends.  A re-trace's steps
+   are the window's suffix steps between two renders, less those of the
+   sample's own untraced run: the full tracer's run, from its flip to
+   its end. *)
+let test_catalogue_retraces_stop () =
+  let seed = 42L and n = 60 and retraces = ref 0 in
+  List.iter
+    (fun (entry : Ferrum_workloads.Catalog.entry) ->
+      let m = entry.build () in
+      List.iter
+        (fun tech ->
+          let img = Machine.load (Pipeline.protect tech m).Pipeline.program in
+          let name = entry.name ^ "/" ^ Technique.short_name tech in
+          let stopped = ref 0 in
+          List.iter
+            (fun scope ->
+              let reference = memo_samples (F.prepare ~scope img) ~seed in
+              let t = F.prepare ~scope img in
+              F.reset_phases t;
+              let suffix = ref 0 and lockstep = ref 0 in
+              F.run_window ~traced:true ~site:(fun _ -> -1) t ~seed ~lo:0 ~n
+                ~render:(fun _ r ~latency:_ ~escape ->
+                  let ph = F.phases t in
+                  let steps = ph.F.ph_suffix_steps - !suffix
+                  and locked = ph.F.ph_lockstep_steps - !lockstep in
+                  suffix := ph.F.ph_suffix_steps;
+                  lockstep := ph.F.ph_lockstep_steps;
+                  if r.F.r_class = F.Sdc then begin
+                    incr retraces;
+                    let _, _, _, s = reference r.F.sample in
+                    let label = Fmt.str "%s sample %d" name r.F.sample in
+                    Alcotest.(check (option string)) (label ^ ": escape")
+                      (Some (Propagation.escape_name
+                               (Propagation.explain_escape s)))
+                      (Option.map Propagation.escape_name escape);
+                    let full =
+                      s.Propagation.end_steps
+                      - Option.get s.Propagation.injected_at + 1
+                    in
+                    let retraced = steps - full in
+                    if retraced > full || locked > retraced then
+                      Alcotest.failf
+                        "%s: re-traced %d steps, %d in lockstep, of a %d-step \
+                         suffix"
+                        label retraced locked full;
+                    if retraced < full then incr stopped
+                  end)
+                ~emit:(fun _ ~steps:_ _ _ _ -> ()))
+            [ F.Original_only; F.All_sites ];
+          if tech = Technique.Ir_level_eddi && !stopped = 0 then
+            Alcotest.failf "%s: no re-trace stopped before its run's end" name)
+        [ Technique.Ir_level_eddi; Technique.Hybrid_assembly_eddi ])
+    Ferrum_workloads.Catalog.all;
+  if !retraces = 0 then Alcotest.fail "no SDC was re-traced"
+
+(* Random kernels, raw or checked, under either scope, flipping 1 to 4
+   bits. *)
 let prop_random_map_inputs =
   QCheck.Test.make ~name:"map inputs match the tracer on random kernels"
     ~count:40
     QCheck.(
       quad Tgen.kernel_arbitrary
         (pair (int_bound 3) bool)
-        (int_range 1 2) (make QCheck.Gen.ui64))
+        (int_range 1 4) (make QCheck.Gen.ui64))
     (fun (k, (config, all_sites), fault_bits, seed) ->
       let m =
         Tgen.build_kernel { k with Tgen.iterations = 40 * k.Tgen.iterations }
@@ -497,6 +556,8 @@ let () =
       ( "map inputs",
         [ Alcotest.test_case "catalogue matches the tracer" `Slow
             test_catalogue_map_inputs;
+          Alcotest.test_case "catalogue re-traces stop when decided" `Slow
+            test_catalogue_retraces_stop;
           QCheck_alcotest.to_alcotest prop_random_map_inputs ] );
       ( "vulnmap",
         [ Alcotest.test_case "schema valid + reproducible" `Quick

@@ -1325,7 +1325,7 @@ let phase_counters (ph : F.phases) =
   [ ph.F.ph_walks; ph.F.ph_walk_steps; ph.F.ph_restores;
     ph.F.ph_prefix_steps; ph.F.ph_forward_steps; ph.F.ph_suffix_steps;
     ph.F.ph_decodes; ph.F.ph_fused_steps; ph.F.ph_converged;
-    ph.F.ph_skipped_steps; ph.F.ph_retraces ]
+    ph.F.ph_skipped_steps; ph.F.ph_retraces; ph.F.ph_lockstep_steps ]
 
 (* One op's lines, then the target's counters after it. *)
 let run_op t ~seed op =

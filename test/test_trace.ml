@@ -404,7 +404,7 @@ let test_campaign_trace () =
       Alcotest.(check bool) ("engine counts " ^ c) true
         (List.mem_assoc c engine.Trace.sp_counters))
     [ "walks"; "prefix_steps"; "forward_steps"; "suffix_steps"; "converged";
-      "skipped_steps"; "retraces" ];
+      "skipped_steps"; "retraces"; "lockstep_steps" ];
   (* logical rows are byte-identical across reruns; wall rows exist
      but are never compared *)
   let b = run () in
